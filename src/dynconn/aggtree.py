@@ -279,9 +279,10 @@ def _join_equal(meter, width, r1, r2, n_leaves):
     if r1.height > 0 and len(r1.children) + len(r2.children) <= 6:
         meter.parallel_charge(len(r2.children), unit=2)
         meter.charge(width)
-        for leaf in _leaves_under(r2):
+        moved = _leaves_under(r2)
+        for leaf in moved:
             leaf.ancestors[r2.height] = r1
-        meter.parallel_charge(_count_leaves(r2))
+        meter.parallel_charge(len(moved))
         r1.children.extend(r2.children)
         r1.bits |= r2.bits
         r1.lst = r2.lst
@@ -318,7 +319,7 @@ def _attach(meter, width, tall_root, short_root, right_side):
             for r in pair:
                 for leaf in _leaves_under(r):
                     leaf.ancestors.append(newroot)
-            meter.parallel_charge(_count_leaves(newroot))
+            meter.parallel_charge(len(_leaves_under(newroot)))
             meter.charge(width)
             root = newroot
             break
@@ -377,10 +378,11 @@ def _attach(meter, width, tall_root, short_root, right_side):
             if w.children[0].fst is not w.fst:
                 w.fst = w.children[0].fst
     meter.parallel_charge(len(new_chain), unit=width)
-    for leaf in _leaves_under(short_root):
+    short_leaves = _leaves_under(short_root)
+    for leaf in short_leaves:
         del leaf.ancestors[hs + 1 :]
         leaf.ancestors.extend(new_chain)
-    meter.parallel_charge(_count_leaves(short_root), unit=len(new_chain))
+    meter.parallel_charge(len(short_leaves), unit=len(new_chain))
     return root
 
 
@@ -635,24 +637,15 @@ def _parallel_attach(meter, width, survivors, right_side):
 
 
 def _leaves_under(v):
-    if v.height == 0:
-        yield v
-        return
-    stack = [v]
-    while stack:
-        w = stack.pop()
-        if w.height == 0:
-            yield w
-        else:
-            stack.extend(reversed(w.children))
-    return
-
-
-def _count_leaves(v):
-    n = 0
-    for _ in _leaves_under(v):
-        n += 1
-    return n
+    """The leaves below v in sequence order.  At height 1 this is v's own
+    child list, so callers must not mutate the result."""
+    h = v.height
+    if h == 0:
+        return [v]
+    level = v.children
+    for _ in range(h - 1):
+        level = [g for w in level for g in w.children]
+    return level
 
 
 # -- metered depth per operation ------------------------------------------------

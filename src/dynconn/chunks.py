@@ -155,39 +155,55 @@ class MasterArray:
         c2.array.tree.bit_set(c2.pos, c1.slot, 0)
 
     def bulk_set_links(self, c: Chunk, links: int):
-        """Replace c's link vector and mirror the change into every other chunk."""
+        """Replace c's link vector and mirror the change into every other chunk.
+
+        Link vectors are symmetric: bit d.slot of c.links equals bit c.slot
+        of d.links for every pair of active chunks (checked by
+        `oracle.check_chunk_store`).  So c's old row is its old column, and
+        only the chunks in the slots of (old ^ links) minus c's own slot have
+        a column bit to flip.  The model is a parallel loop over every array
+        in which each iteration scans its chunks; iterations whose array has
+        nothing to flip are charged as one plain sum (they add no depth), and
+        the loop body runs only over the arrays it changes.
+        """
         self._require_active(c)
+        old = c.links
         c.links = links
         self.meter.charge(self.slot_count)
         c.array.tree.bulk_set(c.pos, links)
-        # the column of c in every other active chunk follows links bit-by-slot
         col = 1 << c.slot
+        flips = (old ^ links) & ~col
+        changes = {}  # array -> (positions to clear, positions to set)
+        slots = self.slots
+        while flips:
+            low = flips & -flips
+            flips ^= low
+            d = slots[low.bit_length() - 1]
+            if d is None or d.array is None:
+                continue
+            entry = changes.get(d.array)
+            if entry is None:
+                entry = changes[d.array] = ([], [])
+            if links & low:
+                d.links |= col
+                entry[1].append(d.pos)
+            else:
+                d.links &= ~col
+                entry[0].append(d.pos)
         arrays = self.arrays()
+        touched = list(changes.items())
+        self.meter.charge(
+            len(arrays) - len(touched) + sum(len(a.order) for a in arrays)
+        )
 
-        def column_body(a):
-            array = arrays[a]
-            to_set = []
-            to_clear = []
-            for pos, d in enumerate(array.order):
-                if d is c:
-                    continue
-                want = (links >> d.slot) & 1
-                have = (d.links >> c.slot) & 1
-                if want:
-                    d.links |= col
-                    if not have:
-                        to_set.append(pos)
-                else:
-                    d.links &= ~col
-                    if have:
-                        to_clear.append(pos)
-            self.meter.charge(len(array.order))
+        def column_body(t):
+            array, (to_clear, to_set) = touched[t]
             if to_clear:
                 array.tree.dual_bulk_set(set(to_clear), c.slot, 0)
             if to_set:
                 array.tree.dual_bulk_set(to_set, c.slot, 1)
 
-        self.meter.parallel_for(len(arrays), column_body)
+        self.meter.parallel_for(len(touched), column_body)
 
     def _require_active(self, c):
         if self.slots[c.slot] is not c:

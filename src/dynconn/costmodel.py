@@ -119,7 +119,9 @@ class CostMeter:
         Iterations execute sequentially in Python but are charged as one
         synchronous step: depth 1 + max over bodies, work = count scheduling
         units plus the sum of body charges.  Bodies must write disjoint cells
-        (or buffer through StepBuffer); this is not re-verified here.
+        (or buffer through StepBuffer); this is not re-verified here.  If a
+        body raises, the frame stack is closed back to its entry length, so
+        the enclosing depth stays as it was at entry.
         """
         if self._init_mode:
             self.init_work += count
@@ -128,13 +130,17 @@ class CostMeter:
             return
         self.work += count
         frames = self._frames
+        base = len(frames)
         deepest = 0
-        for i in range(count):
-            frames.append(0)
-            body(i)
-            d = frames.pop()
-            if d > deepest:
-                deepest = d
+        try:
+            for i in range(count):
+                frames.append(0)
+                body(i)
+                d = frames.pop()
+                if d > deepest:
+                    deepest = d
+        finally:
+            del frames[base:]
         frames[-1] += 1 + deepest
 
     @contextmanager

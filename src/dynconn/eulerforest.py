@@ -15,6 +15,7 @@ reached from any incident tree edge's occurrence pointer.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .chunks import ChunkError, MasterArray
 from .costmodel import CHOOSE_ANY_DEPTH, CostMeter, extremum_depth
@@ -348,21 +349,11 @@ class EulerForest:
             return
         cv = self._chunks_of(v)
         for a in cu:
-            a_nodes = self._chunk_nodes(a)
+            linked = self._link_mask(self._chunk_nodes(a))
             for b in cv:
-                if not self._scan_linked(a_nodes, b):
+                if not (linked >> b.slot) & 1:
                     self.store.unlink(a, b)
         self.meter.parallel_charge(len(cu) * len(cv), unit=3 * self.K)
-
-    def _scan_linked(self, a_nodes, b):
-        for x in a_nodes:
-            for y in self.nbr[x]:
-                if (x, y) in self.edge_occ:
-                    continue
-                for occ_c in self._containers_of(y):
-                    if occ_c is b:
-                        return True
-        return False
 
     # -- small-tour paths --------------------------------------------------------
 
@@ -439,19 +430,16 @@ class EulerForest:
         self.meter.parallel_charge(len(merged))
 
     def _adopt_small(self, edges):
-        """Register a rebuilt tour (possibly above the chunk threshold)."""
+        """Register a rebuilt tour of at most K edges.  Every caller splices
+        small tours only, and the depth bounds count no chunking here."""
         if not edges:
             return
-        if len(edges) <= self.K:
-            tour = SmallTour(edges)
-            self.small_tours[id(tour)] = tour
-            for off, e in enumerate(edges):
-                self.edge_occ[e] = (tour, off)
-            self.meter.parallel_charge(len(edges))
-            return
-        array = self._chunkify(edges)
-        modified = list(array.order)
-        self._repair_and_refresh(array, modified)
+        assert len(edges) <= self.K, "small tour above the chunk threshold"
+        tour = SmallTour(edges)
+        self.small_tours[id(tour)] = tour
+        for off, e in enumerate(edges):
+            self.edge_occ[e] = (tour, off)
+        self.meter.parallel_charge(len(edges))
 
     def _rotated_small(self, tid, node):
         """Split a small/singleton tour into (part ending at node, part starting there)."""
@@ -861,27 +849,33 @@ class EulerForest:
         self.meter.parallel_charge(len(edges))
 
     def _refresh_links(self, c):
-        fresh = 0
-        for x in self._chunk_nodes(c):
-            for y in self.nbr[x]:
-                if (x, y) in self.edge_occ:
-                    continue
-                for d in self._containers_of(y):
-                    if not isinstance(d, SmallTour):
-                        fresh |= 1 << d.slot
+        fresh = self._link_mask(self._chunk_nodes(c))
         self.meter.parallel_charge(3 * len(c.edges) + 2)
         self.store.bulk_set_links(c, fresh)
 
+    def _link_mask(self, nodes):
+        """Slot bits of every chunk holding a tour occurrence of a non-tree
+        neighbour of `nodes`: the link vector of a chunk over those nodes."""
+        nbr = self.nbr
+        edge_occ = self.edge_occ
+        mask = 0
+        for x in nodes:
+            for y in nbr[x]:
+                if (x, y) in edge_occ:
+                    continue
+                for w in nbr[y]:
+                    occ = edge_occ.get((y, w))
+                    if occ is not None and occ[0].__class__ is not SmallTour:
+                        mask |= 1 << occ[0].slot
+                    occ = edge_occ.get((w, y))
+                    if occ is not None and occ[0].__class__ is not SmallTour:
+                        mask |= 1 << occ[0].slot
+        return mask
+
     def _chunk_nodes(self, c):
-        seen = []
-        mark = set()
-        for (a, b) in c.edges:
-            for x in (a, b):
-                if x not in mark:
-                    mark.add(x)
-                    seen.append(x)
+        """The distinct endpoints of c's edges, in order of first occurrence."""
         self.meter.parallel_charge(len(c.edges))
-        return seen
+        return list(dict.fromkeys(chain.from_iterable(c.edges)))
 
     def _containers_of(self, y):
         out = []

@@ -309,3 +309,112 @@ def test_randomized_store_soak():
         if step % 5 == 0:
             check_chunk_store(ms)
     check_chunk_store(ms)
+
+
+def reference_bulk_set_links(ms, c, links):
+    """The full column scan `MasterArray.bulk_set_links` replaced: every chunk
+    of every array compares its bit of c's column against `links`."""
+    ms._require_active(c)
+    c.links = links
+    ms.meter.charge(ms.slot_count)
+    c.array.tree.bulk_set(c.pos, links)
+    col = 1 << c.slot
+    arrays = ms.arrays()
+
+    def column_body(a):
+        array = arrays[a]
+        to_set = []
+        to_clear = []
+        for pos, d in enumerate(array.order):
+            if d is c:
+                continue
+            want = (links >> d.slot) & 1
+            have = (d.links >> c.slot) & 1
+            if want:
+                d.links |= col
+                if not have:
+                    to_set.append(pos)
+            else:
+                d.links &= ~col
+                if have:
+                    to_clear.append(pos)
+        ms.meter.charge(len(array.order))
+        if to_clear:
+            array.tree.dual_bulk_set(set(to_clear), c.slot, 0)
+        if to_set:
+            array.tree.dual_bulk_set(to_set, c.slot, 1)
+
+    ms.meter.parallel_for(len(arrays), column_body)
+
+
+class ScanningMasterArray(MasterArray):
+    bulk_set_links = reference_bulk_set_links
+
+
+def test_bulk_set_links_matches_full_column_scan():
+    """Twin stores, one with the reference scan, replay one seeded sequence
+    of link and array operations; links, tree leaves and the meter agree
+    after every step."""
+    rng = random.Random(31)
+    twins = [
+        MasterArray(CostMeter(ArbitraryPolicy(3)), 48, 6),
+        ScanningMasterArray(CostMeter(ArbitraryPolicy(3)), 48, 6),
+    ]
+    arrays = [[filled(ms, [2, 2, 2]), filled(ms, [2] * 4)] for ms in twins]
+    for step in range(500):
+        ms = twins[0]
+        a = rng.randrange(len(arrays[0]))
+        order = arrays[0][a].order
+        live = [d.slot for arr in arrays[0] for d in arr.order]
+        roll = rng.random()
+        if roll < 0.3:
+            pos = rng.randrange(len(order))
+            mask = 0
+            for s in live:
+                if rng.random() < 0.3:
+                    mask |= 1 << s
+            op = ("bulk", a, pos, mask)
+        elif roll < 0.5:
+            b = rng.randrange(len(arrays[0]))
+            op = (
+                "link" if rng.random() < 0.6 else "unlink",
+                a, rng.randrange(len(order)), b,
+                rng.randrange(len(arrays[0][b].order)),
+            )
+        elif roll < 0.65 and ms.free:
+            op = ("insert", a, rng.randrange(len(order) + 1))
+        elif roll < 0.8 and len(order) > 1:
+            op = ("delete", a, rng.randrange(len(order)))
+        elif roll < 0.9 and len(order) > 1:
+            op = ("split", a, rng.randrange(1, len(order)))
+        elif len(arrays[0]) > 1:
+            b = rng.randrange(len(arrays[0]) - 1)
+            op = ("concat", a, b + (b >= a))
+        else:
+            continue
+        for ms, arrs in zip(twins, arrays):
+            kind, x = op[0], arrs[op[1]]
+            if kind == "bulk":
+                ms.bulk_set_links(x.order[op[2]], op[3])
+            elif kind in ("link", "unlink"):
+                getattr(ms, kind)(x.order[op[2]], arrs[op[3]].order[op[4]])
+            elif kind == "insert":
+                ms.insert_chunk(x, op[2], ms.alloc_chunk([(step, 0)]))
+            elif kind == "delete":
+                c = x.order[op[2]]
+                if c.links:
+                    ms.bulk_set_links(c, 0)
+                ms.delete_chunk(x, op[2])
+                ms.deactivate(c)
+            elif kind == "split":
+                arrs.append(ms.split_array(x, op[2])[1])
+            else:
+                ms.concatenate(x, arrs[op[2]])
+                del arrs[op[2]]
+        new, ref = twins
+        assert [c and c.links for c in new.slots] == [c and c.links for c in ref.slots]
+        assert [[leaf.bits for leaf in arr.tree.leaves] for arr in arrays[0]] == [
+            [leaf.bits for leaf in arr.tree.leaves] for arr in arrays[1]
+        ]
+        assert (new.meter.work, new.meter.depth) == (ref.meter.work, ref.meter.depth)
+    check_chunk_store(twins[0])

@@ -282,3 +282,23 @@ class TestPrimitiveDepths:
                 m.reset()
                 m.choose_any(values)
                 assert m.depth == CHOOSE_ANY_DEPTH
+
+
+class TestParallelForRaising:
+    def test_raising_body_closes_its_frames(self):
+        m = meter()
+        m.parallel_charge(3)
+        entry = m.depth
+
+        def body(i):
+            m.parallel_for(2, lambda j: m.phase())
+            if i == 1:
+                m.parallel_for(2, lambda j: 1 // 0)
+
+        with pytest.raises(ZeroDivisionError):
+            m.parallel_for(4, body)
+        assert m.depth == entry
+        m.reset()
+        assert (m.work, m.depth) == (0, 0)
+        m.parallel_for(2, lambda i: m.charge(1))
+        assert (m.work, m.depth) == (4, 1)
