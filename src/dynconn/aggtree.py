@@ -76,14 +76,6 @@ class AggTree:
             raise IndexError(f"no ancestor at height {level}")
         return leaf.ancestors[level]
 
-    def bit_array(self, v):
-        self.meter.charge(1)
-        return v.bits
-
-    def leaf_bits(self, i):
-        self.meter.charge(1)
-        return self.leaves[i].bits
-
     def root_bits(self):
         self.meter.charge(1)
         return self.root.bits if self.root is not None else 0

@@ -163,22 +163,6 @@ class CostMeter:
         yield
         self._check_budget(self._frames[-1] - base, depth_budget, label)
 
-    @contextmanager
-    def operation(self, depth_budget: int | None = None, label: str = ""):
-        """Measure the enclosed block; pad its depth up to a fixed budget.
-
-        Padding makes the metered depth of an operation a constant of its kind
-        rather than of its input, which is how a constant-time bound is
-        presented; exceeding the budget is a hard failure, so the bound stays
-        falsifiable.
-        """
-        base = self._frames[-1]
-        yield
-        used = self._frames[-1] - base
-        if depth_budget is not None:
-            self._check_budget(used, depth_budget, label)
-            self._frames[-1] += depth_budget - used
-
     @staticmethod
     def _check_budget(used, depth_budget, label):
         if used > depth_budget:

@@ -2,9 +2,7 @@
 
 Everything here recomputes from scratch; nothing is incremental.  The dynamic
 structures are tested against these oracles after every operation at small
-scale, so the code favours being obviously right over being fast.  Node sets
-are represented as Python ints used as bitmasks where that keeps exhaustive
-sweeps affordable.
+scale, so the code favours being obviously right over being fast.
 """
 
 from __future__ import annotations
@@ -108,100 +106,6 @@ def bf_bipartite(g: SimpleGraph) -> bool:
                 elif color[y] == color[x]:
                     return False
     return True
-
-
-def isolated_count(g: SimpleGraph) -> int:
-    return sum(1 for v in g.adj if not g.adj[v])
-
-
-def distance2_graph(g: SimpleGraph) -> SimpleGraph:
-    """Graph on the same nodes with an edge wherever a path of length exactly 2 exists."""
-    out = SimpleGraph()
-    for v in g.adj:
-        out.activate(v)
-    for mid in g.adj:
-        nbrs = sorted(g.adj[mid])
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                x, z = nbrs[i], nbrs[j]
-                if not out.has_edge(x, z):
-                    out.add_edge(x, z)
-    return out
-
-
-# -- bitmask variants for exhaustive sweeps ---------------------------------
-
-
-def mask_components(n: int, adj_masks) -> int:
-    """Number of connected components of the graph on nodes 0..n-1."""
-    unvisited = (1 << n) - 1
-    count = 0
-    while unvisited:
-        seed = unvisited & -unvisited
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= adj_masks[b.bit_length() - 1]
-                f ^= b
-            nxt &= ~comp
-            comp |= nxt
-            frontier = nxt
-        count += 1
-        unvisited &= ~comp
-    return count
-
-
-def mask_bipartite(n: int, adj_masks) -> bool:
-    """2-colorability of the graph on nodes 0..n-1 via BFS layering on masks."""
-    unvisited = (1 << n) - 1
-    while unvisited:
-        seed = unvisited & -unvisited
-        even, odd = seed, 0
-        frontier = seed
-        parity = 0
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= adj_masks[b.bit_length() - 1]
-                f ^= b
-            nxt &= ~(even | odd)
-            if parity == 0:
-                odd |= nxt
-            else:
-                even |= nxt
-            parity ^= 1
-            frontier = nxt
-        comp = even | odd
-        for v in range(n):
-            if comp >> v & 1:
-                mine = even if even >> v & 1 else odd
-                if adj_masks[v] & mine:
-                    return False
-        unvisited &= ~comp
-    return True
-
-
-def mask_distance2(n: int, adj_masks):
-    """Adjacency masks of the distance-exactly-2 graph."""
-    out = [0] * n
-    for mid in range(n):
-        m = adj_masks[mid]
-        f = m
-        while f:
-            b = f & -f
-            out[b.bit_length() - 1] |= m & ~b
-            f ^= b
-    return out
-
-
-def mask_isolated(n: int, adj_masks) -> int:
-    return sum(1 for v in range(n) if not adj_masks[v])
 
 
 # -- structural checkers -----------------------------------------------------

@@ -51,11 +51,7 @@ class SparsNode:
         self.spans = spans  # one or two (lo, hi) global-id intervals
         self.size = sum(hi - lo for lo, hi in spans)
         self.conn = ConnGeneral(meter, self.size, 4 * self.size)
-        self.bip = (
-            BipartiteGeneral(meter, self.size, 4 * self.size)
-            if mode == "bipartiteness"
-            else None
-        )
+        self.bip = BipartiteGeneral(self.conn) if mode == "bipartiteness" else None
         self.base_edges = set()
         self.own_bit = True
         self.subtree_flag = True
@@ -442,8 +438,9 @@ def depth_budgets(mode, policy) -> dict:
     Each budget is an upper bound on the operation's metered depth, composed
     bottom-up from the layers' own bounds: the aggregate tree's phase counts,
     the master array's and the Euler forest's sums over their sequential
-    calls, and the gadgets' call ceilings times the bounds of the structure
-    they translate into.  It depends on the mode, and on the policy and its
+    calls, the connectivity gadget's call ceilings times the Euler forest's
+    bounds, and in bipartiteness mode twice those for the double cover's two
+    updates per edge.  It depends on the mode, and on the policy and its
     epsilon through the extremum reductions, but never on n.  Calls are not
     padded: the meter keeps the depth the call spent, and a call that goes
     over its budget raises MeterError.

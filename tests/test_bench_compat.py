@@ -1,0 +1,41 @@
+"""The benchmark's traced run still fits the package.
+
+`bench/tracer.py` wraps the layers' functions by name and `bench/run.py`
+reads structure internals for `chunks.slot_occupancy`.  A rename in the
+package would otherwise show only when `bench/run.py --trace 1` fails.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from dynconn.sparsify import DynamicConnectivity
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves():
+    tracer = load("tracer")
+    missing = []
+    for layer, owner, names in tracer._targets():
+        assert layer in tracer.LAYERS
+        for name in names:
+            if not callable(vars(owner).get(name)):
+                missing.append(f"{owner.__name__}.{name}")
+    assert not missing
+
+
+def test_slot_occupancy_reads_a_connectivity_facade():
+    run = load("run")
+    f = DynamicConnectivity(16)
+    for v in range(1, 17):
+        f.activate_node(v)
+    for u, v in [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (9, 16)]:
+        f.insert_edge(u, v)
+    assert 0.0 < run._slot_occupancy(f) <= 1.0

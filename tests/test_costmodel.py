@@ -215,16 +215,10 @@ class TestStepBuffer:
 
 
 class TestOperationBudget:
-    def test_padding_makes_depth_exact(self):
-        m = meter()
-        with m.operation(depth_budget=10):
-            m.parallel_for(3, lambda i: None)
-        assert m.depth == 10
-
     def test_budget_overflow_raises(self):
         m = meter()
         with pytest.raises(MeterError):
-            with m.operation(depth_budget=1, label="op"):
+            with m.bounded(1, "op"):
                 m.parallel_for(2, lambda i: m.parallel_for(2, lambda j: None))
 
     def test_initialization_excluded(self):

@@ -15,7 +15,7 @@ from dynconn.aggtree import AggTree
 from dynconn.chunks import MasterArray
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy
 from dynconn.eulerforest import EulerForest
-from dynconn.reductions import BipartiteBounded, BipartiteGeneral, ConnGeneral
+from dynconn.reductions import BipartiteGeneral, ConnGeneral
 from dynconn.sparsify import DynamicBipartiteness, DynamicConnectivity
 
 POLICIES = [ArbitraryPolicy(5), CommonPolicy(0.25)]
@@ -53,7 +53,6 @@ def record_depths(monkeypatch):
     wrap(ConnGeneral, "insert_edge", "conn", "insert")
     wrap(ConnGeneral, "_delete", "conn", "delete")
     wrap(ConnGeneral, "find_replacement", "conn", "find_replacement")
-    wrap(BipartiteBounded, "apply_edge", "bounded")
     wrap(BipartiteGeneral, "apply_edge", "general")
     return worst
 
@@ -62,7 +61,7 @@ def stated_bounds(policy):
     out = {("agg", k): v for k, v in aggtree.DEPTH_BOUNDS.items()}
     for layer, cls in (
         ("chunks", MasterArray), ("forest", EulerForest), ("conn", ConnGeneral),
-        ("bounded", BipartiteBounded), ("general", BipartiteGeneral),
+        ("general", BipartiteGeneral),
     ):
         out.update({(layer, k): v for k, v in cls.depth_bounds(policy).items()})
     return out

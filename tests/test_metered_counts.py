@@ -1,9 +1,10 @@
 """Pinned metered counts of seeded facade scripts.
 
 A change that only speeds up the Python must leave the work and depth of
-every operation bit-identical.  These constants were recorded before the
-link-vector and aggregate-tree inner loops were rewritten; a change that
-moves them changes the cost model and must say so.
+every operation bit-identical.  The connectivity constants were recorded
+before the link-vector and aggregate-tree inner loops were rewritten, the
+bipartiteness ones when the double cover replaced the distance-2 gadget; a
+change that moves them changes the cost model and must say so.
 """
 
 import random
@@ -63,7 +64,7 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (4044892, {"insert": 2903, "delete": 3693}, 56889),
+            (478584, {"insert": 621, "delete": 934}, 11958),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

@@ -11,9 +11,14 @@ from dynconn.oracle import (
     bf_components,
     bf_connected,
     check_gadget_graph,
-    distance2_graph,
 )
-from dynconn.reductions import BipartiteBounded, BipartiteGeneral, ConnGeneral, GadgetError
+from dynconn.reductions import (
+    CONN_DELETE_CEILINGS,
+    CONN_INSERT_CEILINGS,
+    BipartiteGeneral,
+    ConnGeneral,
+    GadgetError,
+)
 
 
 def conn(n=16, cap=None, policy=None):
@@ -25,12 +30,22 @@ def activate_all(cg, n):
         cg.activate_node(v)
 
 
+def tally(cg):
+    """The translated operations of cg's last edge call."""
+    c = cg.counts
+    return (c.node_add, c.node_del, c.edge_add, c.edge_del)
+
+
+def within(got, ceilings):
+    return all(g <= cap for g, cap in zip(got, ceilings))
+
+
 class TestConnGadget:
     def test_first_edge_minimal_translation(self):
         cg = conn()
         activate_all(cg, 2)
         cg.insert_edge(0, 1)
-        assert cg.counts.maxima["conn_gadget_insert"] == (2, 0, 1, 0)
+        assert tally(cg) == (2, 0, 1, 0)
         assert cg.connected(0, 1)
         check_gadget_graph(cg)
 
@@ -39,13 +54,13 @@ class TestConnGadget:
         activate_all(cg, 8)
         for w in range(1, 5):
             cg.insert_edge(0, w)  # degree of 0 climbs to 4
-        na, nd, ea, ed = cg.counts.maxima["conn_gadget_insert"]
-        assert na <= 2 and ed <= 2 and ea <= 5
+            assert within(tally(cg), CONN_INSERT_CEILINGS)
+            assert tally(cg)[1] == 0
         check_gadget_graph(cg)
         for w in range(1, 5):
             cg.delete_edge(0, w)
-        na, nd, ea, ed = cg.counts.maxima["conn_gadget_delete"]
-        assert nd <= 2 and ed <= 5 and ea <= 2
+            assert within(tally(cg), CONN_DELETE_CEILINGS)
+            assert tally(cg)[0] == 0
         check_gadget_graph(cg)
 
     def test_triangle_replacement_is_host_edge(self):
@@ -146,108 +161,76 @@ class TestConnGadget:
             cg.deactivate_node(0)
 
 
-def bb(n=16, policy=None):
-    return BipartiteBounded(CostMeter(policy or ArbitraryPolicy(8)), n)
+class Bip:
+    """A host ConnGeneral and the double cover built on it, updated together
+    the way a sparsification node updates them."""
 
+    def __init__(self, n=12, policy=None):
+        self.host = conn(n=n, policy=policy or ArbitraryPolicy(10))
+        self.bip = BipartiteGeneral(self.host)
+        for v in range(n):
+            self.host.activate_node(v)
+            self.bip.activate_node(v)
 
-class TestBipartiteBounded:
-    def test_single_edge(self):
-        b = bb(4)
-        b.activate_node(0)
-        b.activate_node(1)
-        b.apply_edge(0, 1, True)
-        assert b.is_bipartite()
+    def insert(self, u, v):
+        self.host.insert_edge(u, v)
+        self.bip.apply_edge(u, v, True)
 
-    def test_triangle_not_bipartite(self):
-        b = bb(4)
-        for v in range(3):
-            b.activate_node(v)
-        b.apply_edge(0, 1, True)
-        b.apply_edge(1, 2, True)
-        assert b.is_bipartite()
-        b.apply_edge(0, 2, True)
-        assert not b.is_bipartite()
-        b.apply_edge(0, 2, False)
-        assert b.is_bipartite()
+    def delete(self, u, v):
+        self.host.delete_edge(u, v)
+        self.bip.apply_edge(u, v, False)
 
-    def test_edgeless_graph(self):
-        b = bb(6)
-        for v in range(6):
-            b.activate_node(v)
-        assert b.is_bipartite()
-
-    def test_witness_counts_match_recount(self):
-        rng = random.Random(5)
-        b = bb(12)
-        g = SimpleGraph()
-        for v in range(12):
-            b.activate_node(v)
-            g.activate(v)
-        for _ in range(250):
-            u, v = rng.randrange(12), rng.randrange(12)
-            if u == v:
-                continue
-            if g.has_edge(u, v):
-                b.apply_edge(u, v, False)
-                g.remove_edge(u, v)
-            elif g.degree(u) < 3 and g.degree(v) < 3:
-                b.apply_edge(u, v, True)
-                g.add_edge(u, v)
-            want = {}
-            for mid in g.adj:
-                nbrs = sorted(g.adj[mid])
-                for i in range(len(nbrs)):
-                    for j in range(i + 1, len(nbrs)):
-                        key = (nbrs[i], nbrs[j])
-                        want[key] = want.get(key, 0) + 1
-            assert b.witness == want
-            d2 = distance2_graph(g)
-            assert set(b.p2.ports) == {
-                (x, y) for x in d2.adj for y in d2.adj[x]
-            }
-            assert b.is_bipartite() == bf_bipartite(g)
-        assert b.max_p2_changes <= 6
-
-    def test_observed_companion_changes_at_most_four(self):
-        # with degree <= 3 the tight per-edge bound is 4 companion changes
-        rng = random.Random(6)
-        b = bb(16)
-        g = SimpleGraph()
-        for v in range(16):
-            b.activate_node(v)
-            g.activate(v)
-        for _ in range(400):
-            u, v = rng.randrange(16), rng.randrange(16)
-            if u == v:
-                continue
-            if g.has_edge(u, v):
-                b.apply_edge(u, v, False)
-                g.remove_edge(u, v)
-            elif g.degree(u) < 3 and g.degree(v) < 3:
-                b.apply_edge(u, v, True)
-                g.add_edge(u, v)
-        assert b.max_p2_changes <= 4
-
-
-def bg(n=12, policy=None):
-    return BipartiteGeneral(CostMeter(policy or ArbitraryPolicy(10)), n, 4 * n)
+    def is_bipartite(self):
+        return self.bip.is_bipartite()
 
 
 def bg_with_edges(edges, n=12):
-    b = bg(n)
-    for v in range(n):
-        b.activate_node(v)
+    b = Bip(n)
     for u, v in edges:
-        b.apply_edge(u, v, True)
+        b.insert(u, v)
     return b
+
+
+def component_parities(g):
+    """(bipartite components, non-bipartite components) of g, by BFS."""
+    colour = {}
+    bipartite = odd = 0
+    for s in g.adj:
+        if s in colour:
+            continue
+        colour[s] = 0
+        queue = [s]
+        ok = True
+        while queue:
+            x = queue.pop()
+            for y in g.adj[x]:
+                if y not in colour:
+                    colour[y] = colour[x] ^ 1
+                    queue.append(y)
+                elif colour[y] == colour[x]:
+                    ok = False
+        if ok:
+            bipartite += 1
+        else:
+            odd += 1
+    return bipartite, odd
 
 
 class TestBipartiteGeneral:
     def test_even_and_odd_cycles(self):
+        assert bg_with_edges([], n=6).is_bipartite()
+        assert bg_with_edges([(0, 1)], n=2).is_bipartite()
         c4 = bg_with_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
         assert c4.is_bipartite()
         c5 = bg_with_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         assert not c5.is_bipartite()
+        # toggle the edge that closes a triangle
+        tri = bg_with_edges([(0, 1), (1, 2)], n=3)
+        assert tri.is_bipartite()
+        tri.insert(0, 2)
+        assert not tri.is_bipartite()
+        tri.delete(0, 2)
+        assert tri.is_bipartite()
 
     def test_k4_not_bipartite(self):
         edges = list(itertools.combinations(range(4), 2))
@@ -256,46 +239,72 @@ class TestBipartiteGeneral:
 
     def test_insert_delete_roundtrip_observables(self):
         b = bg_with_edges([(0, 1), (1, 2), (2, 3)])
-        before = (b.is_bipartite(), b.inner.g.n_components())
-        b.apply_edge(0, 3, True)
-        b.apply_edge(0, 3, False)
-        assert (b.is_bipartite(), b.inner.g.n_components()) == before
+        before = (b.is_bipartite(), b.bip.cover.n_components())
+        b.insert(0, 3)
+        b.delete(0, 3)
+        assert (b.is_bipartite(), b.bip.cover.n_components()) == before
+        with pytest.raises(GadgetError):
+            b.bip.apply_edge(2, 2, True)
+        assert (b.is_bipartite(), b.bip.cover.n_components()) == before
 
     def test_high_degree_star(self):
         b = bg_with_edges([(0, w) for w in range(1, 10)])
         assert b.is_bipartite()
-        b.apply_edge(1, 2, True)
+        b.insert(1, 2)
         assert not b.is_bipartite()  # odd triangle 0-1-2
-        b.apply_edge(1, 2, False)
+        b.delete(1, 2)
         assert b.is_bipartite()
-        b.apply_edge(2, 3, True)
+        b.insert(2, 3)
         assert not b.is_bipartite()  # odd triangle 0-2-3
-        b.apply_edge(2, 3, False)
+        b.delete(2, 3)
         assert b.is_bipartite()
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(31)
         for trial in range(12):
             n = rng.randrange(3, 10)
-            b = bg(n)
+            b = Bip(n)
             g = SimpleGraph()
             for v in range(n):
-                b.activate_node(v)
                 g.activate(v)
             for _ in range(60):
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u == v:
                     continue
                 if g.has_edge(u, v):
-                    b.apply_edge(u, v, False)
+                    b.delete(u, v)
                     g.remove_edge(u, v)
                 else:
-                    b.apply_edge(u, v, True)
+                    b.insert(u, v)
                     g.add_edge(u, v)
                 assert b.is_bipartite() == bf_bipartite(g)
 
+    def test_cover_components_count_colour_classes(self):
+        # a bipartite component lifts to two cover components, one with an
+        # odd cycle to a single one
+        rng = random.Random(41)
+        for trial in range(10):
+            n = rng.randrange(4, 14)
+            b = Bip(n, policy=ArbitraryPolicy(trial))
+            g = SimpleGraph()
+            for v in range(n):
+                g.activate(v)
+            for _ in range(40):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u == v:
+                    continue
+                if g.has_edge(u, v):
+                    b.delete(u, v)
+                    g.remove_edge(u, v)
+                else:
+                    b.insert(u, v)
+                    g.add_edge(u, v)
+                bipartite, odd = component_parities(g)
+                assert b.bip.cover.n_components() == 2 * bipartite + odd
+            check_gadget_graph(b.bip.cover)
+
     def test_exhaustive_small_graphs(self):
-        # every graph on 5 nodes, built edge by edge and torn down again
+        # every graph on 5 nodes with at most 6 edges, built edge by edge
         nodes = range(5)
         all_edges = list(itertools.combinations(nodes, 2))
         for mask in range(1 << len(all_edges)):
