@@ -216,21 +216,30 @@ def component_parities(g):
     return bipartite, odd
 
 
-class TestBipartiteGeneral:
-    def test_even_and_odd_cycles(self):
-        assert bg_with_edges([], n=6).is_bipartite()
+class TestBipartiteBounded:
+    """Small graphs of degree at most two, on the double cover."""
+
+    def test_single_edge(self):
         assert bg_with_edges([(0, 1)], n=2).is_bipartite()
-        c4 = bg_with_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert c4.is_bipartite()
-        c5 = bg_with_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        assert not c5.is_bipartite()
-        # toggle the edge that closes a triangle
+
+    def test_triangle_not_bipartite(self):
         tri = bg_with_edges([(0, 1), (1, 2)], n=3)
         assert tri.is_bipartite()
         tri.insert(0, 2)
         assert not tri.is_bipartite()
         tri.delete(0, 2)
         assert tri.is_bipartite()
+
+    def test_edgeless_graph(self):
+        assert bg_with_edges([], n=6).is_bipartite()
+
+
+class TestBipartiteGeneral:
+    def test_even_and_odd_cycles(self):
+        c4 = bg_with_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert c4.is_bipartite()
+        c5 = bg_with_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        assert not c5.is_bipartite()
 
     def test_k4_not_bipartite(self):
         edges = list(itertools.combinations(range(4), 2))
