@@ -594,7 +594,7 @@ def _parallel_attach(meter, width, survivors, right_side):
         s = survivors[i]
         parent = spine[s.height + 1]
         if right_side:
-            parent.children.append(s.root if hasattr(s, "root") else s)
+            parent.children.append(s)
         else:
             parent.children.insert(0, s)
     meter.parallel_charge(len(survivors))
@@ -623,9 +623,6 @@ def _parallel_attach(meter, width, survivors, right_side):
             extended += len(ext)
     meter.parallel_charge(extended)
     return top
-
-
-# NOTE: _parallel_attach children wiring uses the survivor vertices directly.
 
 
 def _leaves_under(v):

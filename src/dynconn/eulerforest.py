@@ -10,6 +10,16 @@ a forest can contain far more tiny trees than slots.
 
 Connectivity is answered in O(1) by comparing tour container identities,
 reached from any incident tree edge's occurrence pointer.
+
+Link vectors are refreshed once per forest update.  The steps of an update
+that split, merge, chunk or reindex chunks only mark those chunks stale; one
+flush at the end of `insert_edge` or `_delete` recomputes the link vector of
+each marked chunk that is still live, once, from the final tours.  A chunk
+retired during the update is skipped: `_retire_chunk` clears its links
+before the slot is freed.  The only link query of an update, the replacement
+search, runs before its first mutation, so the vectors may lag until the
+flush; they stay symmetric throughout, since every change to them goes
+through the master array.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-from .chunks import ChunkError, MasterArray
+from .chunks import MasterArray
 from .costmodel import CHOOSE_ANY_DEPTH, CostMeter, extremum_depth
 
 # a node of degree at most 3 has at most 3 tree edges, hence at most 6 tour
@@ -78,6 +88,10 @@ class EulerForest:
         self.small_tours = {}
         self._active_n = 0
         self._tree_edges = 0
+        # chunks whose link vector the current update may have made stale,
+        # as an insertion-ordered set; emptied when an update starts and
+        # flushed once at its end
+        self._stale = {}
         with meter.initialization():
             meter.charge(capacity)
 
@@ -96,6 +110,12 @@ class EulerForest:
         and may add one chunk per listed chunk, and a tour short enough to
         demote then spans at most 2 chunks.  Small tours never exceed K
         edges, so they are chunked into one chunk.
+
+        Link vectors are refreshed only by the flush that ends an update,
+        once per live chunk it marked.  Every marked chunk stays listed until
+        it is retired, so an update marks at most the chunks its repairs end
+        with, plus on a replacement the up to 2 x 6 chunks holding the
+        promoted edge's endpoints.
         """
         store = MasterArray.depth_bounds(policy)
         if policy.kind == "common":
@@ -105,23 +125,25 @@ class EulerForest:
         insert_chunk = store["insert_chunk"]
         refresh = 2 + store["bulk_set_links"]  # _refresh_links
         retire = store["bulk_set_links"] + store["delete_chunk"]  # _retire_chunk
-        as_array = 1 + (insert_chunk + 2) + refresh  # drop, one-chunk _chunkify
-        cut = 2 + insert_chunk + 2 * refresh  # _cut_after_target, _cut_at_source
+        as_array = 1 + (insert_chunk + 2)  # drop, one-chunk _chunkify
+        cut = 2 + insert_chunk  # _cut_after_target, _cut_at_source
         # _cut_out: the right piece, then the left piece or the retirement
-        cut_out = insert_chunk + 1 + refresh + max(1 + refresh, retire)
+        cut_out = insert_chunk + 1 + max(1, retire)
         shrink = 1 + 2 * retire + 1  # _maybe_shrink
 
-        def repair(listed):  # _repair_and_refresh
-            step = max(2 + insert_chunk, 1 + retire)
-            return listed * step + 2 * listed * refresh + shrink
+        def repair(listed):  # _repair_and_mark
+            return listed * max(2 + insert_chunk, 1 + retire) + shrink
+
+        def flush(marked):  # _flush_links: the liveness filter, then refreshes
+            return 1 + marked * refresh
 
         # _merge_tours: two tour lengths, then a small splice, a singleton
-        # end or two cut arrays, then the repair
+        # end or two cut arrays, then the repair and the flush
         merge = 2 + max(
             4,
             as_array + cut + insert_chunk + store["reorder"],
             2 * (as_array + cut) + store["concatenate"] + 2 * store["reorder"],
-        ) + repair(6)
+        ) + repair(6) + flush(2 * 6)
         mark_linked = 1 + _OCCURRENCES**2 * store["link"]
         unlink = _OCCURRENCES * (1 + _OCCURRENCES * store["unlink"]) + 1
         probe_small = 2 + select
@@ -130,11 +152,12 @@ class EulerForest:
         # _permute_blocks: at most 5 blocks, so 5 cuts and 4 concatenations
         permute = 5 * store["split_array"] + 4 * store["concatenate"] + 1
         commit_split = store["reorder"] + store["split_array"] + 2 * repair(4)
-        commit_replace = (
-            2 * cut + permute + 2 * insert_chunk + repair(10)
-            + 2 * _OCCURRENCES * refresh
+        commit_replace = 2 * cut + permute + 2 * insert_chunk + repair(10)
+        # marked: two split-off repairs of at most 4 listed, or one repair of
+        # 10 listed plus the chunks of the promoted edge's endpoints
+        commit_large = 2 * cut_out + max(commit_split, commit_replace) + flush(
+            max(2 * 2 * 4, 2 * 10 + 2 * _OCCURRENCES)
         )
-        commit_large = 2 * cut_out + max(commit_split, commit_replace)
         return {
             "insert": max(mark_linked, merge),
             "delete": max(
@@ -217,6 +240,7 @@ class EulerForest:
         if len(self.nbr[u]) >= 3 or len(self.nbr[v]) >= 3:
             raise ForestError("degree bound 3 exceeded")
         same = self._tree_id(u) == self._tree_id(v)
+        self._stale = {}
         self.nbr[u].append(v)
         self.nbr[v].append(u)
         self.meter.charge(4)
@@ -225,6 +249,7 @@ class EulerForest:
         else:
             self._merge_tours(u, v)
             self._tree_edges += 1
+        self._flush_links()
 
     def _mark_linked(self, u, v):
         cu = self._chunks_of(u)
@@ -290,7 +315,7 @@ class EulerForest:
             q2 = n - (nu + q1)
             self.store.reorder(a_u, p1 + q2, p1 + q2 + (nu - p1), n)  # P1 Q2 Q1 P2
             final = a_u
-        self._repair_and_refresh(final, modified)
+        self._repair_and_mark(final, modified)
 
     # -- edge deletion -----------------------------------------------------------
 
@@ -320,6 +345,7 @@ class EulerForest:
 
     def _delete(self, u, v, hint):
         self._require_edge(u, v)
+        self._stale = {}
         if (u, v) not in self.edge_occ:
             self._remove_adjacency(u, v)
             self._unlink_after_delete(u, v)
@@ -335,6 +361,7 @@ class EulerForest:
             self._commit_large(container.array, kind, edge, geo)
         if kind == ReplacementReport.SPLIT:
             self._tree_edges -= 1
+        self._flush_links()
         return ReplacementReport(kind, edge)
 
     def _remove_adjacency(self, u, v):
@@ -480,7 +507,7 @@ class EulerForest:
             self._drop_container(tid)
             array = self._chunkify(edges)
             for c in array.order:
-                self._refresh_links(c)
+                self._stale[c] = None
                 modified.append(c)
             return array
         return tid
@@ -519,8 +546,7 @@ class EulerForest:
             nc = self.store.alloc_chunk(right)
             self.store.insert_chunk(c.array, c.pos + 1, nc)
             self._reindex_chunk(nc)
-            self._refresh_links(c)
-            self._refresh_links(nc)
+            self._stale[c] = self._stale[nc] = None
             modified.extend((c, nc))
         return c.pos, c
 
@@ -631,7 +657,7 @@ class EulerForest:
             self.store.reorder(array, a, b, n)  # P1 P3 P2
             keep, far = self.store.split_array(array, a + (n - b))
             for arr in (keep, far):
-                self._repair_and_refresh(arr, [c for c in modified if c.array is arr])
+                self._repair_and_mark(arr, [c for c in modified if c.array is arr])
             return
         w_near, w_far = geo[3]
         # split the far walk X = P2 at an occurrence leaving w_far, the near
@@ -687,12 +713,12 @@ class EulerForest:
             self.store.insert_chunk(array, pos, nc)
             self.edge_occ[e] = (nc, 0)
             modified.append(nc)
-        self._repair_and_refresh(array, modified)
+        self._repair_and_mark(array, modified)
         # the promoted edge no longer justifies links anywhere: every chunk
         # holding another occurrence of its endpoints must recompute
         for node in (w_near, w_far):
             for c in self._chunks_of(node):
-                self._refresh_links(c)
+                self._stale[c] = None
 
     def _cut_out(self, edge, modified):
         """Remove `edge` from its chunk, splitting the chunk at that point.
@@ -709,12 +735,12 @@ class EulerForest:
             nc = self.store.alloc_chunk(right)
             self.store.insert_chunk(array, pos + 1, nc)
             self._reindex_chunk(nc)
-            self._refresh_links(nc)
+            self._stale[nc] = None
             modified.append(nc)
         if left:
             c.edges = left
             self._reindex_chunk(c)
-            self._refresh_links(c)
+            self._stale[c] = None
             if c not in modified:
                 modified.append(c)
             return pos + 1
@@ -742,8 +768,7 @@ class EulerForest:
             nc = self.store.alloc_chunk(right)
             self.store.insert_chunk(array, c.pos + 1, nc)
             self._reindex_chunk(nc)
-            self._refresh_links(c)
-            self._refresh_links(nc)
+            self._stale[c] = self._stale[nc] = None
             for ch in (c, nc):
                 if ch not in modified:
                     modified.append(ch)
@@ -777,9 +802,9 @@ class EulerForest:
             array.tree = base.tree
             store._refresh_positions(array, 0)
 
-    # -- sizing repairs and link refresh ----------------------------------------
+    # -- sizing repairs and the link flush ------------------------------------
 
-    def _repair_and_refresh(self, array, modified):
+    def _repair_and_mark(self, array, modified):
         K = self.K
         queue = [c for c in modified if c.array is array]
         while queue:
@@ -819,7 +844,7 @@ class EulerForest:
                             modified.append(ch)
         for c in modified:
             if c.array is array:
-                self._refresh_links(c)
+                self._stale[c] = None
         self._maybe_shrink(array)
 
     def _retire_chunk(self, c, modified):
@@ -847,6 +872,19 @@ class EulerForest:
         for off, e in enumerate(edges):
             self.edge_occ[e] = (tour, off)
         self.meter.parallel_charge(len(edges))
+
+    def _flush_links(self):
+        """Refresh, once each, the link vectors of the chunks this update
+        marked stale and that are still live; a retired chunk's links were
+        cleared when it was retired."""
+        stale = self._stale
+        if not stale:
+            return
+        slots = self.store.slots
+        self.meter.parallel_charge(len(stale))
+        for c in stale:
+            if slots[c.slot] is c and c.array is not None:
+                self._refresh_links(c)
 
     def _refresh_links(self, c):
         fresh = self._link_mask(self._chunk_nodes(c))

@@ -253,7 +253,8 @@ def check_euler_forest(forest):
 
 
 def check_gadget_graph(cg):
-    """Connectivity-gadget invariants: cycle shape and internal tree-connectedness."""
+    """Connectivity-gadget invariants: cycle shape, internal
+    tree-connectedness and the tracked chord of every cycle."""
     for u in cg.host_nodes():
         cyc = cg.cycle_nodes(u)
         d = cg.host_degree(u)
@@ -264,6 +265,16 @@ def check_gadget_graph(cg):
             check(len(edges) == expect, f"cycle edge count {len(edges)} for degree {d}")
             n_tree = sum(1 for e in edges if cg.inner.tree_edge(*e))
             check(n_tree == d - 1, f"cycle of {u}: {n_tree} tree edges, want {d - 1}")
+        chord = cg.chord.get(u)
+        if d >= 3:
+            check(
+                chord is not None
+                and set(chord) in [set(e) for e in edges]
+                and not cg.inner.tree_edge(*chord),
+                f"cycle of {u}: chord {chord} is not its non-tree edge",
+            )
+        else:
+            check(chord is None, f"cycle of {u} with {d} nodes has chord {chord}")
     for (u, v), (g1, g2) in cg.cross_edges():
         check(cg.inner.has_edge(g1, g2), f"cross edge missing for host ({u},{v})")
 

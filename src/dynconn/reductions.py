@@ -7,9 +7,10 @@ Two layers, each a constant-factor translation into a lower structure:
                    incident edge, single node for d=1) and every host edge a
                    "cross" edge between its two gadget nodes.  Cycles are
                    kept internally tree-connected by splicing new nodes in
-                   before removing edges and steering every cycle-edge
-                   deletion with a locally known non-tree hint, which makes
-                   host tree edges exactly the cross tree edges.
+                   before removing edges and steering every tree cycle-edge
+                   deletion with the cycle's chord (its one non-tree edge,
+                   tracked in O(1)) as the hint, which makes host tree
+                   edges exactly the cross tree edges.
 
   BipartiteGeneral bipartiteness from the bipartite double cover.  The cover
                    of a graph H has two nodes 2v and 2v+1 per node v of H
@@ -95,6 +96,9 @@ class ConnGeneral:
         self.host_active = bytearray(host_capacity)
         self.host_adj = [[] for _ in range(host_capacity)]
         self.cycle = [[] for _ in range(host_capacity)]
+        # host -> the one non-tree edge of its cycle, for cycles of 3 or
+        # more gadget nodes
+        self.chord = {}
         self.owner = {}
         self.ports = {}
         self.free = list(range(2 * edge_capacity + 1, -1, -1))
@@ -120,7 +124,9 @@ class ConnGeneral:
         # edge is deleted, swapping in the cycle's own chord keeps the cycle
         # internally tree-connected (a cross replacement would break it; for
         # cross-edge deletions no cycle edge can span the cut, so the
-        # preference never misleads there)
+        # preference never misleads there).  The preference only ranks the
+        # candidates a search finds, and a search on a chunked tour may miss
+        # the chord, so _del passes the chord as a hint instead
         return 0 if self.owner[a] == self.owner[b] else 1
 
     # -- node lifecycle --------------------------------------------------------
@@ -274,9 +280,11 @@ class ConnGeneral:
             self._ins(g, cyc[0])
         else:
             tail, head = cyc[-1], cyc[0]
-            self._del(tail, head)
+            self._del(u, tail, head)
             self._ins(tail, g)
             self._ins(g, head)
+        if d >= 2:
+            self.chord[u] = (g, cyc[0])  # closes the cycle's tree path
         cyc.append(g)
         return g
 
@@ -288,25 +296,33 @@ class ConnGeneral:
             self.isolated += 1
         elif d == 2:
             other = cyc[1 - i]
-            self._del(other, g)
+            self._del(u, other, g)
         elif d == 3:
             a, b = (x for x in cyc if x is not g)
-            self._del(g, a)
-            self._del(g, b)
+            self._del(u, g, a)
+            self._del(u, g, b)
         else:
             prev = cyc[i - 1]
             nxt = cyc[(i + 1) % d]
-            self._del(prev, g)
-            self._del(g, nxt)
+            self._del(u, prev, g)
+            self._del(u, g, nxt)
             self._ins(prev, nxt)
+            self.chord[u] = (prev, nxt)
         cyc.remove(g)
 
     def _ins(self, a, b):
         self.inner.insert_edge(a, b)
         self.counts.edge_add += 1
 
-    def _del(self, a, b):
-        self.inner.delete_edge(a, b)
+    def _del(self, u, a, b):
+        """Delete cycle edge (a, b) of host u.  A tree cycle edge lies on
+        the path the chord closes, so the chord reconnects the two sides and
+        is passed as the hint; either way the cycle is left without one."""
+        chord = self.chord.pop(u, None)
+        if chord is None or chord == (a, b) or chord == (b, a):
+            self.inner.delete_edge(a, b)
+        else:
+            self.inner.delete_edge_with_hint(a, b, chord)
         self.counts.edge_del += 1
 
     # -- checker access -----------------------------------------------------------------

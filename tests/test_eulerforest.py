@@ -4,7 +4,13 @@ import pytest
 
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.eulerforest import EulerForest, ForestError, ReplacementReport
-from dynconn.oracle import SimpleGraph, bf_components, bf_connected, check_euler_forest
+from dynconn.oracle import (
+    SimpleGraph,
+    bf_components,
+    bf_connected,
+    check_chunk_store,
+    check_euler_forest,
+)
 
 
 def forest(n=16, policy=None, priority=None):
@@ -267,6 +273,50 @@ class TestDifferential:
                 g.add_edge(u, v)
             if step % 10 == 0:
                 check_euler_forest(f)
+        check_euler_forest(f)
+
+
+class TestLinkFlush:
+    @pytest.mark.parametrize("policy", [ArbitraryPolicy(3), CommonPolicy(0.25)])
+    def test_each_live_chunk_refreshed_once_per_update(self, monkeypatch, policy):
+        # a near-spanning tree of 48 nodes has a tour of about 94 edges,
+        # several chunks of K = 12; link vectors must match the graph after
+        # every update although each is recomputed at most once per update
+        refreshed = []
+        refresh = EulerForest._refresh_links
+
+        def recording(self, c):
+            refreshed.append(c)
+            return refresh(self, c)
+
+        monkeypatch.setattr(EulerForest, "_refresh_links", recording)
+        rng = random.Random(21)
+        n = 48
+        f = forest(n, policy)
+        g = SimpleGraph()
+        for v in range(n):
+            f.activate_node(v)
+            g.activate(v)
+        longest = 0
+        for _ in range(700):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u == v:
+                continue
+            refreshed.clear()
+            if g.has_edge(u, v):
+                f.delete_edge(u, v)
+                g.remove_edge(u, v)
+            elif g.degree(u) < 3 and g.degree(v) < 3:
+                f.insert_edge(u, v)
+                g.add_edge(u, v)
+            else:
+                continue
+            assert len(set(refreshed)) == len(refreshed)
+            assert all(f.store.slots[c.slot] is c for c in refreshed)
+            f.check_links_ground_truth()
+            check_chunk_store(f.store)
+            longest = max([longest] + [len(a.order) for a in f.store.arrays()])
+        assert longest >= 4
         check_euler_forest(f)
 
 

@@ -1,10 +1,10 @@
 """Pinned metered counts of seeded facade scripts.
 
 A change that only speeds up the Python must leave the work and depth of
-every operation bit-identical.  The connectivity constants were recorded
-before the link-vector and aggregate-tree inner loops were rewritten, the
-bipartiteness ones when the double cover replaced the distance-2 gadget; a
-change that moves them changes the cost model and must say so.
+every operation bit-identical.  All three rows were last recorded when each
+chunk's link vector came to be refreshed once per forest update and tree
+cycle-edge deletions came to be steered by the cycle's chord; a change that
+moves them changes the cost model and must say so.
 """
 
 import random
@@ -54,17 +54,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (17307939, {"insert": 1024, "delete": 1670, "connected": 0}, 58852),
+            (8829432, {"insert": 905, "delete": 1471, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (17430445, {"insert": 1046, "delete": 1727, "connected": 0}, 58852),
+            (8865390, {"insert": 916, "delete": 1506, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (478584, {"insert": 621, "delete": 934}, 11958),
+            (240701, {"insert": 523, "delete": 797}, 11958),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

@@ -139,6 +139,33 @@ class TestConnGadget:
                 assert cg.connected(a, b) == bf_connected(g, a, b)
             check_gadget_graph(cg)
 
+    @pytest.mark.parametrize(
+        "policy, seed, steps",
+        [(ArbitraryPolicy(11), 11, 200), (CommonPolicy(0.25), 3, 400)],
+    )
+    def test_cycles_stay_tree_connected_on_chunked_tours(self, policy, seed, steps):
+        # 16 hosts of mean degree up to 6 give gadget tours longer than one
+        # chunk; a tree cycle-edge deletion must adopt the cycle's chord even
+        # where the chunk query would find a cross edge first
+        rng = random.Random(seed)
+        n, m = 16, 48
+        cg = conn(n=n, cap=m, policy=policy)
+        activate_all(cg, n)
+        edges = []
+        chunked = False
+        for _ in range(steps):
+            if len(edges) < m and (len(edges) < m // 2 or rng.random() < 0.5):
+                u, v = rng.sample(range(n), 2)
+                if cg.has_edge(u, v):
+                    continue
+                cg.insert_edge(u, v)
+                edges.append((u, v))
+            else:
+                cg.delete_edge(*edges.pop(rng.randrange(len(edges))))
+            check_gadget_graph(cg)
+            chunked = chunked or bool(cg.inner.store.arrays())
+        assert chunked
+
     def test_find_replacement_probe(self):
         cg = conn()
         activate_all(cg, 3)
