@@ -5,8 +5,6 @@ from .costmodel import (
     CommonPolicy,
     CostMeter,
     MeterError,
-    StepBuffer,
-    WriteConflictError,
 )
 
 __all__ = [
@@ -14,8 +12,6 @@ __all__ = [
     "CommonPolicy",
     "CostMeter",
     "MeterError",
-    "StepBuffer",
-    "WriteConflictError",
     "DynamicConnectivity",
     "DynamicBipartiteness",
 ]

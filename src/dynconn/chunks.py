@@ -17,6 +17,11 @@ from .aggtree import DEPTH_BOUNDS as AGG_DEPTH, AggTree, join as agg_join
 from .costmodel import CHOOSE_ANY_DEPTH, CostMeter, extremum_depth
 
 
+# most blocks one `MasterArray.reorder` permutes: the five walks that
+# splicing a replacement edge into a cut tour rearranges
+MAX_BLOCKS = 5
+
+
 class ChunkError(ValueError):
     pass
 
@@ -58,7 +63,6 @@ class MasterArray:
         self.chunk_capacity = chunk_capacity
         self.slots = [None] * slot_count
         self.free = list(range(slot_count - 1, -1, -1))
-        self.debug_checks = True
         with meter.initialization():
             meter.charge(slot_count)
 
@@ -79,7 +83,8 @@ class MasterArray:
             "delete_chunk": 1 + agg["delete"],
             "concatenate": 1 + agg["join"],
             "split_array": agg["split_boundary"] + 2,
-            "reorder": 1 + 3 * agg["split_boundary"] + 3 * agg["join"],
+            # position refresh, then a split and a join per block after the first
+            "reorder": 1 + (MAX_BLOCKS - 1) * (agg["split_boundary"] + agg["join"]),
             # a three-way split and rejoin, then a scan and a pick per side
             "query": 2 * agg["split_boundary"] + 2 * agg["join"] + 2 * (1 + pick),
         }
@@ -121,13 +126,12 @@ class MasterArray:
             raise ChunkError("chunk not active")
         if c.array is not None:
             raise ChunkError("chunk still referenced by an array")
-        if self.debug_checks:
-            for d in self.slots:
-                if d is not None and d is not c and (d.links >> c.slot) & 1:
-                    raise ChunkError(
-                        f"deactivating slot {c.slot} with stale link bit in slot {d.slot}"
-                    )
-            self.meter.charge(self.slot_count)
+        for d in self.slots:
+            if d is not None and d is not c and (d.links >> c.slot) & 1:
+                raise ChunkError(
+                    f"deactivating slot {c.slot} with stale link bit in slot {d.slot}"
+                )
+        self.meter.charge(self.slot_count)
         if c.links:
             raise ChunkError("deactivating chunk with set link bits")
         self.slots[c.slot] = None
@@ -257,23 +261,48 @@ class MasterArray:
         self.meter.parallel_charge(len(array.order))
         return array, right
 
-    def reorder(self, array: ChunkArray, i, j, k):
-        """Move chunks [j, k) in front of position i (i <= j <= k required)."""
+    def reorder(self, array: ChunkArray, blocks):
+        """Permute the chunks so the [start, end) `blocks` appear in the given
+        order.  The blocks must tile [0, len(array)), empty ones included, and
+        number at most MAX_BLOCKS.
+
+        The aggregate tree is split at the block bounds and the pieces are
+        joined in block order; positions are refreshed once, from the first
+        block that moved.  A permutation that moves no chunk charges nothing.
+        """
         n = len(array.order)
-        if not (0 <= i <= j <= k <= n):
-            raise ChunkError(f"bad reorder bounds ({i}, {j}, {k})")
-        if i == j or j == k:
+        if not 1 <= len(blocks) <= MAX_BLOCKS:
+            raise ChunkError(f"reorder takes 1..{MAX_BLOCKS} blocks, got {len(blocks)}")
+        by_start = sorted(range(len(blocks)), key=blocks.__getitem__)
+        bounds = [0] + [blocks[b][1] for b in by_start]
+        if bounds[-1] != n or any(
+            blocks[b][0] != bounds[i] or blocks[b][1] < bounds[i]
+            for i, b in enumerate(by_start)
+        ):
+            raise ChunkError(f"blocks {blocks} do not tile [0, {n})")
+        # chunks before `first` keep their positions
+        first = 0
+        for start, end in blocks:
+            if start == end:
+                continue
+            if start != first:
+                break
+            first = end
+        else:
             return
         order = array.order
-        array.order = order[:i] + order[j:k] + order[i:j] + order[k:]
-        self._refresh_positions(array, i)
-        t = array.tree
-        left, rest = t.split_boundary(i)
-        mid, rest = rest.split_boundary(j - i)
-        moved, tail = rest.split_boundary(k - j)
-        t2 = agg_join(left, moved)
-        t2 = agg_join(t2, mid)
-        array.tree = agg_join(t2, tail)
+        array.order = [c for start, end in blocks for c in order[start:end]]
+        self._refresh_positions(array, first)
+        pieces = [None] * len(blocks)
+        rest = array.tree
+        for b in by_start[:-1]:
+            start, end = blocks[b]
+            pieces[b], rest = rest.split_boundary(end - start)
+        pieces[by_start[-1]] = rest
+        tree = pieces[0]
+        for piece in pieces[1:]:
+            tree = agg_join(tree, piece)
+        array.tree = tree
 
     def query(self, array: ChunkArray, i, j, k, l):
         """An arbitrary linked pair (C, C') with C at a position in [i, j) and

@@ -11,10 +11,10 @@ slopes are comparable across runs:
     constructs that run one after another inside a scope add their depths.
 
 Two write-conflict policies are supported.  Under the common policy concurrent
-writers must agree on the value (a disagreement raises WriteConflictError) and
-extremum selection runs the blocked recursion whose round count depends only
-on epsilon.  Under the arbitrary policy one writer wins; the winner is drawn
-from a seeded generator so runs replay exactly.
+writers must agree on the value and extremum selection runs the blocked
+recursion whose round count depends only on epsilon.  Under the arbitrary
+policy one writer wins; the winner is drawn from a seeded generator so runs
+replay exactly.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
-
-
-class WriteConflictError(RuntimeError):
-    """Concurrent writers disagreed on a cell value under the common policy."""
 
 
 class MeterError(RuntimeError):
@@ -118,10 +114,10 @@ class CostMeter:
 
         Iterations execute sequentially in Python but are charged as one
         synchronous step: depth 1 + max over bodies, work = count scheduling
-        units plus the sum of body charges.  Bodies must write disjoint cells
-        (or buffer through StepBuffer); this is not re-verified here.  If a
-        body raises, the frame stack is closed back to its entry length, so
-        the enclosing depth stays as it was at entry.
+        units plus the sum of body charges.  Bodies must write disjoint cells;
+        this is not re-verified here.  If a body raises, the frame stack is
+        closed back to its entry length, so the enclosing depth stays as it
+        was at entry.
         """
         if self._init_mode:
             self.init_work += count
@@ -158,6 +154,9 @@ class CostMeter:
 
         The block keeps exactly the work and depth it charged, so the meter
         reports what the algorithm spent while the bound stays falsifiable.
+        The check runs after the block, so a MeterError reports a broken
+        contract, not a rejection: whatever the block changed stays changed
+        and consistent, and the meter keeps its charges.
         """
         base = self._frames[-1]
         yield
@@ -294,38 +293,6 @@ def extremum_depth(policy) -> int:
 def segment_end_depth(policy) -> int:
     """Depth of initial_segment_end: a prefix AND, then a max reduction."""
     return PREFIX_AND_DEPTH + extremum_depth(policy)
-
-
-class StepBuffer:
-    """Write buffer for one synchronous parallel step.
-
-    Writes land here during a step and publish when the step ends.  Under the
-    common policy two writers disagreeing on one cell is a model violation and
-    raises; under the arbitrary policy a seeded winner is kept per cell.
-    """
-
-    def __init__(self, meter: CostMeter):
-        self.meter = meter
-        self._pending = {}
-
-    def write(self, cell, value):
-        self.meter.charge(1)
-        if self.meter.policy.kind == "common":
-            if cell in self._pending and self._pending[cell] != value:
-                raise WriteConflictError(f"conflicting writes to cell {cell!r}")
-            self._pending[cell] = value
-        else:
-            self._pending.setdefault(cell, []).append(value)
-
-    def publish(self) -> dict:
-        """Resolve and return {cell: value}; the buffer empties."""
-        if self.meter.policy.kind == "common":
-            out = dict(self._pending)
-        else:
-            rng = self.meter._rng
-            out = {c: vs[rng.randrange(len(vs))] for c, vs in self._pending.items()}
-        self._pending.clear()
-        return out
 
 
 def _block_extremum(values, block, mode):

@@ -11,15 +11,15 @@ a forest can contain far more tiny trees than slots.
 Connectivity is answered in O(1) by comparing tour container identities,
 reached from any incident tree edge's occurrence pointer.
 
-Link vectors are refreshed once per forest update.  The steps of an update
-that split, merge, chunk or reindex chunks only mark those chunks stale; one
-flush at the end of `insert_edge` or `_delete` recomputes the link vector of
-each marked chunk that is still live, once, from the final tours.  A chunk
-retired during the update is skipped: `_retire_chunk` clears its links
-before the slot is freed.  The only link query of an update, the replacement
-search, runs before its first mutation, so the vectors may lag until the
-flush; they stay symmetric throughout, since every change to them goes
-through the master array.
+Every chunk an update splits, merges, chunks or reindexes goes into one
+record, `_touched`.  The sizing repair of an array works through the touched
+chunks of that array, and one flush at the end of `insert_edge` or `_delete`
+recomputes the link vector of each touched chunk that is still live, once,
+from the final tours.  A chunk retired during the update is skipped:
+`_retire_chunk` clears its links before the slot is freed.  The only link
+query of an update, the replacement search, runs before its first mutation,
+so the vectors may lag until the flush; they stay symmetric throughout,
+since every change to them goes through the master array.
 """
 
 from __future__ import annotations
@@ -88,10 +88,10 @@ class EulerForest:
         self.small_tours = {}
         self._active_n = 0
         self._tree_edges = 0
-        # chunks whose link vector the current update may have made stale,
-        # as an insertion-ordered set; emptied when an update starts and
-        # flushed once at its end
-        self._stale = {}
+        # chunks the current update touched, as an insertion-ordered set:
+        # emptied when an update starts, the worklist of its sizing repairs
+        # and, once it ends, of the link flush
+        self._touched = {}
         with meter.initialization():
             meter.charge(capacity)
 
@@ -102,19 +102,18 @@ class EulerForest:
         changes and queries charge no depth.
 
         Loop counts come from the degree bound and the repair invariant:
-        every chunk of an array at rest holds at least K/2 edges, and every
-        chunk an operation touches is in its `modified` list, at most 6 on
+        every chunk of an array at rest holds at least K/2 edges, and an
+        operation touches at most 6 live chunks of the array it repairs on
         insertion, 4 after cutting out a deleted edge and 10 once its
         replacement is spliced in.  A repair splits an oversized chunk or
-        merges or rebalances an undersized one at most once per listed chunk
-        and may add one chunk per listed chunk, and a tour short enough to
+        merges or rebalances an undersized one at most once per touched chunk
+        and may add one chunk per touched chunk, and a tour short enough to
         demote then spans at most 2 chunks.  Small tours never exceed K
         edges, so they are chunked into one chunk.
 
         Link vectors are refreshed only by the flush that ends an update,
-        once per live chunk it marked.  Every marked chunk stays listed until
-        it is retired, so an update marks at most the chunks its repairs end
-        with, plus on a replacement the up to 2 x 6 chunks holding the
+        once per touched chunk still live: at most the chunks its repairs
+        end with, plus on a replacement the up to 2 x 6 chunks holding the
         promoted edge's endpoints.
         """
         store = MasterArray.depth_bounds(policy)
@@ -131,8 +130,8 @@ class EulerForest:
         cut_out = insert_chunk + 1 + max(1, retire)
         shrink = 1 + 2 * retire + 1  # _maybe_shrink
 
-        def repair(listed):  # _repair_and_mark
-            return listed * max(2 + insert_chunk, 1 + retire) + shrink
+        def repair(touched):  # _repair
+            return touched * max(2 + insert_chunk, 1 + retire) + shrink
 
         def flush(marked):  # _flush_links: the liveness filter, then refreshes
             return 1 + marked * refresh
@@ -142,19 +141,17 @@ class EulerForest:
         merge = 2 + max(
             4,
             as_array + cut + insert_chunk + store["reorder"],
-            2 * (as_array + cut) + store["concatenate"] + 2 * store["reorder"],
+            2 * (as_array + cut) + store["concatenate"] + store["reorder"],
         ) + repair(6) + flush(2 * 6)
         mark_linked = 1 + _OCCURRENCES**2 * store["link"]
         unlink = _OCCURRENCES * (1 + _OCCURRENCES * store["unlink"]) + 1
         probe_small = 2 + select
         commit_small = 4
         probe_large = 3 + 2 * (store["query"] + 2) + select
-        # _permute_blocks: at most 5 blocks, so 5 cuts and 4 concatenations
-        permute = 5 * store["split_array"] + 4 * store["concatenate"] + 1
         commit_split = store["reorder"] + store["split_array"] + 2 * repair(4)
-        commit_replace = 2 * cut + permute + 2 * insert_chunk + repair(10)
-        # marked: two split-off repairs of at most 4 listed, or one repair of
-        # 10 listed plus the chunks of the promoted edge's endpoints
+        commit_replace = 2 * cut + store["reorder"] + 2 * insert_chunk + repair(10)
+        # flushed: two split-off repairs of at most 4 touched, or one repair
+        # of 10 touched plus the chunks of the promoted edge's endpoints
         commit_large = 2 * cut_out + max(commit_split, commit_replace) + flush(
             max(2 * 2 * 4, 2 * 10 + 2 * _OCCURRENCES)
         )
@@ -240,7 +237,7 @@ class EulerForest:
         if len(self.nbr[u]) >= 3 or len(self.nbr[v]) >= 3:
             raise ForestError("degree bound 3 exceeded")
         same = self._tree_id(u) == self._tree_id(v)
-        self._stale = {}
+        self._touched = {}
         self.nbr[u].append(v)
         self.nbr[v].append(u)
         self.meter.charge(4)
@@ -276,46 +273,39 @@ class EulerForest:
             self._adopt_small(merged)
             self.meter.parallel_charge(total)
             return
-        modified = []
-        a_u = self._as_array(tid_u, modified)
-        a_v = self._as_array(tid_v, modified)
+        a_u = self._as_array(tid_u)
+        a_v = self._as_array(tid_v)
         if a_u is None:
             # u is a singleton: tour becomes (u,v), Q2, Q1, (v,u)
-            cut_v, cv_left = self._cut_after_target(a_v, v, modified)
+            cut_v, cv_left = self._cut_after_target(a_v, v)
             head = self.store.alloc_chunk([(u, v)])
             self.store.insert_chunk(a_v, 0, head)
             self.edge_occ[(u, v)] = (head, 0)
-            modified.append(head)
-            self._append_edge(cv_left, (v, u), modified)
-            q1_len = cut_v + 1  # block [1, 1+q1_len) holds Q1 after the insert
-            n = len(a_v.order)
-            self.store.reorder(a_v, 1, 1 + q1_len, n)
+            self._touched[head] = None
+            self._append_edge(cv_left, (v, u))
+            q1 = 1 + cut_v + 1  # Q1 is [1, q1) after the insert
+            self.store.reorder(a_v, [(0, 1), (q1, len(a_v.order)), (1, q1)])
             final = a_v
         elif a_v is None:
-            cut_u, cu_left = self._cut_after_target(a_u, u, modified)
-            self._append_edge(cu_left, (u, v), modified)
+            cut_u, cu_left = self._cut_after_target(a_u, u)
+            self._append_edge(cu_left, (u, v))
             tail = self.store.alloc_chunk([(v, u)])
             self.store.insert_chunk(a_u, cut_u + 1, tail)
             self.edge_occ[(v, u)] = (tail, 0)
-            modified.append(tail)
+            self._touched[tail] = None
             final = a_u
         else:
-            cut_u, cu_left = self._cut_after_target(a_u, u, modified)
-            self._append_edge(cu_left, (u, v), modified)
+            cut_u, cu_left = self._cut_after_target(a_u, u)
+            self._append_edge(cu_left, (u, v))
             nu = len(a_u.order)
-            cut_v, cv_left = self._cut_after_target(a_v, v, modified)
-            self._append_edge(cv_left, (v, u), modified)
-            nv = len(a_v.order)
+            cut_v, cv_left = self._cut_after_target(a_v, v)
+            self._append_edge(cv_left, (v, u))
             self.store.concatenate(a_u, a_v)
-            # blocks: [P1)(P2)(Q1)(Q2) -> P1 Q2 Q1 P2
-            p1 = cut_u + 1
-            q1 = cut_v + 1
-            n = len(a_u.order)
-            self.store.reorder(a_u, p1, nu + q1, n)         # P1 Q2 P2 Q1
-            q2 = n - (nu + q1)
-            self.store.reorder(a_u, p1 + q2, p1 + q2 + (nu - p1), n)  # P1 Q2 Q1 P2
+            # P1 P2 Q1 Q2 -> P1 Q2 Q1 P2
+            p1, q1, n = cut_u + 1, nu + cut_v + 1, len(a_u.order)
+            self.store.reorder(a_u, [(0, p1), (q1, n), (nu, q1), (p1, nu)])
             final = a_u
-        self._repair_and_mark(final, modified)
+        self._repair(final)
 
     # -- edge deletion -----------------------------------------------------------
 
@@ -345,7 +335,7 @@ class EulerForest:
 
     def _delete(self, u, v, hint):
         self._require_edge(u, v)
-        self._stale = {}
+        self._touched = {}
         if (u, v) not in self.edge_occ:
             self._remove_adjacency(u, v)
             self._unlink_after_delete(u, v)
@@ -498,7 +488,7 @@ class EulerForest:
         self.meter.parallel_charge(len(tid.order))
         return total
 
-    def _as_array(self, tid, modified):
+    def _as_array(self, tid):
         """Chunked form of a tour (None for a singleton)."""
         if isinstance(tid, tuple):
             return None
@@ -507,8 +497,7 @@ class EulerForest:
             self._drop_container(tid)
             array = self._chunkify(edges)
             for c in array.order:
-                self._stale[c] = None
-                modified.append(c)
+                self._touched[c] = None
             return array
         return tid
 
@@ -533,7 +522,7 @@ class EulerForest:
             self.edge_occ[e] = (c, off)
         self.meter.parallel_charge(len(c.edges))
 
-    def _cut_after_target(self, array, node, modified):
+    def _cut_after_target(self, array, node):
         """Split chunks so some occurrence (x, node) ends a chunk.
 
         Returns (position of that chunk, the chunk itself).
@@ -546,8 +535,7 @@ class EulerForest:
             nc = self.store.alloc_chunk(right)
             self.store.insert_chunk(c.array, c.pos + 1, nc)
             self._reindex_chunk(nc)
-            self._stale[c] = self._stale[nc] = None
-            modified.extend((c, nc))
+            self._touched[c] = self._touched[nc] = None
         return c.pos, c
 
     def _target_occurrence(self, node):
@@ -557,11 +545,10 @@ class EulerForest:
                 return occ
         raise AssertionError(f"no target occurrence for {node}")
 
-    def _append_edge(self, c, edge, modified):
+    def _append_edge(self, c, edge):
         c.edges.append(edge)
         self.edge_occ[edge] = (c, len(c.edges) - 1)
-        if c not in modified:
-            modified.append(c)
+        self._touched[c] = None
         self.meter.charge(2)
 
     def _probe_large(self, array, u, v, hint):
@@ -645,26 +632,25 @@ class EulerForest:
 
     def _commit_large(self, array, kind, edge, geo):
         lo, hi = geo[0], geo[1]
-        modified = []
         # cut out both occurrences, low position first; the second cut resolves
         # its chunk afresh since the first may have moved or split it
-        lo_pos = self._cut_out(lo[0], modified)
-        hi_pos = self._cut_out(hi[0], modified)
+        lo_pos = self._cut_out(lo[0])
+        hi_pos = self._cut_out(hi[0])
         # block boundaries by array position: P1 = [0, a), P2 = [a, b), P3 = [b, n)
         a, b = lo_pos, hi_pos
         n = len(array.order)
         if kind == ReplacementReport.SPLIT:
-            self.store.reorder(array, a, b, n)  # P1 P3 P2
+            self.store.reorder(array, [(0, a), (b, n), (a, b)])  # P1 P3 P2
             keep, far = self.store.split_array(array, a + (n - b))
-            for arr in (keep, far):
-                self._repair_and_mark(arr, [c for c in modified if c.array is arr])
+            self._repair(keep)
+            self._repair(far)
             return
         w_near, w_far = geo[3]
         # split the far walk X = P2 at an occurrence leaving w_far, the near
         # walk Y = P3.P1 at one leaving w_near; the new cyclic tour is
         #   Y' (w_near,w_far) X'' X' (w_far,w_near) Y''
         if a < b:
-            wf_pos = self._cut_at_source(array, w_far, (a, b), modified)
+            wf_pos = self._cut_at_source(array, w_far, (a, b))
             if wf_pos is None:
                 raise AssertionError("far endpoint has no tour position")
             delta = len(array.order) - n
@@ -673,7 +659,7 @@ class EulerForest:
         else:
             wf_pos = a  # far side is the single node w_far
         if a > 0 or b < n:
-            wn_pos = self._cut_at_source(array, w_near, (0, a), modified)
+            wn_pos = self._cut_at_source(array, w_near, (0, a))
             if wn_pos is not None:
                 delta = len(array.order) - n
                 a += delta
@@ -689,7 +675,7 @@ class EulerForest:
                 ]
                 e_block = 1
             else:
-                wn_pos = self._cut_at_source(array, w_near, (b, n), modified)
+                wn_pos = self._cut_at_source(array, w_near, (b, n))
                 if wn_pos is None:
                     raise AssertionError("near endpoint has no tour position")
                 n = len(array.order)
@@ -704,7 +690,7 @@ class EulerForest:
         else:
             blocks = [(wf_pos, b), (a, wf_pos)]  # near side is just w_near
             e_block = -1
-        self._permute_blocks(array, blocks)
+        self.store.reorder(array, blocks)
         lens = [end - start for (start, end) in blocks]
         pos_e = sum(lens[: e_block + 1]) if e_block >= 0 else 0
         pos_rev = pos_e + 1 + lens[e_block + 1] + lens[e_block + 2]
@@ -712,15 +698,15 @@ class EulerForest:
             nc = self.store.alloc_chunk([e])
             self.store.insert_chunk(array, pos, nc)
             self.edge_occ[e] = (nc, 0)
-            modified.append(nc)
-        self._repair_and_mark(array, modified)
+            self._touched[nc] = None
+        self._repair(array)
         # the promoted edge no longer justifies links anywhere: every chunk
         # holding another occurrence of its endpoints must recompute
         for node in (w_near, w_far):
             for c in self._chunks_of(node):
-                self._stale[c] = None
+                self._touched[c] = None
 
-    def _cut_out(self, edge, modified):
+    def _cut_out(self, edge):
         """Remove `edge` from its chunk, splitting the chunk at that point.
 
         Returns the array position where the removed edge used to sit (the
@@ -735,19 +721,16 @@ class EulerForest:
             nc = self.store.alloc_chunk(right)
             self.store.insert_chunk(array, pos + 1, nc)
             self._reindex_chunk(nc)
-            self._stale[nc] = None
-            modified.append(nc)
+            self._touched[nc] = None
         if left:
             c.edges = left
             self._reindex_chunk(c)
-            self._stale[c] = None
-            if c not in modified:
-                modified.append(c)
+            self._touched[c] = None
             return pos + 1
-        self._retire_chunk(c, modified)
+        self._retire_chunk(c)
         return pos
 
-    def _cut_at_source(self, array, node, pos_range, modified):
+    def _cut_at_source(self, array, node, pos_range):
         """Split chunks so some occurrence (node, ?) starts a chunk inside range.
 
         Returns the boundary position (start of the chunk whose first edge
@@ -768,45 +751,18 @@ class EulerForest:
             nc = self.store.alloc_chunk(right)
             self.store.insert_chunk(array, c.pos + 1, nc)
             self._reindex_chunk(nc)
-            self._stale[c] = self._stale[nc] = None
-            for ch in (c, nc):
-                if ch not in modified:
-                    modified.append(ch)
+            self._touched[c] = self._touched[nc] = None
             return nc.pos
         return None
 
-    def _permute_blocks(self, array, blocks):
-        """Reorder the array so the given [start, end) blocks appear in order."""
-        bounds = sorted({b for blk in blocks for b in blk})
-        pieces = []
-        rest = array
-        consumed = 0
-        store = self.store
-        for cut in bounds[1:] if bounds and bounds[0] == 0 else bounds:
-            rest, right = store.split_array(rest, cut - consumed)
-            pieces.append((consumed, rest))
-            consumed = cut
-            rest = right
-        pieces.append((consumed, rest))
-        by_start = {start: arr for start, arr in pieces}
-        order = [by_start[blk[0]] for blk in blocks if blk[0] != blk[1]]
-        used = {id(a) for a in order}
-        leftovers = [arr for start, arr in pieces if id(arr) not in used and arr.order]
-        if leftovers:
-            raise AssertionError("block permutation does not cover the array")
-        base = order[0] if order else array
-        for extra in order[1:]:
-            store.concatenate(base, extra)
-        if base is not array:
-            array.order = base.order
-            array.tree = base.tree
-            store._refresh_positions(array, 0)
-
     # -- sizing repairs and the link flush ------------------------------------
 
-    def _repair_and_mark(self, array, modified):
+    def _repair(self, array):
+        """Restore K/2 <= |chunk| <= K on the touched chunks of `array`, then
+        demote it if its tour now fits in one small tour."""
         K = self.K
-        queue = [c for c in modified if c.array is array]
+        touched = self._touched
+        queue = [c for c in touched if c.array is array]
         while queue:
             c = queue.pop()
             if c.array is not array:
@@ -818,7 +774,7 @@ class EulerForest:
                 nc = self.store.alloc_chunk(right)
                 self.store.insert_chunk(array, c.pos + 1, nc)
                 self._reindex_chunk(nc)
-                modified.append(nc)
+                touched[nc] = None
                 queue.extend((c, nc))
                 continue
             if 2 * len(c.edges) < K and len(array.order) > 1:
@@ -829,9 +785,8 @@ class EulerForest:
                 if len(combined) <= K:
                     left.edges = combined
                     self._reindex_chunk(left)
-                    self._retire_chunk(right, modified)
-                    if left not in modified:
-                        modified.append(left)
+                    self._retire_chunk(right)
+                    touched[left] = None
                     queue.append(left)
                 else:
                     half = len(combined) // 2
@@ -839,21 +794,14 @@ class EulerForest:
                     right.edges = combined[half:]
                     self._reindex_chunk(left)
                     self._reindex_chunk(right)
-                    for ch in (left, right):
-                        if ch not in modified:
-                            modified.append(ch)
-        for c in modified:
-            if c.array is array:
-                self._stale[c] = None
+                    touched[left] = touched[right] = None
         self._maybe_shrink(array)
 
-    def _retire_chunk(self, c, modified):
+    def _retire_chunk(self, c):
         if c.links:
             self.store.bulk_set_links(c, 0)
         self.store.delete_chunk(c.array, c.pos)
         self.store.deactivate(c)
-        while c in modified:
-            modified.remove(c)
 
     def _maybe_shrink(self, array):
         """Demote an array to a small tour when it fits under the threshold."""
@@ -866,23 +814,19 @@ class EulerForest:
         for c in list(array.order):
             edges.extend(c.edges)
         for c in list(array.order):
-            self._retire_chunk(c, [])
-        tour = SmallTour(edges)
-        self.small_tours[id(tour)] = tour
-        for off, e in enumerate(edges):
-            self.edge_occ[e] = (tour, off)
-        self.meter.parallel_charge(len(edges))
+            self._retire_chunk(c)
+        self._adopt_small(edges)
 
     def _flush_links(self):
         """Refresh, once each, the link vectors of the chunks this update
-        marked stale and that are still live; a retired chunk's links were
-        cleared when it was retired."""
-        stale = self._stale
-        if not stale:
+        touched that are still live; a retired chunk's links were cleared
+        when it was retired."""
+        touched = self._touched
+        if not touched:
             return
         slots = self.store.slots
-        self.meter.parallel_charge(len(stale))
-        for c in stale:
+        self.meter.parallel_charge(len(touched))
+        for c in touched:
             if slots[c.slot] is c and c.array is not None:
                 self._refresh_links(c)
 
@@ -915,19 +859,18 @@ class EulerForest:
         self.meter.parallel_charge(len(c.edges))
         return list(dict.fromkeys(chain.from_iterable(c.edges)))
 
-    def _containers_of(self, y):
+    def _chunks_of(self, y):
+        """The distinct chunks holding an occurrence of y, in order of first
+        sight; empty when y's tour is small or a singleton."""
         out = []
-        mark = set()
         for w in self.nbr[y]:
             for key in ((y, w), (w, y)):
                 occ = self.edge_occ.get(key)
-                if occ is not None and id(occ[0]) not in mark:
-                    mark.add(id(occ[0]))
+                if occ is None or isinstance(occ[0], SmallTour):
+                    continue
+                if occ[0] not in out:
                     out.append(occ[0])
         return out
-
-    def _chunks_of(self, y):
-        return [c for c in self._containers_of(y) if not isinstance(c, SmallTour)]
 
     def _norm(self, a, b):
         return (a, b) if a < b else (b, a)

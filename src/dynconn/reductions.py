@@ -169,12 +169,6 @@ class ConnGeneral:
             return False
         return self.inner.tree_edge(self.ports[key], self.ports[(v, u)])
 
-    def has_edge(self, u, v):
-        return (u, v) in self.ports
-
-    def degree(self, v):
-        return len(self.host_adj[v])
-
     def find_replacement(self, u, v):
         """Probe: what delete_edge would report, host-mapped, no mutation."""
         if (u, v) not in self.ports:

@@ -265,9 +265,9 @@ class SparsTree:
         def insert_body(i):
             path[i].add_edge(x, y)
 
-        meter.parallel_for(end + 1, insert_body)
-        if end + 1 < len(path):
-            path[end + 1].add_edge(x, y)
+        # the edge joins the forests of levels 0..end and the base graph of
+        # the first connected level above them, all in one phase
+        meter.parallel_for(min(end + 2, len(path)), insert_body)
         self.graph.add_edge(x, y)
         if self.mode == "bipartiteness":
             self._refresh_flags(path)
@@ -460,8 +460,8 @@ def depth_budgets(mode, policy) -> dict:
     return {
         "activate": 1,
         "deactivate": 1,
-        # probe, initial_segment_end, the commit phase, the parent's add_edge
-        "insert": 1 + segment_end_depth(policy) + (1 + add) + add + flags,
+        # probe, initial_segment_end, the commit phase
+        "insert": 1 + segment_end_depth(policy) + (1 + add) + flags,
         # tree-edge probe, replacement probe, anchor prefix, the commit phase
         # (the adopted edge's add_edge, then remove_edge), promote
         "delete": (
@@ -476,7 +476,16 @@ def depth_budgets(mode, policy) -> dict:
 
 
 class _Facade:
-    """Shared 1-based public surface over a SparsTree."""
+    """Shared 1-based public surface over a SparsTree.
+
+    A call whose precondition fails (an id out of range or inactive, an
+    absent or duplicate edge, a node that is not isolated) raises a
+    ValueError, mostly SparsError, from checks that run before it changes
+    anything.  A call that runs deeper than its budget raises MeterError
+    after it has committed: the update stands, the structure stays
+    consistent and the meter keeps what the call charged, so the error
+    reports a broken depth contract, not a rejected call.
+    """
 
     mode = "connectivity"
 

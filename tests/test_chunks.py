@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dynconn.aggtree import join as agg_join
 from dynconn.chunks import ChunkError, MasterArray
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.oracle import CheckFailure, check_chunk_store
@@ -196,25 +197,100 @@ class TestReorder:
         ms = store()
         a = filled(ms, [2] * 4)
         with pytest.raises(ChunkError):
-            ms.reorder(a, 2, 3, 1)
+            ms.reorder(a, [(0, 2), (3, 1), (1, 4)])
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(0, 1), (2, 4)],  # a gap
+            [(0, 3), (2, 4)],  # an overlap
+            [(0, 2), (2, 3)],  # stops short of the end
+            [(0, 1), (1, 2), (2, 3), (3, 3), (3, 4), (4, 4)],  # six blocks
+            [],
+        ],
+    )
+    def test_non_tiling_blocks_rejected(self, blocks):
+        ms = store()
+        a = filled(ms, [2] * 4)
+        want = list(a.order)
+        work = ms.meter.work
+        with pytest.raises(ChunkError):
+            ms.reorder(a, blocks)
+        assert a.order == want and ms.meter.work == work
+        check_chunk_store(ms)
 
     def test_inverse_restores_identity(self):
         ms = store()
         a = filled(ms, [2] * 7)
         want = list(a.order)
-        ms.reorder(a, 1, 3, 6)  # [0][3 4 5][1 2][6]
-        ms.reorder(a, 1, 4, 6)  # inverse: moves the displaced block back
+        ms.reorder(a, [(0, 1), (3, 6), (1, 3), (6, 7)])  # [0][3 4 5][1 2][6]
+        ms.reorder(a, [(0, 1), (4, 6), (1, 4), (6, 7)])  # moves [1 2] back
         assert a.order == want
         check_chunk_store(ms)
+
+    def test_identity_charges_nothing(self):
+        ms = store()
+        a = filled(ms, [2] * 5)
+        want = list(a.order)
+        work, depth = ms.meter.work, ms.meter.depth
+        ms.reorder(a, [(0, 2), (2, 2), (2, 5), (5, 5)])
+        assert a.order == want
+        assert (ms.meter.work, ms.meter.depth) == (work, depth)
 
     def test_tree_leaves_track_permutation(self):
         ms = store()
         a = filled(ms, [2] * 6)
         for i, c in enumerate(a.order):
             ms.bulk_set_links(c, 1 << a.order[i % 6].slot)
-        ms.reorder(a, 0, 2, 5)
+        ms.reorder(a, [(2, 5), (0, 2), (5, 6)])
         assert [l.bits for l in a.tree.leaves] == [c.links for c in a.order]
         check_chunk_store(ms)
+
+    def test_three_blocks_charge_as_the_move_of_one_block(self):
+        # moving [j, k) in front of i costs three boundary splits, three
+        # joins and one position refresh from i
+        def move_block(ms, array, i, j, k):
+            order = array.order
+            array.order = order[:i] + order[j:k] + order[i:j] + order[k:]
+            ms._refresh_positions(array, i)
+            left, rest = array.tree.split_boundary(i)
+            mid, rest = rest.split_boundary(j - i)
+            moved, tail = rest.split_boundary(k - j)
+            array.tree = agg_join(agg_join(agg_join(left, moved), mid), tail)
+
+        for i, j, k in [(0, 2, 5), (1, 3, 6), (2, 4, 9), (3, 4, 5), (0, 1, 9)]:
+            costs = []
+            for permute in (
+                lambda ms, a: ms.reorder(a, [(0, i), (j, k), (i, j), (k, 9)]),
+                lambda ms, a: move_block(ms, a, i, j, k),
+            ):
+                ms = store()
+                a = filled(ms, [2] * 9)
+                ms.meter.reset()
+                permute(ms, a)
+                costs.append((ms.meter.work, ms.meter.depth, [c.slot for c in a.order]))
+            assert costs[0] == costs[1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_block_permutations(self, seed):
+        rng = random.Random(seed)
+        ms = store(slots=40)
+        a = filled(ms, [2] * 12)
+        for c in a.order:
+            for d in rng.sample(a.order, 3):
+                ms.link(c, d)
+        for _ in range(60):
+            n = len(a.order)
+            k = rng.randint(1, 5)
+            cuts = sorted(rng.randint(0, n) for _ in range(k - 1))
+            bounds = [0] + cuts + [n]
+            blocks = [(bounds[i], bounds[i + 1]) for i in range(k)]
+            rng.shuffle(blocks)
+            want = [c for start, end in blocks for c in a.order[start:end]]
+            ms.reorder(a, blocks)
+            assert a.order == want
+            assert [l.bits for l in a.tree.leaves] == [c.links for c in a.order]
+            check_chunk_store(ms)
 
 
 class TestQuery:
@@ -299,7 +375,7 @@ def test_randomized_store_soak():
         elif roll < 0.85 and len(a.order) >= 3:
             n = len(a.order)
             i, j, k = sorted(rng.sample(range(n + 1), 3))
-            ms.reorder(a, i, j, k)
+            ms.reorder(a, [(0, i), (j, k), (i, j), (k, n)])
         else:
             n = len(a.order)
             if n:

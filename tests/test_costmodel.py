@@ -7,8 +7,6 @@ from dynconn.costmodel import (
     CommonPolicy,
     CostMeter,
     MeterError,
-    StepBuffer,
-    WriteConflictError,
     extremum_depth,
     segment_end_depth,
 )
@@ -195,25 +193,6 @@ class TestInitialSegmentEnd:
         assert m.initial_segment_end([]) is None
 
 
-class TestStepBuffer:
-    def test_common_conflict_raises(self):
-        buf = StepBuffer(meter(CommonPolicy(0.5)))
-        buf.write("cell", 1)
-        buf.write("cell", 1)
-        with pytest.raises(WriteConflictError):
-            buf.write("cell", 2)
-
-    def test_arbitrary_picks_seeded_winner(self):
-        winners = set()
-        for _ in range(3):
-            buf = StepBuffer(meter(ArbitraryPolicy(5)))
-            buf.write("c", 1)
-            buf.write("c", 2)
-            buf.write("c", 3)
-            winners.add(buf.publish()["c"])
-        assert len(winners) == 1
-
-
 class TestOperationBudget:
     def test_budget_overflow_raises(self):
         m = meter()
@@ -296,3 +275,10 @@ class TestParallelForRaising:
         assert (m.work, m.depth) == (0, 0)
         m.parallel_for(2, lambda i: m.charge(1))
         assert (m.work, m.depth) == (4, 1)
+
+
+def test_every_exported_name_resolves():
+    import dynconn
+
+    for name in dynconn.__all__:
+        assert getattr(dynconn, name) is not None, name

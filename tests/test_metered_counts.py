@@ -1,10 +1,12 @@
 """Pinned metered counts of seeded facade scripts.
 
 A change that only speeds up the Python must leave the work and depth of
-every operation bit-identical.  All three rows were last recorded when each
-chunk's link vector came to be refreshed once per forest update and tree
-cycle-edge deletions came to be steered by the cycle's chord; a change that
-moves them changes the cost model and must say so.
+every operation bit-identical.  All three rows were last recorded when
+chunk arrays came to be permuted by one block reorder per splice, with one
+record of the chunks an update touched driving both the sizing repairs and
+the link flush, and when an insertion came to add its edge to every level
+in one commit phase; a change that moves them changes the cost model and
+must say so.
 """
 
 import random
@@ -54,17 +56,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (8829432, {"insert": 905, "delete": 1471, "connected": 0}, 58852),
+            (8728339, {"insert": 649, "delete": 1435, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (8865390, {"insert": 916, "delete": 1506, "connected": 0}, 58852),
+            (8799059, {"insert": 660, "delete": 1470, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (240701, {"insert": 523, "delete": 797}, 11958),
+            (237308, {"insert": 523, "delete": 786}, 11958),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

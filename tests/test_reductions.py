@@ -156,7 +156,7 @@ class TestConnGadget:
         for _ in range(steps):
             if len(edges) < m and (len(edges) < m // 2 or rng.random() < 0.5):
                 u, v = rng.sample(range(n), 2)
-                if cg.has_edge(u, v):
+                if (u, v) in edges or (v, u) in edges:
                     continue
                 cg.insert_edge(u, v)
                 edges.append((u, v))

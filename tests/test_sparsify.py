@@ -350,3 +350,23 @@ class TestDepthPadding:
         assert coarse["delete"] < common["delete"]
         bip = depth_budgets("bipartiteness", ArbitraryPolicy(0))
         assert bip["insert"] > arbitrary["insert"]
+
+
+class TestBrokenDepthContract:
+    def test_over_budget_insert_commits_consistently(self):
+        # the depth check runs after the body: the call raises, but the
+        # update stands and every invariant holds
+        d = conn_facade(8)
+        for v in (1, 2, 3):
+            d.activate_node(v)
+        d.budgets["insert"] = 3
+        with pytest.raises(MeterError):
+            d.insert_edge(1, 2)
+        assert d.core.graph.has_edge(0, 1)
+        assert d.connected(1, 2) and not d.connected(1, 3)
+        assert d.n_components() == 2
+        check_spars_tree(d.core)
+        d.budgets = depth_budgets("connectivity", d.meter.policy)
+        d.delete_edge(1, 2)
+        assert not d.connected(1, 2)
+        check_spars_tree(d.core)
