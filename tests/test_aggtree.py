@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynconn import aggtree
 from dynconn.aggtree import AggTree, join, make_leaf
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.oracle import check_agg_tree
@@ -78,6 +79,97 @@ class TestInsertDelete:
             t.insert(5, 0)
         with pytest.raises(IndexError):
             t.delete(2)
+
+
+class TestInPlaceUpdates:
+    def test_soak_reaches_every_restructuring(self):
+        """Grow and shrink one tree through root growth, root drops down to
+        one leaf and to empty, inserts at both ends, and underflows settled
+        with the left and with the right sibling, by a merge and by sharing
+        a full sibling's children."""
+        rng = random.Random(0)  # the final assert checks this seed's coverage
+        m, w = fresh(width=32)
+        t = AggTree(m, w)
+        shadow = []
+        seen = set()
+        for target in (64, 1, 0, 48, 2, 40, 0, 64, 8, 56, 0):
+            while len(shadow) != target:
+                n = len(shadow)
+                height = t.root.height if t.root is not None else -1
+                if n < target and rng.random() < 0.7 or n > target and rng.random() < 0.3:
+                    i = rng.choice([0, n, rng.randrange(n + 1)])
+                    b = rng.randrange(1 << w)
+                    t.insert(i, b)
+                    shadow.insert(i, b)
+                    seen.add("insert at 0" if i == 0 else "insert at end" if i == n else "insert")
+                    if t.root.height > height:
+                        seen.add("root grows")
+                else:
+                    if n == 0:
+                        continue
+                    i = rng.randrange(n)
+                    path = t.leaves[i].ancestors
+                    if height >= 2 and len(path[1].children) == 2:
+                        at = path[2].children.index(path[1])
+                        sibling = path[2].children[at - 1 if at else 1]
+                        kind = "share" if len(sibling.children) == 6 else "merge"
+                        seen.add(f"{kind} with {'left' if at else 'right'}")
+                    t.delete(i)
+                    shadow.pop(i)
+                    if t.root is None:
+                        seen.add("empty")
+                    elif t.root.height < height:
+                        seen.add("root drops to a leaf" if t.root.height == 0 else "root drops")
+                assert leaf_seq(t) == shadow
+                check_agg_tree(t)
+        assert seen >= {
+            "insert at 0", "insert at end", "root grows", "root drops",
+            "root drops to a leaf", "empty", "merge with left", "merge with right",
+            "share with left", "share with right",
+        }
+
+    def test_insert_and_delete_neither_split_nor_join(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a leaf update split or joined the tree")
+
+        monkeypatch.setattr(AggTree, "split", refuse)
+        monkeypatch.setattr(AggTree, "split_boundary", refuse)
+        monkeypatch.setattr(aggtree, "join", refuse)
+        rng = random.Random(4)
+        m, w = fresh()
+        t = AggTree(m, w)
+        shadow = []
+        for _ in range(400):
+            if not shadow or rng.random() < 0.55:
+                i, b = rng.randrange(len(shadow) + 1), rng.randrange(1 << w)
+                t.insert(i, b)
+                shadow.insert(i, b)
+            else:
+                i = rng.randrange(len(shadow))
+                t.delete(i)
+                shadow.pop(i)
+        assert leaf_seq(t) == shadow
+        check_agg_tree(t)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 23, 60])
+    def test_range_bits_is_the_or_of_every_range(self, n):
+        rng = random.Random(n)
+        m, w = fresh()
+        vals = [rng.randrange(1 << w) if rng.random() < 0.5 else 1 << rng.randrange(w)
+                for _ in range(n)]
+        t = build(m, w, vals)
+        root, leaves = t.root, t.leaves
+        for i in range(n + 1):
+            acc = 0
+            for j in range(i, n + 1):
+                assert t.range_bits(i, j) == acc
+                if j < n:
+                    acc |= vals[j]
+        assert t.root is root and t.leaves is leaves
+        assert leaf_seq(t) == vals
+        check_agg_tree(t)
+        with pytest.raises(IndexError):
+            t.range_bits(1, n + 1)
 
 
 class TestJoinSplit:
@@ -278,7 +370,7 @@ class TestRandomizedSoak:
         check_agg_tree(t)
 
     def test_depth_bounded_across_sizes(self):
-        # join/split metered depth must not grow with the tree size
+        # leaf update, join and split metered depth must not grow with the size
         worst = {}
         for exp in (4, 6, 8, 10):
             n = 2 ** exp
@@ -287,6 +379,13 @@ class TestRandomizedSoak:
             with m.initialization():
                 for i in range(n):
                     t.insert(i, i % 256)
+            for pos in (0, n // 3, n):
+                m.reset()
+                t.insert(pos, 1)
+                assert m.depth <= aggtree.DEPTH_BOUNDS["insert"]
+                m.reset()
+                t.delete(pos)
+                assert m.depth <= aggtree.DEPTH_BOUNDS["delete"]
             m.reset()
             base = m.depth
             left, right, bits = t.split(n // 2)

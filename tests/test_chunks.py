@@ -350,6 +350,22 @@ class TestQuery:
         with pytest.raises(ChunkError):
             ms.query(a, 3, 1, 0, 2)
 
+    def test_query_leaves_the_tree_untouched(self):
+        rng = random.Random(12)
+        ms = store(slots=40)
+        a = filled(ms, [2] * 20)
+        for _ in range(15):
+            ms.link(*rng.sample(a.order, 2))
+        root, leaves = a.tree.root, a.tree.leaves
+        shape = [leaf.ancestors[:] for leaf in leaves]
+        for _ in range(30):
+            i, j = sorted(rng.sample(range(21), 2))
+            k, l = sorted(rng.sample(range(21), 2))
+            ms.query(a, i, j, k, l)
+            assert a.tree.root is root and a.tree.leaves is leaves
+            assert [leaf.ancestors for leaf in leaves] == shape
+        check_chunk_store(ms)
+
 
 def test_randomized_store_soak():
     rng = random.Random(77)

@@ -2,11 +2,11 @@
 
 A change that only speeds up the Python must leave the work and depth of
 every operation bit-identical.  All three rows were last recorded when
-chunk arrays came to be permuted by one block reorder per splice, with one
-record of the chunks an update touched driving both the sizing repairs and
-the link flush, and when an insertion came to add its edge to every level
-in one commit phase; a change that moves them changes the cost model and
-must say so.
+the aggregate tree came to insert and delete a leaf in place, along its
+ancestor path, instead of by a split and joins, when a chunk query came to
+read its interval's OR off the tree without restructuring it, and when
+retiring a chunk stopped charging its stale-column check as work; a change
+that moves them changes the cost model and must say so.
 """
 
 import random
@@ -56,17 +56,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (8728339, {"insert": 649, "delete": 1435, "connected": 0}, 58852),
+            (7333140, {"insert": 358, "delete": 681, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (8799059, {"insert": 660, "delete": 1470, "connected": 0}, 58852),
+            (7394528, {"insert": 369, "delete": 716, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (237308, {"insert": 523, "delete": 786}, 11958),
+            (214728, {"insert": 384, "delete": 489}, 11958),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],
