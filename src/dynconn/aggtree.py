@@ -4,7 +4,9 @@ Leaves hold bit arrays (Python ints) in sequence order; every inner vertex
 holds the OR of its children.  All leaves sit at equal depth, inner vertices
 have 2..6 children (the root at least min(2, size)), and every leaf keeps a
 pointer to each of its ancestors, which is what makes constant-depth
-restructuring possible.
+restructuring possible.  A leaf is a height-0 `AggVertex` (a subclass may
+carry more fields) that the caller builds and hangs with `insert`; deleting
+or splitting it out leaves the same object detached.
 
 Every structural update is organised as a fixed number of parallel phases:
 
@@ -38,26 +40,21 @@ from __future__ import annotations
 
 
 class AggVertex:
+    """A tree vertex.  Built at height 0 it is a detached leaf: its own first
+    and last leaf and its own only ancestor.  Only leaves keep ancestors."""
+
     __slots__ = ("height", "children", "fst", "lst", "bits", "ancestors")
 
-    def __init__(self, height, children, fst, lst, bits, ancestors=None):
+    def __init__(self, height=0, children=None, fst=None, lst=None, bits=0):
         self.height = height
         self.children = children
-        self.fst = fst
-        self.lst = lst
+        self.fst = fst or self
+        self.lst = lst or self
         self.bits = bits
-        self.ancestors = ancestors
+        self.ancestors = None if height else [self]
 
     def __repr__(self):
         return f"<AggVertex h={self.height} bits={self.bits:#x}>"
-
-
-def make_leaf(bits=0):
-    v = AggVertex(0, None, None, None, bits, None)
-    v.fst = v
-    v.lst = v
-    v.ancestors = [v]
-    return v
 
 
 class AggTree:
@@ -182,8 +179,8 @@ class AggTree:
 
     # -- structural updates ---------------------------------------------------
 
-    def insert(self, i, bits):
-        """Insert a new leaf carrying `bits` at position i.
+    def insert(self, i, leaf):
+        """Hang the detached leaf `leaf` at position i.
 
         The leaf joins its neighbour's parent; overfull ancestors split in
         half along the way up (`_attach`), so only that one path changes.
@@ -192,7 +189,6 @@ class AggTree:
         if not 0 <= i <= n:
             raise IndexError("leaf position out of range")
         meter, width = self.meter, self.width
-        leaf = make_leaf(bits)
         meter.parallel_charge(n - i + 1)  # the leaf array shifts right
         root = self.root
         if root is None:
@@ -207,7 +203,8 @@ class AggTree:
         self.leaves.insert(i, leaf)
 
     def delete(self, i):
-        """Delete leaf i, restructuring only along its ancestor path.
+        """Delete leaf i, restructuring only along its ancestor path; the
+        leaf leaves detached, with its bits.
 
         A vertex left with one child hands it to an adjacent sibling and
         disappears, which carries the underflow one level up; when that
@@ -293,6 +290,7 @@ class AggTree:
             read += len(kids)
         meter.parallel_charge(len(changed))
         meter.charge(read * self.width)
+        del path[1:]
 
     def range_bits(self, i, j):
         """The OR of the bits of leaves i .. j-1; 0 for an empty range.
@@ -331,7 +329,8 @@ class AggTree:
         return acc
 
     def split(self, i):
-        """Remove leaf i; return (left tree, right tree, bits of leaf i)."""
+        """Remove leaf i, which leaves detached; return (left tree, right
+        tree, bits of leaf i)."""
         if not 0 <= i < len(self.leaves):
             raise IndexError("leaf position out of range")
         meter, width = self.meter, self.width
@@ -364,6 +363,7 @@ class AggTree:
         )
         self.root = None
         self.leaves = []
+        del path[1:]
         return left, right, bits
 
     def split_boundary(self, pos):
@@ -377,10 +377,9 @@ class AggTree:
             out = AggTree(meter, width, self.root, self.leaves)
             self.root, self.leaves = None, []
             return out, AggTree(meter, width)
-        left, right, bits = self.split(pos)
-        single = AggTree(meter, width, make_leaf(bits), None)
-        single.leaves = [single.root]
-        return left, join(single, right)
+        leaf = self.leaves[pos]
+        left, right, _ = self.split(pos)
+        return left, join(AggTree(meter, width, leaf, [leaf]), right)
 
 
 def join(t1: AggTree, t2: AggTree) -> AggTree:

@@ -2,10 +2,11 @@
 
 A chunk is a bounded array of directed tour edges living in one slot of the
 global master array.  Two chunks are linked when some non-tree edge joins a
-node occurring in one to a node occurring in the other; each chunk keeps a
-link vector (bit per master slot) recording this, and each chunk array mirrors
-its chunks' link vectors into an aggregate tree so that interval link queries
-run on OR summaries.
+node occurring in one to a node occurring in the other; each chunk's link
+vector (bit per master slot) records this.  A chunk is itself a leaf of its
+array's aggregate tree, and its `bits` are its link vector, so the tree's
+leaf list is the chunk order and interval link queries run on the tree's OR
+summaries.
 
 Positions are 0-based throughout.  Link vectors are Python ints; the meter is
 charged `width` units for whole-vector operations.
@@ -13,7 +14,7 @@ charged `width` units for whole-vector operations.
 
 from __future__ import annotations
 
-from .aggtree import DEPTH_BOUNDS as AGG_DEPTH, AggTree, join as agg_join
+from .aggtree import DEPTH_BOUNDS as AGG_DEPTH, AggTree, AggVertex, join as agg_join
 from .costmodel import CHOOSE_ANY_DEPTH, CostMeter, extremum_depth
 
 
@@ -26,13 +27,16 @@ class ChunkError(ValueError):
     pass
 
 
-class Chunk:
-    __slots__ = ("slot", "edges", "links", "array", "pos")
+class Chunk(AggVertex):
+    """Tour edges in one master slot; a detached aggregate-tree leaf whose
+    `bits` are its link vector, all-zero at first."""
+
+    __slots__ = ("slot", "edges", "array", "pos")
 
     def __init__(self, slot, edges):
+        super().__init__()
         self.slot = slot
         self.edges = edges
-        self.links = 0
         self.array = None
         self.pos = -1
 
@@ -41,17 +45,21 @@ class Chunk:
 
 
 class ChunkArray:
-    """Ordered sequence of chunks representing one tour, plus its aggregate tree."""
+    """The chunks of one tour, held in order as the leaves of an aggregate tree."""
 
-    __slots__ = ("store", "order", "tree")
+    __slots__ = ("store", "tree")
 
     def __init__(self, store):
         self.store = store
-        self.order = []
         self.tree = AggTree(store.meter, store.slot_count)
 
+    @property
+    def order(self):
+        """The chunks in tour order: the tree's leaf list, not to be mutated."""
+        return self.tree.leaves
+
     def __len__(self):
-        return len(self.order)
+        return len(self.tree.leaves)
 
 
 class MasterArray:
@@ -78,12 +86,13 @@ class MasterArray:
             "unlink": 2 * agg["bit_set"],
             # own leaf, then one loop over the arrays clearing and setting
             "bulk_set_links": agg["bulk_set"] + 1 + 2 * agg["dual_bulk_set"],
-            # position refresh, then the tree change
+            # the tree change, then the position refresh
             "insert_chunk": 1 + agg["insert"],
             "delete_chunk": 1 + agg["delete"],
             "concatenate": 1 + agg["join"],
             "split_array": agg["split_boundary"] + 2,
-            # position refresh, then a split and a join per block after the first
+            # a split and a join per block after the first, then the position
+            # refresh
             "reorder": 1 + (MAX_BLOCKS - 1) * (agg["split_boundary"] + agg["join"]),
             # the OR over [i, j), then a scan and a pick per side
             "query": agg["range_bits"] + 2 * (1 + pick),
@@ -129,11 +138,11 @@ class MasterArray:
         # a consistency check of the link column, not part of the algorithm,
         # so the meter is not charged for it
         for d in self.slots:
-            if d is not None and d is not c and (d.links >> c.slot) & 1:
+            if d is not None and d is not c and (d.bits >> c.slot) & 1:
                 raise ChunkError(
                     f"deactivating slot {c.slot} with stale link bit in slot {d.slot}"
                 )
-        if c.links:
+        if c.bits:
             raise ChunkError("deactivating chunk with set link bits")
         self.slots[c.slot] = None
         self.free.append(c.slot)
@@ -144,8 +153,6 @@ class MasterArray:
     def link(self, c1: Chunk, c2: Chunk):
         self._require_active(c1)
         self._require_active(c2)
-        c1.links |= 1 << c2.slot
-        c2.links |= 1 << c1.slot
         self.meter.charge(2)
         c1.array.tree.bit_set(c1.pos, c2.slot, 1)
         c2.array.tree.bit_set(c2.pos, c1.slot, 1)
@@ -153,27 +160,25 @@ class MasterArray:
     def unlink(self, c1: Chunk, c2: Chunk):
         self._require_active(c1)
         self._require_active(c2)
-        c1.links &= ~(1 << c2.slot)
-        c2.links &= ~(1 << c1.slot)
         self.meter.charge(2)
         c1.array.tree.bit_set(c1.pos, c2.slot, 0)
         c2.array.tree.bit_set(c2.pos, c1.slot, 0)
 
     def bulk_set_links(self, c: Chunk, links: int):
-        """Replace c's link vector and mirror the change into every other chunk.
+        """Replace c's link vector and mirror the change into c's column.
 
-        Link vectors are symmetric: bit d.slot of c.links equals bit c.slot
-        of d.links for every pair of active chunks (checked by
+        Link vectors are symmetric: bit d.slot of c.bits equals bit c.slot
+        of d.bits for every pair of active chunks (checked by
         `oracle.check_chunk_store`).  So c's old row is its old column, and
         only the chunks in the slots of (old ^ links) minus c's own slot have
-        a column bit to flip.  The model is a parallel loop over every array
-        in which each iteration scans its chunks; iterations whose array has
-        nothing to flip are charged as one plain sum (they add no depth), and
-        the loop body runs only over the arrays it changes.
+        a column bit to flip.  Every vector is written by the aggregate trees,
+        whose leaves the chunks are.  The model is a parallel loop over every
+        array in which each iteration scans its chunks; iterations whose
+        array has nothing to flip are charged as one plain sum (they add no
+        depth), and the loop body runs only over the arrays it changes.
         """
         self._require_active(c)
-        old = c.links
-        c.links = links
+        old = c.bits
         self.meter.charge(self.slot_count)
         c.array.tree.bulk_set(c.pos, links)
         col = 1 << c.slot
@@ -189,17 +194,10 @@ class MasterArray:
             entry = changes.get(d.array)
             if entry is None:
                 entry = changes[d.array] = ([], [])
-            if links & low:
-                d.links |= col
-                entry[1].append(d.pos)
-            else:
-                d.links &= ~col
-                entry[0].append(d.pos)
+            entry[1 if links & low else 0].append(d.pos)
         arrays = self.arrays()
         touched = list(changes.items())
-        self.meter.charge(
-            len(arrays) - len(touched) + sum(len(a.order) for a in arrays)
-        )
+        self.meter.charge(len(arrays) - len(touched) + sum(map(len, arrays)))
 
         def column_body(t):
             array, (to_clear, to_set) = touched[t]
@@ -220,46 +218,40 @@ class MasterArray:
         return ChunkArray(self)
 
     def insert_chunk(self, array: ChunkArray, pos, c: Chunk):
-        if not 0 <= pos <= len(array.order):
+        if not 0 <= pos <= len(array):
             raise ChunkError("position out of range")
         if c.array is not None:
             raise ChunkError("chunk already in an array")
-        array.order.insert(pos, c)
-        c.array = array
+        array.tree.insert(pos, c)
         self._refresh_positions(array, pos)
-        array.tree.insert(pos, c.links)
 
     def delete_chunk(self, array: ChunkArray, pos):
-        if not 0 <= pos < len(array.order):
+        if not 0 <= pos < len(array):
             raise ChunkError("position out of range")
-        c = array.order.pop(pos)
+        c = array.order[pos]
+        array.tree.delete(pos)
         c.array = None
         c.pos = -1
         self._refresh_positions(array, pos)
-        array.tree.delete(pos)
         return c
 
     def concatenate(self, a1: ChunkArray, a2: ChunkArray):
         """Append a2's chunks to a1; a2 becomes empty and dead."""
-        base = len(a1.order)
-        a1.order.extend(a2.order)
-        self._refresh_positions(a1, base)
+        base = len(a1)
         a1.tree = agg_join(a1.tree, a2.tree)
-        a2.order = []
+        # join hands back a2's own tree when a1 is empty
+        a2.tree = AggTree(self.meter, self.slot_count)
+        self._refresh_positions(a1, base)
         return a1
 
     def split_array(self, array: ChunkArray, pos):
         """Split so the first `pos` chunks stay; returns (array, new right array)."""
-        if not 0 <= pos <= len(array.order):
+        if not 0 <= pos <= len(array):
             raise ChunkError("position out of range")
         right = ChunkArray(self)
-        right.order = array.order[pos:]
-        array.order = array.order[:pos]
-        left_tree, right_tree = array.tree.split_boundary(pos)
-        array.tree = left_tree
-        right.tree = right_tree
+        array.tree, right.tree = array.tree.split_boundary(pos)
         self._refresh_positions(right, 0)
-        self.meter.parallel_charge(len(array.order))
+        self.meter.parallel_charge(len(array))
         return array, right
 
     def reorder(self, array: ChunkArray, blocks):
@@ -268,10 +260,11 @@ class MasterArray:
         number at most MAX_BLOCKS.
 
         The aggregate tree is split at the block bounds and the pieces are
-        joined in block order; positions are refreshed once, from the first
-        block that moved.  A permutation that moves no chunk charges nothing.
+        joined in block order; positions are then refreshed once, from the
+        first block that moved.  A permutation that moves no chunk charges
+        nothing.
         """
-        n = len(array.order)
+        n = len(array)
         if not 1 <= len(blocks) <= MAX_BLOCKS:
             raise ChunkError(f"reorder takes 1..{MAX_BLOCKS} blocks, got {len(blocks)}")
         by_start = sorted(range(len(blocks)), key=blocks.__getitem__)
@@ -291,9 +284,6 @@ class MasterArray:
             first = end
         else:
             return
-        order = array.order
-        array.order = [c for start, end in blocks for c in order[start:end]]
-        self._refresh_positions(array, first)
         pieces = [None] * len(blocks)
         rest = array.tree
         for b in by_start[:-1]:
@@ -304,6 +294,7 @@ class MasterArray:
         for piece in pieces[1:]:
             tree = agg_join(tree, piece)
         array.tree = tree
+        self._refresh_positions(array, first)
 
     def query(self, array: ChunkArray, i, j, k, l):
         """An arbitrary linked pair (C, C') with C at a position in [i, j) and
@@ -312,16 +303,15 @@ class MasterArray:
         The OR of the link vectors over [i, j) is read off the aggregate
         tree, which the query does not change.
         """
-        n = len(array.order)
+        order = array.order
+        n = len(order)
         if not (0 <= i <= j <= n and 0 <= k <= l <= n):
             raise ChunkError("malformed query interval")
         if i == j or k == l:
             return None
         acc = array.tree.range_bits(i, j)
         meter = self.meter
-        candidates = [
-            pos for pos in range(k, l) if (acc >> array.order[pos].slot) & 1
-        ]
+        candidates = [pos for pos in range(k, l) if (acc >> order[pos].slot) & 1]
         meter.parallel_charge(l - k)
         if not candidates:
             return None
@@ -329,10 +319,8 @@ class MasterArray:
             _, q = meter.reduce_extremum(candidates, "min")
         else:
             q = meter.choose_any(candidates)
-        cq = array.order[q]
-        back = [
-            pos for pos in range(i, j) if (cq.links >> array.order[pos].slot) & 1
-        ]
+        cq = order[q]
+        back = [pos for pos in range(i, j) if (cq.bits >> order[pos].slot) & 1]
         meter.parallel_charge(j - i)
         if not back:
             raise ChunkError("link vectors inconsistent during query")
@@ -340,11 +328,12 @@ class MasterArray:
             _, p = meter.reduce_extremum(back, "min")
         else:
             p = meter.choose_any(back)
-        return array.order[p], cq
+        return order[p], cq
 
     def _refresh_positions(self, array: ChunkArray, start=0):
-        for pos in range(start, len(array.order)):
-            c = array.order[pos]
+        order = array.order
+        for pos in range(start, len(order)):
+            c = order[pos]
             c.array = array
             c.pos = pos
-        self.meter.parallel_charge(max(0, len(array.order) - start))
+        self.meter.parallel_charge(max(0, len(order) - start))

@@ -2,11 +2,12 @@
 
 Every tree's Euler tour (each tree edge once per direction) is stored either
 as a plain edge list, when the tour fits in one chunk's capacity K, or as a
-chunk array in the master store with link vectors.  Small tours need no link
-bookkeeping: a replacement search inside them is a direct scan of at most 3K
-edges, which is within the same work budget as one chunk query.  Keeping them
-out of the master array is also what keeps the slot count at O(sqrt(n)):
-a forest can contain far more tiny trees than slots.
+chunk array in the master store, where every chunk is a leaf of its array's
+aggregate tree and its leaf bits are its link vector.  Small tours need no
+link bookkeeping: a replacement search inside them is a direct scan of at
+most 3K edges, which is within the same work budget as one chunk query.
+Keeping them out of the master array is also what keeps the slot count at
+O(sqrt(n)): a forest can contain far more tiny trees than slots.
 
 Connectivity is answered in O(1) by comparing tour container identities,
 reached from any incident tree edge's occurrence pointer.
@@ -16,10 +17,10 @@ record, `_touched`.  The sizing repair of an array works through the touched
 chunks of that array, and one flush at the end of `insert_edge` or `_delete`
 recomputes the link vector of each touched chunk that is still live, once,
 from the final tours.  A chunk retired during the update is skipped:
-`_retire_chunk` clears its links before the slot is freed.  The only link
-query of an update, the replacement search, runs before its first mutation,
-so the vectors may lag until the flush; they stay symmetric throughout,
-since every change to them goes through the master array.
+`_retire_chunk` clears its link vector before the slot is freed.  The only
+link query of an update, the replacement search, runs before its first
+mutation, so the vectors may lag until the flush; they stay symmetric
+throughout, since every change to them goes through the master array.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ class EulerForest:
         a_v = self._as_array(tid_v)
         if a_u is None:
             # u is a singleton: tour becomes (u,v), Q2, Q1, (v,u)
-            cut_v, cv_left = self._cut_after_target(a_v, v)
+            cut_v, cv_left = self._cut_after_target(v)
             head = self.store.alloc_chunk([(u, v)])
             self.store.insert_chunk(a_v, 0, head)
             self.edge_occ[(u, v)] = (head, 0)
@@ -289,7 +290,7 @@ class EulerForest:
             self.store.reorder(a_v, [(0, 1), (q1, len(a_v.order)), (1, q1)])
             final = a_v
         elif a_v is None:
-            cut_u, cu_left = self._cut_after_target(a_u, u)
+            cut_u, cu_left = self._cut_after_target(u)
             self._append_edge(cu_left, (u, v))
             tail = self.store.alloc_chunk([(v, u)])
             self.store.insert_chunk(a_u, cut_u + 1, tail)
@@ -297,10 +298,10 @@ class EulerForest:
             self._touched[tail] = None
             final = a_u
         else:
-            cut_u, cu_left = self._cut_after_target(a_u, u)
+            cut_u, cu_left = self._cut_after_target(u)
             self._append_edge(cu_left, (u, v))
             nu = len(a_u.order)
-            cut_v, cv_left = self._cut_after_target(a_v, v)
+            cut_v, cv_left = self._cut_after_target(v)
             self._append_edge(cv_left, (v, u))
             self.store.concatenate(a_u, a_v)
             # P1 P2 Q1 Q2 -> P1 Q2 Q1 P2
@@ -524,21 +525,27 @@ class EulerForest:
             self.edge_occ[e] = (c, off)
         self.meter.parallel_charge(len(c.edges))
 
-    def _cut_after_target(self, array, node):
+    def _cut_after_target(self, node):
         """Split chunks so some occurrence (x, node) ends a chunk.
 
         Returns (position of that chunk, the chunk itself).
         """
         c, off = self._target_occurrence(node)
         if off < len(c.edges) - 1:
-            right = c.edges[off + 1 :]
-            del c.edges[off + 1 :]
-            self._reindex_chunk(c)
-            nc = self.store.alloc_chunk(right)
-            self.store.insert_chunk(c.array, c.pos + 1, nc)
-            self._reindex_chunk(nc)
-            self._touched[c] = self._touched[nc] = None
+            self._split_chunk(c, off + 1)
         return c.pos, c
+
+    def _split_chunk(self, c, at):
+        """Move c.edges[at:] into a new chunk right after c; both are
+        reindexed and touched.  Returns the new chunk."""
+        right = c.edges[at:]
+        del c.edges[at:]
+        self._reindex_chunk(c)
+        nc = self.store.alloc_chunk(right)
+        self.store.insert_chunk(c.array, c.pos + 1, nc)
+        self._reindex_chunk(nc)
+        self._touched[c] = self._touched[nc] = None
+        return nc
 
     def _target_occurrence(self, node):
         for w in self.nbr[node]:
@@ -652,7 +659,7 @@ class EulerForest:
         # walk Y = P3.P1 at one leaving w_near; the new cyclic tour is
         #   Y' (w_near,w_far) X'' X' (w_far,w_near) Y''
         if a < b:
-            wf_pos = self._cut_at_source(array, w_far, (a, b))
+            wf_pos = self._cut_at_source(w_far, (a, b))
             if wf_pos is None:
                 raise AssertionError("far endpoint has no tour position")
             delta = len(array.order) - n
@@ -661,7 +668,7 @@ class EulerForest:
         else:
             wf_pos = a  # far side is the single node w_far
         if a > 0 or b < n:
-            wn_pos = self._cut_at_source(array, w_near, (0, a))
+            wn_pos = self._cut_at_source(w_near, (0, a))
             if wn_pos is not None:
                 delta = len(array.order) - n
                 a += delta
@@ -677,7 +684,7 @@ class EulerForest:
                 ]
                 e_block = 1
             else:
-                wn_pos = self._cut_at_source(array, w_near, (b, n))
+                wn_pos = self._cut_at_source(w_near, (b, n))
                 if wn_pos is None:
                     raise AssertionError("near endpoint has no tour position")
                 n = len(array.order)
@@ -732,8 +739,9 @@ class EulerForest:
         self._retire_chunk(c)
         return pos
 
-    def _cut_at_source(self, array, node, pos_range):
-        """Split chunks so some occurrence (node, ?) starts a chunk inside range.
+    def _cut_at_source(self, node, pos_range):
+        """Split chunks so some occurrence (node, ?) starts a chunk whose
+        position lies in `pos_range` of node's tour array.
 
         Returns the boundary position (start of the chunk whose first edge
         leaves `node`), or None when the range holds no such occurrence.
@@ -747,14 +755,7 @@ class EulerForest:
                 continue
             if off == 0:
                 return c.pos
-            right = c.edges[off:]
-            del c.edges[off:]
-            self._reindex_chunk(c)
-            nc = self.store.alloc_chunk(right)
-            self.store.insert_chunk(array, c.pos + 1, nc)
-            self._reindex_chunk(nc)
-            self._touched[c] = self._touched[nc] = None
-            return nc.pos
+            return self._split_chunk(c, off).pos
         return None
 
     # -- sizing repairs and the link flush ------------------------------------
@@ -770,14 +771,7 @@ class EulerForest:
             if c.array is not array:
                 continue
             if len(c.edges) > K:
-                right = c.edges[len(c.edges) // 2 :]
-                del c.edges[len(c.edges) // 2 :]
-                self._reindex_chunk(c)
-                nc = self.store.alloc_chunk(right)
-                self.store.insert_chunk(array, c.pos + 1, nc)
-                self._reindex_chunk(nc)
-                touched[nc] = None
-                queue.extend((c, nc))
+                queue.extend((c, self._split_chunk(c, len(c.edges) // 2)))
                 continue
             if 2 * len(c.edges) < K and len(array.order) > 1:
                 pos = c.pos
@@ -800,7 +794,7 @@ class EulerForest:
         self._maybe_shrink(array)
 
     def _retire_chunk(self, c):
-        if c.links:
+        if c.bits:
             self.store.bulk_set_links(c, 0)
         self.store.delete_chunk(c.array, c.pos)
         self.store.deactivate(c)
@@ -921,8 +915,8 @@ class EulerForest:
                         if y in node_sets[d.slot]:
                             want |= 1 << d.slot
             check(
-                c.links == want,
-                f"link vector of slot {c.slot} stale: {c.links:#x} != {want:#x}",
+                c.bits == want,
+                f"link vector of slot {c.slot} stale: {c.bits:#x} != {want:#x}",
             )
 
 

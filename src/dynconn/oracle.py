@@ -184,23 +184,21 @@ def _log2ceil(x):
 
 
 def check_chunk_store(store):
-    """Symmetry, tree mirroring, back pointers and free-column invariants."""
+    """Link symmetry, free columns, back pointers and every array's tree."""
     active = [c for c in store.slots if c is not None]
     for c in active:
         for d in active:
             check(
-                (c.links >> d.slot & 1) == (d.links >> c.slot & 1),
+                (c.bits >> d.slot & 1) == (d.bits >> c.slot & 1),
                 f"links not symmetric between slots {c.slot} and {d.slot}",
             )
     free = set(range(store.slot_count)) - {c.slot for c in active}
     for c in active:
         for s in free:
-            check(c.links >> s & 1 == 0, f"stale link bit to free slot {s}")
+            check(c.bits >> s & 1 == 0, f"stale link bit to free slot {s}")
     for array in store.arrays():
-        check(len(array.order) == len(array.tree.leaves), "tree size mismatch")
         for pos, c in enumerate(array.order):
             check(c.array is array and c.pos == pos, f"back pointer stale at {pos}")
-            check(array.tree.leaves[pos].bits == c.links, f"tree leaf {pos} stale")
         check_agg_tree(array.tree)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynconn import aggtree
-from dynconn.aggtree import AggTree, join, make_leaf
+from dynconn.aggtree import AggTree, AggVertex, join
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.oracle import check_agg_tree
 
@@ -18,7 +18,7 @@ def fresh(width=WIDTH, policy=None):
 def build(meter, width, bit_arrays):
     t = AggTree(meter, width)
     for i, b in enumerate(bit_arrays):
-        t.insert(i, b)
+        t.insert(i, AggVertex(bits=b))
     return t
 
 
@@ -37,7 +37,7 @@ class TestInsertDelete:
     def test_seventh_leaf_rebalances(self):
         m, w = fresh()
         t = build(m, w, [1 << i for i in range(6)])
-        t.insert(3, 1 << 10)
+        t.insert(3, AggVertex(bits=1 << 10))
         assert len(t) == 7
         assert leaf_seq(t) == [1, 2, 4, 1 << 10, 8, 16, 32]
         check_agg_tree(t)
@@ -46,7 +46,7 @@ class TestInsertDelete:
         m, w = fresh()
         t = build(m, w, [0b11, 0b100])
         before = t.root_bits()
-        t.insert(1, 0)
+        t.insert(1, AggVertex(bits=0))
         assert t.root_bits() == before
         check_agg_tree(t)
 
@@ -76,9 +76,58 @@ class TestInsertDelete:
         m, w = fresh()
         t = build(m, w, [1, 2])
         with pytest.raises(IndexError):
-            t.insert(5, 0)
+            t.insert(5, AggVertex(bits=0))
         with pytest.raises(IndexError):
             t.delete(2)
+
+
+class TestLeafIdentity:
+    """The tree hangs the leaf objects it is given and hands the same objects
+    back, detached, when it removes them."""
+
+    def test_insert_keeps_the_given_leaf(self):
+        m, w = fresh()
+        rng = random.Random(8)
+        t = AggTree(m, w)
+        shadow = []
+        for _ in range(80):
+            i = rng.randrange(len(shadow) + 1)
+            leaf = AggVertex(bits=rng.randrange(1 << w))
+            t.insert(i, leaf)
+            shadow.insert(i, leaf)
+            assert t.leaves[i] is leaf
+        assert all(a is b for a, b in zip(t.leaves, shadow))
+        check_agg_tree(t)
+
+    def test_deleted_leaf_is_detached_and_reusable(self):
+        m, w = fresh()
+        t = build(m, w, list(range(1, 40)))
+        leaf = t.leaves[17]
+        t.delete(17)
+        assert leaf.ancestors == [leaf] and leaf.bits == 18
+        t.insert(3, leaf)
+        assert t.leaves[3] is leaf
+        check_agg_tree(t)
+
+    def test_split_boundary_keeps_the_boundary_leaf(self):
+        m, w = fresh()
+        vals = list(range(1, 30))
+        for pos in range(1, len(vals)):
+            t = build(m, w, vals)
+            leaves = list(t.leaves)
+            left, right = t.split_boundary(pos)
+            assert right.leaves[0] is leaves[pos]
+            assert all(a is b for a, b in zip(left.leaves + right.leaves, leaves))
+            # the boundary leaf's ancestors are those of its new tree
+            check_agg_tree(left)
+            check_agg_tree(right)
+
+    def test_split_detaches_the_removed_leaf(self):
+        m, w = fresh()
+        t = build(m, w, list(range(1, 30)))
+        leaf = t.leaves[11]
+        t.split(11)
+        assert leaf.ancestors == [leaf]
 
 
 class TestInPlaceUpdates:
@@ -99,7 +148,7 @@ class TestInPlaceUpdates:
                 if n < target and rng.random() < 0.7 or n > target and rng.random() < 0.3:
                     i = rng.choice([0, n, rng.randrange(n + 1)])
                     b = rng.randrange(1 << w)
-                    t.insert(i, b)
+                    t.insert(i, AggVertex(bits=b))
                     shadow.insert(i, b)
                     seen.add("insert at 0" if i == 0 else "insert at end" if i == n else "insert")
                     if t.root.height > height:
@@ -142,7 +191,7 @@ class TestInPlaceUpdates:
         for _ in range(400):
             if not shadow or rng.random() < 0.55:
                 i, b = rng.randrange(len(shadow) + 1), rng.randrange(1 << w)
-                t.insert(i, b)
+                t.insert(i, AggVertex(bits=b))
                 shadow.insert(i, b)
             else:
                 i = rng.randrange(len(shadow))
@@ -223,8 +272,8 @@ class TestJoinSplit:
         for i in range(64):
             t = build(m, w, vals)
             left, right, bits = t.split(i)
-            single = AggTree(m, 64, make_leaf(bits), None)
-            single.leaves = [single.root]
+            leaf = AggVertex(bits=bits)
+            single = AggTree(m, 64, leaf, [leaf])
             merged = join(join(left, single), right)
             assert leaf_seq(merged) == vals
             check_agg_tree(merged)
@@ -346,7 +395,7 @@ class TestRandomizedSoak:
             if n == 0 or op < 0.30:
                 i = rng.randrange(n + 1)
                 b = rng.randrange(1 << w)
-                t.insert(i, b)
+                t.insert(i, AggVertex(bits=b))
                 shadow.insert(i, b)
             elif op < 0.45:
                 i = rng.randrange(n)
@@ -378,10 +427,10 @@ class TestRandomizedSoak:
             t = AggTree(m, 8)
             with m.initialization():
                 for i in range(n):
-                    t.insert(i, i % 256)
+                    t.insert(i, AggVertex(bits=i % 256))
             for pos in (0, n // 3, n):
                 m.reset()
-                t.insert(pos, 1)
+                t.insert(pos, AggVertex(bits=1))
                 assert m.depth <= aggtree.DEPTH_BOUNDS["insert"]
                 m.reset()
                 t.delete(pos)
@@ -408,7 +457,7 @@ def test_hypothesis_split_points(vals, data):
     m = CostMeter(CommonPolicy(0.5))
     t = AggTree(m, 16)
     for i, b in enumerate(vals):
-        t.insert(i, b)
+        t.insert(i, AggVertex(bits=b))
     i = data.draw(st.integers(min_value=0, max_value=len(vals) - 1))
     left, right, bits = t.split(i)
     assert bits == vals[i]

@@ -25,7 +25,7 @@ class TestSlots:
     def test_fresh_chunk_has_zero_links(self):
         ms = store()
         c = ms.alloc_chunk([(1, 2)])
-        assert c.links == 0
+        assert c.bits == 0
 
     def test_deactivate_then_reuse_slot(self):
         ms = store()
@@ -42,7 +42,7 @@ class TestSlots:
         a = filled(ms, [2, 2])
         c0, c1 = a.order
         ms.link(c0, c1)
-        c1.links = 0  # simulate a caller forgetting to clear the column
+        c1.bits = 0  # simulate a caller forgetting to clear the column
         ms.delete_chunk(a, 1)
         with pytest.raises(ChunkError, match="stale link bit"):
             ms.deactivate(c1)
@@ -59,10 +59,10 @@ class TestLinks:
         ms = store()
         a = filled(ms, [2, 2, 2])
         c0, c2 = a.order[0], a.order[2]
-        before = [c.links for c in a.order]
+        before = [c.bits for c in a.order]
         ms.link(c0, c2)
         ms.unlink(c0, c2)
-        assert [c.links for c in a.order] == before
+        assert [c.bits for c in a.order] == before
         check_chunk_store(ms)
 
     def test_self_link_sets_diagonal(self):
@@ -70,7 +70,7 @@ class TestLinks:
         a = filled(ms, [2])
         c = a.order[0]
         ms.link(c, c)
-        assert (c.links >> c.slot) & 1 == 1
+        assert (c.bits >> c.slot) & 1 == 1
         check_chunk_store(ms)
 
     def test_symmetry_after_random_sequence(self):
@@ -92,9 +92,9 @@ class TestBulkSetLinks:
         a = filled(ms, [2, 2, 2])
         c = a.order[1]
         ms.link(c, a.order[0])
-        snapshot = [d.links for d in a.order]
-        ms.bulk_set_links(c, c.links)
-        assert [d.links for d in a.order] == snapshot
+        snapshot = [d.bits for d in a.order]
+        ms.bulk_set_links(c, c.bits)
+        assert [d.bits for d in a.order] == snapshot
         check_chunk_store(ms)
 
     def test_zero_clears_row_and_column(self):
@@ -104,9 +104,9 @@ class TestBulkSetLinks:
         ms.link(c, a.order[0])
         ms.link(c, a.order[2])
         ms.bulk_set_links(c, 0)
-        assert c.links == 0
+        assert c.bits == 0
         for d in a.order:
-            assert (d.links >> c.slot) & 1 == 0
+            assert (d.bits >> c.slot) & 1 == 0
         check_chunk_store(ms)
 
     def test_random_vectors_stay_consistent(self):
@@ -181,6 +181,17 @@ class TestArrayOps:
         ms.concatenate(a, ms.new_array())
         assert a.order == want
 
+    def test_concatenate_into_empty_empties_the_donor(self):
+        ms = store()
+        a = ms.new_array()
+        b = filled(ms, [2, 2, 2])
+        want = list(b.order)
+        ms.concatenate(a, b)
+        assert a.order == want and len(b) == 0 and b.tree.root is None
+        ms.insert_chunk(b, 0, ms.alloc_chunk([(9, 9)]))
+        assert a.order == want
+        check_chunk_store(ms)
+
     def test_concat_root_bits_or(self):
         ms = store()
         a = filled(ms, [2, 2])
@@ -242,21 +253,21 @@ class TestReorder:
         a = filled(ms, [2] * 6)
         for i, c in enumerate(a.order):
             ms.bulk_set_links(c, 1 << a.order[i % 6].slot)
+        before = list(a.order)
         ms.reorder(a, [(2, 5), (0, 2), (5, 6)])
-        assert [l.bits for l in a.tree.leaves] == [c.links for c in a.order]
+        assert a.order == [before[p] for p in (2, 3, 4, 0, 1, 5)]
+        assert a.tree.root_bits() == sum(1 << c.slot for c in before)
         check_chunk_store(ms)
 
     def test_three_blocks_charge_as_the_move_of_one_block(self):
         # moving [j, k) in front of i costs three boundary splits, three
         # joins and one position refresh from i
         def move_block(ms, array, i, j, k):
-            order = array.order
-            array.order = order[:i] + order[j:k] + order[i:j] + order[k:]
-            ms._refresh_positions(array, i)
             left, rest = array.tree.split_boundary(i)
             mid, rest = rest.split_boundary(j - i)
             moved, tail = rest.split_boundary(k - j)
             array.tree = agg_join(agg_join(agg_join(left, moved), mid), tail)
+            ms._refresh_positions(array, i)
 
         for i, j, k in [(0, 2, 5), (1, 3, 6), (2, 4, 9), (3, 4, 5), (0, 1, 9)]:
             costs = []
@@ -289,7 +300,6 @@ class TestReorder:
             want = [c for start, end in blocks for c in a.order[start:end]]
             ms.reorder(a, blocks)
             assert a.order == want
-            assert [l.bits for l in a.tree.leaves] == [c.links for c in a.order]
             check_chunk_store(ms)
 
 
@@ -380,7 +390,7 @@ def test_randomized_store_soak():
         elif roll < 0.45 and len(a.order) > 1:
             pos = rng.randrange(len(a.order))
             c = a.order[pos]
-            if c.links:
+            if c.bits:
                 ms.bulk_set_links(c, 0)  # column must clear before the slot frees
             ms.delete_chunk(a, pos)
             ms.deactivate(c)
@@ -403,14 +413,58 @@ def test_randomized_store_soak():
     check_chunk_store(ms)
 
 
+def test_every_chunk_is_its_tree_leaf():
+    """After each step of a seeded run over every array operation, each
+    array's order is its tree's leaf list and each chunk sits there at its
+    own position."""
+    rng = random.Random(41)
+    ms = store(slots=64, cap=6)
+    arrays = [filled(ms, [2, 2, 2]), filled(ms, [2] * 4)]
+    for step in range(400):
+        a = rng.choice(arrays)
+        n = len(a)
+        roll = rng.random()
+        if roll < 0.25 and ms.free:
+            ms.insert_chunk(a, rng.randrange(n + 1), ms.alloc_chunk([(step, 0)]))
+        elif roll < 0.4 and n > 1:
+            c = a.order[rng.randrange(n)]
+            if c.bits:
+                ms.bulk_set_links(c, 0)
+            ms.delete_chunk(a, c.pos)
+            ms.deactivate(c)
+        elif roll < 0.55:
+            c, d = rng.choice(a.order), rng.choice(rng.choice(arrays).order)
+            (ms.link if rng.random() < 0.7 else ms.unlink)(c, d)
+        elif roll < 0.65:
+            c = rng.choice(a.order)
+            mask = 0
+            for d in a.order:
+                if rng.random() < 0.3:
+                    mask |= 1 << d.slot
+            ms.bulk_set_links(c, mask)
+        elif roll < 0.8 and n >= 3:
+            i, j, k = sorted(rng.sample(range(n + 1), 3))
+            ms.reorder(a, [(0, i), (j, k), (i, j), (k, n)])
+        elif roll < 0.9 and n > 1:
+            arrays.append(ms.split_array(a, rng.randrange(1, n))[1])
+        elif len(arrays) > 1:
+            b = rng.choice([x for x in arrays if x is not a])
+            ms.concatenate(a, b)
+            arrays.remove(b)
+        for x in arrays:
+            assert x.order is x.tree.leaves
+        for c in ms.slots:
+            if c is not None and c.array is not None:
+                assert c.array.tree.leaves[c.pos] is c
+    check_chunk_store(ms)
+
+
 def reference_bulk_set_links(ms, c, links):
     """The full column scan `MasterArray.bulk_set_links` replaced: every chunk
     of every array compares its bit of c's column against `links`."""
     ms._require_active(c)
-    c.links = links
     ms.meter.charge(ms.slot_count)
     c.array.tree.bulk_set(c.pos, links)
-    col = 1 << c.slot
     arrays = ms.arrays()
 
     def column_body(a):
@@ -421,15 +475,11 @@ def reference_bulk_set_links(ms, c, links):
             if d is c:
                 continue
             want = (links >> d.slot) & 1
-            have = (d.links >> c.slot) & 1
-            if want:
-                d.links |= col
-                if not have:
-                    to_set.append(pos)
-            else:
-                d.links &= ~col
-                if have:
-                    to_clear.append(pos)
+            have = (d.bits >> c.slot) & 1
+            if want and not have:
+                to_set.append(pos)
+            elif have and not want:
+                to_clear.append(pos)
         ms.meter.charge(len(array.order))
         if to_clear:
             array.tree.dual_bulk_set(set(to_clear), c.slot, 0)
@@ -494,7 +544,7 @@ def test_bulk_set_links_matches_full_column_scan():
                 ms.insert_chunk(x, op[2], ms.alloc_chunk([(step, 0)]))
             elif kind == "delete":
                 c = x.order[op[2]]
-                if c.links:
+                if c.bits:
                     ms.bulk_set_links(c, 0)
                 ms.delete_chunk(x, op[2])
                 ms.deactivate(c)
@@ -504,7 +554,7 @@ def test_bulk_set_links_matches_full_column_scan():
                 ms.concatenate(x, arrs[op[2]])
                 del arrs[op[2]]
         new, ref = twins
-        assert [c and c.links for c in new.slots] == [c and c.links for c in ref.slots]
+        assert [c and c.bits for c in new.slots] == [c and c.bits for c in ref.slots]
         assert [[leaf.bits for leaf in arr.tree.leaves] for arr in arrays[0]] == [
             [leaf.bits for leaf in arr.tree.leaves] for arr in arrays[1]
         ]

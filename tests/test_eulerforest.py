@@ -159,7 +159,7 @@ class TestFindReplacement:
 
         def observable(f):
             tours = sorted(tuple(t.edge_list()) for t in f.all_tours())
-            links = [(c.slot, c.links) for c in f.store.slots if c is not None]
+            links = [(c.slot, c.bits) for c in f.store.slots if c is not None]
             adj = [(i, sorted(x)) for i, x in enumerate(f.nbr) if x]
             return (tours, links, adj)
 

@@ -225,6 +225,48 @@ class TestBipartiteness:
         assert d.is_bipartite()
         check_spars_tree(d.core)
 
+    def test_deactivating_a_node_of_an_odd_cycle(self):
+        n = 8
+        d = bip_facade(n, seed=2)
+        g = SimpleGraph()
+
+        def agrees():
+            assert d.is_bipartite() == bf_bipartite(g)
+            assert d.n_components() == bf_components(g)
+            check_spars_tree(d.core)
+
+        def insert(u, v):
+            d.insert_edge(u, v)
+            g.add_edge(u, v)
+
+        def delete(u, v):
+            d.delete_edge(u, v)
+            g.remove_edge(u, v)
+
+        for v in range(1, n + 1):
+            d.activate_node(v)
+            g.activate(v)
+        cycle = [1, 3, 6, 8, 4]
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            insert(u, v)
+        insert(2, 7)
+        agrees()
+        assert not d.is_bipartite()
+        # isolate 6, which leaves the path 8-4-1-3, then deactivate it
+        delete(3, 6)
+        delete(6, 8)
+        d.deactivate_node(6)
+        g.deactivate(6)
+        agrees()
+        assert d.is_bipartite() and d.n_components() == 3  # 8-4-1-3, 2-7, 5
+        # the triangle 4-1-3 closes without 6
+        insert(3, 4)
+        agrees()
+        assert not d.is_bipartite()
+        d.activate_node(6)
+        g.activate(6)
+        agrees()
+
     def test_wrong_mode_rejected(self):
         d = conn_facade(4)
         with pytest.raises(AttributeError):
