@@ -47,11 +47,10 @@ class Chunk(AggVertex):
 class ChunkArray:
     """The chunks of one tour, held in order as the leaves of an aggregate tree."""
 
-    __slots__ = ("store", "tree")
+    __slots__ = ("tree",)
 
-    def __init__(self, store):
-        self.store = store
-        self.tree = AggTree(store.meter, store.slot_count)
+    def __init__(self, tree: AggTree):
+        self.tree = tree
 
     @property
     def order(self):
@@ -215,7 +214,7 @@ class MasterArray:
     # -- array operations --------------------------------------------------------
 
     def new_array(self):
-        return ChunkArray(self)
+        return ChunkArray(AggTree(self.meter, self.slot_count))
 
     def insert_chunk(self, array: ChunkArray, pos, c: Chunk):
         if not 0 <= pos <= len(array):
@@ -248,8 +247,8 @@ class MasterArray:
         """Split so the first `pos` chunks stay; returns (array, new right array)."""
         if not 0 <= pos <= len(array):
             raise ChunkError("position out of range")
-        right = ChunkArray(self)
-        array.tree, right.tree = array.tree.split_boundary(pos)
+        array.tree, right_tree = array.tree.split_boundary(pos)
+        right = ChunkArray(right_tree)
         self._refresh_positions(right, 0)
         self.meter.parallel_charge(len(array))
         return array, right

@@ -82,8 +82,8 @@ class EulerForest:
         self.store = MasterArray(meter, self.J, self.K)
         self.priority_of = priority_of or (lambda u, v: 0)
         self.active = bytearray(capacity)
-        # adjacency slots come to life on activation; most gadget ids in a
-        # large pool are never used
+        # an adjacency list exists only while its node is active; most gadget
+        # ids in a large pool are never used, and released ones hold nothing
         self.nbr = [None] * capacity
         self.edge_occ = {}
         self.small_tours = {}
@@ -173,8 +173,7 @@ class EulerForest:
         if self.active[v]:
             raise ForestError(f"node {v} already active")
         self.active[v] = 1
-        if self.nbr[v] is None:
-            self.nbr[v] = []
+        self.nbr[v] = []
         self._active_n += 1
         self.meter.charge(1)
 
@@ -183,6 +182,7 @@ class EulerForest:
         if self.nbr[v]:
             raise ForestError(f"node {v} not isolated")
         self.active[v] = 0
+        self.nbr[v] = None
         self._active_n -= 1
         self.meter.charge(1)
 

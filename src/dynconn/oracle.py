@@ -7,7 +7,7 @@ scale, so the code favours being obviously right over being fast.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 
 class SimpleGraph:
@@ -234,7 +234,7 @@ def check_euler_forest(forest):
                 check(1 <= len(c.edges) <= forest.K, "chunk size out of range")
     for v in range(forest.capacity):
         if not forest.is_active(v):
-            check(forest.degree(v) == 0, "inactive node with edges")
+            check(forest.nbr[v] is None, f"inactive node {v} holds an adjacency list")
             continue
         deg = forest.degree(v)
         check(deg <= 3, f"degree {deg} > 3 at node {v}")
@@ -252,10 +252,15 @@ def check_euler_forest(forest):
 
 def check_gadget_graph(cg):
     """Connectivity-gadget invariants: cycle shape, internal
-    tree-connectedness and the tracked chord of every cycle."""
+    tree-connectedness and the tracked chord of every cycle.  Host degrees
+    are counted from the cross edges, and only hosts with an edge hold a
+    cycle."""
+    degree = Counter(u for (u, v) in cg.ports)
+    check(set(cg.cycle) == set(degree), "cycle entries are not the hosts with edges")
     for u in cg.host_nodes():
         cyc = cg.cycle_nodes(u)
-        d = cg.host_degree(u)
+        d = degree[u]
+        check(cg.host_degree(u) == d, f"host_degree of {u} is not its {d} edges")
         check(len(cyc) == (d if d >= 2 else min(d, 1)), f"cycle size for degree {d}")
         if d >= 2:
             edges = cg.cycle_edges(u)

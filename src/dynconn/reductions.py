@@ -94,14 +94,18 @@ class ConnGeneral:
             meter, 2 * edge_capacity + 2, priority_of=self._priority
         )
         self.host_active = bytearray(host_capacity)
-        self.host_adj = [[] for _ in range(host_capacity)]
-        self.cycle = [[] for _ in range(host_capacity)]
+        # host -> its gadget cycle, only for hosts of degree 1 or more, so an
+        # idle host holds no object
+        self.cycle = {}
         # host -> the one non-tree edge of its cycle, for cycles of 3 or
         # more gadget nodes
         self.chord = {}
         self.owner = {}
         self.ports = {}
-        self.free = list(range(2 * edge_capacity + 1, -1, -1))
+        # gadget ids below the mark have been handed out; released ids are
+        # reused last in, first out before the mark moves
+        self.mark = 0
+        self.free = []
         self.isolated = 0
         self.active_hosts = 0
         self.counts = OpCounter()
@@ -142,7 +146,7 @@ class ConnGeneral:
 
     def deactivate_node(self, v):
         self._require_host(v)
-        if self.host_adj[v]:
+        if v in self.cycle:
             raise GadgetError(f"host node {v} not isolated")
         self.host_active[v] = 0
         self.active_hosts -= 1
@@ -156,9 +160,10 @@ class ConnGeneral:
         self._require_host(v)
         if u == v:
             return True
-        if not self.host_adj[u] or not self.host_adj[v]:
+        cycle = self.cycle
+        if u not in cycle or v not in cycle:
             return False
-        return self.inner.connected(self.cycle[u][0], self.cycle[v][0])
+        return self.inner.connected(cycle[u][0], cycle[v][0])
 
     def n_components(self):
         return self.inner.n_components() + self.isolated
@@ -196,13 +201,13 @@ class ConnGeneral:
             raise GadgetError("self-loop")
         if (u, v) in self.ports:
             raise GadgetError(f"edge ({u},{v}) already present")
+        if len(self.free) + self.inner.capacity - self.mark < 2:
+            raise GadgetError("edge capacity exhausted")
         self.counts.reset()
         g_uv = self._splice_in(u)
         g_vu = self._splice_in(v)
         self.ports[(u, v)] = g_uv
         self.ports[(v, u)] = g_vu
-        self.host_adj[u].append(v)
-        self.host_adj[v].append(u)
         self._ins(g_uv, g_vu)
         self.counts.close("conn_gadget_insert", CONN_INSERT_CEILINGS)
         return None
@@ -241,17 +246,18 @@ class ConnGeneral:
             self.free.append(g)
             del self.owner[g]
             self.counts.node_del += 1
-        self.host_adj[u].remove(v)
-        self.host_adj[v].remove(u)
         self.counts.close("conn_gadget_delete", CONN_DELETE_CEILINGS)
         return self._map_report(rep)
 
     # -- gadget cycle surgery ------------------------------------------------------------
 
     def _alloc(self, host):
-        if not self.free:
-            raise GadgetError("edge capacity exhausted")
-        g = self.free.pop()
+        # insert_edge has checked that an id is available
+        if self.free:
+            g = self.free.pop()
+        else:
+            g = self.mark
+            self.mark += 1
         self.inner.activate_node(g)
         self.owner[g] = host
         self.counts.node_add += 1
@@ -262,12 +268,14 @@ class ConnGeneral:
         # edge), so the broken cycle edge is deleted before the new ones go
         # in; the same-cycle replacement preference keeps the cycle's tree
         # connectivity across that deletion
-        cyc = self.cycle[u]
-        d = len(cyc)
         g = self._alloc(u)
-        if d == 0:
+        cyc = self.cycle.get(u)
+        if cyc is None:
+            self.cycle[u] = [g]
             self.isolated -= 1
-        elif d == 1:
+            return g
+        d = len(cyc)
+        if d == 1:
             self._ins(cyc[0], g)
         elif d == 2:
             self._ins(cyc[1], g)
@@ -287,8 +295,10 @@ class ConnGeneral:
         d = len(cyc)
         i = cyc.index(g)
         if d == 1:
+            del self.cycle[u]
             self.isolated += 1
-        elif d == 2:
+            return
+        if d == 2:
             other = cyc[1 - i]
             self._del(u, other, g)
         elif d == 3:
@@ -302,7 +312,7 @@ class ConnGeneral:
             self._del(u, g, nxt)
             self._ins(prev, nxt)
             self.chord[u] = (prev, nxt)
-        cyc.remove(g)
+        del cyc[i]
 
     def _ins(self, a, b):
         self.inner.insert_edge(a, b)
@@ -325,13 +335,13 @@ class ConnGeneral:
         return [v for v in range(self.host_capacity) if self.host_active[v]]
 
     def host_degree(self, v):
-        return len(self.host_adj[v])
+        return len(self.cycle.get(v, ()))
 
     def cycle_nodes(self, v):
-        return list(self.cycle[v])
+        return list(self.cycle.get(v, ()))
 
     def cycle_edges(self, v):
-        cyc = self.cycle[v]
+        cyc = self.cycle.get(v, ())
         d = len(cyc)
         if d < 2:
             return []

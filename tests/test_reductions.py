@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -186,6 +187,110 @@ class TestConnGadget:
             cg.insert_edge(0, 1)
         with pytest.raises(GadgetError):
             cg.deactivate_node(0)
+
+    def test_exhausted_capacity_rejects_before_any_change(self):
+        # edge capacity 1 gives a pool of four gadget ids, two per edge
+        meter = CostMeter(ArbitraryPolicy(6))
+        cg = ConnGeneral(meter, 6, 1)
+        activate_all(cg, 6)
+        cg.insert_edge(0, 1)
+        cg.insert_edge(2, 3)
+        pairs = list(itertools.combinations(range(6), 2))
+        for u, v in ((4, 5), (0, 4), (1, 2)):
+            cycle = {h: list(c) for h, c in cg.cycle.items()}
+            ports = dict(cg.ports)
+            work = meter.work
+            with pytest.raises(GadgetError, match="capacity"):
+                cg.insert_edge(u, v)
+            assert meter.work == work
+            assert cg.cycle == cycle
+            assert cg.ports == ports
+            assert [cg.connected(a, b) for a, b in pairs] == [
+                (a, b) in ((0, 1), (2, 3)) for a, b in pairs
+            ]
+        check_gadget_graph(cg)
+        cg.deactivate_node(4)
+        cg.deactivate_node(5)
+        assert cg.n_components() == 2
+
+
+class TestFootprint:
+    """Idle hosts and released gadget ids hold no Python objects."""
+
+    def test_construction_size_does_not_grow_with_host_capacity(self):
+        grown = []
+        gc.disable()
+        try:
+            for n in (16, 1024):
+                before = len(gc.get_objects())
+                cg = ConnGeneral(CostMeter(ArbitraryPolicy(6)), n, 4 * n)
+                grown.append(len(gc.get_objects()) - before)
+                del cg
+        finally:
+            gc.enable()
+        assert grown[0] == grown[1]
+
+    def test_torn_down_graph_holds_no_cycles_or_adjacency(self):
+        n = 12
+        cg = conn(n=n)
+        activate_all(cg, n)
+        rng = random.Random(5)
+        edges = rng.sample(list(itertools.combinations(range(n), 2)), 40)
+        for u, v in edges:
+            cg.insert_edge(u, v)
+        rng.shuffle(edges)
+        for u, v in edges:
+            cg.delete_edge(u, v)
+        assert cg.cycle == {}
+        assert len(cg.free) == 2 * len(edges)
+        forest = cg.inner
+        assert all(
+            forest.nbr[g] is None
+            for g in range(forest.capacity)
+            if not forest.active[g]
+        )
+        check_gadget_graph(cg)
+
+    def test_ids_follow_the_prefilled_free_list(self):
+        # the high-water mark and its release stack hand out the ids a
+        # pre-filled list popped from its end would: released ids last in,
+        # first out, then the lowest never-used id
+        n, cap = 8, 6
+        cg = conn(n=n, cap=cap)
+        activate_all(cg, n)
+        reference = list(range(2 * cap + 1, -1, -1))
+        handed = []
+        alloc, release = cg._alloc, cg.inner.deactivate_node
+
+        def checked_alloc(host):
+            g = alloc(host)
+            assert g == reference.pop()
+            handed.append(g)
+            return g
+
+        def mirrored_release(g):
+            release(g)
+            reference.append(g)
+
+        cg._alloc = checked_alloc
+        cg.inner.deactivate_node = mirrored_release
+        rng = random.Random(11)
+        present = set()
+        rejected = 0
+        for _ in range(300):
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) in present:
+                cg.delete_edge(u, v)
+                present.remove((u, v))
+            elif len(reference) < 2:
+                with pytest.raises(GadgetError):
+                    cg.insert_edge(u, v)
+                rejected += 1
+            else:
+                cg.insert_edge(u, v)
+                present.add((u, v))
+        assert rejected
+        assert len(set(handed)) == 2 * cap + 2 < len(handed)
 
 
 class Bip:
