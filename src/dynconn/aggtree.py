@@ -25,12 +25,19 @@ Every structural update is organised as a fixed number of parallel phases:
     the leaf's ancestor path and its siblings;
   * the OR over a range of leaves is read off the siblings between the two
     boundary leaves' ancestor paths, without changing the tree;
-  * splitting decomposes the tree along the leaf-to-root path into sibling
-    subtrees, then reassembles each side with a pipeline of (1) carry-lookahead
-    grouping of equal-height runs, (2) spine pre-splitting down to degrees 2-3
-    (roots included), (3) fusing the isolated equal-height pairs that root
-    splits can produce, and (4) one parallel phase that attaches the remaining
-    strictly-height-decreasing trees along each other's spines.
+  * splitting at a boundary cuts along the path of the first right-hand
+    leaf: its left siblings at every level are the left fragments, the leaf
+    and its right siblings the right ones.  Each side is reassembled with a
+    pipeline of (1) carry-lookahead grouping of equal-height runs, (2) spine
+    pre-splitting down to degrees 2-3 (roots included), (3) joining the
+    isolated equal-height pairs that root splits can produce, and (4) one
+    parallel phase that attaches the remaining strictly-height-decreasing
+    trees along each other's spines.
+
+The restructuring steps have one copy each: `_grow_root` puts a new root
+over two equal-height vertices, `_halve` splits a full vertex in two,
+`_join_equal` joins two equal-height roots and `_summarize` rebuilds a
+vertex's OR and its first and last leaf.
 
 Python executes the phases sequentially; the meter charges them as the
 parallel algorithm would (constant depth, O(width * log^2) work per call).
@@ -41,15 +48,16 @@ from __future__ import annotations
 
 class AggVertex:
     """A tree vertex.  Built at height 0 it is a detached leaf: its own first
-    and last leaf and its own only ancestor.  Only leaves keep ancestors."""
+    and last leaf and its own only ancestor.  Only leaves keep ancestors; an
+    inner vertex gets its summary from `_summarize`."""
 
     __slots__ = ("height", "children", "fst", "lst", "bits", "ancestors")
 
-    def __init__(self, height=0, children=None, fst=None, lst=None, bits=0):
+    def __init__(self, height=0, children=None, bits=0):
         self.height = height
         self.children = children
-        self.fst = fst or self
-        self.lst = lst or self
+        self.fst = self
+        self.lst = self
         self.bits = bits
         self.ancestors = None if height else [self]
 
@@ -195,7 +203,7 @@ class AggTree:
             self.root = leaf
         elif root.height == 0:
             pair = (leaf, root) if i == 0 else (root, leaf)
-            self.root = _join_equal(meter, width, *pair, 2)
+            self.root = _grow_root(meter, width, *pair)
         elif i == 0:
             self.root = _attach(meter, width, root, leaf, self.leaves[0], False)
         else:
@@ -280,14 +288,8 @@ class AggTree:
             meter.parallel_charge(len(self.leaves))
         read = 0
         for w in changed:
-            kids = w.children
-            acc = 0
-            for c in kids:
-                acc |= c.bits
-            w.bits = acc
-            w.fst = kids[0].fst
-            w.lst = kids[-1].lst
-            read += len(kids)
+            _summarize(w)
+            read += len(w.children)
         meter.parallel_charge(len(changed))
         meter.charge(read * self.width)
         del path[1:]
@@ -333,53 +335,45 @@ class AggTree:
         tree, bits of leaf i)."""
         if not 0 <= i < len(self.leaves):
             raise IndexError("leaf position out of range")
-        meter, width = self.meter, self.width
-        leaf = self.leaves[i]
-        bits = leaf.bits
-        if self.root is None or self.root.height == 0:
-            self.root = None
-            self.leaves = []
-            return AggTree(meter, width), AggTree(meter, width), bits
-        path = leaf.ancestors
-        height = self.root.height
-        lefts = []
-        rights_leaf_order = []
-        meter.parallel_charge(height, unit=8)
-        for k in range(height, 0, -1):
-            pk = path[k]
-            idx = pk.children.index(path[k - 1])
-            lefts.extend(pk.children[:idx])
-        for k in range(1, height + 1):
-            pk = path[k]
-            idx = pk.children.index(path[k - 1])
-            rights_leaf_order.extend(pk.children[idx + 1 :])
-        left_leaves = self.leaves[:i]
-        right_leaves = self.leaves[i + 1 :]
-        meter.parallel_charge(len(self.leaves))
-        left = _assemble(meter, self.width, lefts, left_leaves, right_side=True)
-        right = _assemble(
-            meter, self.width, list(reversed(rights_leaf_order)), right_leaves,
-            right_side=False,
-        )
-        self.root = None
-        self.leaves = []
-        del path[1:]
+        left, right = self.split_boundary(i)
+        bits = right.leaves[0].bits
+        right.delete(0)
         return left, right, bits
 
     def split_boundary(self, pos):
-        """Split between leaves pos-1 and pos without removing a leaf."""
+        """Split between leaves pos-1 and pos; return (left tree, right tree).
+
+        Leaf pos and its right siblings along its ancestor path are the
+        right-hand fragments, its left siblings the left-hand ones, and each
+        side is reassembled into one tree (`_assemble`).
+        """
         meter, width = self.meter, self.width
-        if pos == 0:
-            out = AggTree(meter, width, self.root, self.leaves)
+        n = len(self.leaves)
+        if not 0 <= pos <= n:
+            raise IndexError("split position out of range")
+        if pos == 0 or pos == n:
+            whole = AggTree(meter, width, self.root, self.leaves)
             self.root, self.leaves = None, []
-            return AggTree(meter, width), out
-        if pos == len(self.leaves):
-            out = AggTree(meter, width, self.root, self.leaves)
-            self.root, self.leaves = None, []
-            return out, AggTree(meter, width)
+            empty = AggTree(meter, width)
+            return (empty, whole) if pos == 0 else (whole, empty)
         leaf = self.leaves[pos]
-        left, right, _ = self.split(pos)
-        return left, join(AggTree(meter, width, leaf, [leaf]), right)
+        path = leaf.ancestors
+        height = self.root.height
+        # top-down, so heights never increase; the right side in reverse
+        # leaf order
+        lefts, rights = [], []
+        meter.parallel_charge(height, unit=8)
+        for k in range(height, 0, -1):
+            kids = path[k].children
+            idx = kids.index(path[k - 1])
+            lefts.extend(kids[:idx])
+            rights.extend(reversed(kids[idx + 1 :]))
+        rights.append(leaf)
+        meter.parallel_charge(n)
+        left = _assemble(meter, width, lefts, self.leaves[:pos], right_side=True)
+        right = _assemble(meter, width, rights, self.leaves[pos:], right_side=False)
+        self.root, self.leaves = None, []
+        return left, right
 
 
 def join(t1: AggTree, t2: AggTree) -> AggTree:
@@ -393,7 +387,7 @@ def join(t1: AggTree, t2: AggTree) -> AggTree:
     meter.parallel_charge(len(leaves))
     h1, h2 = t1.root.height, t2.root.height
     if h1 == h2:
-        root = _join_equal(meter, width, t1.root, t2.root, len(leaves))
+        root = _join_equal(meter, width, t1.root, t2.root)
     elif h1 > h2:
         root = _attach(meter, width, t1.root, t2.root, t1.root.lst, right_side=True)
     else:
@@ -404,26 +398,77 @@ def join(t1: AggTree, t2: AggTree) -> AggTree:
     return out
 
 
-def _join_equal(meter, width, r1, r2, n_leaves):
-    """Join two trees of equal height; returns the new root."""
-    if r1.height > 0 and len(r1.children) + len(r2.children) <= 6:
-        meter.parallel_charge(len(r2.children), unit=2)
-        meter.charge(width)
-        moved = _leaves_under(r2)
-        for leaf in moved:
-            leaf.ancestors[r2.height] = r1
-        meter.parallel_charge(len(moved))
-        r1.children.extend(r2.children)
-        r1.bits |= r2.bits
-        r1.lst = r2.lst
-        return r1
-    root = AggVertex(r1.height + 1, [r1, r2], r1.fst, r2.lst, r1.bits | r2.bits)
-    meter.charge(width + 4)
-    meter.parallel_charge(n_leaves)
-    for r in (r1, r2):
+# -- the restructuring steps ---------------------------------------------------
+
+
+def _summarize(v):
+    """Rebuild inner vertex v's OR and first and last leaf from its children."""
+    kids = v.children
+    acc = 0
+    for c in kids:
+        acc |= c.bits
+    v.bits = acc
+    v.fst = kids[0].fst
+    v.lst = kids[-1].lst
+
+
+def _grow_root(meter, width, a, b):
+    """A new root over the equal-height vertices a and b, a's leaves first;
+    every leaf below gains it as its top ancestor."""
+    root = AggVertex(a.height + 1, [a, b])
+    _summarize(root)
+    appended = 0
+    for r in (a, b):
         for leaf in _leaves_under(r):
             leaf.ancestors.append(root)
+            appended += 1
+    meter.parallel_charge(appended)
+    meter.charge(width)
     return root
+
+
+def _halve(v, right_side):
+    """Move the half of v's children on the right (or left) end into a new
+    vertex of v's height and summarize both; returns the new vertex and the
+    number of leaves below it.  The caller charges: a cascade of halvings
+    rewrites its moved leaves' ancestors in one phase."""
+    kids = v.children
+    half = len(kids) // 2
+    if right_side:
+        part = kids[-half:]
+        del kids[-half:]
+    else:
+        part = kids[:half]
+        del kids[:half]
+    newv = AggVertex(v.height, part)
+    _summarize(newv)
+    _summarize(v)
+    level = v.height
+    moved = 0
+    for c in part:
+        for leaf in _leaves_under(c):
+            # leaves of a tree being attached still carry their short
+            # arrays; `_attach` rebuilds those after its cascade
+            if level < len(leaf.ancestors):
+                leaf.ancestors[level] = newv
+            moved += 1
+    return newv, moved
+
+
+def _join_equal(meter, width, a, b):
+    """Join two roots of equal height, a's leaves first; returns the new
+    root.  b's children move under a when a has room for them, in one phase
+    with their leaves' ancestor pointers; otherwise a new root grows."""
+    if a.height == 0 or len(a.children) + len(b.children) > 6:
+        return _grow_root(meter, width, a, b)
+    moved = _leaves_under(b)
+    for leaf in moved:
+        leaf.ancestors[b.height] = a
+    meter.parallel_charge(len(b.children) + len(moved))
+    meter.charge(width)
+    a.children.extend(b.children)
+    _summarize(a)
+    return a
 
 
 def _attach(meter, width, tall_root, short_root, anchor_leaf, right_side):
@@ -445,71 +490,37 @@ def _attach(meter, width, tall_root, short_root, anchor_leaf, right_side):
     root = tall_root
     below = short_root  # the short tree's ancestor one level below `level`
     chain = []  # its ancestors from height hs + 1 up, once final
-    split_bits_work = 0
+    halvings = 0
     moved_leaves = 0
     while True:
         if level > root.height:
             # the old root overflowed all the way up: grow the tree
-            pair = [root, new_node] if right_side else [new_node, root]
-            newroot = AggVertex(
-                level, pair, pair[0].fst, pair[-1].lst, pair[0].bits | pair[1].bits
-            )
-            for r in pair:
-                for leaf in _leaves_under(r):
-                    leaf.ancestors.append(newroot)
-            meter.parallel_charge(len(_leaves_under(newroot)))
-            meter.charge(width)
-            root = newroot
-            chain.append(newroot)
+            pair = (root, new_node) if right_side else (new_node, root)
+            root = _grow_root(meter, width, *pair)
+            chain.append(root)
             break
         parent = path[level]
         kids = parent.children
-        if right_side:
-            kids.insert(kids.index(anchor) + 1, new_node)
-        else:
-            kids.insert(kids.index(anchor), new_node)
+        at = kids.index(anchor)
+        kids.insert(at + 1 if right_side else at, new_node)
         if len(kids) <= 6:
             chain.append(parent)
             chain.extend(path[level + 1 :])
             break
         # overflow: split off the half on the insertion side, carry it upward
-        half = len(kids) // 2
-        if right_side:
-            moved = kids[-half:]
-            del kids[-half:]
-        else:
-            moved = kids[:half]
-            del kids[:half]
-        newv = AggVertex(level, moved, moved[0].fst, moved[-1].lst, 0)
-        acc = 0
-        for c in moved:
-            acc |= c.bits
-            for leaf in _leaves_under(c):
-                # leaves of the short tree still carry their short arrays;
-                # they are rebuilt wholesale after the cascade
-                if level < len(leaf.ancestors):
-                    leaf.ancestors[level] = newv
-                moved_leaves += 1
-        newv.bits = acc
-        keep_acc = 0
-        for c in kids:
-            keep_acc |= c.bits
-        parent.bits = keep_acc
-        parent.fst = kids[0].fst
-        parent.lst = kids[-1].lst
-        split_bits_work += 2 * width
-        below = newv if below in moved else parent
+        newv, moved = _halve(parent, right_side)
+        halvings += 1
+        moved_leaves += moved
+        below = newv if below in newv.children else parent
         chain.append(below)
         anchor = parent
         new_node = newv
         level += 1
     meter.parallel_charge(moved_leaves)
-    meter.charge(split_bits_work)
+    meter.charge(2 * width * halvings)
     # repair summaries and boundary pointers on the short tree's new ancestors
     for w in chain:
-        w.bits |= short_root.bits
-        w.fst = w.children[0].fst
-        w.lst = w.children[-1].lst
+        _summarize(w)
     meter.parallel_charge(len(chain), unit=width)
     short_leaves = _leaves_under(short_root)
     for leaf in short_leaves:
@@ -519,20 +530,16 @@ def _attach(meter, width, tall_root, short_root, anchor_leaf, right_side):
     return root
 
 
-# -- multi-tree reassembly (used by split) ------------------------------------
+# -- multi-tree reassembly (used by split_boundary) ----------------------------
 
 
 def _assemble(meter, width, roots, leaves, right_side):
     """Build one valid tree out of sibling subtrees cut along a root path.
 
-    `roots` is ordered with non-increasing heights; for right_side=True the
-    list order is the leaf order (left fragment of a split), otherwise the
-    list is the reversed leaf order (right fragment).
+    `roots` is non-empty and ordered with non-increasing heights; for
+    right_side=True the list order is the leaf order (left fragment of a
+    split), otherwise the list is the reversed leaf order (right fragment).
     """
-    out = AggTree(meter, width, None, leaves)
-    if not roots:
-        meter.phase()
-        return out
     # P0: drop stale ancestor entries above each fragment root
     trimmed = 0
     for r in roots:
@@ -563,10 +570,8 @@ def _assemble(meter, width, roots, leaves, right_side):
         elif len(items) >= 2:
             if not right_side:
                 items.reverse()
-            bits = 0
-            for c in items:
-                bits |= c.bits
-            g = AggVertex(h + 1, items, items[0].fst, items[-1].lst, bits)
+            g = AggVertex(h + 1, items)
+            _summarize(g)
             group_work += width
             for c in items:
                 for leaf in _leaves_under(c):
@@ -586,7 +591,7 @@ def _assemble(meter, width, roots, leaves, right_side):
         finals[idx] = _presplit_spine(meter, width, finals[idx], right_side)
 
     meter.parallel_for(len(finals), presplit_body)
-    # P3: root splits can create isolated equal-height neighbours; fuse them
+    # P3: root splits can create isolated equal-height neighbours; join them
     survivors = []
     pairs = []
     for r in finals:
@@ -595,15 +600,15 @@ def _assemble(meter, width, roots, leaves, right_side):
         else:
             survivors.append(r)
 
-    def fuse_body(i):
+    def join_body(i):
         at, r = pairs[i]
-        survivors[at] = _fuse_pair(meter, width, survivors[at], r, right_side)
+        pair = (survivors[at], r) if right_side else (r, survivors[at])
+        survivors[at] = _join_equal(meter, width, *pair)
 
-    meter.parallel_for(len(pairs), fuse_body)
+    meter.parallel_for(len(pairs), join_body)
     # P4: one parallel phase attaches the strictly-shorter trees along spines
     root = _parallel_attach(meter, width, survivors, right_side)
-    out.root = root
-    return out
+    return AggTree(meter, width, root, leaves)
 
 
 def _presplit_spine(meter, width, root, right_side):
@@ -616,105 +621,32 @@ def _presplit_spine(meter, width, root, right_side):
     incoming = None
     work = 0
     moved = 0
-    level = 1
-    while level <= root.height:
+    for level in range(1, root.height + 1):
         w = spine[level]
-        kids = w.children
         if incoming is not None:
             if right_side:
-                kids.append(incoming)
+                w.children.append(incoming)
             else:
-                kids.insert(0, incoming)
-            incoming = None
-        if len(kids) >= 4:
-            half = len(kids) // 2
-            if right_side:
-                part = kids[-half:]
-                del kids[-half:]
-            else:
-                part = kids[:half]
-                del kids[:half]
-            newv = AggVertex(level, part, part[0].fst, part[-1].lst, 0)
-            acc = 0
-            for c in part:
-                acc |= c.bits
-                for leaf in _leaves_under(c):
-                    leaf.ancestors[level] = newv
-                    moved += 1
-            newv.bits = acc
-            keep = 0
-            for c in kids:
-                keep |= c.bits
-            w.bits = keep
-            w.fst = kids[0].fst
-            w.lst = kids[-1].lst
+                w.children.insert(0, incoming)
+        if len(w.children) >= 4:
+            incoming, m = _halve(w, right_side)
+            moved += m
             work += 2 * width
-            incoming = newv
         else:
-            w.bits = 0
-            for c in kids:
-                w.bits |= c.bits
-            w.fst = kids[0].fst
-            w.lst = kids[-1].lst
+            _summarize(w)
+            incoming = None
             work += width
-        level += 1
     if incoming is not None:
         # the root itself split: a fresh degree-2 root sits on top
-        pair = [root, incoming] if right_side else [incoming, root]
-        newroot = AggVertex(
-            root.height + 1, pair, pair[0].fst, pair[-1].lst,
-            pair[0].bits | pair[1].bits,
-        )
-        appended = 0
-        for r in pair:
-            for leaf in _leaves_under(r):
-                leaf.ancestors.append(newroot)
-                appended += 1
-        meter.parallel_charge(appended)
-        work += width
-        root = newroot
+        pair = (root, incoming) if right_side else (incoming, root)
+        root = _grow_root(meter, width, *pair)
     meter.parallel_charge(moved)
     meter.charge(work)
     return root
 
 
-def _fuse_pair(meter, width, left_tree, right_tree, right_side):
-    """Merge two equal-height roots (degrees sum to at most 6 by construction)."""
-    a, b = (left_tree, right_tree) if right_side else (right_tree, left_tree)
-    if a.height == 0:
-        pair = [a, b]
-        root = AggVertex(1, pair, a, b, a.bits | b.bits)
-        a.ancestors.append(root)
-        b.ancestors.append(root)
-        meter.charge(width + 2)
-        return root
-    if len(a.children) + len(b.children) > 6:
-        pair = [a, b]
-        root = AggVertex(a.height + 1, pair, a.fst, b.lst, a.bits | b.bits)
-        appended = 0
-        for r in pair:
-            for leaf in _leaves_under(r):
-                leaf.ancestors.append(root)
-                appended += 1
-        meter.parallel_charge(appended)
-        meter.charge(width)
-        return root
-    fixed = 0
-    for leaf in _leaves_under(b):
-        leaf.ancestors[b.height] = a
-        fixed += 1
-    meter.parallel_charge(fixed)
-    meter.charge(width)
-    a.children.extend(b.children)
-    a.bits |= b.bits
-    a.lst = b.lst
-    return a
-
-
 def _parallel_attach(meter, width, survivors, right_side):
     """Attach strictly-height-decreasing trees along each other's spines."""
-    if not survivors:
-        return None
     if len(survivors) == 1:
         meter.phase()
         return survivors[0]
@@ -739,20 +671,10 @@ def _parallel_attach(meter, width, survivors, right_side):
         else:
             parent.children.insert(0, s)
     meter.parallel_charge(len(survivors))
-    # summaries, boundary leaves and ancestor extensions, one phase each
-    last = survivors[-1]
-    end_leaf = last.lst if right_side else last.fst
+    # summaries, boundary leaves and ancestor extensions, one phase each;
+    # bottom-up, so every spine vertex reads final children
     for lvl in range(1, height + 1):
-        v = spine[lvl]
-        acc = v.bits
-        for i in range(1, len(survivors)):
-            if survivors[i].height < lvl:
-                acc |= survivors[i].bits
-        v.bits = acc
-        if right_side:
-            v.lst = end_leaf
-        else:
-            v.fst = end_leaf
+        _summarize(spine[lvl])
     meter.parallel_charge(height, unit=len(survivors) * 2 + width)
     extended = 0
     for i in range(1, len(survivors)):
@@ -785,30 +707,36 @@ def _leaves_under(v):
 # plain charge adds none.  They hold on every branch and depend on neither
 # the number of leaves nor the width.
 
+# _grow_root and _join_equal: one phase (the leaves' ancestor pointers, with
+# the moved children for a join)
+_JOIN_EQUAL_DEPTH = 1
 # _attach: search for the first ancestor with room (a charge and a phase), a
 # root grow, the moved leaves, the new ancestors' summaries and the short
-# tree's ancestor extension; _join_equal takes at most 2
-_ATTACH_DEPTH = 2 + 1 + 3
-_JOIN_DEPTH = 1 + max(_ATTACH_DEPTH, 2)  # leaf concatenation, then the attach
-# _assemble: P0 trim, P1 grouping (3 sweeps), P2 presplit loop (1 + 2), P3 fuse
-# loop (1 + 1), P4 _parallel_attach (4)
-_ASSEMBLE_DEPTH = 1 + 3 + (1 + 2) + (1 + 1) + 4
-_SPLIT_DEPTH = 2 + 2 * _ASSEMBLE_DEPTH  # path decomposition, leaf lists, two sides
-_SPLIT_BOUNDARY_DEPTH = _SPLIT_DEPTH + _JOIN_DEPTH  # the split leaf rejoins the right
+# tree's ancestor extension
+_ATTACH_DEPTH = 2 + _JOIN_EQUAL_DEPTH + 3
+_JOIN_DEPTH = 1 + max(_ATTACH_DEPTH, _JOIN_EQUAL_DEPTH)  # leaf concatenation first
+# _assemble: P0 trim, P1 grouping (3 sweeps), P2 presplit loop (1 + a root
+# grow and the moved leaves), P3 join loop (1 + _join_equal), P4
+# _parallel_attach (4)
+_ASSEMBLE_DEPTH = 1 + 3 + (1 + _JOIN_EQUAL_DEPTH + 1) + (1 + _JOIN_EQUAL_DEPTH) + 4
+# path decomposition and leaf lists, then the two sides one after the other
+_SPLIT_BOUNDARY_DEPTH = 2 + 2 * _ASSEMBLE_DEPTH
+# the leaf array shifts, the search for the ancestor that stops the underflow
+# (a charge and a phase), the moved leaves, a root drop and the summaries of
+# the changed vertices
+_DELETE_DEPTH = 1 + 2 + 1 + 1 + 1
 
 DEPTH_BOUNDS = {
     "bit_set": 1,  # one repair of the ancestor chain
     "bulk_set": 1,
     "dual_bulk_set": 2,  # clearing wipes the column, then re-sets the survivors
     "join": _JOIN_DEPTH,
-    "split": _SPLIT_DEPTH,
     "split_boundary": _SPLIT_BOUNDARY_DEPTH,
+    # the boundary split, then the right tree's first leaf is deleted
+    "split": _SPLIT_BOUNDARY_DEPTH + _DELETE_DEPTH,
     # the leaf array shifts, then the leaf is attached beside its neighbour
     "insert": 1 + _ATTACH_DEPTH,
-    # the leaf array shifts, the search for the ancestor that stops the
-    # underflow (a charge and a phase), the moved leaves, a root drop and
-    # the summaries of the changed vertices
-    "delete": 1 + 2 + 1 + 1 + 1,
+    "delete": _DELETE_DEPTH,
     # the search for the lowest common ancestor (a charge and a phase),
     # then the OR of the siblings between the two paths
     "range_bits": 2 + 1,

@@ -200,6 +200,42 @@ class TestInPlaceUpdates:
         assert leaf_seq(t) == shadow
         check_agg_tree(t)
 
+    def test_split_boundary_neither_splits_nor_joins(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("split_boundary split or joined the tree")
+
+        monkeypatch.setattr(AggTree, "split", refuse)
+        monkeypatch.setattr(aggtree, "join", refuse)
+        rng = random.Random(6)
+        m, w = fresh()
+        for n in range(1, 41):
+            vals = [rng.randrange(1 << w) for _ in range(n)]
+            for pos in range(n + 1):
+                t = build(m, w, vals)
+                leaves = list(t.leaves)
+                left, right = t.split_boundary(pos)
+                assert len(left) == pos and len(right) == n - pos
+                assert all(a is b for a, b in zip(left.leaves + right.leaves, leaves))
+                assert leaf_seq(left) == vals[:pos] and leaf_seq(right) == vals[pos:]
+                assert t.root is None and t.leaves == []
+                check_agg_tree(left)
+                check_agg_tree(right)
+
+    def test_split_positions_out_of_range_leave_the_tree_intact(self):
+        m, w = fresh()
+        vals = list(range(1, 20))
+        t = build(m, w, vals)
+        root, leaves = t.root, list(t.leaves)
+        calls = [(t.split_boundary, -1), (t.split_boundary, len(vals) + 1),
+                 (t.split, -1), (t.split, len(vals))]
+        for cut, pos in calls:
+            with pytest.raises(IndexError):
+                cut(pos)
+            assert t.root is root
+            assert all(a is b for a, b in zip(t.leaves, leaves))
+            assert leaf_seq(t) == vals
+            check_agg_tree(t)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 23, 60])
     def test_range_bits_is_the_or_of_every_range(self, n):
         rng = random.Random(n)
@@ -435,17 +471,18 @@ class TestRandomizedSoak:
                 m.reset()
                 t.delete(pos)
                 assert m.depth <= aggtree.DEPTH_BOUNDS["delete"]
-            m.reset()
-            base = m.depth
-            left, right, bits = t.split(n // 2)
-            split_depth = m.depth - base
-            base = m.depth
-            join(left, right)
-            join_depth = m.depth - base
-            worst[n] = (split_depth, join_depth)
+            for pos in (1, n // 3, n // 2, n - 1):
+                m.reset()
+                base = m.depth
+                left, right = t.split_boundary(pos)
+                split_depth = m.depth - base
+                base = m.depth
+                t = join(left, right)
+                join_depth = m.depth - base
+                worst[n, pos] = (split_depth, join_depth)
         depths = list(worst.values())
-        assert max(d for d, _ in depths) <= 40
-        assert max(d for _, d in depths) <= 40
+        assert max(d for d, _ in depths) <= aggtree.DEPTH_BOUNDS["split_boundary"]
+        assert max(d for _, d in depths) <= aggtree.DEPTH_BOUNDS["join"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -455,9 +492,7 @@ class TestRandomizedSoak:
 )
 def test_hypothesis_split_points(vals, data):
     m = CostMeter(CommonPolicy(0.5))
-    t = AggTree(m, 16)
-    for i, b in enumerate(vals):
-        t.insert(i, AggVertex(bits=b))
+    t = build(m, 16, vals)
     i = data.draw(st.integers(min_value=0, max_value=len(vals) - 1))
     left, right, bits = t.split(i)
     assert bits == vals[i]
@@ -467,3 +502,14 @@ def test_hypothesis_split_points(vals, data):
         check_agg_tree(left)
     if right.root is not None:
         check_agg_tree(right)
+    # a boundary cut keeps every leaf, and joining the sides restores the tree
+    t = build(m, 16, vals)
+    pos = data.draw(st.integers(min_value=0, max_value=len(vals)))
+    left, right = t.split_boundary(pos)
+    assert leaf_seq(left) == vals[:pos]
+    assert leaf_seq(right) == vals[pos:]
+    check_agg_tree(left)
+    check_agg_tree(right)
+    whole = join(left, right)
+    assert leaf_seq(whole) == vals
+    check_agg_tree(whole)

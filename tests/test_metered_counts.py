@@ -2,11 +2,12 @@
 
 A change that only speeds up the Python must leave the work and depth of
 every operation bit-identical.  All three rows were last recorded when
-the aggregate tree came to insert and delete a leaf in place, along its
-ancestor path, instead of by a split and joins, when a chunk query came to
-read its interval's OR off the tree without restructuring it, and when
-retiring a chunk stopped charging its stale-column check as work; a change
-that moves them changes the cost model and must say so.
+the aggregate tree's boundary split came to cut along the boundary leaf's
+path directly, instead of splitting that leaf out and joining it back onto
+the right side, and when its restructuring steps came to one copy each (a
+join of two equal-height roots moves the children and rewrites the leaves'
+ancestors in one phase); a change that moves them changes the cost model
+and must say so.
 """
 
 import random
@@ -56,17 +57,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (7333140, {"insert": 358, "delete": 681, "connected": 0}, 58852),
+            (7304068, {"insert": 336, "delete": 648, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (7394528, {"insert": 369, "delete": 716, "connected": 0}, 58852),
+            (7365668, {"insert": 347, "delete": 683, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (214728, {"insert": 384, "delete": 489}, 11958),
+            (214337, {"insert": 375, "delete": 475}, 11958),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],
