@@ -27,12 +27,15 @@ Every structural update is organised as a fixed number of parallel phases:
     boundary leaves' ancestor paths, without changing the tree;
   * splitting at a boundary cuts along the path of the first right-hand
     leaf: its left siblings at every level are the left fragments, the leaf
-    and its right siblings the right ones.  Each side is reassembled with a
-    pipeline of (1) carry-lookahead grouping of equal-height runs, (2) spine
-    pre-splitting down to degrees 2-3 (roots included), (3) joining the
-    isolated equal-height pairs that root splits can produce, and (4) one
-    parallel phase that attaches the remaining strictly-height-decreasing
-    trees along each other's spines.
+    and its right siblings the right ones.  The left side stays in the
+    split tree's handle and the right side gets a new one, just as a join
+    leaves the joined tree in the first tree's handle and empties the
+    second.  Each side is reassembled with a pipeline of (1)
+    carry-lookahead grouping of equal-height runs, (2) spine pre-splitting
+    down to degrees 2-3 (roots included), (3) joining the isolated
+    equal-height pairs that root splits can produce, and (4) one parallel
+    phase that attaches the remaining strictly-height-decreasing trees
+    along each other's spines.
 
 The restructuring steps have one copy each: `_grow_root` puts a new root
 over two equal-height vertices, `_halve` splits a full vertex in two,
@@ -66,7 +69,10 @@ class AggVertex:
 
 
 class AggTree:
-    """Handle for one aggregate tree; join/split consume their inputs."""
+    """Handle for one aggregate tree.  The handle outlives every change to
+    the tree: a boundary split keeps the left side in it and `join` leaves
+    the joined tree in its first argument, so it can name a sequence for as
+    long as the sequence exists."""
 
     __slots__ = ("meter", "width", "root", "leaves")
 
@@ -80,23 +86,6 @@ class AggTree:
 
     def __len__(self):
         return len(self.leaves)
-
-    def tree_height(self):
-        """Height of the root; -1 for the empty tree."""
-        self.meter.charge(1)
-        return self.root.height if self.root is not None else -1
-
-    def tree_anc(self, i, level):
-        """The ancestor of leaf i at the given height."""
-        self.meter.charge(1)
-        leaf = self.leaves[i]
-        if not 0 <= level < len(leaf.ancestors):
-            raise IndexError(f"no ancestor at height {level}")
-        return leaf.ancestors[level]
-
-    def root_bits(self):
-        self.meter.charge(1)
-        return self.root.bits if self.root is not None else 0
 
     # -- leaf-level updates ---------------------------------------------------
 
@@ -331,17 +320,19 @@ class AggTree:
         return acc
 
     def split(self, i):
-        """Remove leaf i, which leaves detached; return (left tree, right
-        tree, bits of leaf i)."""
+        """Remove leaf i, which leaves detached, and cut the tree there: the
+        leaves before it stay in this tree; returns (tree of the leaves after
+        it, bits of leaf i)."""
         if not 0 <= i < len(self.leaves):
             raise IndexError("leaf position out of range")
-        left, right = self.split_boundary(i)
+        right = self.split_boundary(i)
         bits = right.leaves[0].bits
         right.delete(0)
-        return left, right, bits
+        return right, bits
 
     def split_boundary(self, pos):
-        """Split between leaves pos-1 and pos; return (left tree, right tree).
+        """Split between leaves pos-1 and pos: leaves 0 .. pos-1 stay in this
+        tree and the rest are returned as a new one.
 
         Leaf pos and its right siblings along its ancestor path are the
         right-hand fragments, its left siblings the left-hand ones, and each
@@ -351,11 +342,12 @@ class AggTree:
         n = len(self.leaves)
         if not 0 <= pos <= n:
             raise IndexError("split position out of range")
-        if pos == 0 or pos == n:
-            whole = AggTree(meter, width, self.root, self.leaves)
+        if pos == n:
+            return AggTree(meter, width)
+        if pos == 0:
+            right = AggTree(meter, width, self.root, self.leaves)
             self.root, self.leaves = None, []
-            empty = AggTree(meter, width)
-            return (empty, whole) if pos == 0 else (whole, empty)
+            return right
         leaf = self.leaves[pos]
         path = leaf.ancestors
         height = self.root.height
@@ -370,32 +362,32 @@ class AggTree:
             rights.extend(reversed(kids[idx + 1 :]))
         rights.append(leaf)
         meter.parallel_charge(n)
-        left = _assemble(meter, width, lefts, self.leaves[:pos], right_side=True)
-        right = _assemble(meter, width, rights, self.leaves[pos:], right_side=False)
-        self.root, self.leaves = None, []
-        return left, right
+        leaves = self.leaves
+        self.root = _assemble(meter, width, lefts, right_side=True)
+        self.leaves = leaves[:pos]
+        right_root = _assemble(meter, width, rights, right_side=False)
+        return AggTree(meter, width, right_root, leaves[pos:])
 
 
-def join(t1: AggTree, t2: AggTree) -> AggTree:
-    """Join two trees; the leaves of t1 precede those of t2.  Consumes both."""
-    meter, width = t1.meter, t1.width
+def join(t1: AggTree, t2: AggTree):
+    """Append t2's leaves to t1's; the joined tree is left in t1 and t2 is
+    left empty."""
     if t2.root is None:
-        return t1
-    if t1.root is None:
-        return t2
-    leaves = t1.leaves + t2.leaves
-    meter.parallel_charge(len(leaves))
-    h1, h2 = t1.root.height, t2.root.height
-    if h1 == h2:
-        root = _join_equal(meter, width, t1.root, t2.root)
-    elif h1 > h2:
-        root = _attach(meter, width, t1.root, t2.root, t1.root.lst, right_side=True)
+        return
+    if t1.root is not None:
+        meter, width = t1.meter, t1.width
+        meter.parallel_charge(len(t1.leaves) + len(t2.leaves))
+        h1, h2 = t1.root.height, t2.root.height
+        if h1 == h2:
+            t1.root = _join_equal(meter, width, t1.root, t2.root)
+        elif h1 > h2:
+            t1.root = _attach(meter, width, t1.root, t2.root, t1.root.lst, right_side=True)
+        else:
+            t1.root = _attach(meter, width, t2.root, t1.root, t2.root.fst, right_side=False)
+        t1.leaves += t2.leaves
     else:
-        root = _attach(meter, width, t2.root, t1.root, t2.root.fst, right_side=False)
-    out = AggTree(meter, width, root, leaves)
-    t1.root, t1.leaves = None, []
+        t1.root, t1.leaves = t2.root, t2.leaves
     t2.root, t2.leaves = None, []
-    return out
 
 
 # -- the restructuring steps ---------------------------------------------------
@@ -533,8 +525,9 @@ def _attach(meter, width, tall_root, short_root, anchor_leaf, right_side):
 # -- multi-tree reassembly (used by split_boundary) ----------------------------
 
 
-def _assemble(meter, width, roots, leaves, right_side):
-    """Build one valid tree out of sibling subtrees cut along a root path.
+def _assemble(meter, width, roots, right_side):
+    """Build one valid tree out of sibling subtrees cut along a root path;
+    returns its root.
 
     `roots` is non-empty and ordered with non-increasing heights; for
     right_side=True the list order is the leaf order (left fragment of a
@@ -607,8 +600,7 @@ def _assemble(meter, width, roots, leaves, right_side):
 
     meter.parallel_for(len(pairs), join_body)
     # P4: one parallel phase attaches the strictly-shorter trees along spines
-    root = _parallel_attach(meter, width, survivors, right_side)
-    return AggTree(meter, width, root, leaves)
+    return _parallel_attach(meter, width, survivors, right_side)
 
 
 def _presplit_spine(meter, width, root, right_side):

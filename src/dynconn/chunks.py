@@ -3,10 +3,11 @@
 A chunk is a bounded array of directed tour edges living in one slot of the
 global master array.  Two chunks are linked when some non-tree edge joins a
 node occurring in one to a node occurring in the other; each chunk's link
-vector (bit per master slot) records this.  A chunk is itself a leaf of its
-array's aggregate tree, and its `bits` are its link vector, so the tree's
-leaf list is the chunk order and interval link queries run on the tree's OR
-summaries.
+vector (bit per master slot) records this.  A chunk array is an aggregate
+tree whose leaves are the chunks themselves: a chunk's `bits` are its link
+vector, the tree's leaf list is the chunk order and interval link queries
+run on the tree's OR summaries.  Splits and joins keep the left part in its
+own tree, so an array keeps its identity while its tour changes.
 
 Positions are 0-based throughout.  Link vectors are Python ints; the meter is
 charged `width` units for whole-vector operations.
@@ -29,7 +30,8 @@ class ChunkError(ValueError):
 
 class Chunk(AggVertex):
     """Tour edges in one master slot; a detached aggregate-tree leaf whose
-    `bits` are its link vector, all-zero at first."""
+    `bits` are its link vector, all-zero at first.  Once hung, `array` is
+    the tree it hangs in and `pos` its leaf position there."""
 
     __slots__ = ("slot", "edges", "array", "pos")
 
@@ -42,23 +44,6 @@ class Chunk(AggVertex):
 
     def __repr__(self):
         return f"<Chunk slot={self.slot} n={len(self.edges)}>"
-
-
-class ChunkArray:
-    """The chunks of one tour, held in order as the leaves of an aggregate tree."""
-
-    __slots__ = ("tree",)
-
-    def __init__(self, tree: AggTree):
-        self.tree = tree
-
-    @property
-    def order(self):
-        """The chunks in tour order: the tree's leaf list, not to be mutated."""
-        return self.tree.leaves
-
-    def __len__(self):
-        return len(self.tree.leaves)
 
 
 class MasterArray:
@@ -153,15 +138,15 @@ class MasterArray:
         self._require_active(c1)
         self._require_active(c2)
         self.meter.charge(2)
-        c1.array.tree.bit_set(c1.pos, c2.slot, 1)
-        c2.array.tree.bit_set(c2.pos, c1.slot, 1)
+        c1.array.bit_set(c1.pos, c2.slot, 1)
+        c2.array.bit_set(c2.pos, c1.slot, 1)
 
     def unlink(self, c1: Chunk, c2: Chunk):
         self._require_active(c1)
         self._require_active(c2)
         self.meter.charge(2)
-        c1.array.tree.bit_set(c1.pos, c2.slot, 0)
-        c2.array.tree.bit_set(c2.pos, c1.slot, 0)
+        c1.array.bit_set(c1.pos, c2.slot, 0)
+        c2.array.bit_set(c2.pos, c1.slot, 0)
 
     def bulk_set_links(self, c: Chunk, links: int):
         """Replace c's link vector and mirror the change into c's column.
@@ -179,7 +164,7 @@ class MasterArray:
         self._require_active(c)
         old = c.bits
         self.meter.charge(self.slot_count)
-        c.array.tree.bulk_set(c.pos, links)
+        c.array.bulk_set(c.pos, links)
         col = 1 << c.slot
         flips = (old ^ links) & ~col
         changes = {}  # array -> (positions to clear, positions to set)
@@ -201,9 +186,9 @@ class MasterArray:
         def column_body(t):
             array, (to_clear, to_set) = touched[t]
             if to_clear:
-                array.tree.dual_bulk_set(set(to_clear), c.slot, 0)
+                array.dual_bulk_set(set(to_clear), c.slot, 0)
             if to_set:
-                array.tree.dual_bulk_set(to_set, c.slot, 1)
+                array.dual_bulk_set(to_set, c.slot, 1)
 
         self.meter.parallel_for(len(touched), column_body)
 
@@ -214,46 +199,43 @@ class MasterArray:
     # -- array operations --------------------------------------------------------
 
     def new_array(self):
-        return ChunkArray(AggTree(self.meter, self.slot_count))
+        return AggTree(self.meter, self.slot_count)
 
-    def insert_chunk(self, array: ChunkArray, pos, c: Chunk):
+    def insert_chunk(self, array: AggTree, pos, c: Chunk):
         if not 0 <= pos <= len(array):
             raise ChunkError("position out of range")
         if c.array is not None:
             raise ChunkError("chunk already in an array")
-        array.tree.insert(pos, c)
+        array.insert(pos, c)
         self._refresh_positions(array, pos)
 
-    def delete_chunk(self, array: ChunkArray, pos):
+    def delete_chunk(self, array: AggTree, pos):
         if not 0 <= pos < len(array):
             raise ChunkError("position out of range")
-        c = array.order[pos]
-        array.tree.delete(pos)
+        c = array.leaves[pos]
+        array.delete(pos)
         c.array = None
         c.pos = -1
         self._refresh_positions(array, pos)
         return c
 
-    def concatenate(self, a1: ChunkArray, a2: ChunkArray):
-        """Append a2's chunks to a1; a2 becomes empty and dead."""
+    def concatenate(self, a1: AggTree, a2: AggTree):
+        """Append a2's chunks to a1; a2 is left empty."""
         base = len(a1)
-        a1.tree = agg_join(a1.tree, a2.tree)
-        # join hands back a2's own tree when a1 is empty
-        a2.tree = AggTree(self.meter, self.slot_count)
+        agg_join(a1, a2)
         self._refresh_positions(a1, base)
-        return a1
 
-    def split_array(self, array: ChunkArray, pos):
-        """Split so the first `pos` chunks stay; returns (array, new right array)."""
+    def split_array(self, array: AggTree, pos):
+        """Keep the first `pos` chunks in `array`; returns a new array of the
+        rest."""
         if not 0 <= pos <= len(array):
             raise ChunkError("position out of range")
-        array.tree, right_tree = array.tree.split_boundary(pos)
-        right = ChunkArray(right_tree)
+        right = array.split_boundary(pos)
         self._refresh_positions(right, 0)
         self.meter.parallel_charge(len(array))
-        return array, right
+        return right
 
-    def reorder(self, array: ChunkArray, blocks):
+    def reorder(self, array: AggTree, blocks):
         """Permute the chunks so the [start, end) `blocks` appear in the given
         order.  The blocks must tile [0, len(array)), empty ones included, and
         number at most MAX_BLOCKS.
@@ -284,31 +266,34 @@ class MasterArray:
         else:
             return
         pieces = [None] * len(blocks)
-        rest = array.tree
+        # each cut leaves a block in `rest`'s handle and returns what follows
+        rest = array
         for b in by_start[:-1]:
             start, end = blocks[b]
-            pieces[b], rest = rest.split_boundary(end - start)
+            pieces[b], rest = rest, rest.split_boundary(end - start)
         pieces[by_start[-1]] = rest
         tree = pieces[0]
         for piece in pieces[1:]:
-            tree = agg_join(tree, piece)
-        array.tree = tree
+            agg_join(tree, piece)
+        if tree is not array:
+            # the blocks were joined in the first block's tree
+            array.root, array.leaves = tree.root, tree.leaves
         self._refresh_positions(array, first)
 
-    def query(self, array: ChunkArray, i, j, k, l):
+    def query(self, array: AggTree, i, j, k, l):
         """An arbitrary linked pair (C, C') with C at a position in [i, j) and
         C' in [k, l); None if no such pair exists.
 
         The OR of the link vectors over [i, j) is read off the aggregate
         tree, which the query does not change.
         """
-        order = array.order
+        order = array.leaves
         n = len(order)
         if not (0 <= i <= j <= n and 0 <= k <= l <= n):
             raise ChunkError("malformed query interval")
         if i == j or k == l:
             return None
-        acc = array.tree.range_bits(i, j)
+        acc = array.range_bits(i, j)
         meter = self.meter
         candidates = [pos for pos in range(k, l) if (acc >> order[pos].slot) & 1]
         meter.parallel_charge(l - k)
@@ -329,8 +314,8 @@ class MasterArray:
             p = meter.choose_any(back)
         return order[p], cq
 
-    def _refresh_positions(self, array: ChunkArray, start=0):
-        order = array.order
+    def _refresh_positions(self, array: AggTree, start=0):
+        order = array.leaves
         for pos in range(start, len(order)):
             c = order[pos]
             c.array = array

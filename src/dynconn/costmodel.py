@@ -15,6 +15,14 @@ writers must agree on the value and extremum selection runs the blocked
 recursion whose round count depends only on epsilon.  Under the arbitrary
 policy one writer wins; the winner is drawn from a seeded generator so runs
 replay exactly.
+
+The paper's epsilon enters here and nowhere else: it sets the round count of
+the common-policy extremum (`_extremum_rounds`), and with it that
+primitive's depth.  The extremum runs on small candidate sets, so the update
+work the layers above meter is sqrt(n) * polylog(n) for every epsilon, not
+the paper's n^(1/2 + epsilon): with n random edges seeded and 240 churn
+calls, mean update work at n = 64 and 256 differed by at most 0.04% across
+epsilon in {1, 0.5, 0.25, 0.125}.
 """
 
 from __future__ import annotations

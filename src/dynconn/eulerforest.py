@@ -2,15 +2,19 @@
 
 Every tree's Euler tour (each tree edge once per direction) is stored either
 as a plain edge list, when the tour fits in one chunk's capacity K, or as a
-chunk array in the master store, where every chunk is a leaf of its array's
-aggregate tree and its leaf bits are its link vector.  Small tours need no
-link bookkeeping: a replacement search inside them is a direct scan of at
-most 3K edges, which is within the same work budget as one chunk query.
+chunk array: an aggregate tree whose leaves are the tour's chunks in the
+master store, each chunk's leaf bits being its link vector.  Small tours
+need no link bookkeeping: a replacement search inside them is a direct scan
+of at most 3K edges, which is within the same work budget as one chunk
+query.
 Keeping them out of the master array is also what keeps the slot count at
 O(sqrt(n)): a forest can contain far more tiny trees than slots.
 
 Connectivity is answered in O(1) by comparing tour container identities,
-reached from any incident tree edge's occurrence pointer.
+reached from any incident tree edge's occurrence pointer: a small tour's
+edge list object, or the aggregate tree of a chunked one, which keeps its
+identity through every split and join of the tour.  The occurrence pointers
+are the only index of the tours; the checkers find them from there.
 
 Every chunk an update splits, merges, chunks or reindexes goes into one
 record, `_touched`.  The sizing repair of an array works through the touched
@@ -78,15 +82,14 @@ class EulerForest:
         self.meter = meter
         self.capacity = capacity
         self.K = max(2, math.isqrt(3 * capacity - 1) + 1)
-        self.J = 4 * ((3 * capacity + self.K - 1) // self.K) + 8
-        self.store = MasterArray(meter, self.J, self.K)
+        J = 4 * ((3 * capacity + self.K - 1) // self.K) + 8
+        self.store = MasterArray(meter, J, self.K)
         self.priority_of = priority_of or (lambda u, v: 0)
         self.active = bytearray(capacity)
         # an adjacency list exists only while its node is active; most gadget
         # ids in a large pool are never used, and released ones hold nothing
         self.nbr = [None] * capacity
         self.edge_occ = {}
-        self.small_tours = {}
         self._active_n = 0
         self._tree_edges = 0
         # chunks the current update touched, as an insertion-ordered set:
@@ -186,12 +189,6 @@ class EulerForest:
         self._active_n -= 1
         self.meter.charge(1)
 
-    def is_active(self, v):
-        return 0 <= v < self.capacity and bool(self.active[v])
-
-    def active_count(self):
-        return self._active_n
-
     # -- queries -------------------------------------------------------------
 
     def connected(self, u, v):
@@ -207,18 +204,6 @@ class EulerForest:
     def tree_edge(self, u, v):
         self.meter.charge(1)
         return (u, v) in self.edge_occ
-
-    def has_edge(self, u, v):
-        lst = self.nbr[u]
-        return lst is not None and v in lst
-
-    def degree(self, v):
-        lst = self.nbr[v]
-        return len(lst) if lst is not None else 0
-
-    def tree_degree(self, v):
-        lst = self.nbr[v] or ()
-        return sum(1 for w in lst if (v, w) in self.edge_occ)
 
     def _tree_id(self, v):
         for w in self.nbr[v]:
@@ -287,7 +272,7 @@ class EulerForest:
             self._touched[head] = None
             self._append_edge(cv_left, (v, u))
             q1 = 1 + cut_v + 1  # Q1 is [1, q1) after the insert
-            self.store.reorder(a_v, [(0, 1), (q1, len(a_v.order)), (1, q1)])
+            self.store.reorder(a_v, [(0, 1), (q1, len(a_v)), (1, q1)])
             final = a_v
         elif a_v is None:
             cut_u, cu_left = self._cut_after_target(u)
@@ -300,12 +285,12 @@ class EulerForest:
         else:
             cut_u, cu_left = self._cut_after_target(u)
             self._append_edge(cu_left, (u, v))
-            nu = len(a_u.order)
+            nu = len(a_u)
             cut_v, cv_left = self._cut_after_target(v)
             self._append_edge(cv_left, (v, u))
             self.store.concatenate(a_u, a_v)
             # P1 P2 Q1 Q2 -> P1 Q2 Q1 P2
-            p1, q1, n = cut_u + 1, nu + cut_v + 1, len(a_u.order)
+            p1, q1, n = cut_u + 1, nu + cut_v + 1, len(a_u)
             self.store.reorder(a_u, [(0, p1), (q1, n), (nu, q1), (p1, nu)])
             final = a_u
         self._repair(final)
@@ -456,7 +441,6 @@ class EulerForest:
             return
         assert len(edges) <= self.K, "small tour above the chunk threshold"
         tour = SmallTour(edges)
-        self.small_tours[id(tour)] = tour
         for off, e in enumerate(edges):
             self.edge_occ[e] = (tour, off)
         self.meter.parallel_charge(len(edges))
@@ -475,7 +459,6 @@ class EulerForest:
         if isinstance(tid, SmallTour):
             for e in tid.edges:
                 self.edge_occ.pop(e, None)
-            self.small_tours.pop(id(tid), None)
             self.meter.parallel_charge(len(tid.edges))
 
     # -- large-tour machinery -----------------------------------------------------
@@ -486,9 +469,9 @@ class EulerForest:
         if isinstance(tid, SmallTour):
             return len(tid.edges)
         total = 0
-        for c in tid.order:
+        for c in tid.leaves:
             total += len(c.edges)
-        self.meter.parallel_charge(len(tid.order))
+        self.meter.parallel_charge(len(tid))
         return total
 
     def _as_array(self, tid):
@@ -499,7 +482,7 @@ class EulerForest:
             edges = tid.edges
             self._drop_container(tid)
             array = self._chunkify(edges)
-            for c in array.order:
+            for c in array.leaves:
                 self._touched[c] = None
             return array
         return tid
@@ -514,7 +497,7 @@ class EulerForest:
         for i in range(n_chunks):
             size = base + (1 if i < extra else 0)
             c = self.store.alloc_chunk(edges[start : start + size])
-            self.store.insert_chunk(array, len(array.order), c)
+            self.store.insert_chunk(array, len(array), c)
             self._reindex_chunk(c)
             start += size
         self.meter.parallel_charge(n)
@@ -615,7 +598,7 @@ class EulerForest:
         if c_hi is not c_lo:
             scan_nodes(self._chunk_nodes(c_hi))
         self.meter.parallel_charge(6 * self.K)
-        n = len(array.order)
+        n = len(array)
         p2_range = (c_lo.pos + 1, c_hi.pos)
         for near_range in ((0, c_lo.pos), (c_hi.pos + 1, n)):
             if near_range[0] >= near_range[1] or p2_range[0] >= p2_range[1]:
@@ -647,11 +630,11 @@ class EulerForest:
         hi_pos = self._cut_out(hi[0])
         # block boundaries by array position: P1 = [0, a), P2 = [a, b), P3 = [b, n)
         a, b = lo_pos, hi_pos
-        n = len(array.order)
+        n = len(array)
         if kind == ReplacementReport.SPLIT:
             self.store.reorder(array, [(0, a), (b, n), (a, b)])  # P1 P3 P2
-            keep, far = self.store.split_array(array, a + (n - b))
-            self._repair(keep)
+            far = self.store.split_array(array, a + (n - b))
+            self._repair(array)
             self._repair(far)
             return
         w_near, w_far = geo[3]
@@ -662,7 +645,7 @@ class EulerForest:
             wf_pos = self._cut_at_source(w_far, (a, b))
             if wf_pos is None:
                 raise AssertionError("far endpoint has no tour position")
-            delta = len(array.order) - n
+            delta = len(array) - n
             b += delta
             n += delta
         else:
@@ -670,7 +653,7 @@ class EulerForest:
         if a > 0 or b < n:
             wn_pos = self._cut_at_source(w_near, (0, a))
             if wn_pos is not None:
-                delta = len(array.order) - n
+                delta = len(array) - n
                 a += delta
                 b += delta
                 wf_pos += delta
@@ -687,7 +670,7 @@ class EulerForest:
                 wn_pos = self._cut_at_source(w_near, (b, n))
                 if wn_pos is None:
                     raise AssertionError("near endpoint has no tour position")
-                n = len(array.order)
+                n = len(array)
                 blocks = [
                     (b, wn_pos),   # head of P3, ends at w_near
                     (wf_pos, b),   # X''
@@ -773,9 +756,9 @@ class EulerForest:
             if len(c.edges) > K:
                 queue.extend((c, self._split_chunk(c, len(c.edges) // 2)))
                 continue
-            if 2 * len(c.edges) < K and len(array.order) > 1:
+            if 2 * len(c.edges) < K and len(array) > 1:
                 pos = c.pos
-                other = array.order[pos - 1] if pos > 0 else array.order[pos + 1]
+                other = array.leaves[pos - 1] if pos > 0 else array.leaves[pos + 1]
                 left, right = (other, c) if other.pos < pos else (c, other)
                 combined = left.edges + right.edges
                 if len(combined) <= K:
@@ -807,9 +790,9 @@ class EulerForest:
         if total > self.K:
             return
         edges = []
-        for c in list(array.order):
+        for c in array.leaves:
             edges.extend(c.edges)
-        for c in list(array.order):
+        for c in list(array.leaves):
             self._retire_chunk(c)
         self._adopt_small(edges)
 
@@ -885,56 +868,6 @@ class EulerForest:
         self._require_active(v)
         if v not in self.nbr[u]:
             raise ForestError(f"edge ({u},{v}) absent")
-
-    # -- checker support ------------------------------------------------------
-
-    def all_tours(self):
-        out = [_TourView(t, None) for t in self.small_tours.values()]
-        for array in self.store.arrays():
-            out.append(_TourView(None, array))
-        return out
-
-    def edge_occurrences(self):
-        return [
-            (e, (c, off))
-            for e, (c, off) in self.edge_occ.items()
-        ]
-
-    def check_links_ground_truth(self):
-        from .oracle import check
-
-        chunks = [c for c in self.store.slots if c is not None]
-        node_sets = {c.slot: set(self._chunk_nodes(c)) for c in chunks}
-        for c in chunks:
-            want = 0
-            for x in node_sets[c.slot]:
-                for y in self.nbr[x]:
-                    if (x, y) in self.edge_occ:
-                        continue
-                    for d in chunks:
-                        if y in node_sets[d.slot]:
-                            want |= 1 << d.slot
-            check(
-                c.bits == want,
-                f"link vector of slot {c.slot} stale: {c.bits:#x} != {want:#x}",
-            )
-
-
-class _TourView:
-    def __init__(self, small, array):
-        self.small = small
-        self.array = array
-
-    def chunked(self):
-        return self.array is not None
-
-    def edge_list(self):
-        if self.small is not None:
-            return list(self.small.edges)
-        out = []
-        for c in self.array.order:
-            out.extend(c.edges)
-        return out
 
 
 def _cut_index(seq, node):

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 
+from .aggtree import AggTree
+from .chunks import Chunk
+
 
 class SimpleGraph:
     """Adjacency-set graph over integer node ids with an explicit active set."""
@@ -197,75 +200,103 @@ def check_chunk_store(store):
         for s in free:
             check(c.bits >> s & 1 == 0, f"stale link bit to free slot {s}")
     for array in store.arrays():
-        for pos, c in enumerate(array.order):
+        for pos, c in enumerate(array.leaves):
             check(c.array is array and c.pos == pos, f"back pointer stale at {pos}")
-        check_agg_tree(array.tree)
+        check_agg_tree(array)
+
+
+def euler_tours(forest):
+    """The stored tours of an Euler forest, found from its occurrence
+    pointers: {container: edge list}, where a small tour is its own
+    container and a chunked tour is its chunk array."""
+    tours = {}
+    for container, _ in forest.edge_occ.values():
+        tour = container.array if isinstance(container, Chunk) else container
+        check(tour is not None, "occurrence in a chunk outside any array")
+        if tour not in tours:
+            chunks = tour.leaves if isinstance(tour, AggTree) else [tour]
+            tours[tour] = [e for c in chunks for e in c.edges]
+    return tours
 
 
 def check_euler_forest(forest):
-    """Tour validity, counters, degree bound, chunk sizing and link ground truth."""
-    n_tree_edges = 0
-    seen_nodes = set()
-    for tour in forest.all_tours():
-        edges = tour.edge_list()
+    """Tour validity, occurrence pointers, counters, degree bound, chunk
+    sizing and link ground truth.  Tours are found from the occurrence
+    pointers, and the master array may hold no chunk array outside them."""
+    occ = forest.edge_occ
+    for e, (container, off) in occ.items():
+        check(container.edges[off : off + 1] == [e], f"occurrence pointer stale for {e}")
+    tours = euler_tours(forest)
+    reached = {id(t) for t in tours if isinstance(t, AggTree)}
+    check(
+        {id(a) for a in forest.store.arrays()} == reached,
+        "the master array holds a chunk array that no occurrence reaches",
+    )
+    stored = set()
+    for tour, edges in tours.items():
         check(len(edges) % 2 == 0, "odd tour length")
-        check(len(edges) > 0, "empty tour stored")
-        m = len(edges) // 2
-        n_tree_edges += m
-        occs = {}
         for i, (a, b) in enumerate(edges):
             check(a != b, "self-loop in tour")
-            nxt = edges[(i + 1) % len(edges)]
-            check(nxt[0] == b, f"tour not contiguous at {i}")
-            check((a, b) not in occs, f"duplicate directed edge {(a, b)}")
-            occs[(a, b)] = i
-            seen_nodes.add(a)
-        for (a, b) in occs:
-            check((b, a) in occs, f"missing reverse of {(a, b)}")
-        check(len(occs) == 2 * m, "tour edge count")
-        nodes = {a for (a, b) in occs}
-        check(len(nodes) == m + 1, "tour does not span a tree")
-        if tour.chunked():
-            chunks = tour.array.order
-            small = [c for c in chunks if len(c.edges) * 2 < forest.K]
-            if len(chunks) > 1:
-                check(not small, "undersized chunk in multi-chunk array")
-            for c in chunks:
-                check(1 <= len(c.edges) <= forest.K, "chunk size out of range")
+            check(edges[(i + 1) % len(edges)][0] == b, f"tour not contiguous at {i}")
+            check((a, b) not in stored, f"duplicate directed edge {(a, b)}")
+            stored.add((a, b))
+        check(all((b, a) in stored for (a, b) in edges), "tour misses a reverse edge")
+        nodes = {a for (a, b) in edges}
+        check(len(nodes) == len(edges) // 2 + 1, "tour does not span a tree")
+        chunks = tour.leaves if isinstance(tour, AggTree) else []
+        for c in chunks:
+            check(1 <= len(c.edges) <= forest.K, "chunk size out of range")
+            check(len(chunks) == 1 or 2 * len(c.edges) >= forest.K, "undersized chunk")
+    check(len(stored) == len(occ), "tour edge without an occurrence pointer")
+    tour_nodes = {a for (a, b) in stored}
     for v in range(forest.capacity):
-        if not forest.is_active(v):
-            check(forest.nbr[v] is None, f"inactive node {v} holds an adjacency list")
+        nbrs = forest.nbr[v]
+        if not forest.active[v]:
+            check(nbrs is None, f"inactive node {v} holds an adjacency list")
             continue
-        deg = forest.degree(v)
-        check(deg <= 3, f"degree {deg} > 3 at node {v}")
-        if forest.tree_degree(v) == 0:
-            check(v not in seen_nodes, "tour occurrence for tree-isolated node")
-    check(
-        forest.n_components() == forest.active_count() - n_tree_edges,
-        "component counter out of sync",
-    )
-    # occurrence pointers and link vectors against ground truth
-    for (a, b), (container, off) in forest.edge_occurrences():
-        check(container.edges[off] == (a, b), f"occurrence pointer stale for {(a, b)}")
-    forest.check_links_ground_truth()
+        check(len(nbrs) <= 3, f"degree {len(nbrs)} > 3 at node {v}")
+        if not any((v, w) in occ for w in nbrs):
+            check(v not in tour_nodes, "tour occurrence for tree-isolated node")
+    check(forest._active_n == sum(forest.active), "active counter out of sync")
+    check(forest._tree_edges == len(stored) // 2, "tree edge counter out of sync")
+    check_link_vectors(forest)
+
+
+def check_link_vectors(forest):
+    """Every live chunk's link vector against one recomputed from scratch:
+    the slots of the chunks holding a non-tree neighbour of its nodes."""
+    chunks = [c for c in forest.store.slots if c is not None]
+    node_sets = {c.slot: {x for e in c.edges for x in e} for c in chunks}
+    for c in chunks:
+        want = 0
+        for x in node_sets[c.slot]:
+            for y in forest.nbr[x]:
+                if (x, y) in forest.edge_occ:
+                    continue
+                for d in chunks:
+                    if y in node_sets[d.slot]:
+                        want |= 1 << d.slot
+        check(
+            c.bits == want,
+            f"link vector of slot {c.slot} stale: {c.bits:#x} != {want:#x}",
+        )
 
 
 def check_gadget_graph(cg):
     """Connectivity-gadget invariants: cycle shape, internal
     tree-connectedness and the tracked chord of every cycle.  Host degrees
-    are counted from the cross edges, and only hosts with an edge hold a
-    cycle."""
+    are counted from the cross edges, and only active hosts with an edge
+    hold a cycle."""
     degree = Counter(u for (u, v) in cg.ports)
     check(set(cg.cycle) == set(degree), "cycle entries are not the hosts with edges")
-    for u in cg.host_nodes():
-        cyc = cg.cycle_nodes(u)
+    check(set(cg.chord) <= set(cg.cycle), "chord of a host without a cycle")
+    for u, cyc in cg.cycle.items():
         d = degree[u]
-        check(cg.host_degree(u) == d, f"host_degree of {u} is not its {d} edges")
-        check(len(cyc) == (d if d >= 2 else min(d, 1)), f"cycle size for degree {d}")
+        check(cg.host_active[u], f"inactive host {u} holds a cycle")
+        check(len(cyc) == d, f"cycle of {u} has {len(cyc)} nodes for degree {d}")
         if d >= 2:
-            edges = cg.cycle_edges(u)
-            expect = 1 if d == 2 else d
-            check(len(edges) == expect, f"cycle edge count {len(edges)} for degree {d}")
+            edges = [(cyc[0], cyc[1])] if d == 2 else list(zip(cyc, cyc[1:] + cyc[:1]))
+            check(all(b in cg.inner.nbr[a] for a, b in edges), f"cycle of {u} is broken")
             n_tree = sum(1 for e in edges if cg.inner.tree_edge(*e))
             check(n_tree == d - 1, f"cycle of {u}: {n_tree} tree edges, want {d - 1}")
         chord = cg.chord.get(u)
@@ -278,8 +309,10 @@ def check_gadget_graph(cg):
             )
         else:
             check(chord is None, f"cycle of {u} with {d} nodes has chord {chord}")
-    for (u, v), (g1, g2) in cg.cross_edges():
-        check(cg.inner.has_edge(g1, g2), f"cross edge missing for host ({u},{v})")
+    for (u, v), g1 in cg.ports.items():
+        g2 = cg.ports[(v, u)]
+        check(g1 in cg.cycle[u], f"port of ({u},{v}) is not on the cycle of {u}")
+        check(g2 in cg.inner.nbr[g1], f"cross edge missing for host ({u},{v})")
 
 
 def check_spars_tree(s):

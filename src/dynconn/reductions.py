@@ -107,7 +107,6 @@ class ConnGeneral:
         self.mark = 0
         self.free = []
         self.isolated = 0
-        self.active_hosts = 0
         self.counts = OpCounter()
         with meter.initialization():
             meter.charge(host_capacity)
@@ -140,7 +139,6 @@ class ConnGeneral:
         if self.host_active[v]:
             raise GadgetError(f"host node {v} already active")
         self.host_active[v] = 1
-        self.active_hosts += 1
         self.isolated += 1
         self.meter.charge(1)
 
@@ -149,7 +147,6 @@ class ConnGeneral:
         if v in self.cycle:
             raise GadgetError(f"host node {v} not isolated")
         self.host_active[v] = 0
-        self.active_hosts -= 1
         self.isolated -= 1
         self.meter.charge(1)
 
@@ -328,33 +325,6 @@ class ConnGeneral:
         else:
             self.inner.delete_edge_with_hint(a, b, chord)
         self.counts.edge_del += 1
-
-    # -- checker access -----------------------------------------------------------------
-
-    def host_nodes(self):
-        return [v for v in range(self.host_capacity) if self.host_active[v]]
-
-    def host_degree(self, v):
-        return len(self.cycle.get(v, ()))
-
-    def cycle_nodes(self, v):
-        return list(self.cycle.get(v, ()))
-
-    def cycle_edges(self, v):
-        cyc = self.cycle.get(v, ())
-        d = len(cyc)
-        if d < 2:
-            return []
-        if d == 2:
-            return [(cyc[0], cyc[1])]
-        return [(cyc[i], cyc[(i + 1) % d]) for i in range(d)]
-
-    def cross_edges(self):
-        return [
-            ((u, v), (g, self.ports[(v, u)]))
-            for (u, v), g in self.ports.items()
-            if u < v
-        ]
 
     def _check_host(self, v):
         if not 0 <= v < self.host_capacity:

@@ -28,6 +28,8 @@ sequential phases of the update itself.
 
 from __future__ import annotations
 
+import operator
+
 from .costmodel import ArbitraryPolicy, CostMeter, PREFIX_AND_DEPTH, segment_end_depth
 from .eulerforest import ReplacementReport
 from .oracle import SimpleGraph
@@ -441,7 +443,9 @@ def depth_budgets(mode, policy) -> dict:
     calls, the connectivity gadget's call ceilings times the Euler forest's
     bounds, and in bipartiteness mode twice those for the double cover's two
     updates per edge.  It depends on the mode, and on the policy and its
-    epsilon through the extremum reductions, but never on n.  Calls are not
+    epsilon through the extremum reductions, but never on n.  Epsilon only
+    sets the round count of the common-policy extremum; the update work is
+    sqrt(n) * polylog(n) for every epsilon (see `costmodel`).  Calls are not
     padded: the meter keeps the depth the call spent, and a call that goes
     over its budget raises MeterError.
 
@@ -478,8 +482,9 @@ def depth_budgets(mode, policy) -> dict:
 class _Facade:
     """Shared 1-based public surface over a SparsTree.
 
-    A call whose precondition fails (an id out of range or inactive, an
-    absent or duplicate edge, a node that is not isolated) raises a
+    A call whose precondition fails (an id that is not an integer, out of
+    range or inactive, an absent or duplicate edge, a node that is not
+    isolated) raises a
     ValueError, mostly SparsError, from checks that run before it changes
     anything.  A call that runs deeper than its budget raises MeterError
     after it has committed: the update stands, the structure stays
@@ -505,9 +510,13 @@ class _Facade:
         return self.core.n
 
     def _i(self, v):
-        if not 1 <= v <= self.core.n:
+        try:
+            i = operator.index(v)
+        except TypeError:
+            raise SparsError(f"node id {v!r} is not an integer") from None
+        if not 1 <= i <= self.core.n:
             raise SparsError(f"node id {v} out of range 1..{self.core.n}")
-        return v - 1
+        return i - 1
 
     def activate_node(self, v):
         with self._bounded("activate"):

@@ -30,8 +30,8 @@ class TestInsertDelete:
     def test_insert_into_empty(self):
         m, w = fresh()
         t = build(m, w, [0b1010])
-        assert t.tree_height() == 0
-        assert t.root_bits() == 0b1010
+        assert t.root.height == 0
+        assert t.root.bits == 0b1010
         check_agg_tree(t)
 
     def test_seventh_leaf_rebalances(self):
@@ -42,12 +42,12 @@ class TestInsertDelete:
         assert leaf_seq(t) == [1, 2, 4, 1 << 10, 8, 16, 32]
         check_agg_tree(t)
 
-    def test_all_zero_leaf_keeps_root_bits(self):
+    def test_all_zero_leaf_keeps_the_root_or(self):
         m, w = fresh()
         t = build(m, w, [0b11, 0b100])
-        before = t.root_bits()
+        before = t.root.bits
         t.insert(1, AggVertex(bits=0))
-        assert t.root_bits() == before
+        assert t.root.bits == before
         check_agg_tree(t)
 
     def test_delete_only_leaf(self):
@@ -60,7 +60,7 @@ class TestInsertDelete:
         m, w = fresh()
         t = build(m, w, [0b1, 0b10, 0b100])
         t.delete(1)
-        assert t.root_bits() == 0b101
+        assert t.root.bits == 0b101
         check_agg_tree(t)
 
     def test_delete_preserves_order(self):
@@ -115,11 +115,11 @@ class TestLeafIdentity:
         for pos in range(1, len(vals)):
             t = build(m, w, vals)
             leaves = list(t.leaves)
-            left, right = t.split_boundary(pos)
+            right = t.split_boundary(pos)
             assert right.leaves[0] is leaves[pos]
-            assert all(a is b for a, b in zip(left.leaves + right.leaves, leaves))
+            assert all(a is b for a, b in zip(t.leaves + right.leaves, leaves))
             # the boundary leaf's ancestors are those of its new tree
-            check_agg_tree(left)
+            check_agg_tree(t)
             check_agg_tree(right)
 
     def test_split_detaches_the_removed_leaf(self):
@@ -213,12 +213,12 @@ class TestInPlaceUpdates:
             for pos in range(n + 1):
                 t = build(m, w, vals)
                 leaves = list(t.leaves)
-                left, right = t.split_boundary(pos)
-                assert len(left) == pos and len(right) == n - pos
-                assert all(a is b for a, b in zip(left.leaves + right.leaves, leaves))
-                assert leaf_seq(left) == vals[:pos] and leaf_seq(right) == vals[pos:]
-                assert t.root is None and t.leaves == []
-                check_agg_tree(left)
+                right = t.split_boundary(pos)
+                assert right is not t
+                assert len(t) == pos and len(right) == n - pos
+                assert all(a is b for a, b in zip(t.leaves + right.leaves, leaves))
+                assert leaf_seq(t) == vals[:pos] and leaf_seq(right) == vals[pos:]
+                check_agg_tree(t)
                 check_agg_tree(right)
 
     def test_split_positions_out_of_range_leave_the_tree_intact(self):
@@ -262,43 +262,44 @@ class TestJoinSplit:
         m, w = fresh()
         a = build(m, w, [1])
         b = build(m, w, [2])
-        t = join(a, b)
-        assert t.tree_height() == 1
-        assert leaf_seq(t) == [1, 2]
-        check_agg_tree(t)
+        join(a, b)
+        assert a.root.height == 1
+        assert leaf_seq(a) == [1, 2]
+        assert b.root is None and b.leaves == []
+        check_agg_tree(a)
 
     def test_join_four_and_three(self):
         m, w = fresh()
         a = build(m, w, [1, 2, 4, 8])
         b = build(m, w, [16, 32, 64])
-        t = join(a, b)
-        assert leaf_seq(t) == [1, 2, 4, 8, 16, 32, 64]
-        check_agg_tree(t)
+        join(a, b)
+        assert leaf_seq(a) == [1, 2, 4, 8, 16, 32, 64]
+        check_agg_tree(a)
 
-    def test_join_root_bits_is_or(self):
+    def test_joined_root_is_the_or_of_both_roots(self):
         m, w = fresh()
         a = build(m, w, [0b1, 0b10])
         b = build(m, w, [0b1000])
-        ra, rb = a.root_bits(), b.root_bits()
-        t = join(a, b)
-        assert t.root_bits() == ra | rb
+        ra, rb = a.root.bits, b.root.bits
+        join(a, b)
+        assert a.root.bits == ra | rb
 
     def test_split_singleton(self):
         m, w = fresh()
         t = build(m, w, [0b111])
-        left, right, bits = t.split(0)
+        right, bits = t.split(0)
         assert bits == 0b111
-        assert len(left) == 0 and len(right) == 0
+        assert len(t) == 0 and len(right) == 0
 
     def test_split_seven_at_three(self):
         m, w = fresh()
         vals = [1 << i for i in range(7)]
         t = build(m, w, vals)
-        left, right, bits = t.split(3)
+        right, bits = t.split(3)
         assert bits == vals[3]
-        assert leaf_seq(left) == vals[:3]
+        assert leaf_seq(t) == vals[:3]
         assert leaf_seq(right) == vals[4:]
-        check_agg_tree(left)
+        check_agg_tree(t)
         check_agg_tree(right)
 
     def test_split_join_roundtrip_every_position(self):
@@ -307,12 +308,12 @@ class TestJoinSplit:
         vals = [rng.randrange(1 << 63) for _ in range(64)]
         for i in range(64):
             t = build(m, w, vals)
-            left, right, bits = t.split(i)
+            right, bits = t.split(i)
             leaf = AggVertex(bits=bits)
-            single = AggTree(m, 64, leaf, [leaf])
-            merged = join(join(left, single), right)
-            assert leaf_seq(merged) == vals
-            check_agg_tree(merged)
+            join(t, AggTree(m, 64, leaf, [leaf]))
+            join(t, right)
+            assert leaf_seq(t) == vals
+            check_agg_tree(t)
 
     def test_exhaustive_roundtrip_small(self):
         m, w = fresh()
@@ -320,23 +321,21 @@ class TestJoinSplit:
             vals = [(i * 37) % (1 << w) | 1 for i in range(n)]
             for i in range(n):
                 t = build(m, w, vals)
-                left, right, bits = t.split(i)
-                assert leaf_seq(left) == vals[:i]
+                right, bits = t.split(i)
+                assert leaf_seq(t) == vals[:i]
                 assert leaf_seq(right) == vals[i + 1 :]
                 assert bits == vals[i]
-                if len(left):
-                    check_agg_tree(left)
-                if len(right):
-                    check_agg_tree(right)
+                check_agg_tree(t)
+                check_agg_tree(right)
 
 
 class TestBitOps:
     def test_bit_set_idempotent(self):
         m, w = fresh()
         t = build(m, w, [0b101, 0b10])
-        before = leaf_seq(t), t.root_bits()
+        before = leaf_seq(t), t.root.bits
         t.bit_set(0, 0, 1)
-        assert (leaf_seq(t), t.root_bits()) == before
+        assert (leaf_seq(t), t.root.bits) == before
         check_agg_tree(t)
 
     def test_clearing_unique_bit_propagates(self):
@@ -344,7 +343,7 @@ class TestBitOps:
         vals = [1 << 3 if i == 4 else 0 for i in range(9)]
         t = build(m, w, vals)
         t.bit_set(4, 3, 0)
-        assert t.root_bits() == 0
+        assert t.root.bits == 0
         check_agg_tree(t)
 
     def test_bulk_set_equals_bitwise_loop(self):
@@ -361,7 +360,7 @@ class TestBitOps:
             for j in range(w):
                 t2.bit_set(i, j, (b >> j) & 1)
             assert leaf_seq(t1) == leaf_seq(t2)
-            assert t1.root_bits() == t2.root_bits()
+            assert t1.root.bits == t2.root.bits
             check_agg_tree(t1)
 
     def test_bulk_set_current_value_is_noop(self):
@@ -386,14 +385,14 @@ class TestBitOps:
             for i in members:
                 t2.bit_set(i, j, b)
             assert leaf_seq(t1) == leaf_seq(t2)
-            assert t1.root_bits() == t2.root_bits()
+            assert t1.root.bits == t2.root.bits
             check_agg_tree(t1)
 
     def test_dual_bulk_set_all_leaves_clear(self):
         m, w = fresh()
         t = build(m, w, [0b100, 0b101, 0b110])
         t.dual_bulk_set(range(3), 2, 0)
-        assert t.root_bits() == 0b011
+        assert t.root.bits == 0b011
         check_agg_tree(t)
 
 
@@ -401,20 +400,20 @@ class TestAccessors:
     def test_height_and_ancestors(self):
         m, w = fresh()
         t = build(m, w, [1])
-        assert t.tree_height() == 0
+        assert t.root.height == 0
         t = build(m, w, [1 << (i % w) for i in range(20)])
-        h = t.tree_height()
+        h = t.root.height
         for i in range(20):
-            assert t.tree_anc(i, h) is t.root
+            assert t.leaves[i].ancestors[h] is t.root
         acc = 0
         for b in leaf_seq(t):
             acc |= b
-        assert t.root_bits() == acc
+        assert t.root.bits == acc
 
     def test_height_bound(self):
         m, w = fresh()
         t = build(m, w, [0] * 200)
-        assert t.tree_height() <= (200 - 1).bit_length() + 2
+        assert t.root.height <= (200 - 1).bit_length() + 2
 
 
 class TestRandomizedSoak:
@@ -447,8 +446,7 @@ class TestRandomizedSoak:
                 shadow[i] = b
             else:
                 i = rng.randrange(n + 1)
-                left, right = t.split_boundary(i)
-                t = join(left, right)
+                join(t, t.split_boundary(i))
             assert leaf_seq(t) == shadow
             if step % 7 == 0:
                 check_agg_tree(t)
@@ -474,10 +472,10 @@ class TestRandomizedSoak:
             for pos in (1, n // 3, n // 2, n - 1):
                 m.reset()
                 base = m.depth
-                left, right = t.split_boundary(pos)
+                right = t.split_boundary(pos)
                 split_depth = m.depth - base
                 base = m.depth
-                t = join(left, right)
+                join(t, right)
                 join_depth = m.depth - base
                 worst[n, pos] = (split_depth, join_depth)
         depths = list(worst.values())
@@ -494,22 +492,20 @@ def test_hypothesis_split_points(vals, data):
     m = CostMeter(CommonPolicy(0.5))
     t = build(m, 16, vals)
     i = data.draw(st.integers(min_value=0, max_value=len(vals) - 1))
-    left, right, bits = t.split(i)
+    right, bits = t.split(i)
     assert bits == vals[i]
-    assert [l.bits for l in left.leaves] == vals[:i]
-    assert [l.bits for l in right.leaves] == vals[i + 1 :]
-    if left.root is not None:
-        check_agg_tree(left)
-    if right.root is not None:
-        check_agg_tree(right)
+    assert leaf_seq(t) == vals[:i]
+    assert leaf_seq(right) == vals[i + 1 :]
+    check_agg_tree(t)
+    check_agg_tree(right)
     # a boundary cut keeps every leaf, and joining the sides restores the tree
     t = build(m, 16, vals)
     pos = data.draw(st.integers(min_value=0, max_value=len(vals)))
-    left, right = t.split_boundary(pos)
-    assert leaf_seq(left) == vals[:pos]
+    right = t.split_boundary(pos)
+    assert leaf_seq(t) == vals[:pos]
     assert leaf_seq(right) == vals[pos:]
-    check_agg_tree(left)
+    check_agg_tree(t)
     check_agg_tree(right)
-    whole = join(left, right)
-    assert leaf_seq(whole) == vals
-    check_agg_tree(whole)
+    join(t, right)
+    assert leaf_seq(t) == vals and right.leaves == []
+    check_agg_tree(t)

@@ -17,7 +17,7 @@ def filled(ms, sizes):
     a = ms.new_array()
     for idx, sz in enumerate(sizes):
         c = ms.alloc_chunk([(idx, e) for e in range(sz)])
-        ms.insert_chunk(a, len(a.order), c)
+        ms.insert_chunk(a, len(a.leaves), c)
     return a
 
 
@@ -30,7 +30,7 @@ class TestSlots:
     def test_deactivate_then_reuse_slot(self):
         ms = store()
         a = filled(ms, [2])
-        c = a.order[0]
+        c = a.leaves[0]
         slot = c.slot
         ms.delete_chunk(a, 0)
         ms.deactivate(c)
@@ -40,7 +40,7 @@ class TestSlots:
     def test_deactivate_with_stale_column_bit_fails(self):
         ms = store()
         a = filled(ms, [2, 2])
-        c0, c1 = a.order
+        c0, c1 = a.leaves
         ms.link(c0, c1)
         c1.bits = 0  # simulate a caller forgetting to clear the column
         ms.delete_chunk(a, 1)
@@ -58,17 +58,17 @@ class TestLinks:
     def test_link_then_unlink_restores(self):
         ms = store()
         a = filled(ms, [2, 2, 2])
-        c0, c2 = a.order[0], a.order[2]
-        before = [c.bits for c in a.order]
+        c0, c2 = a.leaves[0], a.leaves[2]
+        before = [c.bits for c in a.leaves]
         ms.link(c0, c2)
         ms.unlink(c0, c2)
-        assert [c.bits for c in a.order] == before
+        assert [c.bits for c in a.leaves] == before
         check_chunk_store(ms)
 
     def test_self_link_sets_diagonal(self):
         ms = store()
         a = filled(ms, [2])
-        c = a.order[0]
+        c = a.leaves[0]
         ms.link(c, c)
         assert (c.bits >> c.slot) & 1 == 1
         check_chunk_store(ms)
@@ -78,7 +78,7 @@ class TestLinks:
         a = filled(ms, [2] * 6)
         rng = random.Random(17)
         for _ in range(200):
-            c1, c2 = rng.choice(a.order), rng.choice(a.order)
+            c1, c2 = rng.choice(a.leaves), rng.choice(a.leaves)
             if rng.random() < 0.5:
                 ms.link(c1, c2)
             else:
@@ -90,22 +90,22 @@ class TestBulkSetLinks:
     def test_idempotent(self):
         ms = store()
         a = filled(ms, [2, 2, 2])
-        c = a.order[1]
-        ms.link(c, a.order[0])
-        snapshot = [d.bits for d in a.order]
+        c = a.leaves[1]
+        ms.link(c, a.leaves[0])
+        snapshot = [d.bits for d in a.leaves]
         ms.bulk_set_links(c, c.bits)
-        assert [d.bits for d in a.order] == snapshot
+        assert [d.bits for d in a.leaves] == snapshot
         check_chunk_store(ms)
 
     def test_zero_clears_row_and_column(self):
         ms = store()
         a = filled(ms, [2, 2, 2])
-        c = a.order[1]
-        ms.link(c, a.order[0])
-        ms.link(c, a.order[2])
+        c = a.leaves[1]
+        ms.link(c, a.leaves[0])
+        ms.link(c, a.leaves[2])
         ms.bulk_set_links(c, 0)
         assert c.bits == 0
-        for d in a.order:
+        for d in a.leaves:
             assert (d.bits >> c.slot) & 1 == 0
         check_chunk_store(ms)
 
@@ -119,10 +119,10 @@ class TestBulkSetLinks:
         arrays = [a, b]
         for _ in range(120):
             arr = rng.choice(arrays)
-            c = rng.choice(arr.order)
+            c = rng.choice(arr.leaves)
             # restrict link targets to the chunk's own array, as the owner does
             mask = 0
-            for d in arr.order:
+            for d in arr.leaves:
                 if rng.random() < 0.4:
                     mask |= 1 << d.slot
             ms.bulk_set_links(c, mask)
@@ -134,16 +134,16 @@ class TestArrayOps:
         ms = store()
         a = ms.new_array()
         ms.insert_chunk(a, 0, ms.alloc_chunk([(0, 1)]))
-        assert len(a.order) == 1 and a.order[0].pos == 0
+        assert len(a.leaves) == 1 and a.leaves[0].pos == 0
 
     def test_insert_then_delete_restores(self):
         ms = store()
         a = filled(ms, [2, 2, 2])
-        want = list(a.order)
+        want = list(a.leaves)
         c = ms.alloc_chunk([(7, 7)])
         ms.insert_chunk(a, 1, c)
         ms.delete_chunk(a, 1)
-        assert a.order == want
+        assert a.leaves == want
         check_chunk_store(ms)
 
     def test_back_pointers_after_random_ops(self):
@@ -151,14 +151,14 @@ class TestArrayOps:
         a = filled(ms, [2] * 4)
         rng = random.Random(31)
         for _ in range(1000):
-            if (rng.random() < 0.5 or len(a.order) < 2) and ms.free:
-                pos = rng.randrange(len(a.order) + 1)
+            if (rng.random() < 0.5 or len(a.leaves) < 2) and ms.free:
+                pos = rng.randrange(len(a.leaves) + 1)
                 ms.insert_chunk(a, pos, ms.alloc_chunk([(rng.randrange(50), 0)]))
             else:
-                pos = rng.randrange(len(a.order))
+                pos = rng.randrange(len(a.leaves))
                 c = ms.delete_chunk(a, pos)
                 ms.deactivate(c)
-            for pos, c in enumerate(a.order):
+            for pos, c in enumerate(a.leaves):
                 assert c.pos == pos and c.array is a
         check_chunk_store(ms)
 
@@ -166,41 +166,41 @@ class TestArrayOps:
         ms = store()
         a = filled(ms, [2, 2])
         b = filled(ms, [2, 2, 2])
-        want = list(a.order) + list(b.order)
+        want = list(a.leaves) + list(b.leaves)
         ms.concatenate(a, b)
-        assert a.order == want
+        assert a.leaves == want
         check_chunk_store(ms)
-        a1, a2 = ms.split_array(a, 2)
-        assert a1.order == want[:2] and a2.order == want[2:]
+        a2 = ms.split_array(a, 2)
+        assert a.leaves == want[:2] and a2.leaves == want[2:]
         check_chunk_store(ms)
 
     def test_concatenate_empty_is_noop(self):
         ms = store()
         a = filled(ms, [2, 2])
-        want = list(a.order)
+        want = list(a.leaves)
         ms.concatenate(a, ms.new_array())
-        assert a.order == want
+        assert a.leaves == want
 
     def test_concatenate_into_empty_empties_the_donor(self):
         ms = store()
         a = ms.new_array()
         b = filled(ms, [2, 2, 2])
-        want = list(b.order)
+        want = list(b.leaves)
         ms.concatenate(a, b)
-        assert a.order == want and len(b) == 0 and b.tree.root is None
+        assert a.leaves == want and len(b) == 0 and b.root is None
         ms.insert_chunk(b, 0, ms.alloc_chunk([(9, 9)]))
-        assert a.order == want
+        assert a.leaves == want
         check_chunk_store(ms)
 
-    def test_concat_root_bits_or(self):
+    def test_concatenated_root_is_the_or_of_both_roots(self):
         ms = store()
         a = filled(ms, [2, 2])
         b = filled(ms, [2])
-        ms.link(a.order[0], a.order[1])
-        ms.link(b.order[0], b.order[0])
-        ra, rb = a.tree.root_bits(), b.tree.root_bits()
+        ms.link(a.leaves[0], a.leaves[1])
+        ms.link(b.leaves[0], b.leaves[0])
+        ra, rb = a.root.bits, b.root.bits
         ms.concatenate(a, b)
-        assert a.tree.root_bits() == ra | rb
+        assert a.root.bits == ra | rb
 
 
 class TestReorder:
@@ -223,50 +223,51 @@ class TestReorder:
     def test_non_tiling_blocks_rejected(self, blocks):
         ms = store()
         a = filled(ms, [2] * 4)
-        want = list(a.order)
+        want = list(a.leaves)
         work = ms.meter.work
         with pytest.raises(ChunkError):
             ms.reorder(a, blocks)
-        assert a.order == want and ms.meter.work == work
+        assert a.leaves == want and ms.meter.work == work
         check_chunk_store(ms)
 
     def test_inverse_restores_identity(self):
         ms = store()
         a = filled(ms, [2] * 7)
-        want = list(a.order)
+        want = list(a.leaves)
         ms.reorder(a, [(0, 1), (3, 6), (1, 3), (6, 7)])  # [0][3 4 5][1 2][6]
         ms.reorder(a, [(0, 1), (4, 6), (1, 4), (6, 7)])  # moves [1 2] back
-        assert a.order == want
+        assert a.leaves == want
         check_chunk_store(ms)
 
     def test_identity_charges_nothing(self):
         ms = store()
         a = filled(ms, [2] * 5)
-        want = list(a.order)
+        want = list(a.leaves)
         work, depth = ms.meter.work, ms.meter.depth
         ms.reorder(a, [(0, 2), (2, 2), (2, 5), (5, 5)])
-        assert a.order == want
+        assert a.leaves == want
         assert (ms.meter.work, ms.meter.depth) == (work, depth)
 
     def test_tree_leaves_track_permutation(self):
         ms = store()
         a = filled(ms, [2] * 6)
-        for i, c in enumerate(a.order):
-            ms.bulk_set_links(c, 1 << a.order[i % 6].slot)
-        before = list(a.order)
+        for i, c in enumerate(a.leaves):
+            ms.bulk_set_links(c, 1 << a.leaves[i % 6].slot)
+        before = list(a.leaves)
         ms.reorder(a, [(2, 5), (0, 2), (5, 6)])
-        assert a.order == [before[p] for p in (2, 3, 4, 0, 1, 5)]
-        assert a.tree.root_bits() == sum(1 << c.slot for c in before)
+        assert a.leaves == [before[p] for p in (2, 3, 4, 0, 1, 5)]
+        assert a.root.bits == sum(1 << c.slot for c in before)
         check_chunk_store(ms)
 
     def test_three_blocks_charge_as_the_move_of_one_block(self):
         # moving [j, k) in front of i costs three boundary splits, three
         # joins and one position refresh from i
         def move_block(ms, array, i, j, k):
-            left, rest = array.tree.split_boundary(i)
-            mid, rest = rest.split_boundary(j - i)
-            moved, tail = rest.split_boundary(k - j)
-            array.tree = agg_join(agg_join(agg_join(left, moved), mid), tail)
+            mid = array.split_boundary(i)
+            moved = mid.split_boundary(j - i)
+            tail = moved.split_boundary(k - j)
+            for piece in (moved, mid, tail):
+                agg_join(array, piece)
             ms._refresh_positions(array, i)
 
         for i, j, k in [(0, 2, 5), (1, 3, 6), (2, 4, 9), (3, 4, 5), (0, 1, 9)]:
@@ -279,7 +280,7 @@ class TestReorder:
                 a = filled(ms, [2] * 9)
                 ms.meter.reset()
                 permute(ms, a)
-                costs.append((ms.meter.work, ms.meter.depth, [c.slot for c in a.order]))
+                costs.append((ms.meter.work, ms.meter.depth, [c.slot for c in a.leaves]))
             assert costs[0] == costs[1]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -287,19 +288,19 @@ class TestReorder:
         rng = random.Random(seed)
         ms = store(slots=40)
         a = filled(ms, [2] * 12)
-        for c in a.order:
-            for d in rng.sample(a.order, 3):
+        for c in a.leaves:
+            for d in rng.sample(a.leaves, 3):
                 ms.link(c, d)
         for _ in range(60):
-            n = len(a.order)
+            n = len(a.leaves)
             k = rng.randint(1, 5)
             cuts = sorted(rng.randint(0, n) for _ in range(k - 1))
             bounds = [0] + cuts + [n]
             blocks = [(bounds[i], bounds[i + 1]) for i in range(k)]
             rng.shuffle(blocks)
-            want = [c for start, end in blocks for c in a.order[start:end]]
+            want = [c for start, end in blocks for c in a.leaves[start:end]]
             ms.reorder(a, blocks)
-            assert a.order == want
+            assert a.leaves == want
             check_chunk_store(ms)
 
 
@@ -312,19 +313,19 @@ class TestQuery:
     def test_planted_pair_found(self):
         ms = store()
         a = filled(ms, [2] * 8)
-        ms.link(a.order[1], a.order[5])
+        ms.link(a.leaves[1], a.leaves[5])
         got = ms.query(a, 0, 3, 3, 8)
-        assert got == (a.order[1], a.order[5])
+        assert got == (a.leaves[1], a.leaves[5])
         check_chunk_store(ms)
 
     def test_common_model_lowest_pair(self):
         ms = store(policy=CommonPolicy(0.5))
         a = filled(ms, [2] * 8)
-        ms.link(a.order[2], a.order[6])
-        ms.link(a.order[1], a.order[5])
-        ms.link(a.order[2], a.order[5])
+        ms.link(a.leaves[2], a.leaves[6])
+        ms.link(a.leaves[1], a.leaves[5])
+        ms.link(a.leaves[2], a.leaves[5])
         got = ms.query(a, 0, 4, 4, 8)
-        assert got == (a.order[1], a.order[5])
+        assert got == (a.leaves[1], a.leaves[5])
 
     def test_query_matches_brute_force(self):
         rng = random.Random(5)
@@ -334,7 +335,7 @@ class TestQuery:
             pairs = set()
             for _ in range(rng.randrange(8)):
                 x, y = rng.randrange(10), rng.randrange(10)
-                ms.link(a.order[x], a.order[y])
+                ms.link(a.leaves[x], a.leaves[y])
                 pairs.add((x, y))
                 pairs.add((y, x))
             i, j = sorted(rng.sample(range(11), 2))
@@ -349,8 +350,8 @@ class TestQuery:
             if got is None:
                 assert not valid
             else:
-                p = a.order.index(got[0])
-                q = a.order.index(got[1])
+                p = a.leaves.index(got[0])
+                q = a.leaves.index(got[1])
                 assert (p, q) in valid
             check_chunk_store(ms)
 
@@ -365,14 +366,14 @@ class TestQuery:
         ms = store(slots=40)
         a = filled(ms, [2] * 20)
         for _ in range(15):
-            ms.link(*rng.sample(a.order, 2))
-        root, leaves = a.tree.root, a.tree.leaves
+            ms.link(*rng.sample(a.leaves, 2))
+        root, leaves = a.root, a.leaves
         shape = [leaf.ancestors[:] for leaf in leaves]
         for _ in range(30):
             i, j = sorted(rng.sample(range(21), 2))
             k, l = sorted(rng.sample(range(21), 2))
             ms.query(a, i, j, k, l)
-            assert a.tree.root is root and a.tree.leaves is leaves
+            assert a.root is root and a.leaves is leaves
             assert [leaf.ancestors for leaf in leaves] == shape
         check_chunk_store(ms)
 
@@ -385,25 +386,25 @@ def test_randomized_store_soak():
         roll = rng.random()
         a = rng.choice(arrays)
         if roll < 0.3 and ms.free:
-            ms.insert_chunk(a, rng.randrange(len(a.order) + 1),
+            ms.insert_chunk(a, rng.randrange(len(a.leaves) + 1),
                             ms.alloc_chunk([(step, 0), (step, 1)]))
-        elif roll < 0.45 and len(a.order) > 1:
-            pos = rng.randrange(len(a.order))
-            c = a.order[pos]
+        elif roll < 0.45 and len(a.leaves) > 1:
+            pos = rng.randrange(len(a.leaves))
+            c = a.leaves[pos]
             if c.bits:
                 ms.bulk_set_links(c, 0)  # column must clear before the slot frees
             ms.delete_chunk(a, pos)
             ms.deactivate(c)
         elif roll < 0.7:
-            c1 = rng.choice(a.order)
-            c2 = rng.choice(a.order)
+            c1 = rng.choice(a.leaves)
+            c2 = rng.choice(a.leaves)
             (ms.link if rng.random() < 0.6 else ms.unlink)(c1, c2)
-        elif roll < 0.85 and len(a.order) >= 3:
-            n = len(a.order)
+        elif roll < 0.85 and len(a.leaves) >= 3:
+            n = len(a.leaves)
             i, j, k = sorted(rng.sample(range(n + 1), 3))
             ms.reorder(a, [(0, i), (j, k), (i, j), (k, n)])
         else:
-            n = len(a.order)
+            n = len(a.leaves)
             if n:
                 i, j = sorted(rng.sample(range(n + 1), 2))
                 k, l = sorted(rng.sample(range(n + 1), 2))
@@ -415,8 +416,8 @@ def test_randomized_store_soak():
 
 def test_every_chunk_is_its_tree_leaf():
     """After each step of a seeded run over every array operation, each
-    array's order is its tree's leaf list and each chunk sits there at its
-    own position."""
+    chunk of an array's leaf list points back at that array and its own
+    position."""
     rng = random.Random(41)
     ms = store(slots=64, cap=6)
     arrays = [filled(ms, [2, 2, 2]), filled(ms, [2] * 4)]
@@ -427,18 +428,18 @@ def test_every_chunk_is_its_tree_leaf():
         if roll < 0.25 and ms.free:
             ms.insert_chunk(a, rng.randrange(n + 1), ms.alloc_chunk([(step, 0)]))
         elif roll < 0.4 and n > 1:
-            c = a.order[rng.randrange(n)]
+            c = a.leaves[rng.randrange(n)]
             if c.bits:
                 ms.bulk_set_links(c, 0)
             ms.delete_chunk(a, c.pos)
             ms.deactivate(c)
         elif roll < 0.55:
-            c, d = rng.choice(a.order), rng.choice(rng.choice(arrays).order)
+            c, d = rng.choice(a.leaves), rng.choice(rng.choice(arrays).leaves)
             (ms.link if rng.random() < 0.7 else ms.unlink)(c, d)
         elif roll < 0.65:
-            c = rng.choice(a.order)
+            c = rng.choice(a.leaves)
             mask = 0
-            for d in a.order:
+            for d in a.leaves:
                 if rng.random() < 0.3:
                     mask |= 1 << d.slot
             ms.bulk_set_links(c, mask)
@@ -446,16 +447,16 @@ def test_every_chunk_is_its_tree_leaf():
             i, j, k = sorted(rng.sample(range(n + 1), 3))
             ms.reorder(a, [(0, i), (j, k), (i, j), (k, n)])
         elif roll < 0.9 and n > 1:
-            arrays.append(ms.split_array(a, rng.randrange(1, n))[1])
+            arrays.append(ms.split_array(a, rng.randrange(1, n)))
         elif len(arrays) > 1:
             b = rng.choice([x for x in arrays if x is not a])
             ms.concatenate(a, b)
             arrays.remove(b)
         for x in arrays:
-            assert x.order is x.tree.leaves
+            assert all(c.array is x and c.pos == pos for pos, c in enumerate(x.leaves))
         for c in ms.slots:
             if c is not None and c.array is not None:
-                assert c.array.tree.leaves[c.pos] is c
+                assert c.array.leaves[c.pos] is c
     check_chunk_store(ms)
 
 
@@ -464,14 +465,14 @@ def reference_bulk_set_links(ms, c, links):
     of every array compares its bit of c's column against `links`."""
     ms._require_active(c)
     ms.meter.charge(ms.slot_count)
-    c.array.tree.bulk_set(c.pos, links)
+    c.array.bulk_set(c.pos, links)
     arrays = ms.arrays()
 
     def column_body(a):
         array = arrays[a]
         to_set = []
         to_clear = []
-        for pos, d in enumerate(array.order):
+        for pos, d in enumerate(array.leaves):
             if d is c:
                 continue
             want = (links >> d.slot) & 1
@@ -480,11 +481,11 @@ def reference_bulk_set_links(ms, c, links):
                 to_set.append(pos)
             elif have and not want:
                 to_clear.append(pos)
-        ms.meter.charge(len(array.order))
+        ms.meter.charge(len(array.leaves))
         if to_clear:
-            array.tree.dual_bulk_set(set(to_clear), c.slot, 0)
+            array.dual_bulk_set(set(to_clear), c.slot, 0)
         if to_set:
-            array.tree.dual_bulk_set(to_set, c.slot, 1)
+            array.dual_bulk_set(to_set, c.slot, 1)
 
     ms.meter.parallel_for(len(arrays), column_body)
 
@@ -506,8 +507,8 @@ def test_bulk_set_links_matches_full_column_scan():
     for step in range(500):
         ms = twins[0]
         a = rng.randrange(len(arrays[0]))
-        order = arrays[0][a].order
-        live = [d.slot for arr in arrays[0] for d in arr.order]
+        order = arrays[0][a].leaves
+        live = [d.slot for arr in arrays[0] for d in arr.leaves]
         roll = rng.random()
         if roll < 0.3:
             pos = rng.randrange(len(order))
@@ -521,7 +522,7 @@ def test_bulk_set_links_matches_full_column_scan():
             op = (
                 "link" if rng.random() < 0.6 else "unlink",
                 a, rng.randrange(len(order)), b,
-                rng.randrange(len(arrays[0][b].order)),
+                rng.randrange(len(arrays[0][b].leaves)),
             )
         elif roll < 0.65 and ms.free:
             op = ("insert", a, rng.randrange(len(order) + 1))
@@ -537,26 +538,26 @@ def test_bulk_set_links_matches_full_column_scan():
         for ms, arrs in zip(twins, arrays):
             kind, x = op[0], arrs[op[1]]
             if kind == "bulk":
-                ms.bulk_set_links(x.order[op[2]], op[3])
+                ms.bulk_set_links(x.leaves[op[2]], op[3])
             elif kind in ("link", "unlink"):
-                getattr(ms, kind)(x.order[op[2]], arrs[op[3]].order[op[4]])
+                getattr(ms, kind)(x.leaves[op[2]], arrs[op[3]].leaves[op[4]])
             elif kind == "insert":
                 ms.insert_chunk(x, op[2], ms.alloc_chunk([(step, 0)]))
             elif kind == "delete":
-                c = x.order[op[2]]
+                c = x.leaves[op[2]]
                 if c.bits:
                     ms.bulk_set_links(c, 0)
                 ms.delete_chunk(x, op[2])
                 ms.deactivate(c)
             elif kind == "split":
-                arrs.append(ms.split_array(x, op[2])[1])
+                arrs.append(ms.split_array(x, op[2]))
             else:
                 ms.concatenate(x, arrs[op[2]])
                 del arrs[op[2]]
         new, ref = twins
         assert [c and c.bits for c in new.slots] == [c and c.bits for c in ref.slots]
-        assert [[leaf.bits for leaf in arr.tree.leaves] for arr in arrays[0]] == [
-            [leaf.bits for leaf in arr.tree.leaves] for arr in arrays[1]
+        assert [[leaf.bits for leaf in arr.leaves] for arr in arrays[0]] == [
+            [leaf.bits for leaf in arr.leaves] for arr in arrays[1]
         ]
         assert (new.meter.work, new.meter.depth) == (ref.meter.work, ref.meter.depth)
     check_chunk_store(twins[0])

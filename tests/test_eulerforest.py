@@ -5,11 +5,14 @@ import pytest
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.eulerforest import EulerForest, ForestError, ReplacementReport
 from dynconn.oracle import (
+    CheckFailure,
     SimpleGraph,
     bf_components,
     bf_connected,
     check_chunk_store,
     check_euler_forest,
+    check_link_vectors,
+    euler_tours,
 )
 
 
@@ -29,8 +32,7 @@ def forest_with(edges, n=16, policy=None):
 
 
 def tour_of(f, node):
-    for view in f.all_tours():
-        edges = view.edge_list()
+    for edges in euler_tours(f).values():
         if any(node in e for e in edges):
             return edges
     return []
@@ -158,7 +160,7 @@ class TestFindReplacement:
             f.insert_edge(i, i + 2)
 
         def observable(f):
-            tours = sorted(tuple(t.edge_list()) for t in f.all_tours())
+            tours = sorted(tuple(t) for t in euler_tours(f).values())
             links = [(c.slot, c.bits) for c in f.store.slots if c is not None]
             adj = [(i, sorted(x)) for i, x in enumerate(f.nbr) if x]
             return (tours, links, adj)
@@ -313,11 +315,44 @@ class TestLinkFlush:
                 continue
             assert len(set(refreshed)) == len(refreshed)
             assert all(f.store.slots[c.slot] is c for c in refreshed)
-            f.check_links_ground_truth()
+            check_link_vectors(f)
             check_chunk_store(f.store)
-            longest = max([longest] + [len(a.order) for a in f.store.arrays()])
+            longest = max([longest] + [len(a) for a in f.store.arrays()])
         assert longest >= 4
         check_euler_forest(f)
+
+
+class TestCheckerCatchesCorruption:
+    """The checker finds tours from the occurrence pointers; it must still
+    see a chunk array those pointers miss and a pointer that misses its
+    edge."""
+
+    def chunked_path(self):
+        f = forest_with([(i, i + 1) for i in range(40)], n=48)
+        assert f.store.arrays()
+        check_euler_forest(f)
+        return f
+
+    def test_array_no_occurrence_reaches(self):
+        f = self.chunked_path()
+        orphan = f.store.new_array()
+        f.store.insert_chunk(orphan, 0, f.store.alloc_chunk([(44, 45), (45, 44)]))
+        with pytest.raises(CheckFailure, match="no occurrence reaches"):
+            check_euler_forest(f)
+
+    def test_stale_pointer_into_a_chunk(self):
+        f = self.chunked_path()
+        c, off = f.edge_occ[(20, 21)]
+        f.edge_occ[(20, 21)] = (c, off - 1 if off else off + 1)
+        with pytest.raises(CheckFailure, match="occurrence pointer stale"):
+            check_euler_forest(f)
+
+    def test_stale_pointer_into_a_small_tour(self):
+        f = forest_with([(0, 1), (1, 2)])
+        tour, off = f.edge_occ[(0, 1)]
+        f.edge_occ[(0, 1)] = (tour, (off + 1) % len(tour.edges))
+        with pytest.raises(CheckFailure, match="occurrence pointer stale"):
+            check_euler_forest(f)
 
 
 class TestPriorities:

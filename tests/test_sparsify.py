@@ -393,6 +393,45 @@ class TestDepthPadding:
         bip = depth_budgets("bipartiteness", ArbitraryPolicy(0))
         assert bip["insert"] > arbitrary["insert"]
 
+    @pytest.mark.parametrize(
+        "make, sizes", [(conn_facade, (32, 128, 512)), (bip_facade, (16, 64))],
+        ids=["conn", "bip"],
+    )
+    def test_worst_update_depth_does_not_grow_with_n(self, make, sizes):
+        """Seed 1.5 n random edges, then alternate a random insert and a
+        random delete for 120 calls: the deepest of those calls at the
+        largest n may be at most 1.5 times the deepest at the smallest.
+        Calls are not padded, so this sees depth that grows with n even
+        while it stays in budget."""
+        worst = {}
+        for n in sizes:
+            rng = random.Random(n)
+            f = make(n, seed=1)
+            for v in range(1, n + 1):
+                f.activate_node(v)
+            edges = []
+
+            def insert_random():
+                while True:
+                    u, v = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
+                    if u != v and not f.core.graph.has_edge(u - 1, v - 1):
+                        f.insert_edge(u, v)
+                        edges.append((u, v))
+                        return
+
+            for _ in range(3 * n // 2):
+                insert_random()
+            deepest = 0
+            for step in range(120):
+                f.meter.reset()
+                if step % 2:
+                    f.delete_edge(*edges.pop(rng.randrange(len(edges))))
+                else:
+                    insert_random()
+                deepest = max(deepest, f.meter.depth)
+            worst[n] = deepest
+        assert worst[sizes[-1]] <= 1.5 * worst[sizes[0]], worst
+
 
 class TestBrokenDepthContract:
     def test_over_budget_insert_commits_consistently(self):
@@ -412,3 +451,51 @@ class TestBrokenDepthContract:
         d.delete_edge(1, 2)
         assert not d.connected(1, 2)
         check_spars_tree(d.core)
+
+
+def _bad_id_calls(bad):
+    return [
+        (f"activate_node({bad!r})", lambda f: f.activate_node(bad)),
+        (f"deactivate_node({bad!r})", lambda f: f.deactivate_node(bad)),
+        (f"insert_edge(1, {bad!r})", lambda f: f.insert_edge(1, bad)),
+        (f"delete_edge({bad!r}, 2)", lambda f: f.delete_edge(bad, 2)),
+        (f"connected(1, {bad!r})", lambda f: f.connected(1, bad)),
+    ]
+
+
+# nodes 1..6 are active (7 and 8 are not), edges (1,2), (2,3) and (4,5)
+REJECTED_CALLS = [
+    call for bad in (0, 9, 1.5, 4.0, "2") for call in _bad_id_calls(bad)
+] + [
+    ("insert_edge(1, 7): inactive endpoint", lambda f: f.insert_edge(1, 7)),
+    ("connected(7, 1): inactive endpoint", lambda f: f.connected(7, 1)),
+    ("activate_node(1): already active", lambda f: f.activate_node(1)),
+    ("deactivate_node(7): not active", lambda f: f.deactivate_node(7)),
+    ("deactivate_node(2): has edges", lambda f: f.deactivate_node(2)),
+    ("insert_edge(2, 1): duplicate", lambda f: f.insert_edge(2, 1)),
+    ("insert_edge(3, 3): self-loop", lambda f: f.insert_edge(3, 3)),
+    ("delete_edge(1, 3): absent", lambda f: f.delete_edge(1, 3)),
+]
+
+
+@pytest.mark.parametrize("make", [conn_facade, bip_facade], ids=["conn", "bip"])
+@pytest.mark.parametrize(
+    "call", [c for _, c in REJECTED_CALLS], ids=[name for name, _ in REJECTED_CALLS]
+)
+def test_rejected_calls_change_nothing(make, call):
+    f = make(8)
+    for v in range(1, 7):
+        f.activate_node(v)
+    for u, v in [(1, 2), (2, 3), (4, 5)]:
+        f.insert_edge(u, v)
+    core, meter = f.core, f.meter
+
+    def state():
+        adj = {v: set(nbrs) for v, nbrs in core.graph.adj.items()}
+        return meter.work, meter.depth, meter.init_work, len(core.nodes), adj
+
+    before = state()
+    with pytest.raises(ValueError):
+        call(f)
+    assert state() == before
+    check_spars_tree(core)
