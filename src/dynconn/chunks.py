@@ -7,7 +7,9 @@ vector (bit per master slot) records this.  A chunk array is an aggregate
 tree whose leaves are the chunks themselves: a chunk's `bits` are its link
 vector, the tree's leaf list is the chunk order and interval link queries
 run on the tree's OR summaries.  Splits and joins keep the left part in its
-own tree, so an array keeps its identity while its tour changes.
+own tree, so an array keeps its identity while its tour changes.  The master
+array's `slots` maps occupied slots only to their chunks, so its walks over
+the live chunks cost what is live, not the slot count.
 
 Positions are 0-based throughout.  Link vectors are Python ints; the meter is
 charged `width` units for whole-vector operations.
@@ -53,7 +55,7 @@ class MasterArray:
         self.meter = meter
         self.slot_count = slot_count
         self.chunk_capacity = chunk_capacity
-        self.slots = [None] * slot_count
+        self.slots = {}
         self.free = list(range(slot_count - 1, -1, -1))
         with meter.initialization():
             meter.charge(slot_count)
@@ -83,19 +85,15 @@ class MasterArray:
         }
 
     def arrays(self):
-        seen = []
-        marks = set()
-        for c in self.slots:
-            if c is not None and c.array is not None and id(c.array) not in marks:
-                marks.add(id(c.array))
-                seen.append(c.array)
-        return seen
+        return list(dict.fromkeys(
+            c.array for c in self.slots.values() if c.array is not None
+        ))
 
     # -- slot management ------------------------------------------------------
 
     def set_chunk(self, slot, edges):
         """Activate a chunk with `edges` in a free slot; links start all-zero."""
-        if self.slots[slot] is not None:
+        if slot in self.slots:
             raise ChunkError(f"slot {slot} occupied")
         self.free.remove(slot)
         return self._activate(slot, edges)
@@ -115,20 +113,20 @@ class MasterArray:
 
     def deactivate(self, c: Chunk):
         """Return a chunk's slot to the free pool; its link column must be clear."""
-        if self.slots[c.slot] is not c:
+        if self.slots.get(c.slot) is not c:
             raise ChunkError("chunk not active")
         if c.array is not None:
             raise ChunkError("chunk still referenced by an array")
         # a consistency check of the link column, not part of the algorithm,
         # so the meter is not charged for it
-        for d in self.slots:
-            if d is not None and d is not c and (d.bits >> c.slot) & 1:
+        for d in self.slots.values():
+            if d is not c and (d.bits >> c.slot) & 1:
                 raise ChunkError(
                     f"deactivating slot {c.slot} with stale link bit in slot {d.slot}"
                 )
         if c.bits:
             raise ChunkError("deactivating chunk with set link bits")
-        self.slots[c.slot] = None
+        del self.slots[c.slot]
         self.free.append(c.slot)
         self.meter.charge(1)
 
@@ -172,7 +170,7 @@ class MasterArray:
         while flips:
             low = flips & -flips
             flips ^= low
-            d = slots[low.bit_length() - 1]
+            d = slots.get(low.bit_length() - 1)
             if d is None or d.array is None:
                 continue
             entry = changes.get(d.array)
@@ -193,7 +191,7 @@ class MasterArray:
         self.meter.parallel_for(len(touched), column_body)
 
     def _require_active(self, c):
-        if self.slots[c.slot] is not c:
+        if self.slots.get(c.slot) is not c:
             raise ChunkError("inactive chunk")
 
     # -- array operations --------------------------------------------------------

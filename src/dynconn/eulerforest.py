@@ -16,6 +16,10 @@ edge list object, or the aggregate tree of a chunked one, which keeps its
 identity through every split and join of the tour.  The occurrence pointers
 are the only index of the tours; the checkers find them from there.
 
+`nbr` is the activity record: it maps each active node, and no other, to
+its adjacency list.  With `edge_occ`, which holds both directions of every
+tree edge, it gives the component count.
+
 Every chunk an update splits, merges, chunks or reindexes goes into one
 record, `_touched`.  The sizing repair of an array works through the touched
 chunks of that array, and one flush at the end of `insert_edge` or `_delete`
@@ -85,13 +89,8 @@ class EulerForest:
         J = 4 * ((3 * capacity + self.K - 1) // self.K) + 8
         self.store = MasterArray(meter, J, self.K)
         self.priority_of = priority_of or (lambda u, v: 0)
-        self.active = bytearray(capacity)
-        # an adjacency list exists only while its node is active; most gadget
-        # ids in a large pool are never used, and released ones hold nothing
-        self.nbr = [None] * capacity
+        self.nbr = {}
         self.edge_occ = {}
-        self._active_n = 0
-        self._tree_edges = 0
         # chunks the current update touched, as an insertion-ordered set:
         # emptied when an update starts, the worklist of its sizing repairs
         # and, once it ends, of the link flush
@@ -173,20 +172,16 @@ class EulerForest:
 
     def activate_node(self, v):
         self._check_id(v)
-        if self.active[v]:
+        if v in self.nbr:
             raise ForestError(f"node {v} already active")
-        self.active[v] = 1
         self.nbr[v] = []
-        self._active_n += 1
         self.meter.charge(1)
 
     def deactivate_node(self, v):
         self._require_active(v)
         if self.nbr[v]:
             raise ForestError(f"node {v} not isolated")
-        self.active[v] = 0
-        self.nbr[v] = None
-        self._active_n -= 1
+        del self.nbr[v]
         self.meter.charge(1)
 
     # -- queries -------------------------------------------------------------
@@ -199,7 +194,7 @@ class EulerForest:
 
     def n_components(self):
         self.meter.charge(1)
-        return self._active_n - self._tree_edges
+        return len(self.nbr) - len(self.edge_occ) // 2
 
     def tree_edge(self, u, v):
         self.meter.charge(1)
@@ -233,7 +228,6 @@ class EulerForest:
             self._mark_linked(u, v)
         else:
             self._merge_tours(u, v)
-            self._tree_edges += 1
         self._flush_links()
 
     def _mark_linked(self, u, v):
@@ -337,8 +331,6 @@ class EulerForest:
             kind, edge, geo = self._probe_large(container.array, u, v, hint)
             self._remove_adjacency(u, v)
             self._commit_large(container.array, kind, edge, geo)
-        if kind == ReplacementReport.SPLIT:
-            self._tree_edges -= 1
         self._flush_links()
         return ReplacementReport(kind, edge)
 
@@ -806,7 +798,7 @@ class EulerForest:
         slots = self.store.slots
         self.meter.parallel_charge(len(touched))
         for c in touched:
-            if slots[c.slot] is c and c.array is not None:
+            if slots.get(c.slot) is c and c.array is not None:
                 self._refresh_links(c)
 
     def _refresh_links(self, c):
@@ -856,7 +848,7 @@ class EulerForest:
 
     def _require_active(self, v):
         self._check_id(v)
-        if not self.active[v]:
+        if v not in self.nbr:
             raise ForestError(f"node {v} not active")
 
     def _check_id(self, v):

@@ -188,7 +188,7 @@ def _log2ceil(x):
 
 def check_chunk_store(store):
     """Link symmetry, free columns, back pointers and every array's tree."""
-    active = [c for c in store.slots if c is not None]
+    active = list(store.slots.values())
     for c in active:
         for d in active:
             check(
@@ -249,23 +249,19 @@ def check_euler_forest(forest):
             check(len(chunks) == 1 or 2 * len(c.edges) >= forest.K, "undersized chunk")
     check(len(stored) == len(occ), "tour edge without an occurrence pointer")
     tour_nodes = {a for (a, b) in stored}
-    for v in range(forest.capacity):
-        nbrs = forest.nbr[v]
-        if not forest.active[v]:
-            check(nbrs is None, f"inactive node {v} holds an adjacency list")
-            continue
+    check(tour_nodes <= forest.nbr.keys(), "tour occurrence of an inactive node")
+    for v, nbrs in forest.nbr.items():
+        check(0 <= v < forest.capacity, f"active node {v} out of range")
         check(len(nbrs) <= 3, f"degree {len(nbrs)} > 3 at node {v}")
         if not any((v, w) in occ for w in nbrs):
             check(v not in tour_nodes, "tour occurrence for tree-isolated node")
-    check(forest._active_n == sum(forest.active), "active counter out of sync")
-    check(forest._tree_edges == len(stored) // 2, "tree edge counter out of sync")
     check_link_vectors(forest)
 
 
 def check_link_vectors(forest):
     """Every live chunk's link vector against one recomputed from scratch:
     the slots of the chunks holding a non-tree neighbour of its nodes."""
-    chunks = [c for c in forest.store.slots if c is not None]
+    chunks = list(forest.store.slots.values())
     node_sets = {c.slot: {x for e in c.edges for x in e} for c in chunks}
     for c in chunks:
         want = 0
@@ -297,14 +293,14 @@ def check_gadget_graph(cg):
         if d >= 2:
             edges = [(cyc[0], cyc[1])] if d == 2 else list(zip(cyc, cyc[1:] + cyc[:1]))
             check(all(b in cg.inner.nbr[a] for a, b in edges), f"cycle of {u} is broken")
-            n_tree = sum(1 for e in edges if cg.inner.tree_edge(*e))
+            n_tree = sum(1 for e in edges if e in cg.inner.edge_occ)
             check(n_tree == d - 1, f"cycle of {u}: {n_tree} tree edges, want {d - 1}")
         chord = cg.chord.get(u)
         if d >= 3:
             check(
                 chord is not None
                 and set(chord) in [set(e) for e in edges]
-                and not cg.inner.tree_edge(*chord),
+                and chord not in cg.inner.edge_occ,
                 f"cycle of {u}: chord {chord} is not its non-tree edge",
             )
         else:
@@ -318,7 +314,7 @@ def check_gadget_graph(cg):
 def check_spars_tree(s):
     """Base-graph/forest invariants across materialized sparsification nodes."""
     for node in s.nodes.values():
-        edges = sorted(node.base_edges)
+        edges = sorted(node.edges())
         cap = 4 * node.size
         check(len(edges) <= cap, f"base graph of {node.key} exceeds {cap} edges")
         for (x, y) in edges:
@@ -334,15 +330,14 @@ def check_spars_tree(s):
                 union == set(edges),
                 f"base graph of {node.key} != union of child forests",
             )
-        for (x, y) in node.forest_edges():
-            check((x, y) in node.base_edges, "forest edge outside base graph")
+        check(node.forest_edges() <= set(edges), "forest edge outside base graph")
     # observation: a forest edge at a node is a forest edge all the way down
     for node in s.nodes.values():
         for (x, y) in node.forest_edges():
             for ck in s.child_keys(node.key):
                 child = s.nodes.get(ck)
                 if child is not None and child.covers(x) and child.covers(y) and \
-                        (x, y) in child.base_edges:
+                        child.has_edge(x, y):
                     check(
                         (x, y) in child.forest_edges(),
                         f"edge {(x, y)} tree at {node.key} but not at {ck}",
@@ -351,12 +346,13 @@ def check_spars_tree(s):
         for node in s.nodes.values():
             g = SimpleGraph()
             seen = set()
-            for (x, y) in node.base_edges:
+            edges = node.edges()
+            for (x, y) in edges:
                 for w in (x, y):
                     if w not in seen:
                         seen.add(w)
                         g.activate(w)
-            for (x, y) in node.base_edges:
+            for (x, y) in edges:
                 g.add_edge(x, y)
             check(node.own_bit == bf_bipartite(g), f"own flag stale at {node.key}")
         for node in s.nodes.values():

@@ -41,12 +41,10 @@ class SparsError(ValueError):
 
 
 class SparsNode:
-    """One sparsification-tree node: a base graph plus its query structures."""
+    """One sparsification-tree node: a base graph plus its query structures.
+    The base graph is the gadget's host graph, `conn.ports`, over local ids."""
 
-    __slots__ = (
-        "key", "spans", "size", "conn", "bip", "base_edges", "own_bit",
-        "subtree_flag",
-    )
+    __slots__ = ("key", "spans", "size", "conn", "bip", "own_bit", "subtree_flag")
 
     def __init__(self, meter, key, spans, mode):
         self.key = key
@@ -54,7 +52,6 @@ class SparsNode:
         self.size = sum(hi - lo for lo, hi in spans)
         self.conn = ConnGeneral(meter, self.size, 4 * self.size)
         self.bip = BipartiteGeneral(self.conn) if mode == "bipartiteness" else None
-        self.base_edges = set()
         self.own_bit = True
         self.subtree_flag = True
 
@@ -80,15 +77,17 @@ class SparsNode:
         if self.bip is not None:
             self.bip.deactivate_node(local)
 
+    def has_edge(self, x, y):
+        """Whether the base graph holds (x, y); the node covers both."""
+        return (self.local(x), self.local(y)) in self.conn.ports
+
     def add_edge(self, x, y):
-        self.base_edges.add(_norm(x, y))
         lx, ly = self.local(x), self.local(y)
         self.conn.insert_edge(lx, ly)
         if self.bip is not None:
             self.bip.apply_edge(lx, ly, True)
 
     def remove_edge(self, x, y, hint=None):
-        self.base_edges.discard(_norm(x, y))
         lx, ly = self.local(x), self.local(y)
         if hint is None:
             rep = self.conn.delete_edge(lx, ly)
@@ -122,14 +121,23 @@ class SparsNode:
         lo1, _ = self.spans[1]
         return lo1 + (local - (hi0 - lo0))
 
+    def edges(self):
+        """The base graph's edges as global (low, high) pairs."""
+        return {self.to_global(e) for e in self.conn.ports if e[0] < e[1]}
+
     def forest_edges(self):
+        """The base graph's tree edges, read off the tours; charges nothing."""
+        ports, occ = self.conn.ports, self.conn.inner.edge_occ
         return {
-            (x, y) for (x, y) in self.base_edges if self.is_tree_edge(x, y)
+            self.to_global((a, b)) for (a, b), g in ports.items()
+            if a < b and (g, ports[(b, a)]) in occ
         }
 
 
 class SparsTree:
-    """Core structure shared by the two public facades."""
+    """Core structure shared by the two public facades.  Node ids are
+    0-based; precondition messages name them 1-based, as the facade's caller
+    passed them."""
 
     def __init__(self, n, mode, meter: CostMeter):
         if n < 1:
@@ -223,6 +231,8 @@ class SparsTree:
 
     def activate_node(self, v):
         self._check_id(v)
+        if v in self.graph.adj:
+            raise SparsError(f"node {v + 1} already active")
         self.graph.activate(v)
         ks = self.part_path(v)
         self.meter.parallel_charge(self.levels + 1)
@@ -231,11 +241,9 @@ class SparsTree:
                 node.activate(v)
 
     def deactivate_node(self, v):
-        self._check_id(v)
-        if v not in self.graph.adj:
-            raise SparsError(f"node {v} not active")
+        self._require_active(v)
         if self.graph.adj[v]:
-            raise SparsError(f"node {v} not isolated")
+            raise SparsError(f"node {v + 1} not isolated")
         self.graph.deactivate(v)
         ks = self.part_path(v)
         self.meter.parallel_charge(self.levels + 1)
@@ -251,7 +259,7 @@ class SparsTree:
         if x == y:
             raise SparsError("self-loop")
         if self.graph.has_edge(x, y):
-            raise SparsError(f"edge ({x},{y}) already present")
+            raise SparsError(f"edge ({x + 1},{y + 1}) already present")
         path = [self._materialize(key) for key in self.key_path(x, y)]
         meter = self.meter
         probe = [0] * len(path)
@@ -291,11 +299,10 @@ class SparsTree:
         self._require_active(x)
         self._require_active(y)
         if not self.graph.has_edge(x, y):
-            raise SparsError(f"edge ({x},{y}) absent")
+            raise SparsError(f"edge ({x + 1},{y + 1}) absent")
         path = [self.nodes[key] for key in self.key_path(x, y)]
         meter = self.meter
-        edge = _norm(x, y)
-        holds = [edge in node.base_edges for node in path]
+        holds = [node.has_edge(x, y) for node in path]
         tree = [0] * len(path)
 
         def tree_body(i):
@@ -326,7 +333,7 @@ class SparsTree:
             if not holds[i]:
                 return
             if tree[i] and use[i] is not None:
-                if use[i] not in node.base_edges:
+                if not node.has_edge(*use[i]):
                     node.add_edge(*use[i])
                 got = node.remove_edge(x, y, hint=use[i])
                 if got.kind != ReplacementReport.REPLACED or got.edge != use[i]:
@@ -340,7 +347,7 @@ class SparsTree:
             if not tree[i] or use[i] is None or i + 1 >= len(path):
                 return
             parent = path[i + 1]
-            if use[i] not in parent.base_edges:
+            if not parent.has_edge(*use[i]):
                 parent.add_edge(*use[i])
 
         meter.parallel_for(len(path), promote_body)
@@ -422,12 +429,12 @@ class SparsTree:
 
     def _check_id(self, v):
         if not 0 <= v < self.n:
-            raise SparsError(f"node id {v} out of range")
+            raise SparsError(f"node id {v + 1} out of range 1..{self.n}")
 
     def _require_active(self, v):
         self._check_id(v)
         if v not in self.graph.adj:
-            raise SparsError(f"node {v} not active")
+            raise SparsError(f"node {v + 1} not active")
 
 
 def _norm(a, b):
@@ -483,13 +490,13 @@ class _Facade:
     """Shared 1-based public surface over a SparsTree.
 
     A call whose precondition fails (an id that is not an integer, out of
-    range or inactive, an absent or duplicate edge, a node that is not
-    isolated) raises a
-    ValueError, mostly SparsError, from checks that run before it changes
-    anything.  A call that runs deeper than its budget raises MeterError
-    after it has committed: the update stands, the structure stays
-    consistent and the meter keeps what the call charged, so the error
-    reports a broken depth contract, not a rejected call.
+    range, inactive or already active, an absent or duplicate edge, a node
+    that is not isolated) raises SparsError, naming the ids as passed, from
+    checks that run before it changes anything.  A call that runs deeper
+    than its budget raises MeterError after it has committed: the update
+    stands, the structure stays consistent and the meter keeps what the call
+    charged, so the error reports a broken depth contract, not a rejected
+    call.
     """
 
     mode = "connectivity"

@@ -1,12 +1,16 @@
 """The benchmark's traced run still fits the package.
 
 `bench/tracer.py` wraps the layers' functions by name and `bench/run.py`
-reads structure internals for `chunks.slot_occupancy`.  A rename in the
-package would otherwise show only when `bench/run.py --trace 1` fails.
+reads structure internals for `chunks.slot_occupancy` and for its answer
+check.  A rename in the package would otherwise show only when
+`bench/run.py` fails.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from dynconn.sparsify import DynamicConnectivity
 
@@ -16,6 +20,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def load(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up by name while the class is built
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -39,3 +45,17 @@ def test_slot_occupancy_reads_a_connectivity_facade():
     for u, v in [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (9, 16)]:
         f.insert_edge(u, v)
     assert 0.0 < run._slot_occupancy(f) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "name, length", [("conn_churn", 200), ("conn_sparse_reads", 400)]
+)
+def test_gated_workload_drives_and_checks(name, length):
+    run, workloads = load("run"), load("workloads")
+    w = getattr(workloads, name)("1/0", n=64, length=length)
+    f, _, held = run.setup(w)
+    log = run.drive(f, w.calls)
+    assert held == w.edges
+    assert run.check_answers(w, held, log, f) == []
+    assert log.internal == []
+    assert not any(log.failed)

@@ -454,8 +454,8 @@ def test_every_chunk_is_its_tree_leaf():
             arrays.remove(b)
         for x in arrays:
             assert all(c.array is x and c.pos == pos for pos, c in enumerate(x.leaves))
-        for c in ms.slots:
-            if c is not None and c.array is not None:
+        for c in ms.slots.values():
+            if c.array is not None:
                 assert c.array.leaves[c.pos] is c
     check_chunk_store(ms)
 
@@ -555,7 +555,9 @@ def test_bulk_set_links_matches_full_column_scan():
                 ms.concatenate(x, arrs[op[2]])
                 del arrs[op[2]]
         new, ref = twins
-        assert [c and c.bits for c in new.slots] == [c and c.bits for c in ref.slots]
+        assert {s: c.bits for s, c in new.slots.items()} == {
+            s: c.bits for s, c in ref.slots.items()
+        }
         assert [[leaf.bits for leaf in arr.leaves] for arr in arrays[0]] == [
             [leaf.bits for leaf in arr.leaves] for arr in arrays[1]
         ]

@@ -63,6 +63,11 @@ class TestNodes:
         with pytest.raises(ForestError):
             f.activate_node(2)
 
+    def test_fresh_forest_holds_no_record_per_node_or_slot(self):
+        f = forest(10**5)
+        assert f.nbr == {}
+        assert f.store.slots == {}
+
 
 class TestInsert:
     def test_two_singletons_tour(self):
@@ -161,8 +166,8 @@ class TestFindReplacement:
 
         def observable(f):
             tours = sorted(tuple(t) for t in euler_tours(f).values())
-            links = [(c.slot, c.bits) for c in f.store.slots if c is not None]
-            adj = [(i, sorted(x)) for i, x in enumerate(f.nbr) if x]
+            links = [(c.slot, c.bits) for c in f.store.slots.values()]
+            adj = [(i, sorted(x)) for i, x in f.nbr.items() if x]
             return (tours, links, adj)
 
         before = observable(f)
@@ -314,7 +319,7 @@ class TestLinkFlush:
             else:
                 continue
             assert len(set(refreshed)) == len(refreshed)
-            assert all(f.store.slots[c.slot] is c for c in refreshed)
+            assert all(f.store.slots.get(c.slot) is c for c in refreshed)
             check_link_vectors(f)
             check_chunk_store(f.store)
             longest = max([longest] + [len(a) for a in f.store.arrays()])

@@ -243,12 +243,23 @@ class TestFootprint:
             cg.delete_edge(u, v)
         assert cg.cycle == {}
         assert len(cg.free) == 2 * len(edges)
+        assert cg.inner.nbr == {}
+        check_gadget_graph(cg)
+
+    def test_deleting_a_chunked_cycle_leaves_no_record(self):
+        # the centre of a star has a gadget cycle whose tour outgrows a chunk
+        n = 24
+        cg = conn(n=n)
+        activate_all(cg, n)
         forest = cg.inner
-        assert all(
-            forest.nbr[g] is None
-            for g in range(forest.capacity)
-            if not forest.active[g]
-        )
+        for v in range(1, n):
+            cg.insert_edge(0, v)
+        assert 2 * (len(cg.cycle[0]) - 1) > forest.K
+        assert forest.store.slots
+        for v in range(1, n):
+            cg.delete_edge(0, v)
+        assert forest.nbr == {}
+        assert forest.store.slots == {}
         check_gadget_graph(cg)
 
     def test_ids_follow_the_prefilled_free_list(self):

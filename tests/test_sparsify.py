@@ -9,6 +9,9 @@ from dynconn.oracle import (
     bf_bipartite,
     bf_components,
     bf_connected,
+    check_chunk_store,
+    check_euler_forest,
+    check_gadget_graph,
     check_spars_tree,
 )
 from dynconn.sparsify import (
@@ -66,7 +69,7 @@ class TestBasics:
         d.insert_edge(1, 5)
         holding = [
             node for node in d.core.nodes.values()
-            if (0, 4) in node.base_edges
+            if (0, 4) in node.edges()
         ]
         assert len(holding) == d.core.levels + 1
 
@@ -79,11 +82,11 @@ class TestBasics:
         d.insert_edge(1, 3)  # closes a triangle inside one leaf-side subtree
         # the cycle-closing edge joins only levels where its endpoints were
         # still disconnected, plus one parent
-        holding = [n for n in d.core.nodes.values() if (0, 2) in n.base_edges]
+        holding = [n for n in d.core.nodes.values() if (0, 2) in n.edges()]
         per_level = {}
         for x, y in [(0, 1), (1, 2), (0, 2)]:
             for node in d.core.nodes.values():
-                if (x, y) in node.base_edges:
+                if (x, y) in node.edges():
                     per_level.setdefault((x, y), []).append(node.key[0])
         assert holding, "edge missing everywhere"
         check_spars_tree(d.core)
@@ -454,35 +457,49 @@ class TestBrokenDepthContract:
 
 
 def _bad_id_calls(bad):
+    if isinstance(bad, int):
+        message = f"node id {bad} out of range 1..8"
+    else:
+        message = f"node id {bad!r} is not an integer"
     return [
-        (f"activate_node({bad!r})", lambda f: f.activate_node(bad)),
-        (f"deactivate_node({bad!r})", lambda f: f.deactivate_node(bad)),
-        (f"insert_edge(1, {bad!r})", lambda f: f.insert_edge(1, bad)),
-        (f"delete_edge({bad!r}, 2)", lambda f: f.delete_edge(bad, 2)),
-        (f"connected(1, {bad!r})", lambda f: f.connected(1, bad)),
+        (f"activate_node({bad!r})", lambda f: f.activate_node(bad), message),
+        (f"deactivate_node({bad!r})", lambda f: f.deactivate_node(bad), message),
+        (f"insert_edge(1, {bad!r})", lambda f: f.insert_edge(1, bad), message),
+        (f"delete_edge({bad!r}, 2)", lambda f: f.delete_edge(bad, 2), message),
+        (f"connected(1, {bad!r})", lambda f: f.connected(1, bad), message),
     ]
 
 
-# nodes 1..6 are active (7 and 8 are not), edges (1,2), (2,3) and (4,5)
+# nodes 1..6 are active (7 and 8 are not), edges (1,2), (2,3) and (4,5); each
+# call's message names the ids as the caller passed them
 REJECTED_CALLS = [
     call for bad in (0, 9, 1.5, 4.0, "2") for call in _bad_id_calls(bad)
 ] + [
-    ("insert_edge(1, 7): inactive endpoint", lambda f: f.insert_edge(1, 7)),
-    ("connected(7, 1): inactive endpoint", lambda f: f.connected(7, 1)),
-    ("activate_node(1): already active", lambda f: f.activate_node(1)),
-    ("deactivate_node(7): not active", lambda f: f.deactivate_node(7)),
-    ("deactivate_node(2): has edges", lambda f: f.deactivate_node(2)),
-    ("insert_edge(2, 1): duplicate", lambda f: f.insert_edge(2, 1)),
-    ("insert_edge(3, 3): self-loop", lambda f: f.insert_edge(3, 3)),
-    ("delete_edge(1, 3): absent", lambda f: f.delete_edge(1, 3)),
+    ("insert_edge(1, 7): inactive endpoint", lambda f: f.insert_edge(1, 7),
+     "node 7 not active"),
+    ("connected(7, 1): inactive endpoint", lambda f: f.connected(7, 1),
+     "node 7 not active"),
+    ("activate_node(1): already active", lambda f: f.activate_node(1),
+     "node 1 already active"),
+    ("deactivate_node(7): not active", lambda f: f.deactivate_node(7),
+     "node 7 not active"),
+    ("deactivate_node(2): has edges", lambda f: f.deactivate_node(2),
+     "node 2 not isolated"),
+    ("insert_edge(2, 1): duplicate", lambda f: f.insert_edge(2, 1),
+     "edge (2,1) already present"),
+    ("insert_edge(3, 3): self-loop", lambda f: f.insert_edge(3, 3), "self-loop"),
+    ("delete_edge(1, 3): absent", lambda f: f.delete_edge(1, 3),
+     "edge (1,3) absent"),
 ]
 
 
 @pytest.mark.parametrize("make", [conn_facade, bip_facade], ids=["conn", "bip"])
 @pytest.mark.parametrize(
-    "call", [c for _, c in REJECTED_CALLS], ids=[name for name, _ in REJECTED_CALLS]
+    "call, message",
+    [(c, m) for _, c, m in REJECTED_CALLS],
+    ids=[name for name, _, _ in REJECTED_CALLS],
 )
-def test_rejected_calls_change_nothing(make, call):
+def test_rejected_calls_change_nothing(make, call, message):
     f = make(8)
     for v in range(1, 7):
         f.activate_node(v)
@@ -495,7 +512,26 @@ def test_rejected_calls_change_nothing(make, call):
         return meter.work, meter.depth, meter.init_work, len(core.nodes), adj
 
     before = state()
-    with pytest.raises(ValueError):
+    with pytest.raises(SparsError) as raised:
         call(f)
+    assert str(raised.value) == message
     assert state() == before
     check_spars_tree(core)
+
+
+@pytest.mark.parametrize("make", [conn_facade, bip_facade], ids=["conn", "bip"])
+def test_checkers_leave_the_meter_unchanged(make):
+    f = make(16)
+    for v in range(1, 17):
+        f.activate_node(v)
+    for u, v in [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (9, 16)]:
+        f.insert_edge(u, v)
+    meter = f.meter
+    before = (meter.work, meter.depth, meter.init_work)
+    check_spars_tree(f.core)
+    for node in f.core.nodes.values():
+        for cg in [node.conn] + ([node.bip.cover] if node.bip else []):
+            check_gadget_graph(cg)
+            check_euler_forest(cg.inner)
+            check_chunk_store(cg.inner.store)
+    assert (meter.work, meter.depth, meter.init_work) == before
