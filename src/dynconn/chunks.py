@@ -18,7 +18,7 @@ charged `width` units for whole-vector operations.
 from __future__ import annotations
 
 from .aggtree import DEPTH_BOUNDS as AGG_DEPTH, AggTree, AggVertex, join as agg_join
-from .costmodel import CHOOSE_ANY_DEPTH, CostMeter, extremum_depth
+from .costmodel import CostMeter, pick_depth
 
 
 # most blocks one `MasterArray.reorder` permutes: the five walks that
@@ -66,7 +66,7 @@ class MasterArray:
         depth, composed from the aggregate tree's; slot management charges
         none.  Only `query` depends on the policy, through its two picks."""
         agg = AGG_DEPTH
-        pick = extremum_depth(policy) if policy.kind == "common" else CHOOSE_ANY_DEPTH
+        pick = pick_depth(policy)
         return {
             "link": 2 * agg["bit_set"],
             "unlink": 2 * agg["bit_set"],
@@ -95,15 +95,21 @@ class MasterArray:
         """Activate a chunk with `edges` in a free slot; links start all-zero."""
         if slot in self.slots:
             raise ChunkError(f"slot {slot} occupied")
+        if slot not in self.free:
+            raise ChunkError(f"slot {slot} out of range 0..{self.slot_count - 1}")
+        c = self._activate(slot, edges)
         self.free.remove(slot)
-        return self._activate(slot, edges)
+        return c
 
     def alloc_chunk(self, edges):
         if not self.free:
             raise ChunkError("master array full")
-        return self._activate(self.free.pop(), edges)
+        c = self._activate(self.free[-1], edges)
+        self.free.pop()
+        return c
 
     def _activate(self, slot, edges):
+        """Fill a free slot, checking the size before any change."""
         if not 1 <= len(edges) <= self.chunk_capacity:
             raise ChunkError(f"chunk size {len(edges)} out of 1..{self.chunk_capacity}")
         c = Chunk(slot, list(edges))
@@ -279,8 +285,9 @@ class MasterArray:
         self._refresh_positions(array, first)
 
     def query(self, array: AggTree, i, j, k, l):
-        """An arbitrary linked pair (C, C') with C at a position in [i, j) and
-        C' in [k, l); None if no such pair exists.
+        """A linked pair (C, C') with C at a position in [i, j) and C' in
+        [k, l), each side as the write policy picks; None if no such pair
+        exists.
 
         The OR of the link vectors over [i, j) is read off the aggregate
         tree, which the query does not change.
@@ -297,19 +304,13 @@ class MasterArray:
         meter.parallel_charge(l - k)
         if not candidates:
             return None
-        if meter.policy.kind == "common":
-            _, q = meter.reduce_extremum(candidates, "min")
-        else:
-            q = meter.choose_any(candidates)
+        q = meter.pick(candidates)
         cq = order[q]
         back = [pos for pos in range(i, j) if (cq.bits >> order[pos].slot) & 1]
         meter.parallel_charge(j - i)
         if not back:
             raise ChunkError("link vectors inconsistent during query")
-        if meter.policy.kind == "common":
-            _, p = meter.reduce_extremum(back, "min")
-        else:
-            p = meter.choose_any(back)
+        p = meter.pick(back)
         return order[p], cq
 
     def _refresh_positions(self, array: AggTree, start=0):

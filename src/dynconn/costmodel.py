@@ -240,6 +240,13 @@ class CostMeter:
         pick = ties[self._rng.randrange(len(ties))]
         return pick, best
 
+    def pick(self, values):
+        """The least of `values` under the common policy, a seeded draw under
+        the arbitrary one: the one choice that depends on the write policy."""
+        if self.policy.kind == "common":
+            return self.reduce_extremum(values, "min")[1]
+        return self.choose_any(values)
+
     def choose_any(self, candidates):
         """Pick one element of a non-empty list, seeded; arbitrary policy only."""
         if not candidates:
@@ -296,6 +303,11 @@ def extremum_depth(policy) -> int:
     if policy.kind == "common":
         return 2 * _extremum_rounds(policy.epsilon) + 1
     return 2
+
+
+def pick_depth(policy) -> int:
+    """Depth of CostMeter.pick: a min reduction, or one race."""
+    return extremum_depth(policy) if policy.kind == "common" else CHOOSE_ANY_DEPTH
 
 
 def segment_end_depth(policy) -> int:

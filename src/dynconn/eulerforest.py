@@ -37,7 +37,7 @@ import math
 from itertools import chain
 
 from .chunks import MasterArray
-from .costmodel import CHOOSE_ANY_DEPTH, CostMeter, extremum_depth
+from .costmodel import CostMeter, pick_depth
 
 # a node of degree at most 3 has at most 3 tree edges, hence at most 6 tour
 # occurrences and 6 containers
@@ -82,13 +82,12 @@ class SmallTour:
 
 
 class EulerForest:
-    def __init__(self, meter: CostMeter, capacity: int, priority_of=None):
+    def __init__(self, meter: CostMeter, capacity: int):
         self.meter = meter
         self.capacity = capacity
         self.K = max(2, math.isqrt(3 * capacity - 1) + 1)
         J = 4 * ((3 * capacity + self.K - 1) // self.K) + 8
         self.store = MasterArray(meter, J, self.K)
-        self.priority_of = priority_of or (lambda u, v: 0)
         self.nbr = {}
         self.edge_occ = {}
         # chunks the current update touched, as an insertion-ordered set:
@@ -120,10 +119,7 @@ class EulerForest:
         promoted edge's endpoints.
         """
         store = MasterArray.depth_bounds(policy)
-        if policy.kind == "common":
-            select = extremum_depth(policy)
-        else:
-            select = 1 + CHOOSE_ANY_DEPTH  # best-priority filter, then the race
+        select = pick_depth(policy)  # the replacement among the candidates
         insert_chunk = store["insert_chunk"]
         refresh = 2 + store["bulk_set_links"]  # _refresh_links
         retire = store["bulk_set_links"] + store["delete_chunk"]  # _retire_chunk
@@ -310,10 +306,10 @@ class EulerForest:
             return ReplacementReport(ReplacementReport.NON_TREE)
         container = self.edge_occ[(u, v)][0]
         if isinstance(container, SmallTour):
-            kind, edge, _geo = self._probe_small(container, u, v, None)
+            *_, pair = self._probe_small(container, u, v, None)
         else:
-            kind, edge, _geo = self._probe_large(container.array, u, v, None)
-        return ReplacementReport(kind, edge)
+            *_, pair = self._probe_large(container.array, u, v, None)
+        return self._report(pair)
 
     def _delete(self, u, v, hint):
         self._require_edge(u, v)
@@ -324,15 +320,21 @@ class EulerForest:
             return ReplacementReport(ReplacementReport.NON_TREE)
         container = self.edge_occ[(u, v)][0]
         if isinstance(container, SmallTour):
-            kind, edge, geo = self._probe_small(container, u, v, hint)
+            i1, i2, pair = self._probe_small(container, u, v, hint)
             self._remove_adjacency(u, v)
-            self._commit_small(container, kind, edge, geo)
+            self._commit_small(container, i1, i2, pair)
         else:
-            kind, edge, geo = self._probe_large(container.array, u, v, hint)
+            lo, hi, pair = self._probe_large(container.array, u, v, hint)
             self._remove_adjacency(u, v)
-            self._commit_large(container.array, kind, edge, geo)
+            self._commit_large(container.array, lo, hi, pair)
         self._flush_links()
-        return ReplacementReport(kind, edge)
+        return self._report(pair)
+
+    def _report(self, pair):
+        """Report a tree-edge deletion replaced by `pair`, None on a split."""
+        if pair is None:
+            return ReplacementReport(ReplacementReport.SPLIT)
+        return ReplacementReport(ReplacementReport.REPLACED, self._norm(*pair))
 
     def _remove_adjacency(self, u, v):
         self.nbr[u].remove(v)
@@ -355,6 +357,8 @@ class EulerForest:
     # -- small-tour paths --------------------------------------------------------
 
     def _probe_small(self, tour, u, v, hint):
+        """(u, v)'s two occurrence indices and the replacement as a (near,
+        far) pair, or None."""
         edges = tour.edges
         i1 = edges.index((u, v))
         i2 = edges.index((v, u))
@@ -368,13 +372,12 @@ class EulerForest:
         far = edges[i1][1]
         far_nodes.add(far)
         self.meter.parallel_charge(len(edges))
-        geo = (i1, i2, far_nodes)
         if hint is not None:
             h1, h2 = hint
             if (h1 in far_nodes) != (h2 in far_nodes):
                 if h1 in far_nodes:
                     h1, h2 = h2, h1
-                return ReplacementReport.REPLACED, self._norm(h1, h2), geo + ((h1, h2),)
+                return i1, i2, (h1, h2)
         candidates = []
         for x in far_nodes:
             for y in self.nbr[x]:
@@ -382,36 +385,20 @@ class EulerForest:
                     continue
                 if (x, y) == (v, u) or (x, y) == (u, v):
                     continue
-                candidates.append((self.priority_of(y, x), y, x))  # (near, far)
+                candidates.append((y, x))  # (near, far)
         self.meter.parallel_charge(3 * len(far_nodes))
-        if not candidates:
-            return ReplacementReport.SPLIT, None, geo
-        chosen = self._select(candidates)
-        w_near, w_far = chosen[1], chosen[2]
-        return ReplacementReport.REPLACED, self._norm(w_near, w_far), geo + ((w_near, w_far),)
+        return i1, i2, self.meter.pick(candidates) if candidates else None
 
-    def _select(self, candidates):
-        m = self.meter
-        if m.policy.kind == "common":
-            idx, _ = m.reduce_extremum(candidates, "min")
-            return candidates[idx]
-        best = min(c[0] for c in candidates)
-        m.parallel_charge(len(candidates))
-        return m.choose_any([c for c in candidates if c[0] == best])
-
-    def _commit_small(self, tour, kind, edge, geo):
+    def _commit_small(self, tour, i1, i2, pair):
         edges = tour.edges
-        i1, i2 = geo[0], geo[1]
         p1, p2, p3 = edges[:i1], edges[i1 + 1 : i2], edges[i2 + 1 :]
         self._drop_container(tour)
-        if kind == ReplacementReport.NON_TREE:
-            raise AssertionError("unreachable")
-        if kind == ReplacementReport.SPLIT:
+        if pair is None:
             self._adopt_small(p3 + p1)
             self._adopt_small(p2)
             self.meter.parallel_charge(len(edges))
             return
-        w_near, w_far = geo[3]
+        w_near, w_far = pair
         near = p3 + p1
         a = _cut_index(near, w_near)
         b = _cut_index(p2, w_far)
@@ -536,6 +523,8 @@ class EulerForest:
         self.meter.charge(2)
 
     def _probe_large(self, array, u, v, hint):
+        """(u, v)'s lower and upper (edge, occurrence) and the replacement
+        as a (near, far) pair, or None."""
         occ1 = self.edge_occ[(u, v)]
         occ2 = self.edge_occ[(v, u)]
         lo, hi = ((u, v), occ1), ((v, u), occ2)
@@ -559,7 +548,6 @@ class EulerForest:
                 return lo_key < key < hi_key
             raise AssertionError(f"cannot classify node {x}")
 
-        geo = (lo, hi, far_side)
         self.meter.charge(8)
         if hint is not None:
             h1, h2 = hint
@@ -567,7 +555,7 @@ class EulerForest:
             if f1 != f2:
                 if f1:
                     h1, h2 = h2, h1
-                return ReplacementReport.REPLACED, self._norm(h1, h2), geo + ((h1, h2),)
+                return lo, hi, (h1, h2)
         candidates = []
         seen = set()
 
@@ -583,7 +571,7 @@ class EulerForest:
                     if (near, far) in seen:
                         continue
                     seen.add((near, far))
-                    candidates.append((self.priority_of(near, far), near, far))
+                    candidates.append((near, far))
 
         c_lo, c_hi = lo[1][0], hi[1][0]
         scan_nodes(self._chunk_nodes(c_lo))
@@ -606,16 +594,11 @@ class EulerForest:
                         if (x, y) in seen:
                             continue
                         seen.add((x, y))
-                        candidates.append((self.priority_of(x, y), x, y))
+                        candidates.append((x, y))
                 self.meter.parallel_charge(3 * self.K)
-        if not candidates:
-            return ReplacementReport.SPLIT, None, geo
-        chosen = self._select(candidates)
-        w_near, w_far = chosen[1], chosen[2]
-        return ReplacementReport.REPLACED, self._norm(w_near, w_far), geo + ((w_near, w_far),)
+        return lo, hi, self.meter.pick(candidates) if candidates else None
 
-    def _commit_large(self, array, kind, edge, geo):
-        lo, hi = geo[0], geo[1]
+    def _commit_large(self, array, lo, hi, pair):
         # cut out both occurrences, low position first; the second cut resolves
         # its chunk afresh since the first may have moved or split it
         lo_pos = self._cut_out(lo[0])
@@ -623,13 +606,13 @@ class EulerForest:
         # block boundaries by array position: P1 = [0, a), P2 = [a, b), P3 = [b, n)
         a, b = lo_pos, hi_pos
         n = len(array)
-        if kind == ReplacementReport.SPLIT:
+        if pair is None:
             self.store.reorder(array, [(0, a), (b, n), (a, b)])  # P1 P3 P2
             far = self.store.split_array(array, a + (n - b))
             self._repair(array)
             self._repair(far)
             return
-        w_near, w_far = geo[3]
+        w_near, w_far = pair
         # split the far walk X = P2 at an occurrence leaving w_far, the near
         # walk Y = P3.P1 at one leaving w_near; the new cyclic tour is
         #   Y' (w_near,w_far) X'' X' (w_far,w_near) Y''

@@ -10,7 +10,8 @@ Two layers, each a constant-factor translation into a lower structure:
                    before removing edges and steering every tree cycle-edge
                    deletion with the cycle's chord (its one non-tree edge,
                    tracked in O(1)) as the hint, which makes host tree
-                   edges exactly the cross tree edges.
+                   edges exactly the cross tree edges with no ranking of
+                   replacement candidates (`ConnGeneral._del`).
 
   BipartiteGeneral bipartiteness from the bipartite double cover.  The cover
                    of a graph H has two nodes 2v and 2v+1 per node v of H
@@ -90,9 +91,7 @@ class ConnGeneral:
         self.meter = meter
         self.host_capacity = host_capacity
         self.edge_capacity = edge_capacity
-        self.inner = EulerForest(
-            meter, 2 * edge_capacity + 2, priority_of=self._priority
-        )
+        self.inner = EulerForest(meter, 2 * edge_capacity + 2)
         self.host_active = bytearray(host_capacity)
         # host -> its gadget cycle, only for hosts of degree 1 or more, so an
         # idle host holds no object
@@ -121,16 +120,6 @@ class ConnGeneral:
             "delete": _translated_depth(CONN_DELETE_CEILINGS, forest),
             "find_replacement": forest["find_replacement"],
         }
-
-    def _priority(self, a, b):
-        # same-cycle edges are the preferred replacement class: when a cycle
-        # edge is deleted, swapping in the cycle's own chord keeps the cycle
-        # internally tree-connected (a cross replacement would break it; for
-        # cross-edge deletions no cycle edge can span the cut, so the
-        # preference never misleads there).  The preference only ranks the
-        # candidates a search finds, and a search on a chunked tour may miss
-        # the chord, so _del passes the chord as a hint instead
-        return 0 if self.owner[a] == self.owner[b] else 1
 
     # -- node lifecycle --------------------------------------------------------
 
@@ -263,8 +252,8 @@ class ConnGeneral:
     def _splice_in(self, u):
         # full gadget nodes sit at degree 3 (two cycle edges plus the cross
         # edge), so the broken cycle edge is deleted before the new ones go
-        # in; the same-cycle replacement preference keeps the cycle's tree
-        # connectivity across that deletion
+        # in; the chord hint (_del) keeps the cycle's tree connectivity
+        # across that deletion
         g = self._alloc(u)
         cyc = self.cycle.get(u)
         if cyc is None:
@@ -316,9 +305,16 @@ class ConnGeneral:
         self.counts.edge_add += 1
 
     def _del(self, u, a, b):
-        """Delete cycle edge (a, b) of host u.  A tree cycle edge lies on
-        the path the chord closes, so the chord reconnects the two sides and
-        is passed as the hint; either way the cycle is left without one."""
+        """Delete cycle edge (a, b) of host u, leaving the cycle without a
+        chord.  No deletion lets a cross edge replace a cycle edge, so every
+        cycle stays tree-connected and the forest needs no preference among
+        its candidates.  A tree cycle edge lies on the path the chord closes,
+        so the chord crosses the cut; passed as the hint, it is adopted
+        before any candidate is collected.  Otherwise the edge is the chord
+        itself, a non-tree edge, or the last edge of a gadget node being
+        released, whose side of the cut is that lone node.  A cross-edge
+        deletion (`_delete`) leaves every tree-connected cycle on one side
+        of its cut."""
         chord = self.chord.pop(u, None)
         if chord is None or chord == (a, b) or chord == (b, a):
             self.inner.delete_edge(a, b)

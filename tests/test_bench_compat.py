@@ -48,14 +48,19 @@ def test_slot_occupancy_reads_a_connectivity_facade():
 
 
 @pytest.mark.parametrize(
-    "name, length", [("conn_churn", 200), ("conn_sparse_reads", 400)]
+    "name, n, length",
+    [("conn_churn", 64, 200), ("conn_sparse_reads", 64, 400), ("bip_toggle", 16, 60)],
+    ids=["conn_churn-200", "conn_sparse_reads-400", "bip_toggle-16-60"],
 )
-def test_gated_workload_drives_and_checks(name, length):
+def test_gated_workload_drives_and_checks(name, n, length):
     run, workloads = load("run"), load("workloads")
-    w = getattr(workloads, name)("1/0", n=64, length=length)
+    w = getattr(workloads, name)("1/0", n=n, length=length)
     f, _, held = run.setup(w)
     log = run.drive(f, w.calls)
     assert held == w.edges
     assert run.check_answers(w, held, log, f) == []
     assert log.internal == []
     assert not any(log.failed)
+    # a script that asks is_bipartite reaches both answers
+    bip = {out for op, out in zip(log.ops, log.answers) if op == "is_bipartite"}
+    assert bip in (set(), {True, False})

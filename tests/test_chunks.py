@@ -50,8 +50,30 @@ class TestSlots:
     def test_occupied_slot_rejected(self):
         ms = store()
         c = ms.alloc_chunk([(0, 1)])
+        before = (list(ms.free), dict(ms.slots), ms.meter.work)
         with pytest.raises(ChunkError, match="occupied"):
             ms.set_chunk(c.slot, [(2, 3)])
+        assert (ms.free, ms.slots, ms.meter.work) == before
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda ms: ms.set_chunk(2, []), "chunk size 0 out of 1..3"),
+            (lambda ms: ms.set_chunk(2, [(0, 1)] * 4), "chunk size 4"),
+            (lambda ms: ms.set_chunk(7, [(0, 1)]), "slot 7 out of range"),
+            (lambda ms: ms.set_chunk(-1, [(0, 1)]), "slot -1 out of range"),
+            (lambda ms: ms.set_chunk(1.5, [(0, 1)]), "slot 1.5 out of range"),
+            (lambda ms: ms.alloc_chunk([]), "chunk size 0"),
+        ],
+        ids=["empty", "oversized", "past-end", "negative", "fractional", "alloc-empty"],
+    )
+    def test_rejected_slot_call_changes_nothing(self, call, match):
+        ms = MasterArray(CostMeter(ArbitraryPolicy(9)), 4, 3)
+        ms.alloc_chunk([(0, 1)])
+        before = (list(ms.free), dict(ms.slots), ms.meter.work)
+        with pytest.raises(ChunkError, match=match):
+            call(ms)
+        assert (ms.free, ms.slots, ms.meter.work) == before
 
 
 class TestLinks:

@@ -8,6 +8,7 @@ from dynconn.costmodel import (
     CostMeter,
     MeterError,
     extremum_depth,
+    pick_depth,
     segment_end_depth,
 )
 
@@ -251,10 +252,29 @@ class TestPrimitiveDepths:
             m.reset()
             m.prefix_and(bits)
             assert m.depth == PREFIX_AND_DEPTH
+            m.reset()
+            m.pick(values)
+            assert m.depth == pick_depth(policy)
             if policy.kind == "arbitrary":
                 m.reset()
                 m.choose_any(values)
                 assert m.depth == CHOOSE_ANY_DEPTH
+
+
+class TestPick:
+    def test_common_pick_is_the_least_value(self):
+        m = meter(CommonPolicy(0.25))
+        values = [(i * 37) % 11 + 3 for i in range(50)]
+        assert m.pick(values) == min(values)
+        assert m.pick([(2, 5), (1, 9), (1, 4)]) == (1, 4)
+
+    def test_arbitrary_pick_repeats_for_a_fixed_seed(self):
+        values = list(range(40))
+        m1, m2 = meter(ArbitraryPolicy(11)), meter(ArbitraryPolicy(11))
+        first = [m1.pick(values) for _ in range(20)]
+        assert first == [m2.pick(values) for _ in range(20)]
+        assert set(first) <= set(values)
+        assert len(set(first)) > 1
 
 
 class TestParallelForRaising:

@@ -16,9 +16,8 @@ from dynconn.oracle import (
 )
 
 
-def forest(n=16, policy=None, priority=None):
-    f = EulerForest(CostMeter(policy or ArbitraryPolicy(4)), n, priority)
-    return f
+def forest(n=16, policy=None):
+    return EulerForest(CostMeter(policy or ArbitraryPolicy(4)), n)
 
 
 def forest_with(edges, n=16, policy=None):
@@ -359,19 +358,3 @@ class TestCheckerCatchesCorruption:
         with pytest.raises(CheckFailure, match="occurrence pointer stale"):
             check_euler_forest(f)
 
-
-class TestPriorities:
-    def test_preferred_class_wins(self):
-        # two possible replacements; priority picks the preferred one
-        def prio(a, b):
-            return 0 if (min(a, b), max(a, b)) == (0, 3) else 1
-
-        for policy in (ArbitraryPolicy(1), CommonPolicy(0.5)):
-            f = forest_with(
-                [(0, 1), (1, 2), (2, 3)], policy=policy
-            )
-            f.priority_of = prio
-            f.insert_edge(0, 3)
-            f.insert_edge(0, 2)
-            rep = f.delete_edge(1, 2)
-            assert rep == ReplacementReport(ReplacementReport.REPLACED, (0, 3))
