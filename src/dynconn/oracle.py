@@ -312,7 +312,9 @@ def check_gadget_graph(cg):
 
 
 def check_spars_tree(s):
-    """Base-graph/forest invariants across materialized sparsification nodes."""
+    """Base-graph/forest invariants across materialized sparsification nodes;
+    in bipartiteness mode also that the cover tree holds exactly the lift of
+    the graph, and the cover tree's own invariants."""
     for node in s.nodes.values():
         edges = sorted(node.edges())
         cap = 4 * node.size
@@ -342,30 +344,14 @@ def check_spars_tree(s):
                         (x, y) in child.forest_edges(),
                         f"edge {(x, y)} tree at {node.key} but not at {ck}",
                     )
-    if s.mode == "bipartiteness":
-        for node in s.nodes.values():
-            g = SimpleGraph()
-            seen = set()
-            edges = node.edges()
-            for (x, y) in edges:
-                for w in (x, y):
-                    if w not in seen:
-                        seen.add(w)
-                        g.activate(w)
-            for (x, y) in edges:
-                g.add_edge(x, y)
-            check(node.own_bit == bf_bipartite(g), f"own flag stale at {node.key}")
-        for node in s.nodes.values():
-            agg = node.own_bit
-            stack = [node.key]
-            first = True
-            while stack:
-                k = stack.pop()
-                nd = s.nodes.get(k)
-                if nd is None:
-                    continue
-                if not first:
-                    agg = agg and nd.own_bit
-                first = False
-                stack.extend(s.child_keys(k))
-            check(node.subtree_flag == agg, f"subtree flag stale at {node.key}")
+    if s.bip is not None:
+        cover = s.bip.cover
+        nodes = {w for v in s.graph.adj for w in (2 * v, 2 * v + 1)}
+        check(set(cover.graph.adj) == nodes, "cover nodes are not the host's lift")
+        # u < v, so both lifted pairs are already (low, high)
+        edges = {
+            e for (u, v) in s.graph.edges()
+            for e in ((2 * u, 2 * v + 1), (2 * u + 1, 2 * v))
+        }
+        check(set(cover.graph.edges()) == edges, "cover edges are not the host's lift")
+        check_spars_tree(cover)

@@ -19,15 +19,18 @@ Two layers, each a constant-factor translation into a lower structure:
                    (2u+1, 2v).  A bipartite component of H lifts to two
                    components of the cover and a component with an odd
                    cycle to one, so H is bipartite exactly when
-                   c(cover) = 2 c(H).  The cover is one more ConnGeneral;
-                   c(H) comes from the host ConnGeneral it is built on.
+                   c(cover) = 2 c(H).  The cover is any connectivity
+                   structure over 2n nodes; the facade's is a second
+                   connectivity sparsification tree, which keeps the cover's
+                   component count at its root as the host tree keeps c(H).
 
 The paper, following Eppstein et al. (1997), gets bipartiteness from a
 degree-bounded distance-2 companion graph behind a gadget of alternating
 2d-cycles.  The double cover departs from that construction but keeps its
-asymptotic bounds: a host edge update is two ConnGeneral updates on twice
-the nodes and edges, so the work stays O(n^{1/2+eps}) per update and the
-depth stays constant (twice the connectivity layer's bound).
+asymptotic bounds: a host update is two connectivity updates on twice the
+nodes and edges, run beside the host's own update, so the work stays
+O(n^{1/2+eps}) per update and the depth stays constant (one step more than
+twice the connectivity bound).
 
 ConnGeneral counts its translated inner operations and asserts fixed per-call
 bounds, so a regression that breaks the constant-translation property fails
@@ -335,24 +338,29 @@ class ConnGeneral:
 class BipartiteGeneral:
     """Bipartiteness of an unbounded-degree graph via its double cover.
 
-    Built on the host's ConnGeneral, which already holds the same graph:
-    host node v is cover nodes 2v and 2v+1, and host edge uv is the cover
-    edges (2u, 2v+1) and (2u+1, 2v).
+    `host` holds the graph and `cover` a connectivity structure over twice
+    its nodes: a ConnGeneral or a connectivity SparsTree, anything with the
+    node and edge updates and `n_components`.  Host node v is cover nodes 2v
+    and 2v+1, and host edge uv is the cover edges (2u, 2v+1) and (2u+1, 2v).
+    The caller updates the host; each update here makes the matching two
+    cover updates, one after the other.
     """
 
-    def __init__(self, host: ConnGeneral):
+    def __init__(self, host, cover):
         self.meter = host.meter
         self.host = host
-        self.cover = ConnGeneral(
-            host.meter, 2 * host.host_capacity, 2 * host.edge_capacity
-        )
+        self.cover = cover
 
     @staticmethod
-    def depth_bounds(policy) -> dict:
-        """Upper bounds on the metered depth of apply_edge: two cover
-        updates of the same kind, one after the other."""
-        conn = ConnGeneral.depth_bounds(policy)
-        return {kind: 2 * conn[kind] for kind in ("insert", "delete")}
+    def depth_bounds(cover) -> dict:
+        """Upper bounds on the metered depth of the updates, given the
+        cover's bounds `cover`: two cover updates of the same kind, one
+        after the other."""
+        return {
+            op: 2 * cover[op]
+            for op in ("activate", "deactivate", "insert", "delete")
+            if op in cover
+        }
 
     def activate_node(self, v):
         self.cover.activate_node(2 * v)

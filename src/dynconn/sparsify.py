@@ -11,6 +11,12 @@ runs through the unbounded-degree connectivity layer sized by the node's own
 span, which is what turns per-operation cost into a geometric sum over
 levels.
 
+Bipartiteness comes from the same construction, after Eppstein et al.
+(1997): sparsification keeps the component count of any graph, so a second
+connectivity tree over the bipartite double cover (2n nodes) holds the
+cover's count at its root, and the graph is bipartite exactly when that is
+twice its own (see BipartiteGeneral).  No node keeps a bipartiteness flag.
+
 Nodes materialize lazily on first edge arrival; construction and activation
 replay inside a materialization are charged to the meter's initialization
 account, matching the convention that building a structure is not part of
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import operator
 
-from .costmodel import ArbitraryPolicy, CostMeter, PREFIX_AND_DEPTH, segment_end_depth
+from .costmodel import ArbitraryPolicy, CostMeter, segment_end_depth
 from .eulerforest import ReplacementReport
 from .oracle import SimpleGraph
 from .reductions import BipartiteGeneral, ConnGeneral, GadgetError
@@ -44,16 +50,16 @@ class SparsNode:
     """One sparsification-tree node: a base graph plus its query structures.
     The base graph is the gadget's host graph, `conn.ports`, over local ids."""
 
-    __slots__ = ("key", "spans", "size", "conn", "bip", "own_bit", "subtree_flag")
+    __slots__ = ("key", "spans", "size", "conn")
 
-    def __init__(self, meter, key, spans, mode):
+    # bench/run.py _slot_occupancy is the only reader of this attribute
+    bip = None
+
+    def __init__(self, meter, key, spans):
         self.key = key
         self.spans = spans  # one or two (lo, hi) global-id intervals
         self.size = sum(hi - lo for lo, hi in spans)
         self.conn = ConnGeneral(meter, self.size, 4 * self.size)
-        self.bip = BipartiteGeneral(self.conn) if mode == "bipartiteness" else None
-        self.own_bit = True
-        self.subtree_flag = True
 
     def covers(self, x):
         return any(lo <= x < hi for lo, hi in self.spans)
@@ -66,26 +72,17 @@ class SparsNode:
         return (hi0 - lo0) + (x - lo1)
 
     def activate(self, x):
-        local = self.local(x)
-        self.conn.activate_node(local)
-        if self.bip is not None:
-            self.bip.activate_node(local)
+        self.conn.activate_node(self.local(x))
 
     def deactivate(self, x):
-        local = self.local(x)
-        self.conn.deactivate_node(local)
-        if self.bip is not None:
-            self.bip.deactivate_node(local)
+        self.conn.deactivate_node(self.local(x))
 
     def has_edge(self, x, y):
         """Whether the base graph holds (x, y); the node covers both."""
         return (self.local(x), self.local(y)) in self.conn.ports
 
     def add_edge(self, x, y):
-        lx, ly = self.local(x), self.local(y)
-        self.conn.insert_edge(lx, ly)
-        if self.bip is not None:
-            self.bip.apply_edge(lx, ly, True)
+        self.conn.insert_edge(self.local(x), self.local(y))
 
     def remove_edge(self, x, y, hint=None):
         lx, ly = self.local(x), self.local(y)
@@ -95,8 +92,6 @@ class SparsNode:
             rep = self.conn.delete_edge_with_hint(
                 lx, ly, (self.local(hint[0]), self.local(hint[1]))
             )
-        if self.bip is not None:
-            self.bip.apply_edge(lx, ly, False)
         if rep is not None and rep.kind == ReplacementReport.REPLACED:
             return ReplacementReport(rep.kind, self.to_global(rep.edge))
         return rep
@@ -137,7 +132,13 @@ class SparsNode:
 class SparsTree:
     """Core structure shared by the two public facades.  Node ids are
     0-based; precondition messages name them 1-based, as the facade's caller
-    passed them."""
+    passed them.
+
+    In bipartiteness mode the tree owns `bip`, the double cover kept as a
+    second, connectivity-mode tree over 2n nodes (see BipartiteGeneral).
+    Every update checks its preconditions, then runs its own update and the
+    cover's two in one parallel step; otherwise `bip` is None.
+    """
 
     def __init__(self, n, mode, meter: CostMeter):
         if n < 1:
@@ -145,7 +146,6 @@ class SparsTree:
         if mode not in ("connectivity", "bipartiteness"):
             raise SparsError(f"unknown mode {mode!r}")
         self.n = n
-        self.mode = mode
         self.meter = meter
         self.levels = (n - 1).bit_length()  # partition-tree depth
         self.nodes = {}
@@ -154,6 +154,10 @@ class SparsTree:
         self._interval_cache = {(0, 0): (0, n)}
         self.root_key = (0, 0, 0)
         self._materialize(self.root_key)
+        self.bip = (
+            BipartiteGeneral(self, SparsTree(2 * n, "connectivity", meter))
+            if mode == "bipartiteness" else None
+        )
 
     # -- partition geometry ------------------------------------------------------
 
@@ -217,7 +221,7 @@ class SparsTree:
         if k2 != k1:
             spans.append(self.interval(level, k2))
         with self.meter.initialization():
-            node = SparsNode(self.meter, key, spans, self.mode)
+            node = SparsNode(self.meter, key, spans)
             for lo, hi in spans:
                 for x in range(lo, hi):
                     if x in self.graph.adj:
@@ -233,6 +237,10 @@ class SparsTree:
         self._check_id(v)
         if v in self.graph.adj:
             raise SparsError(f"node {v + 1} already active")
+        if self.bip is not None:
+            return self._beside_cover(
+                lambda: self.activate_node(v), lambda bip: bip.activate_node(v)
+            )
         self.graph.activate(v)
         ks = self.part_path(v)
         self.meter.parallel_charge(self.levels + 1)
@@ -244,6 +252,10 @@ class SparsTree:
         self._require_active(v)
         if self.graph.adj[v]:
             raise SparsError(f"node {v + 1} not isolated")
+        if self.bip is not None:
+            return self._beside_cover(
+                lambda: self.deactivate_node(v), lambda bip: bip.deactivate_node(v)
+            )
         self.graph.deactivate(v)
         ks = self.part_path(v)
         self.meter.parallel_charge(self.levels + 1)
@@ -260,6 +272,10 @@ class SparsTree:
             raise SparsError("self-loop")
         if self.graph.has_edge(x, y):
             raise SparsError(f"edge ({x + 1},{y + 1}) already present")
+        if self.bip is not None:
+            return self._beside_cover(
+                lambda: self.insert_edge(x, y), lambda bip: bip.apply_edge(x, y, True)
+            )
         path = [self._materialize(key) for key in self.key_path(x, y)]
         meter = self.meter
         probe = [0] * len(path)
@@ -279,8 +295,6 @@ class SparsTree:
         # the first connected level above them, all in one phase
         meter.parallel_for(min(end + 2, len(path)), insert_body)
         self.graph.add_edge(x, y)
-        if self.mode == "bipartiteness":
-            self._refresh_flags(path)
 
     def delete_edge(self, x, y):
         """Delete (x, y), restructuring every level that holds it.
@@ -300,6 +314,10 @@ class SparsTree:
         self._require_active(y)
         if not self.graph.has_edge(x, y):
             raise SparsError(f"edge ({x + 1},{y + 1}) absent")
+        if self.bip is not None:
+            return self._beside_cover(
+                lambda: self.delete_edge(x, y), lambda bip: bip.apply_edge(x, y, False)
+            )
         path = [self.nodes[key] for key in self.key_path(x, y)]
         meter = self.meter
         holds = [node.has_edge(x, y) for node in path]
@@ -352,8 +370,18 @@ class SparsTree:
 
         meter.parallel_for(len(path), promote_body)
         self.graph.remove_edge(x, y)
-        if self.mode == "bipartiteness":
-            self._refresh_flags(path)
+
+    def _beside_cover(self, update, cover_update):
+        """Run `update()` on this tree and `cover_update(bip)` on the double
+        cover in one parallel step, after the caller has checked every
+        precondition.  The tree's branch re-enters its public update with
+        the cover detached, so it takes the connectivity path."""
+        bip = self.bip
+        self.bip = None
+        try:
+            self.meter.parallel_for(2, lambda i: cover_update(bip) if i else update())
+        finally:
+            self.bip = bip
 
     def _check_footprint(self, holds, tree):
         """An edge occupies one contiguous path segment and is a tree edge
@@ -392,40 +420,9 @@ class SparsTree:
         return self.root().is_tree_edge(x, y)
 
     def is_bipartite(self):
-        if self.mode != "bipartiteness":
+        if self.bip is None:
             raise SparsError("not in bipartiteness mode")
-        self.meter.charge(1)
-        return self.root().subtree_flag
-
-    # -- bipartite flags ---------------------------------------------------------------
-
-    def _refresh_flags(self, path):
-        """Recompute own bits on the changed path and AND them up to the root.
-
-        localTerm(i) = ownBit(i) AND flags of off-path children; the new
-        subtree flag of the i-th path node is the AND of local terms at and
-        below it, which is a prefix-AND once terms are known.
-        """
-        meter = self.meter
-        terms = [True] * len(path)
-
-        def term_body(i):
-            node = path[i]
-            node.own_bit = node.bip.is_bipartite()
-            term = node.own_bit
-            below = path[i - 1] if i > 0 else None
-            for ck in self.child_keys(node.key):
-                child = self.nodes.get(ck)
-                if child is None or child is below:
-                    continue
-                term = term and child.subtree_flag
-            terms[i] = term
-
-        meter.parallel_for(len(path), term_body)
-        prefix = meter.prefix_and([1 if t else 0 for t in terms])
-        for i, node in enumerate(path):
-            node.subtree_flag = bool(prefix[i])
-        meter.parallel_charge(len(path))
+        return self.bip.is_bipartite()
 
     def _check_id(self, v):
         if not 0 <= v < self.n:
@@ -447,14 +444,17 @@ def depth_budgets(mode, policy) -> dict:
     Each budget is an upper bound on the operation's metered depth, composed
     bottom-up from the layers' own bounds: the aggregate tree's phase counts,
     the master array's and the Euler forest's sums over their sequential
-    calls, the connectivity gadget's call ceilings times the Euler forest's
-    bounds, and in bipartiteness mode twice those for the double cover's two
-    updates per edge.  It depends on the mode, and on the policy and its
-    epsilon through the extremum reductions, but never on n.  Epsilon only
-    sets the round count of the common-policy extremum; the update work is
-    sqrt(n) * polylog(n) for every epsilon (see `costmodel`).  Calls are not
-    padded: the meter keeps the depth the call spent, and a call that goes
-    over its budget raises MeterError.
+    calls, and the connectivity gadget's call ceilings times the Euler
+    forest's bounds.  In bipartiteness mode an update runs the connectivity
+    update beside the double cover's two, which are connectivity updates of
+    the same kind one after the other, so its budget is 1 + max(host, 2 *
+    cover) with both terms the connectivity budget.  A budget depends on the
+    mode, and on the policy and its epsilon through the extremum
+    reductions, but never on n.  Epsilon only sets the round count of the
+    common-policy extremum; the update work is sqrt(n) * polylog(n) for
+    every epsilon (see `costmodel`).  Calls are not padded: the meter keeps
+    the depth the call spent, and a call that goes over its budget raises
+    MeterError.
 
     Updates follow the sequential phases of SparsTree.insert_edge and
     delete_edge.  Node changes take one parallel step over the levels and
@@ -462,28 +462,27 @@ def depth_budgets(mode, policy) -> dict:
     """
     conn = ConnGeneral.depth_bounds(policy)
     add, remove = conn["insert"], conn["delete"]
-    flags = 0
-    if mode == "bipartiteness":
-        bip = BipartiteGeneral.depth_bounds(policy)
-        add += bip["insert"]
-        remove += bip["delete"]
-        flags = 1 + PREFIX_AND_DEPTH + 1  # _refresh_flags: terms, prefix AND, store
-    return {
+    budgets = {
         "activate": 1,
         "deactivate": 1,
         # probe, initial_segment_end, the commit phase
-        "insert": 1 + segment_end_depth(policy) + (1 + add) + flags,
+        "insert": 1 + segment_end_depth(policy) + (1 + add),
         # tree-edge probe, replacement probe, anchor prefix, the commit phase
         # (the adopted edge's add_edge, then remove_edge), promote
         "delete": (
             1 + (1 + conn["find_replacement"]) + 1 + (1 + add + remove)
-            + (1 + add) + flags
+            + (1 + add)
         ),
         "connected": 0,
         "ncomponents": 0,
         "treeedge": 0,
         "bipartite": 0,
     }
+    if mode == "bipartiteness":
+        # the cover is a connectivity tree under the same policy
+        for op, cover in BipartiteGeneral.depth_bounds(budgets).items():
+            budgets[op] = 1 + max(budgets[op], cover)
+    return budgets
 
 
 class _Facade:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dynconn.sparsify import DynamicConnectivity
+from dynconn.sparsify import DynamicBipartiteness, DynamicConnectivity
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,9 +37,12 @@ def test_every_traced_target_resolves():
     assert not missing
 
 
-def test_slot_occupancy_reads_a_connectivity_facade():
+@pytest.mark.parametrize(
+    "facade", [DynamicConnectivity, DynamicBipartiteness], ids=["conn", "bip"]
+)
+def test_slot_occupancy_reads_a_facade(facade):
     run = load("run")
-    f = DynamicConnectivity(16)
+    f = facade(16)
     for v in range(1, 17):
         f.activate_node(v)
     for u, v in [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (9, 16)]:

@@ -16,7 +16,7 @@ from dynconn.chunks import MasterArray
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy
 from dynconn.eulerforest import EulerForest
 from dynconn.reductions import BipartiteGeneral, ConnGeneral
-from dynconn.sparsify import DynamicBipartiteness, DynamicConnectivity
+from dynconn.sparsify import DynamicBipartiteness, DynamicConnectivity, depth_budgets
 
 POLICIES = [ArbitraryPolicy(5), CommonPolicy(0.25)]
 
@@ -61,9 +61,11 @@ def stated_bounds(policy):
     out = {("agg", k): v for k, v in aggtree.DEPTH_BOUNDS.items()}
     for layer, cls in (
         ("chunks", MasterArray), ("forest", EulerForest), ("conn", ConnGeneral),
-        ("general", BipartiteGeneral),
     ):
         out.update({(layer, k): v for k, v in cls.depth_bounds(policy).items()})
+    # the facade's double cover is a connectivity sparsification tree
+    general = BipartiteGeneral.depth_bounds(depth_budgets("connectivity", policy))
+    out.update({("general", k): v for k, v in general.items()})
     return out
 
 

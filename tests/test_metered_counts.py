@@ -6,12 +6,15 @@ recorded when the aggregate tree's boundary split came to cut along the
 boundary leaf's path directly, instead of splitting that leaf out and
 joining it back onto the right side, and when its restructuring steps came
 to one copy each (a join of two equal-height roots moves the children and
-rewrites the leaves' ancestors in one phase).  The two arbitrary-policy
-rows were re-recorded when the forest's replacement search stopped ranking
+rewrites the leaves' ancestors in one phase).  The connectivity-arbitrary
+row was last recorded when the forest's replacement search stopped ranking
 its candidates: the best-priority filter that ran before the seeded draw,
 one parallel step over the candidates, is gone, and the draw sees the same
-list as before.  A change that moves them changes the cost model and must
-say so.
+list as before.  The bipartiteness row was re-recorded when the double
+cover moved out of every sparsification node into one connectivity tree of
+its own, updated beside the graph's tree, so each host edge is now two
+sparsified cover updates instead of a cover update at each of its levels.
+A change that moves them changes the cost model and must say so.
 """
 
 import random
@@ -71,7 +74,7 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (214335, {"insert": 375, "delete": 474}, 11958),
+            (353380, {"insert": 513, "delete": 876}, 17302),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

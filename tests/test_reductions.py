@@ -305,12 +305,13 @@ class TestFootprint:
 
 
 class Bip:
-    """A host ConnGeneral and the double cover built on it, updated together
-    the way a sparsification node updates them."""
+    """A host ConnGeneral and a ConnGeneral double cover on the same meter,
+    updated together the way the facade updates its host and cover trees."""
 
     def __init__(self, n=12, policy=None):
         self.host = conn(n=n, policy=policy or ArbitraryPolicy(10))
-        self.bip = BipartiteGeneral(self.host)
+        cover = ConnGeneral(self.host.meter, 2 * n, 2 * self.host.edge_capacity)
+        self.bip = BipartiteGeneral(self.host, cover)
         for v in range(n):
             self.host.activate_node(v)
             self.bip.activate_node(v)

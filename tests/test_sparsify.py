@@ -5,6 +5,7 @@ import pytest
 
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter, MeterError
 from dynconn.oracle import (
+    CheckFailure,
     SimpleGraph,
     bf_bipartite,
     bf_components,
@@ -508,8 +509,11 @@ def test_rejected_calls_change_nothing(make, call, message):
     core, meter = f.core, f.meter
 
     def state():
-        adj = {v: set(nbrs) for v, nbrs in core.graph.adj.items()}
-        return meter.work, meter.depth, meter.init_work, len(core.nodes), adj
+        trees = [core] + ([core.bip.cover] if core.bip else [])
+        return meter.work, meter.depth, meter.init_work, [
+            (len(t.nodes), {v: set(nbrs) for v, nbrs in t.graph.adj.items()})
+            for t in trees
+        ]
 
     before = state()
     with pytest.raises(SparsError) as raised:
@@ -529,9 +533,29 @@ def test_checkers_leave_the_meter_unchanged(make):
     meter = f.meter
     before = (meter.work, meter.depth, meter.init_work)
     check_spars_tree(f.core)
-    for node in f.core.nodes.values():
-        for cg in [node.conn] + ([node.bip.cover] if node.bip else []):
-            check_gadget_graph(cg)
-            check_euler_forest(cg.inner)
-            check_chunk_store(cg.inner.store)
+    for tree in [f.core] + ([f.core.bip.cover] if f.core.bip else []):
+        for node in tree.nodes.values():
+            check_gadget_graph(node.conn)
+            check_euler_forest(node.conn.inner)
+            check_chunk_store(node.conn.inner.store)
     assert (meter.work, meter.depth, meter.init_work) == before
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda cover: cover.delete_edge(0, 3), "cover edges"),
+        (lambda cover: cover.insert_edge(0, 2), "cover edges"),
+        (lambda cover: cover.activate_node(14), "cover nodes"),
+    ],
+    ids=["lifted-edge-deleted", "stray-edge", "stray-node"],
+)
+def test_checker_sees_a_cover_changed_behind_the_host(tamper, message):
+    f = bip_facade(8)
+    for v in range(1, 5):
+        f.activate_node(v)
+    f.insert_edge(1, 2)  # lifts to cover edges (0, 3) and (1, 2)
+    check_spars_tree(f.core)
+    tamper(f.core.bip.cover)
+    with pytest.raises(CheckFailure, match=message):
+        check_spars_tree(f.core)
