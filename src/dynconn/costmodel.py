@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import random
-from contextlib import contextmanager
 
 
 class MeterError(RuntimeError):
@@ -147,40 +146,26 @@ class CostMeter:
             del frames[base:]
         frames[-1] += 1 + deepest
 
-    @contextmanager
     def initialization(self):
         """Route charges in this block to init_work (construction cost)."""
-        self._init_mode += 1
-        try:
-            yield
-        finally:
-            self._init_mode -= 1
+        return _Initialization(self)
 
-    @contextmanager
     def bounded(self, depth_budget: int, label: str = ""):
         """Measure the enclosed block and fail if its depth exceeds the budget.
 
         The block keeps exactly the work and depth it charged, so the meter
         reports what the algorithm spent while the bound stays falsifiable.
-        The check runs after the block, so a MeterError reports a broken
-        contract, not a rejection: whatever the block changed stays changed
-        and consistent, and the meter keeps its charges.
+        The check runs after the block completes, so a MeterError reports a
+        broken contract, not a rejection: whatever the block changed stays
+        changed and consistent, and the meter keeps its charges.  A block
+        that raises is not checked.
         """
-        base = self._frames[-1]
-        yield
-        self._check_budget(self._frames[-1] - base, depth_budget, label)
-
-    @staticmethod
-    def _check_budget(used, depth_budget, label):
-        if used > depth_budget:
-            raise MeterError(
-                f"{label or 'operation'}: depth {used} exceeds budget {depth_budget}"
-            )
+        return _Bounded(self, depth_budget, label)
 
     # -- primitives ---------------------------------------------------------
 
-    def reduce_extremum(self, values, mode: str = "min"):
-        """Return (index, value) of the minimum or maximum of `values`.
+    def reduce_extremum(self, values):
+        """Return (index, value) of the minimum of `values`.
 
         Common policy: blocked recursion on subarrays of size ~n^epsilon; ties
         resolve to the lowest index and the round count (hence depth) depends
@@ -190,13 +175,11 @@ class CostMeter:
         n = len(values)
         if n == 0:
             raise ValueError("empty reduction")
-        if mode not in ("min", "max"):
-            raise ValueError(f"bad mode {mode!r}")
         if self.policy.kind == "common":
-            return self._reduce_common(values, mode)
-        return self._reduce_arbitrary(values, mode)
+            return self._reduce_common(values)
+        return self._reduce_arbitrary(values)
 
-    def _reduce_common(self, values, mode):
+    def _reduce_common(self, values):
         n = len(values)
         eps = self.policy.epsilon
         rounds_budget = _extremum_rounds(eps)
@@ -209,7 +192,7 @@ class CostMeter:
             for start in range(0, len(live), block):
                 blk = live[start : start + block]
                 pairs += len(blk) * len(blk)
-                nxt.append(_block_extremum(values, blk, mode))
+                nxt.append(_block_min(values, blk))
             self.parallel_charge(pairs)      # all-pairs comparisons of one round
             self.parallel_charge(len(live))  # per-block winner readout
             live = nxt
@@ -223,18 +206,10 @@ class CostMeter:
         idx = live[0] if len(live) else 0
         return idx, values[idx]
 
-    def _reduce_arbitrary(self, values, mode):
+    def _reduce_arbitrary(self, values):
         n = len(values)
         self.parallel_charge(n)  # concurrent compare-and-write sweep
-        best = values[0]
-        if mode == "min":
-            for v in values:
-                if v < best:
-                    best = v
-        else:
-            for v in values:
-                if v > best:
-                    best = v
+        best = min(values)
         ties = [i for i, v in enumerate(values) if v == best]
         self.parallel_charge(n)  # tied writers race for the output cell
         pick = ties[self._rng.randrange(len(ties))]
@@ -244,7 +219,7 @@ class CostMeter:
         """The least of `values` under the common policy, a seeded draw under
         the arbitrary one: the one choice that depends on the write policy."""
         if self.policy.kind == "common":
-            return self.reduce_extremum(values, "min")[1]
+            return self.reduce_extremum(values)[1]
         return self.choose_any(values)
 
     def choose_any(self, candidates):
@@ -275,8 +250,10 @@ class CostMeter:
         if n == 0:
             return None
         prefix = self.prefix_and(bits)
-        idx, (p, _) = self.reduce_extremum([(p, i) for i, p in enumerate(prefix)], "max")
-        if p == 0:
+        # the last index whose prefix bit is 1, or the last index if none
+        # is: the pairs are distinct, so both policies find the same one
+        idx, (neg_p, _) = self.reduce_extremum([(-p, -i) for i, p in enumerate(prefix)])
+        if neg_p == 0:
             return None
         return idx
 
@@ -311,23 +288,55 @@ def pick_depth(policy) -> int:
 
 
 def segment_end_depth(policy) -> int:
-    """Depth of initial_segment_end: a prefix AND, then a max reduction."""
+    """Depth of initial_segment_end: a prefix AND, then a min reduction."""
     return PREFIX_AND_DEPTH + extremum_depth(policy)
 
 
-def _block_extremum(values, block, mode):
-    """Lowest-index extremum of `values` restricted to index iterable `block`."""
+def _block_min(values, block):
+    """Lowest-index minimum of `values` restricted to index iterable `block`."""
     it = iter(block)
     best_i = next(it)
     best_v = values[best_i]
-    if mode == "min":
-        for i in it:
-            v = values[i]
-            if v < best_v:
-                best_v, best_i = v, i
-    else:
-        for i in it:
-            v = values[i]
-            if v > best_v:
-                best_v, best_i = v, i
+    for i in it:
+        v = values[i]
+        if v < best_v:
+            best_v, best_i = v, i
     return best_i
+
+
+class _Initialization:
+    """The scope of CostMeter.initialization; scopes nest, and each one
+    restores the mode it found, also when its block raises."""
+
+    __slots__ = ("meter",)
+
+    def __init__(self, meter):
+        self.meter = meter
+
+    def __enter__(self):
+        self.meter._init_mode += 1
+
+    def __exit__(self, *exc):
+        self.meter._init_mode -= 1
+
+
+class _Bounded:
+    """The scope of CostMeter.bounded: checks the depth its block charged
+    once the block completes."""
+
+    __slots__ = ("meter", "budget", "label", "base")
+
+    def __init__(self, meter, budget, label):
+        self.meter = meter
+        self.budget = budget
+        self.label = label
+
+    def __enter__(self):
+        self.base = self.meter._frames[-1]
+
+    def __exit__(self, exc_type, exc, tb):
+        used = self.meter._frames[-1] - self.base
+        if exc_type is None and used > self.budget:
+            raise MeterError(
+                f"{self.label or 'operation'}: depth {used} exceeds budget {self.budget}"
+            )

@@ -288,7 +288,7 @@ def check_gadget_graph(cg):
     check(set(cg.chord) <= set(cg.cycle), "chord of a host without a cycle")
     for u, cyc in cg.cycle.items():
         d = degree[u]
-        check(cg.host_active[u], f"inactive host {u} holds a cycle")
+        check(cg.host_active[cg._position(u)], f"inactive host {u} holds a cycle")
         check(len(cyc) == d, f"cycle of {u} has {len(cyc)} nodes for degree {d}")
         if d >= 2:
             edges = [(cyc[0], cyc[1])] if d == 2 else list(zip(cyc, cyc[1:] + cyc[:1]))
@@ -312,15 +312,23 @@ def check_gadget_graph(cg):
 
 
 def check_spars_tree(s):
-    """Base-graph/forest invariants across materialized sparsification nodes;
-    in bipartiteness mode also that the cover tree holds exactly the lift of
-    the graph, and the cover tree's own invariants."""
+    """Base-graph/forest invariants across materialized sparsification nodes,
+    and that every node's active hosts are the graph's active nodes in its
+    spans; in bipartiteness mode also that the cover tree holds exactly the
+    lift of the graph, and the cover tree's own invariants."""
     for node in s.nodes.values():
+        conn = node.conn
+        spanned = {v for r in conn.hosts for v in r}
+        active = {v for v in spanned if conn.host_active[conn._position(v)]}
+        check(
+            active == spanned & s.graph.adj.keys(),
+            f"active hosts of {node.key} are not the graph's active nodes",
+        )
         edges = sorted(node.edges())
-        cap = 4 * node.size
+        cap = 4 * len(spanned)
         check(len(edges) <= cap, f"base graph of {node.key} exceeds {cap} edges")
         for (x, y) in edges:
-            check(node.covers(x) and node.covers(y), "edge outside node span")
+            check(x in spanned and y in spanned, "edge outside node span")
             check(s.graph.has_edge(x, y), f"stale base edge {(x, y)} at {node.key}")
         if node.key[0] < s.levels:
             union = set()
@@ -338,8 +346,7 @@ def check_spars_tree(s):
         for (x, y) in node.forest_edges():
             for ck in s.child_keys(node.key):
                 child = s.nodes.get(ck)
-                if child is not None and child.covers(x) and child.covers(y) and \
-                        child.has_edge(x, y):
+                if child is not None and (x, y) in child.conn.ports:
                     check(
                         (x, y) in child.forest_edges(),
                         f"edge {(x, y)} tree at {node.key} but not at {ck}",

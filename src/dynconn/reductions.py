@@ -88,14 +88,32 @@ class OpCounter:
 
 
 class ConnGeneral:
-    """Spanning forest / connectivity for hosts of unbounded degree."""
+    """Spanning forest / connectivity for hosts of unbounded degree.
 
-    def __init__(self, meter: CostMeter, host_capacity: int, edge_capacity: int):
+    `hosts` is a tuple of one or two disjoint ranges of host ids, such as
+    `(range(n),)`; arguments, `ports`, `cycle`, `chord`, `owner` and every
+    report use those ids as given.  Only the dense activity record
+    `host_active` is indexed by position: a host's offset in the ranges
+    laid end to end.
+    """
+
+    def __init__(self, meter: CostMeter, hosts: tuple, edge_capacity: int):
+        if not 1 <= len(hosts) <= 2 or any(r.step != 1 for r in hosts):
+            raise GadgetError("hosts must be one or two ranges of step 1")
+        first, second = hosts[0], hosts[-1] if len(hosts) == 2 else range(0)
+        if max(first.start, second.start) < min(first.stop, second.stop):
+            raise GadgetError(f"host ranges {hosts} overlap")
         self.meter = meter
-        self.host_capacity = host_capacity
+        self.hosts = hosts
+        # (lo, hi) of each range, then the shift from a second-range id to
+        # its position
+        self._bounds = (
+            first.start, first.stop, second.start, second.stop,
+            second.start - len(first),
+        )
         self.edge_capacity = edge_capacity
         self.inner = EulerForest(meter, 2 * edge_capacity + 2)
-        self.host_active = bytearray(host_capacity)
+        self.host_active = bytearray(len(first) + len(second))
         # host -> its gadget cycle, only for hosts of degree 1 or more, so an
         # idle host holds no object
         self.cycle = {}
@@ -111,7 +129,7 @@ class ConnGeneral:
         self.isolated = 0
         self.counts = OpCounter()
         with meter.initialization():
-            meter.charge(host_capacity)
+            meter.charge(len(self.host_active))
 
     @staticmethod
     def depth_bounds(policy) -> dict:
@@ -127,10 +145,10 @@ class ConnGeneral:
     # -- node lifecycle --------------------------------------------------------
 
     def activate_node(self, v):
-        self._check_host(v)
-        if self.host_active[v]:
+        i = self._position(v)
+        if self.host_active[i]:
             raise GadgetError(f"host node {v} already active")
-        self.host_active[v] = 1
+        self.host_active[i] = 1
         self.isolated += 1
         self.meter.charge(1)
 
@@ -138,7 +156,7 @@ class ConnGeneral:
         self._require_host(v)
         if v in self.cycle:
             raise GadgetError(f"host node {v} not isolated")
-        self.host_active[v] = 0
+        self.host_active[self._position(v)] = 0
         self.isolated -= 1
         self.meter.charge(1)
 
@@ -325,13 +343,19 @@ class ConnGeneral:
             self.inner.delete_edge_with_hint(a, b, chord)
         self.counts.edge_del += 1
 
-    def _check_host(self, v):
-        if not 0 <= v < self.host_capacity:
-            raise GadgetError(f"host id {v} out of range")
+    def _position(self, v):
+        """v's index in host_active; GadgetError unless v is an integer in
+        one of the host ranges."""
+        lo0, hi0, lo1, hi1, shift = self._bounds
+        if type(v) is int:
+            if lo0 <= v < hi0:
+                return v - lo0
+            if lo1 <= v < hi1:
+                return v - shift
+        raise GadgetError(f"host id {v!r} out of range")
 
     def _require_host(self, v):
-        self._check_host(v)
-        if not self.host_active[v]:
+        if not self.host_active[self._position(v)]:
             raise GadgetError(f"host node {v} not active")
 
 

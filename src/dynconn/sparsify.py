@@ -9,7 +9,8 @@ spanning forests (at most 4 per node), which has the same components as the
 full covered subgraph at a quarter of the size.  All per-node structure work
 runs through the unbounded-degree connectivity layer sized by the node's own
 span, which is what turns per-operation cost into a geometric sum over
-levels.
+levels.  That gadget's hosts are the node's one or two spans, as ranges of
+global node ids, so the tree passes ids to every level unchanged.
 
 Bipartiteness comes from the same construction, after Eppstein et al.
 (1997): sparsification keeps the component count of any graph, so a second
@@ -39,7 +40,7 @@ import operator
 from .costmodel import ArbitraryPolicy, CostMeter, segment_end_depth
 from .eulerforest import ReplacementReport
 from .oracle import SimpleGraph
-from .reductions import BipartiteGeneral, ConnGeneral, GadgetError
+from .reductions import BipartiteGeneral, ConnGeneral
 
 
 class SparsError(ValueError):
@@ -48,83 +49,27 @@ class SparsError(ValueError):
 
 class SparsNode:
     """One sparsification-tree node: a base graph plus its query structures.
-    The base graph is the gadget's host graph, `conn.ports`, over local ids."""
+    The base graph is the gadget's host graph, `conn.ports`, over global
+    ids; the gadget's hosts are the node's one or two spans."""
 
-    __slots__ = ("key", "spans", "size", "conn")
+    __slots__ = ("key", "conn")
 
     # bench/run.py _slot_occupancy is the only reader of this attribute
     bip = None
 
     def __init__(self, meter, key, spans):
         self.key = key
-        self.spans = spans  # one or two (lo, hi) global-id intervals
-        self.size = sum(hi - lo for lo, hi in spans)
-        self.conn = ConnGeneral(meter, self.size, 4 * self.size)
-
-    def covers(self, x):
-        return any(lo <= x < hi for lo, hi in self.spans)
-
-    def local(self, x):
-        lo0, hi0 = self.spans[0]
-        if lo0 <= x < hi0:
-            return x - lo0
-        lo1, hi1 = self.spans[1]
-        return (hi0 - lo0) + (x - lo1)
-
-    def activate(self, x):
-        self.conn.activate_node(self.local(x))
-
-    def deactivate(self, x):
-        self.conn.deactivate_node(self.local(x))
-
-    def has_edge(self, x, y):
-        """Whether the base graph holds (x, y); the node covers both."""
-        return (self.local(x), self.local(y)) in self.conn.ports
-
-    def add_edge(self, x, y):
-        self.conn.insert_edge(self.local(x), self.local(y))
-
-    def remove_edge(self, x, y, hint=None):
-        lx, ly = self.local(x), self.local(y)
-        if hint is None:
-            rep = self.conn.delete_edge(lx, ly)
-        else:
-            rep = self.conn.delete_edge_with_hint(
-                lx, ly, (self.local(hint[0]), self.local(hint[1]))
-            )
-        if rep is not None and rep.kind == ReplacementReport.REPLACED:
-            return ReplacementReport(rep.kind, self.to_global(rep.edge))
-        return rep
-
-    def is_tree_edge(self, x, y):
-        return self.conn.tree_edge(self.local(x), self.local(y))
-
-    def probe_replacement(self, x, y):
-        rep = self.conn.find_replacement(self.local(x), self.local(y))
-        if rep.kind != ReplacementReport.REPLACED:
-            return rep
-        return ReplacementReport(rep.kind, self.to_global(rep.edge))
-
-    def to_global(self, local_edge):
-        a, b = (self._unlocal(w) for w in local_edge)
-        return _norm(a, b)
-
-    def _unlocal(self, local):
-        lo0, hi0 = self.spans[0]
-        if local < hi0 - lo0:
-            return lo0 + local
-        lo1, _ = self.spans[1]
-        return lo1 + (local - (hi0 - lo0))
+        self.conn = ConnGeneral(meter, spans, 4 * sum(map(len, spans)))
 
     def edges(self):
-        """The base graph's edges as global (low, high) pairs."""
-        return {self.to_global(e) for e in self.conn.ports if e[0] < e[1]}
+        """The base graph's edges as (low, high) pairs."""
+        return {e for e in self.conn.ports if e[0] < e[1]}
 
     def forest_edges(self):
         """The base graph's tree edges, read off the tours; charges nothing."""
         ports, occ = self.conn.ports, self.conn.inner.edge_occ
         return {
-            self.to_global((a, b)) for (a, b), g in ports.items()
+            (a, b) for (a, b), g in ports.items()
             if a < b and (g, ports[(b, a)]) in occ
         }
 
@@ -151,7 +96,7 @@ class SparsTree:
         self.nodes = {}
         self.touching = {}
         self.graph = SimpleGraph()
-        self._interval_cache = {(0, 0): (0, n)}
+        self._interval_cache = {(0, 0): range(n)}
         self.root_key = (0, 0, 0)
         self._materialize(self.root_key)
         self.bip = (
@@ -165,9 +110,9 @@ class SparsTree:
         got = self._interval_cache.get((level, k))
         if got is not None:
             return got
-        lo, hi = self.interval(level - 1, k >> 1)
-        mid = lo + (hi - lo + 1) // 2
-        out = (lo, mid) if k & 1 == 0 else (mid, hi)
+        parent = self.interval(level - 1, k >> 1)
+        mid = parent.start + (len(parent) + 1) // 2
+        out = range(parent.start, mid) if k & 1 == 0 else range(mid, parent.stop)
         self._interval_cache[(level, k)] = out
         return out
 
@@ -200,12 +145,10 @@ class SparsTree:
             return []
         out = []
         for a in (2 * k1, 2 * k1 + 1):
-            lo, hi = self.interval(level + 1, a)
-            if lo >= hi:
+            if not self.interval(level + 1, a):
                 continue
             for b in (2 * k2, 2 * k2 + 1):
-                lo2, hi2 = self.interval(level + 1, b)
-                if lo2 >= hi2:
+                if not self.interval(level + 1, b):
                     continue
                 ck = (level + 1, a, b) if a <= b else (level + 1, b, a)
                 if ck not in out:
@@ -217,15 +160,15 @@ class SparsTree:
         if node is not None:
             return node
         level, k1, k2 = key
-        spans = [self.interval(level, k1)]
+        spans = (self.interval(level, k1),)
         if k2 != k1:
-            spans.append(self.interval(level, k2))
+            spans += (self.interval(level, k2),)
         with self.meter.initialization():
             node = SparsNode(self.meter, key, spans)
-            for lo, hi in spans:
-                for x in range(lo, hi):
+            for span in spans:
+                for x in span:
                     if x in self.graph.adj:
-                        node.activate(x)
+                        node.conn.activate_node(x)
         self.nodes[key] = node
         for k in {k1, k2}:
             self.touching.setdefault((level, k), []).append(node)
@@ -246,7 +189,7 @@ class SparsTree:
         self.meter.parallel_charge(self.levels + 1)
         for level in range(self.levels + 1):
             for node in self.touching.get((level, ks[level]), ()):
-                node.activate(v)
+                node.conn.activate_node(v)
 
     def deactivate_node(self, v):
         self._require_active(v)
@@ -261,7 +204,7 @@ class SparsTree:
         self.meter.parallel_charge(self.levels + 1)
         for level in range(self.levels + 1):
             for node in self.touching.get((level, ks[level]), ()):
-                node.deactivate(v)
+                node.conn.deactivate_node(v)
 
     # -- edge changes ---------------------------------------------------------------
 
@@ -276,12 +219,12 @@ class SparsTree:
             return self._beside_cover(
                 lambda: self.insert_edge(x, y), lambda bip: bip.apply_edge(x, y, True)
             )
-        path = [self._materialize(key) for key in self.key_path(x, y)]
+        path = [self._materialize(key).conn for key in self.key_path(x, y)]
         meter = self.meter
         probe = [0] * len(path)
 
         def probe_body(i):
-            probe[i] = 0 if path[i].conn.connected(path[i].local(x), path[i].local(y)) else 1
+            probe[i] = 0 if path[i].connected(x, y) else 1
 
         meter.parallel_for(len(path), probe_body)
         end = meter.initial_segment_end(probe)
@@ -289,7 +232,7 @@ class SparsTree:
             raise AssertionError("leaf level cannot be connected before insertion")
 
         def insert_body(i):
-            path[i].add_edge(x, y)
+            path[i].insert_edge(x, y)
 
         # the edge joins the forests of levels 0..end and the base graph of
         # the first connected level above them, all in one phase
@@ -318,13 +261,13 @@ class SparsTree:
             return self._beside_cover(
                 lambda: self.delete_edge(x, y), lambda bip: bip.apply_edge(x, y, False)
             )
-        path = [self.nodes[key] for key in self.key_path(x, y)]
+        path = [self.nodes[key].conn for key in self.key_path(x, y)]
         meter = self.meter
-        holds = [node.has_edge(x, y) for node in path]
+        holds = [(x, y) in conn.ports for conn in path]
         tree = [0] * len(path)
 
         def tree_body(i):
-            tree[i] = 1 if holds[i] and path[i].is_tree_edge(x, y) else 0
+            tree[i] = 1 if holds[i] and path[i].tree_edge(x, y) else 0
 
         meter.parallel_for(len(path), tree_body)
         self._check_footprint(holds, tree)
@@ -332,7 +275,7 @@ class SparsTree:
 
         def probe_body(i):
             if tree[i]:
-                reps[i] = path[i].probe_replacement(x, y)
+                reps[i] = path[i].find_replacement(x, y)
 
         meter.parallel_for(len(path), probe_body)
         # nearest anchor at or below each level, as a prefix computation
@@ -347,17 +290,17 @@ class SparsTree:
         meter.parallel_charge(len(path) ** 2)
 
         def commit_body(i):
-            node = path[i]
+            conn = path[i]
             if not holds[i]:
                 return
             if tree[i] and use[i] is not None:
-                if not node.has_edge(*use[i]):
-                    node.add_edge(*use[i])
-                got = node.remove_edge(x, y, hint=use[i])
+                if use[i] not in conn.ports:
+                    conn.insert_edge(*use[i])
+                got = conn.delete_edge_with_hint(x, y, use[i])
                 if got.kind != ReplacementReport.REPLACED or got.edge != use[i]:
                     raise AssertionError("level rejected its replacement edge")
             else:
-                node.remove_edge(x, y)
+                conn.delete_edge(x, y)
 
         meter.parallel_for(len(path), commit_body)
 
@@ -365,8 +308,8 @@ class SparsTree:
             if not tree[i] or use[i] is None or i + 1 >= len(path):
                 return
             parent = path[i + 1]
-            if not parent.has_edge(*use[i]):
-                parent.add_edge(*use[i])
+            if use[i] not in parent.ports:
+                parent.insert_edge(*use[i])
 
         meter.parallel_for(len(path), promote_body)
         self.graph.remove_edge(x, y)
@@ -406,8 +349,7 @@ class SparsTree:
     def connected(self, x, y):
         self._require_active(x)
         self._require_active(y)
-        r = self.root()
-        return r.conn.connected(r.local(x), r.local(y))
+        return self.root().conn.connected(x, y)
 
     def n_components(self):
         return self.root().conn.n_components()
@@ -417,7 +359,7 @@ class SparsTree:
         self._require_active(y)
         if not self.graph.has_edge(x, y):
             return False
-        return self.root().is_tree_edge(x, y)
+        return self.root().conn.tree_edge(x, y)
 
     def is_bipartite(self):
         if self.bip is None:
@@ -432,10 +374,6 @@ class SparsTree:
         self._check_id(v)
         if v not in self.graph.adj:
             raise SparsError(f"node {v + 1} not active")
-
-
-def _norm(a, b):
-    return (a, b) if a < b else (b, a)
 
 
 def depth_budgets(mode, policy) -> dict:

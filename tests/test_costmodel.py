@@ -109,11 +109,11 @@ def _work(shape):
 class TestReduceExtremum:
     def test_singleton(self):
         m = meter()
-        assert m.reduce_extremum([7], "min") == (0, 7)
+        assert m.reduce_extremum([7]) == (0, 7)
 
     def test_common_lowest_index_tie(self):
         m = meter(CommonPolicy(0.5))
-        idx, val = m.reduce_extremum([3, 1, 4, 1], "min")
+        idx, val = m.reduce_extremum([3, 1, 4, 1])
         assert (idx, val) == (1, 1)
 
     def test_common_depth_depends_only_on_epsilon(self):
@@ -121,7 +121,7 @@ class TestReduceExtremum:
             depths = set()
             for n in (1, 2, 16, 100, 1000):
                 m = meter(CommonPolicy(eps))
-                m.reduce_extremum(list(range(n)), "max")
+                m.reduce_extremum(list(range(n)))
                 depths.add(m.depth)
             assert len(depths) == 1, f"depth varies with n at eps={eps}"
 
@@ -129,7 +129,7 @@ class TestReduceExtremum:
         runs = []
         for _ in range(2):
             m = meter(ArbitraryPolicy(seed=99))
-            runs.append([m.reduce_extremum([3, 1, 4, 1], "min") for _ in range(20)])
+            runs.append([m.reduce_extremum([3, 1, 4, 1]) for _ in range(20)])
         assert runs[0] == runs[1]
         for idx, val in runs[0]:
             assert val == 1 and idx in (1, 3)
@@ -141,14 +141,13 @@ class TestReduceExtremum:
         for trial in range(300):
             n = rng.randrange(1, 60)
             vals = [rng.randrange(10) for _ in range(n)]
-            for mode in ("min", "max"):
-                want = min(vals) if mode == "min" else max(vals)
-                mc = meter(CommonPolicy(0.3))
-                i, v = mc.reduce_extremum(vals, mode)
-                assert v == want and i == vals.index(want)
-                ma = meter(ArbitraryPolicy(trial))
-                i, v = ma.reduce_extremum(vals, mode)
-                assert v == want and vals[i] == want
+            want = min(vals)
+            mc = meter(CommonPolicy(0.3))
+            i, v = mc.reduce_extremum(vals)
+            assert v == want and i == vals.index(want)
+            ma = meter(ArbitraryPolicy(trial))
+            i, v = ma.reduce_extremum(vals)
+            assert v == want and vals[i] == want
 
     def test_common_work_bound(self):
         # work <= c * n^(1+eps) with one fixed c across sizes
@@ -157,12 +156,12 @@ class TestReduceExtremum:
         for exp in range(4, 15):
             n = 2 ** exp
             m = meter(CommonPolicy(eps))
-            m.reduce_extremum(list(range(n)), "min")
+            m.reduce_extremum(list(range(n)))
             assert m.work <= c * n ** (1 + eps), f"n={n}: work {m.work}"
 
     def test_empty_reduction_rejected(self):
         with pytest.raises(ValueError, match="empty reduction"):
-            meter().reduce_extremum([], "min")
+            meter().reduce_extremum([])
 
 
 class TestPrefixAnd:
@@ -208,6 +207,18 @@ class TestOperationBudget:
         assert m.work == 0 and m.depth == 0
         assert m.init_work > 0
 
+    def test_initialization_nests_and_is_restored_when_its_block_raises(self):
+        m = meter()
+        with pytest.raises(KeyError):
+            with m.initialization():
+                with m.initialization():
+                    m.charge(3)
+                m.charge(4)
+                raise KeyError
+        assert m.init_work == 7
+        m.charge(5)
+        assert m.work == 5 and m.init_work == 7
+
 
 class TestBoundedScope:
     def test_over_budget_raises_with_label(self):
@@ -233,6 +244,14 @@ class TestBoundedScope:
             m.phase()
         assert m.depth == 2
 
+    def test_a_raising_block_is_not_checked(self):
+        m = meter()
+        with pytest.raises(KeyError):
+            with m.bounded(0, "op"):
+                m.phase()
+                raise KeyError
+        assert m.depth == 1
+
 
 class TestPrimitiveDepths:
     @pytest.mark.parametrize(
@@ -244,7 +263,7 @@ class TestPrimitiveDepths:
             values = [(i * 37) % 11 for i in range(n)]
             bits = [1] * (n // 2) + [0] * (n - n // 2)
             m = meter(policy)
-            m.reduce_extremum(values, "min")
+            m.reduce_extremum(values)
             assert m.depth == extremum_depth(policy)
             m.reset()
             m.initial_segment_end(bits)

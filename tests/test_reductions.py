@@ -23,7 +23,7 @@ from dynconn.reductions import (
 
 
 def conn(n=16, cap=None, policy=None):
-    return ConnGeneral(CostMeter(policy or ArbitraryPolicy(6)), n, cap or 4 * n)
+    return ConnGeneral(CostMeter(policy or ArbitraryPolicy(6)), (range(n),), cap or 4 * n)
 
 
 def activate_all(cg, n):
@@ -191,7 +191,7 @@ class TestConnGadget:
     def test_exhausted_capacity_rejects_before_any_change(self):
         # edge capacity 1 gives a pool of four gadget ids, two per edge
         meter = CostMeter(ArbitraryPolicy(6))
-        cg = ConnGeneral(meter, 6, 1)
+        cg = ConnGeneral(meter, (range(6),), 1)
         activate_all(cg, 6)
         cg.insert_edge(0, 1)
         cg.insert_edge(2, 3)
@@ -214,6 +214,70 @@ class TestConnGadget:
         assert cg.n_components() == 2
 
 
+class TestHostRanges:
+    """A gadget over two disjoint host ranges, as a sparsification node
+    over two parts builds it, takes and reports the ids as given."""
+
+    HOSTS = (range(0, 4), range(8, 12))
+
+    def gadget(self):
+        cg = ConnGeneral(CostMeter(ArbitraryPolicy(6)), self.HOSTS, 32)
+        for r in self.HOSTS:
+            for v in r:
+                cg.activate_node(v)
+        return cg
+
+    def test_construction_is_charged_the_host_count(self):
+        one = ConnGeneral(CostMeter(ArbitraryPolicy(6)), (range(8),), 32)
+        assert self.gadget().meter.init_work == one.meter.init_work
+
+    @pytest.mark.parametrize(
+        "hosts", [(range(0, 4), range(3, 6)), (range(4),) * 3, (range(0, 8, 2),)],
+        ids=["overlapping", "three-ranges", "stepped"],
+    )
+    def test_malformed_hosts_rejected(self, hosts):
+        with pytest.raises(GadgetError):
+            ConnGeneral(CostMeter(ArbitraryPolicy(6)), hosts, 8)
+
+    @pytest.mark.parametrize("bad", [4, 7, 12, -1, 2.0, "3", None])
+    def test_ids_outside_the_ranges_are_rejected_without_a_charge(self, bad):
+        cg = self.gadget()
+        cg.insert_edge(1, 9)
+        meter = cg.meter
+        before = (meter.work, meter.depth, meter.init_work, dict(cg.ports),
+                  bytes(cg.host_active))
+        calls = [
+            lambda: cg.activate_node(bad), lambda: cg.deactivate_node(bad),
+            lambda: cg.connected(bad, 1), lambda: cg.connected(1, bad),
+            lambda: cg.insert_edge(bad, 9), lambda: cg.insert_edge(9, bad),
+            lambda: cg.delete_edge(bad, 9), lambda: cg.find_replacement(9, bad),
+        ]
+        for call in calls:
+            with pytest.raises(GadgetError):
+                call()
+            assert (meter.work, meter.depth, meter.init_work, dict(cg.ports),
+                    bytes(cg.host_active)) == before
+
+    def test_ports_and_reports_use_the_given_ids(self):
+        cg = self.gadget()
+        cg.insert_edge(1, 9)
+        cg.insert_edge(9, 10)
+        cg.insert_edge(10, 1)  # closes a cycle: the one non-tree edge
+        assert set(cg.ports) == {(1, 9), (9, 1), (9, 10), (10, 9), (10, 1), (1, 10)}
+        assert set(cg.cycle) == {1, 9, 10}
+        assert set(cg.owner.values()) == {1, 9, 10}
+        assert cg.tree_edge(1, 9) and not cg.tree_edge(1, 10)
+        want = ReplacementReport(ReplacementReport.REPLACED, (1, 10))
+        assert cg.find_replacement(9, 1) == want
+        assert cg.delete_edge(9, 1) == want
+        assert cg.tree_edge(10, 1)
+        assert cg.connected(1, 9) and not cg.connected(1, 3)
+        assert cg.n_components() == 6
+        check_gadget_graph(cg)
+        cg.deactivate_node(11)
+        assert cg.n_components() == 5 and not cg.host_active[7]
+
+
 class TestFootprint:
     """Idle hosts and released gadget ids hold no Python objects."""
 
@@ -223,7 +287,7 @@ class TestFootprint:
         try:
             for n in (16, 1024):
                 before = len(gc.get_objects())
-                cg = ConnGeneral(CostMeter(ArbitraryPolicy(6)), n, 4 * n)
+                cg = ConnGeneral(CostMeter(ArbitraryPolicy(6)), (range(n),), 4 * n)
                 grown.append(len(gc.get_objects()) - before)
                 del cg
         finally:
@@ -310,7 +374,9 @@ class Bip:
 
     def __init__(self, n=12, policy=None):
         self.host = conn(n=n, policy=policy or ArbitraryPolicy(10))
-        cover = ConnGeneral(self.host.meter, 2 * n, 2 * self.host.edge_capacity)
+        cover = ConnGeneral(
+            self.host.meter, (range(2 * n),), 2 * self.host.edge_capacity
+        )
         self.bip = BipartiteGeneral(self.host, cover)
         for v in range(n):
             self.host.activate_node(v)

@@ -559,3 +559,23 @@ def test_checker_sees_a_cover_changed_behind_the_host(tamper, message):
     tamper(f.core.bip.cover)
     with pytest.raises(CheckFailure, match=message):
         check_spars_tree(f.core)
+
+
+@pytest.mark.parametrize("make", [conn_facade, bip_facade], ids=["conn", "bip"])
+def test_checker_sees_a_node_activity_changed_behind_the_tree(make):
+    f = make(8)
+    for v in range(1, 5):
+        f.activate_node(v)
+    f.insert_edge(1, 2)
+    # the host tree, or the cover tree, whose node 4 lifts node 3
+    tree, idle, stray = (f.core, 2, 6) if f.core.bip is None else (f.core.bip.cover, 4, 12)
+    conn = tree.root().conn
+    check_spars_tree(f.core)
+    conn.deactivate_node(idle)
+    with pytest.raises(CheckFailure, match="active hosts"):
+        check_spars_tree(f.core)
+    conn.activate_node(idle)
+    check_spars_tree(f.core)
+    conn.activate_node(stray)
+    with pytest.raises(CheckFailure, match="active hosts"):
+        check_spars_tree(f.core)
