@@ -312,24 +312,31 @@ def check_gadget_graph(cg):
 
 
 def check_spars_tree(s):
-    """Base-graph/forest invariants across materialized sparsification nodes,
-    and that every node's active hosts are the graph's active nodes in its
-    spans; in bipartiteness mode also that the cover tree holds exactly the
-    lift of the graph, and the cover tree's own invariants."""
+    """Base-graph/forest invariants across materialized sparsification nodes.
+
+    The tree is its own graph record, so the truth is read from it: an edge
+    is present when the leaf of its path holds it in its ports, and a node
+    is active when the root's `host_active` has it set.  Every node's active
+    hosts must be the root's active nodes in its spans, and every base edge
+    must be held at its leaf.  In bipartiteness mode the cover tree must
+    pass the same checks and hold exactly the lift of the graph: its root's
+    active nodes and its edges against the lift of the host's."""
+    root = s.root().conn.host_active  # the root's hosts are (range(n),)
+    check(s.active is root, "the tree's activity record is not the root's")
     for node in s.nodes.values():
         conn = node.conn
         spanned = {v for r in conn.hosts for v in r}
         active = {v for v in spanned if conn.host_active[conn._position(v)]}
         check(
-            active == spanned & s.graph.adj.keys(),
-            f"active hosts of {node.key} are not the graph's active nodes",
+            active == {v for v in spanned if root[v]},
+            f"active hosts of {node.key} are not the root's active nodes",
         )
         edges = sorted(node.edges())
         cap = 4 * len(spanned)
         check(len(edges) <= cap, f"base graph of {node.key} exceeds {cap} edges")
         for (x, y) in edges:
             check(x in spanned and y in spanned, "edge outside node span")
-            check(s.graph.has_edge(x, y), f"stale base edge {(x, y)} at {node.key}")
+            check(s.has_edge(x, y), f"stale base edge {(x, y)} at {node.key}")
         if node.key[0] < s.levels:
             union = set()
             for ck in s.child_keys(node.key):
@@ -353,12 +360,16 @@ def check_spars_tree(s):
                     )
     if s.bip is not None:
         cover = s.bip.cover
-        nodes = {w for v in s.graph.adj for w in (2 * v, 2 * v + 1)}
-        check(set(cover.graph.adj) == nodes, "cover nodes are not the host's lift")
+        check_spars_tree(cover)
+        nodes = {w for v in range(s.n) if root[v] for w in (2 * v, 2 * v + 1)}
+        cover_root = cover.root().conn.host_active
+        check(
+            {w for w in range(cover.n) if cover_root[w]} == nodes,
+            "cover nodes are not the host's lift",
+        )
         # u < v, so both lifted pairs are already (low, high)
         edges = {
-            e for (u, v) in s.graph.edges()
+            e for (u, v) in s.edges()
             for e in ((2 * u, 2 * v + 1), (2 * u + 1, 2 * v))
         }
-        check(set(cover.graph.edges()) == edges, "cover edges are not the host's lift")
-        check_spars_tree(cover)
+        check(set(cover.edges()) == edges, "cover edges are not the host's lift")

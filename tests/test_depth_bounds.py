@@ -78,7 +78,7 @@ def churn(facade, n, steps, seed):
     for _ in range(steps):
         if len(edges) < 3 * n // 4 or (len(edges) < 3 * n // 2 and rng.random() < 0.5):
             u, v = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
-            if u == v or facade.core.graph.has_edge(u - 1, v - 1):
+            if u == v or facade.core.has_edge(u - 1, v - 1):
                 continue
             facade.insert_edge(u, v)
             edges.append((u, v))

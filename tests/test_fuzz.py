@@ -4,8 +4,8 @@ Hypothesis drives a facade on up to 8 nodes through node and edge updates,
 queries and calls that must be rejected, under both write policies.  Every
 answer is checked against a `SimpleGraph` mirror and the `bf_*` oracles.  A
 rejected call must raise `SparsError` and leave the meter (`work`, `depth`,
-`init_work`) and the node count and graph of the host tree, and of the
-cover tree in bipartiteness mode, exactly as they were.  The final
+`init_work`) and the node count, active nodes and edges of the host tree,
+and of the cover tree in bipartiteness mode, exactly as they were.  The final
 structure must pass `check_spars_tree`.
 """
 
@@ -50,7 +50,7 @@ class FacadeMachine(RuleBasedStateMachine):
         core, meter = self.f.core, self.f.meter
         trees = [core] + ([core.bip.cover] if core.bip else [])
         return meter.work, meter.depth, meter.init_work, [
-            (len(t.nodes), {v: set(nbrs) for v, nbrs in t.graph.adj.items()})
+            (len(t.nodes), bytes(t.active), sorted(t.edges()))
             for t in trees
         ]
 

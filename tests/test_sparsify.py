@@ -1,8 +1,11 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import dynconn
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter, MeterError
 from dynconn.oracle import (
     CheckFailure,
@@ -344,7 +347,7 @@ class TestDepthPadding:
                     kind = "delete"
                 else:
                     u, v = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
-                    while u == v or d.core.graph.has_edge(u - 1, v - 1):
+                    while u == v or d.core.has_edge(u - 1, v - 1):
                         u, v = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
                     d.insert_edge(u, v)
                     edges.append((u, v))
@@ -418,7 +421,7 @@ class TestDepthPadding:
             def insert_random():
                 while True:
                     u, v = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
-                    if u != v and not f.core.graph.has_edge(u - 1, v - 1):
+                    if u != v and not f.core.has_edge(u - 1, v - 1):
                         f.insert_edge(u, v)
                         edges.append((u, v))
                         return
@@ -447,7 +450,7 @@ class TestBrokenDepthContract:
         d.budgets["insert"] = 3
         with pytest.raises(MeterError):
             d.insert_edge(1, 2)
-        assert d.core.graph.has_edge(0, 1)
+        assert d.core.has_edge(0, 1)
         assert d.connected(1, 2) and not d.connected(1, 3)
         assert d.n_components() == 2
         check_spars_tree(d.core)
@@ -511,7 +514,7 @@ def test_rejected_calls_change_nothing(make, call, message):
     def state():
         trees = [core] + ([core.bip.cover] if core.bip else [])
         return meter.work, meter.depth, meter.init_work, [
-            (len(t.nodes), {v: set(nbrs) for v, nbrs in t.graph.adj.items()})
+            (len(t.nodes), bytes(t.active), sorted(t.edges()))
             for t in trees
         ]
 
@@ -564,11 +567,13 @@ def test_checker_sees_a_cover_changed_behind_the_host(tamper, message):
 @pytest.mark.parametrize("make", [conn_facade, bip_facade], ids=["conn", "bip"])
 def test_checker_sees_a_node_activity_changed_behind_the_tree(make):
     f = make(8)
-    for v in range(1, 5):
+    for v in range(1, 4):
         f.activate_node(v)
     f.insert_edge(1, 2)
-    # the host tree, or the cover tree, whose node 4 lifts node 3
-    tree, idle, stray = (f.core, 2, 6) if f.core.bip is None else (f.core.bip.cover, 4, 12)
+    # the host tree, or the cover tree, whose node 4 lifts node 3; the root's
+    # activity is the tree's, so the stray activation goes to the node below
+    # it, which also spans an inactive id
+    tree, idle, stray = (f.core, 2, 3) if f.core.bip is None else (f.core.bip.cover, 4, 6)
     conn = tree.root().conn
     check_spars_tree(f.core)
     conn.deactivate_node(idle)
@@ -576,6 +581,73 @@ def test_checker_sees_a_node_activity_changed_behind_the_tree(make):
         check_spars_tree(f.core)
     conn.activate_node(idle)
     check_spars_tree(f.core)
-    conn.activate_node(stray)
+    tree.nodes[(1, 0, 0)].conn.activate_node(stray)
     with pytest.raises(CheckFailure, match="active hosts"):
         check_spars_tree(f.core)
+
+
+@pytest.mark.parametrize(
+    "make, cover",
+    [(conn_facade, False), (bip_facade, False), (bip_facade, True)],
+    ids=["conn", "bip-host", "bip-cover"],
+)
+def test_checker_sees_an_edge_changed_behind_the_tree(make, cover):
+    """An edge inserted into one gadget alone, the root's or the leaf's of
+    its path, between two active hosts, is an edge that the tree does not
+    hold as a whole."""
+    f = make(8)
+    for v in range(1, 5):
+        f.activate_node(v)
+    f.insert_edge(1, 2)
+    f.insert_edge(1, 3)
+    f.delete_edge(1, 3)  # its leaf stays, without the edge
+    tree = f.core.bip.cover if cover else f.core
+    # the cover lifts host edge (1, 3) to (0, 5) and (1, 4)
+    x, y = (0, 5) if cover else (0, 2)
+    check_spars_tree(f.core)
+    tree.root().conn.insert_edge(x, y)
+    with pytest.raises(CheckFailure, match="stale base edge"):
+        check_spars_tree(f.core)
+    tree.root().conn.delete_edge(x, y)
+    check_spars_tree(f.core)
+    tree.nodes[tree.key_path(x, y)[0]].conn.insert_edge(x, y)
+    with pytest.raises(CheckFailure, match="union of child forests"):
+        check_spars_tree(f.core)
+
+
+@pytest.mark.parametrize("facade", [DynamicConnectivity, DynamicBipartiteness])
+@pytest.mark.parametrize("n", [2.5, 4.0, "4"])
+def test_a_node_count_that_is_not_an_integer_is_rejected(facade, n):
+    with pytest.raises(SparsError, match="not an integer"):
+        facade(n)
+
+
+@pytest.mark.parametrize("facade", [DynamicConnectivity, DynamicBipartiteness])
+def test_a_boolean_node_count_is_its_integer(facade):
+    f = facade(True)
+    assert type(f.n) is int and f.n == 1 and f.core.levels == 0
+    f.activate_node(1)
+    assert f.n_components() == 1
+
+
+def test_a_policy_and_a_meter_together_are_rejected():
+    with pytest.raises(SparsError, match="not both"):
+        DynamicConnectivity(4, policy=CommonPolicy(0.25), meter=CostMeter(ArbitraryPolicy(0)))
+
+
+def test_only_the_oracle_imports_the_oracle():
+    """The brute-force module stays off the structure's run-time path."""
+    importers = []
+    for path in sorted(Path(dynconn.__file__).parent.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            if any("oracle" in name.split(".") for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
