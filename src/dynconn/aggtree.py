@@ -106,20 +106,10 @@ class AggTree:
                 v.bits |= mask
         else:
             leaf.bits &= ~mask
-            # each ancestor rebuilds its bit from the off-path subtrees below it
+            # each ancestor rebuilds bit j from the subtrees below it
             anc = leaf.ancestors
             self.meter.parallel_charge(len(anc), unit=6 * len(anc))
-            below = 0  # OR of bit j over off-path children seen so far
-            for h in range(1, len(anc)):
-                v = anc[h]
-                child_on_path = anc[h - 1]
-                for c in v.children:
-                    if c is not child_on_path:
-                        below |= (c.bits >> j) & 1
-                if below:
-                    v.bits |= mask
-                else:
-                    v.bits &= ~mask
+            _reor_ancestors(leaf)
 
     def bulk_set(self, i, bits):
         """Replace the bit array of leaf i; summaries repaired level-wise."""
@@ -130,16 +120,7 @@ class AggTree:
         anc = leaf.ancestors
         w = self.width
         self.meter.parallel_charge(len(anc), unit=6 * w)
-        below = bits
-        for h in range(1, len(anc)):
-            v = anc[h]
-            child_on_path = anc[h - 1]
-            acc = below
-            for c in v.children:
-                if c is not child_on_path:
-                    acc |= c.bits
-            v.bits = acc
-            below = acc
+        _reor_ancestors(leaf)
 
     def dual_bulk_set(self, positions, j, b):
         """Set bit j to b on every leaf position in `positions`."""
@@ -391,6 +372,18 @@ def join(t1: AggTree, t2: AggTree):
 
 
 # -- the restructuring steps ---------------------------------------------------
+
+
+def _reor_ancestors(leaf):
+    """Rebuild the OR of every vertex above `leaf` from its children,
+    bottom-up; the callers charge it."""
+    anc = leaf.ancestors
+    for h in range(1, len(anc)):
+        v = anc[h]
+        acc = 0
+        for c in v.children:
+            acc |= c.bits
+        v.bits = acc
 
 
 def _summarize(v):

@@ -282,8 +282,13 @@ def check_gadget_graph(cg):
     """Connectivity-gadget invariants: cycle shape, internal
     tree-connectedness and the tracked chord of every cycle.  Host degrees
     are counted from the cross edges, and only active hosts with an edge
-    hold a cycle."""
+    hold a cycle.  Every active host without a cycle is one isolated
+    component."""
     degree = Counter(u for (u, v) in cg.ports)
+    check(
+        cg.isolated == sum(cg.host_active) - len(cg.cycle),
+        f"isolated count {cg.isolated} is not the active hosts without edges",
+    )
     check(set(cg.cycle) == set(degree), "cycle entries are not the hosts with edges")
     check(set(cg.chord) <= set(cg.cycle), "chord of a host without a cycle")
     for u, cyc in cg.cycle.items():
@@ -316,21 +321,23 @@ def check_spars_tree(s):
 
     The tree is its own graph record, so the truth is read from it: an edge
     is present when the leaf of its path holds it in its ports, and a node
-    is active when the root's `host_active` has it set.  Every node's active
-    hosts must be the root's active nodes in its spans, and every base edge
-    must be held at its leaf.  In bipartiteness mode the cover tree must
-    pass the same checks and hold exactly the lift of the graph: its root's
-    active nodes and its edges against the lift of the host's."""
+    is active when the root's `host_active` has it set.  Activity lives only
+    at the root, so every node below it must hold every host of its spans
+    as present.  Every node's gadget must pass `check_gadget_graph`, and
+    every base edge must be held at its leaf.  In bipartiteness mode the
+    cover tree must pass the same checks and hold exactly the lift of the
+    graph: its root's active nodes and its edges against the lift of the
+    host's."""
     root = s.root().conn.host_active  # the root's hosts are (range(n),)
     check(s.active is root, "the tree's activity record is not the root's")
     for node in s.nodes.values():
         conn = node.conn
         spanned = {v for r in conn.hosts for v in r}
-        active = {v for v in spanned if conn.host_active[conn._position(v)]}
         check(
-            active == {v for v in spanned if root[v]},
-            f"active hosts of {node.key} are not the root's active nodes",
+            node.key == s.root_key or all(conn.host_active),
+            f"a host of {node.key} is not present",
         )
+        check_gadget_graph(conn)
         edges = sorted(node.edges())
         cap = 4 * len(spanned)
         check(len(edges) <= cap, f"base graph of {node.key} exceeds {cap} edges")

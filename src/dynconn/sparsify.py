@@ -18,10 +18,10 @@ connectivity tree over the bipartite double cover (2n nodes) holds the
 cover's count at its root, and the graph is bipartite exactly when that is
 twice its own (see BipartiteGeneral).  No node keeps a bipartiteness flag.
 
-Nodes materialize lazily on first edge arrival; construction and activation
-replay inside a materialization are charged to the meter's initialization
-account, matching the convention that building a structure is not part of
-any per-operation bound.
+Nodes materialize lazily on first edge arrival; construction, which
+activates every host of the node's spans, is charged to the meter's
+initialization account, matching the convention that building a structure
+is not part of any per-operation bound.
 
 Every facade operation runs under a depth budget (see depth_budgets) that is
 checked on every call rather than trusted: a call deeper than its budget
@@ -37,7 +37,10 @@ once: an edge is present when the leaf of its path holds it in its ports,
 a node is active when the root's `host_active` has it set (the root's hosts
 are `(range(n),)`, so a node's position there is its id), and a node has an
 edge when the root's `cycle` holds it, because the root's base graph has
-the graph's components.
+the graph's components.  Activity lives only at the root: a node below it
+holds every host of its spans as present from the moment it is built, since
+an edge reaches it only after the root's checks passed, so a node change
+writes the root alone.
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ class SparsTree:
     No graph is kept beside the nodes: edges live in the leaf ports
     (`has_edge`, `edges`), activity in the root's `host_active` (`active`
     is that bytearray) and the nodes with an edge in the root's `cycle`.
+    Activity lives only at the root; the nodes below it hold every host of
+    their spans.
     """
 
     def __init__(self, n, mode, meter: CostMeter):
@@ -108,7 +113,6 @@ class SparsTree:
         self.meter = meter
         self.levels = (n - 1).bit_length()  # partition-tree depth
         self.nodes = {}
-        self.touching = {}
         self._interval_cache = {(0, 0): range(n)}
         self.root_key = (0, 0, 0)
         # the root's activity record is the tree's; the root's hosts are
@@ -134,14 +138,10 @@ class SparsTree:
     def part_path(self, x):
         """x's partition index at every level, root downward."""
         ks = [0]
-        lo, hi = 0, self.n
         k = 0
-        for _ in range(self.levels):
-            mid = lo + (hi - lo + 1) // 2
-            if x < mid:
-                k, hi = 2 * k, mid
-            else:
-                k, lo = 2 * k + 1, mid
+        for level in range(1, self.levels + 1):
+            # part k's first half is part 2k of the next level
+            k = 2 * k if x < self.interval(level, 2 * k).stop else 2 * k + 1
             ks.append(k)
         return ks
 
@@ -180,15 +180,13 @@ class SparsTree:
             spans += (self.interval(level, k2),)
         with self.meter.initialization():
             node = SparsNode(self.meter, key, spans)
-            # the root is built before any node is active
+            # the root, built before any node is active, is the only
+            # activity record; a node below it holds every host of its spans
             if key != self.root_key:
                 for span in spans:
                     for x in span:
-                        if self.active[x]:
-                            node.conn.activate_node(x)
+                        node.conn.activate_node(x)
         self.nodes[key] = node
-        for k in {k1, k2}:
-            self.touching.setdefault((level, k), []).append(node)
         return node
 
     # -- node lifecycle -----------------------------------------------------------
@@ -201,11 +199,7 @@ class SparsTree:
             return self._beside_cover(
                 lambda: self.activate_node(v), lambda bip: bip.activate_node(v)
             )
-        ks = self.part_path(v)
-        self.meter.parallel_charge(self.levels + 1)
-        for level in range(self.levels + 1):
-            for node in self.touching.get((level, ks[level]), ()):
-                node.conn.activate_node(v)
+        self.root().conn.activate_node(v)
 
     def deactivate_node(self, v):
         self._require_active(v)
@@ -215,11 +209,7 @@ class SparsTree:
             return self._beside_cover(
                 lambda: self.deactivate_node(v), lambda bip: bip.deactivate_node(v)
             )
-        ks = self.part_path(v)
-        self.meter.parallel_charge(self.levels + 1)
-        for level in range(self.levels + 1):
-            for node in self.touching.get((level, ks[level]), ()):
-                node.conn.deactivate_node(v)
+        self.root().conn.deactivate_node(v)
 
     # -- edge changes ---------------------------------------------------------------
 
@@ -430,14 +420,14 @@ def depth_budgets(mode, policy) -> dict:
     MeterError.
 
     Updates follow the sequential phases of SparsTree.insert_edge and
-    delete_edge.  Node changes take one parallel step over the levels and
-    queries read the root's counters, which charges work only.
+    delete_edge.  Node changes write the root's activity record and queries
+    read the root's counters, which charges work only.
     """
     conn = ConnGeneral.depth_bounds(policy)
     add, remove = conn["insert"], conn["delete"]
     budgets = {
-        "activate": 1,
-        "deactivate": 1,
+        "activate": 0,
+        "deactivate": 0,
         # probe, initial_segment_end, the commit phase
         "insert": 1 + segment_end_depth(policy) + (1 + add),
         # tree-edge probe, replacement probe, anchor prefix, the commit phase

@@ -22,6 +22,7 @@ from dynconn.sparsify import (
     DynamicBipartiteness,
     DynamicConnectivity,
     SparsError,
+    SparsTree,
     depth_budgets,
 )
 
@@ -374,6 +375,38 @@ class TestDepthPadding:
         assert d.connected(1, 2)
         assert m.depth == 0
 
+    @pytest.mark.parametrize("policy", [ArbitraryPolicy(0), CommonPolicy(0.25)])
+    @pytest.mark.parametrize(
+        "make, work, depth", [(conn_facade, 1, 0), (bip_facade, 5, 1)],
+        ids=["conn", "bip"],
+    )
+    def test_a_node_change_writes_the_root_alone(self, make, work, depth, policy):
+        """With many nodes materialized around it, a node change costs what
+        one write of the root's activity record costs: one unit in
+        connectivity mode, and in bipartiteness mode that write beside the
+        cover's two in one parallel step."""
+        n = 32
+        rng = random.Random(5)
+        f = make(n, policy=policy)
+        for v in range(1, n):
+            f.activate_node(v)
+        for _ in range(3 * n):
+            u, v = rng.randrange(1, n), rng.randrange(1, n)
+            if u != v and not f.core.has_edge(u - 1, v - 1):
+                f.insert_edge(u, v)
+        # the nodes below the root that span node n, which stays inactive
+        spanning = [
+            node for key, node in f.core.nodes.items()
+            if key != f.core.root_key and any(n - 1 in r for r in node.conn.hosts)
+        ]
+        assert len(f.core.nodes) > 50 and len(spanning) > 10
+        assert f.budgets["activate"] == f.budgets["deactivate"] == depth
+        for call in (f.activate_node, f.deactivate_node):
+            f.meter.reset()
+            call(n)
+            assert (f.meter.work, f.meter.depth) == (work, depth)
+        check_spars_tree(f.core)
+
     @pytest.mark.parametrize(
         "policy, name",
         [(ArbitraryPolicy(4), "ArbitraryPolicy"), (CommonPolicy(0.5), "CommonPolicy")],
@@ -566,23 +599,34 @@ def test_checker_sees_a_cover_changed_behind_the_host(tamper, message):
 
 @pytest.mark.parametrize("make", [conn_facade, bip_facade], ids=["conn", "bip"])
 def test_checker_sees_a_node_activity_changed_behind_the_tree(make):
+    """Activity lives only at the root, so a node below it that does not
+    hold every host of its spans has been changed behind the tree."""
     f = make(8)
     for v in range(1, 4):
         f.activate_node(v)
     f.insert_edge(1, 2)
-    # the host tree, or the cover tree, whose node 4 lifts node 3; the root's
-    # activity is the tree's, so the stray activation goes to the node below
-    # it, which also spans an inactive id
-    tree, idle, stray = (f.core, 2, 3) if f.core.bip is None else (f.core.bip.cover, 4, 6)
-    conn = tree.root().conn
+    # node (1, 0, 0) spans ids 0..3 of the host tree and 0..7 of the cover
+    # tree, where host edge (1, 2) lifts to (0, 3) and (1, 2); neither idle
+    # host has an edge
+    tree, idle = (f.core, 2) if f.core.bip is None else (f.core.bip.cover, 6)
+    conn = tree.nodes[(1, 0, 0)].conn
     check_spars_tree(f.core)
     conn.deactivate_node(idle)
-    with pytest.raises(CheckFailure, match="active hosts"):
+    with pytest.raises(CheckFailure, match=r"a host of \(1, 0, 0\) is not present"):
         check_spars_tree(f.core)
     conn.activate_node(idle)
     check_spars_tree(f.core)
-    tree.nodes[(1, 0, 0)].conn.activate_node(stray)
-    with pytest.raises(CheckFailure, match="active hosts"):
+
+
+@pytest.mark.parametrize("make", [conn_facade, bip_facade], ids=["conn", "bip"])
+def test_checker_sees_an_isolated_count_changed_behind_the_tree(make):
+    f = make(8)
+    for v in range(1, 5):
+        f.activate_node(v)
+    f.insert_edge(1, 2)
+    check_spars_tree(f.core)
+    f.core.root().conn.isolated += 1
+    with pytest.raises(CheckFailure, match="isolated count"):
         check_spars_tree(f.core)
 
 
@@ -613,6 +657,23 @@ def test_checker_sees_an_edge_changed_behind_the_tree(make, cover):
     tree.nodes[tree.key_path(x, y)[0]].conn.insert_edge(x, y)
     with pytest.raises(CheckFailure, match="union of child forests"):
         check_spars_tree(f.core)
+
+
+def test_part_path_follows_the_intervals():
+    """x's partition index at each level names the one part there whose
+    interval holds x."""
+    for n in [*range(1, 71), 511, 512, 513, 1024]:
+        t = SparsTree(n, "connectivity", CostMeter(ArbitraryPolicy(0)))
+        owner = []
+        for level in range(t.levels + 1):
+            at = [None] * n
+            for k in range(2**level):
+                for x in t.interval(level, k):
+                    assert at[x] is None, (n, level, x)
+                    at[x] = k
+            owner.append(at)
+        for x in range(n):
+            assert t.part_path(x) == [at[x] for at in owner], (n, x)
 
 
 @pytest.mark.parametrize("facade", [DynamicConnectivity, DynamicBipartiteness])
