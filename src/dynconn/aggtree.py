@@ -112,15 +112,18 @@ class AggTree:
             _reor_ancestors(leaf)
 
     def bulk_set(self, i, bits):
-        """Replace the bit array of leaf i; summaries repaired level-wise."""
+        """Replace the bit array of leaf i; summaries repaired level-wise.
+        Writing the bits a leaf already holds is charged the same but leaves
+        the summaries, which it cannot change, as they are."""
         if not 0 <= i < len(self.leaves):
             raise IndexError("leaf position out of range")
         leaf = self.leaves[i]
-        leaf.bits = bits
         anc = leaf.ancestors
         w = self.width
         self.meter.parallel_charge(len(anc), unit=6 * w)
-        _reor_ancestors(leaf)
+        if leaf.bits != bits:
+            leaf.bits = bits
+            _reor_ancestors(leaf)
 
     def dual_bulk_set(self, positions, j, b):
         """Set bit j to b on every leaf position in `positions`."""

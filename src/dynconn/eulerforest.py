@@ -18,23 +18,32 @@ are the only index of the tours; the checkers find them from there.
 
 `nbr` is the activity record: it maps each active node, and no other, to
 its adjacency list.  With `edge_occ`, which holds both directions of every
-tree edge, it gives the component count.
+tree edge, it gives the component count.  `nontree` maps each node with a
+non-tree edge, and no other, to its non-tree neighbours in `nbr` order.  It
+is written only where an edge's tree status changes: a non-tree insert, a
+non-tree delete and the promotion of a replacement edge.  An edge becomes
+non-tree only when it is inserted, so the order needs no upkeep.  Until its
+first non-tree edge a forest shares one read-only empty record.  The link
+vectors and the replacement searches read it; `oracle.check_euler_forest`
+checks it against `nbr` and `edge_occ`.
 
 Every chunk an update splits, merges, chunks or reindexes goes into one
-record, `_touched`.  The sizing repair of an array works through the touched
-chunks of that array, and one flush at the end of `insert_edge` or `_delete`
-recomputes the link vector of each touched chunk that is still live, once,
-from the final tours.  A chunk retired during the update is skipped:
-`_retire_chunk` clears its link vector before the slot is freed.  The only
-link query of an update, the replacement search, runs before its first
-mutation, so the vectors may lag until the flush; they stay symmetric
-throughout, since every change to them goes through the master array.
+record, `_touched`, made for that update.  The sizing repair of an array
+works through the touched chunks of that array, and one flush at the end of
+`insert_edge` or `_delete` recomputes the link vector of each touched chunk
+that is still live, once, from the final tours, and drops the record.  A
+chunk retired during the update is skipped: `_retire_chunk` clears its link
+vector before the slot is freed.  The only link query of an update, the
+replacement search, runs before its first mutation, so the vectors may lag
+until the flush; they stay symmetric throughout, since every change to them
+goes through the master array.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
+from types import MappingProxyType
 
 from .chunks import MasterArray
 from .costmodel import CostMeter, pick_depth
@@ -42,6 +51,10 @@ from .costmodel import CostMeter, pick_depth
 # a node of degree at most 3 has at most 3 tree edges, hence at most 6 tour
 # occurrences and 6 containers
 _OCCURRENCES = 6
+
+# the non-tree record of every forest that has had no non-tree edge, which is
+# most of them; read-only, so the first non-tree edge gets its own record
+_NO_NONTREE = MappingProxyType({})
 
 
 class ForestError(ValueError):
@@ -90,10 +103,14 @@ class EulerForest:
         self.store = MasterArray(meter, J, self.K)
         self.nbr = {}
         self.edge_occ = {}
+        # each node with a non-tree edge -> its non-tree neighbours, in nbr
+        # order; written only where an edge's tree status changes
+        self.nontree = _NO_NONTREE
         # chunks the current update touched, as an insertion-ordered set:
-        # emptied when an update starts, the worklist of its sizing repairs
-        # and, once it ends, of the link flush
-        self._touched = {}
+        # made when an update that can touch chunks starts, the worklist of
+        # its sizing repairs and, once it ends, of the link flush, which
+        # drops it; None at rest
+        self._touched = None
         with meter.initialization():
             meter.charge(capacity)
 
@@ -216,13 +233,17 @@ class EulerForest:
         if len(self.nbr[u]) >= 3 or len(self.nbr[v]) >= 3:
             raise ForestError("degree bound 3 exceeded")
         same = self._tree_id(u) == self._tree_id(v)
-        self._touched = {}
         self.nbr[u].append(v)
         self.nbr[v].append(u)
         self.meter.charge(4)
         if same:
+            if self.nontree is _NO_NONTREE:
+                self.nontree = {}
+            self.nontree.setdefault(u, []).append(v)
+            self.nontree.setdefault(v, []).append(u)
             self._mark_linked(u, v)
         else:
+            self._touched = {}
             self._merge_tours(u, v)
         self._flush_links()
 
@@ -313,11 +334,12 @@ class EulerForest:
 
     def _delete(self, u, v, hint):
         self._require_edge(u, v)
-        self._touched = {}
         if (u, v) not in self.edge_occ:
             self._remove_adjacency(u, v)
+            self._drop_nontree(u, v)
             self._unlink_after_delete(u, v)
             return ReplacementReport(ReplacementReport.NON_TREE)
+        self._touched = {}
         container = self.edge_occ[(u, v)][0]
         if isinstance(container, SmallTour):
             i1, i2, pair = self._probe_small(container, u, v, hint)
@@ -327,6 +349,8 @@ class EulerForest:
             lo, hi, pair = self._probe_large(container.array, u, v, hint)
             self._remove_adjacency(u, v)
             self._commit_large(container.array, lo, hi, pair)
+        if pair is not None:
+            self._drop_nontree(*pair)  # the replacement is now a tree edge
         self._flush_links()
         return self._report(pair)
 
@@ -341,6 +365,16 @@ class EulerForest:
         self.nbr[v].remove(u)
         self.meter.charge(6)
 
+    def _drop_nontree(self, u, v):
+        """Take (u, v) out of the non-tree record, which keeps no empty list."""
+        nontree = self.nontree
+        for x, y in ((u, v), (v, u)):
+            ys = nontree[x]
+            if len(ys) == 1:
+                del nontree[x]
+            else:
+                ys.remove(y)
+
     def _unlink_after_delete(self, u, v):
         """After removing non-tree (u,v): unlink chunk pairs no longer justified."""
         cu = self._chunks_of(u)
@@ -348,7 +382,7 @@ class EulerForest:
             return
         cv = self._chunks_of(v)
         for a in cu:
-            linked = self._link_mask(self._chunk_nodes(a))
+            linked = self._links_of(a)
             for b in cv:
                 if not (linked >> b.slot) & 1:
                     self.store.unlink(a, b)
@@ -379,13 +413,11 @@ class EulerForest:
                     h1, h2 = h2, h1
                 return i1, i2, (h1, h2)
         candidates = []
+        nontree = self.nontree
         for x in far_nodes:
-            for y in self.nbr[x]:
-                if (x, y) in self.edge_occ or y in far_nodes:
-                    continue
-                if (x, y) == (v, u) or (x, y) == (u, v):
-                    continue
-                candidates.append((y, x))  # (near, far)
+            for y in nontree.get(x, ()):
+                if y not in far_nodes:
+                    candidates.append((y, x))  # (near, far)
         self.meter.parallel_charge(3 * len(far_nodes))
         return i1, i2, self.meter.pick(candidates) if candidates else None
 
@@ -482,10 +514,14 @@ class EulerForest:
         self.meter.parallel_charge(n)
         return array
 
-    def _reindex_chunk(self, c):
-        for off, e in enumerate(c.edges):
-            self.edge_occ[e] = (c, off)
-        self.meter.parallel_charge(len(c.edges))
+    def _reindex_chunk(self, c, start=0):
+        """Point c's edges at their offsets in c.  Edges before `start` kept
+        both, so only the rest are rewritten; all of them are charged."""
+        edges = c.edges
+        edge_occ = self.edge_occ
+        for off in range(start, len(edges)):
+            edge_occ[edges[off]] = (c, off)
+        self.meter.parallel_charge(len(edges))
 
     def _cut_after_target(self, node):
         """Split chunks so some occurrence (x, node) ends a chunk.
@@ -502,7 +538,7 @@ class EulerForest:
         reindexed and touched.  Returns the new chunk."""
         right = c.edges[at:]
         del c.edges[at:]
-        self._reindex_chunk(c)
+        self._reindex_chunk(c, at)
         nc = self.store.alloc_chunk(right)
         self.store.insert_chunk(c.array, c.pos + 1, nc)
         self._reindex_chunk(nc)
@@ -558,13 +594,15 @@ class EulerForest:
                 return lo, hi, (h1, h2)
         candidates = []
         seen = set()
+        nontree = self.nontree
 
         def scan_nodes(nodes):
             for x in nodes:
+                ys = nontree.get(x)
+                if ys is None:
+                    continue
                 fx = far_side(x)
-                for y in self.nbr[x]:
-                    if (x, y) in self.edge_occ or (x, y) in ((u, v), (v, u)):
-                        continue
+                for y in ys:
                     if far_side(y) == fx:
                         continue
                     near, far = (y, x) if fx else (x, y)
@@ -588,10 +626,8 @@ class EulerForest:
                 near_nodes = self._chunk_nodes(pair[0])
                 far_set = set(self._chunk_nodes(pair[1]))
                 for x in near_nodes:
-                    for y in self.nbr[x]:
-                        if (x, y) in self.edge_occ or y not in far_set:
-                            continue
-                        if (x, y) in seen:
+                    for y in nontree.get(x, ()):
+                        if y not in far_set or (x, y) in seen:
                             continue
                         seen.add((x, y))
                         candidates.append((x, y))
@@ -691,7 +727,7 @@ class EulerForest:
             self._touched[nc] = None
         if left:
             c.edges = left
-            self._reindex_chunk(c)
+            self._reindex_chunk(c, off)
             self._touched[c] = None
             return pos + 1
         self._retire_chunk(c)
@@ -735,10 +771,11 @@ class EulerForest:
                 pos = c.pos
                 other = array.leaves[pos - 1] if pos > 0 else array.leaves[pos + 1]
                 left, right = (other, c) if other.pos < pos else (c, other)
+                kept = len(left.edges)  # left's own edges keep their offsets
                 combined = left.edges + right.edges
                 if len(combined) <= K:
                     left.edges = combined
-                    self._reindex_chunk(left)
+                    self._reindex_chunk(left, kept)
                     self._retire_chunk(right)
                     touched[left] = None
                     queue.append(left)
@@ -746,7 +783,7 @@ class EulerForest:
                     half = len(combined) // 2
                     left.edges = combined[:half]
                     right.edges = combined[half:]
-                    self._reindex_chunk(left)
+                    self._reindex_chunk(left, min(kept, half))
                     self._reindex_chunk(right)
                     touched[left] = touched[right] = None
         self._maybe_shrink(array)
@@ -774,8 +811,8 @@ class EulerForest:
     def _flush_links(self):
         """Refresh, once each, the link vectors of the chunks this update
         touched that are still live; a retired chunk's links were cleared
-        when it was retired."""
-        touched = self._touched
+        when it was retired.  The update's record is dropped."""
+        touched, self._touched = self._touched, None
         if not touched:
             return
         slots = self.store.slots
@@ -785,27 +822,31 @@ class EulerForest:
                 self._refresh_links(c)
 
     def _refresh_links(self, c):
-        fresh = self._link_mask(self._chunk_nodes(c))
+        fresh = self._links_of(c)
         self.meter.parallel_charge(3 * len(c.edges) + 2)
         self.store.bulk_set_links(c, fresh)
 
-    def _link_mask(self, nodes):
+    def _links_of(self, c):
         """Slot bits of every chunk holding a tour occurrence of a non-tree
-        neighbour of `nodes`: the link vector of a chunk over those nodes."""
+        neighbour of a node of c: c's link vector.  The chunk is a stretch
+        of a tour, so its nodes are its edges' sources and its last edge's
+        target; the scan over them is charged as one parallel step.  A
+        non-tree neighbour lies on c's own chunked tour, where its
+        occurrences are both directions of each of its tree edges."""
+        edges = c.edges
+        self.meter.parallel_charge(len(edges))
+        nontree = self.nontree
         nbr = self.nbr
         edge_occ = self.edge_occ
+        nodes = {a for a, _ in edges}
+        nodes.add(edges[-1][1])
         mask = 0
-        for x in nodes:
-            for y in nbr[x]:
-                if (x, y) in edge_occ:
-                    continue
+        for x in nontree.keys() & nodes:
+            for y in nontree[x]:
                 for w in nbr[y]:
                     occ = edge_occ.get((y, w))
-                    if occ is not None and occ[0].__class__ is not SmallTour:
-                        mask |= 1 << occ[0].slot
-                    occ = edge_occ.get((w, y))
-                    if occ is not None and occ[0].__class__ is not SmallTour:
-                        mask |= 1 << occ[0].slot
+                    if occ is not None:
+                        mask |= 1 << occ[0].slot | 1 << edge_occ[(w, y)][0].slot
         return mask
 
     def _chunk_nodes(self, c):

@@ -221,8 +221,11 @@ def euler_tours(forest):
 
 def check_euler_forest(forest):
     """Tour validity, occurrence pointers, counters, degree bound, chunk
-    sizing and link ground truth.  Tours are found from the occurrence
-    pointers, and the master array may hold no chunk array outside them."""
+    sizing, the non-tree record and link ground truth.  Tours are found from
+    the occurrence pointers, and the master array may hold no chunk array
+    outside them.  The non-tree record must be `nbr` minus the tree edges,
+    in `nbr` order, with no entry for a node without a non-tree edge; the
+    link vectors are checked from `nbr` and `edge_occ`, not from it."""
     occ = forest.edge_occ
     for e, (container, off) in occ.items():
         check(container.edges[off : off + 1] == [e], f"occurrence pointer stale for {e}")
@@ -255,6 +258,15 @@ def check_euler_forest(forest):
         check(len(nbrs) <= 3, f"degree {len(nbrs)} > 3 at node {v}")
         if not any((v, w) in occ for w in nbrs):
             check(v not in tour_nodes, "tour occurrence for tree-isolated node")
+    nontree = {}
+    for v, nbrs in forest.nbr.items():
+        ys = [w for w in nbrs if (v, w) not in occ]
+        if ys:
+            nontree[v] = ys
+    check(
+        forest.nontree == nontree,
+        "non-tree record is not the adjacency minus the tree edges, in order",
+    )
     check_link_vectors(forest)
 
 

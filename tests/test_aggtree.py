@@ -364,11 +364,22 @@ class TestBitOps:
             check_agg_tree(t1)
 
     def test_bulk_set_current_value_is_noop(self):
+        """Writing a leaf's current bits changes nothing, and is charged
+        what a write that changes them is."""
         m, w = fresh()
-        t = build(m, w, [7, 9])
-        t.bulk_set(1, 9)
-        assert leaf_seq(t) == [7, 9]
-        check_agg_tree(t)
+        vals = [7, 9] + [1 << i for i in range(10)]
+        t = build(m, w, vals)
+        assert t.root.height >= 2
+        charged = []
+        for bits in (9, 9 | 1 << 15):
+            work, depth = m.work, m.depth
+            t.bulk_set(1, bits)
+            charged.append((m.work - work, m.depth - depth))
+            check_agg_tree(t)
+            if bits == 9:
+                assert leaf_seq(t) == vals
+        assert charged[0] == charged[1]
+        assert t.root.bits >> 15 & 1
 
     def test_dual_bulk_set_equals_per_leaf_loop(self):
         rng = random.Random(3)

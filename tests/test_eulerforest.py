@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -65,6 +66,7 @@ class TestNodes:
     def test_fresh_forest_holds_no_record_per_node_or_slot(self):
         f = forest(10**5)
         assert f.nbr == {}
+        assert f.nontree == {}
         assert f.store.slots == {}
 
 
@@ -326,6 +328,56 @@ class TestLinkFlush:
         check_euler_forest(f)
 
 
+class TestReindexing:
+    def test_pointers_hold_after_each_partial_reindex(self, monkeypatch):
+        """A split keeps its left part, a cut-out its left piece and a
+        repair merge its left chunk: their edges keep their offsets, so
+        only the moved ones are rewritten.  Every pointer must still name
+        its edge after each of these steps, and the forest must pass its
+        checker after every update."""
+        fired = {"_split_chunk": 0, "_cut_out": 0, "merge": 0}
+
+        def watch(name):
+            step = getattr(EulerForest, name)
+
+            def watched(self, *args):
+                out = step(self, *args)
+                if name != "_retire_chunk":
+                    fired[name] += 1
+                elif sys._getframe(1).f_code.co_name == "_repair":
+                    fired["merge"] += 1  # the one retirement a repair makes
+                else:
+                    return out
+                for e, (container, off) in self.edge_occ.items():
+                    assert container.edges[off] == e, (name, e)
+                return out
+
+            monkeypatch.setattr(EulerForest, name, watched)
+
+        for name in ("_split_chunk", "_cut_out", "_retire_chunk"):
+            watch(name)
+        rng = random.Random(8)
+        n = 24
+        f = forest(n)
+        assert f.K == 9
+        g = SimpleGraph()
+        for v in range(n):
+            f.activate_node(v)
+            g.activate(v)
+        for _ in range(400):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u == v:
+                continue
+            if g.has_edge(u, v):
+                f.delete_edge(u, v)
+                g.remove_edge(u, v)
+            elif g.degree(u) < 3 and g.degree(v) < 3:
+                f.insert_edge(u, v)
+                g.add_edge(u, v)
+            check_euler_forest(f)
+        assert all(fired.values()), fired
+
+
 class TestCheckerCatchesCorruption:
     """The checker finds tours from the occurrence pointers; it must still
     see a chunk array those pointers miss and a pointer that misses its
@@ -358,3 +410,24 @@ class TestCheckerCatchesCorruption:
         with pytest.raises(CheckFailure, match="occurrence pointer stale"):
             check_euler_forest(f)
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda nontree: nontree[0].remove(20),
+            lambda nontree: nontree.update({5: [6]}),
+            lambda nontree: nontree[0].reverse(),
+            lambda nontree: nontree.update({7: []}),
+        ],
+        ids=["dropped", "stray", "swapped", "empty"],
+    )
+    def test_non_tree_record_changed_behind_the_forest(self, tamper):
+        """The record must list each node's non-tree neighbours in `nbr`
+        order, and hold no other node."""
+        f = self.chunked_path()
+        f.insert_edge(0, 20)
+        f.insert_edge(0, 30)
+        check_euler_forest(f)
+        assert f.nontree == {0: [20, 30], 20: [0], 30: [0]}
+        tamper(f.nontree)
+        with pytest.raises(CheckFailure, match="non-tree record"):
+            check_euler_forest(f)
