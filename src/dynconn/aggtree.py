@@ -6,7 +6,13 @@ have 2..6 children (the root at least min(2, size)), and every leaf keeps a
 pointer to each of its ancestors, which is what makes constant-depth
 restructuring possible.  A leaf is a height-0 `AggVertex` (a subclass may
 carry more fields) that the caller builds and hangs with `insert`; deleting
-or splitting it out leaves the same object detached.
+or splitting it out leaves the same object detached.  A hung leaf also
+records the handle of its tree (`array`) and its position in the leaf list
+(`pos`).  The tree writes both for every leaf it moves, in the phase that
+moves it: the leaf shift of an insertion or deletion, the concatenation of a
+join and the leaf lists of a split.  Where a whole leaf list changes handle
+(a split at the first leaf, a join into an empty tree) one phase over those
+leaves rewrites `array`.  A detached leaf has `array` None and `pos` -1.
 
 Every structural update is organised as a fixed number of parallel phases:
 
@@ -51,10 +57,11 @@ from __future__ import annotations
 
 class AggVertex:
     """A tree vertex.  Built at height 0 it is a detached leaf: its own first
-    and last leaf and its own only ancestor.  Only leaves keep ancestors; an
-    inner vertex gets its summary from `_summarize`."""
+    and last leaf and its own only ancestor, in no tree.  Only leaves keep
+    ancestors, a tree and a position; an inner vertex gets its summary from
+    `_summarize`."""
 
-    __slots__ = ("height", "children", "fst", "lst", "bits", "ancestors")
+    __slots__ = ("height", "children", "fst", "lst", "bits", "ancestors", "array", "pos")
 
     def __init__(self, height=0, children=None, bits=0):
         self.height = height
@@ -63,6 +70,8 @@ class AggVertex:
         self.lst = self
         self.bits = bits
         self.ancestors = None if height else [self]
+        self.array = None
+        self.pos = -1
 
     def __repr__(self):
         return f"<AggVertex h={self.height} bits={self.bits:#x}>"
@@ -170,7 +179,7 @@ class AggTree:
         if not 0 <= i <= n:
             raise IndexError("leaf position out of range")
         meter, width = self.meter, self.width
-        meter.parallel_charge(n - i + 1)  # the leaf array shifts right
+        meter.parallel_charge(n - i + 1)  # the leaf array shifts right, placed
         root = self.root
         if root is None:
             self.root = leaf
@@ -182,6 +191,7 @@ class AggTree:
         else:
             self.root = _attach(meter, width, root, leaf, self.leaves[i - 1], True)
         self.leaves.insert(i, leaf)
+        _place(self, i)
 
     def delete(self, i):
         """Delete leaf i, restructuring only along its ancestor path; the
@@ -197,7 +207,9 @@ class AggTree:
             raise IndexError("leaf position out of range")
         meter = self.meter
         leaf = self.leaves.pop(i)
-        meter.parallel_charge(n - i)  # the leaf array shifts left
+        meter.parallel_charge(n - i)  # the leaf array shifts left, placed
+        _place(self, i)
+        leaf.array, leaf.pos = None, -1
         root = self.root
         if root.height == 0:
             self.root = None
@@ -331,6 +343,8 @@ class AggTree:
         if pos == 0:
             right = AggTree(meter, width, self.root, self.leaves)
             self.root, self.leaves = None, []
+            meter.parallel_charge(n)  # every leaf names the new handle
+            _place(right)
             return right
         leaf = self.leaves[pos]
         path = leaf.ancestors
@@ -345,12 +359,14 @@ class AggTree:
             lefts.extend(kids[:idx])
             rights.extend(reversed(kids[idx + 1 :]))
         rights.append(leaf)
-        meter.parallel_charge(n)
+        meter.parallel_charge(n)  # the two leaf lists, the right one placed
         leaves = self.leaves
         self.root = _assemble(meter, width, lefts, right_side=True)
         self.leaves = leaves[:pos]
         right_root = _assemble(meter, width, rights, right_side=False)
-        return AggTree(meter, width, right_root, leaves[pos:])
+        right = AggTree(meter, width, right_root, leaves[pos:])
+        _place(right)
+        return right
 
 
 def join(t1: AggTree, t2: AggTree):
@@ -358,9 +374,11 @@ def join(t1: AggTree, t2: AggTree):
     left empty."""
     if t2.root is None:
         return
+    base = len(t1.leaves)
     if t1.root is not None:
         meter, width = t1.meter, t1.width
-        meter.parallel_charge(len(t1.leaves) + len(t2.leaves))
+        # the leaf concatenation, which places t2's leaves after t1's
+        meter.parallel_charge(base + len(t2.leaves))
         h1, h2 = t1.root.height, t2.root.height
         if h1 == h2:
             t1.root = _join_equal(meter, width, t1.root, t2.root)
@@ -371,10 +389,22 @@ def join(t1: AggTree, t2: AggTree):
         t1.leaves += t2.leaves
     else:
         t1.root, t1.leaves = t2.root, t2.leaves
+        t1.meter.parallel_charge(len(t1.leaves))  # every leaf names t1
+    _place(t1, base)
     t2.root, t2.leaves = None, []
 
 
 # -- the restructuring steps ---------------------------------------------------
+
+
+def _place(tree, start=0):
+    """Record `tree` and the position on its leaves from `start` on; the
+    callers charge it in the phase that moves those leaves."""
+    leaves = tree.leaves
+    for k in range(start, len(leaves)):
+        leaf = leaves[k]
+        leaf.array = tree
+        leaf.pos = k
 
 
 def _reor_ancestors(leaf):

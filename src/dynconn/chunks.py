@@ -7,7 +7,9 @@ vector (bit per master slot) records this.  A chunk array is an aggregate
 tree whose leaves are the chunks themselves: a chunk's `bits` are its link
 vector, the tree's leaf list is the chunk order and interval link queries
 run on the tree's OR summaries.  Splits and joins keep the left part in its
-own tree, so an array keeps its identity while its tour changes.  The master
+own tree, so an array keeps its identity while its tour changes.  A chunk's
+array and position are its leaf's `array` and `pos`, which the tree writes
+as it moves the leaf, so no operation here charges for them.  The master
 array's `slots` maps occupied slots only to their chunks, so its walks over
 the live chunks cost what is live, not the slot count.
 
@@ -32,17 +34,14 @@ class ChunkError(ValueError):
 
 class Chunk(AggVertex):
     """Tour edges in one master slot; a detached aggregate-tree leaf whose
-    `bits` are its link vector, all-zero at first.  Once hung, `array` is
-    the tree it hangs in and `pos` its leaf position there."""
+    `bits` are its link vector, all-zero at first."""
 
-    __slots__ = ("slot", "edges", "array", "pos")
+    __slots__ = ("slot", "edges")
 
     def __init__(self, slot, edges):
         super().__init__()
         self.slot = slot
         self.edges = edges
-        self.array = None
-        self.pos = -1
 
     def __repr__(self):
         return f"<Chunk slot={self.slot} n={len(self.edges)}>"
@@ -72,14 +71,14 @@ class MasterArray:
             "unlink": 2 * agg["bit_set"],
             # own leaf, then one loop over the arrays clearing and setting
             "bulk_set_links": agg["bulk_set"] + 1 + 2 * agg["dual_bulk_set"],
-            # the tree change, then the position refresh
-            "insert_chunk": 1 + agg["insert"],
-            "delete_chunk": 1 + agg["delete"],
-            "concatenate": 1 + agg["join"],
-            "split_array": agg["split_boundary"] + 2,
-            # a split and a join per block after the first, then the position
-            # refresh
-            "reorder": 1 + (MAX_BLOCKS - 1) * (agg["split_boundary"] + agg["join"]),
+            # the tree change alone: it writes the moved chunks' positions
+            "insert_chunk": agg["insert"],
+            "delete_chunk": agg["delete"],
+            "concatenate": agg["join"],
+            "split_array": agg["split_boundary"],
+            # a split and a join per block after the first, then the joined
+            # tree's join back into the emptied handle (one phase)
+            "reorder": (MAX_BLOCKS - 1) * (agg["split_boundary"] + agg["join"]) + 1,
             # the OR over [i, j), then a scan and a pick per side
             "query": agg["range_bits"] + 2 * (1 + pick),
         }
@@ -211,33 +210,24 @@ class MasterArray:
         if c.array is not None:
             raise ChunkError("chunk already in an array")
         array.insert(pos, c)
-        self._refresh_positions(array, pos)
 
     def delete_chunk(self, array: AggTree, pos):
         if not 0 <= pos < len(array):
             raise ChunkError("position out of range")
         c = array.leaves[pos]
         array.delete(pos)
-        c.array = None
-        c.pos = -1
-        self._refresh_positions(array, pos)
         return c
 
     def concatenate(self, a1: AggTree, a2: AggTree):
         """Append a2's chunks to a1; a2 is left empty."""
-        base = len(a1)
         agg_join(a1, a2)
-        self._refresh_positions(a1, base)
 
     def split_array(self, array: AggTree, pos):
         """Keep the first `pos` chunks in `array`; returns a new array of the
         rest."""
         if not 0 <= pos <= len(array):
             raise ChunkError("position out of range")
-        right = array.split_boundary(pos)
-        self._refresh_positions(right, 0)
-        self.meter.parallel_charge(len(array))
-        return right
+        return array.split_boundary(pos)
 
     def reorder(self, array: AggTree, blocks):
         """Permute the chunks so the [start, end) `blocks` appear in the given
@@ -245,9 +235,10 @@ class MasterArray:
         number at most MAX_BLOCKS.
 
         The aggregate tree is split at the block bounds and the pieces are
-        joined in block order; positions are then refreshed once, from the
-        first block that moved.  A permutation that moves no chunk charges
-        nothing.
+        joined in block order, which writes every moved chunk's position.
+        When the first block was not the array's own piece, the joined tree
+        is joined back into the emptied array, one phase that gives each
+        chunk its handle.  A permutation that moves no chunk charges nothing.
         """
         n = len(array)
         if not 1 <= len(blocks) <= MAX_BLOCKS:
@@ -259,15 +250,9 @@ class MasterArray:
             for i, b in enumerate(by_start)
         ):
             raise ChunkError(f"blocks {blocks} do not tile [0, {n})")
-        # chunks before `first` keep their positions
-        first = 0
-        for start, end in blocks:
-            if start == end:
-                continue
-            if start != first:
-                break
-            first = end
-        else:
+        # the non-empty blocks already in start order move nothing
+        nonempty = [b for b in blocks if b[0] < b[1]]
+        if nonempty == sorted(nonempty):
             return
         pieces = [None] * len(blocks)
         # each cut leaves a block in `rest`'s handle and returns what follows
@@ -281,8 +266,7 @@ class MasterArray:
             agg_join(tree, piece)
         if tree is not array:
             # the blocks were joined in the first block's tree
-            array.root, array.leaves = tree.root, tree.leaves
-        self._refresh_positions(array, first)
+            agg_join(array, tree)
 
     def query(self, array: AggTree, i, j, k, l):
         """A linked pair (C, C') with C at a position in [i, j) and C' in
@@ -312,11 +296,3 @@ class MasterArray:
             raise ChunkError("link vectors inconsistent during query")
         p = meter.pick(back)
         return order[p], cq
-
-    def _refresh_positions(self, array: AggTree, start=0):
-        order = array.leaves
-        for pos in range(start, len(order)):
-            c = order[pos]
-            c.array = array
-            c.pos = pos
-        self.meter.parallel_charge(max(0, len(order) - start))

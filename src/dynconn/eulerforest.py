@@ -276,32 +276,32 @@ class EulerForest:
         a_v = self._as_array(tid_v)
         if a_u is None:
             # u is a singleton: tour becomes (u,v), Q2, Q1, (v,u)
-            cut_v, cv_left = self._cut_after_target(v)
+            cv = self._cut_after_target(v)
             head = self.store.alloc_chunk([(u, v)])
             self.store.insert_chunk(a_v, 0, head)
             self.edge_occ[(u, v)] = (head, 0)
             self._touched[head] = None
-            self._append_edge(cv_left, (v, u))
-            q1 = 1 + cut_v + 1  # Q1 is [1, q1) after the insert
+            self._append_edge(cv, (v, u))
+            q1 = cv.pos + 1  # Q1 is [1, q1)
             self.store.reorder(a_v, [(0, 1), (q1, len(a_v)), (1, q1)])
             final = a_v
         elif a_v is None:
-            cut_u, cu_left = self._cut_after_target(u)
-            self._append_edge(cu_left, (u, v))
+            cu = self._cut_after_target(u)
+            self._append_edge(cu, (u, v))
             tail = self.store.alloc_chunk([(v, u)])
-            self.store.insert_chunk(a_u, cut_u + 1, tail)
+            self.store.insert_chunk(a_u, cu.pos + 1, tail)
             self.edge_occ[(v, u)] = (tail, 0)
             self._touched[tail] = None
             final = a_u
         else:
-            cut_u, cu_left = self._cut_after_target(u)
-            self._append_edge(cu_left, (u, v))
+            cu = self._cut_after_target(u)
+            self._append_edge(cu, (u, v))
             nu = len(a_u)
-            cut_v, cv_left = self._cut_after_target(v)
-            self._append_edge(cv_left, (v, u))
+            cv = self._cut_after_target(v)
+            self._append_edge(cv, (v, u))
             self.store.concatenate(a_u, a_v)
             # P1 P2 Q1 Q2 -> P1 Q2 Q1 P2
-            p1, q1, n = cut_u + 1, nu + cut_v + 1, len(a_u)
+            p1, q1, n = cu.pos + 1, cv.pos + 1, len(a_u)
             self.store.reorder(a_u, [(0, p1), (q1, n), (nu, q1), (p1, nu)])
             final = a_u
         self._repair(final)
@@ -524,14 +524,12 @@ class EulerForest:
         self.meter.parallel_charge(len(edges))
 
     def _cut_after_target(self, node):
-        """Split chunks so some occurrence (x, node) ends a chunk.
-
-        Returns (position of that chunk, the chunk itself).
-        """
+        """Split chunks so some occurrence (x, node) ends a chunk, and
+        return that chunk."""
         c, off = self._target_occurrence(node)
         if off < len(c.edges) - 1:
             self._split_chunk(c, off + 1)
-        return c.pos, c
+        return c
 
     def _split_chunk(self, c, at):
         """Move c.edges[at:] into a new chunk right after c; both are
@@ -636,11 +634,10 @@ class EulerForest:
 
     def _commit_large(self, array, lo, hi, pair):
         # cut out both occurrences, low position first; the second cut resolves
-        # its chunk afresh since the first may have moved or split it
-        lo_pos = self._cut_out(lo[0])
-        hi_pos = self._cut_out(hi[0])
-        # block boundaries by array position: P1 = [0, a), P2 = [a, b), P3 = [b, n)
-        a, b = lo_pos, hi_pos
+        # its chunk afresh since the first may have moved or split it; the
+        # array is then P1 = [0, a), P2 = [a, b), P3 = [b, n)
+        a = self._cut_out(lo[0])
+        b = self._cut_out(hi[0])
         n = len(array)
         if pair is None:
             self.store.reorder(array, [(0, a), (b, n), (a, b)])  # P1 P3 P2
@@ -649,55 +646,39 @@ class EulerForest:
             self._repair(far)
             return
         w_near, w_far = pair
-        # split the far walk X = P2 at an occurrence leaving w_far, the near
-        # walk Y = P3.P1 at one leaving w_near; the new cyclic tour is
-        #   Y' (w_near,w_far) X'' X' (w_far,w_near) Y''
+        # the new cyclic tour is Y' (w_near,w_far) X'' X' (w_far,w_near) Y'':
+        # the far walk X = P2 = X' X'' is cut at an occurrence leaving w_far
+        # and the near walk Y = P3 P1 = Y' Y'' at one leaving w_near, P1
+        # searched first.  A side that is a single node has an empty walk.
+        # Each block bound is named by the chunk that starts it, None for
+        # the end, since the cuts split chunks and so move positions.
+        leaves = array.leaves
+        p1, x, p3 = (leaves[p] if p < n else None for p in (0, a, b))
+
+        def at(c):
+            return len(array) if c is None else c.pos
+
+        xf = x
         if a < b:
-            wf_pos = self._cut_at_source(w_far, (a, b))
-            if wf_pos is None:
+            xf = self._cut_at_source(w_far, (at(x), at(p3)))
+            if xf is None:
                 raise AssertionError("far endpoint has no tour position")
-            delta = len(array) - n
-            b += delta
-            n += delta
+        near = [(p3, None), (p1, x)]  # P3, P1
+        for k in (1, 0):
+            start, end = near[k]
+            yn = self._cut_at_source(w_near, (at(start), at(end)))
+            if yn is not None:
+                y_head, y_tail = near[:k] + [(start, yn)], [(yn, end)] + near[k + 1 :]
+                break
         else:
-            wf_pos = a  # far side is the single node w_far
-        if a > 0 or b < n:
-            wn_pos = self._cut_at_source(w_near, (0, a))
-            if wn_pos is not None:
-                delta = len(array) - n
-                a += delta
-                b += delta
-                wf_pos += delta
-                n += delta
-                blocks = [
-                    (b, n),        # P3
-                    (0, wn_pos),   # head of P1, ends at w_near
-                    (wf_pos, b),   # X''
-                    (a, wf_pos),   # X'
-                    (wn_pos, a),   # tail of P1
-                ]
-                e_block = 1
-            else:
-                wn_pos = self._cut_at_source(w_near, (b, n))
-                if wn_pos is None:
-                    raise AssertionError("near endpoint has no tour position")
-                n = len(array)
-                blocks = [
-                    (b, wn_pos),   # head of P3, ends at w_near
-                    (wf_pos, b),   # X''
-                    (a, wf_pos),   # X'
-                    (wn_pos, n),   # tail of P3
-                    (0, a),        # P1
-                ]
-                e_block = 0
-        else:
-            blocks = [(wf_pos, b), (a, wf_pos)]  # near side is just w_near
-            e_block = -1
+            if a > 0 or p3 is not None:
+                raise AssertionError("near endpoint has no tour position")
+            y_head = y_tail = []
+        blocks = [(at(c), at(d)) for c, d in y_head + [(xf, p3), (x, xf)] + y_tail]
+        e_pos = sum(end - start for start, end in blocks[: len(y_head)])
+        rev_pos = e_pos + 1 + at(p3) - at(x)
         self.store.reorder(array, blocks)
-        lens = [end - start for (start, end) in blocks]
-        pos_e = sum(lens[: e_block + 1]) if e_block >= 0 else 0
-        pos_rev = pos_e + 1 + lens[e_block + 1] + lens[e_block + 2]
-        for pos, e in ((pos_e, (w_near, w_far)), (pos_rev, (w_far, w_near))):
+        for pos, e in ((e_pos, (w_near, w_far)), (rev_pos, (w_far, w_near))):
             nc = self.store.alloc_chunk([e])
             self.store.insert_chunk(array, pos, nc)
             self.edge_occ[e] = (nc, 0)
@@ -737,8 +718,8 @@ class EulerForest:
         """Split chunks so some occurrence (node, ?) starts a chunk whose
         position lies in `pos_range` of node's tour array.
 
-        Returns the boundary position (start of the chunk whose first edge
-        leaves `node`), or None when the range holds no such occurrence.
+        Returns the chunk whose first edge leaves `node`, or None when the
+        range holds no such occurrence.
         """
         for w in self.nbr[node]:
             occ = self.edge_occ.get((node, w))
@@ -747,9 +728,7 @@ class EulerForest:
             c, off = occ
             if not (pos_range[0] <= c.pos < pos_range[1]):
                 continue
-            if off == 0:
-                return c.pos
-            return self._split_chunk(c, off).pos
+            return c if off == 0 else self._split_chunk(c, off)
         return None
 
     # -- sizing repairs and the link flush ------------------------------------

@@ -124,7 +124,8 @@ def check(cond, what):
 
 
 def check_agg_tree(tree):
-    """Full invariant sweep of one aggregate tree; raises CheckFailure."""
+    """Full invariant sweep of one aggregate tree, each leaf's record of its
+    tree and position included; raises CheckFailure."""
     root = tree.root
     leaves = tree.leaves
     if root is None:
@@ -158,7 +159,8 @@ def check_agg_tree(tree):
     check(collected == leaves, "leaf array does not match tree order")
     if len(leaves) > 1:
         check(root.height <= _log2ceil(len(leaves)) + 2, "tree too tall")
-    for leaf in leaves:
+    for pos, leaf in enumerate(leaves):
+        check(leaf.array is tree and leaf.pos == pos, f"leaf place stale at {pos}")
         check(leaf.fst is leaf and leaf.lst is leaf, "leaf fst/lst not self")
         check(len(leaf.ancestors) == root.height + 1, "ancestor array length")
         check(leaf.ancestors[0] is leaf, "ancestors[0] is not the leaf")
@@ -187,7 +189,7 @@ def _log2ceil(x):
 
 
 def check_chunk_store(store):
-    """Link symmetry, free columns, back pointers and every array's tree."""
+    """Link symmetry, free columns and every array's tree."""
     active = list(store.slots.values())
     for c in active:
         for d in active:
@@ -200,8 +202,6 @@ def check_chunk_store(store):
         for s in free:
             check(c.bits >> s & 1 == 0, f"stale link bit to free slot {s}")
     for array in store.arrays():
-        for pos, c in enumerate(array.leaves):
-            check(c.array is array and c.pos == pos, f"back pointer stale at {pos}")
         check_agg_tree(array)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dynconn import aggtree
 from dynconn.aggtree import AggTree, AggVertex, join
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
-from dynconn.oracle import check_agg_tree
+from dynconn.oracle import CheckFailure, check_agg_tree
 
 WIDTH = 16
 
@@ -128,6 +128,48 @@ class TestLeafIdentity:
         leaf = t.leaves[11]
         t.split(11)
         assert leaf.ancestors == [leaf]
+
+
+class TestLeafPlace:
+    """Each hung leaf records its tree and position, written by the tree as
+    it moves the leaf; the checker owns that record."""
+
+    @pytest.mark.parametrize(
+        "field, stale", [("pos", lambda t: 4), ("array", lambda t: AggTree(t.meter, t.width))]
+    )
+    def test_checker_catches_a_stale_place(self, field, stale):
+        m, w = fresh()
+        t = build(m, w, list(range(1, 12)))
+        check_agg_tree(t)
+        setattr(t.leaves[7], field, stale(t))
+        with pytest.raises(CheckFailure, match="leaf place stale at 7"):
+            check_agg_tree(t)
+
+    @pytest.mark.parametrize("remove", ["delete", "split"])
+    def test_removed_leaf_is_in_no_tree(self, remove):
+        m, w = fresh()
+        t = build(m, w, list(range(1, 30)))
+        leaf = t.leaves[11]
+        getattr(t, remove)(11)
+        assert leaf.array is None and leaf.pos == -1
+        check_agg_tree(t)
+
+    def test_split_at_the_first_leaf_hands_every_leaf_over(self):
+        m, w = fresh()
+        t = build(m, w, list(range(1, 20)))
+        right = t.split_boundary(0)
+        assert len(t) == 0 and len(right) == 19
+        assert all(leaf.array is right for leaf in right.leaves)
+        check_agg_tree(right)
+
+    def test_join_into_an_empty_tree_hands_every_leaf_over(self):
+        m, w = fresh()
+        t = AggTree(m, w)
+        donor = build(m, w, list(range(1, 20)))
+        join(t, donor)
+        assert len(t) == 19 and len(donor) == 0
+        assert all(leaf.array is t for leaf in t.leaves)
+        check_agg_tree(t)
 
 
 class TestInPlaceUpdates:

@@ -225,6 +225,62 @@ class TestArrayOps:
         assert a.root.bits == ra | rb
 
 
+class TestChargedAsTheTree:
+    """The array operations charge exactly what the aggregate tree charges
+    for the same change, which already writes the moved chunks' positions:
+    each runs beside the bare tree call on a twin store."""
+
+    @staticmethod
+    def twins(*sizes):
+        """Two equal stores, each with one array per size list, meters reset."""
+        out = []
+        for _ in range(2):
+            ms = store()
+            arrays = [filled(ms, s) for s in sizes]
+            ms.meter.reset()
+            out.append((ms, arrays))
+        return out
+
+    @staticmethod
+    def outcome(ms, arrays):
+        return ms.meter.work, ms.meter.depth, [[c.slot for c in a.leaves] for a in arrays]
+
+    @pytest.mark.parametrize("pos", [0, 2, 5])
+    def test_insert_chunk(self, pos):
+        (ms, [a]), (tw, [b]) = self.twins([2] * 5)
+        c, d = ms.alloc_chunk([(9, 9)]), tw.alloc_chunk([(9, 9)])
+        ms.meter.reset()
+        tw.meter.reset()
+        ms.insert_chunk(a, pos, c)
+        b.insert(pos, d)
+        assert self.outcome(ms, [a]) == self.outcome(tw, [b])
+        check_chunk_store(ms)
+
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_delete_chunk(self, pos):
+        (ms, [a]), (tw, [b]) = self.twins([2] * 5)
+        ms.delete_chunk(a, pos)
+        b.delete(pos)
+        assert self.outcome(ms, [a]) == self.outcome(tw, [b])
+        check_chunk_store(ms)
+
+    @pytest.mark.parametrize("sizes", [([2] * 3, [2] * 4), ([], [2] * 4), ([2] * 3, [])])
+    def test_concatenate(self, sizes):
+        (ms, [a1, a2]), (tw, [b1, b2]) = self.twins(*sizes)
+        ms.concatenate(a1, a2)
+        agg_join(b1, b2)
+        assert self.outcome(ms, [a1, a2]) == self.outcome(tw, [b1, b2])
+        check_chunk_store(ms)
+
+    @pytest.mark.parametrize("pos", [0, 3, 7])
+    def test_split_array(self, pos):
+        (ms, [a]), (tw, [b]) = self.twins([2] * 7)
+        right = ms.split_array(a, pos)
+        twin_right = b.split_boundary(pos)
+        assert self.outcome(ms, [a, right]) == self.outcome(tw, [b, twin_right])
+        check_chunk_store(ms)
+
+
 class TestReorder:
     def test_degenerate_rejected(self):
         ms = store()
@@ -282,15 +338,14 @@ class TestReorder:
         check_chunk_store(ms)
 
     def test_three_blocks_charge_as_the_move_of_one_block(self):
-        # moving [j, k) in front of i costs three boundary splits, three
-        # joins and one position refresh from i
+        # moving [j, k) in front of i costs three boundary splits and three
+        # joins, which write the moved chunks' positions
         def move_block(ms, array, i, j, k):
             mid = array.split_boundary(i)
             moved = mid.split_boundary(j - i)
             tail = moved.split_boundary(k - j)
             for piece in (moved, mid, tail):
                 agg_join(array, piece)
-            ms._refresh_positions(array, i)
 
         for i, j, k in [(0, 2, 5), (1, 3, 6), (2, 4, 9), (3, 4, 5), (0, 1, 9)]:
             costs = []

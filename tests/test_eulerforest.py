@@ -378,6 +378,56 @@ class TestReindexing:
         assert all(fired.values()), fired
 
 
+class TestSplicedLayout:
+    def test_every_near_cut_of_a_replacement_splice(self, monkeypatch):
+        """A replacement (w_near, w_far) is spliced into a chunked tour as
+        Y' (w_near,w_far) X'' X' (w_far,w_near) Y'', where the near walk
+        Y = P3 P1 is cut at an occurrence leaving w_near.  That cut falls in
+        P1, in P3, or nowhere when the near side is the single node w_near;
+        a seeded script reaches all three, and the forest passes its
+        checkers after every update."""
+        seen = {"P1": 0, "P3": 0, "single": 0}
+        near_cuts = []
+        commit, cut_at_source = EulerForest._commit_large, EulerForest._cut_at_source
+
+        def watched_commit(self, array, lo, hi, pair):
+            near_cuts.clear()
+            commit(self, array, lo, hi, pair)
+            if pair is not None:
+                # the near walk is searched in P1, then in P3
+                hits = [c is not None for node, c in near_cuts if node == pair[0]]
+                seen[("P1", "P3")[hits.index(True)] if True in hits else "single"] += 1
+
+        def watched_cut(self, node, pos_range):
+            out = cut_at_source(self, node, pos_range)
+            near_cuts.append((node, out))
+            return out
+
+        monkeypatch.setattr(EulerForest, "_commit_large", watched_commit)
+        monkeypatch.setattr(EulerForest, "_cut_at_source", watched_cut)
+        rng = random.Random(3)
+        n = 20
+        f = forest(n)
+        assert f.K == 8
+        g = SimpleGraph()
+        for v in range(n):
+            f.activate_node(v)
+            g.activate(v)
+        for _ in range(600):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u == v:
+                continue
+            if g.has_edge(u, v):
+                f.delete_edge(u, v)
+                g.remove_edge(u, v)
+            elif g.degree(u) < 3 and g.degree(v) < 3:
+                f.insert_edge(u, v)
+                g.add_edge(u, v)
+            check_euler_forest(f)
+            check_chunk_store(f.store)
+        assert all(seen.values()), seen
+
+
 class TestCheckerCatchesCorruption:
     """The checker finds tours from the occurrence pointers; it must still
     see a chunk array those pointers miss and a pointer that misses its
