@@ -11,7 +11,10 @@ own tree, so an array keeps its identity while its tour changes.  A chunk's
 array and position are its leaf's `array` and `pos`, which the tree writes
 as it moves the leaf, so no operation here charges for them.  The master
 array's `slots` maps occupied slots only to their chunks, so its walks over
-the live chunks cost what is live, not the slot count.
+the live chunks cost what is live, not the slot count.  It also counts the
+arrays that hold a chunk and the chunks those arrays hold, which the array
+operations keep up to date; `bulk_set_links` reads its charge from the two
+counts rather than walking the arrays.
 
 Positions are 0-based throughout.  Link vectors are Python ints; the meter is
 charged `width` units for whole-vector operations.
@@ -56,6 +59,10 @@ class MasterArray:
         self.chunk_capacity = chunk_capacity
         self.slots = {}
         self.free = list(range(slot_count - 1, -1, -1))
+        # the arrays that hold a chunk, and the chunks they hold: the loop
+        # bulk_set_links charges for, written by the array operations
+        self.n_arrays = 0
+        self.n_held = 0
         with meter.initialization():
             meter.charge(slot_count)
 
@@ -84,6 +91,8 @@ class MasterArray:
         }
 
     def arrays(self):
+        """The arrays holding a live chunk, found from the chunks; the
+        checkers and tests read it, the operations keep counts instead."""
         return list(dict.fromkeys(
             c.array for c in self.slots.values() if c.array is not None
         ))
@@ -162,7 +171,9 @@ class MasterArray:
         whose leaves the chunks are.  The model is a parallel loop over every
         array in which each iteration scans its chunks; iterations whose
         array has nothing to flip are charged as one plain sum (they add no
-        depth), and the loop body runs only over the arrays it changes.
+        depth), and the loop body runs only over the arrays it changes.  The
+        loop's size and the chunks it scans are the store's two counts, so
+        no array is walked for the charge.
         """
         self._require_active(c)
         old = c.bits
@@ -182,9 +193,8 @@ class MasterArray:
             if entry is None:
                 entry = changes[d.array] = ([], [])
             entry[1 if links & low else 0].append(d.pos)
-        arrays = self.arrays()
         touched = list(changes.items())
-        self.meter.charge(len(arrays) - len(touched) + sum(map(len, arrays)))
+        self.meter.charge(self.n_arrays - len(touched) + self.n_held)
 
         def column_body(t):
             array, (to_clear, to_set) = touched[t]
@@ -207,8 +217,11 @@ class MasterArray:
     def insert_chunk(self, array: AggTree, pos, c: Chunk):
         if not 0 <= pos <= len(array):
             raise ChunkError("position out of range")
+        self._require_active(c)
         if c.array is not None:
             raise ChunkError("chunk already in an array")
+        self.n_arrays += not array.leaves
+        self.n_held += 1
         array.insert(pos, c)
 
     def delete_chunk(self, array: AggTree, pos):
@@ -216,10 +229,15 @@ class MasterArray:
             raise ChunkError("position out of range")
         c = array.leaves[pos]
         array.delete(pos)
+        self.n_arrays -= not array.leaves
+        self.n_held -= 1
         return c
 
     def concatenate(self, a1: AggTree, a2: AggTree):
         """Append a2's chunks to a1; a2 is left empty."""
+        if a1 is a2:
+            raise ChunkError("cannot concatenate an array with itself")
+        self.n_arrays -= bool(a1.leaves and a2.leaves)
         agg_join(a1, a2)
 
     def split_array(self, array: AggTree, pos):
@@ -227,6 +245,7 @@ class MasterArray:
         rest."""
         if not 0 <= pos <= len(array):
             raise ChunkError("position out of range")
+        self.n_arrays += 0 < pos < len(array)
         return array.split_boundary(pos)
 
     def reorder(self, array: AggTree, blocks):

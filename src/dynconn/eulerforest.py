@@ -27,6 +27,20 @@ first non-tree edge a forest shares one read-only empty record.  The link
 vectors and the replacement searches read it; `oracle.check_euler_forest`
 checks it against `nbr` and `edge_occ`.
 
+`slots_of` maps a node to the OR of `1 << slot` over the chunks holding its
+tour occurrences, the part of a link vector one non-tree neighbour gives.
+It is filled lazily: the link computation (`_links_of`) stores each mask it
+derives from `nbr` and `edge_occ` and reads it back until a node's entry is
+dropped.  An entry is dropped wherever an occurrence of its node is written
+into a chunk or taken out of one: by `_reindex_chunk` for the endpoints of
+every edge it rewrites, by `_append_edge`, by the head and tail edges of
+`_merge_tours` and the two new edges of `_commit_large`, by `_cut_out` for
+the removed edge and by `_maybe_shrink` for every node of a demoted tour.
+So every entry holds, and no node outside a chunk has one.  The record is
+made at the forest's first `_chunkify` and is None before, which most
+forests, whose tours stay small, never reach; `oracle.check_euler_forest`
+recomputes every entry.
+
 Every chunk an update splits, merges, chunks or reindexes goes into one
 record, `_touched`, made for that update.  The sizing repair of an array
 works through the touched chunks of that array, and one flush at the end of
@@ -106,6 +120,9 @@ class EulerForest:
         # each node with a non-tree edge -> its non-tree neighbours, in nbr
         # order; written only where an edge's tree status changes
         self.nontree = _NO_NONTREE
+        # node -> OR of the slot bits of the chunks holding its occurrences,
+        # filled by _links_of; None until the first chunk array is made
+        self.slots_of = None
         # chunks the current update touched, as an insertion-ordered set:
         # made when an update that can touch chunks starts, the worklist of
         # its sizing repairs and, once it ends, of the link flush, which
@@ -280,6 +297,7 @@ class EulerForest:
             head = self.store.alloc_chunk([(u, v)])
             self.store.insert_chunk(a_v, 0, head)
             self.edge_occ[(u, v)] = (head, 0)
+            self._moved(u, v)
             self._touched[head] = None
             self._append_edge(cv, (v, u))
             q1 = cv.pos + 1  # Q1 is [1, q1)
@@ -291,6 +309,7 @@ class EulerForest:
             tail = self.store.alloc_chunk([(v, u)])
             self.store.insert_chunk(a_u, cu.pos + 1, tail)
             self.edge_occ[(v, u)] = (tail, 0)
+            self._moved(u, v)
             self._touched[tail] = None
             final = a_u
         else:
@@ -499,6 +518,8 @@ class EulerForest:
         return tid
 
     def _chunkify(self, edges):
+        if self.slots_of is None:
+            self.slots_of = {}
         array = self.store.new_array()
         n = len(edges)
         n_chunks = max(1, -(-n // self.K))
@@ -516,12 +537,20 @@ class EulerForest:
 
     def _reindex_chunk(self, c, start=0):
         """Point c's edges at their offsets in c.  Edges before `start` kept
-        both, so only the rest are rewritten; all of them are charged."""
+        both, so only the rest are rewritten; all of them are charged.  The
+        `slots_of` entries of the rewritten edges' endpoints are dropped:
+        each target but the last is the next edge's source."""
         edges = c.edges
         edge_occ = self.edge_occ
-        for off in range(start, len(edges)):
-            edge_occ[edges[off]] = (c, off)
-        self.meter.parallel_charge(len(edges))
+        drop = self.slots_of.pop
+        n = len(edges)
+        for off in range(start, n):
+            e = edges[off]
+            edge_occ[e] = (c, off)
+            drop(e[0], None)
+        if start < n:
+            drop(edges[-1][1], None)
+        self.meter.parallel_charge(n)
 
     def _cut_after_target(self, node):
         """Split chunks so some occurrence (x, node) ends a chunk, and
@@ -553,6 +582,7 @@ class EulerForest:
     def _append_edge(self, c, edge):
         c.edges.append(edge)
         self.edge_occ[edge] = (c, len(c.edges) - 1)
+        self._moved(*edge)
         self._touched[c] = None
         self.meter.charge(2)
 
@@ -683,6 +713,7 @@ class EulerForest:
             self.store.insert_chunk(array, pos, nc)
             self.edge_occ[e] = (nc, 0)
             self._touched[nc] = None
+        self._moved(w_near, w_far)
         self._repair(array)
         # the promoted edge no longer justifies links anywhere: every chunk
         # holding another occurrence of its endpoints must recompute
@@ -697,6 +728,7 @@ class EulerForest:
         boundary between the left and right pieces).
         """
         c, off = self.edge_occ.pop(edge)
+        self._moved(*edge)
         array = c.array
         left = c.edges[:off]
         right = c.edges[off + 1 :]
@@ -785,6 +817,7 @@ class EulerForest:
             edges.extend(c.edges)
         for c in list(array.leaves):
             self._retire_chunk(c)
+        self._moved(*(a for a, _ in edges))  # a tour's sources are its nodes
         self._adopt_small(edges)
 
     def _flush_links(self):
@@ -811,22 +844,36 @@ class EulerForest:
         of a tour, so its nodes are its edges' sources and its last edge's
         target; the scan over them is charged as one parallel step.  A
         non-tree neighbour lies on c's own chunked tour, where its
-        occurrences are both directions of each of its tree edges."""
+        occurrences are both directions of each of its tree edges.  Each
+        neighbour's bits are read from `slots_of`; a node without an entry
+        has its tree edges walked once and the result stored."""
         edges = c.edges
         self.meter.parallel_charge(len(edges))
         nontree = self.nontree
         nbr = self.nbr
         edge_occ = self.edge_occ
+        slots_of = self.slots_of
         nodes = {a for a, _ in edges}
         nodes.add(edges[-1][1])
         mask = 0
         for x in nontree.keys() & nodes:
             for y in nontree[x]:
-                for w in nbr[y]:
-                    occ = edge_occ.get((y, w))
-                    if occ is not None:
-                        mask |= 1 << occ[0].slot | 1 << edge_occ[(w, y)][0].slot
+                bits = slots_of.get(y)
+                if bits is None:
+                    bits = 0
+                    for w in nbr[y]:
+                        occ = edge_occ.get((y, w))
+                        if occ is not None:
+                            bits |= 1 << occ[0].slot | 1 << edge_occ[(w, y)][0].slot
+                    slots_of[y] = bits
+                mask |= bits
         return mask
+
+    def _moved(self, *nodes):
+        """Drop the `slots_of` entries of nodes whose occurrences moved."""
+        drop = self.slots_of.pop
+        for v in nodes:
+            drop(v, None)
 
     def _chunk_nodes(self, c):
         """The distinct endpoints of c's edges, in order of first occurrence."""

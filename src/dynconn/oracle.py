@@ -189,7 +189,8 @@ def _log2ceil(x):
 
 
 def check_chunk_store(store):
-    """Link symmetry, free columns and every array's tree."""
+    """Link symmetry, free columns, every array's tree, live leaves only and
+    the store's counts of arrays and of the chunks they hold."""
     active = list(store.slots.values())
     for c in active:
         for d in active:
@@ -201,8 +202,16 @@ def check_chunk_store(store):
     for c in active:
         for s in free:
             check(c.bits >> s & 1 == 0, f"stale link bit to free slot {s}")
-    for array in store.arrays():
+    arrays = store.arrays()
+    for array in arrays:
         check_agg_tree(array)
+        for c in array.leaves:
+            check(store.slots.get(c.slot) is c, f"array leaf {c} is not a live chunk")
+    check(
+        (store.n_arrays, store.n_held) == (len(arrays), sum(map(len, arrays))),
+        f"store counts {store.n_arrays} arrays, {store.n_held} chunks; "
+        f"found {len(arrays)}, {sum(map(len, arrays))}",
+    )
 
 
 def euler_tours(forest):
@@ -225,7 +234,9 @@ def check_euler_forest(forest):
     the occurrence pointers, and the master array may hold no chunk array
     outside them.  The non-tree record must be `nbr` minus the tree edges,
     in `nbr` order, with no entry for a node without a non-tree edge; the
-    link vectors are checked from `nbr` and `edge_occ`, not from it."""
+    link vectors are checked from `nbr` and `edge_occ`, not from it.  Every
+    `slots_of` entry must be the slot bits of the chunks holding its node's
+    occurrences, and no node outside a chunk may have one."""
     occ = forest.edge_occ
     for e, (container, off) in occ.items():
         check(container.edges[off : off + 1] == [e], f"occurrence pointer stale for {e}")
@@ -267,6 +278,15 @@ def check_euler_forest(forest):
         forest.nontree == nontree,
         "non-tree record is not the adjacency minus the tree edges, in order",
     )
+    for v, bits in (forest.slots_of or {}).items():
+        want = 0
+        for w in forest.nbr.get(v, ()):
+            for e in ((v, w), (w, v)):
+                container = occ[e][0] if e in occ else None
+                if isinstance(container, Chunk):
+                    want |= 1 << container.slot
+        check(want != 0, f"slot record entry for node {v}, which no chunk holds")
+        check(bits == want, f"slot record of node {v} stale: {bits:#x} != {want:#x}")
     check_link_vectors(forest)
 
 

@@ -214,6 +214,55 @@ class TestArrayOps:
         assert a.leaves == want
         check_chunk_store(ms)
 
+    def test_concatenate_with_itself_rejected(self):
+        # joining an array to itself would empty it and leave its chunks
+        # claiming positions past its end
+        ms = store()
+        a = filled(ms, [2, 2, 2])
+        leaves = list(a.leaves)
+        before = (ms.n_arrays, ms.n_held, ms.meter.work, ms.meter.depth)
+        with pytest.raises(ChunkError, match="itself"):
+            ms.concatenate(a, a)
+        assert a.leaves == leaves
+        assert [(c.array, c.pos) for c in leaves] == [(a, 0), (a, 1), (a, 2)]
+        assert (ms.n_arrays, ms.n_held, ms.meter.work, ms.meter.depth) == before
+        check_chunk_store(ms)
+
+    def test_retired_chunk_insert_rejected(self):
+        # a retired chunk's slot may be reused, which would put two leaves
+        # with one slot in the array
+        ms = store()
+        a = filled(ms, [2, 2])
+        c = ms.alloc_chunk([(5, 6)])
+        ms.deactivate(c)
+        before = (list(a.leaves), list(ms.free), dict(ms.slots), ms.n_held,
+                  ms.meter.work, ms.meter.depth)
+        with pytest.raises(ChunkError, match="inactive chunk"):
+            ms.insert_chunk(a, 1, c)
+        assert (list(a.leaves), ms.free, ms.slots, ms.n_held,
+                ms.meter.work, ms.meter.depth) == before
+        assert c.array is None
+        check_chunk_store(ms)
+
+    def test_checker_rejects_a_retired_leaf(self):
+        ms = store()
+        a = filled(ms, [2, 2])
+        c = ms.alloc_chunk([(5, 6)])
+        ms.deactivate(c)
+        a.insert(1, c)  # behind the store's back
+        ms.n_held += 1
+        with pytest.raises(CheckFailure, match="not a live chunk"):
+            check_chunk_store(ms)
+
+    @pytest.mark.parametrize("count", ["n_arrays", "n_held"])
+    def test_checker_rejects_a_wrong_count(self, count):
+        ms = store()
+        filled(ms, [2, 2])
+        check_chunk_store(ms)
+        setattr(ms, count, getattr(ms, count) + 1)
+        with pytest.raises(CheckFailure, match="store counts"):
+            check_chunk_store(ms)
+
     def test_concatenated_root_is_the_or_of_both_roots(self):
         ms = store()
         a = filled(ms, [2, 2])
@@ -640,3 +689,61 @@ def test_bulk_set_links_matches_full_column_scan():
         ]
         assert (new.meter.work, new.meter.depth) == (ref.meter.work, ref.meter.depth)
     check_chunk_store(twins[0])
+
+
+def test_store_counts_follow_every_array_operation():
+    """Twin stores, one charging `bulk_set_links` from the full column scan,
+    replay a script of the edge cases of the counts: a chunk allocated and
+    never inserted, a split at 0 and at the end, a concatenation with an
+    empty donor and into an empty array, and deletions that empty an array.
+    After each step a refresh of every live leaf charges the same on both,
+    and the counts match the arrays."""
+    twins = [
+        MasterArray(CostMeter(ArbitraryPolicy(3)), 32, 6),
+        ScanningMasterArray(CostMeter(ArbitraryPolicy(3)), 32, 6),
+    ]
+
+    def script(ms):
+        a = filled(ms, [2, 2, 2])
+        yield
+        loose = ms.alloc_chunk([(9, 9)])  # live, in no array
+        yield
+        empty = ms.new_array()
+        yield
+        b = ms.split_array(a, 0)  # a is emptied, b holds all three
+        yield
+        ms.concatenate(b, empty)  # empty donor
+        yield
+        tail = ms.split_array(b, len(b))  # empty result
+        yield
+        ms.concatenate(tail, b)  # into an empty array
+        yield
+        ms.insert_chunk(a, 0, loose)
+        yield
+        rest = ms.split_array(tail, 1)
+        yield
+        ms.concatenate(a, rest)
+        yield
+        for arr in (tail, a):
+            while len(arr):
+                c = arr.leaves[0]
+                if c.bits:
+                    ms.bulk_set_links(c, 0)
+                ms.delete_chunk(arr, 0)
+                ms.deactivate(c)
+                yield
+
+    rng = random.Random(5)
+    for _ in zip(*map(script, twins)):
+        new, ref = twins
+        assert (new.n_arrays, new.n_held) == (
+            len(new.arrays()), sum(map(len, new.arrays())),
+        )
+        held = [c.slot for c in new.slots.values() if c.array is not None]
+        masks = {s: sum(1 << t for t in held if rng.random() < 0.4) for s in held}
+        for ms in twins:
+            for slot, mask in masks.items():
+                ms.bulk_set_links(ms.slots[slot], mask)
+            check_chunk_store(ms)
+        assert (new.meter.work, new.meter.depth) == (ref.meter.work, ref.meter.depth)
+    assert new.n_arrays == new.n_held == 0

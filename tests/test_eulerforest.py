@@ -378,6 +378,72 @@ class TestReindexing:
         assert all(fired.values()), fired
 
 
+class TestSlotRecord:
+    def test_entries_hit_and_every_drop_fires_during_soak(self, monkeypatch):
+        """A small-K soak passes the checker, which recomputes every
+        `slots_of` entry, after every update.  The link computation must
+        read stored entries, and the drops of a reindex, of a cut-out edge
+        and of a demotion must each remove a live entry."""
+        hits = []
+        dropped = {}
+        links_of, reindex, moved = (
+            EulerForest._links_of, EulerForest._reindex_chunk, EulerForest._moved,
+        )
+
+        def watched_links_of(self, c):
+            nodes = {x for e in c.edges for x in e}
+            hits.extend(
+                y for x in nodes for y in self.nontree.get(x, ()) if y in self.slots_of
+            )
+            return links_of(self, c)
+
+        def count(name, before, after):
+            dropped[name] = dropped.get(name, 0) + before - after
+
+        def watched_reindex(self, c, start=0):
+            before = len(self.slots_of)
+            reindex(self, c, start)
+            count("_reindex_chunk", before, len(self.slots_of))
+
+        def watched_moved(self, *nodes):
+            before = len(self.slots_of)
+            moved(self, *nodes)
+            count(sys._getframe(1).f_code.co_name, before, len(self.slots_of))
+
+        monkeypatch.setattr(EulerForest, "_links_of", watched_links_of)
+        monkeypatch.setattr(EulerForest, "_reindex_chunk", watched_reindex)
+        monkeypatch.setattr(EulerForest, "_moved", watched_moved)
+        # short-range edges close many short cycles, and a deletion share
+        # of 0.3 keeps splitting pieces off the long tours, so tours holding
+        # stored entries are demoted too
+        rng = random.Random(0)
+        n = 30
+        f = forest(n, ArbitraryPolicy(5))
+        assert f.K == 10 and f.slots_of is None
+        g = SimpleGraph()
+        for v in range(n):
+            f.activate_node(v)
+            g.activate(v)
+        edges = []
+        for _ in range(1500):
+            if edges and rng.random() < 0.3:
+                u, v = edges.pop(rng.randrange(len(edges)))
+                f.delete_edge(u, v)
+                g.remove_edge(u, v)
+            else:
+                u = rng.randrange(n)
+                v = (u + rng.randrange(1, 5)) % n
+                if g.has_edge(u, v) or g.degree(u) == 3 or g.degree(v) == 3:
+                    continue
+                f.insert_edge(u, v)
+                g.add_edge(u, v)
+                edges.append((u, v))
+            check_euler_forest(f)
+        assert hits
+        drops = ("_reindex_chunk", "_cut_out", "_maybe_shrink")
+        assert all(dropped.get(k) for k in drops), dropped
+
+
 class TestSplicedLayout:
     def test_every_near_cut_of_a_replacement_splice(self, monkeypatch):
         """A replacement (w_near, w_far) is spliced into a chunked tour as
@@ -458,6 +524,30 @@ class TestCheckerCatchesCorruption:
         tour, off = f.edge_occ[(0, 1)]
         f.edge_occ[(0, 1)] = (tour, (off + 1) % len(tour.edges))
         with pytest.raises(CheckFailure, match="occurrence pointer stale"):
+            check_euler_forest(f)
+
+    def linked_path(self):
+        """A chunked path with a non-tree edge deleted, whose link
+        refresh stores the slot bits of node 20, and a small tour."""
+        f = forest_with([(i, i + 1) for i in range(40)] + [(42, 43)], n=48)
+        f.insert_edge(0, 20)
+        f.insert_edge(0, 30)
+        f.delete_edge(0, 30)
+        check_euler_forest(f)
+        assert 20 in f.slots_of and 42 not in f.slots_of
+        return f
+
+    def test_stale_slot_record_entry(self):
+        f = self.linked_path()
+        spare = next(s for s in range(f.store.slot_count) if s not in f.store.slots)
+        f.slots_of[20] |= 1 << spare
+        with pytest.raises(CheckFailure, match="slot record of node 20 stale"):
+            check_euler_forest(f)
+
+    def test_slot_record_entry_for_a_small_tour_node(self):
+        f = self.linked_path()
+        f.slots_of[42] = f.slots_of[20]
+        with pytest.raises(CheckFailure, match="node 42, which no chunk holds"):
             check_euler_forest(f)
 
     @pytest.mark.parametrize(
