@@ -178,6 +178,8 @@ class AggTree:
         n = len(self.leaves)
         if not 0 <= i <= n:
             raise IndexError("leaf position out of range")
+        if leaf.array is not None:
+            raise ValueError("leaf already hung in a tree")
         meter, width = self.meter, self.width
         meter.parallel_charge(n - i + 1)  # the leaf array shifts right, placed
         root = self.root
@@ -372,6 +374,8 @@ class AggTree:
 def join(t1: AggTree, t2: AggTree):
     """Append t2's leaves to t1's; the joined tree is left in t1 and t2 is
     left empty."""
+    if t1 is t2:
+        raise ValueError("cannot join a tree with itself")
     if t2.root is None:
         return
     base = len(t1.leaves)

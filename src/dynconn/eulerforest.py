@@ -10,6 +10,16 @@ query.
 Keeping them out of the master array is also what keeps the slot count at
 O(sqrt(n)): a forest can contain far more tiny trees than slots.
 
+A new tree edge's two occurrences go into chunks already in the tour, never
+into a chunk of their own: a link of a singleton writes both right after an
+occurrence entering the other endpoint, in that occurrence's chunk, and a
+replacement spliced into a cut tour writes each at the end of the chunk
+before its place (at the front of the first chunk when its place is the
+start).  Only the link of two chunked tours appends them at chunk ends it
+cuts.  A chunk that overflows is split by the update's sizing repair, so an
+update allocates chunks only for cuts, repairs and the chunking of a small
+tour.
+
 Connectivity is answered in O(1) by comparing tour container identities,
 reached from any incident tree edge's occurrence pointer: a small tour's
 edge list object, or the aggregate tree of a chunked one, which keeps its
@@ -33,9 +43,9 @@ It is filled lazily: the link computation (`_links_of`) stores each mask it
 derives from `nbr` and `edge_occ` and reads it back until a node's entry is
 dropped.  An entry is dropped wherever an occurrence of its node is written
 into a chunk or taken out of one: by `_reindex_chunk` for the endpoints of
-every edge it rewrites, by `_append_edge`, by the head and tail edges of
-`_merge_tours` and the two new edges of `_commit_large`, by `_cut_out` for
-the removed edge and by `_maybe_shrink` for every node of a demoted tour.
+every edge it rewrites, which covers the new tree edges of `_merge_tours`
+and `_commit_large`, by `_append_edge`, by `_cut_out` for the removed edge
+and by `_maybe_shrink` for every node of a demoted tour.
 So every entry holds, and no node outside a chunk has one.  The record is
 made at the forest's first `_chunkify` and is None before, which most
 forests, whose tours stay small, never reach; `oracle.check_euler_forest`
@@ -140,8 +150,12 @@ class EulerForest:
         Loop counts come from the degree bound and the repair invariant:
         every chunk of an array at rest holds at least K/2 edges, and an
         operation touches at most 6 live chunks of the array it repairs on
-        insertion, 4 after cutting out a deleted edge and 10 once its
-        replacement is spliced in.  A repair splits an oversized chunk or
+        insertion, 4 after cutting out a deleted edge and 8 once its
+        replacement is spliced in: each of the two cuts of the splice
+        touches the two halves of a chunk it splits, or else the chunk of
+        the splice's new edge beside it is the one more it touches.  A new
+        tree edge's occurrences are written into chunks already there, so
+        they add no chunk.  A repair splits an oversized chunk or
         merges or rebalances an undersized one at most once per touched chunk
         and may add one chunk per touched chunk, and a tour short enough to
         demote then spans at most 2 chunks.  Small tours never exceed K
@@ -159,6 +173,7 @@ class EulerForest:
         retire = store["bulk_set_links"] + store["delete_chunk"]  # _retire_chunk
         as_array = 1 + (insert_chunk + 2)  # drop, one-chunk _chunkify
         cut = 2 + insert_chunk  # _cut_after_target, _cut_at_source
+        write = 1  # a new occurrence written into a chunk: its reindex
         # _cut_out: the right piece, then the left piece or the retirement
         cut_out = insert_chunk + 1 + max(1, retire)
         shrink = 1 + 2 * retire + 1  # _maybe_shrink
@@ -169,11 +184,12 @@ class EulerForest:
         def flush(marked):  # _flush_links: the liveness filter, then refreshes
             return 1 + marked * refresh
 
-        # _merge_tours: two tour lengths, then a small splice, a singleton
-        # end or two cut arrays, then the repair and the flush
+        # _merge_tours: two tour lengths, then a small splice, a singleton's
+        # two edges written into one chunk or two cut arrays, then the
+        # repair and the flush
         merge = 2 + max(
             4,
-            as_array + cut + insert_chunk + store["reorder"],
+            as_array + write,
             2 * (as_array + cut) + store["concatenate"] + store["reorder"],
         ) + repair(6) + flush(2 * 6)
         mark_linked = 1 + _OCCURRENCES**2 * store["link"]
@@ -184,11 +200,11 @@ class EulerForest:
         # near range a query, the node lists of the pair it returns and a scan
         probe_large = 3 + 2 * (store["query"] + 3) + select
         commit_split = store["reorder"] + store["split_array"] + 2 * repair(4)
-        commit_replace = 2 * cut + store["reorder"] + 2 * insert_chunk + repair(10)
+        commit_replace = 2 * cut + store["reorder"] + 2 * write + repair(8)
         # flushed: two split-off repairs of at most 4 touched, or one repair
-        # of 10 touched plus the chunks of the promoted edge's endpoints
+        # of 8 touched plus the chunks of the promoted edge's endpoints
         commit_large = 2 * cut_out + max(commit_split, commit_replace) + flush(
-            max(2 * 2 * 4, 2 * 10 + 2 * _OCCURRENCES)
+            max(2 * 2 * 4, 2 * 8 + 2 * _OCCURRENCES)
         )
         return {
             "insert": max(mark_linked, merge),
@@ -291,27 +307,15 @@ class EulerForest:
             return
         a_u = self._as_array(tid_u)
         a_v = self._as_array(tid_v)
-        if a_u is None:
-            # u is a singleton: tour becomes (u,v), Q2, Q1, (v,u)
-            cv = self._cut_after_target(v)
-            head = self.store.alloc_chunk([(u, v)])
-            self.store.insert_chunk(a_v, 0, head)
-            self.edge_occ[(u, v)] = (head, 0)
-            self._moved(u, v)
-            self._touched[head] = None
-            self._append_edge(cv, (v, u))
-            q1 = cv.pos + 1  # Q1 is [1, q1)
-            self.store.reorder(a_v, [(0, 1), (q1, len(a_v)), (1, q1)])
-            final = a_v
-        elif a_v is None:
-            cu = self._cut_after_target(u)
-            self._append_edge(cu, (u, v))
-            tail = self.store.alloc_chunk([(v, u)])
-            self.store.insert_chunk(a_u, cu.pos + 1, tail)
-            self.edge_occ[(v, u)] = (tail, 0)
-            self._moved(u, v)
-            self._touched[tail] = None
-            final = a_u
+        if a_u is None or a_v is None:
+            # a singleton s joins t's tour: (t, s), (s, t) go right after an
+            # occurrence (x, t), in its chunk; the tour is cyclic, so nothing
+            # moves, and the repair splits the chunk if it overflows
+            s, t, final = (u, v, a_v) if a_u is None else (v, u, a_u)
+            c, off = self._target_occurrence(t)
+            c.edges[off + 1 : off + 1] = ((t, s), (s, t))
+            self._reindex_chunk(c, off + 1)
+            self._touched[c] = None
         else:
             cu = self._cut_after_target(u)
             self._append_edge(cu, (u, v))
@@ -331,9 +335,13 @@ class EulerForest:
         return self._delete(u, v, None)
 
     def delete_edge_with_hint(self, u, v, hint):
+        """Delete (u, v), adopting the hint as the replacement if it crosses
+        the cut; the hint must be a non-tree edge on (u, v)'s tour, which
+        the probe checks.  Every check runs before any change and charges
+        nothing."""
         if hint is not None:
             a, b = hint
-            if b not in self.nbr[a]:
+            if b not in self.nbr.get(a, ()):
                 raise ForestError(f"hint ({a},{b}) is not an edge")
             if (a, b) in self.edge_occ:
                 raise ForestError(f"hint ({a},{b}) is a tree edge")
@@ -358,14 +366,16 @@ class EulerForest:
             self._drop_nontree(u, v)
             self._unlink_after_delete(u, v)
             return ReplacementReport(ReplacementReport.NON_TREE)
-        self._touched = {}
+        # each probe changes nothing; the update's record opens after it
         container = self.edge_occ[(u, v)][0]
         if isinstance(container, SmallTour):
             i1, i2, pair = self._probe_small(container, u, v, hint)
+            self._touched = {}
             self._remove_adjacency(u, v)
             self._commit_small(container, i1, i2, pair)
         else:
             lo, hi, pair = self._probe_large(container.array, u, v, hint)
+            self._touched = {}
             self._remove_adjacency(u, v)
             self._commit_large(container.array, lo, hi, pair)
         if pair is not None:
@@ -412,6 +422,8 @@ class EulerForest:
     def _probe_small(self, tour, u, v, hint):
         """(u, v)'s two occurrence indices and the replacement as a (near,
         far) pair, or None."""
+        if hint is not None:
+            self._require_on_tour(hint, tour, u, v)
         edges = tour.edges
         i1 = edges.index((u, v))
         i2 = edges.index((v, u))
@@ -439,6 +451,13 @@ class EulerForest:
                     candidates.append((y, x))  # (near, far)
         self.meter.parallel_charge(3 * len(far_nodes))
         return i1, i2, self.meter.pick(candidates) if candidates else None
+
+    def _require_on_tour(self, hint, tid, u, v):
+        """Refuse a hint off tour `tid` of (u, v), before any charge; the
+        hint's endpoints share a tree, so one of them places it."""
+        a, b = hint
+        if self._tree_id(a) is not tid:
+            raise ForestError(f"hint ({a},{b}) is off the tour of ({u},{v})")
 
     def _commit_small(self, tour, i1, i2, pair):
         edges = tour.edges
@@ -589,6 +608,8 @@ class EulerForest:
     def _probe_large(self, array, u, v, hint):
         """(u, v)'s lower and upper (edge, occurrence) and the replacement
         as a (near, far) pair, or None."""
+        if hint is not None:
+            self._require_on_tour(hint, array, u, v)
         occ1 = self.edge_occ[(u, v)]
         occ2 = self.edge_occ[(v, u)]
         lo, hi = ((u, v), occ1), ((v, u), occ2)
@@ -706,14 +727,20 @@ class EulerForest:
             y_head = y_tail = []
         blocks = [(at(c), at(d)) for c, d in y_head + [(xf, p3), (x, xf)] + y_tail]
         e_pos = sum(end - start for start, end in blocks[: len(y_head)])
-        rev_pos = e_pos + 1 + at(p3) - at(x)
+        rev_pos = e_pos + at(p3) - at(x)
         self.store.reorder(array, blocks)
+        # each new edge ends the chunk before its chunk position, or starts
+        # leaf 0 at position 0 (the tour is cyclic); written last one first,
+        # so two edges in one chunk (an empty far side) keep their order
+        leaves = array.leaves
+        writes = []
         for pos, e in ((e_pos, (w_near, w_far)), (rev_pos, (w_far, w_near))):
-            nc = self.store.alloc_chunk([e])
-            self.store.insert_chunk(array, pos, nc)
-            self.edge_occ[e] = (nc, 0)
-            self._touched[nc] = None
-        self._moved(w_near, w_far)
+            c = leaves[pos - 1] if pos else leaves[0]
+            writes.append((c, len(c.edges) if pos else 0, e))
+        for c, off, e in reversed(writes):
+            c.edges.insert(off, e)
+            self._reindex_chunk(c, off)
+            self._touched[c] = None
         self._repair(array)
         # the promoted edge no longer justifies links anywhere: every chunk
         # holding another occurrence of its endpoints must recompute

@@ -224,20 +224,23 @@ class ConnGeneral:
 
     def delete_edge_with_hint(self, u, v, hint):
         """Delete (u, v) but adopt the given host edge as replacement if it
-        reconnects; the hint must be a present non-tree host edge."""
+        reconnects; the hint must be a present non-tree host edge other
+        than (u, v).  A rejected hint leaves the gadget and the meter as
+        they were; an accepted one is charged its tree-edge test with the
+        deletion."""
         a, b = hint
         if (a, b) not in self.ports:
             raise GadgetError(f"hint ({a},{b}) is not an edge")
-        if self.tree_edge(a, b):
+        if (a, b) in ((u, v), (v, u)):
+            raise GadgetError(f"hint ({a},{b}) is the deleted edge")
+        if (self.ports[(a, b)], self.ports[(b, a)]) in self.inner.edge_occ:
             raise GadgetError(f"hint ({a},{b}) is a tree edge")
         return self._delete(u, v, hint)
 
     def _delete(self, u, v, hint):
         if (u, v) not in self.ports:
             raise GadgetError(f"edge ({u},{v}) absent")
-        self.counts.reset()
-        g_uv = self.ports.pop((u, v))
-        g_vu = self.ports.pop((v, u))
+        g_uv, g_vu = self.ports[(u, v)], self.ports[(v, u)]
         if hint is None:
             rep = self.inner.delete_edge(g_uv, g_vu)
         else:
@@ -245,6 +248,11 @@ class ConnGeneral:
             rep = self.inner.delete_edge_with_hint(
                 g_uv, g_vu, (self.ports[(a, b)], self.ports[(b, a)])
             )
+            self.inner.meter.charge(1)  # the hint's tree-edge test
+        # the forest checks a hint before any change: the ports go once it
+        # has taken the edge out
+        del self.ports[(u, v)], self.ports[(v, u)]
+        self.counts.reset()
         self.counts.edge_del += 1
         self._splice_out(u, g_uv)
         self._splice_out(v, g_vu)

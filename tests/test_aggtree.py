@@ -171,6 +171,31 @@ class TestLeafPlace:
         assert all(leaf.array is t for leaf in t.leaves)
         check_agg_tree(t)
 
+    @pytest.mark.parametrize(
+        "move, match",
+        [
+            (lambda t, other: t.insert(0, t.leaves[5]), "already hung"),
+            (lambda t, other: t.insert(3, other.leaves[0]), "already hung"),
+            (lambda t, other: join(t, t), "itself"),
+        ],
+        ids=["insert-a-leaf-of-this-tree", "insert-a-leaf-of-another-tree", "join-with-itself"],
+    )
+    def test_corrupting_moves_rejected_before_any_change(self, move, match):
+        """Hanging a leaf that is already hung, or joining a tree with
+        itself, would leave stale places or an emptied tree; both are
+        refused with the trees and the meter untouched."""
+        m, w = fresh()
+        t = build(m, w, list(range(1, 12)))
+        other = build(m, w, [1, 2])
+        leaves, root, other_leaves = list(t.leaves), t.root, list(other.leaves)
+        work, depth = m.work, m.depth
+        with pytest.raises(ValueError, match=match):
+            move(t, other)
+        assert (m.work, m.depth) == (work, depth)
+        assert t.root is root and t.leaves == leaves and other.leaves == other_leaves
+        check_agg_tree(t)
+        check_agg_tree(other)
+
 
 class TestInPlaceUpdates:
     def test_soak_reaches_every_restructuring(self):

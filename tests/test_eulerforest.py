@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
+from dynconn.chunks import MasterArray
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
-from dynconn.eulerforest import EulerForest, ForestError, ReplacementReport
+from dynconn.eulerforest import EulerForest, ForestError, ReplacementReport, SmallTour
 from dynconn.oracle import (
     CheckFailure,
     SimpleGraph,
@@ -149,6 +150,35 @@ class TestDelete:
         f = forest_with([(0, 1), (2, 3)])
         with pytest.raises(ForestError, match="absent"):
             f.delete_edge(0, 2)
+
+    @pytest.mark.parametrize(
+        "deleted, hint",
+        [((10, 11), (42, 44)), ((10, 11), (45, 47)), ((42, 43), (0, 20)), ((42, 43), (45, 47))],
+        ids=["chunked-small", "chunked-other-small", "small-chunked", "small-other-small"],
+    )
+    def test_hint_off_the_tour_rejected_before_any_change(self, deleted, hint):
+        """A hint is a non-tree edge of the deleted edge's own tour.  One
+        from another tour, chunked or small, is refused before the probe,
+        leaving the forest, its update record and the meter as they were."""
+        f = forest_with(
+            [(i, i + 1) for i in range(40)] + [(42, 43), (43, 44), (45, 46), (46, 47)], n=48
+        )
+        for u, v in ((0, 20), (42, 44), (45, 47)):
+            f.insert_edge(u, v)
+        assert f.store.arrays() and isinstance(f.edge_occ[(42, 43)][0], SmallTour)
+
+        def state():
+            tours = sorted(tuple(t) for t in euler_tours(f).values())
+            links = sorted((c.slot, c.bits) for c in f.store.slots.values())
+            adj = sorted((v, list(x)) for v, x in f.nbr.items())
+            return tours, links, adj, dict(f.nontree), f.meter.work, f.meter.depth
+
+        before = state()
+        with pytest.raises(ForestError, match="off the tour"):
+            f.delete_edge_with_hint(*deleted, hint)
+        assert state() == before and f._touched is None
+        check_euler_forest(f)
+        assert f.delete_edge(*deleted).kind == ReplacementReport.REPLACED
 
 
 class TestFindReplacement:
@@ -492,6 +522,107 @@ class TestSplicedLayout:
             check_euler_forest(f)
             check_chunk_store(f.store)
         assert all(seen.values()), seen
+
+
+class TestNewOccurrences:
+    """A new tree edge's occurrences go into chunks already in the tour."""
+
+    @pytest.mark.parametrize("singleton_first", [True, False])
+    def test_singleton_link_writes_after_an_occurrence_of_its_endpoint(
+        self, monkeypatch, singleton_first
+    ):
+        f = forest_with([(i, i + 1) for i in range(40)], n=48)
+        f.activate_node(45)
+        # an endpoint whose target chunk has room for two more edges
+        t = next(t for t in range(1, 40) if len(f._target_occurrence(t)[0].edges) <= f.K - 2)
+        c, off = f._target_occurrence(t)
+        x_edge, slots = c.edges[off], set(f.store.slots)
+        allocated = []
+        alloc = MasterArray.alloc_chunk
+        monkeypatch.setattr(
+            MasterArray, "alloc_chunk", lambda self, edges: allocated.append(edges) or alloc(self, edges)
+        )
+        f.insert_edge(*((45, t) if singleton_first else (t, 45)))
+        assert set(f.store.slots) == slots and not allocated
+        assert c.edges[off : off + 3] == [x_edge, (t, 45), (45, t)]
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+
+    def test_replacement_with_an_empty_far_side(self):
+        """Deleting the tree edge (20, 41) of a leaf 41 that also has the
+        non-tree edge (41, 5) leaves 41 alone on the far side; the splice
+        writes (5, 41), (41, 5) one after the other."""
+        f = forest_with([(i, i + 1) for i in range(40)] + [(20, 41)], n=48)
+        f.insert_edge(41, 5)
+        rep = f.delete_edge(20, 41)
+        assert rep == ReplacementReport(ReplacementReport.REPLACED, (5, 41))
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+        tour = tour_of(f, 41)
+        i = tour.index((5, 41))
+        assert tour[(i + 1) % len(tour)] == (41, 5)
+
+    @pytest.mark.parametrize("policy", [ArbitraryPolicy(9), CommonPolicy(0.25)])
+    def test_links_and_splices_never_allocate(self, monkeypatch, policy):
+        """A seeded small-K soak records the caller of every chunk
+        allocation: a link of a singleton and a replacement splice make
+        none, while cuts, repairs and chunkings do.  The checkers run after
+        every update."""
+        callers = set()
+        reached = {"singleton link": 0, "replacement": 0, "front write": 0}
+        alloc = MasterArray.alloc_chunk
+        merge, commit, reindex = (
+            EulerForest._merge_tours, EulerForest._commit_large, EulerForest._reindex_chunk,
+        )
+
+        def watched_alloc(self, edges):
+            callers.add(sys._getframe(1).f_code.co_name)
+            return alloc(self, edges)
+
+        def watched_merge(self, u, v):
+            ends = [self._tree_id(x) for x in (u, v)]
+            if any(isinstance(e, tuple) for e in ends) and not all(
+                isinstance(e, (tuple, SmallTour)) for e in ends
+            ):
+                reached["singleton link"] += 1
+            return merge(self, u, v)
+
+        def watched_commit(self, array, lo, hi, pair):
+            reached["replacement"] += pair is not None
+            return commit(self, array, lo, hi, pair)
+
+        def watched_reindex(self, c, start=0):
+            if start == 0 and sys._getframe(1).f_code.co_name == "_commit_large":
+                reached["front write"] += 1
+            return reindex(self, c, start)
+
+        monkeypatch.setattr(MasterArray, "alloc_chunk", watched_alloc)
+        monkeypatch.setattr(EulerForest, "_merge_tours", watched_merge)
+        monkeypatch.setattr(EulerForest, "_commit_large", watched_commit)
+        monkeypatch.setattr(EulerForest, "_reindex_chunk", watched_reindex)
+        rng = random.Random(5)
+        n = 20
+        f = forest(n, policy)
+        assert f.K == 8
+        g = SimpleGraph()
+        for v in range(n):
+            f.activate_node(v)
+            g.activate(v)
+        for _ in range(800):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u == v:
+                continue
+            if g.has_edge(u, v):
+                f.delete_edge(u, v)
+                g.remove_edge(u, v)
+            elif g.degree(u) < 3 and g.degree(v) < 3:
+                f.insert_edge(u, v)
+                g.add_edge(u, v)
+            check_euler_forest(f)
+            check_chunk_store(f.store)
+        assert all(reached.values()), reached
+        assert not callers & {"_merge_tours", "_commit_large"}, callers
+        assert {"_chunkify", "_split_chunk", "_cut_out"} <= callers, callers
 
 
 class TestCheckerCatchesCorruption:

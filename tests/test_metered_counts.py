@@ -16,7 +16,10 @@ its own, updated beside the graph's tree, so each host edge is now two
 sparsified cover updates instead of a cover update at each of its levels.
 All three rows were re-recorded when the aggregate tree came to write each
 moved leaf's array and position in the phase that moves it, which dropped
-the master array's second, separately charged position refresh.
+the master array's second, separately charged position refresh, and again
+when the forest came to write a new tree edge's occurrences into the chunks
+beside them, so a singleton's link and a replacement splice no longer
+allocate, hang and remove one-edge chunks.
 A change that moves them changes the cost model and must say so.
 """
 
@@ -67,17 +70,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (7282314, {"insert": 316, "delete": 607, "connected": 0}, 58852),
+            (5965563, {"insert": 275, "delete": 521, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (7343856, {"insert": 327, "delete": 643, "connected": 0}, 58852),
+            (6036550, {"insert": 286, "delete": 555, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (352170, {"insert": 484, "delete": 813}, 17302),
+            (296507, {"insert": 273, "delete": 694}, 17302),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
-from dynconn.eulerforest import ReplacementReport
+from dynconn.eulerforest import ForestError, ReplacementReport
 from dynconn.oracle import (
     SimpleGraph,
     bf_bipartite,
@@ -187,6 +187,55 @@ class TestConnGadget:
             cg.insert_edge(0, 1)
         with pytest.raises(GadgetError):
             cg.deactivate_node(0)
+
+    @pytest.mark.parametrize(
+        "hint_of, match",
+        [
+            (lambda tree, non_tree: non_tree, "deleted edge"),
+            (lambda tree, non_tree: non_tree[::-1], "deleted edge"),
+            (lambda tree, non_tree: tree, "tree edge"),
+        ],
+        ids=["the-deleted-edge", "the-deleted-edge-reversed", "a-tree-edge"],
+    )
+    def test_bad_hint_rejected_before_any_change(self, hint_of, match):
+        """Deleting the non-tree edge of a triangle with a hint that is that
+        edge, or a tree edge, is refused with the ports, the cycles and the
+        meter as they were."""
+        cg = conn()
+        activate_all(cg, 3)
+        edges = ((0, 1), (1, 2), (0, 2))
+        for u, v in edges:
+            cg.insert_edge(u, v)
+        tree = next(e for e in edges if cg.tree_edge(*e))
+        non_tree = next(e for e in edges if not cg.tree_edge(*e))
+        meter = cg.inner.meter
+        ports, cycle = dict(cg.ports), {h: list(c) for h, c in cg.cycle.items()}
+        work, depth = meter.work, meter.depth
+        with pytest.raises(GadgetError, match=match):
+            cg.delete_edge_with_hint(*non_tree, hint_of(tree, non_tree))
+        assert (meter.work, meter.depth) == (work, depth)
+        assert cg.ports == ports and cg.cycle == cycle
+        check_gadget_graph(cg)
+        assert cg.delete_edge(*non_tree).kind == ReplacementReport.NON_TREE
+
+    def test_hint_from_another_component_rejected_before_any_change(self):
+        """The forest refuses a hint off the deleted edge's tour before any
+        change, and the gadget keeps its ports until the forest has taken
+        the edge out."""
+        cg = conn()
+        activate_all(cg, 6)
+        for u, v in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)):
+            cg.insert_edge(u, v)
+        hint = next(e for e in ((3, 4), (4, 5), (3, 5)) if not cg.tree_edge(*e))
+        meter = cg.inner.meter
+        ports, cycle = dict(cg.ports), {h: list(c) for h, c in cg.cycle.items()}
+        work, depth = meter.work, meter.depth
+        with pytest.raises(ForestError, match="off the tour"):
+            cg.delete_edge_with_hint(0, 1, hint)
+        assert (meter.work, meter.depth) == (work, depth)
+        assert cg.ports == ports and cg.cycle == cycle
+        check_gadget_graph(cg)
+        assert cg.delete_edge(0, 1).kind == ReplacementReport.REPLACED
 
     def test_exhausted_capacity_rejects_before_any_change(self):
         # edge capacity 1 gives a pool of four gadget ids, two per edge
