@@ -122,8 +122,9 @@ class AggTree:
 
     def bulk_set(self, i, bits):
         """Replace the bit array of leaf i; summaries repaired level-wise.
-        Writing the bits a leaf already holds is charged the same but leaves
-        the summaries, which it cannot change, as they are."""
+        The master array never calls it with the bits a leaf already holds,
+        since its refresh skips an unchanged row; such a write is still
+        charged the same here but leaves the summaries as they are."""
         if not 0 <= i < len(self.leaves):
             raise IndexError("leaf position out of range")
         leaf = self.leaves[i]

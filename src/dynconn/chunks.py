@@ -16,6 +16,11 @@ arrays that hold a chunk and the chunks those arrays hold, which the array
 operations keep up to date; `bulk_set_links` reads its charge from the two
 counts rather than walking the arrays.
 
+A chunk's link row is written only when it changes: a refresh to the vector
+the chunk already holds pays only its row read, and a retired chunk's row
+leaves the summaries with its leaf (`retire_chunk`), never written along its
+path.
+
 Positions are 0-based throughout.  Link vectors are Python ints; the meter is
 charged `width` units for whole-vector operations.
 """
@@ -78,6 +83,9 @@ class MasterArray:
             "unlink": 2 * agg["bit_set"],
             # own leaf, then one loop over the arrays clearing and setting
             "bulk_set_links": agg["bulk_set"] + 1 + 2 * agg["dual_bulk_set"],
+            # the column loop, then the leaf's deletion; the row read, the
+            # detached row's zeroing and the freed slot add no depth
+            "retire_chunk": 1 + 2 * agg["dual_bulk_set"] + agg["delete"],
             # the tree change alone: it writes the moved chunks' positions
             "insert_chunk": agg["insert"],
             "delete_chunk": agg["delete"],
@@ -126,23 +134,43 @@ class MasterArray:
         return c
 
     def deactivate(self, c: Chunk):
-        """Return a chunk's slot to the free pool; its link column must be clear."""
+        """Return a chunk's slot to the free pool; the chunk must be out of
+        every array with its row clear.  Its column, which is its row by
+        symmetry, is not rescanned here: `oracle.check_chunk_store` finds a
+        stale link bit to a free slot."""
         if self.slots.get(c.slot) is not c:
             raise ChunkError("chunk not active")
         if c.array is not None:
             raise ChunkError("chunk still referenced by an array")
-        # a consistency check of the link column, not part of the algorithm,
-        # so the meter is not charged for it
-        for d in self.slots.values():
-            if d is not c and (d.bits >> c.slot) & 1:
-                raise ChunkError(
-                    f"deactivating slot {c.slot} with stale link bit in slot {d.slot}"
-                )
         if c.bits:
             raise ChunkError("deactivating chunk with set link bits")
         del self.slots[c.slot]
         self.free.append(c.slot)
         self.meter.charge(1)
+
+    def retire_chunk(self, c: Chunk):
+        """Take c out of its array and free its slot, with its links cleared.
+
+        A linked chunk reads its row, which names the chunks holding its
+        column bit, and clears that column as `bulk_set_links` does.  Then
+        its leaf is deleted: the deletion rebuilds every surviving ancestor's
+        OR from its children, so c's row leaves the summaries without a
+        write along c's path.  The detached row is zeroed by one plain step
+        of `slot_count` writes, the convention of the row read.  An unlinked
+        chunk is only deleted and freed.
+        """
+        self._require_active(c)
+        if c.array is None:
+            raise ChunkError("chunk in no array")
+        old = c.bits
+        if old:
+            self.meter.charge(self.slot_count)
+            self._write_column(c, old & ~(1 << c.slot), 0)
+        self.delete_chunk(c.array, c.pos)
+        if old:
+            c.bits = 0
+            self.meter.charge(self.slot_count)
+        self.deactivate(c)
 
     # -- link maintenance -------------------------------------------------------
 
@@ -167,20 +195,33 @@ class MasterArray:
         of d.bits for every pair of active chunks (checked by
         `oracle.check_chunk_store`).  So c's old row is its old column, and
         only the chunks in the slots of (old ^ links) minus c's own slot have
-        a column bit to flip.  Every vector is written by the aggregate trees,
-        whose leaves the chunks are.  The model is a parallel loop over every
-        array in which each iteration scans its chunks; iterations whose
-        array has nothing to flip are charged as one plain sum (they add no
-        depth), and the loop body runs only over the arrays it changes.  The
-        loop's size and the chunks it scans are the store's two counts, so
-        no array is walked for the charge.
+        a column bit to flip.  The row read that yields them is charged
+        first.  When nothing flips, not even on c's own slot, the vectors
+        already agree and nothing is written.  Otherwise every vector is
+        written by the aggregate trees, whose leaves the chunks are: c's
+        leaf along its path, then the column.
         """
         self._require_active(c)
         old = c.bits
         self.meter.charge(self.slot_count)
+        if links == old:
+            # one CRCW step inside the row read: each processor whose bit of
+            # old ^ links is set writes 1 to a common "some bit differs" flag
+            return
         c.array.bulk_set(c.pos, links)
-        col = 1 << c.slot
-        flips = (old ^ links) & ~col
+        self._write_column(c, (old ^ links) & ~(1 << c.slot), links)
+
+    def _write_column(self, c, flips, links):
+        """Flip c's bit in the chunks of the slots in `flips`, setting it
+        where `links` has the slot's bit and clearing it elsewhere.
+
+        The model is a parallel loop over every array in which each
+        iteration scans its chunks; iterations whose array has nothing to
+        flip are charged as one plain sum (they add no depth), and the loop
+        body runs only over the arrays it changes.  The loop's size and the
+        chunks it scans are the store's two counts, so no array is walked
+        for the charge.
+        """
         changes = {}  # array -> (positions to clear, positions to set)
         slots = self.slots
         while flips:

@@ -42,10 +42,12 @@ tour occurrences, the part of a link vector one non-tree neighbour gives.
 It is filled lazily: the link computation (`_links_of`) stores each mask it
 derives from `nbr` and `edge_occ` and reads it back until a node's entry is
 dropped.  An entry is dropped wherever an occurrence of its node is written
-into a chunk or taken out of one: by `_reindex_chunk` for the endpoints of
-every edge it rewrites, which covers the new tree edges of `_merge_tours`
-and `_commit_large`, by `_append_edge`, by `_cut_out` for the removed edge
-and by `_maybe_shrink` for every node of a demoted tour.
+into a chunk or taken out of one: by `_reindex_chunk` for both endpoints of
+every edge it writes into a chunk other than the one that held it, which
+covers the new tree edges of `_merge_tours` and `_commit_large` (an edge
+that only shifts inside its chunk changes no mask), by `_append_edge`, by
+`_cut_out` for the removed edge and by `_maybe_shrink` for every node of a
+demoted tour.
 So every entry holds, and no node outside a chunk has one.  The record is
 made at the forest's first `_chunkify` and is None before, which most
 forests, whose tours stay small, never reach; `oracle.check_euler_forest`
@@ -56,11 +58,13 @@ record, `_touched`, made for that update.  The sizing repair of an array
 works through the touched chunks of that array, and one flush at the end of
 `insert_edge` or `_delete` recomputes the link vector of each touched chunk
 that is still live, once, from the final tours, and drops the record.  A
-chunk retired during the update is skipped: `_retire_chunk` clears its link
-vector before the slot is freed.  The only link query of an update, the
-replacement search, runs before its first mutation, so the vectors may lag
-until the flush; they stay symmetric throughout, since every change to them
-goes through the master array.
+chunk retired during the update is skipped: its retirement, one store
+operation (`MasterArray.retire_chunk`), clears its column before the slot is
+freed, and its row leaves the summaries with its leaf.  A refresh that finds
+the vector a chunk already holds writes nothing.  The only link query of an
+update, the replacement search, runs before its first mutation, so the
+vectors may lag until the flush; they stay symmetric throughout, since every
+change to them goes through the master array.
 """
 
 from __future__ import annotations
@@ -170,7 +174,7 @@ class EulerForest:
         select = pick_depth(policy)  # the replacement among the candidates
         insert_chunk = store["insert_chunk"]
         refresh = 2 + store["bulk_set_links"]  # _refresh_links
-        retire = store["bulk_set_links"] + store["delete_chunk"]  # _retire_chunk
+        retire = store["retire_chunk"]  # _retire_chunk
         as_array = 1 + (insert_chunk + 2)  # drop, one-chunk _chunkify
         cut = 2 + insert_chunk  # _cut_after_target, _cut_at_source
         write = 1  # a new occurrence written into a chunk: its reindex
@@ -337,8 +341,8 @@ class EulerForest:
     def delete_edge_with_hint(self, u, v, hint):
         """Delete (u, v), adopting the hint as the replacement if it crosses
         the cut; the hint must be a non-tree edge on (u, v)'s tour, which
-        the probe checks.  Every check runs before any change and charges
-        nothing."""
+        the probe checks, or for a non-tree (u, v) the deletion itself.
+        Every check runs before any change and charges nothing."""
         if hint is not None:
             a, b = hint
             if b not in self.nbr.get(a, ()):
@@ -362,6 +366,8 @@ class EulerForest:
     def _delete(self, u, v, hint):
         self._require_edge(u, v)
         if (u, v) not in self.edge_occ:
+            if hint is not None:
+                self._require_on_tour(hint, self._tree_id(u), u, v)
             self._remove_adjacency(u, v)
             self._drop_nontree(u, v)
             self._unlink_after_delete(u, v)
@@ -557,18 +563,20 @@ class EulerForest:
     def _reindex_chunk(self, c, start=0):
         """Point c's edges at their offsets in c.  Edges before `start` kept
         both, so only the rest are rewritten; all of them are charged.  The
-        `slots_of` entries of the rewritten edges' endpoints are dropped:
-        each target but the last is the next edge's source."""
+        `slots_of` entries of both endpoints of a rewritten edge are dropped
+        when the edge comes from another chunk or none; an edge that only
+        shifted inside c leaves every mask as it was."""
         edges = c.edges
         edge_occ = self.edge_occ
         drop = self.slots_of.pop
         n = len(edges)
         for off in range(start, n):
             e = edges[off]
+            old = edge_occ.get(e)
+            if old is None or old[0] is not c:
+                drop(e[0], None)
+                drop(e[1], None)
             edge_occ[e] = (c, off)
-            drop(e[0], None)
-        if start < n:
-            drop(edges[-1][1], None)
         self.meter.parallel_charge(n)
 
     def _cut_after_target(self, node):
@@ -827,10 +835,7 @@ class EulerForest:
         self._maybe_shrink(array)
 
     def _retire_chunk(self, c):
-        if c.bits:
-            self.store.bulk_set_links(c, 0)
-        self.store.delete_chunk(c.array, c.pos)
-        self.store.deactivate(c)
+        self.store.retire_chunk(c)
 
     def _maybe_shrink(self, array):
         """Demote an array to a small tour when it fits under the threshold."""

@@ -40,7 +40,7 @@ loudly.
 from __future__ import annotations
 
 from .costmodel import CostMeter
-from .eulerforest import EulerForest, ReplacementReport
+from .eulerforest import EulerForest, ForestError, ReplacementReport
 
 
 class GadgetError(ValueError):
@@ -152,6 +152,16 @@ class ConnGeneral:
         self.isolated += 1
         self.meter.charge(1)
 
+    def activate_all(self):
+        """Activate every host of a gadget with none active: one write of the
+        activity record, charged one unit per host like their activations."""
+        if self.isolated or self.cycle:
+            raise GadgetError("activate_all on a gadget with an active host")
+        n = len(self.host_active)
+        self.host_active = bytearray(b"\x01") * n
+        self.isolated = n
+        self.meter.charge(n)
+
     def deactivate_node(self, v):
         self._require_host(v)
         if v in self.cycle:
@@ -225,9 +235,9 @@ class ConnGeneral:
     def delete_edge_with_hint(self, u, v, hint):
         """Delete (u, v) but adopt the given host edge as replacement if it
         reconnects; the hint must be a present non-tree host edge other
-        than (u, v).  A rejected hint leaves the gadget and the meter as
-        they were; an accepted one is charged its tree-edge test with the
-        deletion."""
+        than (u, v), in (u, v)'s component.  A rejected hint leaves the
+        gadget and the meter as they were; an accepted one is charged its
+        tree-edge test with the deletion."""
         a, b = hint
         if (a, b) not in self.ports:
             raise GadgetError(f"hint ({a},{b}) is not an edge")
@@ -245,9 +255,16 @@ class ConnGeneral:
             rep = self.inner.delete_edge(g_uv, g_vu)
         else:
             a, b = hint
-            rep = self.inner.delete_edge_with_hint(
-                g_uv, g_vu, (self.ports[(a, b)], self.ports[(b, a)])
-            )
+            try:
+                rep = self.inner.delete_edge_with_hint(
+                    g_uv, g_vu, (self.ports[(a, b)], self.ports[(b, a)])
+                )
+            except ForestError as err:
+                # the only forest check the gadget's own checks leave open,
+                # made before any change or charge
+                raise GadgetError(
+                    f"hint ({a},{b}) is off the component of ({u},{v})"
+                ) from err
             self.inner.meter.charge(1)  # the hint's tree-edge test
         # the forest checks a hint before any change: the ports go once it
         # has taken the edge out

@@ -183,9 +183,7 @@ class SparsTree:
             # the root, built before any node is active, is the only
             # activity record; a node below it holds every host of its spans
             if key != self.root_key:
-                for span in spans:
-                    for x in span:
-                        node.conn.activate_node(x)
+                node.conn.activate_all()
         self.nodes[key] = node
         return node
 

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from dynconn.aggtree import join as agg_join
+from dynconn.aggtree import AggTree, join as agg_join
 from dynconn.chunks import ChunkError, MasterArray
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
-from dynconn.oracle import CheckFailure, check_chunk_store
+from dynconn.oracle import CheckFailure, check_agg_tree, check_chunk_store
 
 
 def store(slots=24, cap=8, policy=None):
@@ -38,14 +38,17 @@ class TestSlots:
         assert c2.slot == slot
 
     def test_deactivate_with_stale_column_bit_fails(self):
+        """Freeing a slot whose column is still set in another chunk is not
+        rescanned by `deactivate`; the store's checker finds it."""
         ms = store()
         a = filled(ms, [2, 2])
         c0, c1 = a.leaves
         ms.link(c0, c1)
         c1.bits = 0  # simulate a caller forgetting to clear the column
         ms.delete_chunk(a, 1)
-        with pytest.raises(ChunkError, match="stale link bit"):
-            ms.deactivate(c1)
+        ms.deactivate(c1)
+        with pytest.raises(CheckFailure, match=f"stale link bit to free slot {c1.slot}"):
+            check_chunk_store(ms)
 
     def test_occupied_slot_rejected(self):
         ms = store()
@@ -118,6 +121,18 @@ class TestBulkSetLinks:
         ms.bulk_set_links(c, c.bits)
         assert [d.bits for d in a.leaves] == snapshot
         check_chunk_store(ms)
+
+    def test_unchanged_refresh_charges_only_the_row_read(self):
+        ms = store()
+        a = filled(ms, [2] * 7)
+        c = a.leaves[3]
+        for d in (a.leaves[0], a.leaves[5], c):
+            ms.link(c, d)
+        snapshot = [d.bits for d in a.leaves], a.root.bits
+        work, depth = ms.meter.work, ms.meter.depth
+        ms.bulk_set_links(c, c.bits)
+        assert (ms.meter.work - work, ms.meter.depth - depth) == (ms.slot_count, 0)
+        assert ([d.bits for d in a.leaves], a.root.bits) == snapshot
 
     def test_zero_clears_row_and_column(self):
         ms = store()
@@ -588,9 +603,12 @@ def test_every_chunk_is_its_tree_leaf():
 
 def reference_bulk_set_links(ms, c, links):
     """The full column scan `MasterArray.bulk_set_links` replaced: every chunk
-    of every array compares its bit of c's column against `links`."""
+    of every array compares its bit of c's column against `links`.  An
+    unchanged row is read and not written, as in the store."""
     ms._require_active(c)
     ms.meter.charge(ms.slot_count)
+    if links == c.bits:
+        return
     c.array.bulk_set(c.pos, links)
     arrays = ms.arrays()
 
@@ -747,3 +765,144 @@ def test_store_counts_follow_every_array_operation():
             check_chunk_store(ms)
         assert (new.meter.work, new.meter.depth) == (ref.meter.work, ref.meter.depth)
     assert new.n_arrays == new.n_held == 0
+
+
+class TestRetireChunk:
+    def test_linked_chunk_leaves_its_row_to_the_deletion(self, monkeypatch):
+        """A linked chunk's retirement clears its column in both arrays and
+        writes nothing along its own path: the deletion's summary repair
+        drops its row, and the checkers pass."""
+        ms = store()
+        a = filled(ms, [2] * 7)
+        b = filled(ms, [2] * 3)
+        c = a.leaves[3]
+        for d in (a.leaves[0], a.leaves[5], b.leaves[1], c):
+            ms.link(c, d)
+        writes = []
+        bulk_set = AggTree.bulk_set
+
+        def recording(tree, i, bits):
+            writes.append((tree, i))
+            return bulk_set(tree, i, bits)
+
+        monkeypatch.setattr(AggTree, "bulk_set", recording)
+        ms.retire_chunk(c)
+        assert writes == []
+        assert (c.bits, c.array, c.pos) == (0, None, -1) and c.slot in ms.free
+        assert c not in a.leaves and len(a) == 6
+        for tree in (a, b):
+            assert not tree.root.bits >> c.slot & 1
+            check_agg_tree(tree)
+        check_chunk_store(ms)
+
+    def test_unlinked_chunk_is_deleted_and_freed(self):
+        ms = store()
+        a = filled(ms, [2, 2, 2])
+        c = a.leaves[1]
+        twin = store()
+        b = filled(twin, [2, 2, 2])
+        ms.retire_chunk(c)
+        d = twin.delete_chunk(b, 1)
+        twin.deactivate(d)
+        assert (ms.meter.work, ms.meter.depth) == (twin.meter.work, twin.meter.depth)
+        check_chunk_store(ms)
+
+    @pytest.mark.parametrize("where", ["loose", "retired"])
+    def test_chunk_outside_an_array_rejected(self, where):
+        ms = store()
+        a = filled(ms, [2, 2])
+        c = ms.alloc_chunk([(5, 5)]) if where == "loose" else a.leaves[0]
+        if where == "retired":
+            ms.retire_chunk(c)
+        before = (list(ms.free), dict(ms.slots), ms.meter.work, ms.meter.depth)
+        with pytest.raises(ChunkError):
+            ms.retire_chunk(c)
+        assert (ms.free, ms.slots, ms.meter.work, ms.meter.depth) == before
+
+
+class AlwaysWritingMasterArray(MasterArray):
+    """The always-write rule, the reference the store's savings are
+    measured against: every refresh writes c's row along its path, and a
+    linked chunk's retirement first writes its row to zero."""
+
+    def bulk_set_links(self, c, links):
+        self._require_active(c)
+        old = c.bits
+        self.meter.charge(self.slot_count)
+        c.array.bulk_set(c.pos, links)
+        self._write_column(c, (old ^ links) & ~(1 << c.slot), links)
+
+    def retire_chunk(self, c):
+        if c.bits:
+            self.bulk_set_links(c, 0)
+        self.delete_chunk(c.array, c.pos)
+        self.deactivate(c)
+
+
+def test_writing_only_changed_rows_never_charges_more():
+    """Twin stores, one writing every row as before, replay one seeded
+    sequence of refreshes (a third of them to the bits the chunk holds),
+    links, insertions and retirements.  After every step both hold the same
+    bits in the same leaves, and the always-writing store was charged at
+    least the work and depth of the other for that step."""
+    rng = random.Random(19)
+    twins = [
+        MasterArray(CostMeter(ArbitraryPolicy(3)), 48, 6),
+        AlwaysWritingMasterArray(CostMeter(ArbitraryPolicy(3)), 48, 6),
+    ]
+    arrays = [[filled(ms, [2] * 5), filled(ms, [2] * 8)] for ms in twins]
+    kinds = set()
+    for step in range(600):
+        live = [(a, pos) for a, arr in enumerate(arrays[0]) for pos in range(len(arr))]
+        a, pos = rng.choice(live)
+        roll = rng.random()
+        if roll < 0.2:
+            op = ("same", a, pos)
+        elif roll < 0.4:
+            mask = 0
+            for b, q in live:
+                if rng.random() < 0.3:
+                    mask |= 1 << arrays[0][b].leaves[q].slot
+            op = ("bulk", a, pos, mask)
+        elif roll < 0.6:
+            op = ("link" if rng.random() < 0.7 else "unlink", a, pos, *rng.choice(live))
+        elif roll < 0.8 and twins[0].free:
+            op = ("insert", a, rng.randrange(len(arrays[0][a]) + 1))
+        elif len(arrays[0][a]) > 1:
+            op = ("retire", a, pos, arrays[0][a].leaves[pos].bits != 0)
+        else:
+            continue
+        kinds.add(op[0] if op[0] != "retire" else ("retire", op[3]))
+        charged = []
+        for ms, arrs in zip(twins, arrays):
+            kind, x = op[0], arrs[op[1]]
+            work, depth = ms.meter.work, ms.meter.depth
+            if kind == "same":
+                c = x.leaves[op[2]]
+                ms.bulk_set_links(c, c.bits)
+            elif kind == "bulk":
+                ms.bulk_set_links(x.leaves[op[2]], op[3])
+            elif kind in ("link", "unlink"):
+                getattr(ms, kind)(x.leaves[op[2]], arrs[op[3]].leaves[op[4]])
+            elif kind == "insert":
+                ms.insert_chunk(x, op[2], ms.alloc_chunk([(step, 0)]))
+            else:
+                ms.retire_chunk(x.leaves[op[2]])
+            charged.append((ms.meter.work - work, ms.meter.depth - depth))
+        new, old = twins
+        assert {s: c.bits for s, c in new.slots.items()} == {
+            s: c.bits for s, c in old.slots.items()
+        }
+        assert [[(leaf.slot, leaf.bits) for leaf in arr.leaves] for arr in arrays[0]] == [
+            [(leaf.slot, leaf.bits) for leaf in arr.leaves] for arr in arrays[1]
+        ]
+        assert [arr.root.bits for arr in arrays[0]] == [arr.root.bits for arr in arrays[1]]
+        (new_work, new_depth), (old_work, old_depth) = charged
+        assert old_work >= new_work and old_depth >= new_depth, op
+        if step % 10 == 0:
+            for ms in twins:
+                check_chunk_store(ms)
+    assert {"same", "bulk", ("retire", True), ("retire", False)} <= kinds
+    assert new.meter.work < old.meter.work and new.meter.depth < old.meter.depth
+    for ms in twins:
+        check_chunk_store(ms)

@@ -106,3 +106,22 @@ def test_bipartite_layers_within_bounds(monkeypatch, policy):
     over = {k: (v, bounds[k]) for k, v in worst.items() if v > bounds[k]}
     assert not over
     assert {("general", "insert"), ("general", "delete")} <= set(worst)
+
+
+@pytest.mark.parametrize(
+    "policy, forest, connectivity, bipartiteness",
+    [
+        (ArbitraryPolicy(5), (381, 600), (3111, 10001), (6223, 20003)),
+        (CommonPolicy(0.25), (381, 660), (3242, 10601), (6485, 21203)),
+    ],
+    ids=["arbitrary", "common"],
+)
+def test_stated_bounds_are_pinned(policy, forest, connectivity, bipartiteness):
+    """The composed insert and delete bounds of the forest and both facades.
+    They were last lowered when a retired chunk's row stopped being written
+    along its path; a change may lower them again, and none may raise them."""
+    f = EulerForest.depth_bounds(policy)
+    assert (f["insert"], f["delete"]) == forest
+    for mode, pinned in (("connectivity", connectivity), ("bipartiteness", bipartiteness)):
+        b = depth_budgets(mode, policy)
+        assert (b["insert"], b["delete"]) == pinned

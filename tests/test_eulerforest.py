@@ -153,13 +153,21 @@ class TestDelete:
 
     @pytest.mark.parametrize(
         "deleted, hint",
-        [((10, 11), (42, 44)), ((10, 11), (45, 47)), ((42, 43), (0, 20)), ((42, 43), (45, 47))],
-        ids=["chunked-small", "chunked-other-small", "small-chunked", "small-other-small"],
+        [
+            ((10, 11), (42, 44)), ((10, 11), (45, 47)), ((42, 43), (0, 20)),
+            ((42, 43), (45, 47)), ((0, 20), (42, 44)), ((42, 44), (0, 20)),
+            ((42, 44), (45, 47)),
+        ],
+        ids=[
+            "chunked-small", "chunked-other-small", "small-chunked", "small-other-small",
+            "non-tree-chunked-small", "non-tree-small-chunked", "non-tree-small-other-small",
+        ],
     )
     def test_hint_off_the_tour_rejected_before_any_change(self, deleted, hint):
         """A hint is a non-tree edge of the deleted edge's own tour.  One
         from another tour, chunked or small, is refused before the probe,
-        leaving the forest, its update record and the meter as they were."""
+        or for a non-tree deletion before the adjacency changes, leaving the
+        forest, its update record and the meter as they were."""
         f = forest_with(
             [(i, i + 1) for i in range(40)] + [(42, 43), (43, 44), (45, 46), (46, 47)], n=48
         )
@@ -178,7 +186,8 @@ class TestDelete:
             f.delete_edge_with_hint(*deleted, hint)
         assert state() == before and f._touched is None
         check_euler_forest(f)
-        assert f.delete_edge(*deleted).kind == ReplacementReport.REPLACED
+        kind = ReplacementReport.REPLACED if f.tree_edge(*deleted) else ReplacementReport.NON_TREE
+        assert f.delete_edge(*deleted).kind == kind
 
 
 class TestFindReplacement:

@@ -19,7 +19,10 @@ moved leaf's array and position in the phase that moves it, which dropped
 the master array's second, separately charged position refresh, and again
 when the forest came to write a new tree edge's occurrences into the chunks
 beside them, so a singleton's link and a replacement splice no longer
-allocate, hang and remove one-edge chunks.
+allocate, hang and remove one-edge chunks, and again when the master array
+came to write a chunk's link row only when it changes, so a refresh to the
+bits a chunk holds pays only its row read and a retired chunk's row leaves
+the summaries with its leaf instead of being written to zero first.
 A change that moves them changes the cost model and must say so.
 """
 
@@ -70,17 +73,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (5965563, {"insert": 275, "delete": 521, "connected": 0}, 58852),
+            (3811378, {"insert": 266, "delete": 508, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (6036550, {"insert": 286, "delete": 555, "connected": 0}, 58852),
+            (3858892, {"insert": 277, "delete": 534, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (296507, {"insert": 273, "delete": 694}, 17302),
+            (209375, {"insert": 258, "delete": 664}, 17302),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
-from dynconn.eulerforest import ForestError, ReplacementReport
+from dynconn.eulerforest import ReplacementReport
 from dynconn.oracle import (
     SimpleGraph,
     bf_bipartite,
@@ -219,9 +219,10 @@ class TestConnGadget:
         assert cg.delete_edge(*non_tree).kind == ReplacementReport.NON_TREE
 
     def test_hint_from_another_component_rejected_before_any_change(self):
-        """The forest refuses a hint off the deleted edge's tour before any
-        change, and the gadget keeps its ports until the forest has taken
-        the edge out."""
+        """A hint off the deleted edge's component is refused with the
+        gadget's own error, before any change: the forest checks it before
+        it changes or charges anything, and the gadget keeps its ports until
+        the forest has taken the edge out."""
         cg = conn()
         activate_all(cg, 6)
         for u, v in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)):
@@ -230,12 +231,64 @@ class TestConnGadget:
         meter = cg.inner.meter
         ports, cycle = dict(cg.ports), {h: list(c) for h, c in cg.cycle.items()}
         work, depth = meter.work, meter.depth
-        with pytest.raises(ForestError, match="off the tour"):
+        with pytest.raises(GadgetError, match="off the component"):
             cg.delete_edge_with_hint(0, 1, hint)
         assert (meter.work, meter.depth) == (work, depth)
         assert cg.ports == ports and cg.cycle == cycle
         check_gadget_graph(cg)
         assert cg.delete_edge(0, 1).kind == ReplacementReport.REPLACED
+
+    def test_activate_all_is_one_activation_per_host(self):
+        """Activating every host of a fresh two-span gadget at once leaves
+        the record, the isolated count and the meter as one activation per
+        host does."""
+        hosts = (range(4, 9), range(20, 23))
+        every, each = (ConnGeneral(CostMeter(ArbitraryPolicy(6)), hosts, 8) for _ in "ab")
+        every.activate_all()
+        for x in (*hosts[0], *hosts[1]):
+            each.activate_node(x)
+        assert (every.host_active, every.isolated) == (each.host_active, each.isolated)
+        assert [(g.meter.work, g.meter.depth) for g in (every, each)] == [(8, 0)] * 2
+        check_gadget_graph(every)
+        every.insert_edge(4, 22)
+        assert every.connected(4, 22) and not every.connected(5, 22)
+
+    @pytest.mark.parametrize("edge", [False, True], ids=["isolated", "on-a-cycle"])
+    def test_activate_all_with_an_active_host_rejected(self, edge):
+        cg = conn(4)
+        cg.activate_node(1)
+        cg.activate_node(2)
+        if edge:
+            cg.insert_edge(1, 2)
+        before = bytes(cg.host_active), cg.isolated, cg.meter.work, cg.meter.depth
+        with pytest.raises(GadgetError, match="active host"):
+            cg.activate_all()
+        assert (bytes(cg.host_active), cg.isolated, cg.meter.work, cg.meter.depth) == before
+        check_gadget_graph(cg)
+
+    def test_hint_from_another_component_rejected_on_a_non_tree_delete(self):
+        """The same refusal when the deleted host edge is a non-tree edge,
+        where no replacement probe runs: the forest checks the hint's tour
+        itself."""
+        cg = conn()
+        activate_all(cg, 6)
+        for u, v in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)):
+            cg.insert_edge(u, v)
+        deleted = next(e for e in ((0, 1), (1, 2), (0, 2)) if not cg.tree_edge(*e))
+        hint = next(e for e in ((3, 4), (4, 5), (3, 5)) if not cg.tree_edge(*e))
+        g_uv = cg.ports[deleted]
+        assert (g_uv, cg.ports[deleted[::-1]]) not in cg.inner.edge_occ
+        meter = cg.inner.meter
+        ports, cycle = dict(cg.ports), {h: list(c) for h, c in cg.cycle.items()}
+        nbr = {g: list(x) for g, x in cg.inner.nbr.items()}
+        work, depth = meter.work, meter.depth
+        with pytest.raises(GadgetError, match="off the component"):
+            cg.delete_edge_with_hint(*deleted, hint)
+        assert (meter.work, meter.depth) == (work, depth)
+        assert cg.ports == ports and cg.cycle == cycle
+        assert {g: list(x) for g, x in cg.inner.nbr.items()} == nbr
+        check_gadget_graph(cg)
+        assert cg.delete_edge(*deleted).kind == ReplacementReport.NON_TREE
 
     def test_exhausted_capacity_rejects_before_any_change(self):
         # edge capacity 1 gives a pool of four gadget ids, two per edge
