@@ -36,7 +36,8 @@ Every structural update is organised as a fixed number of parallel phases:
     and its right siblings the right ones.  The left side stays in the
     split tree's handle and the right side gets a new one, just as a join
     leaves the joined tree in the first tree's handle and empties the
-    second.  Each side is reassembled with a pipeline of (1)
+    second.  The two sides share no vertex and no leaf, so one parallel
+    step assembles both.  Each side is reassembled with a pipeline of (1)
     carry-lookahead grouping of equal-height runs, (2) spine pre-splitting
     down to degrees 2-3 (roots included), (3) joining the isolated
     equal-height pairs that root splits can produce, and (4) one parallel
@@ -335,7 +336,8 @@ class AggTree:
 
         Leaf pos and its right siblings along its ancestor path are the
         right-hand fragments, its left siblings the left-hand ones, and each
-        side is reassembled into one tree (`_assemble`).
+        side is reassembled into one tree (`_assemble`); the two sides share
+        no vertex, so both are assembled in one parallel step.
         """
         meter, width = self.meter, self.width
         n = len(self.leaves)
@@ -364,11 +366,16 @@ class AggTree:
         rights.append(leaf)
         meter.parallel_charge(n)  # the two leaf lists, the right one placed
         leaves = self.leaves
-        self.root = _assemble(meter, width, lefts, right_side=True)
+        right = AggTree(meter, width, None, leaves[pos:])
         self.leaves = leaves[:pos]
-        right_root = _assemble(meter, width, rights, right_side=False)
-        right = AggTree(meter, width, right_root, leaves[pos:])
         _place(right)
+        sides = ((self, lefts, True), (right, rights, False))
+
+        def assemble_body(k):
+            tree, roots, right_side = sides[k]
+            tree.root = _assemble(meter, width, roots, right_side)
+
+        meter.parallel_for(2, assemble_body)
         return right
 
 
@@ -742,8 +749,9 @@ _JOIN_DEPTH = 1 + max(_ATTACH_DEPTH, _JOIN_EQUAL_DEPTH)  # leaf concatenation fi
 # grow and the moved leaves), P3 join loop (1 + _join_equal), P4
 # _parallel_attach (4)
 _ASSEMBLE_DEPTH = 1 + 3 + (1 + _JOIN_EQUAL_DEPTH + 1) + (1 + _JOIN_EQUAL_DEPTH) + 4
-# path decomposition and leaf lists, then the two sides one after the other
-_SPLIT_BOUNDARY_DEPTH = 2 + 2 * _ASSEMBLE_DEPTH
+# path decomposition and leaf lists, then one parallel step that assembles
+# the two sides, which share no vertex and no leaf
+_SPLIT_BOUNDARY_DEPTH = 2 + 1 + _ASSEMBLE_DEPTH
 # the leaf array shifts, the search for the ancestor that stops the underflow
 # (a charge and a phase), the moved leaves, a root drop and the summaries of
 # the changed vertices

@@ -34,6 +34,9 @@ from .costmodel import CostMeter, pick_depth
 # most blocks one `MasterArray.reorder` permutes: the five walks that
 # splicing a replacement edge into a cut tour rearranges
 MAX_BLOCKS = 5
+# rounds of halving cuts, and of pairwise joins, that bring MAX_BLOCKS
+# blocks apart and together again
+_ROUNDS = (MAX_BLOCKS - 1).bit_length()
 
 
 class ChunkError(ValueError):
@@ -91,9 +94,11 @@ class MasterArray:
             "delete_chunk": agg["delete"],
             "concatenate": agg["join"],
             "split_array": agg["split_boundary"],
-            # a split and a join per block after the first, then the joined
-            # tree's join back into the emptied handle (one phase)
-            "reorder": (MAX_BLOCKS - 1) * (agg["split_boundary"] + agg["join"]) + 1,
+            # rounds of side-by-side cuts, then rounds of side-by-side
+            # joins, then the joined tree's join back into the emptied
+            # handle (one phase)
+            "reorder": _ROUNDS * (1 + agg["split_boundary"])
+            + _ROUNDS * (1 + agg["join"]) + 1,
             # the OR over [i, j), then a scan and a pick per side
             "query": agg["range_bits"] + 2 * (1 + pick),
         }
@@ -294,11 +299,16 @@ class MasterArray:
         order.  The blocks must tile [0, len(array)), empty ones included, and
         number at most MAX_BLOCKS.
 
-        The aggregate tree is split at the block bounds and the pieces are
-        joined in block order, which writes every moved chunk's position.
-        When the first block was not the array's own piece, the joined tree
-        is joined back into the emptied array, one phase that gives each
-        chunk its handle.  A permutation that moves no chunk charges nothing.
+        The aggregate tree is cut in rounds: every tree holding several
+        non-empty blocks is cut at its middle bound, and the cuts of one
+        round run side by side, since their trees share nothing.  Empty
+        blocks get no cut.  The pieces are then joined in balanced rounds,
+        neighbours in block order pairwise, which writes every moved chunk's
+        position.  So MAX_BLOCKS pieces take `_ROUNDS` rounds of each kind;
+        a round of one cut or one join runs without the parallel step.  When
+        the first block was not the array's own piece, the joined tree is
+        joined back into the emptied array, one phase that gives each chunk
+        its handle.  A permutation that moves no chunk charges nothing.
         """
         n = len(array)
         if not 1 <= len(blocks) <= MAX_BLOCKS:
@@ -314,19 +324,35 @@ class MasterArray:
         nonempty = [b for b in blocks if b[0] < b[1]]
         if nonempty == sorted(nonempty):
             return
-        pieces = [None] * len(blocks)
-        # each cut leaves a block in `rest`'s handle and returns what follows
-        rest = array
-        for b in by_start[:-1]:
-            start, end = blocks[b]
-            pieces[b], rest = rest, rest.split_boundary(end - start)
-        pieces[by_start[-1]] = rest
-        tree = pieces[0]
-        for piece in pieces[1:]:
-            agg_join(tree, piece)
-        if tree is not array:
+        meter = self.meter
+        # each group is a tree and its blocks in start order; a cut leaves
+        # the left half in the group's tree and returns the right half's
+        groups = [(array, sorted(nonempty))]
+        while len(groups) < len(nonempty):
+            cuts = [g for g in groups if len(g[1]) > 1]
+            halves = [None] * len(cuts)
+
+            def cut_body(k):
+                tree, run = cuts[k]
+                halves[k] = tree.split_boundary(run[len(run) // 2][0] - run[0][0])
+
+            _round(meter, len(cuts), cut_body)
+            groups = [g for g in groups if len(g[1]) == 1]
+            for (tree, run), right in zip(cuts, halves):
+                half = len(run) // 2
+                groups += [(tree, run[:half]), (right, run[half:])]
+        pieces = {run[0]: tree for tree, run in groups}
+        trees = [pieces[b] for b in nonempty]
+        while len(trees) > 1:
+
+            def join_body(k):
+                agg_join(trees[2 * k], trees[2 * k + 1])
+
+            _round(meter, len(trees) // 2, join_body)
+            trees = trees[::2]
+        if trees[0] is not array:
             # the blocks were joined in the first block's tree
-            agg_join(array, tree)
+            agg_join(array, trees[0])
 
     def query(self, array: AggTree, i, j, k, l):
         """A linked pair (C, C') with C at a position in [i, j) and C' in
@@ -356,3 +382,12 @@ class MasterArray:
             raise ChunkError("link vectors inconsistent during query")
         p = meter.pick(back)
         return order[p], cq
+
+
+def _round(meter, count, body):
+    """Run body(0 .. count-1) as one parallel step, or directly when there
+    is a single body, which then adds no step of its own."""
+    if count == 1:
+        body(0)
+    else:
+        meter.parallel_for(count, body)

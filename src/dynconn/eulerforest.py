@@ -469,6 +469,7 @@ class EulerForest:
         edges = tour.edges
         p1, p2, p3 = edges[:i1], edges[i1 + 1 : i2], edges[i2 + 1 :]
         self._drop_container(tour)
+        del self.edge_occ[edges[i1]], self.edge_occ[edges[i2]]
         if pair is None:
             self._adopt_small(p3 + p1)
             self._adopt_small(p2)
@@ -511,9 +512,11 @@ class EulerForest:
         raise AssertionError(f"node {node} not on its own tour")
 
     def _drop_container(self, tid):
+        """Charge the release of a small tour's occurrence pointers.  Every
+        caller rewrites the pointers of the tour's surviving edges right
+        after (`_adopt_small` or `_reindex_chunk`), so none is popped here;
+        a deletion pops its own edge's two."""
         if isinstance(tid, SmallTour):
-            for e in tid.edges:
-                self.edge_occ.pop(e, None)
             self.meter.parallel_charge(len(tid.edges))
 
     # -- large-tour machinery -----------------------------------------------------

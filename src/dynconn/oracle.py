@@ -131,8 +131,10 @@ def check_agg_tree(tree):
     if root is None:
         check(leaves == [], "empty tree with leaves")
         return
-    # in-order leaf collection plus shape constraints
+    # in-order leaf collection plus shape constraints; each vertex's parent
+    # is recorded on the way down
     collected = []
+    parent = {}
     stack = [(root, root.height)]
     while stack:
         v, h = stack.pop()
@@ -155,6 +157,7 @@ def check_agg_tree(tree):
         check(v.fst is v.children[0].fst, "fst pointer stale")
         check(v.lst is v.children[-1].lst, "lst pointer stale")
         for c in reversed(v.children):
+            parent[id(c)] = v
             stack.append((c, v.height - 1))
     check(collected == leaves, "leaf array does not match tree order")
     if len(leaves) > 1:
@@ -166,22 +169,8 @@ def check_agg_tree(tree):
         check(leaf.ancestors[0] is leaf, "ancestors[0] is not the leaf")
         v = leaf
         for h in range(1, root.height + 1):
-            v = _structural_parent(tree, v)
+            v = parent[id(v)]
             check(leaf.ancestors[h] is v, f"ancestor pointer at height {h} stale")
-
-
-def _structural_parent(tree, v):
-    stack = [tree.root]
-    while stack:
-        w = stack.pop()
-        if w.height == 0:
-            continue
-        for c in w.children:
-            if c is v:
-                return w
-            if c.height > 0:
-                stack.append(c)
-    raise CheckFailure("vertex not reachable from root")
 
 
 def _log2ceil(x):

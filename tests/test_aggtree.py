@@ -561,6 +561,34 @@ class TestRandomizedSoak:
         assert max(d for _, d in depths) <= aggtree.DEPTH_BOUNDS["join"]
 
 
+    def test_seeded_cuts_keep_order_and_reach_near_the_bound(self):
+        # 1000 boundary cuts of trees of 16 to 3000 leaves, each joined back;
+        # the deepest cut must stay within the bound and come within 4 of it,
+        # so the bound is not padding.  Both sides are checked after every
+        # cut up to 200 leaves and after every tenth beyond.
+        rng = random.Random(23)
+        bound = aggtree.DEPTH_BOUNDS["split_boundary"]
+        deepest = 0
+        for n in (16, 50, 200, 700, 3000):
+            m = CostMeter(ArbitraryPolicy(1))
+            with m.initialization():
+                t = build(m, 64, [rng.getrandbits(64) for _ in range(n)])
+            for step in range(200):
+                pos = rng.randint(0, n)
+                want = list(t.leaves)
+                m.reset()
+                right = t.split_boundary(pos)
+                deepest = max(deepest, m.depth)
+                assert t.leaves == want[:pos] and right.leaves == want[pos:]
+                if n <= 200 or step % 10 == 0:
+                    check_agg_tree(t)
+                    check_agg_tree(right)
+                with m.initialization():
+                    join(t, right)
+            check_agg_tree(t)
+        assert bound - 4 <= deepest <= bound
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), min_size=1, max_size=40),

@@ -401,28 +401,38 @@ class TestReorder:
         assert a.root.bits == sum(1 << c.slot for c in before)
         check_chunk_store(ms)
 
-    def test_three_blocks_charge_as_the_move_of_one_block(self):
-        # moving [j, k) in front of i costs three boundary splits and three
-        # joins, which write the moved chunks' positions
-        def move_block(ms, array, i, j, k):
+    def test_moving_one_block_charges_no_more_than_three_cuts(self):
+        # moving [j, k) in front of i by three boundary splits and three
+        # joins one after the other; reorder cuts the four blocks in two
+        # rounds and joins them in two, side by side where there are two
+        def move_block(array, i, j, k):
             mid = array.split_boundary(i)
             moved = mid.split_boundary(j - i)
             tail = moved.split_boundary(k - j)
             for piece in (moved, mid, tail):
                 agg_join(array, piece)
 
-        for i, j, k in [(0, 2, 5), (1, 3, 6), (2, 4, 9), (3, 4, 5), (0, 1, 9)]:
-            costs = []
-            for permute in (
-                lambda ms, a: ms.reorder(a, [(0, i), (j, k), (i, j), (k, 9)]),
-                lambda ms, a: move_block(ms, a, i, j, k),
-            ):
-                ms = store()
-                a = filled(ms, [2] * 9)
-                ms.meter.reset()
-                permute(ms, a)
-                costs.append((ms.meter.work, ms.meter.depth, [c.slot for c in a.leaves]))
-            assert costs[0] == costs[1]
+        for n in (9, 40, 200):
+            # the nine-leaf moves, scaled to n leaves
+            for t in [(0, 2, 5), (1, 3, 6), (2, 4, 9), (3, 4, 5), (0, 1, 9)]:
+                i, j, k = (x * n // 9 for x in t)
+                costs = []
+                for permute in (
+                    lambda ms, a: ms.reorder(a, [(0, i), (j, k), (i, j), (k, n)]),
+                    lambda ms, a: move_block(a, i, j, k),
+                ):
+                    ms = store(slots=n + 8)
+                    a = filled(ms, [2] * n)
+                    ms.meter.reset()
+                    permute(ms, a)
+                    costs.append((ms.meter.work, ms.meter.depth, [c.slot for c in a.leaves]))
+                (work, depth, order), (seq_work, seq_depth, seq_order) = costs
+                assert order == seq_order
+                assert work <= seq_work and depth <= seq_depth
+                # a move to the end (k == n) is two cuts and two joins in
+                # a row either way; the others save a round
+                if n > 9 and k < n:
+                    assert depth < seq_depth
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_block_permutations(self, seed):
@@ -443,6 +453,43 @@ class TestReorder:
             ms.reorder(a, blocks)
             assert a.leaves == want
             check_chunk_store(ms)
+
+
+    def test_seeded_permutations_keep_order_and_reach_near_the_bound(self):
+        # 600 permutations of 1 to 5 blocks, some empty, of arrays of up to
+        # 700 linked chunks; the deepest must stay within the bound and come
+        # within 12 of it, so the bound is not padding
+        rng = random.Random(1)
+        bound = MasterArray.depth_bounds(ArbitraryPolicy(9))["reorder"]
+        deepest = 0
+        for n in (5, 30, 120, 400, 700):
+            ms = store(slots=n + 4, cap=2)
+            a = ms.new_array()
+            with ms.meter.initialization():
+                for i in range(n):
+                    ms.insert_chunk(a, i, ms.alloc_chunk([(i, 0)]))
+                for c in a.leaves:
+                    for d in rng.sample(a.leaves, 2):
+                        ms.link(c, d)
+            for step in range(120):
+                k = step % 5 + 1
+                cuts = sorted(
+                    rng.randint(0, n) if rng.random() < 0.8 else rng.choice((0, n))
+                    for _ in range(k - 1)
+                )
+                bounds = [0] + cuts + [n]
+                blocks = [(bounds[i], bounds[i + 1]) for i in range(k)]
+                rng.shuffle(blocks)
+                want = [c for start, end in blocks for c in a.leaves[start:end]]
+                ms.meter.reset()
+                ms.reorder(a, blocks)
+                deepest = max(deepest, ms.meter.depth)
+                assert a.leaves == want
+                check_agg_tree(a)
+                if n <= 120 and step % 20 == 0:
+                    check_chunk_store(ms)
+            check_chunk_store(ms)
+        assert bound - 12 <= deepest <= bound
 
 
 class TestQuery:

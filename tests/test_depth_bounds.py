@@ -111,15 +111,17 @@ def test_bipartite_layers_within_bounds(monkeypatch, policy):
 @pytest.mark.parametrize(
     "policy, forest, connectivity, bipartiteness",
     [
-        (ArbitraryPolicy(5), (381, 600), (3111, 10001), (6223, 20003)),
-        (CommonPolicy(0.25), (381, 660), (3242, 10601), (6485, 21203)),
+        (ArbitraryPolicy(5), (316, 523), (2632, 8528), (5265, 17057)),
+        (CommonPolicy(0.25), (316, 583), (2763, 9128), (5527, 18257)),
     ],
     ids=["arbitrary", "common"],
 )
 def test_stated_bounds_are_pinned(policy, forest, connectivity, bipartiteness):
     """The composed insert and delete bounds of the forest and both facades.
-    They were last lowered when a retired chunk's row stopped being written
-    along its path; a change may lower them again, and none may raise them."""
+    They were last lowered when the aggregate tree came to assemble both
+    sides of a boundary split in one parallel step, and the master array to
+    reorder its blocks in rounds of side-by-side cuts and joins; a change
+    may lower them again, and none may raise them."""
     f = EulerForest.depth_bounds(policy)
     assert (f["insert"], f["delete"]) == forest
     for mode, pinned in (("connectivity", connectivity), ("bipartiteness", bipartiteness)):

@@ -22,7 +22,11 @@ beside them, so a singleton's link and a replacement splice no longer
 allocate, hang and remove one-edge chunks, and again when the master array
 came to write a chunk's link row only when it changes, so a refresh to the
 bits a chunk holds pays only its row read and a retired chunk's row leaves
-the summaries with its leaf instead of being written to zero first.
+the summaries with its leaf instead of being written to zero first,
+and again when the two sides of an aggregate tree's boundary split came to
+be assembled in one parallel step and the master array's reorder came to
+cut and join its blocks in balanced rounds, side by side, which changes the
+tree shapes and lowers the depth.
 A change that moves them changes the cost model and must say so.
 """
 
@@ -73,17 +77,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (3811378, {"insert": 266, "delete": 508, "connected": 0}, 58852),
+            (3756474, {"insert": 208, "delete": 422, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (3858892, {"insert": 277, "delete": 534, "connected": 0}, 58852),
+            (3801453, {"insert": 219, "delete": 454, "connected": 0}, 58852),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (209375, {"insert": 258, "delete": 664}, 17302),
+            (208853, {"insert": 219, "delete": 574}, 17302),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],
