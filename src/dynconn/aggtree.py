@@ -136,8 +136,13 @@ class AggTree:
             leaf.bits = bits
             _reor_ancestors(leaf)
 
-    def dual_bulk_set(self, positions, j, b):
-        """Set bit j to b on every leaf position in `positions`."""
+    def dual_bulk_set(self, positions, j, b, keep=None):
+        """Set bit j to b on every leaf position in `positions`.
+
+        A clear wipes the column and re-sets it on `keep`, the positions of
+        the other leaves holding bit j.  A caller that knows them passes
+        them; otherwise every leaf is scanned for them, uncharged.
+        """
         if b:
             self.meter.parallel_charge(len(positions), unit=1)
             mask = 1 << j
@@ -148,11 +153,12 @@ class AggTree:
                     v.bits |= mask
             return
         # clearing: wipe the column everywhere, then re-set the survivors
-        drop = set(positions)
-        keep = [
-            i for i, leaf in enumerate(self.leaves)
-            if (leaf.bits >> j & 1) and i not in drop
-        ]
+        if keep is None:
+            drop = set(positions)
+            keep = [
+                i for i, leaf in enumerate(self.leaves)
+                if (leaf.bits >> j & 1) and i not in drop
+            ]
         self._clear_column(j)
         self.dual_bulk_set(keep, j, 1)
 

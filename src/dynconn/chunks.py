@@ -225,10 +225,14 @@ class MasterArray:
         flip are charged as one plain sum (they add no depth), and the loop
         body runs only over the arrays it changes.  The loop's size and the
         chunks it scans are the store's two counts, so no array is walked
-        for the charge.
+        for the charge.  By symmetry the chunks that keep c's bit through a
+        clear are those in the slots of c's current row outside `flips`,
+        c itself among them when it keeps its self bit; each array that
+        clears is handed its own.
         """
-        changes = {}  # array -> (positions to clear, positions to set)
+        changes = {}  # array -> (positions to clear, positions to set, kept)
         slots = self.slots
+        kept = c.bits & ~flips
         while flips:
             low = flips & -flips
             flips ^= low
@@ -237,15 +241,22 @@ class MasterArray:
                 continue
             entry = changes.get(d.array)
             if entry is None:
-                entry = changes[d.array] = ([], [])
+                entry = changes[d.array] = ([], [], [])
             entry[1 if links & low else 0].append(d.pos)
+        while kept:
+            low = kept & -kept
+            kept ^= low
+            d = slots.get(low.bit_length() - 1)
+            entry = changes.get(d.array) if d is not None else None
+            if entry is not None and entry[0]:
+                entry[2].append(d.pos)
         touched = list(changes.items())
         self.meter.charge(self.n_arrays - len(touched) + self.n_held)
 
         def column_body(t):
-            array, (to_clear, to_set) = touched[t]
+            array, (to_clear, to_set, keep) = touched[t]
             if to_clear:
-                array.dual_bulk_set(set(to_clear), c.slot, 0)
+                array.dual_bulk_set(to_clear, c.slot, 0, keep)
             if to_set:
                 array.dual_bulk_set(to_set, c.slot, 1)
 

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from dynconn.aggtree import AggTree
 from dynconn.chunks import MasterArray
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.eulerforest import EulerForest, ForestError, ReplacementReport, SmallTour
@@ -365,6 +366,28 @@ class TestLinkFlush:
             longest = max([longest] + [len(a) for a in f.store.arrays()])
         assert longest >= 4
         check_euler_forest(f)
+
+    @pytest.mark.parametrize("policy", [ArbitraryPolicy(3), CommonPolicy(0.25)])
+    def test_column_clears_are_handed_their_survivors(self, monkeypatch, policy):
+        """Every column clear of a refresh or a retirement is handed, as its
+        survivors, exactly the leaves that a scan of the array finds holding
+        the column bit outside the cleared positions."""
+        kept = []
+        clear = AggTree.dual_bulk_set
+
+        def scanned(self, positions, j, b, keep=None):
+            if not b:
+                drop = set(positions)
+                want = [i for i, x in enumerate(self.leaves) if x.bits >> j & 1 and i not in drop]
+                assert keep is not None and sorted(keep) == want
+                kept.append(len(keep))
+            return clear(self, positions, j, b, keep)
+
+        monkeypatch.setattr(AggTree, "dual_bulk_set", scanned)
+        rng = random.Random(8)
+        g, f = _random_graph_pair(rng, 40, 900, 3, policy)
+        check_euler_forest(f)
+        assert len(kept) > 50 and 0 < kept.count(0) < len(kept), kept
 
 
 class TestReindexing:
