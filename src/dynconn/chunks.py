@@ -16,6 +16,12 @@ arrays that hold a chunk and the chunks those arrays hold, which the array
 operations keep up to date; `bulk_set_links` reads its charge from the two
 counts rather than walking the arrays.
 
+The slot count J is the width of every link vector and of every summary,
+so every whole-vector charge scales with it.  An Euler forest over n nodes
+sizes its master array by the chunks its tours can hold, at most
+(2n − 2)/⌈K/2⌉ at rest plus a constant for an update in flight, with
+K ≈ √(3n) (see `EulerForest`): J ≈ 2.3·√n + 8 = O(√n) slots.
+
 A chunk's link row is written only when it changes: a refresh to the vector
 the chunk already holds pays only its row read, and a retired chunk's row
 leaves the summaries with its leaf (`retire_chunk`), never written along its

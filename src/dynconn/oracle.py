@@ -11,6 +11,7 @@ from collections import Counter, deque
 
 from .aggtree import AggTree
 from .chunks import Chunk
+from .eulerforest import resting_chunks
 
 
 class SimpleGraph:
@@ -179,18 +180,20 @@ def _log2ceil(x):
 
 def check_chunk_store(store):
     """Link symmetry, free columns, every array's tree, live leaves only and
-    the store's counts of arrays and of the chunks they hold."""
-    active = list(store.slots.values())
-    for c in active:
-        for d in active:
-            check(
-                (c.bits >> d.slot & 1) == (d.bits >> c.slot & 1),
-                f"links not symmetric between slots {c.slot} and {d.slot}",
-            )
-    free = set(range(store.slot_count)) - {c.slot for c in active}
-    for c in active:
-        for s in free:
-            check(c.bits >> s & 1 == 0, f"stale link bit to free slot {s}")
+    the store's counts of arrays and of the chunks they hold.  The links are
+    walked bit by bit: every set bit of a live chunk's row must name a live
+    chunk holding the mirror bit, so an asymmetric pair shows on the side
+    that holds its bit and a stale column on the chunk that kept it."""
+    slots = store.slots
+    for c in slots.values():
+        bits = c.bits
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            s = low.bit_length() - 1
+            d = slots.get(s)
+            check(d is not None, f"stale link bit to free slot {s}")
+            check(d.bits >> c.slot & 1, f"links not symmetric between slots {c.slot} and {s}")
     arrays = store.arrays()
     for array in arrays:
         check_agg_tree(array)
@@ -225,7 +228,8 @@ def check_euler_forest(forest):
     in `nbr` order, with no entry for a node without a non-tree edge; the
     link vectors are checked from `nbr` and `edge_occ`, not from it.  Every
     `slots_of` entry must be the slot bits of the chunks holding its node's
-    occurrences, and no node outside a chunk may have one."""
+    occurrences, and no node outside a chunk may have one.  At most
+    `resting_chunks` chunks may be live."""
     occ = forest.edge_occ
     for e, (container, off) in occ.items():
         check(container.edges[off : off + 1] == [e], f"occurrence pointer stale for {e}")
@@ -235,6 +239,8 @@ def check_euler_forest(forest):
         {id(a) for a in forest.store.arrays()} == reached,
         "the master array holds a chunk array that no occurrence reaches",
     )
+    live, rest = len(forest.store.slots), resting_chunks(forest.capacity, forest.K)
+    check(live <= rest, f"{live} live chunks above the at-rest bound {rest}")
     stored = set()
     for tour, edges in tours.items():
         check(len(edges) % 2 == 0, "odd tour length")

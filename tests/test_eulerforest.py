@@ -6,7 +6,14 @@ import pytest
 from dynconn.aggtree import AggTree
 from dynconn.chunks import MasterArray
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
-from dynconn.eulerforest import EulerForest, ForestError, ReplacementReport, SmallTour
+from dynconn.eulerforest import (
+    TRANSIENT_CHUNKS,
+    EulerForest,
+    ForestError,
+    ReplacementReport,
+    SmallTour,
+    resting_chunks,
+)
 from dynconn.oracle import (
     CheckFailure,
     SimpleGraph,
@@ -657,6 +664,82 @@ class TestNewOccurrences:
         assert {"_chunkify", "_split_chunk", "_cut_out"} <= callers, callers
 
 
+def _spanning_soak(f, rng, steps):
+    """Start from a Hamiltonian path over every node of `f`, then run
+    `steps` mean-reverting updates that hold about 1.1 edges per node, four
+    in five insertions joining two trees, so the tours stay long and
+    path-shaped.  Yields after every update."""
+    n = f.capacity
+    for v in range(n):
+        f.activate_node(v)
+    edges = []
+    for v in range(n - 1):
+        f.insert_edge(v, v + 1)
+        edges.append((v, v + 1))
+    target = n + n // 10
+    for _ in range(steps):
+        if rng.random() < 0.5 + (target - len(edges)) / target:
+            u = rng.randrange(n)
+            spanning = rng.random() < 0.8
+            v = next(
+                (
+                    v
+                    for v in (rng.randrange(n) for _ in range(20))
+                    if v != u and len(f.nbr[v]) < 3 and v not in f.nbr[u]
+                    and not (spanning and f.connected(u, v))
+                ),
+                None,
+            )
+            if len(f.nbr[u]) >= 3 or v is None:
+                continue
+            f.insert_edge(u, v)
+            edges.append((u, v))
+        else:
+            i = rng.randrange(len(edges))
+            edges[i], edges[-1] = edges[-1], edges[i]
+            f.delete_edge(*edges.pop())
+        yield
+
+
+class TestSlotCount:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 48, 200, 1026, 10**5])
+    def test_slot_count_is_the_resting_bound_plus_the_transient_chunks(self, n):
+        """J = R + T with R = ⌊(2n − 2)/⌈K/2⌉⌋ and T = 8."""
+        f = forest(n)
+        assert TRANSIENT_CHUNKS == 8
+        assert resting_chunks(n, f.K) == (2 * n - 2) // ((f.K + 1) // 2)
+        assert f.store.slot_count == (2 * n - 2) // ((f.K + 1) // 2) + 8
+
+    @pytest.mark.parametrize("policy", [ArbitraryPolicy(11), CommonPolicy(0.25)])
+    @pytest.mark.parametrize("n", [8, 30, 200])
+    def test_full_capacity_soak_never_fills_the_master_array(self, monkeypatch, n, policy):
+        """A seeded soak over tours spanning every node records the live
+        chunks at every allocation: they never exceed J, so the array is
+        never full, and at rest never exceed R, which the soak comes close
+        to.  The margin to R + T is printed."""
+        peak = 0
+        alloc = MasterArray.alloc_chunk
+
+        def counted(self, edges):
+            nonlocal peak
+            c = alloc(self, edges)
+            peak = max(peak, len(self.slots))
+            return c
+
+        monkeypatch.setattr(MasterArray, "alloc_chunk", counted)
+        f = forest(n, policy)
+        R, J = resting_chunks(n, f.K), f.store.slot_count
+        rest = 0
+        for step, _ in enumerate(_spanning_soak(f, random.Random(n), 4000)):
+            rest = max(rest, len(f.store.slots))
+            if step % 500 == 0:
+                check_euler_forest(f)
+        check_euler_forest(f)
+        print(f"n={n}: peak {peak} live chunks, R + T = {J}, margin {J - peak}; at rest {rest} of R = {R}")
+        assert peak <= J == R + TRANSIENT_CHUNKS
+        assert R - 1 <= rest <= R and peak > R
+
+
 class TestCheckerCatchesCorruption:
     """The checker finds tours from the occurrence pointers; it must still
     see a chunk array those pointers miss and a pointer that misses its
@@ -673,6 +756,13 @@ class TestCheckerCatchesCorruption:
         orphan = f.store.new_array()
         f.store.insert_chunk(orphan, 0, f.store.alloc_chunk([(44, 45), (45, 44)]))
         with pytest.raises(CheckFailure, match="no occurrence reaches"):
+            check_euler_forest(f)
+
+    def test_live_chunks_above_the_at_rest_bound(self):
+        f = self.chunked_path()
+        while len(f.store.slots) <= resting_chunks(f.capacity, f.K):
+            f.store.alloc_chunk([(44, 45), (45, 44)])
+        with pytest.raises(CheckFailure, match="above the at-rest bound"):
             check_euler_forest(f)
 
     def test_stale_pointer_into_a_chunk(self):

@@ -26,7 +26,10 @@ the summaries with its leaf instead of being written to zero first,
 and again when the two sides of an aggregate tree's boundary split came to
 be assembled in one parallel step and the master array's reorder came to
 cut and join its blocks in balanced rounds, side by side, which changes the
-tree shapes and lowers the depth.
+tree shapes and lowers the depth.  The work and `init_work` of all three
+were re-recorded when each forest's master array came to be sized by the
+chunks its tours can hold, which narrows every link vector and so every
+charge counted in slots; the depths did not move.
 A change that moves them changes the cost model and must say so.
 """
 
@@ -77,17 +80,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (3756474, {"insert": 208, "delete": 422, "connected": 0}, 58852),
+            (1932924, {"insert": 208, "delete": 422, "connected": 0}, 42002),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (3801453, {"insert": 219, "delete": 454, "connected": 0}, 58852),
+            (1958688, {"insert": 219, "delete": 454, "connected": 0}, 42002),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (208853, {"insert": 219, "delete": 574}, 17302),
+            (147466, {"insert": 219, "delete": 574}, 11934),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],
