@@ -19,8 +19,8 @@ counts rather than walking the arrays.
 The slot count J is the width of every link vector and of every summary,
 so every whole-vector charge scales with it.  An Euler forest over n nodes
 sizes its master array by the chunks its tours can hold, at most
-(2n − 2)/⌈K/2⌉ at rest plus a constant for an update in flight, with
-K ≈ √(3n) (see `EulerForest`): J ≈ 2.3·√n + 8 = O(√n) slots.
+(2n - 2)/ceil(K/2) at rest plus a constant for an update in flight, with
+K ~ sqrt(3n) (see `EulerForest`): J ~ 2.3*sqrt(n) + 8 = O(sqrt(n)) slots.
 
 A chunk's link row is written only when it changes: a refresh to the vector
 the chunk already holds pays only its row read, and a retired chunk's row

@@ -92,7 +92,7 @@ TRANSIENT_CHUNKS = max(6, 4 + 4, 8)
 
 def resting_chunks(capacity, K):
     """R, the most chunks the tours of a forest over `capacity` nodes hold
-    at rest: 2·capacity − 2 occurrences, at least ⌈K/2⌉ in each chunk."""
+    at rest: 2*capacity - 2 occurrences, at least ceil(K/2) in each chunk."""
     return (2 * capacity - 2) // -(-K // 2)
 
 
@@ -135,27 +135,28 @@ class SmallTour:
 
 class EulerForest:
     """The spanning forest of a graph over node ids 0 .. capacity-1, with
-    chunks of K = ⌊√(3·capacity − 1)⌋ + 1 edges (at least 2) and a master
+    chunks of K = isqrt(3*capacity - 1) + 1 edges (at least 2) and a master
     array of J = R + T slots, the most chunks its tours can hold.
 
-    At rest.  A forest has at most capacity − 1 edges, so its tours hold at
-    most 2·capacity − 2 occurrences.  Every chunk of a chunked tour holds at
-    least ⌈K/2⌉ of them (the sizing repair's invariant), and a tour that
+    At rest.  A forest has at most capacity - 1 edges, so its tours hold at
+    most 2*capacity - 2 occurrences.  Every chunk of a chunked tour holds at
+    least ceil(K/2) of them (the sizing repair's invariant), and a tour that
     fits in one chunk is demoted to a small tour, which holds none.  So at
-    most R = ⌊(2·capacity − 2)/⌈K/2⌉⌋ chunks are live at rest
+    most R = floor((2*capacity - 2) / ceil(K/2)) chunks are live at rest
     (`resting_chunks`; `oracle.check_euler_forest` asserts it).
 
     While an update runs.  An update changes only the chunks it touches, so
-    a live chunk of fewer than ⌈K/2⌉ edges is a touched one, and the others
-    number at most R, since the occurrences stay at most 2·capacity − 2.  A
-    repair adds no undersized chunk: it splits only chunks above K, into
-    halves of at least ⌈K/2⌉, and merges or rebalances an undersized chunk
-    into one chunk or into two of at least ⌈K/2⌉.  So the undersized chunks
-    are at most the chunks the update touches before its repairs, which
-    `depth_bounds` counts: 6 on insertion, 4 + 4 once a deletion's cuts
-    are split apart, 8 once a replacement is spliced in.  Hence T =
-    `TRANSIENT_CHUNKS` = 8 spare slots cover every allocation, and the
-    array is never full.  With K ≈ √(3·capacity), J ≈ 2.3·√capacity + 8.
+    a live chunk of fewer than ceil(K/2) edges is a touched one, and the
+    others number at most R, since the occurrences stay at most
+    2*capacity - 2.  A repair adds no undersized chunk: it splits only
+    chunks above K, into halves of at least ceil(K/2), and merges or
+    rebalances an undersized chunk into one chunk or into two of at least
+    ceil(K/2).  So the undersized chunks are at most the chunks the update
+    touches before its repairs, which `depth_bounds` counts: 6 on
+    insertion, 4 + 4 once a deletion's cuts are split apart, 8 once a
+    replacement is spliced in.  Hence T = `TRANSIENT_CHUNKS` = 8 spare
+    slots cover every allocation, and the array is never full.  With
+    K ~ sqrt(3*capacity), J ~ 2.3*sqrt(capacity) + 8.
     """
 
     def __init__(self, meter: CostMeter, capacity: int):

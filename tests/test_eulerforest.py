@@ -392,7 +392,7 @@ class TestLinkFlush:
 
         monkeypatch.setattr(AggTree, "dual_bulk_set", scanned)
         rng = random.Random(8)
-        g, f = _random_graph_pair(rng, 40, 900, 3, policy)
+        _, f = _random_graph_pair(rng, 40, 900, 3, policy)
         check_euler_forest(f)
         assert len(kept) > 50 and 0 < kept.count(0) < len(kept), kept
 
@@ -681,16 +681,14 @@ def _spanning_soak(f, rng, steps):
         if rng.random() < 0.5 + (target - len(edges)) / target:
             u = rng.randrange(n)
             spanning = rng.random() < 0.8
-            v = next(
-                (
-                    v
-                    for v in (rng.randrange(n) for _ in range(20))
-                    if v != u and len(f.nbr[v]) < 3 and v not in f.nbr[u]
-                    and not (spanning and f.connected(u, v))
-                ),
-                None,
-            )
-            if len(f.nbr[u]) >= 3 or v is None:
+            for _ in range(20):
+                v = rng.randrange(n)
+                if v != u and len(f.nbr[v]) < 3 and v not in f.nbr[u]:
+                    if not (spanning and f.connected(u, v)):
+                        break
+            else:
+                continue
+            if len(f.nbr[u]) >= 3:
                 continue
             f.insert_edge(u, v)
             edges.append((u, v))
@@ -704,7 +702,7 @@ def _spanning_soak(f, rng, steps):
 class TestSlotCount:
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 48, 200, 1026, 10**5])
     def test_slot_count_is_the_resting_bound_plus_the_transient_chunks(self, n):
-        """J = R + T with R = ⌊(2n − 2)/⌈K/2⌉⌋ and T = 8."""
+        """J = R + T with R = floor((2n - 2) / ceil(K/2)) and T = 8."""
         f = forest(n)
         assert TRANSIENT_CHUNKS == 8
         assert resting_chunks(n, f.K) == (2 * n - 2) // ((f.K + 1) // 2)

@@ -1,0 +1,18 @@
+"""The scaling sweep in `tools/sweep.py` still runs against the package."""
+
+import importlib.util
+from pathlib import Path
+
+SWEEP = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
+
+
+def test_one_sweep_point_reports_each_update_kind_within_its_budget():
+    spec = importlib.util.spec_from_file_location("tools_sweep", SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    point = sweep.sweep_point(1, 64, 60)
+    assert point["n"] == 64 and point["J"] > 0
+    for kind in ("insert", "delete"):
+        row = point[kind]
+        assert row["calls"] > 0 and row["work"] > 0
+        assert 0 < row["depth"] <= row["budget"]
