@@ -84,10 +84,18 @@ _OCCURRENCES = 6
 # most of them; read-only, so the first non-tree edge gets its own record
 _NO_NONTREE = MappingProxyType({})
 
+# the most live chunks of the array it repairs that an update touches before
+# its repairs: on a link, in each piece a deletion's cuts split apart, and once
+# a replacement is spliced in; `depth_bounds` charges its repairs and flushes
+# from them
+TOUCHED_ON_LINK = 6
+TOUCHED_AFTER_CUT = 4
+TOUCHED_AFTER_SPLICE = 8
+
 # T, the chunks an update can hold beyond the at-rest bound R while it runs:
-# the most chunks any update touches before its repairs, as `depth_bounds`
-# counts them (derived in the EulerForest docstring)
-TRANSIENT_CHUNKS = max(6, 4 + 4, 8)
+# the most chunks any update touches before its repairs, both pieces of a
+# split counted (derived in the EulerForest docstring)
+TRANSIENT_CHUNKS = max(TOUCHED_ON_LINK, 2 * TOUCHED_AFTER_CUT, TOUCHED_AFTER_SPLICE)
 
 
 def resting_chunks(capacity, K):
@@ -152,10 +160,11 @@ class EulerForest:
     chunks above K, into halves of at least ceil(K/2), and merges or
     rebalances an undersized chunk into one chunk or into two of at least
     ceil(K/2).  So the undersized chunks are at most the chunks the update
-    touches before its repairs, which `depth_bounds` counts: 6 on
-    insertion, 4 + 4 once a deletion's cuts are split apart, 8 once a
-    replacement is spliced in.  Hence T = `TRANSIENT_CHUNKS` = 8 spare
-    slots cover every allocation, and the array is never full.  With
+    touches before its repairs, which `depth_bounds` counts and charges
+    from: 6 on insertion (`TOUCHED_ON_LINK`), 4 + 4 once a deletion's cuts
+    are split apart (`TOUCHED_AFTER_CUT` per piece), 8 once a replacement
+    is spliced in (`TOUCHED_AFTER_SPLICE`).  Hence T = `TRANSIENT_CHUNKS` = 8
+    spare slots cover every allocation, and the array is never full.  With
     K ~ sqrt(3*capacity), J ~ 2.3*sqrt(capacity) + 8.
     """
 
@@ -231,7 +240,7 @@ class EulerForest:
             4,
             as_array + write,
             2 * (as_array + cut) + store["concatenate"] + store["reorder"],
-        ) + repair(6) + flush(2 * 6)
+        ) + repair(TOUCHED_ON_LINK) + flush(2 * TOUCHED_ON_LINK)
         mark_linked = 1 + _OCCURRENCES**2 * store["link"]
         unlink = _OCCURRENCES * (1 + _OCCURRENCES * store["unlink"]) + 1
         probe_small = 2 + select
@@ -239,12 +248,19 @@ class EulerForest:
         # _probe_large: the two cut chunks' node lists and their scan, then per
         # near range a query, the node lists of the pair it returns and a scan
         probe_large = 3 + 2 * (store["query"] + 3) + select
-        commit_split = store["reorder"] + store["split_array"] + 2 * repair(4)
-        commit_replace = 2 * cut + store["reorder"] + 2 * write + repair(8)
+        commit_split = (
+            store["reorder"] + store["split_array"] + 2 * repair(TOUCHED_AFTER_CUT)
+        )
+        commit_replace = (
+            2 * cut + store["reorder"] + 2 * write + repair(TOUCHED_AFTER_SPLICE)
+        )
         # flushed: two split-off repairs of at most 4 touched, or one repair
         # of 8 touched plus the chunks of the promoted edge's endpoints
         commit_large = 2 * cut_out + max(commit_split, commit_replace) + flush(
-            max(2 * 2 * 4, 2 * 8 + 2 * _OCCURRENCES)
+            max(
+                2 * 2 * TOUCHED_AFTER_CUT,
+                2 * TOUCHED_AFTER_SPLICE + 2 * _OCCURRENCES,
+            )
         )
         return {
             "insert": max(mark_linked, merge),

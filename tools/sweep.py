@@ -1,80 +1,63 @@
 """Scaling sweep of the connectivity facade over n = 2^6 ... 2^12.
 
-    python3 tools/sweep.py [--seed 1] [--calls 300] [--max-log2 12]
+    python3 tools/sweep.py
 
-For each n it builds `conn_churn("<seed>/0", n, length=calls)` from
-`bench/workloads.py`, sets it up on a `DynamicConnectivity` under the
-arbitrary policy, replays every call and prints one JSON line.  Per update
-kind the line holds the number of calls, their mean metered work, their
-worst depth beside the facade's depth budget and their median wall time in
-ms; it also holds the root forest's chunk capacity K and slot count J.
-Metered figures are exact counts that repeat bit for bit for a seed and a
-call count on any host; wall times are the host's own.  The sweep takes
-about 20 s on a shared 2-core x86-64 VM with CPython 3.11.
+For each n it builds `conn_churn("1/0", n, length=300)` from
+`bench/workloads.py`, sets it up and replays every call with the
+benchmark's own `setup` and `drive` (`bench/run.py`; the workload runs
+under the arbitrary policy), and prints one JSON line.  Per update kind the
+line holds the number of calls and of failed calls, their mean metered
+work, their worst depth beside the facade's depth budget and their median
+wall time in ms; it also holds the root forest's chunk capacity K and slot
+count J.  Metered figures are exact counts that repeat bit for bit on any
+host; wall times are the host's own.  The sweep takes about 20 s on a
+shared 2-core x86-64 VM with CPython 3.11.
 
 The sweep lives outside `bench/`, whose files define the gated benchmark;
-it only reads the workload generator from there.
+it only reads the workload generator and the replay loop from there.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import sys
 from pathlib import Path
-from time import perf_counter_ns
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from dynconn import ArbitraryPolicy, DynamicConnectivity  # noqa: E402
+from run import drive, setup  # noqa: E402
 from workloads import conn_churn  # noqa: E402
 
+SEED = 1
+CALLS = 300
+SIZES = [2**k for k in range(6, 13)]
 KINDS = {"insert_edge": "insert", "delete_edge": "delete"}
 
 
 def sweep_point(seed, n, calls):
     w = conn_churn(f"{seed}/0", n=n, length=calls)
-    f = DynamicConnectivity(n, policy=ArbitraryPolicy(0))
-    for v in range(1, n + 1):
-        f.activate_node(v)
-    for u, v in w.edges:
-        f.insert_edge(u, v)
-    meter = f.meter
-    seen = {kind: ([], [], []) for kind in KINDS.values()}
-    for op, args in w.calls:
-        fn = getattr(f, op)
-        w0, d0 = meter.work, meter.depth
-        t0 = perf_counter_ns()
-        fn(*args)
-        t1 = perf_counter_ns()
-        if op in KINDS:
-            work, depth, ns = seen[KINDS[op]]
-            work.append(meter.work - w0)
-            depth.append(meter.depth - d0)
-            ns.append(t1 - t0)
+    f, _, _ = setup(w)
+    log = drive(f, w.calls)
     forest = f.core.root().conn.inner
     point = {"n": n, "K": forest.K, "J": forest.store.slot_count}
-    for kind, (work, depth, ns) in seen.items():
+    for op, kind in KINDS.items():
+        mine = [i for i, o in enumerate(log.ops) if o == op]
         point[kind] = {
-            "calls": len(work),
-            "work": round(statistics.fmean(work), 1),
-            "depth": max(depth),
+            "calls": len(mine),
+            "failed": sum(log.failed[i] for i in mine),
+            "work": round(statistics.fmean(log.work[i] for i in mine), 1),
+            "depth": max(log.depth[i] for i in mine),
             "budget": f.budgets[kind],
-            "p50_ms": round(statistics.median(ns) / 1e6, 3),
+            "p50_ms": round(statistics.median(log.ns[i] for i in mine) / 1e6, 3),
         }
     return point
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--calls", type=int, default=300)
-    parser.add_argument("--max-log2", type=int, default=12)
-    args = parser.parse_args()
-    for k in range(6, args.max_log2 + 1):
-        print(json.dumps(sweep_point(args.seed, 2**k, args.calls)), flush=True)
+    for n in SIZES:
+        print(json.dumps(sweep_point(SEED, n, CALLS)), flush=True)
 
 
 if __name__ == "__main__":
