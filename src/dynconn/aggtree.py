@@ -136,12 +136,11 @@ class AggTree:
             leaf.bits = bits
             _reor_ancestors(leaf)
 
-    def dual_bulk_set(self, positions, j, b, keep=None):
+    def dual_bulk_set(self, positions, j, b, keep=()):
         """Set bit j to b on every leaf position in `positions`.
 
-        A clear wipes the column and re-sets it on `keep`, the positions of
-        the other leaves holding bit j.  A caller that knows them passes
-        them; otherwise every leaf is scanned for them, uncharged.
+        A clear wipes the column and re-sets it on `keep`, which the caller
+        passes: the positions of the other leaves holding bit j.
         """
         if b:
             self.meter.parallel_charge(len(positions), unit=1)
@@ -153,12 +152,6 @@ class AggTree:
                     v.bits |= mask
             return
         # clearing: wipe the column everywhere, then re-set the survivors
-        if keep is None:
-            drop = set(positions)
-            keep = [
-                i for i, leaf in enumerate(self.leaves)
-                if (leaf.bits >> j & 1) and i not in drop
-            ]
         self._clear_column(j)
         self.dual_bulk_set(keep, j, 1)
 

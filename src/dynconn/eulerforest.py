@@ -10,15 +10,18 @@ query.
 Keeping them out of the master array is also what keeps the slot count at
 O(sqrt(n)): a forest can contain far more tiny trees than slots.
 
-A new tree edge's two occurrences go into chunks already in the tour, never
-into a chunk of their own: a link of a singleton writes both right after an
-occurrence entering the other endpoint, in that occurrence's chunk, and a
-replacement spliced into a cut tour writes each at the end of the chunk
-before its place (at the front of the first chunk when its place is the
-start).  Only the link of two chunked tours appends them at chunk ends it
-cuts.  A chunk that overflows is split by the update's sizing repair, so an
-update allocates chunks only for cuts, repairs and the chunking of a small
-tour.
+Every new tree edge, a link's or a replacement's, is written by one splice
+(`_splice`; `_splice_edges` for a small tour).  A link is the replacement
+splice of the tour u's array then v's: the near walk is u's tour, the far
+walk v's, and the third piece is empty.  The splice cuts each walk before an
+occurrence leaving its endpoint and writes each of the two occurrences at
+the end of the chunk before its place (at the front of the first chunk when
+its place is the start).  A far side that is a single node, a singleton's
+link or a replacement whose far side is one node, needs no cut: both
+occurrences go right after an occurrence entering the near endpoint, in its
+chunk.  So a new tree edge never gets a chunk of its own.  A chunk that
+overflows is split by the update's sizing repair, so an update allocates
+chunks only for cuts, repairs and the chunking of a small tour.
 
 Connectivity is answered in O(1) by comparing tour container identities,
 reached from any incident tree edge's occurrence pointer: a small tour's
@@ -44,14 +47,13 @@ derives from `nbr` and `edge_occ` and reads it back until a node's entry is
 dropped.  An entry is dropped wherever an occurrence of its node is written
 into a chunk or taken out of one: by `_reindex_chunk` for both endpoints of
 every edge it writes into a chunk other than the one that held it, which
-covers the new tree edges of `_merge_tours` and `_commit_large` (an edge
-that only shifts inside its chunk changes no mask), by `_append_edge`, by
-`_cut_out` for the removed edge and by `_maybe_shrink` for every node of a
-demoted tour.
+covers the new tree edges of `_splice` (an edge that only shifts inside its
+chunk changes no mask), by `_cut_out` for the removed edge and by
+`_maybe_shrink` for every node of a demoted tour.
 So every entry holds, and no node outside a chunk has one.  The record is
-made at the forest's first `_chunkify` and is None before, which most
-forests, whose tours stay small, never reach; `oracle.check_euler_forest`
-recomputes every entry.
+made when the forest first chunks a small tour (`_as_array`) and is None
+before, which most forests, whose tours stay small, never reach;
+`oracle.check_euler_forest` recomputes every entry.
 
 Every chunk an update splits, merges, chunks or reindexes goes into one
 record, `_touched`, made for that update.  The sizing repair of an array
@@ -87,8 +89,9 @@ _NO_NONTREE = MappingProxyType({})
 # the most live chunks of the array it repairs that an update touches before
 # its repairs: on a link, in each piece a deletion's cuts split apart, and once
 # a replacement is spliced in; `depth_bounds` charges its repairs and flushes
-# from them
-TOUCHED_ON_LINK = 6
+# from them.  A link touches, per side, the two halves of the one chunk its cut
+# splits, or else one chunk it chunkifies or writes into.
+TOUCHED_ON_LINK = 4
 TOUCHED_AFTER_CUT = 4
 TOUCHED_AFTER_SPLICE = 8
 
@@ -161,7 +164,7 @@ class EulerForest:
     rebalances an undersized chunk into one chunk or into two of at least
     ceil(K/2).  So the undersized chunks are at most the chunks the update
     touches before its repairs, which `depth_bounds` counts and charges
-    from: 6 on insertion (`TOUCHED_ON_LINK`), 4 + 4 once a deletion's cuts
+    from: 4 on insertion (`TOUCHED_ON_LINK`), 4 + 4 once a deletion's cuts
     are split apart (`TOUCHED_AFTER_CUT` per piece), 8 once a replacement
     is spliced in (`TOUCHED_AFTER_SPLICE`).  Hence T = `TRANSIENT_CHUNKS` = 8
     spare slots cover every allocation, and the array is never full.  With
@@ -198,17 +201,19 @@ class EulerForest:
 
         Loop counts come from the degree bound and the repair invariant:
         every chunk of an array at rest holds at least K/2 edges, and an
-        operation touches at most 6 live chunks of the array it repairs on
+        operation touches at most 4 live chunks of the array it repairs on
         insertion, 4 after cutting out a deleted edge and 8 once its
-        replacement is spliced in: each of the two cuts of the splice
-        touches the two halves of a chunk it splits, or else the chunk of
-        the splice's new edge beside it is the one more it touches.  A new
-        tree edge's occurrences are written into chunks already there, so
-        they add no chunk.  A repair splits an oversized chunk or
-        merges or rebalances an undersized one at most once per touched chunk
-        and may add one chunk per touched chunk, and a tour short enough to
-        demote then spans at most 2 chunks.  Small tours never exceed K
-        edges, so they are chunked into one chunk.
+        replacement is spliced in.  A link and a replacement share one
+        splice: each of its two cuts touches the two halves of a chunk it
+        splits, or else the chunk of the splice's new edge beside it is the
+        one more it touches; a link touches nothing else but the one chunk
+        it makes of a small tour, which its cut may split.  A far side of
+        one node takes no cut and no reorder, only a write, so the full
+        splice bounds it.  A new tree edge's occurrences are written into
+        chunks already there, so they add no chunk.  A repair splits an
+        oversized chunk or merges or rebalances an undersized one at most
+        once per touched chunk and may add one chunk per touched chunk, and
+        a tour short enough to demote then spans at most 2 chunks.
 
         Link vectors are refreshed only by the flush that ends an update,
         once per touched chunk still live: at most the chunks its repairs
@@ -220,8 +225,8 @@ class EulerForest:
         insert_chunk = store["insert_chunk"]
         refresh = 2 + store["bulk_set_links"]  # _refresh_links
         retire = store["retire_chunk"]  # _retire_chunk
-        as_array = 1 + (insert_chunk + 2)  # drop, one-chunk _chunkify
-        cut = 2 + insert_chunk  # _cut_after_target, _cut_at_source
+        as_array = 1 + (insert_chunk + 2)  # drop, the one chunk
+        cut = 2 + insert_chunk  # _cut_at_source
         write = 1  # a new occurrence written into a chunk: its reindex
         # _cut_out: the right piece, then the left piece or the retirement
         cut_out = insert_chunk + 1 + max(1, retire)
@@ -233,14 +238,14 @@ class EulerForest:
         def flush(marked):  # _flush_links: the liveness filter, then refreshes
             return 1 + marked * refresh
 
-        # _merge_tours: two tour lengths, then a small splice, a singleton's
-        # two edges written into one chunk or two cut arrays, then the
-        # repair and the flush
+        def splice(touched):  # _splice: two cuts, the reorder, two writes
+            return 2 * cut + store["reorder"] + 2 * write + repair(touched)
+
+        # _merge_tours: two tour lengths, then a small splice or two chunked
+        # tours joined and spliced, then the flush
         merge = 2 + max(
-            4,
-            as_array + write,
-            2 * (as_array + cut) + store["concatenate"] + store["reorder"],
-        ) + repair(TOUCHED_ON_LINK) + flush(2 * TOUCHED_ON_LINK)
+            4, 2 * as_array + store["concatenate"] + splice(TOUCHED_ON_LINK)
+        ) + flush(2 * TOUCHED_ON_LINK)
         mark_linked = 1 + _OCCURRENCES**2 * store["link"]
         unlink = _OCCURRENCES * (1 + _OCCURRENCES * store["unlink"]) + 1
         probe_small = 2 + select
@@ -251,9 +256,7 @@ class EulerForest:
         commit_split = (
             store["reorder"] + store["split_array"] + 2 * repair(TOUCHED_AFTER_CUT)
         )
-        commit_replace = (
-            2 * cut + store["reorder"] + 2 * write + repair(TOUCHED_AFTER_SPLICE)
-        )
+        commit_replace = splice(TOUCHED_AFTER_SPLICE)
         # flushed: two split-off repairs of at most 4 touched, or one repair
         # of 8 touched plus the chunks of the promoted edge's endpoints
         commit_large = 2 * cut_out + max(commit_split, commit_replace) + flush(
@@ -353,37 +356,23 @@ class EulerForest:
         total = len_u + len_v + 2
         if total <= self.K:
             # both tours are small; splice the edge lists directly
-            p1, p2 = self._rotated_small(tid_u, u)
-            q1, q2 = self._rotated_small(tid_v, v)
-            merged = p1 + [(u, v)] + q2 + q1 + [(v, u)] + p2
+            near = [] if isinstance(tid_u, tuple) else tid_u.edges
+            far = [] if isinstance(tid_v, tuple) else tid_v.edges
             self._drop_container(tid_u)
             self._drop_container(tid_v)
-            self._adopt_small(merged)
+            self._adopt_small(_splice_edges(near, far, (u, v)))
             self.meter.parallel_charge(total)
             return
         a_u = self._as_array(tid_u)
         a_v = self._as_array(tid_v)
-        if a_u is None or a_v is None:
-            # a singleton s joins t's tour: (t, s), (s, t) go right after an
-            # occurrence (x, t), in its chunk; the tour is cyclic, so nothing
-            # moves, and the repair splits the chunk if it overflows
-            s, t, final = (u, v, a_v) if a_u is None else (v, u, a_u)
-            c, off = self._target_occurrence(t)
-            c.edges[off + 1 : off + 1] = ((t, s), (s, t))
-            self._reindex_chunk(c, off + 1)
-            self._touched[c] = None
-        else:
-            cu = self._cut_after_target(u)
-            self._append_edge(cu, (u, v))
-            nu = len(a_u)
-            cv = self._cut_after_target(v)
-            self._append_edge(cv, (v, u))
+        if a_u is None:
+            u, v, a_u, a_v = v, u, a_v, a_u  # a singleton is the far side
+        # the tour u's array then v's is P1 P2 with P3 empty: a replacement
+        # splice whose far walk is v's tour, a single node when v is alone
+        a = len(a_u)
+        if a_v is not None:
             self.store.concatenate(a_u, a_v)
-            # P1 P2 Q1 Q2 -> P1 Q2 Q1 P2
-            p1, q1, n = cu.pos + 1, cv.pos + 1, len(a_u)
-            self.store.reorder(a_u, [(0, p1), (q1, n), (nu, q1), (p1, nu)])
-            final = a_u
-        self._repair(final)
+        self._splice(a_u, a, len(a_u), (u, v))
 
     # -- edge deletion -----------------------------------------------------------
 
@@ -527,20 +516,8 @@ class EulerForest:
             self._adopt_small(p2)
             self.meter.parallel_charge(len(edges))
             return
-        w_near, w_far = pair
-        near = p3 + p1
-        a = _cut_index(near, w_near)
-        b = _cut_index(p2, w_far)
-        merged = (
-            near[:a]
-            + [(w_near, w_far)]
-            + p2[b:]
-            + p2[:b]
-            + [(w_far, w_near)]
-            + near[a:]
-        )
-        self._adopt_small(merged)
-        self.meter.parallel_charge(len(merged))
+        self._adopt_small(_splice_edges(p3 + p1, p2, pair))
+        self.meter.parallel_charge(len(edges))
 
     def _adopt_small(self, edges):
         """Register a rebuilt tour of at most K edges.  Every caller splices
@@ -552,16 +529,6 @@ class EulerForest:
         for off, e in enumerate(edges):
             self.edge_occ[e] = (tour, off)
         self.meter.parallel_charge(len(edges))
-
-    def _rotated_small(self, tid, node):
-        """Split a small/singleton tour into (part ending at node, part starting there)."""
-        if isinstance(tid, tuple):
-            return [], []
-        edges = tid.edges
-        for i, (a, b) in enumerate(edges):
-            if b == node:
-                return edges[: i + 1], edges[i + 1 :]
-        raise AssertionError(f"node {node} not on its own tour")
 
     def _drop_container(self, tid):
         """Charge the release of a small tour's occurrence pointers.  Every
@@ -585,34 +552,22 @@ class EulerForest:
         return total
 
     def _as_array(self, tid):
-        """Chunked form of a tour (None for a singleton)."""
+        """Chunked form of a tour (None for a singleton).  A small tour
+        holds at most K edges, so it becomes an array of one chunk."""
         if isinstance(tid, tuple):
             return None
-        if isinstance(tid, SmallTour):
-            edges = tid.edges
-            self._drop_container(tid)
-            array = self._chunkify(edges)
-            for c in array.leaves:
-                self._touched[c] = None
-            return array
-        return tid
-
-    def _chunkify(self, edges):
+        if not isinstance(tid, SmallTour):
+            return tid
+        edges = tid.edges
+        self._drop_container(tid)
         if self.slots_of is None:
             self.slots_of = {}
         array = self.store.new_array()
-        n = len(edges)
-        n_chunks = max(1, -(-n // self.K))
-        base = n // n_chunks
-        extra = n % n_chunks
-        start = 0
-        for i in range(n_chunks):
-            size = base + (1 if i < extra else 0)
-            c = self.store.alloc_chunk(edges[start : start + size])
-            self.store.insert_chunk(array, len(array), c)
-            self._reindex_chunk(c)
-            start += size
-        self.meter.parallel_charge(n)
+        c = self.store.alloc_chunk(edges)
+        self.store.insert_chunk(array, 0, c)
+        self._reindex_chunk(c)
+        self.meter.parallel_charge(len(edges))
+        self._touched[c] = None
         return array
 
     def _reindex_chunk(self, c, start=0):
@@ -634,14 +589,6 @@ class EulerForest:
             edge_occ[e] = (c, off)
         self.meter.parallel_charge(n)
 
-    def _cut_after_target(self, node):
-        """Split chunks so some occurrence (x, node) ends a chunk, and
-        return that chunk."""
-        c, off = self._target_occurrence(node)
-        if off < len(c.edges) - 1:
-            self._split_chunk(c, off + 1)
-        return c
-
     def _split_chunk(self, c, at):
         """Move c.edges[at:] into a new chunk right after c; both are
         reindexed and touched.  Returns the new chunk."""
@@ -660,13 +607,6 @@ class EulerForest:
             if occ is not None:
                 return occ
         raise AssertionError(f"no target occurrence for {node}")
-
-    def _append_edge(self, c, edge):
-        c.edges.append(edge)
-        self.edge_occ[edge] = (c, len(c.edges) - 1)
-        self._moved(*edge)
-        self._touched[c] = None
-        self.meter.charge(2)
 
     def _probe_large(self, array, u, v, hint):
         """(u, v)'s lower and upper (edge, occurrence) and the replacement
@@ -759,24 +699,44 @@ class EulerForest:
             self._repair(array)
             self._repair(far)
             return
+        self._splice(array, a, b, pair)
+        # the promoted edge no longer justifies links anywhere: every chunk
+        # holding another occurrence of its endpoints must recompute
+        for node in pair:
+            for c in self._chunks_of(node):
+                self._touched[c] = None
+
+    def _splice(self, array, a, b, pair):
+        """Write the new tree edge `pair` = (w_near, w_far) into the chunked
+        tour `array` = P1 P2 P3, with P2 = [a, b) the far walk X, w_far's
+        side, and P3 P1 the near walk Y, w_near's side; then repair it.
+
+        The new cyclic tour is Y' (w_near,w_far) X'' X' (w_far,w_near) Y'':
+        X = X' X'' is cut at an occurrence leaving w_far and Y = Y' Y'' at
+        one leaving w_near, P1 searched first; a near side that is a single
+        node has an empty walk.  Each block bound is named by the chunk that
+        starts it, None for the end, since the cuts split chunks and so move
+        positions.  A far side that is a single node (a == b) needs no cut:
+        both occurrences go right after an occurrence (x, w_near), in its
+        chunk, and since the tour is cyclic nothing moves."""
         w_near, w_far = pair
-        # the new cyclic tour is Y' (w_near,w_far) X'' X' (w_far,w_near) Y'':
-        # the far walk X = P2 = X' X'' is cut at an occurrence leaving w_far
-        # and the near walk Y = P3 P1 = Y' Y'' at one leaving w_near, P1
-        # searched first.  A side that is a single node has an empty walk.
-        # Each block bound is named by the chunk that starts it, None for
-        # the end, since the cuts split chunks and so move positions.
+        if a == b:
+            c, off = self._target_occurrence(w_near)
+            c.edges[off + 1 : off + 1] = ((w_near, w_far), (w_far, w_near))
+            self._reindex_chunk(c, off + 1)
+            self._touched[c] = None
+            self._repair(array)
+            return
+        n = len(array)
         leaves = array.leaves
         p1, x, p3 = (leaves[p] if p < n else None for p in (0, a, b))
 
         def at(c):
             return len(array) if c is None else c.pos
 
-        xf = x
-        if a < b:
-            xf = self._cut_at_source(w_far, (at(x), at(p3)))
-            if xf is None:
-                raise AssertionError("far endpoint has no tour position")
+        xf = self._cut_at_source(w_far, (at(x), at(p3)))
+        if xf is None:
+            raise AssertionError("far endpoint has no tour position")
         near = [(p3, None), (p1, x)]  # P3, P1
         for k in (1, 0):
             start, end = near[k]
@@ -794,7 +754,7 @@ class EulerForest:
         self.store.reorder(array, blocks)
         # each new edge ends the chunk before its chunk position, or starts
         # leaf 0 at position 0 (the tour is cyclic); written last one first,
-        # so two edges in one chunk (an empty far side) keep their order
+        # so a far walk of one chunk, written at both ends, keeps its offsets
         leaves = array.leaves
         writes = []
         for pos, e in ((e_pos, (w_near, w_far)), (rev_pos, (w_far, w_near))):
@@ -805,11 +765,6 @@ class EulerForest:
             self._reindex_chunk(c, off)
             self._touched[c] = None
         self._repair(array)
-        # the promoted edge no longer justifies links anywhere: every chunk
-        # holding another occurrence of its endpoints must recompute
-        for node in (w_near, w_far):
-            for c in self._chunks_of(node):
-                self._touched[c] = None
 
     def _cut_out(self, edge):
         """Remove `edge` from its chunk, splitting the chunk at that point.
@@ -997,6 +952,17 @@ class EulerForest:
         self._require_active(v)
         if v not in self.nbr[u]:
             raise ForestError(f"edge ({u},{v}) absent")
+
+
+def _splice_edges(near, far, pair):
+    """The small-tour form of `EulerForest._splice`: the edge list
+    Y' (w_near,w_far) X'' X' (w_far,w_near) Y'' of the near walk Y and the
+    far walk X, each cut before its first edge leaving its endpoint of
+    `pair` (anywhere when it has none, as for a single node)."""
+    w_near, w_far = pair
+    a = _cut_index(near, w_near)
+    b = _cut_index(far, w_far)
+    return near[:a] + [(w_near, w_far)] + far[b:] + far[:b] + [(w_far, w_near)] + near[a:]
 
 
 def _cut_index(seq, node):

@@ -459,7 +459,8 @@ class TestBitOps:
             j = rng.randrange(w)
             b = rng.randrange(2)
             members = [i for i in range(n) if rng.random() < 0.4]
-            t1.dual_bulk_set(members, j, b)
+            keep = [i for i in range(n) if vals[i] >> j & 1 and i not in members]
+            t1.dual_bulk_set(members, j, b, keep)
             for i in members:
                 t2.bit_set(i, j, b)
             assert leaf_seq(t1) == leaf_seq(t2)
@@ -469,7 +470,7 @@ class TestBitOps:
     def test_dual_bulk_set_all_leaves_clear(self):
         m, w = fresh()
         t = build(m, w, [0b100, 0b101, 0b110])
-        t.dual_bulk_set(range(3), 2, 0)
+        t.dual_bulk_set(range(3), 2, 0, [])
         assert t.root.bits == 0b011
         check_agg_tree(t)
 

@@ -663,18 +663,23 @@ def reference_bulk_set_links(ms, c, links):
         array = arrays[a]
         to_set = []
         to_clear = []
+        keep = []
         for pos, d in enumerate(array.leaves):
+            have = (d.bits >> c.slot) & 1
             if d is c:
+                if have:
+                    keep.append(pos)
                 continue
             want = (links >> d.slot) & 1
-            have = (d.bits >> c.slot) & 1
             if want and not have:
                 to_set.append(pos)
             elif have and not want:
                 to_clear.append(pos)
+            elif have:
+                keep.append(pos)
         ms.meter.charge(len(array.leaves))
         if to_clear:
-            array.dual_bulk_set(set(to_clear), c.slot, 0)
+            array.dual_bulk_set(set(to_clear), c.slot, 0, keep)
         if to_set:
             array.dual_bulk_set(to_set, c.slot, 1)
 

@@ -111,17 +111,17 @@ def test_bipartite_layers_within_bounds(monkeypatch, policy):
 @pytest.mark.parametrize(
     "policy, forest, connectivity, bipartiteness",
     [
-        (ArbitraryPolicy(5), (316, 523), (2632, 8528), (5265, 17057)),
-        (CommonPolicy(0.25), (316, 583), (2763, 9128), (5527, 18257)),
+        (ArbitraryPolicy(5), (262, 523), (2362, 7880), (4725, 15761)),
+        (CommonPolicy(0.25), (262, 583), (2493, 8480), (4987, 16961)),
     ],
     ids=["arbitrary", "common"],
 )
 def test_stated_bounds_are_pinned(policy, forest, connectivity, bipartiteness):
     """The composed insert and delete bounds of the forest and both facades.
-    They were last lowered when the aggregate tree came to assemble both
-    sides of a boundary split in one parallel step, and the master array to
-    reorder its blocks in rounds of side-by-side cuts and joins; a change
-    may lower them again, and none may raise them."""
+    They were last lowered when a link came to be the replacement splice
+    with the second tour as the far walk, which touches at most 4 chunks
+    before its repair instead of 6; a change may lower them again, and none
+    may raise them."""
     f = EulerForest.depth_bounds(policy)
     assert (f["insert"], f["delete"]) == forest
     for mode, pinned in (("connectivity", connectivity), ("bipartiteness", bipartiteness)):

@@ -7,6 +7,8 @@ from dynconn.aggtree import AggTree
 from dynconn.chunks import MasterArray
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.eulerforest import (
+    TOUCHED_AFTER_SPLICE,
+    TOUCHED_ON_LINK,
     TRANSIENT_CHUNKS,
     EulerForest,
     ForestError,
@@ -520,7 +522,7 @@ class TestSplicedLayout:
         Y = P3 P1 is cut at an occurrence leaving w_near.  That cut falls in
         P1, in P3, or nowhere when the near side is the single node w_near;
         a seeded script reaches all three, and the forest passes its
-        checkers after every update."""
+        checkers after every update.  A far side of one node takes no cut."""
         seen = {"P1": 0, "P3": 0, "single": 0}
         near_cuts = []
         commit, cut_at_source = EulerForest._commit_large, EulerForest._cut_at_source
@@ -528,7 +530,7 @@ class TestSplicedLayout:
         def watched_commit(self, array, lo, hi, pair):
             near_cuts.clear()
             commit(self, array, lo, hi, pair)
-            if pair is not None:
+            if near_cuts:  # a replacement whose far side is not one node
                 # the near walk is searched in P1, then in P3
                 hits = [c is not None for node, c in near_cuts if node == pair[0]]
                 seen[("P1", "P3")[hits.index(True)] if True in hits else "single"] += 1
@@ -603,41 +605,65 @@ class TestNewOccurrences:
 
     @pytest.mark.parametrize("policy", [ArbitraryPolicy(9), CommonPolicy(0.25)])
     def test_links_and_splices_never_allocate(self, monkeypatch, policy):
-        """A seeded small-K soak records the caller of every chunk
-        allocation: a link of a singleton and a replacement splice make
-        none, while cuts, repairs and chunkings do.  The checkers run after
-        every update."""
-        callers = set()
-        reached = {"singleton link": 0, "replacement": 0, "front write": 0}
-        alloc = MasterArray.alloc_chunk
-        merge, commit, reindex = (
-            EulerForest._merge_tours, EulerForest._commit_large, EulerForest._reindex_chunk,
+        """A seeded small-K soak records the callers of every chunk
+        allocation: a link and a splice make none of their own, while cuts,
+        repairs and chunkings do.  The soak must reach a link of a singleton,
+        of two chunked tours and of a chunked tour and a small one it
+        chunks, a replacement, a write at the front of leaf 0, and a
+        replacement whose far side is one node, which reorders nothing and
+        allocates only in its sizing repair.  The checkers run after every
+        update."""
+        allocations = []
+        reorders = []
+        reached = dict.fromkeys(
+            ("singleton link", "chunked link", "chunkified link", "replacement",
+             "front write", "one-node far side"),
+            0,
+        )
+        alloc, reorder = MasterArray.alloc_chunk, MasterArray.reorder
+        merge, splice, reindex = (
+            EulerForest._merge_tours, EulerForest._splice, EulerForest._reindex_chunk,
         )
 
         def watched_alloc(self, edges):
-            callers.add(sys._getframe(1).f_code.co_name)
+            allocations.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
             return alloc(self, edges)
 
+        def watched_reorder(self, array, blocks):
+            reorders.append(blocks)
+            return reorder(self, array, blocks)
+
         def watched_merge(self, u, v):
-            ends = [self._tree_id(x) for x in (u, v)]
-            if any(isinstance(e, tuple) for e in ends) and not all(
-                isinstance(e, (tuple, SmallTour)) for e in ends
-            ):
-                reached["singleton link"] += 1
+            kinds = sorted(type(self._tree_id(x)).__name__ for x in (u, v))
+            link = {
+                ("AggTree", "tuple"): "singleton link",
+                ("AggTree", "AggTree"): "chunked link",
+                ("AggTree", "SmallTour"): "chunkified link",
+            }.get(tuple(kinds))
+            if link is not None:
+                reached[link] += 1
             return merge(self, u, v)
 
-        def watched_commit(self, array, lo, hi, pair):
-            reached["replacement"] += pair is not None
-            return commit(self, array, lo, hi, pair)
+        def watched_splice(self, array, a, b, pair):
+            if sys._getframe(1).f_code.co_name != "_commit_large":
+                return splice(self, array, a, b, pair)
+            reached["replacement"] += 1
+            made, moved = len(allocations), len(reorders)
+            splice(self, array, a, b, pair)
+            if a == b:
+                reached["one-node far side"] += 1
+                assert len(reorders) == moved
+                assert all(up == "_repair" for _, up in allocations[made:]), allocations[made:]
 
         def watched_reindex(self, c, start=0):
-            if start == 0 and sys._getframe(1).f_code.co_name == "_commit_large":
+            if start == 0 and sys._getframe(1).f_code.co_name == "_splice":
                 reached["front write"] += 1
             return reindex(self, c, start)
 
         monkeypatch.setattr(MasterArray, "alloc_chunk", watched_alloc)
+        monkeypatch.setattr(MasterArray, "reorder", watched_reorder)
         monkeypatch.setattr(EulerForest, "_merge_tours", watched_merge)
-        monkeypatch.setattr(EulerForest, "_commit_large", watched_commit)
+        monkeypatch.setattr(EulerForest, "_splice", watched_splice)
         monkeypatch.setattr(EulerForest, "_reindex_chunk", watched_reindex)
         rng = random.Random(5)
         n = 20
@@ -660,8 +686,9 @@ class TestNewOccurrences:
             check_euler_forest(f)
             check_chunk_store(f.store)
         assert all(reached.values()), reached
-        assert not callers & {"_merge_tours", "_commit_large"}, callers
-        assert {"_chunkify", "_split_chunk", "_cut_out"} <= callers, callers
+        callers = {name for name, _ in allocations}
+        assert not callers & {"_merge_tours", "_splice", "_commit_large"}, callers
+        assert {"_as_array", "_split_chunk", "_cut_out"} <= callers, callers
 
 
 def _spanning_soak(f, rng, steps):
@@ -714,9 +741,13 @@ class TestSlotCount:
         """A seeded soak over tours spanning every node records the live
         chunks at every allocation: they never exceed J, so the array is
         never full, and at rest never exceed R, which the soak comes close
-        to.  The margin to R + T is printed."""
+        to.  It also records the live touched chunks each splice's repair
+        sees: never more than `TOUCHED_ON_LINK` on a link and
+        `TOUCHED_AFTER_SPLICE` on a replacement, the counts `depth_bounds`
+        and T are built from.  The margin to R + T is printed."""
         peak = 0
-        alloc = MasterArray.alloc_chunk
+        touched = {"_merge_tours": 0, "_commit_large": 0}
+        alloc, repair = MasterArray.alloc_chunk, EulerForest._repair
 
         def counted(self, edges):
             nonlocal peak
@@ -724,7 +755,15 @@ class TestSlotCount:
             peak = max(peak, len(self.slots))
             return c
 
+        def counted_repair(self, array):
+            if sys._getframe(1).f_code.co_name == "_splice":
+                update = sys._getframe(2).f_code.co_name
+                live = sum(c.array is array for c in self._touched)
+                touched[update] = max(touched[update], live)
+            return repair(self, array)
+
         monkeypatch.setattr(MasterArray, "alloc_chunk", counted)
+        monkeypatch.setattr(EulerForest, "_repair", counted_repair)
         f = forest(n, policy)
         R, J = resting_chunks(n, f.K), f.store.slot_count
         rest = 0
@@ -733,8 +772,10 @@ class TestSlotCount:
             if step % 500 == 0:
                 check_euler_forest(f)
         check_euler_forest(f)
-        print(f"n={n}: peak {peak} live chunks, R + T = {J}, margin {J - peak}; at rest {rest} of R = {R}")
+        print(f"n={n}: peak {peak} live chunks, R + T = {J}, margin {J - peak}; at rest {rest} of R = {R}; touched before a repair {touched}")
         assert peak <= J == R + TRANSIENT_CHUNKS
+        assert 0 < touched["_merge_tours"] <= TOUCHED_ON_LINK
+        assert 0 < touched["_commit_large"] <= TOUCHED_AFTER_SPLICE
         assert R - 1 <= rest <= R and peak > R
 
 
