@@ -20,7 +20,10 @@ The slot count J is the width of every link vector and of every summary,
 so every whole-vector charge scales with it.  An Euler forest over n nodes
 sizes its master array by the chunks its tours can hold, at most
 (2n - 2)/ceil(K/2) at rest plus a constant for an update in flight, with
-K ~ sqrt(3n) (see `EulerForest`): J ~ 2.3*sqrt(n) + 8 = O(sqrt(n)) slots.
+K ~ sqrt(3n) (see `EulerForest`).  A sparsification node spanning s hosts
+gives its gadget's forest n = 4s - 2 nodes (see `SparsNode`), so
+K ~ sqrt(12s) ~ 3.5*sqrt(s) and J ~ 4.6*sqrt(s) + 8 = O(sqrt(s)) slots: 79
+and 110 at the root of a graph of 512 nodes.
 
 A chunk's link row is written only when it changes: a refresh to the vector
 the chunk already holds pays only its row read, and a retired chunk's row

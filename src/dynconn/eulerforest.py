@@ -241,9 +241,10 @@ class EulerForest:
         def splice(touched):  # _splice: two cuts, the reorder, two writes
             return 2 * cut + store["reorder"] + 2 * write + repair(touched)
 
-        # _merge_tours: two tour lengths, then a small splice or two chunked
-        # tours joined and spliced, then the flush
-        merge = 2 + max(
+        # _merge_tours: a small splice or two chunked tours joined and
+        # spliced, then the flush; a chunked tour is not summed, and a small
+        # tour's length charges nothing
+        merge = max(
             4, 2 * as_array + store["concatenate"] + splice(TOUCHED_ON_LINK)
         ) + flush(2 * TOUCHED_ON_LINK)
         mark_linked = 1 + _OCCURRENCES**2 * store["link"]
@@ -351,9 +352,12 @@ class EulerForest:
 
     def _merge_tours(self, u, v):
         tid_u, tid_v = self._tree_id(u), self._tree_id(v)
-        len_u = self._tour_len(tid_u)
-        len_v = self._tour_len(tid_v)
-        total = len_u + len_v + 2
+        # a chunked tour at rest holds more than K edges, so only two small
+        # tours or singletons can fit one chunk; a chunked tour is not summed
+        unchunked = (tuple, SmallTour)
+        total = self.K + 1
+        if isinstance(tid_u, unchunked) and isinstance(tid_v, unchunked):
+            total = self._tour_len(tid_u) + self._tour_len(tid_v) + 2
         if total <= self.K:
             # both tours are small; splice the edge lists directly
             near = [] if isinstance(tid_u, tuple) else tid_u.edges
@@ -848,11 +852,13 @@ class EulerForest:
         self.store.retire_chunk(c)
 
     def _maybe_shrink(self, array):
-        """Demote an array to a small tour when it fits under the threshold."""
-        total = self._tour_len(array)
-        if total == 0:
+        """Demote an array to a small tour when it fits under the threshold.
+        After a repair every chunk of an array of 3 or more holds at least
+        ceil(K/2) edges, so only an array of at most 2 chunks is summed."""
+        if len(array) > 2:
             return
-        if total > self.K:
+        total = self._tour_len(array)
+        if total == 0 or total > self.K:
             return
         edges = []
         for c in array.leaves:

@@ -229,7 +229,8 @@ def check_euler_forest(forest):
     link vectors are checked from `nbr` and `edge_occ`, not from it.  Every
     `slots_of` entry must be the slot bits of the chunks holding its node's
     occurrences, and no node outside a chunk may have one.  At most
-    `resting_chunks` chunks may be live."""
+    `resting_chunks` chunks may be live, and a chunked tour must hold more
+    than K edges, which lets a link skip the sum of its chunked tours."""
     occ = forest.edge_occ
     for e, (container, off) in occ.items():
         check(container.edges[off : off + 1] == [e], f"occurrence pointer stale for {e}")
@@ -253,6 +254,7 @@ def check_euler_forest(forest):
         nodes = {a for (a, b) in edges}
         check(len(nodes) == len(edges) // 2 + 1, "tour does not span a tree")
         chunks = tour.leaves if isinstance(tour, AggTree) else []
+        check(not chunks or len(edges) > forest.K, "a chunked tour fits one chunk")
         for c in chunks:
             check(1 <= len(c.edges) <= forest.K, "chunk size out of range")
             check(len(chunks) == 1 or 2 * len(c.edges) >= forest.K, "undersized chunk")
@@ -350,7 +352,8 @@ def check_spars_tree(s):
     is present when the leaf of its path holds it in its ports, and a node
     is active when the root's `host_active` has it set.  Activity lives only
     at the root, so every node below it must hold every host of its spans
-    as present.  Every node's gadget must pass `check_gadget_graph`, and
+    as present.  Every node's gadget must pass `check_gadget_graph`, its
+    base graph must hold at most 2*span - 3 edges (see `SparsNode`), and
     every base edge must be held at its leaf.  In bipartiteness mode the
     cover tree must pass the same checks and hold exactly the lift of the
     graph: its root's active nodes and its edges against the lift of the
@@ -366,7 +369,8 @@ def check_spars_tree(s):
         )
         check_gadget_graph(conn)
         edges = sorted(node.edges())
-        cap = 4 * len(spanned)
+        # a union of child forests whose spans add up to at most 2 * span
+        cap = max(0, 2 * len(spanned) - 3)
         check(len(edges) <= cap, f"base graph of {node.key} exceeds {cap} edges")
         for (x, y) in edges:
             check(x in spanned and y in spanned, "edge outside node span")

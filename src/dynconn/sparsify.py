@@ -6,11 +6,12 @@ same-level parts, a sparsification node covers the edges between the two
 parts; an edge therefore lives on exactly one root-to-leaf path of keys.
 Each materialized node keeps a base graph: the union of its children's
 spanning forests (at most 4 per node), which has the same components as the
-full covered subgraph at a quarter of the size.  All per-node structure work
-runs through the unbounded-degree connectivity layer sized by the node's own
-span, which is what turns per-operation cost into a geometric sum over
-levels.  That gadget's hosts are the node's one or two spans, as ranges of
-global node ids, so the tree passes ids to every level unchanged.
+full covered subgraph in at most 2*span - 3 edges (see SparsNode).  All
+per-node structure work runs through the unbounded-degree connectivity layer
+sized by the node's own span, which is what turns per-operation cost into a
+geometric sum over levels.  That gadget's hosts are the node's one or two
+spans, as ranges of global node ids, so the tree passes ids to every level
+unchanged.
 
 Bipartiteness comes from the same construction, after Eppstein et al.
 (1997): sparsification keeps the component count of any graph, so a second
@@ -59,7 +60,24 @@ class SparsError(ValueError):
 class SparsNode:
     """One sparsification-tree node: a base graph plus its query structures.
     The base graph is the gadget's host graph, `conn.ports`, over global
-    ids; the gadget's hosts are the node's one or two spans."""
+    ids; the gadget's hosts are the node's one or two spans.
+
+    The gadget is sized by the edges the base graph can hold, 2*span - 2
+    for a node spanning `span` hosts.  The bound is the sparsification
+    certificate of Eppstein et al. (1997): a base graph is the union of its
+    children's spanning forests.  A pair node over parts a and b (halves
+    a', a'' and b', b'') has the children a'b', a'b'', a''b' and a''b'', of
+    spans |a'|+|b'| ... |a''|+|b''|; a diagonal node over part a has a'a',
+    a'a'' and a''a'', of spans |a'|, |a'|+|a''| and |a''|.  Either way the
+    child spans add up to at most 2*span, and a child's forest holds at
+    most its span less one edge, so a base graph at rest holds at most
+    2*span - 3 edges (`oracle.check_spars_tree` asserts it).  A deletion
+    adds one edge while it runs: a node adopting its child's replacement
+    inserts it before it deletes the old edge, and only the child on the
+    edge's path changes, so the extra edge does not compound.  A pair leaf
+    holds at most its one edge and a diagonal leaf none.  A gadget asked
+    for an edge beyond its pool raises GadgetError, so the bound stays
+    falsifiable."""
 
     __slots__ = ("key", "conn")
 
@@ -68,7 +86,7 @@ class SparsNode:
 
     def __init__(self, meter, key, spans):
         self.key = key
-        self.conn = ConnGeneral(meter, spans, 4 * sum(map(len, spans)))
+        self.conn = ConnGeneral(meter, spans, max(0, 2 * sum(map(len, spans)) - 2))
 
     def edges(self):
         """The base graph's edges as (low, high) pairs."""

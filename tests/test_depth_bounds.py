@@ -111,17 +111,16 @@ def test_bipartite_layers_within_bounds(monkeypatch, policy):
 @pytest.mark.parametrize(
     "policy, forest, connectivity, bipartiteness",
     [
-        (ArbitraryPolicy(5), (262, 523), (2362, 7880), (4725, 15761)),
-        (CommonPolicy(0.25), (262, 583), (2493, 8480), (4987, 16961)),
+        (ArbitraryPolicy(5), (260, 523), (2352, 7856), (4705, 15713)),
+        (CommonPolicy(0.25), (260, 583), (2483, 8456), (4967, 16913)),
     ],
     ids=["arbitrary", "common"],
 )
 def test_stated_bounds_are_pinned(policy, forest, connectivity, bipartiteness):
     """The composed insert and delete bounds of the forest and both facades.
-    They were last lowered when a link came to be the replacement splice
-    with the second tour as the far walk, which touches at most 4 chunks
-    before its repair instead of 6; a change may lower them again, and none
-    may raise them."""
+    They were last lowered when a link stopped summing the chunks of its
+    tours, since a chunked tour at rest holds more than K edges; a change
+    may lower them again, and none may raise them."""
     f = EulerForest.depth_bounds(policy)
     assert (f["insert"], f["delete"]) == forest
     for mode, pinned in (("connectivity", connectivity), ("bipartiteness", bipartiteness)):

@@ -35,6 +35,10 @@ link being the replacement splice with the second tour as the far walk, so
 a link cuts before an occurrence leaving each endpoint instead of after one
 entering it, and a replacement whose far side is one node no longer cuts or
 reorders; the chunks cut and the blocks reordered move, the answers do not.
+All three were re-recorded when each sparsification node's gadget came to
+be sized by the edges its base graph can hold, 2*span - 2 instead of
+4*span, which narrows every forest's chunks and slot count, and when a link
+and the demotion test stopped summing the chunks of a chunked tour.
 A change that moves them changes the cost model and must say so.
 """
 
@@ -85,17 +89,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (1879530, {"insert": 218, "delete": 422, "connected": 0}, 42002),
+            (1726812, {"insert": 209, "delete": 434, "connected": 0}, 24916),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (1891829, {"insert": 229, "delete": 435, "connected": 0}, 42002),
+            (1742806, {"insert": 220, "delete": 446, "connected": 0}, 24916),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (145410, {"insert": 219, "delete": 574}, 11934),
+            (170897, {"insert": 204, "delete": 604}, 6973),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

@@ -329,6 +329,29 @@ class TestHostRanges:
                 cg.activate_node(v)
         return cg
 
+    def test_an_edge_past_the_pool_is_rejected_before_any_change(self):
+        # sized as a sparsification node over two parts of 3 hosts sizes it,
+        # 2 * span - 2; its pool of 2 * capacity + 2 gadget ids holds one
+        # edge more
+        hosts = (range(0, 3), range(3, 6))
+        meter = CostMeter(ArbitraryPolicy(6))
+        cg = ConnGeneral(meter, hosts, 2 * 6 - 2)
+        cg.activate_all()
+        pairs = list(itertools.combinations(range(6), 2))
+        for u, v in pairs[: cg.edge_capacity + 1]:
+            cg.insert_edge(u, v)
+        assert cg.chord and cg.inner.nontree
+        ports, chord, occ = dict(cg.ports), dict(cg.chord), dict(cg.inner.edge_occ)
+        cycle = {h: list(c) for h, c in cg.cycle.items()}
+        spent = (meter.work, meter.depth, meter.init_work)
+        u, v = pairs[cg.edge_capacity + 1]
+        with pytest.raises(GadgetError, match="edge capacity exhausted"):
+            cg.insert_edge(u, v)
+        assert cg.ports == ports and cg.chord == chord and cg.cycle == cycle
+        assert cg.inner.edge_occ == occ
+        assert (meter.work, meter.depth, meter.init_work) == spent
+        check_gadget_graph(cg)
+
     def test_construction_is_charged_the_host_count(self):
         one = ConnGeneral(CostMeter(ArbitraryPolicy(6)), (range(8),), 32)
         assert self.gadget().meter.init_work == one.meter.init_work

@@ -712,3 +712,53 @@ def test_only_the_oracle_imports_the_oracle():
             if any("oracle" in name.split(".") for name in names):
                 importers.append(f"{path.name}:{node.lineno}")
     assert importers == []
+
+
+def node_bounds(tree):
+    """(edges held, 2*span - 3) for every materialized node of `tree` and of
+    its cover tree."""
+    trees = [tree] + ([tree.bip.cover] if tree.bip is not None else [])
+    return [
+        (len(node.conn.ports) // 2, max(0, 2 * len(node.conn.host_active) - 3))
+        for t in trees for node in t.nodes.values()
+    ]
+
+
+class TestSparsificationBound:
+    """A node's base graph is the union of its children's spanning forests,
+    so it holds at most 2*span - 3 edges at rest and one more while a
+    deletion runs (see SparsNode).  Complete graphs load every node to that
+    bound."""
+
+    @pytest.mark.parametrize("make", [conn_facade, bip_facade], ids=["conn", "bip"])
+    @pytest.mark.parametrize("n", [*range(2, 25), 33, 40, 48])
+    def test_complete_graphs_stay_within_the_bound(self, monkeypatch, make, n):
+        from dynconn.reductions import ConnGeneral
+
+        inner_insert = ConnGeneral.insert_edge
+
+        def insert_edge(conn, u, v):
+            inner_insert(conn, u, v)
+            # the adopted edge of a deletion in flight included
+            assert len(conn.ports) // 2 <= conn.edge_capacity
+
+        monkeypatch.setattr(ConnGeneral, "insert_edge", insert_edge)
+        d = make(n)
+        for v in range(1, n + 1):
+            d.activate_node(v)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for u, v in pairs:
+            d.insert_edge(u, v)
+        held = node_bounds(d.core)
+        assert all(edges <= bound for edges, bound in held)
+        # a diagonal node's children all hold spanning trees
+        assert any(edges == bound for edges, bound in held if bound)
+        rng = random.Random(n)
+        rng.shuffle(pairs)
+        gone = pairs[: len(pairs) // 2]
+        for u, v in gone:
+            d.delete_edge(u, v)
+        for u, v in gone[: len(gone) // 2]:
+            d.insert_edge(u, v)
+        assert all(edges <= bound for edges, bound in node_bounds(d.core))
+        check_spars_tree(d.core)

@@ -12,6 +12,7 @@ def test_one_sweep_point_reports_each_update_kind_within_its_budget():
     spec.loader.exec_module(sweep)
     point = sweep.sweep_point(1, 64, 60)
     assert point["n"] == 64 and point["J"] > 0
+    assert 0 < point["root_fill"] <= point["fill"] <= 1
     for kind in ("insert", "delete"):
         row = point[kind]
         assert row["calls"] > 0 and row["work"] > 0

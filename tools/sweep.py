@@ -9,7 +9,11 @@ under the arbitrary policy), and prints one JSON line.  Per update kind the
 line holds the number of calls and of failed calls, their mean metered
 work, their worst depth beside the facade's depth budget and their median
 wall time in ms; it also holds the root forest's chunk capacity K and slot
-count J.  Metered figures are exact counts that repeat bit for bit on any
+count J.  Once the calls are done, `fill` is the largest share of its
+bound 2*span - 3 (see `SparsNode`) that any materialized node's base graph
+holds, and `root_fill` the root's share, which shows the slack the gadget
+sizing leaves where K and J are largest; a small node with one edge is
+often full, so `fill` mostly reads 1.  Metered figures are exact counts that repeat bit for bit on any
 host; wall times are the host's own.  The sweep takes about 20 s on a
 shared 2-core x86-64 VM with CPython 3.11.
 
@@ -41,7 +45,10 @@ def sweep_point(seed, n, calls):
     f, _, _ = setup(w)
     log = drive(f, w.calls)
     forest = f.core.root().conn.inner
-    point = {"n": n, "K": forest.K, "J": forest.store.slot_count}
+    point = {
+        "n": n, "K": forest.K, "J": forest.store.slot_count,
+        "fill": max(map(fill, f.core.nodes.values())), "root_fill": fill(f.core.root()),
+    }
     for op, kind in KINDS.items():
         mine = [i for i, o in enumerate(log.ops) if o == op]
         point[kind] = {
@@ -53,6 +60,13 @@ def sweep_point(seed, n, calls):
             "p50_ms": round(statistics.median(log.ns[i] for i in mine) / 1e6, 3),
         }
     return point
+
+
+def fill(node):
+    """The node's base-graph edges over its bound 2*span - 3 (0 for a bound
+    of 0, which holds no edge)."""
+    bound = 2 * len(node.conn.host_active) - 3
+    return round(len(node.conn.ports) // 2 / bound, 3) if bound > 0 else 0
 
 
 def main():
