@@ -18,6 +18,7 @@ from dynconn.oracle import (
     check_gadget_graph,
     check_spars_tree,
 )
+from dynconn.reductions import ConnGeneral
 from dynconn.sparsify import (
     DynamicBipartiteness,
     DynamicConnectivity,
@@ -733,8 +734,6 @@ class TestSparsificationBound:
     @pytest.mark.parametrize("make", [conn_facade, bip_facade], ids=["conn", "bip"])
     @pytest.mark.parametrize("n", [*range(2, 25), 33, 40, 48])
     def test_complete_graphs_stay_within_the_bound(self, monkeypatch, make, n):
-        from dynconn.reductions import ConnGeneral
-
         inner_insert = ConnGeneral.insert_edge
 
         def insert_edge(conn, u, v):
