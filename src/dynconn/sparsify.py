@@ -72,7 +72,7 @@ class SparsNode:
     child spans add up to at most 2*span, and a child's forest holds at
     most its span less one edge, so a base graph at rest holds at most
     2*span - 3 edges (`oracle.check_spars_tree` asserts it).  A deletion
-    adds one edge while it runs: a node adopting its child's replacement
+    can add one edge while it runs: a node adopting its child's replacement
     inserts it before it deletes the old edge, and only the child on the
     edge's path changes, so the extra edge does not compound.  A pair leaf
     holds at most its one edge and a diagonal leaf none.  A gadget asked

@@ -13,8 +13,8 @@ count J.  Once the calls are done, `fill` is the largest share of its
 bound 2*span - 3 (see `SparsNode`) that any materialized node's base graph
 holds, and `root_fill` the root's share, which shows the slack the gadget
 sizing leaves where K and J are largest; a small node with one edge is
-often full, so `fill` mostly reads 1.  Metered figures are exact counts that repeat bit for bit on any
-host; wall times are the host's own.  The sweep takes about 20 s on a
+often full, so `fill` mostly reads 1.  Metered figures are exact counts
+that repeat bit for bit on any host; wall times are the host's own.  The sweep takes about 20 s on a
 shared 2-core x86-64 VM with CPython 3.11.
 
 The sweep lives outside `bench/`, whose files define the gated benchmark;
