@@ -46,11 +46,18 @@ Every structural update is organised as a fixed number of parallel phases:
 
 The restructuring steps have one copy each: `_grow_root` puts a new root
 over two equal-height vertices, `_halve` splits a full vertex in two,
-`_join_equal` joins two equal-height roots and `_summarize` rebuilds a
-vertex's OR and its first and last leaf.
+`_join_equal` joins two equal-height roots, `_summarize` rebuilds a
+vertex's OR and its first and last leaf and `_ends` only the latter two.
 
 Python executes the phases sequentially; the meter charges them as the
-parallel algorithm would (constant depth, O(width * log^2) work per call).
+parallel algorithm would: constant depth, and O(leaves + width * log^2)
+work per call for a tree of height log, since shifting or placing the leaf
+list is linear in the leaves and an OR rebuilt from children costs `width`
+per child.  An OR is rebuilt from children only where it can shrink or
+where the vertex's children change.  A write that only adds bits ORs them
+into the leaf's path in one step, `width` per vertex; hanging or unhanging
+a leaf (or, in a join, a short tree) of no bits pays one `width` zero test
+and O(1) per path vertex whose children stay, for its first and last leaf.
 """
 
 from __future__ import annotations
@@ -122,19 +129,34 @@ class AggTree:
             _reor_ancestors(leaf)
 
     def bulk_set(self, i, bits):
-        """Replace the bit array of leaf i; summaries repaired level-wise.
-        The master array never calls it with the bits a leaf already holds,
-        since its refresh skips an unchanged row; such a write is still
-        charged the same here but leaves the summaries as they are."""
+        """Replace the bit array of leaf i and repair the summaries above it.
+
+        A write that only adds bits (`bits` holds the leaf's bits) ORs them
+        into the leaf and every ancestor in one step, `width` per vertex of
+        the path, the rule of `bit_set`'s set branch; writing the bits a
+        leaf already holds is such a write and changes nothing, though the
+        master array's refresh never makes one.  A write that clears a bit
+        rebuilds every ancestor's OR from its children, charged `6 * width`
+        per ancestor (at most six children each) in one phase.
+        """
         if not 0 <= i < len(self.leaves):
             raise IndexError("leaf position out of range")
         leaf = self.leaves[i]
         anc = leaf.ancestors
         w = self.width
+        old = leaf.bits
+        if bits & old == old:
+            # the OR-in: one CRCW step of a processor per path vertex and
+            # bit, each setting its bit where `bits` has it; the leaf's
+            # processors test in the same step that no bit clears
+            self.meter.parallel_charge(len(anc), unit=w)
+            if bits != old:
+                for v in anc:
+                    v.bits |= bits
+            return
         self.meter.parallel_charge(len(anc), unit=6 * w)
-        if leaf.bits != bits:
-            leaf.bits = bits
-            _reor_ancestors(leaf)
+        leaf.bits = bits
+        _reor_ancestors(leaf)
 
     def dual_bulk_set(self, positions, j, b, keep=()):
         """Set bit j to b on every leaf position in `positions`.
@@ -266,6 +288,7 @@ class AggTree:
             gone = v
             level += 1
         meter.parallel_charge(moved_leaves)
+        restructured = len(changed)
         changed.extend(path[level : root.height + 1])
         if len(root.children) == 1:
             # the root kept one child: it goes, and every path loses its top
@@ -275,9 +298,24 @@ class AggTree:
                 del lf.ancestors[-1]
             meter.parallel_charge(len(self.leaves))
         read = 0
-        for w in changed:
-            _summarize(w)
-            read += len(w.children)
+        if leaf.bits or restructured == len(changed):
+            for w in changed:
+                _summarize(w)
+                read += len(w.children)
+        else:
+            # a leaf of no bits leaves every OR on its path as it was.  Once
+            # the search has found vertices above the restructured siblings,
+            # the zero test runs, one CRCW step of `width` processors writing
+            # a common flag, beside the moved leaves' rewrite.  Then only the
+            # siblings, which trade children, read theirs; each vertex above
+            # them takes its first and last leaf in one compare and one write
+            # (an end that was the deleted leaf becomes its neighbour)
+            meter.charge(self.width)
+            for w in changed[:restructured]:
+                _summarize(w)
+                read += len(w.children)
+            for w in changed[restructured:]:
+                _ends(w)
         meter.parallel_charge(len(changed))
         meter.charge(read * self.width)
         del path[1:]
@@ -441,6 +479,13 @@ def _summarize(v):
     v.lst = kids[-1].lst
 
 
+def _ends(v):
+    """Rebuild inner vertex v's first and last leaf from its end children."""
+    kids = v.children
+    v.fst = kids[0].fst
+    v.lst = kids[-1].lst
+
+
 def _grow_root(meter, width, a, b):
     """A new root over the equal-height vertices a and b, a's leaves first;
     every leaf below gains it as its top ancestor."""
@@ -548,9 +593,22 @@ def _attach(meter, width, tall_root, short_root, anchor_leaf, right_side):
     meter.parallel_charge(moved_leaves)
     meter.charge(2 * width * halvings)
     # repair summaries and boundary pointers on the short tree's new ancestors
-    for w in chain:
-        _summarize(w)
-    meter.parallel_charge(len(chain), unit=width)
+    if short_root.bits or len(chain) == 1:
+        for w in chain:
+            _summarize(w)
+        meter.parallel_charge(len(chain), unit=width)
+    else:
+        # a short tree of no bits adds nothing to any OR (the halvings and a
+        # grown root summarize theirs).  Once the search has found a chain
+        # of two or more vertices, the zero test runs, one CRCW step of
+        # `width` processors writing a common flag, beside the moved leaves'
+        # rewrite; then each chain vertex takes its first and last leaf in
+        # one compare and one write (an end that was the anchor leaf becomes
+        # the short tree's)
+        meter.charge(width)
+        for w in chain:
+            _ends(w)
+        meter.parallel_charge(len(chain))
     short_leaves = _leaves_under(short_root)
     for leaf in short_leaves:
         del leaf.ancestors[hs + 1 :]

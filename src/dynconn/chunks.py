@@ -28,7 +28,9 @@ and 110 at the root of a graph of 512 nodes.
 A chunk's link row is written only when it changes: a refresh to the vector
 the chunk already holds pays only its row read, and a retired chunk's row
 leaves the summaries with its leaf (`retire_chunk`), never written along its
-path.
+path.  A chunk made during a forest update stays unlinked until the
+update's link flush writes its row, so it is hung as a leaf of no bits, and
+so is it unhung when the same update retires it.
 
 Positions are 0-based throughout.  Link vectors are Python ints; the meter is
 charged `width` units for whole-vector operations.

@@ -218,7 +218,9 @@ class ConnGeneral:
             raise GadgetError("self-loop")
         if (u, v) in self.ports:
             raise GadgetError(f"edge ({u},{v}) already present")
-        if len(self.free) + self.inner.capacity - self.mark < 2:
+        # the capacity bounds the edges; the forest's 2 * edge_capacity + 2
+        # ids hold one edge more, unused, and size its K and J
+        if len(self.ports) >= 2 * self.edge_capacity:
             raise GadgetError("edge capacity exhausted")
         self.counts.reset()
         g_uv = self._splice_in(u)
@@ -284,7 +286,7 @@ class ConnGeneral:
     # -- gadget cycle surgery ------------------------------------------------------------
 
     def _alloc(self, host):
-        # insert_edge has checked that an id is available
+        # insert_edge's capacity check leaves an id available
         if self.free:
             g = self.free.pop()
         else:

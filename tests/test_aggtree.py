@@ -475,6 +475,121 @@ class TestBitOps:
         check_agg_tree(t)
 
 
+
+class TestRepairsWhereAnOrCanChange:
+    """A write that only adds bits ORs them into the path, and a leaf of no
+    bits is hung or unhung without rebuilding an OR from children."""
+
+    def test_growing_bulk_set_is_one_or_in_step(self):
+        # len(anc) iterations of a `width` body in one step: the rule of
+        # bit_set's set branch with a whole array per vertex.  A clearing
+        # write keeps the rebuild from up to six children per vertex.
+        m, w = fresh()
+        t = build(m, w, [0] * 3 + [1 << (i % w) for i in range(40)])
+        assert t.root.height >= 3
+        for i, bits in ((0, 0), (0, 1 << 4), (1, (1 << w) - 1), (20, t.leaves[20].bits | 3)):
+            anc = len(t.leaves[i].ancestors)
+            work, depth = m.work, m.depth
+            t.bulk_set(i, bits)
+            assert (m.work - work, m.depth - depth) == (anc * (1 + w), 1)
+            assert t.leaves[i].bits == bits
+            check_agg_tree(t)
+        anc = len(t.leaves[1].ancestors)
+        work, depth = m.work, m.depth
+        t.bulk_set(1, 1 << 2)
+        assert (m.work - work, m.depth - depth) == (anc * (1 + 6 * w), 1)
+        check_agg_tree(t)
+
+    @pytest.mark.parametrize("n", [6, 7, 36, 37, 200])
+    def test_a_leaf_of_no_bits_is_hung_and_unhung_for_less(self, n):
+        # the same tree, hanging and then unhanging a leaf at the same place,
+        # once with no bits and once with one: the zero leaf costs less work
+        # at the same depth wherever two or more vertices are repaired, as on
+        # every path of a tree of height 2 or more (six leaves grow a root)
+        rng = random.Random(n)
+        vals = [rng.randrange(1, 1 << WIDTH) for _ in range(n)]
+        for i in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+            spent = []
+            for bits in (0, 1 << 5):
+                m, w = fresh()
+                with m.initialization():
+                    t = build(m, w, vals)
+                t.insert(i, AggVertex(bits=bits))
+                hang = (m.work, m.depth)
+                check_agg_tree(t)
+                m.reset()
+                t.delete(i)
+                spent.append((hang, (m.work, m.depth)))
+                assert leaf_seq(t) == vals
+                check_agg_tree(t)
+            (zero_hang, zero_unhang), (hang, unhang) = spent
+            assert zero_hang[0] < hang[0] and zero_hang[1] == hang[1]
+            assert zero_unhang[0] < unhang[0] and zero_unhang[1] == unhang[1]
+
+    def test_unhanging_leaves_of_no_bits_keeps_the_siblings_ors(self):
+        # three leaves in four hold no bits; unhanging them in a seeded
+        # order leaves vertices with one child, whose siblings take or share
+        # the children and so rebuild their ORs
+        rng = random.Random(9)
+        m, w = fresh()
+        shadow = [0 if k % 4 else 1 << (k % w) | 1 << (k * 7 % w) for k in range(400)]
+        t = build(m, w, shadow)
+        while 0 in shadow:
+            i = rng.choice([k for k, b in enumerate(shadow) if not b])
+            t.delete(i)
+            shadow.pop(i)
+            assert leaf_seq(t) == shadow
+            check_agg_tree(t)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["hang", "unhang", "grow", "clear"]),
+            st.integers(min_value=0, max_value=1 << 20),
+            st.integers(min_value=0, max_value=(1 << 12) - 1),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=120,
+    )
+)
+def test_hypothesis_hangs_unhangs_and_writes_keep_every_or(steps):
+    """Seeded sequences of hangs and unhangs of leaves with and without
+    bits, growing writes and clearing writes; after every step the checker
+    passes and the root's OR is the OR of the leaves."""
+    m = CostMeter(ArbitraryPolicy(4))
+    w = 12
+    t = AggTree(m, w)
+    shadow = []
+    for op, where, bits, zero in steps:
+        n = len(shadow)
+        if op == "hang" or n == 0:
+            i = where % (n + 1)
+            b = 0 if zero else bits
+            t.insert(i, AggVertex(bits=b))
+            shadow.insert(i, b)
+        elif op == "unhang":
+            i = where % n
+            t.delete(i)
+            shadow.pop(i)
+        elif op == "grow":
+            i = where % n
+            shadow[i] |= bits
+            t.bulk_set(i, shadow[i])
+        else:
+            i = where % n
+            shadow[i] &= bits
+            t.bulk_set(i, shadow[i])
+        assert leaf_seq(t) == shadow
+        check_agg_tree(t)
+        acc = 0
+        for b in shadow:
+            acc |= b
+        assert (t.root.bits if t.root is not None else 0) == acc
+
+
 class TestAccessors:
     def test_height_and_ancestors(self):
         m, w = fresh()

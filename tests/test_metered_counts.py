@@ -39,6 +39,11 @@ All three were re-recorded when each sparsification node's gadget came to
 be sized by the edges its base graph can hold, 2*span - 2 instead of
 4*span, which narrows every forest's chunks and slot count, and when a link
 and the demotion test stopped summing the chunks of a chunked tour.
+The work of all three was re-recorded when the aggregate tree came to repair
+its summaries only where an OR can change: a leaf write that only adds bits
+ORs them into the path, and hanging or removing a leaf of no bits pays a
+zero test and each path vertex's first and last leaf instead of rebuilding
+ORs from children; the depths and `init_work` did not move.
 A change that moves them changes the cost model and must say so.
 """
 
@@ -89,17 +94,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (1726812, {"insert": 209, "delete": 434, "connected": 0}, 24916),
+            (1319420, {"insert": 209, "delete": 434, "connected": 0}, 24916),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (1742806, {"insert": 220, "delete": 446, "connected": 0}, 24916),
+            (1339905, {"insert": 220, "delete": 446, "connected": 0}, 24916),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (170897, {"insert": 204, "delete": 604}, 6973),
+            (153109, {"insert": 204, "delete": 604}, 6973),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

@@ -291,9 +291,9 @@ class TestConnGadget:
         assert cg.delete_edge(*deleted).kind == ReplacementReport.NON_TREE
 
     def test_exhausted_capacity_rejects_before_any_change(self):
-        # edge capacity 1 gives a pool of four gadget ids, two per edge
+        # edge capacity 2: the third edge is refused
         meter = CostMeter(ArbitraryPolicy(6))
-        cg = ConnGeneral(meter, (range(6),), 1)
+        cg = ConnGeneral(meter, (range(6),), 2)
         activate_all(cg, 6)
         cg.insert_edge(0, 1)
         cg.insert_edge(2, 3)
@@ -315,6 +315,35 @@ class TestConnGadget:
         cg.deactivate_node(5)
         assert cg.n_components() == 2
 
+    def test_capacity_three_refuses_the_fourth_edge(self):
+        # the forest keeps ids for a fourth edge; the capacity refuses it
+        # before any change and uncharged
+        meter = CostMeter(ArbitraryPolicy(6))
+        cg = ConnGeneral(meter, (range(6),), 3)
+        activate_all(cg, 6)
+        for u, v in ((0, 1), (1, 2), (2, 0)):
+            cg.insert_edge(u, v)
+        K, J = cg.inner.K, cg.inner.store.slot_count
+        ports, chord, owner = dict(cg.ports), dict(cg.chord), dict(cg.owner)
+        cycle = {h: list(c) for h, c in cg.cycle.items()}
+        occ, nbr = dict(cg.inner.edge_occ), {g: list(x) for g, x in cg.inner.nbr.items()}
+        ids = (cg.mark, list(cg.free))
+        spent = (meter.work, meter.depth, meter.init_work)
+        with pytest.raises(GadgetError, match="edge capacity exhausted"):
+            cg.insert_edge(3, 4)
+        assert (meter.work, meter.depth, meter.init_work) == spent
+        assert cg.ports == ports and cg.chord == chord and cg.owner == owner
+        assert cg.cycle == cycle and (cg.mark, cg.free) == ids
+        assert cg.inner.edge_occ == occ
+        assert {g: list(x) for g, x in cg.inner.nbr.items()} == nbr
+        assert (cg.inner.K, cg.inner.store.slot_count) == (K, J)
+        assert cg.n_components() == 4
+        check_gadget_graph(cg)
+        # a deletion frees the room again
+        cg.delete_edge(2, 0)
+        cg.insert_edge(3, 4)
+        check_gadget_graph(cg)
+
 
 class TestHostRanges:
     """A gadget over two disjoint host ranges, as a sparsification node
@@ -331,20 +360,20 @@ class TestHostRanges:
 
     def test_an_edge_past_the_pool_is_rejected_before_any_change(self):
         # sized as a sparsification node over two parts of 3 hosts sizes it,
-        # 2 * span - 2; its pool of 2 * capacity + 2 gadget ids holds one
-        # edge more
+        # 2 * span - 2; its pool of 2 * capacity + 2 gadget ids would hold
+        # one edge more, which the capacity refuses
         hosts = (range(0, 3), range(3, 6))
         meter = CostMeter(ArbitraryPolicy(6))
         cg = ConnGeneral(meter, hosts, 2 * 6 - 2)
         cg.activate_all()
         pairs = list(itertools.combinations(range(6), 2))
-        for u, v in pairs[: cg.edge_capacity + 1]:
+        for u, v in pairs[: cg.edge_capacity]:
             cg.insert_edge(u, v)
         assert cg.chord and cg.inner.nontree
         ports, chord, occ = dict(cg.ports), dict(cg.chord), dict(cg.inner.edge_occ)
         cycle = {h: list(c) for h, c in cg.cycle.items()}
         spent = (meter.work, meter.depth, meter.init_work)
-        u, v = pairs[cg.edge_capacity + 1]
+        u, v = pairs[cg.edge_capacity]
         with pytest.raises(GadgetError, match="edge capacity exhausted"):
             cg.insert_edge(u, v)
         assert cg.ports == ports and cg.chord == chord and cg.cycle == cycle
@@ -482,7 +511,7 @@ class TestFootprint:
             if (u, v) in present:
                 cg.delete_edge(u, v)
                 present.remove((u, v))
-            elif len(reference) < 2:
+            elif len(present) == cap:
                 with pytest.raises(GadgetError):
                     cg.insert_edge(u, v)
                 rejected += 1
@@ -490,7 +519,8 @@ class TestFootprint:
                 cg.insert_edge(u, v)
                 present.add((u, v))
         assert rejected
-        assert len(set(handed)) == 2 * cap + 2 < len(handed)
+        # the capacity refuses the edge that the two spare ids would hold
+        assert len(set(handed)) == 2 * cap < len(handed)
 
 
 class Bip:

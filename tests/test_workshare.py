@@ -1,0 +1,26 @@
+"""The per-method work split in `tools/workshare.py` still runs against the
+package and books every unit of the replay once."""
+
+import importlib.util
+from pathlib import Path
+
+from dynconn import aggtree, chunks
+
+WORKSHARE = Path(__file__).resolve().parent.parent / "tools" / "workshare.py"
+
+
+def test_one_small_replay_books_each_unit_once_and_unwraps():
+    spec = importlib.util.spec_from_file_location("tools_workshare", WORKSHARE)
+    workshare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workshare)
+    insert, join = aggtree.AggTree.insert, aggtree.join
+    rows, total, updates = workshare.workshare(1, 64, 120)
+    assert total > 0 and updates > 0
+    assert sum(work for _, _, work in rows) == total
+    assert all(calls > 0 and work >= 0 for _, calls, work in rows)
+    calls = {label: c for label, c, _ in rows}
+    # calls the benchmark's tracer does not wrap are booked by name
+    for label in ("AggTree.range_bits", "MasterArray.retire_chunk", "AggTree.bulk_set"):
+        assert calls.get(label, 0) > 0, label
+    assert aggtree.AggTree.insert is insert
+    assert aggtree.join is join and chunks.agg_join is join

@@ -1,0 +1,122 @@
+"""Metered self work per method of the aggregate tree, master array and forest.
+
+    python3 tools/workshare.py [--seed 1] [--n 512] [--calls 733]
+
+It builds `conn_churn("<seed>/0", n, length=calls)` from
+`bench/workloads.py`, sets it up with the benchmark's own `setup` and
+replays the calls with its `drive` (`bench/run.py`; the workload runs under
+the arbitrary policy), with every function defined on `AggTree`,
+`MasterArray` and `EulerForest`, private ones included, and the tree's
+`join` wrapped for the replay only.  A call's self work is the metered work
+charged between its entry and its exit, less that of the wrapped calls it
+encloses, so each unit of the replay's work is booked once: to the
+innermost wrapped call that charged it, or to `(outside)` when no wrapped
+call was open (the facade, the sparsification tree and the gadget).  Work
+charged while a node is built goes to `init_work` and is not counted.
+
+It prints one line per method, by falling self work: its calls, its self
+work, that work per update call and its share of the replay's work.  The
+default of 733 calls is one instance of the benchmark's 20 s conn_churn
+script, the instance its traced run replays.  Every function is wrapped, so
+calls the benchmark's tracer does not wrap, such as `AggTree.range_bits`
+and `MasterArray.retire_chunk`, are booked under their own names.  The
+counts are exact and repeat bit for bit on any host; a run at n = 512 takes
+about 2 s on a shared 2-core x86-64 VM with CPython 3.11.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import sys
+import types
+from contextlib import contextmanager
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from run import UPDATES, drive, setup  # noqa: E402
+from workloads import conn_churn  # noqa: E402
+
+OUTSIDE = "(outside)"
+
+
+@contextmanager
+def wrapped(meter, totals):
+    """Book the self work and calls of every wrapped function into `totals`
+    (label -> [calls, self work]) while the block runs."""
+    from dynconn import aggtree, chunks
+    from dynconn.eulerforest import EulerForest
+
+    stack = [0]  # per open call: the work of the wrapped calls it encloses
+
+    def wrap(label, fn):
+        entry = totals.setdefault(label, [0, 0])
+
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            w0 = meter.work
+            stack.append(0)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inner = stack.pop()
+                spent = meter.work - w0
+                entry[0] += 1
+                entry[1] += spent - inner
+                stack[-1] += spent
+
+        return traced
+
+    saved = []
+    for cls in (aggtree.AggTree, chunks.MasterArray, EulerForest):
+        for name, fn in list(vars(cls).items()):
+            if isinstance(fn, types.FunctionType):
+                saved.append((cls, name, fn))
+                setattr(cls, name, wrap(f"{cls.__name__}.{name}", fn))
+    join = aggtree.join
+    traced_join = wrap("AggTree.join", join)
+    for mod, name in ((aggtree, "join"), (chunks, "agg_join")):
+        saved.append((mod, name, join))
+        setattr(mod, name, traced_join)
+    try:
+        yield
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+
+
+def workshare(seed, n, calls):
+    """Replay one conn_churn instance; returns (rows, total work, update
+    calls), each row a (label, calls, self work) by falling self work."""
+    w = conn_churn(f"{seed}/0", n=n, length=calls)
+    f, _, _ = setup(w)
+    totals = {}
+    with wrapped(f.meter, totals):
+        log = drive(f, w.calls)
+    total = sum(log.work)
+    booked = sum(work for _, work in totals.values())
+    rows = [(label, c, work) for label, (c, work) in totals.items() if c]
+    rows.append((OUTSIDE, len(log.ops), total - booked))
+    rows.sort(key=lambda r: (-r[2], r[0]))
+    return rows, total, sum(op in UPDATES for op in log.ops)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--n", type=int, default=512)
+    parser.add_argument("--calls", type=int, default=733)
+    args = parser.parse_args(argv)
+    rows, total, updates = workshare(args.seed, args.n, args.calls)
+    print(f"conn_churn {args.seed}/0, n = {args.n}, {args.calls} calls "
+          f"({updates} updates): {total} units of metered work")
+    print(f"{'method':36s} {'calls':>8s} {'self work':>12s} {'per update':>11s} {'share':>7s}")
+    for label, calls, work in rows:
+        print(f"{label:36s} {calls:8d} {work:12d} {work / max(updates, 1):11.1f} "
+              f"{work / max(total, 1):7.2%}")
+
+
+if __name__ == "__main__":
+    main()
