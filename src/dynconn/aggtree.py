@@ -150,9 +150,8 @@ class AggTree:
             # bit, each setting its bit where `bits` has it; the leaf's
             # processors test in the same step that no bit clears
             self.meter.parallel_charge(len(anc), unit=w)
-            if bits != old:
-                for v in anc:
-                    v.bits |= bits
+            for v in anc:
+                v.bits |= bits
             return
         self.meter.parallel_charge(len(anc), unit=6 * w)
         leaf.bits = bits
