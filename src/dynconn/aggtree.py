@@ -53,11 +53,18 @@ Python executes the phases sequentially; the meter charges them as the
 parallel algorithm would: constant depth, and O(leaves + width * log^2)
 work per call for a tree of height log, since shifting or placing the leaf
 list is linear in the leaves and an OR rebuilt from children costs `width`
-per child.  An OR is rebuilt from children only where it can shrink or
-where the vertex's children change.  A write that only adds bits ORs them
-into the leaf's path in one step, `width` per vertex; hanging or unhanging
-a leaf (or, in a join, a short tree) of no bits pays one `width` zero test
-and O(1) per path vertex whose children stay, for its first and last leaf.
+per child.  Each step is charged for what it reads and writes, not for
+the most it could.  An OR is rebuilt from children only where it can
+shrink or where the leaves below the vertex change, `width` per child it
+reads.  A write that only adds bits ORs them into the leaf's path in one
+step, `width` per vertex; a column write sets or clears one bit on the
+paths of the leaves it is handed, one write per leaf and path vertex.
+Hanging or unhanging a leaf (or, in a join, a short tree) of no bits pays
+one `width` zero test and O(1) per path vertex whose children stay, for
+its first and last leaf.  A split's reassembly summarizes only the halves
+of a split spine vertex and the spine above the shortest tree attached to
+it; a spine vertex that only gains a half its child split off keeps its
+leaves and pays one degree read.
 """
 
 from __future__ import annotations
@@ -136,8 +143,9 @@ class AggTree:
         the path, the rule of `bit_set`'s set branch; writing the bits a
         leaf already holds is such a write and changes nothing, though the
         master array's refresh never makes one.  A write that clears a bit
-        rebuilds every ancestor's OR from its children, charged `6 * width`
-        per ancestor (at most six children each) in one phase.
+        rebuilds every ancestor's OR from its children in one step, charged
+        for what it reads: `width` for the leaf's own bits and `width` per
+        child of each vertex above it, the rule of `delete`.
         """
         if not 0 <= i < len(self.leaves):
             raise IndexError("leaf position out of range")
@@ -153,41 +161,49 @@ class AggTree:
             for v in anc:
                 v.bits |= bits
             return
-        self.meter.parallel_charge(len(anc), unit=6 * w)
+        # the rebuild: one CRCW step of a processor per path vertex and bit
+        # of a child it reads, `width` for the leaf's own write and `width`
+        # per child of each vertex above it, the rule of `delete`
+        read = 1 + sum(len(v.children) for v in anc[1:])
+        self.meter.parallel_charge(len(anc))
+        self.meter.charge(read * w)
         leaf.bits = bits
         _reor_ancestors(leaf)
 
     def dual_bulk_set(self, positions, j, b, keep=()):
         """Set bit j to b on every leaf position in `positions`.
 
-        A clear wipes the column and re-sets it on `keep`, which the caller
-        passes: the positions of the other leaves holding bit j.
+        A set ORs the bit into each leaf's path.  A clear is handed, in
+        `keep`, the positions of the other leaves holding bit j.  Only the
+        paths of `positions` and `keep` hold the bit, and a vertex off the
+        cleared paths keeps it, so the clear wipes the bit on the paths of
+        `positions` and then sets it again on the paths of `keep`.  Each
+        step is charged one write per leaf and path vertex, so a clear
+        costs what a set of `positions` and `keep` together would.
         """
+        leaves = self.leaves
+        written = 0
         if b:
-            self.meter.parallel_charge(len(positions), unit=1)
             mask = 1 << j
             for i in positions:
-                leaf = self.leaves[i]
-                leaf.bits |= mask
-                for v in leaf.ancestors:
+                anc = leaves[i].ancestors
+                written += len(anc)
+                for v in anc:
                     v.bits |= mask
+            # one CRCW step of a processor per leaf and path vertex, each
+            # setting the bit; processors that share a vertex write the same
+            self.meter.parallel_charge(written)
             return
-        # clearing: wipe the column everywhere, then re-set the survivors
-        self._clear_column(j)
-        self.dual_bulk_set(keep, j, 1)
-
-    def _clear_column(self, j):
         mask = ~(1 << j)
-        count = 0
-        if self.root is not None:
-            stack = [self.root]
-            while stack:
-                v = stack.pop()
+        for i in positions:
+            anc = leaves[i].ancestors
+            written += len(anc)
+            for v in anc:
                 v.bits &= mask
-                count += 1
-                if v.children:
-                    stack.extend(v.children)
-        self.meter.parallel_charge(count)
+        # the same step, each processor clearing the bit; then the set step
+        # over the survivors' paths, which share the cleared vertices
+        self.meter.parallel_charge(written)
+        self.dual_bulk_set(keep, j, 1)
 
     # -- structural updates ---------------------------------------------------
 
@@ -698,7 +714,11 @@ def _assemble(meter, width, roots, right_side):
 
 
 def _presplit_spine(meter, width, root, right_side):
-    """Split attachment-side spine vertices of degree >= 4 into 2..3 halves."""
+    """Split attachment-side spine vertices of degree >= 4 into 2..3 halves.
+
+    A spine vertex that gains the half its child split off keeps the leaves
+    below it, so its OR and its first and last leaf stand; only the two
+    halves of a split vertex are summarized (`_halve`)."""
     if root.height == 0:
         meter.charge(1)
         return root
@@ -714,14 +734,17 @@ def _presplit_spine(meter, width, root, right_side):
                 w.children.append(incoming)
             else:
                 w.children.insert(0, incoming)
+            work += 1  # the gained child's pointer
         if len(w.children) >= 4:
+            # both halves read their children's ORs, `width` each
             incoming, m = _halve(w, right_side)
             moved += m
             work += 2 * width
         else:
-            _summarize(w)
+            # one degree read by the vertex's processor, in the step that
+            # writes a gained child
             incoming = None
-            work += width
+            work += 1
     if incoming is not None:
         # the root itself split: a fresh degree-2 root sits on top
         pair = (root, incoming) if right_side else (incoming, root)
@@ -758,10 +781,14 @@ def _parallel_attach(meter, width, survivors, right_side):
             parent.children.insert(0, s)
     meter.parallel_charge(len(survivors))
     # summaries, boundary leaves and ancestor extensions, one phase each;
-    # bottom-up, so every spine vertex reads final children
-    for lvl in range(1, height + 1):
+    # bottom-up, so every spine vertex reads final children.  A spine vertex
+    # at or below the shortest tree's height gains no leaf and keeps its
+    # summary; each one above gains the shorter trees below it and is
+    # rebuilt in one CRCW step, a processor per child bit
+    low = survivors[-1].height
+    for lvl in range(low + 1, height + 1):
         _summarize(spine[lvl])
-    meter.parallel_charge(height, unit=len(survivors) * 2 + width)
+    meter.parallel_charge(height - low, unit=len(survivors) * 2 + width)
     extended = 0
     for i in range(1, len(survivors)):
         s = survivors[i]

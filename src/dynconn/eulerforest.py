@@ -466,7 +466,9 @@ class EulerForest:
             for b in cv:
                 if not (linked >> b.slot) & 1:
                     self.store.unlink(a, b)
-        self.meter.parallel_charge(len(cu) * len(cv), unit=3 * self.K)
+        # one CRCW step of a processor per (a, b) pair, each testing one bit
+        # of a's fresh vector; `_links_of` charges the scans that built them
+        self.meter.parallel_charge(len(cu) * len(cv))
 
     # -- small-tour paths --------------------------------------------------------
 
@@ -667,11 +669,16 @@ class EulerForest:
                     seen.add((near, far))
                     candidates.append((near, far))
 
+        # one CRCW step: a processor per non-tree edge of a node of the cut
+        # chunks, at most 3 per node by the degree bound, and a chunk of e
+        # edges holds at most e + 1 nodes (`_chunk_nodes`)
         c_lo, c_hi = lo[1][0], hi[1][0]
         scan_nodes(self._chunk_nodes(c_lo))
+        scanned = len(c_lo.edges) + 1
         if c_hi is not c_lo:
             scan_nodes(self._chunk_nodes(c_hi))
-        self.meter.parallel_charge(6 * self.K)
+            scanned += len(c_hi.edges) + 1
+        self.meter.parallel_charge(3 * scanned)
         n = len(array)
         p2_range = (c_lo.pos + 1, c_hi.pos)
         for near_range in ((0, c_lo.pos), (c_hi.pos + 1, n)):
@@ -687,7 +694,8 @@ class EulerForest:
                             continue
                         seen.add((x, y))
                         candidates.append((x, y))
-                self.meter.parallel_charge(3 * self.K)
+                # the same step over the near chunk's nodes
+                self.meter.parallel_charge(3 * (len(pair[0].edges) + 1))
         return lo, hi, self.meter.pick(candidates) if candidates else None
 
     def _commit_large(self, array, lo, hi, pair):

@@ -483,7 +483,7 @@ class TestRepairsWhereAnOrCanChange:
     def test_growing_bulk_set_is_one_or_in_step(self):
         # len(anc) iterations of a `width` body in one step: the rule of
         # bit_set's set branch with a whole array per vertex.  A clearing
-        # write keeps the rebuild from up to six children per vertex.
+        # write rebuilds each vertex from the children it reads.
         m, w = fresh()
         t = build(m, w, [0] * 3 + [1 << (i % w) for i in range(40)])
         assert t.root.height >= 3
@@ -494,10 +494,11 @@ class TestRepairsWhereAnOrCanChange:
             assert (m.work - work, m.depth - depth) == (anc * (1 + w), 1)
             assert t.leaves[i].bits == bits
             check_agg_tree(t)
-        anc = len(t.leaves[1].ancestors)
+        anc = t.leaves[1].ancestors
+        read = 1 + sum(len(v.children) for v in anc[1:])
         work, depth = m.work, m.depth
         t.bulk_set(1, 1 << 2)
-        assert (m.work - work, m.depth - depth) == (anc * (1 + 6 * w), 1)
+        assert (m.work - work, m.depth - depth) == (2 * len(anc) + read * w, 1)
         check_agg_tree(t)
 
     @pytest.mark.parametrize("n", [6, 7, 36, 37, 200])
@@ -588,6 +589,203 @@ def test_hypothesis_hangs_unhangs_and_writes_keep_every_or(steps):
         for b in shadow:
             acc |= b
         assert (t.root.bits if t.root is not None else 0) == acc
+
+
+class TestChargesWhatItReads:
+    """Each repair is charged for the children and path vertices it reads
+    and writes, not for the most it could: a clearing write for the
+    children its path's vertices hold, a column write for each path vertex,
+    a split's reassembly only for the vertices whose leaves change."""
+
+    @pytest.mark.parametrize("n", [2, 7, 37, 200])
+    def test_a_clearing_bulk_set_pays_the_children_it_reads(self, n):
+        # len(anc) iterations of a one-write body, then `width` for the
+        # leaf's own bits and `width` per child of each vertex above it
+        rng = random.Random(n)
+        m, w = fresh()
+        vals = [rng.randrange(1, 1 << w) for _ in range(n)]
+        t = build(m, w, vals)
+        for i in sorted({0, n // 3, n // 2, n - 1}):
+            anc = t.leaves[i].ancestors
+            read = 1 + sum(len(v.children) for v in anc[1:])
+            vals[i] &= vals[i] - 1  # drops the lowest set bit
+            work, depth = m.work, m.depth
+            t.bulk_set(i, vals[i])
+            assert (m.work - work, m.depth - depth) == (2 * len(anc) + read * w, 1)
+            assert leaf_seq(t) == vals
+            check_agg_tree(t)
+
+    def test_column_writes_pay_each_path_vertex_they_write(self):
+        # a set writes the path of each position; a clear writes the paths
+        # of the cleared positions and then sets the kept ones again, so it
+        # costs a set of both; one write per leaf and path vertex
+        rng = random.Random(21)
+        m, w = fresh()
+        vals = [rng.randrange(1 << w) for _ in range(90)]
+        t = build(m, w, vals)
+        assert t.root.height >= 3
+        for trial in range(40):
+            j = rng.randrange(w)
+            positions = rng.sample(range(90), rng.randrange(1, 12))
+            b = trial % 2
+            keep = [i for i in range(90) if vals[i] >> j & 1 and i not in positions]
+            paid = positions + keep if not b else positions
+            expected = 2 * sum(len(t.leaves[i].ancestors) for i in paid)
+            work, depth = m.work, m.depth
+            t.dual_bulk_set(positions, j, b, keep)
+            assert (m.work - work, m.depth - depth) == (expected, 1 if b else 2)
+            for i in positions:
+                vals[i] = vals[i] | 1 << j if b else vals[i] & ~(1 << j)
+            assert leaf_seq(t) == vals
+            check_agg_tree(t)
+
+    @pytest.mark.parametrize("right_side", [True, False])
+    def test_a_spine_vertex_that_keeps_its_leaves_pays_one_read(self, right_side):
+        # the pre-split pays 2 * width per halved spine vertex, one degree
+        # read per other level, one write per child a halving passes up and
+        # its moved leaves; no width for a vertex that only gains a child
+        rng = random.Random(5)
+        seen = set()
+        for trial in range(60):
+            m, w = fresh()
+            n = rng.randrange(2, 300)
+            t = build(m, w, [rng.randrange(1 << w) for _ in range(n)])
+            for _ in range(rng.randrange(n // 2 + 1)):
+                t.delete(rng.randrange(len(t)))
+            halves, grown = [], []
+            halve, grow = aggtree._halve, aggtree._grow_root
+
+            def counted_halve(v, side):
+                out = halve(v, side)
+                halves.append(out[1])
+                return out
+
+            def counted_grow(meter, width, a, b):
+                w0 = meter.work
+                out = grow(meter, width, a, b)
+                grown.append(meter.work - w0)
+                return out
+
+            height = t.root.height
+            aggtree._halve, aggtree._grow_root = counted_halve, counted_grow
+            try:
+                work = m.work
+                t.root = aggtree._presplit_spine(m, w, t.root, right_side)
+                work = m.work - work
+            finally:
+                aggtree._halve, aggtree._grow_root = halve, grow
+            passed_up = len(halves) - len(grown)
+            expected = (2 * w * len(halves) + (height - len(halves)) + passed_up
+                        + 2 * sum(halves) + sum(grown))
+            assert work == (expected if height else 1)
+            seen.add(len(halves) > 0)
+            check_agg_tree(t)
+        assert seen == {True, False}
+
+    def test_a_split_summarizes_only_vertices_whose_leaves_change(self):
+        # every vertex that existed before a boundary split and is
+        # summarized during it ends with other leaves below it than before
+        rng = random.Random(17)
+        for trial in range(80):
+            m, w = fresh()
+            n = rng.randrange(2, 250)
+            t = build(m, w, [rng.randrange(1 << w) for _ in range(n)])
+            for _ in range(rng.randrange(n // 2 + 1)):
+                t.delete(rng.randrange(len(t)))
+            before = {}
+            stack = [t.root]
+            while stack:
+                v = stack.pop()
+                if v.height:
+                    before[id(v)] = (v, [id(x) for x in aggtree._leaves_under(v)])
+                    stack.extend(v.children)
+            summarized = []
+            summarize = aggtree._summarize
+
+            def recorded(v):
+                summarized.append(v)
+                summarize(v)
+
+            aggtree._summarize = recorded
+            try:
+                right = t.split_boundary(rng.randrange(len(t) + 1))
+            finally:
+                aggtree._summarize = summarize
+            for v in summarized:
+                if id(v) in before and before[id(v)][0] is v:
+                    now = [id(x) for x in aggtree._leaves_under(v)]
+                    assert now != before[id(v)][1]
+            check_agg_tree(t)
+            check_agg_tree(right)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["split", "join", "insert", "delete", "set", "clear"]),
+            st.integers(min_value=0, max_value=1 << 20),
+            st.integers(min_value=0, max_value=1 << 20),
+            st.integers(min_value=0, max_value=(1 << 10) - 1),
+        ),
+        min_size=1,
+        max_size=80,
+    )
+)
+def test_hypothesis_splits_joins_and_column_writes_keep_every_or(steps):
+    """Seeded sequences of boundary splits, joins, hangs, unhangs and column
+    sets and clears over a row of trees grown from 40 leaves; after every
+    step each changed tree passes the checker and its root's OR is the OR
+    of its leaves."""
+    m = CostMeter(ArbitraryPolicy(6))
+    w = 10
+    rng = random.Random(len(steps))
+    shadows = [[rng.randrange(1 << w) for _ in range(40)]]
+    trees = [build(m, w, shadows[0])]
+    for op, a, b, bits in steps:
+        k = a % len(trees)
+        t, shadow = trees[k], shadows[k]
+        n = len(shadow)
+        if op == "join" and len(trees) == 1 or n == 0 and op not in ("split", "join"):
+            op = "insert"
+        if op == "split":
+            pos = b % (n + 1)
+            trees.insert(k + 1, t.split_boundary(pos))
+            shadows.insert(k + 1, shadow[pos:])
+            del shadow[pos:]
+            changed = (k, k + 1)
+        elif op == "join":
+            k = min(k, len(trees) - 2)
+            join(trees[k], trees[k + 1])
+            shadows[k] += shadows.pop(k + 1)
+            trees.pop(k + 1)
+            changed = (k,)
+        elif op == "insert":
+            i = b % (n + 1)
+            t.insert(i, AggVertex(bits=bits))
+            shadow.insert(i, bits)
+            changed = (k,)
+        elif op == "delete":
+            i = b % n
+            t.delete(i)
+            shadow.pop(i)
+            changed = (k,)
+        else:
+            j = bits % w
+            positions = sorted({(b >> s) % n for s in (0, 4, 8, 12)})
+            keep = [i for i in range(n) if shadow[i] >> j & 1 and i not in positions]
+            set_ = op == "set"
+            t.dual_bulk_set(positions, j, set_, keep)
+            for i in positions:
+                shadow[i] = shadow[i] | 1 << j if set_ else shadow[i] & ~(1 << j)
+            changed = (k,)
+        for c in changed:
+            assert leaf_seq(trees[c]) == shadows[c]
+            check_agg_tree(trees[c])
+            acc = 0
+            for x in shadows[c]:
+                acc |= x
+            assert (trees[c].root.bits if trees[c].root is not None else 0) == acc
 
 
 class TestAccessors:

@@ -399,6 +399,103 @@ class TestLinkFlush:
         assert len(kept) > 50 and 0 < kept.count(0) < len(kept), kept
 
 
+def _self_work(monkeypatch, meter, target, callees):
+    """Wrap `target`, an (owner, name) pair, to record each call's arguments
+    and its work less that of the outermost `callees` it calls."""
+    calls = []
+    state = {"open": 0, "nested": 0, "inner": 0}
+    for owner, name in callees:
+        fn = getattr(owner, name)
+
+        def callee(*args, _fn=fn, **kwargs):
+            w0 = meter.work
+            state["nested"] += 1
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                state["nested"] -= 1
+                if state["open"] and not state["nested"]:
+                    state["inner"] += meter.work - w0
+
+        monkeypatch.setattr(owner, name, callee)
+    owner, name = target
+    fn = getattr(owner, name)
+
+    def traced(*args, **kwargs):
+        w0 = meter.work
+        state["open"], state["inner"] = 1, 0
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            state["open"] = 0
+            calls.append((args, meter.work - w0 - state["inner"]))
+
+    monkeypatch.setattr(owner, name, traced)
+    return calls
+
+
+class TestScansChargeWhatTheyRead:
+    """The replacement search and the unlink after a non-tree deletion are
+    charged for the chunks and pairs they read, not for the chunk
+    capacity."""
+
+    def test_the_probe_scan_follows_chunk_length(self, monkeypatch):
+        # 8 for the setup, then 3 * (e + 1) per chunk scanned, a chunk of e
+        # edges holding at most e + 1 nodes of degree at most 3: the two
+        # cut chunks, and the near chunk of each pair a query returns
+        rng = random.Random(8)
+        _, f = _random_graph_pair(rng, 40, 900, 3)
+        meter = f.meter
+        pairs = []
+        query = MasterArray.query
+
+        def recorded(self, *args):
+            out = query(self, *args)
+            if out is not None:
+                pairs.append(out)
+            return out
+
+        monkeypatch.setattr(MasterArray, "query", recorded)
+        probes = _self_work(
+            monkeypatch, meter, (EulerForest, "_probe_large"),
+            [(EulerForest, "_chunk_nodes"), (MasterArray, "query"), (CostMeter, "pick")],
+        )
+        lengths, queried = set(), 0
+        for (u, v) in sorted(f.edge_occ):
+            if u > v or isinstance(f.edge_occ[(u, v)][0], SmallTour):
+                continue
+            pairs.clear()
+            c1, c2 = f.edge_occ[(u, v)][0], f.edge_occ[(v, u)][0]
+            scanned = {c1, c2}
+            f.find_replacement(u, v)
+            (_, work) = probes.pop()
+            near = sum(3 * (len(p[0].edges) + 1) for p in pairs)
+            assert work == 8 + 2 * sum(3 * (len(c.edges) + 1) for c in scanned) + 2 * near
+            lengths.update(len(c.edges) for c in scanned)
+            queried += len(pairs)
+        assert len(lengths) > 3 and min(lengths) < f.K and queried > 5
+
+    def test_the_unlink_pays_one_bit_test_per_chunk_pair(self, monkeypatch):
+        # the chunks of u against the chunks of v, one bit of a's fresh
+        # vector each; the vectors' scans and the unlinks are charged apart
+        rng = random.Random(8)
+        _, f = _random_graph_pair(rng, 40, 900, 3)
+        unlinks = _self_work(
+            monkeypatch, f.meter, (EulerForest, "_unlink_after_delete"),
+            [(EulerForest, "_links_of"), (MasterArray, "unlink")],
+        )
+        chords = [(u, v) for u in sorted(f.nontree) for v in f.nontree[u] if u < v]
+        sizes = []
+        for u, v in chords:
+            cu, cv = f._chunks_of(u), f._chunks_of(v)
+            f.delete_edge(u, v)
+            (_, work) = unlinks.pop()
+            assert work == (2 * len(cu) * len(cv) if cu else 0)
+            sizes.append(len(cu) * len(cv))
+            check_euler_forest(f)
+        assert len(sizes) > 5 and max(sizes) > 1
+
+
 class TestReindexing:
     def test_pointers_hold_after_each_partial_reindex(self, monkeypatch):
         """A split keeps its left part, a cut-out its left piece and a

@@ -17,3 +17,12 @@ def test_one_sweep_point_reports_each_update_kind_within_its_budget():
         row = point[kind]
         assert row["calls"] > 0 and row["work"] > 0
         assert 0 < row["depth"] <= row["budget"]
+    assert sweep.problems(point) == []
+    # a failed call or a depth above its budget is named, and fails the sweep
+    point["insert"]["failed"] = 2
+    point["delete"]["depth"] = point["delete"]["budget"] + 1
+    assert sweep.problems(point) == [
+        "n = 64: 2 failed insert calls",
+        f"n = 64: delete depth {point['delete']['depth']} above its budget "
+        f"{point['delete']['budget']}",
+    ]

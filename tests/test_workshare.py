@@ -14,6 +14,7 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     workshare = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workshare)
     insert, join = aggtree.AggTree.insert, aggtree.join
+    steps = {name: getattr(aggtree, name) for name in workshare.REASSEMBLY}
     rows, total, updates = workshare.workshare(1, 64, 120)
     assert total > 0 and updates > 0
     assert sum(work for _, _, work in rows) == total
@@ -22,5 +23,9 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     # calls the benchmark's tracer does not wrap are booked by name
     for label in ("AggTree.range_bits", "MasterArray.retire_chunk", "AggTree.bulk_set"):
         assert calls.get(label, 0) > 0, label
+    # a split's reassembly is booked by step, apart from `split_boundary`
+    for name in ("_assemble", "_presplit_spine", "_attach", "_grow_root"):
+        assert calls.get(f"aggtree.{name}", 0) > 0, name
     assert aggtree.AggTree.insert is insert
+    assert all(getattr(aggtree, name) is fn for name, fn in steps.items())
     assert aggtree.join is join and chunks.agg_join is join

@@ -14,7 +14,9 @@ bound 2*span - 3 (see `SparsNode`) that any materialized node's base graph
 holds, and `root_fill` the root's share, which shows the slack the gadget
 sizing leaves where K and J are largest; a small node with one edge is
 often full, so `fill` mostly reads 1.  Metered figures are exact counts
-that repeat bit for bit on any host; wall times are the host's own.  The sweep takes about 20 s on a
+that repeat bit for bit on any host; wall times are the host's own.  The
+sweep exits 1, naming each offending point on stderr, when any call failed
+or any update's depth went above its budget.  It takes about 15-20 s on a
 shared 2-core x86-64 VM with CPython 3.11.
 
 The sweep lives outside `bench/`, whose files define the gated benchmark;
@@ -69,9 +71,29 @@ def fill(node):
     return round(len(node.conn.ports) // 2 / bound, 3) if bound > 0 else 0
 
 
+def problems(point):
+    """What the point shows wrong: a failed call, or a depth above its
+    budget, per update kind."""
+    out = []
+    for kind in KINDS.values():
+        row = point[kind]
+        if row["failed"]:
+            out.append(f"n = {point['n']}: {row['failed']} failed {kind} calls")
+        if row["depth"] > row["budget"]:
+            out.append(f"n = {point['n']}: {kind} depth {row['depth']} "
+                       f"above its budget {row['budget']}")
+    return out
+
+
 def main():
+    bad = []
     for n in SIZES:
-        print(json.dumps(sweep_point(SEED, n, CALLS)), flush=True)
+        point = sweep_point(SEED, n, CALLS)
+        print(json.dumps(point), flush=True)
+        bad += problems(point)
+    for line in bad:
+        print(line, file=sys.stderr)
+    sys.exit(1 if bad else 0)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ It builds `conn_churn("<seed>/0", n, length=calls)` from
 `bench/workloads.py`, sets it up with the benchmark's own `setup` and
 replays the calls with its `drive` (`bench/run.py`; the workload runs under
 the arbitrary policy), with every function defined on `AggTree`,
-`MasterArray` and `EulerForest`, private ones included, and the tree's
-`join` wrapped for the replay only.  A call's self work is the metered work
+`MasterArray` and `EulerForest`, private ones included, the tree's `join`
+and its module-level restructuring steps (`REASSEMBLY`, booked as
+`aggtree.<name>`) wrapped for the replay only, so a split's or a join's
+share splits by step.  A call's self work is the metered work
 charged between its entry and its exit, less that of the wrapped calls it
 encloses, so each unit of the replay's work is booked once: to the
 innermost wrapped call that charged it, or to `(outside)` when no wrapped
@@ -40,6 +42,12 @@ from run import UPDATES, drive, setup  # noqa: E402
 from workloads import conn_churn  # noqa: E402
 
 OUTSIDE = "(outside)"
+# the aggregate tree's module-level steps that charge the meter: a split's
+# reassembly and the cascades and root builders that joins and inserts share
+REASSEMBLY = (
+    "_assemble", "_presplit_spine", "_parallel_attach", "_attach", "_grow_root",
+    "_join_equal",
+)
 
 
 @contextmanager
@@ -80,6 +88,10 @@ def wrapped(meter, totals):
     for mod, name in ((aggtree, "join"), (chunks, "agg_join")):
         saved.append((mod, name, join))
         setattr(mod, name, traced_join)
+    for name in REASSEMBLY:
+        fn = getattr(aggtree, name)
+        saved.append((aggtree, name, fn))
+        setattr(aggtree, name, wrap(f"aggtree.{name}", fn))
     try:
         yield
     finally:
