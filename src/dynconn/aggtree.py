@@ -182,28 +182,20 @@ class AggTree:
         costs what a set of `positions` and `keep` together would.
         """
         leaves = self.leaves
+        others = ~(1 << j)
+        bit = b << j
         written = 0
-        if b:
-            mask = 1 << j
-            for i in positions:
-                anc = leaves[i].ancestors
-                written += len(anc)
-                for v in anc:
-                    v.bits |= mask
-            # one CRCW step of a processor per leaf and path vertex, each
-            # setting the bit; processors that share a vertex write the same
-            self.meter.parallel_charge(written)
-            return
-        mask = ~(1 << j)
         for i in positions:
             anc = leaves[i].ancestors
             written += len(anc)
             for v in anc:
-                v.bits &= mask
-        # the same step, each processor clearing the bit; then the set step
-        # over the survivors' paths, which share the cleared vertices
+                v.bits = v.bits & others | bit
+        # one CRCW step of a processor per leaf and path vertex, each writing
+        # the bit; processors that share a vertex write the same value
         self.meter.parallel_charge(written)
-        self.dual_bulk_set(keep, j, 1)
+        if not b:
+            # then the set step over the survivors' paths
+            self.dual_bulk_set(keep, j, 1)
 
     # -- structural updates ---------------------------------------------------
 
@@ -783,8 +775,9 @@ def _parallel_attach(meter, width, survivors, right_side):
     # summaries, boundary leaves and ancestor extensions, one phase each;
     # bottom-up, so every spine vertex reads final children.  A spine vertex
     # at or below the shortest tree's height gains no leaf and keeps its
-    # summary; each one above gains the shorter trees below it and is
-    # rebuilt in one CRCW step, a processor per child bit
+    # summary; each one above gains the shorter trees below it, and one
+    # CRCW step rebuilds those, per vertex `width` for its OR and two per
+    # tree for its first and last leaf
     low = survivors[-1].height
     for lvl in range(low + 1, height + 1):
         _summarize(spine[lvl])
