@@ -76,22 +76,25 @@ def bf_connected(g: SimpleGraph, u, v) -> bool:
     return False
 
 
-def bf_components(g: SimpleGraph) -> int:
+def bf_component_sets(g: SimpleGraph):
+    """The node set of each component of g, by BFS."""
     seen = set()
-    count = 0
     for s in g.adj:
         if s in seen:
             continue
-        count += 1
-        seen.add(s)
+        component = {s}
         queue = deque([s])
         while queue:
-            x = queue.popleft()
-            for y in g.adj[x]:
-                if y not in seen:
-                    seen.add(y)
+            for y in g.adj[queue.popleft()]:
+                if y not in component:
+                    component.add(y)
                     queue.append(y)
-    return count
+        seen |= component
+        yield component
+
+
+def bf_components(g: SimpleGraph) -> int:
+    return sum(1 for _ in bf_component_sets(g))
 
 
 def bf_bipartite(g: SimpleGraph) -> bool:
@@ -354,10 +357,10 @@ def check_spars_tree(s):
     at the root, so every node below it must hold every host of its spans
     as present.  Every node's gadget must pass `check_gadget_graph`, its
     base graph must hold at most 2*span - 3 edges (see `SparsNode`), and
-    every base edge must be held at its leaf.  In bipartiteness mode the
-    cover tree must pass the same checks and hold exactly the lift of the
-    graph: its root's active nodes and its edges against the lift of the
-    host's."""
+    every base edge must be held at its leaf.  A bipartiteness core (one
+    with a `cover`) is checked through `check_cover_lift`."""
+    if hasattr(s, "cover"):
+        return check_cover_lift(s)
     root = s.root().conn.host_active  # the root's hosts are (range(n),)
     check(s.active is root, "the tree's activity record is not the root's")
     for node in s.nodes.values():
@@ -396,18 +399,31 @@ def check_spars_tree(s):
                         (x, y) in child.forest_edges(),
                         f"edge {(x, y)} tree at {node.key} but not at {ck}",
                     )
-    if s.bip is not None:
-        cover = s.bip.cover
-        check_spars_tree(cover)
-        nodes = {w for v in range(s.n) if root[v] for w in (2 * v, 2 * v + 1)}
-        cover_root = cover.root().conn.host_active
+
+
+def check_cover_lift(core):
+    """A bipartiteness core over n nodes: its cover must pass
+    `check_spars_tree` and be a lift.  Its active nodes come in pairs
+    2v, 2v+1, its edges in mirror pairs (2u, 2v+1), (2u+1, 2v) with u != v,
+    and `nb` must be the number of its components that hold both copies of
+    some node, counted by search."""
+    cover = core.cover
+    check(cover.n == 2 * core.n, f"cover of {cover.n} nodes for {core.n}")
+    check_spars_tree(cover)
+    active = cover.active
+    check(active[0::2] == active[1::2], "cover nodes are not in mirror pairs")
+    g = SimpleGraph()
+    for w in range(cover.n):
+        if active[w]:
+            g.activate(w)
+    edges = set(cover.edges())
+    for x, y in edges:
         check(
-            {w for w in range(cover.n) if cover_root[w]} == nodes,
-            "cover nodes are not the host's lift",
+            (x ^ y) & 1 and x >> 1 != y >> 1 and (x ^ 1, y ^ 1) in edges,
+            f"cover edges are not in mirror pairs at {(x, y)}",
         )
-        # u < v, so both lifted pairs are already (low, high)
-        edges = {
-            e for (u, v) in s.edges()
-            for e in ((2 * u, 2 * v + 1), (2 * u + 1, 2 * v))
-        }
-        check(set(cover.edges()) == edges, "cover edges are not the host's lift")
+        g.add_edge(x, y)
+    closed = sum(
+        any(w ^ 1 in component for w in component) for component in bf_component_sets(g)
+    )
+    check(core.nb == closed, f"nb {core.nb} != {closed} mirror-closed cover components")

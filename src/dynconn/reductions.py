@@ -13,24 +13,25 @@ Two layers, each a constant-factor translation into a lower structure:
                    edges exactly the cross tree edges with no ranking of
                    replacement candidates (`ConnGeneral._del`).
 
-  BipartiteGeneral bipartiteness from the bipartite double cover.  The cover
-                   of a graph H has two nodes 2v and 2v+1 per node v of H
-                   and, per edge uv, the two edges (2u, 2v+1) and
-                   (2u+1, 2v).  A bipartite component of H lifts to two
+  BipartiteGeneral bipartiteness from the bipartite double cover alone.
+                   The cover of a graph G has two nodes 2v and 2v+1 per
+                   node v of G and, per edge uv, the two edges (2u, 2v+1)
+                   and (2u+1, 2v).  A bipartite component of G lifts to two
                    components of the cover and a component with an odd
-                   cycle to one, so H is bipartite exactly when
-                   c(cover) = 2 c(H).  The cover is any connectivity
-                   structure over 2n nodes; the facade's is a second
-                   connectivity sparsification tree, which keeps the cover's
-                   component count at its root as the host tree keeps c(H).
+                   cycle to one, which holds both copies of its nodes.
+                   Counting those mirror-closed components as `nb` gives
+                   c(G) = (c(cover) + nb) / 2, and G is bipartite exactly
+                   when nb = 0.  The cover is any connectivity structure
+                   over 2n nodes; the facade's is one connectivity
+                   sparsification tree, and no structure over G is kept.
 
 The paper, following Eppstein et al. (1997), gets bipartiteness from a
 degree-bounded distance-2 companion graph behind a gadget of alternating
 2d-cycles.  The double cover departs from that construction but keeps its
-asymptotic bounds: a host update is two connectivity updates on twice the
-nodes and edges, run beside the host's own update, so the work stays
-O(n^{1/2+eps}) per update and the depth stays constant (one step more than
-twice the connectivity bound).
+asymptotic bounds: a graph update is two connectivity updates on twice the
+nodes and edges, plus O(1) connectivity queries to keep `nb`, so the work
+stays O(n^{1/2+eps}) per update and the depth stays constant (twice the
+connectivity bound).
 
 ConnGeneral counts its translated inner operations and asserts fixed per-call
 bounds, so a regression that breaks the constant-translation property fails
@@ -387,31 +388,56 @@ class ConnGeneral:
 
 
 class BipartiteGeneral:
-    """Bipartiteness of an unbounded-degree graph via its double cover.
+    """Bipartiteness of an unbounded-degree graph G from its double cover.
 
-    `host` holds the graph and `cover` a connectivity structure over twice
-    its nodes: a ConnGeneral or a connectivity SparsTree, anything with the
-    node and edge updates and `n_components`.  Host node v is cover nodes 2v
-    and 2v+1, and host edge uv is the cover edges (2u, 2v+1) and (2u+1, 2v).
-    The caller updates the host; each update here makes the matching two
-    cover updates, one after the other.
+    `cover` is a connectivity structure over twice G's nodes, a ConnGeneral
+    or a SparsTree: anything with the node and edge updates, `connected`
+    and `n_components`.  Node v of G is cover nodes 2v and 2v+1, and edge
+    uv is the cover edges (2u, 2v+1) and (2u+1, 2v).  Nothing else is kept
+    but `nb`, the number of mirror-closed cover components: those that hold
+    both copies of some node.
+
+    A walk of length L from v in G lifts to a walk from 2v that ends on the
+    copy of parity L, and every cover walk projects to a walk of G.  So a
+    component of G with a 2-colouring lifts to two cover components, one
+    holding the even copies of one colour class and the odd copies of the
+    other, and its mirror image; a component with an odd cycle lifts to a
+    single component, mirror-closed.  With b components of the first kind
+    and nb of the second, c(cover) = 2b + nb and c(G) = b + nb, so
+    c(G) = (c(cover) + nb) / 2, and G is bipartite exactly when nb = 0.
+
+    The mirror map w -> w ^ 1 is an automorphism of the cover, so it maps
+    each component onto a component.  A component holding 2u and 2u+1
+    therefore meets its own image and is that image: it holds both copies
+    of every node in it.  So a component holding 2u is mirror-closed
+    exactly when it also holds 2u+1.  An edge update on (u, v) changes only
+    the components holding the copies of u and v, and the closed ones among
+    them number cu + cv - (cu and cv and conn(2u, 2v)), where
+    cu = conn(2u, 2u+1): one closed component holds all four copies when it
+    holds both pairs and 2u reaches 2v.  `apply_edge` reads that count
+    before and after the two cover updates and adds the difference to
+    `nb`.  A node change adds or removes the two singletons 2v and 2v+1,
+    neither closed, and leaves `nb` as it is.
+
+    The mirror reads are cover queries, charged work only like every
+    `connected`; the two cover updates run one after the other.
+
+    bench/tracer.py wraps `__init__`, `activate_node`, `deactivate_node`,
+    `apply_edge` and `is_bipartite` under these names.
     """
 
-    def __init__(self, host, cover):
-        self.meter = host.meter
-        self.host = host
+    def __init__(self, cover):
+        self.meter = cover.meter
         self.cover = cover
+        self.nb = 0
 
     @staticmethod
     def depth_bounds(cover) -> dict:
         """Upper bounds on the metered depth of the updates, given the
         cover's bounds `cover`: two cover updates of the same kind, one
-        after the other."""
-        return {
-            op: 2 * cover[op]
-            for op in ("activate", "deactivate", "insert", "delete")
-            if op in cover
-        }
+        after the other; the mirror reads charge no depth."""
+        ops = ("activate", "deactivate", "insert", "delete")
+        return {op: 2 * cover[op] for op in ops}
 
     def activate_node(self, v):
         self.cover.activate_node(2 * v)
@@ -425,12 +451,31 @@ class BipartiteGeneral:
         if u == v:
             raise GadgetError("self-loop")
         update = self.cover.insert_edge if insert else self.cover.delete_edge
+        before = self._closed(u, v)
         update(2 * u, 2 * v + 1)
         update(2 * u + 1, 2 * v)
+        self.nb += self._closed(u, v) - before
+
+    def _closed(self, u, v):
+        """The mirror-closed components among those holding u's and v's
+        copies."""
+        conn = self.cover.connected
+        cu = conn(2 * u, 2 * u + 1)
+        cv = conn(2 * v, 2 * v + 1)
+        return cu + cv - (cu and cv and conn(2 * u, 2 * v))
+
+    def connected(self, u, v):
+        conn = self.cover.connected
+        return conn(2 * u, 2 * v) or conn(2 * u, 2 * v + 1)
+
+    def n_components(self):
+        components = self.cover.n_components()
+        self.meter.charge(1)
+        return (components + self.nb) // 2
 
     def is_bipartite(self):
-        self.meter.charge(3)
-        return self.cover.n_components() == 2 * self.host.n_components()
+        self.meter.charge(1)
+        return self.nb == 0
 
 
 # bench/tracer.py is the only reader of this name

@@ -14,10 +14,11 @@ spans, as ranges of global node ids, so the tree passes ids to every level
 unchanged.
 
 Bipartiteness comes from the same construction, after Eppstein et al.
-(1997): sparsification keeps the component count of any graph, so a second
-connectivity tree over the bipartite double cover (2n nodes) holds the
-cover's count at its root, and the graph is bipartite exactly when that is
-twice its own (see BipartiteGeneral).  No node keeps a bipartiteness flag.
+(1997): sparsification keeps the component count of any graph, so one
+connectivity tree over the bipartite double cover (2n nodes) answers every
+bipartiteness query in the graph's ids, with the count of mirror-closed
+cover components beside it (see BipartiteGeneral and BipartiteTree).  No
+tree over the graph itself is kept, and no node keeps a bipartiteness flag.
 
 Nodes materialize lazily on first edge arrival; construction, which
 activates every host of the node's spans, is charged to the meter's
@@ -102,14 +103,11 @@ class SparsNode:
 
 
 class SparsTree:
-    """Core structure shared by the two public facades.  Node ids are
-    0-based; precondition messages name them 1-based, as the facade's caller
-    passed them.
-
-    In bipartiteness mode the tree owns `bip`, the double cover kept as a
-    second, connectivity-mode tree over 2n nodes (see BipartiteGeneral).
-    Every update checks its preconditions, then runs its own update and the
-    cover's two in one parallel step; otherwise `bip` is None.
+    """The connectivity tree: the core of DynamicConnectivity, and the
+    double cover over 2n nodes inside DynamicBipartiteness's core (see
+    BipartiteTree).  `n` is a positive int, which the facade checks.  Node
+    ids are 0-based; precondition messages name them 1-based, as the
+    facade's caller passed them.
 
     No graph is kept beside the nodes: edges live in the leaf ports
     (`has_edge`, `edges`), activity in the root's `host_active` (`active`
@@ -118,15 +116,7 @@ class SparsTree:
     their spans.
     """
 
-    def __init__(self, n, mode, meter: CostMeter):
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise SparsError(f"node count {n!r} is not an integer") from None
-        if n < 1:
-            raise SparsError("need at least one node")
-        if mode not in ("connectivity", "bipartiteness"):
-            raise SparsError(f"unknown mode {mode!r}")
+    def __init__(self, n, meter: CostMeter):
         self.n = n
         self.meter = meter
         self.levels = (n - 1).bit_length()  # partition-tree depth
@@ -136,10 +126,6 @@ class SparsTree:
         # the root's activity record is the tree's; the root's hosts are
         # (range(n),), so a node's position in it is its id
         self.active = self._materialize(self.root_key).conn.host_active
-        self.bip = (
-            BipartiteGeneral(self, SparsTree(2 * n, "connectivity", meter))
-            if mode == "bipartiteness" else None
-        )
 
     # -- partition geometry ------------------------------------------------------
 
@@ -211,20 +197,12 @@ class SparsTree:
         self._check_id(v)
         if self.active[v]:
             raise SparsError(f"node {v + 1} already active")
-        if self.bip is not None:
-            return self._beside_cover(
-                lambda: self.activate_node(v), lambda bip: bip.activate_node(v)
-            )
         self.root().conn.activate_node(v)
 
     def deactivate_node(self, v):
         self._require_active(v)
         if v in self.root().conn.cycle:
             raise SparsError(f"node {v + 1} not isolated")
-        if self.bip is not None:
-            return self._beside_cover(
-                lambda: self.deactivate_node(v), lambda bip: bip.deactivate_node(v)
-            )
         self.root().conn.deactivate_node(v)
 
     # -- edge changes ---------------------------------------------------------------
@@ -237,10 +215,6 @@ class SparsTree:
         keys = self.key_path(x, y)
         if self._holds(keys[0], x, y):
             raise SparsError(f"edge ({x + 1},{y + 1}) already present")
-        if self.bip is not None:
-            return self._beside_cover(
-                lambda: self.insert_edge(x, y), lambda bip: bip.apply_edge(x, y, True)
-            )
         path = [self._materialize(key).conn for key in keys]
         meter = self.meter
         probe = [0] * len(path)
@@ -279,10 +253,6 @@ class SparsTree:
         keys = self.key_path(x, y)
         if not self._holds(keys[0], x, y):
             raise SparsError(f"edge ({x + 1},{y + 1}) absent")
-        if self.bip is not None:
-            return self._beside_cover(
-                lambda: self.delete_edge(x, y), lambda bip: bip.apply_edge(x, y, False)
-            )
         path = [self.nodes[key].conn for key in keys]
         meter = self.meter
         holds = [(x, y) in conn.ports for conn in path]
@@ -335,18 +305,6 @@ class SparsTree:
 
         meter.parallel_for(len(path), promote_body)
 
-    def _beside_cover(self, update, cover_update):
-        """Run `update()` on this tree and `cover_update(bip)` on the double
-        cover in one parallel step, after the caller has checked every
-        precondition.  The tree's branch re-enters its public update with
-        the cover detached, so it takes the connectivity path."""
-        bip = self.bip
-        self.bip = None
-        try:
-            self.meter.parallel_for(2, lambda i: cover_update(bip) if i else update())
-        finally:
-            self.bip = bip
-
     def _check_footprint(self, holds, tree):
         """An edge occupies one contiguous path segment and is a tree edge
         everywhere on it except possibly the topmost level."""
@@ -380,10 +338,10 @@ class SparsTree:
         self._require_active(y)
         return self.root().conn.tree_edge(x, y)
 
+    # bench/tracer.py is the only reader of this name; BipartiteTree
+    # answers bipartiteness
     def is_bipartite(self):
-        if self.bip is None:
-            raise SparsError("not in bipartiteness mode")
-        return self.bip.is_bipartite()
+        raise SparsError("a connectivity tree has no bipartiteness query")
 
     def has_edge(self, x, y):
         """Whether (x, y) is an edge: the leaf of its path holds it."""
@@ -417,6 +375,83 @@ class SparsTree:
             raise SparsError(f"node {v + 1} not active")
 
 
+class BipartiteTree(BipartiteGeneral):
+    """The core of DynamicBipartiteness: one connectivity SparsTree over the
+    double cover's 2n nodes, `cover`, and the count `nb` of its
+    mirror-closed components (see BipartiteGeneral).  Ids are the graph's,
+    0-based.  Every precondition is checked in those ids, with the messages
+    a SparsTree gives, against the cover before any change: node v is
+    active when cover node 2v is, has an edge when 2v is in the cover
+    root's `cycle`, and edge (x, y) is present when the cover holds
+    (2x, 2y+1).
+    """
+
+    def __init__(self, n, meter: CostMeter):
+        super().__init__(SparsTree(2 * n, meter))
+        self.n = n
+
+    # bench/run.py reads the graph (`has_edge`, `edges`) and the tree's
+    # nodes through these names
+    @property
+    def graph(self):
+        return self
+
+    @property
+    def nodes(self):
+        return self.cover.nodes
+
+    def activate_node(self, v):
+        self._check_id(v)
+        if self.cover.active[2 * v]:
+            raise SparsError(f"node {v + 1} already active")
+        super().activate_node(v)
+
+    def deactivate_node(self, v):
+        self._require_active(v)
+        if 2 * v in self.cover.root().conn.cycle:
+            raise SparsError(f"node {v + 1} not isolated")
+        super().deactivate_node(v)
+
+    def insert_edge(self, x, y):
+        self._require_active(x)
+        self._require_active(y)
+        if x == y:
+            raise SparsError("self-loop")
+        if self.has_edge(x, y):
+            raise SparsError(f"edge ({x + 1},{y + 1}) already present")
+        self.apply_edge(x, y, True)
+
+    def delete_edge(self, x, y):
+        self._require_active(x)
+        self._require_active(y)
+        if not self.has_edge(x, y):
+            raise SparsError(f"edge ({x + 1},{y + 1}) absent")
+        self.apply_edge(x, y, False)
+
+    def connected(self, x, y):
+        self._require_active(x)
+        self._require_active(y)
+        return super().connected(x, y)
+
+    def has_edge(self, x, y):
+        return self.cover.has_edge(2 * x, 2 * y + 1)
+
+    def edges(self):
+        """The graph's edges as (low, high) pairs: edge (x, y), x < y, is
+        the cover's (2x, 2y+1) and (2x+1, 2y), and only the first has an
+        even low end."""
+        return [(a >> 1, b >> 1) for a, b in self.cover.edges() if not a & 1]
+
+    def _check_id(self, v):
+        if not 0 <= v < self.n:
+            raise SparsError(f"node id {v + 1} out of range 1..{self.n}")
+
+    def _require_active(self, v):
+        self._check_id(v)
+        if not self.cover.active[2 * v]:
+            raise SparsError(f"node {v + 1} not active")
+
+
 def depth_budgets(mode, policy) -> dict:
     """Depth budget of every public operation, checked on every call.
 
@@ -424,12 +459,12 @@ def depth_budgets(mode, policy) -> dict:
     bottom-up from the layers' own bounds: the aggregate tree's phase counts,
     the master array's and the Euler forest's sums over their sequential
     calls, and the connectivity gadget's call ceilings times the Euler
-    forest's bounds.  In bipartiteness mode an update runs the connectivity
-    update beside the double cover's two, which are connectivity updates of
-    the same kind one after the other, so its budget is 1 + max(host, 2 *
-    cover) with both terms the connectivity budget.  A budget depends on the
-    mode, and on the policy and its epsilon through the extremum
-    reductions, but never on n.  Epsilon only sets the round count of the
+    forest's bounds.  In bipartiteness mode an update is the double cover's
+    two connectivity updates of the same kind, one after the other, so its
+    budget is twice the connectivity budget; the mirror reads around them
+    are queries, which charge work only.  A budget depends on the mode, and
+    on the policy and its epsilon through the extremum reductions, but never
+    on n.  Epsilon only sets the round count of the
     common-policy extremum; the update work is sqrt(n) * polylog(n) for
     every epsilon (see `costmodel`).  Calls are not padded: the meter keeps
     the depth the call spent, and a call that goes over its budget raises
@@ -459,8 +494,7 @@ def depth_budgets(mode, policy) -> dict:
     }
     if mode == "bipartiteness":
         # the cover is a connectivity tree under the same policy
-        for op, cover in BipartiteGeneral.depth_bounds(budgets).items():
-            budgets[op] = 1 + max(budgets[op], cover)
+        budgets.update(BipartiteGeneral.depth_bounds(budgets))
     return budgets
 
 
@@ -478,12 +512,19 @@ class _Facade:
     """
 
     mode = "connectivity"
+    Core = SparsTree
 
     def __init__(self, n, policy=None, meter=None):
         if policy is not None and meter is not None:
             raise SparsError("pass a policy or a meter, not both")
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise SparsError(f"node count {n!r} is not an integer") from None
+        if n < 1:
+            raise SparsError("need at least one node")
         self.meter = meter or CostMeter(policy or ArbitraryPolicy(0))
-        self.core = SparsTree(n, self.mode, self.meter)
+        self.core = self.Core(n, self.meter)
         self.budgets = depth_budgets(self.mode, self.meter.policy)
         self._labels = {
             op: f"{self.mode} {op} under {self.meter.policy!r}" for op in self.budgets
@@ -544,6 +585,7 @@ class DynamicBipartiteness(_Facade):
     """Bipartiteness queries under edge and node updates."""
 
     mode = "bipartiteness"
+    Core = BipartiteTree
 
     def is_bipartite(self):
         with self._bounded("bipartite"):

@@ -67,3 +67,8 @@ def test_gated_workload_drives_and_checks(name, n, length):
     # a script that asks is_bipartite reaches both answers
     bip = {out for op, out in zip(log.ops, log.answers) if op == "is_bipartite"}
     assert bip in (set(), {True, False})
+    # `sparsify.nodes` and `chunks.slot_occupancy` read `f.core.nodes`: the
+    # one tree there is, the cover over 2n nodes in bipartiteness mode
+    tree = getattr(f.core, "cover", f.core)
+    assert tree.n == (2 if w.mode == "bipartiteness" else 1) * n
+    assert len(f.core.nodes) == len(tree.nodes) > 1

@@ -4,8 +4,9 @@ Hypothesis drives a facade on up to 8 nodes through node and edge updates,
 queries and calls that must be rejected, under both write policies.  Every
 answer is checked against a `SimpleGraph` mirror and the `bf_*` oracles.  A
 rejected call must raise `SparsError` and leave the meter (`work`, `depth`,
-`init_work`) and the node count, active nodes and edges of the host tree,
-and of the cover tree in bipartiteness mode, exactly as they were.  The final
+`init_work`) and the node count, active nodes and edges of the tree (the
+cover tree in bipartiteness mode, with its count `nb` of mirror-closed
+components) exactly as they were.  The final
 structure must pass `check_spars_tree`.
 """
 
@@ -48,11 +49,11 @@ class FacadeMachine(RuleBasedStateMachine):
 
     def state(self):
         core, meter = self.f.core, self.f.meter
-        trees = [core] + ([core.bip.cover] if core.bip else [])
-        return meter.work, meter.depth, meter.init_work, [
-            (len(t.nodes), bytes(t.active), sorted(t.edges()))
-            for t in trees
-        ]
+        tree = getattr(core, "cover", core)
+        return (
+            meter.work, meter.depth, meter.init_work, getattr(core, "nb", None),
+            len(tree.nodes), bytes(tree.active), sorted(tree.edges()),
+        )
 
     def pairs(self, keep):
         nodes = sorted(self.g.adj)

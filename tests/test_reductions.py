@@ -524,29 +524,23 @@ class TestFootprint:
 
 
 class Bip:
-    """A host ConnGeneral and a ConnGeneral double cover on the same meter,
-    updated together the way the facade updates its host and cover trees."""
+    """A BipartiteGeneral over a ConnGeneral double cover, every node
+    active."""
 
     def __init__(self, n=12, policy=None):
-        self.host = conn(n=n, policy=policy or ArbitraryPolicy(10))
-        cover = ConnGeneral(
-            self.host.meter, (range(2 * n),), 2 * self.host.edge_capacity
-        )
-        self.bip = BipartiteGeneral(self.host, cover)
+        cover = conn(n=2 * n, policy=policy or ArbitraryPolicy(10))
+        self.bg = BipartiteGeneral(cover)
         for v in range(n):
-            self.host.activate_node(v)
-            self.bip.activate_node(v)
+            self.bg.activate_node(v)
 
     def insert(self, u, v):
-        self.host.insert_edge(u, v)
-        self.bip.apply_edge(u, v, True)
+        self.bg.apply_edge(u, v, True)
 
     def delete(self, u, v):
-        self.host.delete_edge(u, v)
-        self.bip.apply_edge(u, v, False)
+        self.bg.apply_edge(u, v, False)
 
     def is_bipartite(self):
-        return self.bip.is_bipartite()
+        return self.bg.is_bipartite()
 
 
 def bg_with_edges(edges, n=12):
@@ -613,13 +607,13 @@ class TestBipartiteGeneral:
 
     def test_insert_delete_roundtrip_observables(self):
         b = bg_with_edges([(0, 1), (1, 2), (2, 3)])
-        before = (b.is_bipartite(), b.bip.cover.n_components())
+        before = (b.is_bipartite(), b.bg.cover.n_components())
         b.insert(0, 3)
         b.delete(0, 3)
-        assert (b.is_bipartite(), b.bip.cover.n_components()) == before
+        assert (b.is_bipartite(), b.bg.cover.n_components()) == before
         with pytest.raises(GadgetError):
-            b.bip.apply_edge(2, 2, True)
-        assert (b.is_bipartite(), b.bip.cover.n_components()) == before
+            b.bg.apply_edge(2, 2, True)
+        assert (b.is_bipartite(), b.bg.cover.n_components()) == before
 
     def test_high_degree_star(self):
         b = bg_with_edges([(0, w) for w in range(1, 10)])
@@ -656,7 +650,7 @@ class TestBipartiteGeneral:
     def test_cover_components_count_colour_classes(self):
         # a bipartite component lifts to two cover components, one with an
         # odd cycle to a single one
-        rng = random.Random(41)
+        rng, pick = random.Random(41), random.Random(42)
         for trial in range(10):
             n = rng.randrange(4, 14)
             b = Bip(n, policy=ArbitraryPolicy(trial))
@@ -674,8 +668,13 @@ class TestBipartiteGeneral:
                     b.insert(u, v)
                     g.add_edge(u, v)
                 bipartite, odd = component_parities(g)
-                assert b.bip.cover.n_components() == 2 * bipartite + odd
-            check_gadget_graph(b.bip.cover)
+                assert b.bg.cover.n_components() == 2 * bipartite + odd
+                # the cover alone answers for the graph
+                assert b.bg.nb == odd
+                assert b.bg.n_components() == bipartite + odd
+                x, y = pick.randrange(n), pick.randrange(n)
+                assert b.bg.connected(x, y) == bf_connected(g, x, y)
+            check_gadget_graph(b.bg.cover)
 
     def test_exhaustive_small_graphs(self):
         # every graph on 5 nodes with at most 6 edges, built edge by edge

@@ -378,14 +378,13 @@ class TestDepthPadding:
 
     @pytest.mark.parametrize("policy", [ArbitraryPolicy(0), CommonPolicy(0.25)])
     @pytest.mark.parametrize(
-        "make, work, depth", [(conn_facade, 1, 0), (bip_facade, 5, 1)],
-        ids=["conn", "bip"],
+        "make, work", [(conn_facade, 1), (bip_facade, 2)], ids=["conn", "bip"],
     )
-    def test_a_node_change_writes_the_root_alone(self, make, work, depth, policy):
+    def test_a_node_change_writes_the_root_alone(self, make, work, policy):
         """With many nodes materialized around it, a node change costs what
         one write of the root's activity record costs: one unit in
-        connectivity mode, and in bipartiteness mode that write beside the
-        cover's two in one parallel step."""
+        connectivity mode, and in bipartiteness mode one for each of the
+        node's two copies in the cover, with no depth either way."""
         n = 32
         rng = random.Random(5)
         f = make(n, policy=policy)
@@ -395,17 +394,19 @@ class TestDepthPadding:
             u, v = rng.randrange(1, n), rng.randrange(1, n)
             if u != v and not f.core.has_edge(u - 1, v - 1):
                 f.insert_edge(u, v)
-        # the nodes below the root that span node n, which stays inactive
+        # the nodes below the root that span node n, which stays inactive:
+        # the tree's last id, the cover's copy 2n - 1 in bipartiteness mode
+        tree = getattr(f.core, "cover", f.core)
         spanning = [
-            node for key, node in f.core.nodes.items()
-            if key != f.core.root_key and any(n - 1 in r for r in node.conn.hosts)
+            node for key, node in tree.nodes.items()
+            if key != tree.root_key and any(tree.n - 1 in r for r in node.conn.hosts)
         ]
-        assert len(f.core.nodes) > 50 and len(spanning) > 10
-        assert f.budgets["activate"] == f.budgets["deactivate"] == depth
+        assert len(tree.nodes) > 50 and len(spanning) > 10
+        assert f.budgets["activate"] == f.budgets["deactivate"] == 0
         for call in (f.activate_node, f.deactivate_node):
             f.meter.reset()
             call(n)
-            assert (f.meter.work, f.meter.depth) == (work, depth)
+            assert (f.meter.work, f.meter.depth) == (work, 0)
         check_spars_tree(f.core)
 
     @pytest.mark.parametrize(
@@ -544,13 +545,13 @@ def test_rejected_calls_change_nothing(make, call, message):
     for u, v in [(1, 2), (2, 3), (4, 5)]:
         f.insert_edge(u, v)
     core, meter = f.core, f.meter
+    tree = getattr(core, "cover", core)
 
     def state():
-        trees = [core] + ([core.bip.cover] if core.bip else [])
-        return meter.work, meter.depth, meter.init_work, [
-            (len(t.nodes), bytes(t.active), sorted(t.edges()))
-            for t in trees
-        ]
+        return (
+            meter.work, meter.depth, meter.init_work, getattr(core, "nb", None),
+            len(tree.nodes), bytes(tree.active), sorted(tree.edges()),
+        )
 
     before = state()
     with pytest.raises(SparsError) as raised:
@@ -570,30 +571,32 @@ def test_checkers_leave_the_meter_unchanged(make):
     meter = f.meter
     before = (meter.work, meter.depth, meter.init_work)
     check_spars_tree(f.core)
-    for tree in [f.core] + ([f.core.bip.cover] if f.core.bip else []):
-        for node in tree.nodes.values():
-            check_gadget_graph(node.conn)
-            check_euler_forest(node.conn.inner)
-            check_chunk_store(node.conn.inner.store)
+    for node in f.core.nodes.values():
+        check_gadget_graph(node.conn)
+        check_euler_forest(node.conn.inner)
+        check_chunk_store(node.conn.inner.store)
     assert (meter.work, meter.depth, meter.init_work) == before
 
 
 @pytest.mark.parametrize(
     "tamper, message",
     [
-        (lambda cover: cover.delete_edge(0, 3), "cover edges"),
-        (lambda cover: cover.insert_edge(0, 2), "cover edges"),
-        (lambda cover: cover.activate_node(14), "cover nodes"),
+        (lambda core: core.cover.delete_edge(0, 3), "cover edges"),
+        (lambda core: core.cover.insert_edge(0, 2), "cover edges"),
+        (lambda core: core.cover.activate_node(14), "cover nodes"),
+        (lambda core: setattr(core, "nb", core.nb + 1), "mirror-closed"),
     ],
-    ids=["lifted-edge-deleted", "stray-edge", "stray-node"],
+    ids=["lifted-edge-deleted", "stray-edge", "stray-node", "closed-count"],
 )
 def test_checker_sees_a_cover_changed_behind_the_host(tamper, message):
+    """The checker holds the cover to a lift: active nodes in pairs, edges
+    in mirror pairs, and `nb` the count of its mirror-closed components."""
     f = bip_facade(8)
     for v in range(1, 5):
         f.activate_node(v)
     f.insert_edge(1, 2)  # lifts to cover edges (0, 3) and (1, 2)
     check_spars_tree(f.core)
-    tamper(f.core.bip.cover)
+    tamper(f.core)
     with pytest.raises(CheckFailure, match=message):
         check_spars_tree(f.core)
 
@@ -606,10 +609,10 @@ def test_checker_sees_a_node_activity_changed_behind_the_tree(make):
     for v in range(1, 4):
         f.activate_node(v)
     f.insert_edge(1, 2)
-    # node (1, 0, 0) spans ids 0..3 of the host tree and 0..7 of the cover
-    # tree, where host edge (1, 2) lifts to (0, 3) and (1, 2); neither idle
-    # host has an edge
-    tree, idle = (f.core, 2) if f.core.bip is None else (f.core.bip.cover, 6)
+    # node (1, 0, 0) spans ids 0..3 of the connectivity tree and 0..7 of
+    # the cover tree, where edge (1, 2) lifts to (0, 3) and (1, 2); neither
+    # idle host has an edge
+    tree, idle = (f.core.cover, 6) if hasattr(f.core, "cover") else (f.core, 2)
     conn = tree.nodes[(1, 0, 0)].conn
     check_spars_tree(f.core)
     conn.deactivate_node(idle)
@@ -626,15 +629,15 @@ def test_checker_sees_an_isolated_count_changed_behind_the_tree(make):
         f.activate_node(v)
     f.insert_edge(1, 2)
     check_spars_tree(f.core)
-    f.core.root().conn.isolated += 1
+    getattr(f.core, "cover", f.core).root().conn.isolated += 1
     with pytest.raises(CheckFailure, match="isolated count"):
         check_spars_tree(f.core)
 
 
 @pytest.mark.parametrize(
     "make, cover",
-    [(conn_facade, False), (bip_facade, False), (bip_facade, True)],
-    ids=["conn", "bip-host", "bip-cover"],
+    [(conn_facade, False), (bip_facade, True)],
+    ids=["conn", "bip-cover"],
 )
 def test_checker_sees_an_edge_changed_behind_the_tree(make, cover):
     """An edge inserted into one gadget alone, the root's or the leaf's of
@@ -646,7 +649,7 @@ def test_checker_sees_an_edge_changed_behind_the_tree(make, cover):
     f.insert_edge(1, 2)
     f.insert_edge(1, 3)
     f.delete_edge(1, 3)  # its leaf stays, without the edge
-    tree = f.core.bip.cover if cover else f.core
+    tree = f.core.cover if cover else f.core
     # the cover lifts host edge (1, 3) to (0, 5) and (1, 4)
     x, y = (0, 5) if cover else (0, 2)
     check_spars_tree(f.core)
@@ -664,7 +667,7 @@ def test_part_path_follows_the_intervals():
     """x's partition index at each level names the one part there whose
     interval holds x."""
     for n in [*range(1, 71), 511, 512, 513, 1024]:
-        t = SparsTree(n, "connectivity", CostMeter(ArbitraryPolicy(0)))
+        t = SparsTree(n, CostMeter(ArbitraryPolicy(0)))
         owner = []
         for level in range(t.levels + 1):
             at = [None] * n
@@ -684,10 +687,14 @@ def test_a_node_count_that_is_not_an_integer_is_rejected(facade, n):
         facade(n)
 
 
-@pytest.mark.parametrize("facade", [DynamicConnectivity, DynamicBipartiteness])
-def test_a_boolean_node_count_is_its_integer(facade):
+@pytest.mark.parametrize(
+    "facade, levels", [(DynamicConnectivity, 0), (DynamicBipartiteness, 1)]
+)
+def test_a_boolean_node_count_is_its_integer(facade, levels):
     f = facade(True)
-    assert type(f.n) is int and f.n == 1 and f.core.levels == 0
+    # the bipartite core's tree is the cover, over two nodes
+    tree = getattr(f.core, "cover", f.core)
+    assert type(f.n) is int and f.n == 1 and tree.levels == levels
     f.activate_node(1)
     assert f.n_components() == 1
 
@@ -715,13 +722,12 @@ def test_only_the_oracle_imports_the_oracle():
     assert importers == []
 
 
-def node_bounds(tree):
-    """(edges held, 2*span - 3) for every materialized node of `tree` and of
-    its cover tree."""
-    trees = [tree] + ([tree.bip.cover] if tree.bip is not None else [])
+def node_bounds(core):
+    """(edges held, 2*span - 3) for every materialized node of the core's
+    tree: the cover's in bipartiteness mode."""
     return [
         (len(node.conn.ports) // 2, max(0, 2 * len(node.conn.host_active) - 3))
-        for t in trees for node in t.nodes.values()
+        for node in core.nodes.values()
     ]
 
 
