@@ -36,6 +36,12 @@ def bip_facade(n, seed=0, policy=None):
     return DynamicBipartiteness(n, policy=policy or ArbitraryPolicy(seed))
 
 
+def tree_of(core):
+    """A facade core's one sparsification tree: the cover's in
+    bipartiteness mode."""
+    return getattr(core, "cover", core)
+
+
 class TestBasics:
     def test_root_key_and_fresh_counts(self):
         d = conn_facade(8)
@@ -396,7 +402,7 @@ class TestDepthPadding:
                 f.insert_edge(u, v)
         # the nodes below the root that span node n, which stays inactive:
         # the tree's last id, the cover's copy 2n - 1 in bipartiteness mode
-        tree = getattr(f.core, "cover", f.core)
+        tree = tree_of(f.core)
         spanning = [
             node for key, node in tree.nodes.items()
             if key != tree.root_key and any(tree.n - 1 in r for r in node.conn.hosts)
@@ -545,7 +551,7 @@ def test_rejected_calls_change_nothing(make, call, message):
     for u, v in [(1, 2), (2, 3), (4, 5)]:
         f.insert_edge(u, v)
     core, meter = f.core, f.meter
-    tree = getattr(core, "cover", core)
+    tree = tree_of(core)
 
     def state():
         return (
@@ -629,7 +635,7 @@ def test_checker_sees_an_isolated_count_changed_behind_the_tree(make):
         f.activate_node(v)
     f.insert_edge(1, 2)
     check_spars_tree(f.core)
-    getattr(f.core, "cover", f.core).root().conn.isolated += 1
+    tree_of(f.core).root().conn.isolated += 1
     with pytest.raises(CheckFailure, match="isolated count"):
         check_spars_tree(f.core)
 
@@ -693,7 +699,7 @@ def test_a_node_count_that_is_not_an_integer_is_rejected(facade, n):
 def test_a_boolean_node_count_is_its_integer(facade, levels):
     f = facade(True)
     # the bipartite core's tree is the cover, over two nodes
-    tree = getattr(f.core, "cover", f.core)
+    tree = tree_of(f.core)
     assert type(f.n) is int and f.n == 1 and tree.levels == levels
     f.activate_node(1)
     assert f.n_components() == 1
