@@ -169,6 +169,17 @@ class EulerForest:
     is spliced in (`TOUCHED_AFTER_SPLICE`).  Hence T = `TRANSIENT_CHUNKS` = 8
     spare slots cover every allocation, and the array is never full.  With
     K ~ sqrt(3*capacity), J ~ 2.3*sqrt(capacity) + 8.
+
+    A chunk's slot stays with its links.  Retiring a chunk that holds link
+    bits reads its row, clears its column and zeroes the row, which costs
+    several times the retirement of a chunk of no bits; a new chunk holds
+    none until the update's flush.  So a cut (`_cut_out`) or a split
+    (`_split_chunk`) leaves the chunk with its longer piece, the left one
+    on a tie, and gives the new chunk the shorter piece, the one the sizing
+    repair is likeliest to merge away; a cut with one piece makes no chunk.
+    A repair merge of a linked chunk and an unlinked one keeps the linked
+    one.  None of this moves a depth bound: each step makes and retires no
+    more chunks than before, only different ones.
     """
 
     def __init__(self, meter: CostMeter, capacity: int):
@@ -228,7 +239,7 @@ class EulerForest:
         as_array = 1 + (insert_chunk + 2)  # drop, the one chunk
         cut = 2 + insert_chunk  # _cut_at_source
         write = 1  # a new occurrence written into a chunk: its reindex
-        # _cut_out: the right piece, then the left piece or the retirement
+        # _cut_out: the kept piece, then the new chunk, or the retirement
         cut_out = insert_chunk + 1 + max(1, retire)
         shrink = 1 + 2 * retire + 1  # _maybe_shrink
 
@@ -596,16 +607,26 @@ class EulerForest:
         self.meter.parallel_charge(n)
 
     def _split_chunk(self, c, at):
-        """Move c.edges[at:] into a new chunk right after c; both are
-        reindexed and touched.  Returns the new chunk."""
-        right = c.edges[at:]
-        del c.edges[at:]
-        self._reindex_chunk(c, at)
-        nc = self.store.alloc_chunk(right)
-        self.store.insert_chunk(c.array, c.pos + 1, nc)
+        """Split c before c.edges[at]: c keeps the longer piece, the left
+        one on a tie, and a new chunk beside it takes the other.  Both are
+        reindexed and touched, left first.  Returns the (left, right)
+        pieces."""
+        left, right = c.edges[:at], c.edges[at:]
+        if len(right) > len(left):
+            c.edges = right
+            self._reindex_chunk(c)
+            nc = self.store.alloc_chunk(left)
+            self.store.insert_chunk(c.array, c.pos, nc)
+            pieces = (nc, c)
+        else:
+            c.edges = left
+            self._reindex_chunk(c, at)
+            nc = self.store.alloc_chunk(right)
+            self.store.insert_chunk(c.array, c.pos + 1, nc)
+            pieces = (c, nc)
         self._reindex_chunk(nc)
-        self._touched[c] = self._touched[nc] = None
-        return nc
+        self._touched[pieces[0]] = self._touched[pieces[1]] = None
+        return pieces
 
     def _target_occurrence(self, node):
         for w in self.nbr[node]:
@@ -726,9 +747,10 @@ class EulerForest:
         The new cyclic tour is Y' (w_near,w_far) X'' X' (w_far,w_near) Y'':
         X = X' X'' is cut at an occurrence leaving w_far and Y = Y' Y'' at
         one leaving w_near, P1 searched first; a near side that is a single
-        node has an empty walk.  Each block bound is named by the chunk that
-        starts it, None for the end, since the cuts split chunks and so move
-        positions.  A far side that is a single node (a == b) needs no cut:
+        node has an empty walk.  Each block bound is named by its first
+        edge, None for the end, and resolved through `edge_occ` when used:
+        the cuts split chunks, which moves positions, and a split at a
+        block start may move that chunk's first edge into a new chunk.  A far side that is a single node (a == b) needs no cut:
         both occurrences go right after an occurrence (x, w_near), in its
         chunk, and since the tour is cyclic nothing moves."""
         w_near, w_far = pair
@@ -741,10 +763,11 @@ class EulerForest:
             return
         n = len(array)
         leaves = array.leaves
-        p1, x, p3 = (leaves[p] if p < n else None for p in (0, a, b))
+        p1, x, p3 = (leaves[p].edges[0] if p < n else None for p in (0, a, b))
+        edge_occ = self.edge_occ
 
-        def at(c):
-            return len(array) if c is None else c.pos
+        def at(e):
+            return len(array) if e is None else edge_occ[e][0].pos
 
         xf = self._cut_at_source(w_far, (at(x), at(p3)))
         if xf is None:
@@ -779,36 +802,32 @@ class EulerForest:
         self._repair(array)
 
     def _cut_out(self, edge):
-        """Remove `edge` from its chunk, splitting the chunk at that point.
+        """Remove `edge` from its chunk, splitting the chunk at that point
+        as `_split_chunk` does.  A piece that is alone stays in the chunk,
+        with no allocation, and a chunk left empty is retired.
 
         Returns the array position where the removed edge used to sit (the
         boundary between the left and right pieces).
         """
         c, off = self.edge_occ.pop(edge)
         self._moved(*edge)
-        array = c.array
-        left = c.edges[:off]
-        right = c.edges[off + 1 :]
         pos = c.pos
-        if right:
-            nc = self.store.alloc_chunk(right)
-            self.store.insert_chunk(array, pos + 1, nc)
-            self._reindex_chunk(nc)
-            self._touched[nc] = None
-        if left:
-            c.edges = left
+        del c.edges[off]
+        if not c.edges:
+            self._retire_chunk(c)
+        elif 0 < off < len(c.edges):
+            self._split_chunk(c, off)
+        else:
             self._reindex_chunk(c, off)
             self._touched[c] = None
-            return pos + 1
-        self._retire_chunk(c)
-        return pos
+        return pos + (off > 0)
 
     def _cut_at_source(self, node, pos_range):
         """Split chunks so some occurrence (node, ?) starts a chunk whose
         position lies in `pos_range` of node's tour array.
 
-        Returns the chunk whose first edge leaves `node`, or None when the
-        range holds no such occurrence.
+        Returns that occurrence's edge, now the first of its chunk, or None
+        when the range holds no such occurrence.
         """
         for w in self.nbr[node]:
             occ = self.edge_occ.get((node, w))
@@ -817,14 +836,21 @@ class EulerForest:
             c, off = occ
             if not (pos_range[0] <= c.pos < pos_range[1]):
                 continue
-            return c if off == 0 else self._split_chunk(c, off)
+            if off:
+                self._split_chunk(c, off)
+            return (node, w)
         return None
 
     # -- sizing repairs and the link flush ------------------------------------
 
     def _repair(self, array):
         """Restore K/2 <= |chunk| <= K on the touched chunks of `array`, then
-        demote it if its tour now fits in one small tour."""
+        demote it if its tour now fits in one small tour.  An oversized
+        chunk is split in half (`_split_chunk`).  An undersized one merges
+        with a neighbour when both fit in one chunk: the left one takes the
+        edges and the right one is retired, unless only the right one holds
+        link bits, which then takes them; otherwise the two share their
+        edges evenly."""
         K = self.K
         touched = self._touched
         queue = [c for c in touched if c.array is array]
@@ -833,7 +859,7 @@ class EulerForest:
             if c.array is not array:
                 continue
             if len(c.edges) > K:
-                queue.extend((c, self._split_chunk(c, len(c.edges) // 2)))
+                queue.extend(self._split_chunk(c, len(c.edges) // 2))
                 continue
             if 2 * len(c.edges) < K and len(array) > 1:
                 pos = c.pos
@@ -842,11 +868,16 @@ class EulerForest:
                 kept = len(left.edges)  # left's own edges keep their offsets
                 combined = left.edges + right.edges
                 if len(combined) <= K:
-                    left.edges = combined
-                    self._reindex_chunk(left, kept)
-                    self._retire_chunk(right)
-                    touched[left] = None
-                    queue.append(left)
+                    # a linked chunk outlives an unlinked partner
+                    if right.bits and not left.bits:
+                        keep, gone, kept = right, left, 0
+                    else:
+                        keep, gone = left, right
+                    keep.edges = combined
+                    self._reindex_chunk(keep, kept)
+                    self._retire_chunk(gone)
+                    touched[keep] = None
+                    queue.append(keep)
                 else:
                     half = len(combined) // 2
                     left.edges = combined[:half]

@@ -416,7 +416,8 @@ class BipartiteGeneral:
     cu = conn(2u, 2u+1): one closed component holds all four copies when it
     holds both pairs and 2u reaches 2v.  `apply_edge` reads that count
     before and after the two cover updates and adds the difference to
-    `nb`.  A node change adds or removes the two singletons 2v and 2v+1,
+    `nb`.  An insertion into a ConnGeneral cover without room for both
+    edges is refused before the reads, so no update is left half done.  A node change adds or removes the two singletons 2v and 2v+1,
     neither closed, and leaves `nb` as it is.
 
     The mirror reads are cover queries, charged work only like every
@@ -450,7 +451,14 @@ class BipartiteGeneral:
     def apply_edge(self, u, v, insert: bool):
         if u == v:
             raise GadgetError("self-loop")
-        update = self.cover.insert_edge if insert else self.cover.delete_edge
+        cover = self.cover
+        # both cover edges must fit before the first goes in; a SparsTree
+        # holds any edge of its nodes
+        if insert and isinstance(cover, ConnGeneral) and (
+            len(cover.ports) + 4 > 2 * cover.edge_capacity
+        ):
+            raise GadgetError("edge capacity exhausted for the two cover edges")
+        update = cover.insert_edge if insert else cover.delete_edge
         before = self._closed(u, v)
         update(2 * u, 2 * v + 1)
         update(2 * u + 1, 2 * v)

@@ -708,18 +708,20 @@ class TestNewOccurrences:
         of two chunked tours and of a chunked tour and a small one it
         chunks, a replacement, a write at the front of leaf 0, and a
         replacement whose far side is one node, which reorders nothing and
-        allocates only in its sizing repair.  The checkers run after every
-        update."""
+        allocates only in its sizing repair.  A repair's merge of a linked
+        chunk and an unlinked one must retire the unlinked one, and the soak
+        must reach such a merge.  The checkers run after every update."""
         allocations = []
         reorders = []
         reached = dict.fromkeys(
             ("singleton link", "chunked link", "chunkified link", "replacement",
-             "front write", "one-node far side"),
+             "front write", "one-node far side", "linked merge"),
             0,
         )
         alloc, reorder = MasterArray.alloc_chunk, MasterArray.reorder
-        merge, splice, reindex = (
+        merge, splice, reindex, retire = (
             EulerForest._merge_tours, EulerForest._splice, EulerForest._reindex_chunk,
+            EulerForest._retire_chunk,
         )
 
         def watched_alloc(self, edges):
@@ -757,7 +759,17 @@ class TestNewOccurrences:
                 reached["front write"] += 1
             return reindex(self, c, start)
 
+        def watched_retire(self, c):
+            repair = sys._getframe(1)
+            if repair.f_code.co_name == "_repair":
+                pair = (repair.f_locals["left"], repair.f_locals["right"])
+                partner = pair[pair[0] is c]
+                assert not c.bits or partner.bits, "a merge retired a linked chunk"
+                reached["linked merge"] += bool(partner.bits) != bool(c.bits)
+            return retire(self, c)
+
         monkeypatch.setattr(MasterArray, "alloc_chunk", watched_alloc)
+        monkeypatch.setattr(EulerForest, "_retire_chunk", watched_retire)
         monkeypatch.setattr(MasterArray, "reorder", watched_reorder)
         monkeypatch.setattr(EulerForest, "_merge_tours", watched_merge)
         monkeypatch.setattr(EulerForest, "_splice", watched_splice)
@@ -785,7 +797,156 @@ class TestNewOccurrences:
         assert all(reached.values()), reached
         callers = {name for name, _ in allocations}
         assert not callers & {"_merge_tours", "_splice", "_commit_large"}, callers
-        assert {"_as_array", "_split_chunk", "_cut_out"} <= callers, callers
+        assert {"_as_array", "_split_chunk"} <= callers, callers
+        assert ("_split_chunk", "_cut_out") in allocations, callers
+
+
+def _linked_path(n=20, chords=((0, 10), (5, 15), (3, 17))):
+    """A path over n nodes, chunked at K = 8 for n = 20, whose chords make
+    most chunks linked; returns the forest and its one array."""
+    f = forest_with([(i, i + 1) for i in range(n - 1)] + list(chords), n=n)
+    (array,) = f.store.arrays()
+    return f, array
+
+
+def _store_calls(monkeypatch):
+    """Record every chunk allocation and retirement as ("alloc", edges) or
+    ("retire", chunk, its bits)."""
+    calls = []
+    alloc, retire = MasterArray.alloc_chunk, MasterArray.retire_chunk
+
+    def watched_alloc(self, edges):
+        calls.append(("alloc", list(edges)))
+        return alloc(self, edges)
+
+    def watched_retire(self, c):
+        calls.append(("retire", c, c.bits))
+        return retire(self, c)
+
+    monkeypatch.setattr(MasterArray, "alloc_chunk", watched_alloc)
+    monkeypatch.setattr(MasterArray, "retire_chunk", watched_retire)
+    return calls
+
+
+class TestSlotRule:
+    """A cut, split or merge leaves a linked chunk's slot with the piece
+    that survives, and a new chunk, which holds no link bits, takes the
+    piece the sizing repair is likeliest to merge away."""
+
+    def test_cutting_a_linked_chunks_first_occurrence_keeps_its_slot(self, monkeypatch):
+        f, array = _linked_path()
+        # a linked chunk of 3 or more edges whose first edge's reverse lies
+        # in another chunk, so its cut is the only one in this chunk
+        c = next(
+            c for c in array.leaves
+            if c.bits and len(c.edges) >= 3
+            and f.edge_occ[c.edges[0][::-1]][0] is not c
+        )
+        first, rest, slot, pos, bits = c.edges[0], c.edges[1:], c.slot, c.pos, c.bits
+        calls = _store_calls(monkeypatch)
+        cut_out, seen = EulerForest._cut_out, []
+
+        def watched_cut(self, edge):
+            made = len(calls)
+            out = cut_out(self, edge)
+            if edge == first:
+                seen.append((out, calls[made:], list(c.edges), self.store.slots.get(slot)))
+                for off, e in enumerate(c.edges):
+                    assert self.edge_occ[e] == (c, off)
+            return out
+
+        monkeypatch.setattr(EulerForest, "_cut_out", watched_cut)
+        f.delete_edge(*first)
+        (out, during, edges, holder), = seen
+        assert out == pos and during == [] and edges == rest and holder is c
+        assert c.slot == slot and bits
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+
+    @pytest.mark.parametrize("fresh", ["left", "right"])
+    def test_a_merge_retires_the_unlinked_chunk(self, monkeypatch, fresh):
+        """Split one edge off the first chunk, a linked one, into a new
+        chunk on either side; the repair merges the two back and retires
+        the new, unlinked chunk, whichever side it is on."""
+        f, array = _linked_path()
+        c = array.leaves[0]
+        edges, slot = list(c.edges), c.slot
+        assert c.bits and len(edges) >= 3
+        f._touched = {}
+        left, right = f._split_chunk(c, 1 if fresh == "left" else len(edges) - 1)
+        new = left if fresh == "left" else right
+        assert new is not c and not new.bits
+        calls = _store_calls(monkeypatch)
+        f._repair(array)
+        f._flush_links()
+        assert [call[:2] for call in calls] == [("retire", new)]
+        assert f.store.slots[slot] is c and c.edges == edges and c.pos == 0
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+
+    def test_a_splice_cut_at_a_block_start_keeps_the_oracle_tour(self, monkeypatch):
+        """A replacement splice cuts the far walk X and the near walk
+        Y = P3 P1 at an occurrence leaving each endpoint, the first such in
+        `nbr` order (P1 searched before P3), and lays the tour out as
+        Y' (w_near,w_far) X'' X' (w_far,w_near) Y''.  When such a cut splits
+        the chunk that starts its block with the shorter part on the left,
+        the new chunk takes the block's first edge.  A seeded small-K soak
+        must reach that case; there the tour must be the layout above, up
+        to rotation, and the forest passes its checkers after every
+        update."""
+        reached = hit = 0
+        split = EulerForest._split_chunk
+
+        def watched_split(self, c, at):
+            nonlocal hit
+            if sys._getframe(1).f_code.co_name == "_cut_at_source":
+                start = sys._getframe(1).f_locals["pos_range"][0]
+                hit += c.pos == start and 2 * at < len(c.edges)
+            return split(self, c, at)
+
+        def cut(walk, node):
+            return next((walk.index((node, w)) for w in f.nbr[node] if (node, w) in walk), None)
+
+        monkeypatch.setattr(EulerForest, "_split_chunk", watched_split)
+        rng = random.Random(3)
+        n = 20
+        f = forest(n)
+        assert f.K == 8
+        g = SimpleGraph()
+        for v in range(n):
+            f.activate_node(v)
+            g.activate(v)
+        for _ in range(600):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u == v:
+                continue
+            if g.has_edge(u, v):
+                tour, hit = tour_of(f, u), 0
+                chunked = not isinstance(f.edge_occ.get((u, v), (None,))[0], SmallTour)
+                rep = f.delete_edge(u, v)
+                g.remove_edge(u, v)
+                if hit and chunked and rep.kind == ReplacementReport.REPLACED:
+                    reached += 1
+                    i1, i2 = sorted((tour.index((u, v)), tour.index((v, u))))
+                    p1, x, p3 = tour[:i1], tour[i1 + 1 : i2], tour[i2 + 1 :]
+                    far = {a for a, _ in x} | {tour[i1][1]}
+                    pair = rep.edge
+                    w_near, w_far = pair if pair[1] in far else pair[::-1]
+                    y, xc, yc = p3 + p1, cut(x, w_far), cut(p1, w_near)
+                    yc = len(p3) + yc if yc is not None else cut(p3, w_near) or 0
+                    want = (
+                        y[:yc] + [(w_near, w_far)] + x[xc:] + x[:xc]
+                        + [(w_far, w_near)] + y[yc:]
+                    )
+                    got = tour_of(f, w_near)
+                    k = got.index(want[0])
+                    assert got[k:] + got[:k] == want, (u, v, pair)
+            elif g.degree(u) < 3 and g.degree(v) < 3:
+                f.insert_edge(u, v)
+                g.add_edge(u, v)
+            check_euler_forest(f)
+            check_chunk_store(f.store)
+        assert reached
 
 
 def _spanning_soak(f, rng, steps):

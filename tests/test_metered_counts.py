@@ -54,6 +54,10 @@ re-recorded when the graph's own tree left the bipartite facade, which now
 keeps only the cover tree and its count of mirror-closed components: each
 update loses the graph tree's update and the parallel step beside it, and
 gains a few connectivity reads of the cover, charged work only.
+The work and depths of all three were re-recorded when every forest cut,
+split and repair merge came to leave a linked chunk's slot with the piece
+that survives and give the new, unlinked chunk the shorter piece, so fewer
+linked chunks are retired; `init_work` did not move.
 A change that moves them changes the cost model and must say so.
 """
 
@@ -104,17 +108,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (1156392, {"insert": 209, "delete": 434, "connected": 0}, 24916),
+            (1024685, {"insert": 184, "delete": 367, "connected": 0}, 24916),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (1172763, {"insert": 220, "delete": 446, "connected": 0}, 24916),
+            (1041134, {"insert": 195, "delete": 379, "connected": 0}, 24916),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (100172, {"insert": 203, "delete": 603}, 5163),
+            (94310, {"insert": 202, "delete": 532}, 5163),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

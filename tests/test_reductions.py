@@ -615,6 +615,28 @@ class TestBipartiteGeneral:
             b.bg.apply_edge(2, 2, True)
         assert (b.is_bipartite(), b.bg.cover.n_components()) == before
 
+    def test_a_cover_without_room_for_both_edges_rejects_before_any_change(self):
+        """A cover of edge capacity 1 holds one of an edge's two cover
+        edges; the insertion is refused before the first goes in, with the
+        cover, `nb` and the meter as they were.  Capacity 2 takes it."""
+        meter = CostMeter(ArbitraryPolicy(6))
+        cover = ConnGeneral(meter, (range(6),), 1)
+        bg = BipartiteGeneral(cover)
+        for v in range(3):
+            bg.activate_node(v)
+        spent = (meter.work, meter.depth, meter.init_work)
+        with pytest.raises(GadgetError, match="capacity"):
+            bg.apply_edge(0, 1, True)
+        assert cover.ports == {} and bg.nb == 0
+        assert (meter.work, meter.depth, meter.init_work) == spent
+        check_gadget_graph(cover)
+        roomy = BipartiteGeneral(ConnGeneral(CostMeter(ArbitraryPolicy(6)), (range(6),), 2))
+        for v in range(3):
+            roomy.activate_node(v)
+        roomy.apply_edge(0, 1, True)
+        assert set(roomy.cover.ports) == {(0, 3), (3, 0), (1, 2), (2, 1)}
+        assert roomy.connected(0, 1) and roomy.is_bipartite()
+
     def test_high_degree_star(self):
         b = bg_with_edges([(0, w) for w in range(1, 10)])
         assert b.is_bipartite()

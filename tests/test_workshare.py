@@ -1,5 +1,5 @@
 """The per-method work split in `tools/workshare.py` still runs against the
-package and books every unit of the replay once."""
+package, books every unit of the replay once and counts chunk lives."""
 
 import importlib.util
 from pathlib import Path
@@ -14,9 +14,18 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     workshare = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workshare)
     insert, join = aggtree.AggTree.insert, aggtree.join
+    alloc, retire = chunks.MasterArray.alloc_chunk, chunks.MasterArray.retire_chunk
     steps = {name: getattr(aggtree, name) for name in workshare.REASSEMBLY}
-    rows, total, updates = workshare.workshare(1, 64, 120)
+    rows, total, updates, lives = workshare.workshare(1, 64, 120)
     assert total > 0 and updates > 0
+    # the chunk counts below the table: a retirement in the update that
+    # made the chunk is a retirement of an allocated chunk, a linked one a
+    # retirement
+    assert lives["allocated"] > 0 and lives["retired"] > 0
+    assert lives["retired_same"] <= lives["allocated"]
+    assert lives["retired_same"] <= lives["retired"]
+    assert lives["linked"] <= lives["retired"]
+    assert lives["linked_work"] >= 0 and (lives["linked_work"] > 0) == (lives["linked"] > 0)
     assert sum(work for _, _, work in rows) == total
     assert all(calls > 0 and work >= 0 for _, calls, work in rows)
     calls = {label: c for label, c, _ in rows}
@@ -27,5 +36,6 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     for name in ("_assemble", "_presplit_spine", "_attach", "_grow_root"):
         assert calls.get(f"aggtree.{name}", 0) > 0, name
     assert aggtree.AggTree.insert is insert
+    assert chunks.MasterArray.alloc_chunk is alloc and chunks.MasterArray.retire_chunk is retire
     assert all(getattr(aggtree, name) is fn for name, fn in steps.items())
     assert aggtree.join is join and chunks.agg_join is join

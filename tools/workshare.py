@@ -99,20 +99,73 @@ def wrapped(meter, totals):
             setattr(owner, name, fn)
 
 
+@contextmanager
+def chunk_lives(meter, lives):
+    """Count into `lives` the chunks allocated and retired while the block
+    runs: `retired_same` those retired in the forest update that allocated
+    them, `linked` those holding link bits when retired and `linked_work`
+    the work of their retirements, the column clears and row zeroing
+    included.  A forest update is one call of `EulerForest.insert_edge` or
+    `_delete`."""
+    from dynconn.chunks import MasterArray
+    from dynconn.eulerforest import EulerForest
+
+    for key in ("allocated", "retired", "retired_same", "linked", "linked_work"):
+        lives[key] = 0
+    update = [0]  # the serial of the forest update running
+    born = {}  # live chunk -> the serial of the update that allocated it
+    alloc, retire = MasterArray.alloc_chunk, MasterArray.retire_chunk
+    saved = [(EulerForest, name, getattr(EulerForest, name)) for name in ("insert_edge", "_delete")]
+
+    def serial(fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            update[0] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    def counted_alloc(self, edges):
+        c = alloc(self, edges)
+        lives["allocated"] += 1
+        born[c] = update[0]
+        return c
+
+    def counted_retire(self, c):
+        linked, w0 = bool(c.bits), meter.work
+        retire(self, c)
+        lives["retired"] += 1
+        lives["retired_same"] += born.pop(c, None) == update[0]
+        if linked:
+            lives["linked"] += 1
+            lives["linked_work"] += meter.work - w0
+
+    for owner, name, fn in saved:
+        setattr(owner, name, serial(fn))
+    MasterArray.alloc_chunk, MasterArray.retire_chunk = counted_alloc, counted_retire
+    try:
+        yield
+    finally:
+        MasterArray.alloc_chunk, MasterArray.retire_chunk = alloc, retire
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+
+
 def workshare(seed, n, calls):
     """Replay one conn_churn instance; returns (rows, total work, update
-    calls), each row a (label, calls, self work) by falling self work."""
+    calls, chunk lives), each row a (label, calls, self work) by falling
+    self work and the chunk lives as `chunk_lives` counts them."""
     w = conn_churn(f"{seed}/0", n=n, length=calls)
     f, _, _ = setup(w)
-    totals = {}
-    with wrapped(f.meter, totals):
+    totals, lives = {}, {}
+    with wrapped(f.meter, totals), chunk_lives(f.meter, lives):
         log = drive(f, w.calls)
     total = sum(log.work)
     booked = sum(work for _, work in totals.values())
     rows = [(label, c, work) for label, (c, work) in totals.items() if c]
     rows.append((OUTSIDE, len(log.ops), total - booked))
     rows.sort(key=lambda r: (-r[2], r[0]))
-    return rows, total, sum(op in UPDATES for op in log.ops)
+    return rows, total, sum(op in UPDATES for op in log.ops), lives
 
 
 def main(argv=None):
@@ -121,13 +174,25 @@ def main(argv=None):
     parser.add_argument("--n", type=int, default=512)
     parser.add_argument("--calls", type=int, default=733)
     args = parser.parse_args(argv)
-    rows, total, updates = workshare(args.seed, args.n, args.calls)
+    rows, total, updates, lives = workshare(args.seed, args.n, args.calls)
     print(f"conn_churn {args.seed}/0, n = {args.n}, {args.calls} calls "
           f"({updates} updates): {total} units of metered work")
     print(f"{'method':36s} {'calls':>8s} {'self work':>12s} {'per update':>11s} {'share':>7s}")
     for label, calls, work in rows:
         print(f"{label:36s} {calls:8d} {work:12d} {work / max(updates, 1):11.1f} "
               f"{work / max(total, 1):7.2%}")
+    per = max(updates, 1)
+    print(f"\n{'chunks':36s} {'count':>8s} {'per update':>11s}")
+    for label, key in (
+        ("allocated", "allocated"),
+        ("retired", "retired"),
+        ("retired in the same forest update", "retired_same"),
+        ("retired while linked", "linked"),
+    ):
+        print(f"{label:36s} {lives[key]:8d} {lives[key] / per:11.2f}")
+    print(f"the linked retirements' work: {lives['linked_work']} units, "
+          f"{lives['linked_work'] / per:.1f} per update, "
+          f"{lives['linked_work'] / max(total, 1):.2%} of the replay's work")
 
 
 if __name__ == "__main__":
