@@ -750,9 +750,10 @@ class EulerForest:
         node has an empty walk.  Each block bound is named by its first
         edge, None for the end, and resolved through `edge_occ` when used:
         the cuts split chunks, which moves positions, and a split at a
-        block start may move that chunk's first edge into a new chunk.  A far side that is a single node (a == b) needs no cut:
-        both occurrences go right after an occurrence (x, w_near), in its
-        chunk, and since the tour is cyclic nothing moves."""
+        block start may move that chunk's first edge into a new chunk.  A
+        far side that is a single node (a == b) needs no cut: both
+        occurrences go right after an occurrence (x, w_near), in its chunk,
+        and since the tour is cyclic nothing moves."""
         w_near, w_far = pair
         if a == b:
             c, off = self._target_occurrence(w_near)

@@ -417,8 +417,9 @@ class BipartiteGeneral:
     holds both pairs and 2u reaches 2v.  `apply_edge` reads that count
     before and after the two cover updates and adds the difference to
     `nb`.  An insertion into a ConnGeneral cover without room for both
-    edges is refused before the reads, so no update is left half done.  A node change adds or removes the two singletons 2v and 2v+1,
-    neither closed, and leaves `nb` as it is.
+    edges is refused before the reads, so no update is left half done.  A
+    node change adds or removes the two singletons 2v and 2v+1, neither
+    closed, and leaves `nb` as it is.
 
     The mirror reads are cover queries, charged work only like every
     `connected`; the two cover updates run one after the other.

@@ -498,11 +498,12 @@ class TestScansChargeWhatTheyRead:
 
 class TestReindexing:
     def test_pointers_hold_after_each_partial_reindex(self, monkeypatch):
-        """A split keeps its left part, a cut-out its left piece and a
-        repair merge its left chunk: their edges keep their offsets, so
-        only the moved ones are rewritten.  Every pointer must still name
-        its edge after each of these steps, and the forest must pass its
-        checker after every update."""
+        """A split and a cut-out keep their longer piece in the chunk, and a
+        repair merge its left chunk unless only the right one is linked;
+        where the kept edges keep their offsets (a left piece, a merge's
+        left chunk), only the moved ones are rewritten.  Every pointer must
+        still name its edge after each of these steps, and the forest must
+        pass its checker after every update."""
         fired = {"_split_chunk": 0, "_cut_out": 0, "merge": 0}
 
         def watch(name):
@@ -879,7 +880,7 @@ class TestSlotRule:
         calls = _store_calls(monkeypatch)
         f._repair(array)
         f._flush_links()
-        assert [call[:2] for call in calls] == [("retire", new)]
+        assert calls == [("retire", new, 0)]
         assert f.store.slots[slot] is c and c.edges == edges and c.pos == 0
         check_euler_forest(f)
         check_chunk_store(f.store)
