@@ -56,14 +56,18 @@ class ChunkError(ValueError):
 
 class Chunk(AggVertex):
     """Tour edges in one master slot; a detached aggregate-tree leaf whose
-    `bits` are its link vector, all-zero at first."""
+    `bits` are its link vector, all-zero at first.  `base` is what the
+    forest subtracts from a stored occurrence offset to get the edge's
+    index in `edges`, so a chunk that drops or gains a front moves it
+    instead of every stored offset."""
 
-    __slots__ = ("slot", "edges")
+    __slots__ = ("slot", "edges", "base")
 
     def __init__(self, slot, edges):
         super().__init__()
         self.slot = slot
         self.edges = edges
+        self.base = 0
 
     def __repr__(self):
         return f"<Chunk slot={self.slot} n={len(self.edges)}>"

@@ -29,6 +29,14 @@ edge list object, or the aggregate tree of a chunked one, which keeps its
 identity through every split and join of the tour.  The occurrence pointers
 are the only index of the tours; the checkers find them from there.
 
+An occurrence pointer is its container and a stored offset, which `locate`
+turns into the edge's index: the stored offset less the chunk's `base`, the
+stored offset of its first edge.  A small tour stores its indices (base 0).
+So a chunk that drops or gains a front moves its base, one unit, instead
+of rewriting every pointer into it, and an update rewrites, and pays for,
+only the pointers of edges that change chunk, new edges and the shorter
+side of an insert into the middle of a chunk (`_reindex_chunk`).
+
 `nbr` is the activity record: it maps each active node, and no other, to
 its adjacency list.  With `edge_occ`, which holds both directions of every
 tree edge, it gives the component count.  `nontree` maps each node with a
@@ -47,9 +55,9 @@ derives from `nbr` and `edge_occ` and reads it back until a node's entry is
 dropped.  An entry is dropped wherever an occurrence of its node is written
 into a chunk or taken out of one: by `_reindex_chunk` for both endpoints of
 every edge it writes into a chunk other than the one that held it, which
-covers the new tree edges of `_splice` (an edge that only shifts inside its
-chunk changes no mask), by `_cut_out` for the removed edge and by
-`_maybe_shrink` for every node of a demoted tour.
+covers the new tree edges of `_splice` (an edge that moves with its chunk's
+base or is rewritten in its own chunk changes no mask), by `_cut_out` for
+the removed edge and by `_maybe_shrink` for every node of a demoted tour.
 So every entry holds, and no node outside a chunk has one.  The record is
 made when the forest first chunks a small tour (`_as_array`) and is None
 before, which most forests, whose tours stay small, never reach;
@@ -101,6 +109,13 @@ TOUCHED_AFTER_SPLICE = 8
 TRANSIENT_CHUNKS = max(TOUCHED_ON_LINK, 2 * TOUCHED_AFTER_CUT, TOUCHED_AFTER_SPLICE)
 
 
+def locate(occ):
+    """The container and the index into its edges that the occurrence
+    pointer `occ` names: its stored offset less the container's base."""
+    container, stored = occ
+    return container, stored - container.base
+
+
 def resting_chunks(capacity, K):
     """R, the most chunks the tours of a forest over `capacity` nodes hold
     at rest: 2*capacity - 2 occurrences, at least ceil(K/2) in each chunk."""
@@ -136,9 +151,11 @@ class ReplacementReport:
 
 
 class SmallTour:
-    """A tour short enough to live outside the master array."""
+    """A tour short enough to live outside the master array; its occurrence
+    pointers store their indices, read with base 0."""
 
     __slots__ = ("edges",)
+    base = 0
 
     def __init__(self, edges):
         self.edges = edges
@@ -587,40 +604,65 @@ class EulerForest:
         self._touched[c] = None
         return array
 
-    def _reindex_chunk(self, c, start=0):
-        """Point c's edges at their offsets in c.  Edges before `start` kept
-        both, so only the rest are rewritten; all of them are charged.  The
-        `slots_of` entries of both endpoints of a rewritten edge are dropped
-        when the edge comes from another chunk or none; an edge that only
-        shifted inside c leaves every mask as it was."""
+    def _reindex_chunk(self, c, start=0, stop=None, shift=0):
+        """Point c.edges[start:stop] at their offsets in c, after moving the
+        offset of every other edge of c by `shift` (`_move_base`).  Only the
+        rewritten edges are charged, in one step even when there are none.
+        The `slots_of` entries of both endpoints of a rewritten edge are
+        dropped when the edge comes from another chunk or none; an edge
+        that stays in c leaves every mask as it was."""
         edges = c.edges
+        if stop is None:
+            stop = len(edges)
+        if shift:
+            self._move_base(c, shift)
+        base = c.base
         edge_occ = self.edge_occ
         drop = self.slots_of.pop
-        n = len(edges)
-        for off in range(start, n):
+        for off in range(start, stop):
             e = edges[off]
             old = edge_occ.get(e)
             if old is None or old[0] is not c:
                 drop(e[0], None)
                 drop(e[1], None)
-            edge_occ[e] = (c, off)
-        self.meter.parallel_charge(n)
+            edge_occ[e] = (c, base + off)
+        self.meter.parallel_charge(stop - start)
 
-    def _split_chunk(self, c, at):
-        """Split c before c.edges[at]: c keeps the longer piece, the left
-        one on a tie, and a new chunk beside it takes the other.  Both are
-        reindexed and touched, left first.  Returns the (left, right)
-        pieces."""
-        left, right = c.edges[:at], c.edges[at:]
+    def _move_base(self, c, shift):
+        """Move the offset of every edge of c by `shift`: one write, of c's
+        base, charged one unit in the step of the reindex that asks it."""
+        c.base -= shift
+        self.meter.charge(1)
+
+    def _write_occurrences(self, c, at, new):
+        """Insert the occurrences `new` into c before c.edges[at], rewriting
+        them and the shorter side of c around them: the head before `at`,
+        with the base moving the tail, when it is shorter, else the tail.
+        Touches c."""
+        c.edges[at:at] = new
+        k = len(new)
+        if 2 * at + k < len(c.edges):  # the head is the shorter side
+            self._reindex_chunk(c, 0, at + k, k)
+        else:
+            self._reindex_chunk(c, at)
+        self._touched[c] = None
+
+    def _split_chunk(self, c, at, gap=0):
+        """Split c before c.edges[at], dropping the `gap` edges there (a
+        cut's one): c keeps the longer piece, the left one on a tie, and a
+        new chunk beside it takes the other.  Only the new chunk's edges
+        are rewritten; a kept right piece moves with c's base.  Both are
+        touched, left first.  Returns the (left, right) pieces."""
+        left, right = c.edges[:at], c.edges[at + gap :]
         if len(right) > len(left):
             c.edges = right
-            self._reindex_chunk(c)
+            self._reindex_chunk(c, stop=0, shift=-at - gap)
             nc = self.store.alloc_chunk(left)
             self.store.insert_chunk(c.array, c.pos, nc)
             pieces = (nc, c)
         else:
             c.edges = left
-            self._reindex_chunk(c, at)
+            self._reindex_chunk(c, stop=0)
             nc = self.store.alloc_chunk(right)
             self.store.insert_chunk(c.array, c.pos + 1, nc)
             pieces = (c, nc)
@@ -632,7 +674,7 @@ class EulerForest:
         for w in self.nbr[node]:
             occ = self.edge_occ.get((w, node))
             if occ is not None:
-                return occ
+                return locate(occ)
         raise AssertionError(f"no target occurrence for {node}")
 
     def _probe_large(self, array, u, v, hint):
@@ -640,8 +682,8 @@ class EulerForest:
         as a (near, far) pair, or None."""
         if hint is not None:
             self._require_on_tour(hint, array, u, v)
-        occ1 = self.edge_occ[(u, v)]
-        occ2 = self.edge_occ[(v, u)]
+        occ1 = locate(self.edge_occ[(u, v)])
+        occ2 = locate(self.edge_occ[(v, u)])
         lo, hi = ((u, v), occ1), ((v, u), occ2)
         if (occ1[0].pos, occ1[1]) > (occ2[0].pos, occ2[1]):
             lo, hi = hi, lo
@@ -659,8 +701,8 @@ class EulerForest:
                 occ = self.edge_occ.get((x, w))
                 if occ is None:
                     continue
-                key = (occ[0].pos, occ[1])
-                return lo_key < key < hi_key
+                c, off = locate(occ)
+                return lo_key < (c.pos, off) < hi_key
             raise AssertionError(f"cannot classify node {x}")
 
         self.meter.charge(8)
@@ -753,13 +795,14 @@ class EulerForest:
         block start may move that chunk's first edge into a new chunk.  A
         far side that is a single node (a == b) needs no cut: both
         occurrences go right after an occurrence (x, w_near), in its chunk,
-        and since the tour is cyclic nothing moves."""
+        and since the tour is cyclic nothing moves.  Each write rewrites the
+        new occurrences and the shorter side of their chunk
+        (`_write_occurrences`): a write at a chunk's end only itself, one at
+        its front itself and the chunk's base."""
         w_near, w_far = pair
         if a == b:
             c, off = self._target_occurrence(w_near)
-            c.edges[off + 1 : off + 1] = ((w_near, w_far), (w_far, w_near))
-            self._reindex_chunk(c, off + 1)
-            self._touched[c] = None
+            self._write_occurrences(c, off + 1, ((w_near, w_far), (w_far, w_near)))
             self._repair(array)
             return
         n = len(array)
@@ -797,30 +840,30 @@ class EulerForest:
             c = leaves[pos - 1] if pos else leaves[0]
             writes.append((c, len(c.edges) if pos else 0, e))
         for c, off, e in reversed(writes):
-            c.edges.insert(off, e)
-            self._reindex_chunk(c, off)
-            self._touched[c] = None
+            self._write_occurrences(c, off, (e,))
         self._repair(array)
 
     def _cut_out(self, edge):
         """Remove `edge` from its chunk, splitting the chunk at that point
         as `_split_chunk` does.  A piece that is alone stays in the chunk,
-        with no allocation, and a chunk left empty is retired.
+        with no allocation and no rewrite: after a chunk's first edge the
+        rest moves with the base.  A chunk left empty is retired.
 
         Returns the array position where the removed edge used to sit (the
         boundary between the left and right pieces).
         """
-        c, off = self.edge_occ.pop(edge)
+        c, off = locate(self.edge_occ.pop(edge))
         self._moved(*edge)
         pos = c.pos
-        del c.edges[off]
-        if not c.edges:
-            self._retire_chunk(c)
-        elif 0 < off < len(c.edges):
-            self._split_chunk(c, off)
+        if 0 < off < len(c.edges) - 1:
+            self._split_chunk(c, off, 1)
         else:
-            self._reindex_chunk(c, off)
-            self._touched[c] = None
+            del c.edges[off]
+            if not c.edges:
+                self._retire_chunk(c)
+            else:
+                self._reindex_chunk(c, stop=0, shift=0 if off else -1)
+                self._touched[c] = None
         return pos + (off > 0)
 
     def _cut_at_source(self, node, pos_range):
@@ -834,7 +877,7 @@ class EulerForest:
             occ = self.edge_occ.get((node, w))
             if occ is None or isinstance(occ[0], SmallTour):
                 continue
-            c, off = occ
+            c, off = locate(occ)
             if not (pos_range[0] <= c.pos < pos_range[1]):
                 continue
             if off:
@@ -851,7 +894,8 @@ class EulerForest:
         with a neighbour when both fit in one chunk: the left one takes the
         edges and the right one is retired, unless only the right one holds
         link bits, which then takes them; otherwise the two share their
-        edges evenly."""
+        edges evenly.  Only the edges that change chunk are rewritten: a
+        right chunk that gains or loses a front moves its base."""
         K = self.K
         touched = self._touched
         queue = [c for c in touched if c.array is array]
@@ -869,22 +913,28 @@ class EulerForest:
                 kept = len(left.edges)  # left's own edges keep their offsets
                 combined = left.edges + right.edges
                 if len(combined) <= K:
-                    # a linked chunk outlives an unlinked partner
+                    # a linked chunk outlives an unlinked partner and
+                    # rewrites only the edges it takes in
                     if right.bits and not left.bits:
-                        keep, gone, kept = right, left, 0
+                        keep, gone = right, left
+                        right.edges = combined
+                        self._reindex_chunk(right, 0, kept, kept)
                     else:
                         keep, gone = left, right
-                    keep.edges = combined
-                    self._reindex_chunk(keep, kept)
+                        left.edges = combined
+                        self._reindex_chunk(left, kept)
                     self._retire_chunk(gone)
                     touched[keep] = None
                     queue.append(keep)
                 else:
+                    # only the edges that cross the boundary are rewritten;
+                    # right's own move by kept - half, the edges it gains at
+                    # its front (loses, when negative)
                     half = len(combined) // 2
                     left.edges = combined[:half]
                     right.edges = combined[half:]
                     self._reindex_chunk(left, min(kept, half))
-                    self._reindex_chunk(right)
+                    self._reindex_chunk(right, 0, max(kept - half, 0), kept - half)
                     touched[left] = touched[right] = None
         self._maybe_shrink(array)
 

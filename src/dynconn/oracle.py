@@ -11,7 +11,7 @@ from collections import Counter, deque
 
 from .aggtree import AggTree
 from .chunks import Chunk
-from .eulerforest import resting_chunks
+from .eulerforest import locate, resting_chunks
 
 
 class SimpleGraph:
@@ -224,7 +224,8 @@ def euler_tours(forest):
 
 
 def check_euler_forest(forest):
-    """Tour validity, occurrence pointers, counters, degree bound, chunk
+    """Tour validity, occurrence pointers (resolved through `locate`, so a
+    chunk's base counts), counters, degree bound, chunk
     sizing, the non-tree record and link ground truth.  Tours are found from
     the occurrence pointers, and the master array may hold no chunk array
     outside them.  The non-tree record must be `nbr` minus the tree edges,
@@ -235,8 +236,12 @@ def check_euler_forest(forest):
     `resting_chunks` chunks may be live, and a chunked tour must hold more
     than K edges, which lets a link skip the sum of its chunked tours."""
     occ = forest.edge_occ
-    for e, (container, off) in occ.items():
-        check(container.edges[off : off + 1] == [e], f"occurrence pointer stale for {e}")
+    for e, pointer in occ.items():
+        container, off = locate(pointer)
+        check(
+            0 <= off < len(container.edges) and container.edges[off] == e,
+            f"occurrence pointer stale for {e}",
+        )
     tours = euler_tours(forest)
     reached = {id(t) for t in tours if isinstance(t, AggTree)}
     check(

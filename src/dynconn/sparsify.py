@@ -27,9 +27,13 @@ is not part of any per-operation bound.
 
 Every facade operation runs under a depth budget (see depth_budgets) that is
 checked on every call rather than trusted: a call deeper than its budget
-raises MeterError.  Calls are not padded, so the meter reports the depth each
-call actually spent.  A budget is a constant of the operation, the mode, the
-write policy and epsilon, never of n: it is composed from the lower layers'
+raises MeterError.  Calls are not padded to their budgets, so the meter
+reports the depth each call spent, with one exception: under the common
+policy `CostMeter._reduce_common` pads every extremum to its round budget,
+which depends on epsilon only.  That padding stays because it cannot hide
+depth that grows with n: the budget is a constant, and a reduction that
+needs more rounds still raises MeterError.  A budget is a constant of the
+operation, the mode, the write policy and epsilon, never of n: it is composed from the lower layers'
 bounds, which are counted from their code (AggTree phases, MasterArray and
 EulerForest sums over sequential calls, gadget call ceilings), plus the
 sequential phases of the update itself.
@@ -466,9 +470,12 @@ def depth_budgets(mode, policy) -> dict:
     on the policy and its epsilon through the extremum reductions, but never
     on n.  Epsilon only sets the round count of the
     common-policy extremum; the update work is sqrt(n) * polylog(n) for
-    every epsilon (see `costmodel`).  Calls are not padded: the meter keeps
-    the depth the call spent, and a call that goes over its budget raises
-    MeterError.
+    every epsilon (see `costmodel`).  Calls are not padded to their
+    budgets: the meter keeps the depth the call spent, and a call that goes
+    over its budget raises MeterError.  Only a common-policy extremum is
+    padded, by `CostMeter._reduce_common`, to its round budget; that budget
+    does not depend on n, and a reduction that needs more rounds raises
+    MeterError, so the padding hides no depth that grows with n.
 
     Updates follow the sequential phases of SparsTree.insert_edge and
     delete_edge.  Node changes write the root's activity record and queries

@@ -14,6 +14,7 @@ from dynconn.eulerforest import (
     ForestError,
     ReplacementReport,
     SmallTour,
+    locate,
     resting_chunks,
 )
 from dynconn.oracle import (
@@ -517,7 +518,8 @@ class TestReindexing:
                     fired["merge"] += 1  # the one retirement a repair makes
                 else:
                     return out
-                for e, (container, off) in self.edge_occ.items():
+                for e, occ in self.edge_occ.items():
+                    container, off = locate(occ)
                     assert container.edges[off] == e, (name, e)
                 return out
 
@@ -569,9 +571,9 @@ class TestSlotRecord:
         def count(name, before, after):
             dropped[name] = dropped.get(name, 0) + before - after
 
-        def watched_reindex(self, c, start=0):
+        def watched_reindex(self, c, *args, **kwargs):
             before = len(self.slots_of)
-            reindex(self, c, start)
+            reindex(self, c, *args, **kwargs)
             count("_reindex_chunk", before, len(self.slots_of))
 
         def watched_moved(self, *nodes):
@@ -720,8 +722,8 @@ class TestNewOccurrences:
             0,
         )
         alloc, reorder = MasterArray.alloc_chunk, MasterArray.reorder
-        merge, splice, reindex, retire = (
-            EulerForest._merge_tours, EulerForest._splice, EulerForest._reindex_chunk,
+        merge, splice, write, retire = (
+            EulerForest._merge_tours, EulerForest._splice, EulerForest._write_occurrences,
             EulerForest._retire_chunk,
         )
 
@@ -755,10 +757,9 @@ class TestNewOccurrences:
                 assert len(reorders) == moved
                 assert all(up == "_repair" for _, up in allocations[made:]), allocations[made:]
 
-        def watched_reindex(self, c, start=0):
-            if start == 0 and sys._getframe(1).f_code.co_name == "_splice":
-                reached["front write"] += 1
-            return reindex(self, c, start)
+        def watched_write(self, c, at, new):
+            reached["front write"] += at == 0
+            return write(self, c, at, new)
 
         def watched_retire(self, c):
             repair = sys._getframe(1)
@@ -774,7 +775,7 @@ class TestNewOccurrences:
         monkeypatch.setattr(MasterArray, "reorder", watched_reorder)
         monkeypatch.setattr(EulerForest, "_merge_tours", watched_merge)
         monkeypatch.setattr(EulerForest, "_splice", watched_splice)
-        monkeypatch.setattr(EulerForest, "_reindex_chunk", watched_reindex)
+        monkeypatch.setattr(EulerForest, "_write_occurrences", watched_write)
         rng = random.Random(5)
         n = 20
         f = forest(n, policy)
@@ -853,7 +854,7 @@ class TestSlotRule:
             if edge == first:
                 seen.append((out, calls[made:], list(c.edges), self.store.slots.get(slot)))
                 for off, e in enumerate(c.edges):
-                    assert self.edge_occ[e] == (c, off)
+                    assert locate(self.edge_occ[e]) == (c, off)
             return out
 
         monkeypatch.setattr(EulerForest, "_cut_out", watched_cut)
@@ -897,12 +898,12 @@ class TestSlotRule:
         reached = hit = 0
         split = EulerForest._split_chunk
 
-        def watched_split(self, c, at):
+        def watched_split(self, c, at, gap=0):
             nonlocal hit
             if sys._getframe(1).f_code.co_name == "_cut_at_source":
                 start = sys._getframe(1).f_locals["pos_range"][0]
                 hit += c.pos == start and 2 * at < len(c.edges)
-            return split(self, c, at)
+            return split(self, c, at, gap)
 
         def cut(walk, node):
             return next((walk.index((node, w)) for w in f.nbr[node] if (node, w) in walk), None)
@@ -946,6 +947,207 @@ class TestSlotRule:
             check_euler_forest(f)
             check_chunk_store(f.store)
         assert reached
+
+
+class _CountedOccurrences(dict):
+    """An occurrence record that counts the pointers written into it."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+class _Reindexes:
+    """Records, for the forest `f`, each `_reindex_chunk` call as (pointers
+    written, its work less that of its base move) and the work of each base
+    move; `f` gets an occurrence record that counts its writes."""
+
+    def __init__(self, monkeypatch, f):
+        f.edge_occ = _CountedOccurrences(f.edge_occ)
+        self.calls, self.moves = [], []
+        reindex, move = EulerForest._reindex_chunk, EulerForest._move_base
+
+        def recorded_move(forest, c, shift):
+            w0 = forest.meter.work
+            move(forest, c, shift)
+            self.moves.append(forest.meter.work - w0)
+
+        def recorded(forest, c, *args, **kwargs):
+            w0, n0, m0 = forest.meter.work, forest.edge_occ.writes, len(self.moves)
+            reindex(forest, c, *args, **kwargs)
+            work = forest.meter.work - w0 - sum(self.moves[m0:])
+            self.calls.append((forest.edge_occ.writes - n0, work))
+
+        monkeypatch.setattr(EulerForest, "_move_base", recorded_move)
+        monkeypatch.setattr(EulerForest, "_reindex_chunk", recorded)
+
+    def mark(self):
+        return len(self.calls), len(self.moves)
+
+    def since(self, mark):
+        """(pointers written, reindex work, base moves) since `mark`."""
+        calls = self.calls[mark[0] :]
+        return sum(n for n, _ in calls), sum(w for _, w in calls), len(self.moves) - mark[1]
+
+
+def _chunked_path():
+    """A path over 0 .. 40 with a leaf 41 on node 20, chunked at K = 12."""
+    f = forest_with([(i, i + 1) for i in range(40)] + [(20, 41)], n=48)
+    (array,) = f.store.arrays()
+    assert f.K == 12
+    return f, array
+
+
+class TestReindexOnlyWhatMoves:
+    """Occurrence offsets are stored relative to their chunk's base, so an
+    update rewrites, and its reindexes charge, only the pointers of edges
+    that change chunk, of new edges and of the shorter side of an insert;
+    a chunk that drops or gains a front moves its base, one unit.  A
+    reindex charges one iteration and one write per pointer it rewrites
+    (`parallel_charge`)."""
+
+    def test_cutting_a_chunks_first_occurrence_rewrites_nothing(self, monkeypatch):
+        f, array = _chunked_path()
+        c = next(
+            c for c in array.leaves
+            if len(c.edges) >= 3 and locate(f.edge_occ[c.edges[0][::-1]])[0] is not c
+        )
+        first, rest = c.edges[0], c.edges[1:]
+        rec = _Reindexes(monkeypatch, f)
+        cut_out, seen = EulerForest._cut_out, []
+
+        def watched_cut(self, edge):
+            mark = rec.mark()
+            out = cut_out(self, edge)
+            if edge == first:
+                seen.append(rec.since(mark))
+                assert c.edges == rest
+                for off, e in enumerate(c.edges):
+                    assert locate(self.edge_occ[e]) == (c, off)
+            return out
+
+        monkeypatch.setattr(EulerForest, "_cut_out", watched_cut)
+        f.delete_edge(*first)
+        assert seen == [(0, 0, 1)] and rec.moves == [1] * len(rec.moves)
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+
+    @pytest.mark.parametrize("shorter", ["left", "right"])
+    def test_a_split_rewrites_its_shorter_piece(self, monkeypatch, shorter):
+        f, array = _chunked_path()
+        c = next(c for c in array.leaves if len(c.edges) >= 7)
+        n = len(c.edges)
+        at = 2 if shorter == "left" else n - 3
+        rec = _Reindexes(monkeypatch, f)
+        f._touched = {}
+        mark = rec.mark()
+        left, right = f._split_chunk(c, at)
+        moved = min(at, n - at)
+        assert rec.since(mark) == (moved, 2 * moved, 1 if shorter == "left" else 0)
+        assert (left is c) == (shorter == "right") and (right is c) == (shorter == "left")
+        f._repair(array)
+        f._flush_links()
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+
+    def test_a_merge_into_the_linked_right_chunk_rewrites_the_left_one(self, monkeypatch):
+        """Split two edges off a linked chunk of five into a new chunk on
+        its left; the repair merges them back into the linked chunk, which
+        gains a front: only the two edges of the new chunk are rewritten."""
+        f, array = _linked_path()
+        c = next(c for c in array.leaves if len(c.edges) == 5 and c.bits)
+        edges, slot = list(c.edges), c.slot
+        f._touched = {}
+        new, kept = f._split_chunk(c, 2)
+        assert kept is c and not new.bits
+        rec = _Reindexes(monkeypatch, f)
+        f._repair(array)
+        f._flush_links()
+        assert rec.since((0, 0)) == (2, 4, 1)
+        assert f.store.slots[slot] is c and c.edges == edges and new.array is None
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+
+    @pytest.mark.parametrize("shorter", ["head", "tail"])
+    def test_a_one_node_far_side_rewrites_the_shorter_side(self, monkeypatch, shorter):
+        """Deleting (20, 41) leaves the leaf 41 alone on the far side, and
+        its chord (41, t) is spliced in right after an occurrence (s, t):
+        the splice rewrites its two occurrences and the shorter of the head
+        before them and the tail after them, and moves the base when that
+        is the head."""
+        f, array = _chunked_path()
+        cut = locate(f.edge_occ[(20, 41)])[0]
+
+        def sides(t):
+            c, off = f._target_occurrence(t)
+            return c, off + 1, len(c.edges) - off - 1
+
+        t = next(
+            t for t in range(1, 40)
+            if sides(t)[0] is not cut
+            and (sides(t)[1] < sides(t)[2]) == (shorter == "head") and sides(t)[1] != sides(t)[2]
+        )
+        c, head, tail = sides(t)
+        f.insert_edge(41, t)
+        rec = _Reindexes(monkeypatch, f)
+        write, seen = EulerForest._write_occurrences, []
+
+        def watched_write(self, chunk, at, new):
+            mark = rec.mark()
+            write(self, chunk, at, new)
+            seen.append((chunk, at, rec.since(mark)))
+
+        monkeypatch.setattr(EulerForest, "_write_occurrences", watched_write)
+        rep = f.delete_edge(20, 41)
+        assert rep == ReplacementReport(ReplacementReport.REPLACED, (t, 41))
+        moved = min(head, tail) + 2
+        assert seen == [(c, head, (moved, 2 * moved, 1 if shorter == "head" else 0))]
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+
+    @pytest.mark.parametrize("policy", [ArbitraryPolicy(2), CommonPolicy(0.25)])
+    def test_soak_rewrites_only_what_moves(self, monkeypatch, policy):
+        """A seeded small-K soak: every reindex charges exactly the pointers
+        it writes, every base move one unit, and every split writes only its
+        shorter piece; the soak must move bases and split both ways, and the
+        forest passes its checkers after every update."""
+        rng = random.Random(11)
+        n = 20
+        f = forest(n, policy)
+        assert f.K == 8
+        rec = _Reindexes(monkeypatch, f)
+        split, splits = EulerForest._split_chunk, {"left": 0, "right": 0}
+
+        def watched_split(self, c, at, gap=0):
+            mark, n_edges = rec.mark(), len(c.edges)
+            pieces = split(self, c, at, gap)
+            moved = min(at, n_edges - at - gap)
+            assert rec.since(mark)[:2] == (moved, 2 * moved)
+            splits["left" if pieces[1] is c else "right"] += 1
+            return pieces
+
+        monkeypatch.setattr(EulerForest, "_split_chunk", watched_split)
+        g = SimpleGraph()
+        for v in range(n):
+            f.activate_node(v)
+            g.activate(v)
+        for _ in range(600):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u == v:
+                continue
+            if g.has_edge(u, v):
+                f.delete_edge(u, v)
+                g.remove_edge(u, v)
+            elif g.degree(u) < 3 and g.degree(v) < 3:
+                f.insert_edge(u, v)
+                g.add_edge(u, v)
+            check_euler_forest(f)
+            check_chunk_store(f.store)
+        assert all(work == 2 * writes for writes, work in rec.calls)
+        assert rec.moves and rec.moves == [1] * len(rec.moves)
+        assert all(splits.values()), splits
 
 
 def _spanning_soak(f, rng, steps):
@@ -1038,8 +1240,8 @@ class TestSlotCount:
 
 class TestCheckerCatchesCorruption:
     """The checker finds tours from the occurrence pointers; it must still
-    see a chunk array those pointers miss and a pointer that misses its
-    edge."""
+    see a chunk array those pointers miss, a pointer that misses its edge
+    and a chunk base that moved alone."""
 
     def chunked_path(self):
         f = forest_with([(i, i + 1) for i in range(40)], n=48)
@@ -1065,6 +1267,15 @@ class TestCheckerCatchesCorruption:
         f = self.chunked_path()
         c, off = f.edge_occ[(20, 21)]
         f.edge_occ[(20, 21)] = (c, off - 1 if off else off + 1)
+        with pytest.raises(CheckFailure, match="occurrence pointer stale"):
+            check_euler_forest(f)
+
+    def test_stale_chunk_base(self):
+        """Every pointer into a chunk resolves through its base, so a base
+        moved behind the forest's back leaves them all stale."""
+        f = self.chunked_path()
+        c, _ = locate(f.edge_occ[(20, 21)])
+        c.base += 1
         with pytest.raises(CheckFailure, match="occurrence pointer stale"):
             check_euler_forest(f)
 

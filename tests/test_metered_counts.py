@@ -57,7 +57,10 @@ gains a few connectivity reads of the cover, charged work only.
 The work and depths of all three were re-recorded when every forest cut,
 split and repair merge came to leave a linked chunk's slot with the piece
 that survives and give the new, unlinked chunk the shorter piece, so fewer
-linked chunks are retired; `init_work` did not move.
+linked chunks are retired; `init_work` did not move.  The work of all three
+was re-recorded when the forest came to store occurrence offsets relative
+to a per-chunk base and to rewrite and charge only the pointers that move;
+the depths and `init_work` did not move.
 A change that moves them changes the cost model and must say so.
 """
 
@@ -108,17 +111,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (1024685, {"insert": 184, "delete": 367, "connected": 0}, 24916),
+            (964449, {"insert": 184, "delete": 367, "connected": 0}, 24916),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (1041134, {"insert": 195, "delete": 379, "connected": 0}, 24916),
+            (980988, {"insert": 195, "delete": 379, "connected": 0}, 24916),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (94310, {"insert": 202, "delete": 532}, 5163),
+            (90372, {"insert": 202, "delete": 532}, 5163),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

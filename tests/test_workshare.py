@@ -1,10 +1,12 @@
 """The per-method work split in `tools/workshare.py` still runs against the
-package, books every unit of the replay once and counts chunk lives."""
+package, books every unit of the replay once and counts chunk lives and
+offset writes."""
 
 import importlib.util
 from pathlib import Path
 
 from dynconn import aggtree, chunks
+from dynconn.eulerforest import EulerForest
 
 WORKSHARE = Path(__file__).resolve().parent.parent / "tools" / "workshare.py"
 
@@ -15,6 +17,7 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     spec.loader.exec_module(workshare)
     insert, join = aggtree.AggTree.insert, aggtree.join
     alloc, retire = chunks.MasterArray.alloc_chunk, chunks.MasterArray.retire_chunk
+    reindex, move = EulerForest._reindex_chunk, EulerForest._move_base
     steps = {name: getattr(aggtree, name) for name in workshare.REASSEMBLY}
     rows, total, updates, lives = workshare.workshare(1, 64, 120)
     assert total > 0 and updates > 0
@@ -26,6 +29,8 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     assert lives["retired_same"] <= lives["retired"]
     assert lives["linked"] <= lives["retired"]
     assert lives["linked_work"] >= 0 and (lives["linked_work"] > 0) == (lives["linked"] > 0)
+    # the offset writes below them: both kinds happen on a chunked replay
+    assert lives["rewritten"] > 0 and lives["base_moves"] > 0
     assert sum(work for _, _, work in rows) == total
     assert all(calls > 0 and work >= 0 for _, calls, work in rows)
     calls = {label: c for label, c, _ in rows}
@@ -39,3 +44,4 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     assert chunks.MasterArray.alloc_chunk is alloc and chunks.MasterArray.retire_chunk is retire
     assert all(getattr(aggtree, name) is fn for name, fn in steps.items())
     assert aggtree.join is join and chunks.agg_join is join
+    assert EulerForest._reindex_chunk is reindex and EulerForest._move_base is move

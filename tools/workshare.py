@@ -27,8 +27,10 @@ Below the table it counts chunk lives over the replay, in all and per
 update call: the chunks allocated, those retired, those retired in the
 forest update that allocated them, and those holding link bits when
 retired, whose retirements also read a row, clear a column and zero the
-row; their work is printed too.  The
-counts are exact and repeat bit for bit on any host; a run at n = 512 takes
+row; their work is printed too.  Below those it counts the stored
+occurrence offsets the forest rewrites (`EulerForest._reindex_chunk`) and
+the chunk bases it moves instead (`_move_base`), in all and per update
+call.  The counts are exact and repeat bit for bit on any host; a run at n = 512 takes
 about 2 s on a shared 2-core x86-64 VM with CPython 3.11.
 """
 
@@ -157,14 +159,40 @@ def chunk_lives(meter, lives):
             setattr(EulerForest, name, fn)
 
 
+@contextmanager
+def offset_writes(counts):
+    """Count into `counts` the stored occurrence offsets that
+    `EulerForest._reindex_chunk` rewrites (`rewritten`) and the chunk bases
+    `_move_base` moves (`base_moves`) while the block runs."""
+    from dynconn.eulerforest import EulerForest
+
+    counts["rewritten"] = counts["base_moves"] = 0
+    reindex, move = EulerForest._reindex_chunk, EulerForest._move_base
+
+    def counted_reindex(self, c, start=0, stop=None, shift=0):
+        reindex(self, c, start, stop, shift)
+        counts["rewritten"] += (len(c.edges) if stop is None else stop) - start
+
+    def counted_move(self, c, shift):
+        move(self, c, shift)
+        counts["base_moves"] += 1
+
+    EulerForest._reindex_chunk, EulerForest._move_base = counted_reindex, counted_move
+    try:
+        yield
+    finally:
+        EulerForest._reindex_chunk, EulerForest._move_base = reindex, move
+
+
 def workshare(seed, n, calls):
     """Replay one conn_churn instance; returns (rows, total work, update
-    calls, chunk lives), each row a (label, calls, self work) by falling
-    self work and the chunk lives as `chunk_lives` counts them."""
+    calls, counts), each row a (label, calls, self work) by falling self
+    work, and the counts the chunk lives as `chunk_lives` counts them and
+    the offset writes as `offset_writes` does."""
     w = conn_churn(f"{seed}/0", n=n, length=calls)
     f, _, _ = setup(w)
     totals, lives = {}, {}
-    with wrapped(f.meter, totals), chunk_lives(f.meter, lives):
+    with offset_writes(lives), wrapped(f.meter, totals), chunk_lives(f.meter, lives):
         log = drive(f, w.calls)
     total = sum(log.work)
     booked = sum(work for _, work in totals.values())
@@ -199,6 +227,9 @@ def main(argv=None):
     print(f"the linked retirements' work: {lives['linked_work']} units, "
           f"{lives['linked_work'] / per:.1f} per update, "
           f"{lives['linked_work'] / max(total, 1):.2%} of the replay's work")
+    print(f"\n{'offset writes':36s} {'count':>8s} {'per update':>11s}")
+    for label, key in (("offsets rewritten", "rewritten"), ("chunk bases moved", "base_moves")):
+        print(f"{label:36s} {lives[key]:8d} {lives[key] / per:11.2f}")
 
 
 if __name__ == "__main__":
