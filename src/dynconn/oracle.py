@@ -225,8 +225,8 @@ def euler_tours(forest):
 
 def check_euler_forest(forest):
     """Tour validity, occurrence pointers (resolved through `locate`, so a
-    chunk's base counts), counters, degree bound, chunk
-    sizing, the non-tree record and link ground truth.  Tours are found from
+    chunk's base counts), counters, degree bound, chunk sizing, the
+    non-tree record and link ground truth.  Tours are found from
     the occurrence pointers, and the master array may hold no chunk array
     outside them.  The non-tree record must be `nbr` minus the tree edges,
     in `nbr` order, with no entry for a node without a non-tree edge; the

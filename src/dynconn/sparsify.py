@@ -33,10 +33,10 @@ policy `CostMeter._reduce_common` pads every extremum to its round budget,
 which depends on epsilon only.  That padding stays because it cannot hide
 depth that grows with n: the budget is a constant, and a reduction that
 needs more rounds still raises MeterError.  A budget is a constant of the
-operation, the mode, the write policy and epsilon, never of n: it is composed from the lower layers'
-bounds, which are counted from their code (AggTree phases, MasterArray and
-EulerForest sums over sequential calls, gadget call ceilings), plus the
-sequential phases of the update itself.
+operation, the mode, the write policy and epsilon, never of n: it is
+composed from the lower layers' bounds, which are counted from their code
+(AggTree phases, MasterArray and EulerForest sums over sequential calls,
+gadget call ceilings), plus the sequential phases of the update itself.
 
 The tree is its own graph record, and every fact of the graph is stored
 once: an edge is present when the leaf of its path holds it in its ports,

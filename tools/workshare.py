@@ -30,8 +30,8 @@ retired, whose retirements also read a row, clear a column and zero the
 row; their work is printed too.  Below those it counts the stored
 occurrence offsets the forest rewrites (`EulerForest._reindex_chunk`) and
 the chunk bases it moves instead (`_move_base`), in all and per update
-call.  The counts are exact and repeat bit for bit on any host; a run at n = 512 takes
-about 2 s on a shared 2-core x86-64 VM with CPython 3.11.
+call.  The counts are exact and repeat bit for bit on any host; a run at
+n = 512 takes about 2 s on a shared 2-core x86-64 VM with CPython 3.11.
 """
 
 from __future__ import annotations
