@@ -254,20 +254,25 @@ class EulerForest:
         refresh = 2 + store["bulk_set_links"]  # _refresh_links
         retire = store["retire_chunk"]  # _retire_chunk
         as_array = 1 + (insert_chunk + 2)  # drop, the one chunk
-        cut = 2 + insert_chunk  # _cut_at_source
+        # _split_chunk: the new chunk, then its reindex, in whose step a
+        # kept right piece moves its base; a kept left piece writes nothing
+        split = insert_chunk + 1
         write = 1  # a new occurrence written into a chunk: its reindex
-        # _cut_out: the kept piece, then the new chunk, or the retirement
-        cut_out = insert_chunk + 1 + max(1, retire)
+        # _cut_out: a split or the retirement; a lone base write's one step
+        # fits in a split
+        cut_out = max(split, retire)
         shrink = 1 + 2 * retire + 1  # _maybe_shrink
 
-        def repair(touched):  # _repair
-            return touched * max(2 + insert_chunk, 1 + retire) + shrink
+        # _repair, per touched chunk: a split, or a merge's reindex and
+        # retirement; a rebalance's two reindexes fit in a split
+        def repair(touched):
+            return touched * max(split, 1 + retire) + shrink
 
         def flush(marked):  # _flush_links: the liveness filter, then refreshes
             return 1 + marked * refresh
 
-        def splice(touched):  # _splice: two cuts, the reorder, two writes
-            return 2 * cut + store["reorder"] + 2 * write + repair(touched)
+        def splice(touched):  # _splice: two cuts (splits), the reorder, two writes
+            return 2 * split + store["reorder"] + 2 * write + repair(touched)
 
         # _merge_tours: a small splice or two chunked tours joined and
         # spliced, then the flush; a chunked tour is not summed, and a small
@@ -607,7 +612,8 @@ class EulerForest:
     def _reindex_chunk(self, c, start=0, stop=None, shift=0):
         """Point c.edges[start:stop] at their offsets in c, after moving the
         offset of every other edge of c by `shift` (`_move_base`).  Only the
-        rewritten edges are charged, in one step even when there are none.
+        rewritten edges are charged, in one step; a call that rewrites no
+        edge and moves no base takes no step.
         The `slots_of` entries of both endpoints of a rewritten edge are
         dropped when the edge comes from another chunk or none; an edge
         that stays in c leaves every mask as it was."""
@@ -626,11 +632,13 @@ class EulerForest:
                 drop(e[0], None)
                 drop(e[1], None)
             edge_occ[e] = (c, base + off)
-        self.meter.parallel_charge(stop - start)
+        if stop > start or shift:
+            self.meter.parallel_charge(stop - start)
 
     def _move_base(self, c, shift):
         """Move the offset of every edge of c by `shift`: one write, of c's
-        base, charged one unit in the step of the reindex that asks it."""
+        base, charged one unit in the step of the reindex that asks it or,
+        for a split's kept right piece, of the new chunk's reindex."""
         c.base -= shift
         self.meter.charge(1)
 
@@ -651,18 +659,18 @@ class EulerForest:
         """Split c before c.edges[at], dropping the `gap` edges there (a
         cut's one): c keeps the longer piece, the left one on a tie, and a
         new chunk beside it takes the other.  Only the new chunk's edges
-        are rewritten; a kept right piece moves with c's base.  Both are
-        touched, left first.  Returns the (left, right) pieces."""
+        are rewritten; a kept right piece moves with c's base, written in
+        the step of that rewrite.  Both are touched, left first.  Returns
+        the (left, right) pieces."""
         left, right = c.edges[:at], c.edges[at + gap :]
         if len(right) > len(left):
             c.edges = right
-            self._reindex_chunk(c, stop=0, shift=-at - gap)
+            self._move_base(c, -at - gap)
             nc = self.store.alloc_chunk(left)
             self.store.insert_chunk(c.array, c.pos, nc)
             pieces = (nc, c)
         else:
             c.edges = left
-            self._reindex_chunk(c, stop=0)
             nc = self.store.alloc_chunk(right)
             self.store.insert_chunk(c.array, c.pos + 1, nc)
             pieces = (c, nc)
@@ -847,7 +855,8 @@ class EulerForest:
         """Remove `edge` from its chunk, splitting the chunk at that point
         as `_split_chunk` does.  A piece that is alone stays in the chunk,
         with no allocation and no rewrite: after a chunk's first edge the
-        rest moves with the base.  A chunk left empty is retired.
+        rest moves with the base, in one step, and after its last edge
+        nothing moves.  A chunk left empty is retired.
 
         Returns the array position where the removed edge used to sit (the
         boundary between the left and right pieces).
@@ -862,7 +871,8 @@ class EulerForest:
             if not c.edges:
                 self._retire_chunk(c)
             else:
-                self._reindex_chunk(c, stop=0, shift=0 if off else -1)
+                if not off:
+                    self._reindex_chunk(c, stop=0, shift=-1)
                 self._touched[c] = None
         return pos + (off > 0)
 

@@ -77,12 +77,12 @@ class SparsNode:
     child spans add up to at most 2*span, and a child's forest holds at
     most its span less one edge, so a base graph at rest holds at most
     2*span - 3 edges (`oracle.check_spars_tree` asserts it).  A deletion
-    can add one edge while it runs: a node adopting its child's replacement
-    inserts it before it deletes the old edge, and only the child on the
-    edge's path changes, so the extra edge does not compound.  A pair leaf
-    holds at most its one edge and a diagonal leaf none.  A gadget asked
-    for an edge beyond its pool raises GadgetError, so the bound stays
-    falsifiable."""
+    can add one edge while it runs: a node inserts the replacement its child
+    on the edge's path promotes, the edge it adopts when it has none of its
+    own, before it deletes the old edge.  Only that child changes, so the
+    extra edge does not compound.  A pair leaf holds at most its one edge
+    and a diagonal leaf none.  A gadget asked for an edge beyond its pool
+    raises GadgetError, so the bound stays falsifiable."""
 
     __slots__ = ("key", "conn")
 
@@ -239,18 +239,23 @@ class SparsTree:
         meter.parallel_for(min(end + 2, len(path)), insert_body)
 
     def delete_edge(self, x, y):
-        """Delete (x, y), restructuring every level that holds it.
+        """Delete (x, y), restructuring every level that holds it, in three
+        phases: one probe, the anchor prefix, one commit.
 
-        Levels where (x, y) is a tree edge each need a replacement.  A level
-        whose own base graph offers one uses it; a level without one adopts
-        the edge promoted by the nearest such level below, which provably
-        crosses its cut too (the adopted edge's endpoints reach x and y
-        through the lower level's old forest paths, and those paths are part
-        of this level's base graph).  Which edge each level uses is therefore
-        a nearest-anchor-below prefix computation, after which all levels
-        commit independently; every promoted edge is finally inserted into
-        its parent's base graph, keeping base graphs equal to the union of
-        their children's forests.
+        The probe asks every level that holds (x, y) for its replacement; a
+        level whose report is not NON_TREE is a tree level.  Tree levels each
+        need a replacement.  A level whose own base graph offers one uses
+        it; a level without one adopts the edge promoted by the nearest such
+        level below, which provably crosses its cut too (the adopted edge's
+        endpoints reach x and y through the lower level's old forest paths,
+        and those paths are part of this level's base graph).  Which edge
+        each level uses is therefore a nearest-anchor-below prefix
+        computation.  Then all levels commit independently.  The parent of a
+        tree level holds (x, y), since a base graph is the union of its
+        children's forests, so it commits too: it first inserts the edge its
+        child promotes, which crosses its cut and so goes in as a non-tree
+        edge, then deletes (x, y).  An adopted edge is that promoted edge,
+        so base graphs stay equal to the union of their children's forests.
         """
         self._require_active(x)
         self._require_active(y)
@@ -260,20 +265,17 @@ class SparsTree:
         path = [self.nodes[key].conn for key in keys]
         meter = self.meter
         holds = [(x, y) in conn.ports for conn in path]
-        tree = [0] * len(path)
-
-        def tree_body(i):
-            tree[i] = 1 if holds[i] and path[i].tree_edge(x, y) else 0
-
-        meter.parallel_for(len(path), tree_body)
-        self._check_footprint(holds, tree)
         reps = [None] * len(path)
 
         def probe_body(i):
-            if tree[i]:
+            if holds[i]:
                 reps[i] = path[i].find_replacement(x, y)
 
         meter.parallel_for(len(path), probe_body)
+        tree = [
+            rep is not None and rep.kind != ReplacementReport.NON_TREE for rep in reps
+        ]
+        self._check_footprint(holds, tree)
         # nearest anchor at or below each level, as a prefix computation
         use = [None] * len(path)
         current = None
@@ -289,9 +291,10 @@ class SparsTree:
             conn = path[i]
             if not holds[i]:
                 return
+            promoted = use[i - 1] if i else None
+            if promoted is not None and promoted not in conn.ports:
+                conn.insert_edge(*promoted)
             if tree[i] and use[i] is not None:
-                if use[i] not in conn.ports:
-                    conn.insert_edge(*use[i])
                 got = conn.delete_edge_with_hint(x, y, use[i])
                 if got.kind != ReplacementReport.REPLACED or got.edge != use[i]:
                     raise AssertionError("level rejected its replacement edge")
@@ -300,29 +303,18 @@ class SparsTree:
 
         meter.parallel_for(len(path), commit_body)
 
-        def promote_body(i):
-            if not tree[i] or use[i] is None or i + 1 >= len(path):
-                return
-            parent = path[i + 1]
-            if use[i] not in parent.ports:
-                parent.insert_edge(*use[i])
-
-        meter.parallel_for(len(path), promote_body)
-
     def _check_footprint(self, holds, tree):
-        """An edge occupies one contiguous path segment and is a tree edge
-        everywhere on it except possibly the topmost level."""
-        lo = holds.index(True)
+        """An edge occupies one contiguous path segment from its leaf and is
+        a tree edge everywhere on it except possibly the topmost level; a
+        segment whose top is a tree level ends at the root, so every tree
+        level's parent commits with it."""
         hi = len(holds) - 1 - holds[::-1].index(True)
-        if not all(holds[lo : hi + 1]):
+        if not all(holds[: hi + 1]):
             raise AssertionError("edge footprint is not contiguous")
-        if any(holds[hi + 1 :]):
-            raise AssertionError("edge footprint is not contiguous")
-        for i in range(lo, hi):
-            if not tree[i]:
-                raise AssertionError(
-                    "edge is non-tree below the top of its footprint"
-                )
+        if not all(tree[:hi]):
+            raise AssertionError("edge is non-tree below the top of its footprint")
+        if tree[hi] and hi + 1 < len(holds):
+            raise AssertionError("a tree level's parent does not hold the edge")
 
     # -- queries -------------------------------------------------------------------
 
@@ -477,9 +469,11 @@ def depth_budgets(mode, policy) -> dict:
     does not depend on n, and a reduction that needs more rounds raises
     MeterError, so the padding hides no depth that grows with n.
 
-    Updates follow the sequential phases of SparsTree.insert_edge and
-    delete_edge.  Node changes write the root's activity record and queries
-    read the root's counters, which charges work only.
+    Updates follow the sequential phases of SparsTree.insert_edge (the
+    probe, the segment end, one commit) and delete_edge (the replacement
+    probe, the anchor prefix, one commit that inserts the promoted edge and
+    then deletes).  Node changes write the root's activity record and
+    queries read the root's counters, which charges work only.
     """
     conn = ConnGeneral.depth_bounds(policy)
     add, remove = conn["insert"], conn["delete"]
@@ -488,12 +482,9 @@ def depth_budgets(mode, policy) -> dict:
         "deactivate": 0,
         # probe, initial_segment_end, the commit phase
         "insert": 1 + segment_end_depth(policy) + (1 + add),
-        # tree-edge probe, replacement probe, anchor prefix, the commit phase
-        # (the adopted edge's add_edge, then remove_edge), promote
-        "delete": (
-            1 + (1 + conn["find_replacement"]) + 1 + (1 + add + remove)
-            + (1 + add)
-        ),
+        # the replacement probe, the anchor prefix, the commit phase (the
+        # promoted edge's add_edge, then remove_edge)
+        "delete": (1 + conn["find_replacement"]) + 1 + (1 + add + remove),
         "connected": 0,
         "ncomponents": 0,
         "treeedge": 0,

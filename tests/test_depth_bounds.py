@@ -111,18 +111,15 @@ def test_bipartite_layers_within_bounds(monkeypatch, policy):
 @pytest.mark.parametrize(
     "policy, forest, connectivity, bipartiteness",
     [
-        (ArbitraryPolicy(5), (260, 523), (2352, 7856), (4704, 15712)),
-        (CommonPolicy(0.25), (260, 583), (2483, 8456), (4966, 16912)),
+        (ArbitraryPolicy(5), (258, 507), (2310, 5382), (4620, 10764)),
+        (CommonPolicy(0.25), (258, 567), (2441, 5862), (4882, 11724)),
     ],
     ids=["arbitrary", "common"],
 )
 def test_stated_bounds_are_pinned(policy, forest, connectivity, bipartiteness):
     """The composed insert and delete bounds of the forest and both facades.
-    They were last lowered when a link stopped summing the chunks of its
-    tours, since a chunked tour at rest holds more than K edges, and the
-    bipartite pair again when the graph's own tree left the bipartite
-    facade, which made its budget twice the connectivity one; a change may
-    lower them again, and none may raise them."""
+    A change may lower them and none may raise them; every re-pin is logged
+    in CHANGES.md."""
     f = EulerForest.depth_bounds(policy)
     assert (f["insert"], f["delete"]) == forest
     for mode, pinned in (("connectivity", connectivity), ("bipartiteness", bipartiteness)):

@@ -177,6 +177,23 @@ class TestConnGadget:
         assert probe.kind == ReplacementReport.REPLACED
         assert cg.n_components() == 1
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["as-given", "reversed"])
+    def test_find_replacement_on_a_non_tree_edge_is_free(self, reverse):
+        """The sparsification delete's one probe tells tree levels from the
+        others by this report: a present non-tree host edge reports NON_TREE
+        and charges no work or depth."""
+        cg = conn()
+        activate_all(cg, 3)
+        edges = ((0, 1), (1, 2), (0, 2))
+        for u, v in edges:
+            cg.insert_edge(u, v)
+        non_tree = next(e for e in edges if not cg.tree_edge(*e))
+        meter = cg.inner.meter
+        work, depth = meter.work, meter.depth
+        probe = cg.find_replacement(*(non_tree[::-1] if reverse else non_tree))
+        assert probe == ReplacementReport(ReplacementReport.NON_TREE)
+        assert (meter.work, meter.depth) == (work, depth)
+
     def test_errors(self):
         cg = conn()
         activate_all(cg, 2)

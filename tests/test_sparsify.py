@@ -163,6 +163,71 @@ class TestDeletions:
         check_spars_tree(d.core)
 
 
+class TestPromotion:
+    """A tree level's replacement goes into its parent's base graph in the
+    commit phase, before the parent deletes the edge.  Over four nodes the
+    key path of (1, 3) is its leaf, the level-1 node between the parts
+    {1, 2} and {3, 4}, whose base graph holds every edge between them, and
+    the root; ids below are the facade's, 1-based."""
+
+    @staticmethod
+    def build(edges, monkeypatch):
+        d = conn_facade(4)
+        for v in range(1, 5):
+            d.activate_node(v)
+        for u, v in edges:
+            d.insert_edge(u, v)
+        check_spars_tree(d.core)
+        inserted = []
+        inner_insert = ConnGeneral.insert_edge
+
+        def insert_edge(conn, u, v):
+            inserted.append((conn, (u, v)))
+            inner_insert(conn, u, v)
+
+        monkeypatch.setattr(ConnGeneral, "insert_edge", insert_edge)
+        return d, inserted
+
+    def test_promotion_into_a_level_with_its_own_replacement(self, monkeypatch):
+        # the level-1 forest is the path 1-3-2-4 and (1, 4) is its one
+        # non-tree edge; the root's base graph is that forest plus (1, 2)
+        # and (3, 4), non-tree there, and (1, 2) is the root's own
+        # replacement for (1, 3)
+        d, inserted = self.build(
+            [(1, 3), (2, 3), (2, 4), (1, 4), (1, 2), (3, 4)], monkeypatch
+        )
+        root = d.core.root()
+        mid = d.core.nodes[(1, 0, 1)]
+        assert (0, 3) in mid.edges() - mid.forest_edges()
+        assert (0, 3) not in root.edges()
+        d.delete_edge(1, 3)
+        # the level-1 replacement went into the root, as a non-tree edge,
+        # and the root took its own
+        assert inserted == [(root.conn, (0, 3))]
+        assert (0, 3) in mid.forest_edges()
+        assert (0, 1) in root.forest_edges()
+        assert (0, 3) in root.edges() - root.forest_edges()
+        assert d.connected(1, 3) and d.n_components() == 1
+        check_spars_tree(d.core)
+
+    def test_promotion_into_a_top_level_where_the_edge_is_non_tree(self, monkeypatch):
+        # (1, 2) and (2, 3) connect 1 and 3 at the root before (1, 3)
+        # arrives, so (1, 3) is non-tree there and the root is the top of
+        # its footprint; the level-1 node replaces it by (1, 4)
+        d, inserted = self.build([(1, 2), (2, 3), (1, 3), (2, 4), (1, 4)], monkeypatch)
+        root = d.core.root()
+        mid = d.core.nodes[(1, 0, 1)]
+        assert (0, 2) in mid.forest_edges()
+        assert (0, 2) in root.edges() - root.forest_edges()
+        assert (0, 3) not in root.edges()
+        d.delete_edge(1, 3)
+        assert inserted == [(root.conn, (0, 3))]
+        assert (0, 3) in mid.forest_edges()
+        assert (0, 3) in root.edges() - root.forest_edges()
+        assert d.connected(1, 3) and d.n_components() == 1
+        check_spars_tree(d.core)
+
+
 class TestDifferential:
     @pytest.mark.parametrize(
         "policy", [ArbitraryPolicy(17), CommonPolicy(0.25)]

@@ -17,6 +17,7 @@ def test_one_sweep_point_reports_each_update_kind_within_its_budget():
         row = point[kind]
         assert row["calls"] > 0 and row["work"] > 0
         assert 0 < row["depth"] <= row["budget"]
+        assert row["slack"] == round(row["budget"] / row["depth"], 2) >= 1
     assert sweep.problems(point) == []
     # a failed call or a depth above its budget is named, and fails the sweep
     point["insert"]["failed"] = 2

@@ -7,13 +7,15 @@ For each n it builds `conn_churn("1/0", n, length=300)` from
 benchmark's own `setup` and `drive` (`bench/run.py`; the workload runs
 under the arbitrary policy), and prints one JSON line.  Per update kind the
 line holds the number of calls and of failed calls, their mean metered
-work, their worst depth beside the facade's depth budget and their median
-wall time in ms; it also holds the root forest's chunk capacity K and slot
-count J.  Once the calls are done, `fill` is the largest share of its
-bound 2*span - 3 (see `SparsNode`) that any materialized node's base graph
-holds, and `root_fill` the root's share, which shows the slack the gadget
-sizing leaves where K and J are largest; a small node with one edge is
-often full, so `fill` mostly reads 1.  Metered figures are exact counts
+work, their worst depth beside the facade's depth budget, `slack`, the
+budget over that worst depth (a budget within 5x of the deepest call reads
+at most 5), and their median wall time in ms; it also holds the root
+forest's chunk capacity K and slot count J.  Once the calls are done,
+`fill` is the largest share of its bound 2*span - 3 (see `SparsNode`)
+that any materialized node's base graph holds, and `root_fill` the root's
+share, which shows the room the gadget sizing leaves where K and J are
+largest; a small node with one edge is often full, so `fill` mostly reads
+1.  Metered figures are exact counts
 that repeat bit for bit on any host; wall times are the host's own.  The
 sweep exits 1, naming each offending point on stderr, when any call failed
 or any update's depth went above its budget.  It takes about 15-20 s on a
@@ -53,12 +55,14 @@ def sweep_point(seed, n, calls):
     }
     for op, kind in KINDS.items():
         mine = [i for i, o in enumerate(log.ops) if o == op]
+        depth = max(log.depth[i] for i in mine)
         point[kind] = {
             "calls": len(mine),
             "failed": sum(log.failed[i] for i in mine),
             "work": round(statistics.fmean(log.work[i] for i in mine), 1),
-            "depth": max(log.depth[i] for i in mine),
+            "depth": depth,
             "budget": f.budgets[kind],
+            "slack": round(f.budgets[kind] / depth, 2),
             "p50_ms": round(statistics.median(log.ns[i] for i in mine) / 1e6, 3),
         }
     return point
