@@ -254,18 +254,12 @@ class EulerForest:
         refresh = 2 + store["bulk_set_links"]  # _refresh_links
         retire = store["retire_chunk"]  # _retire_chunk
         as_array = 1 + (insert_chunk + 2)  # drop, the one chunk
-        # _split_chunk: the new chunk, then its reindex, in whose step a
-        # kept right piece moves its base; a kept left piece writes nothing
-        split = insert_chunk + 1
+        split = insert_chunk + 1  # _split_chunk: the new chunk, its reindex
         write = 1  # a new occurrence written into a chunk: its reindex
-        # _cut_out: a split or the retirement; a lone base write's one step
-        # fits in a split
-        cut_out = max(split, retire)
+        cut_out = max(split, retire)  # _cut_out: a split, a base write or a retirement
         shrink = 1 + 2 * retire + 1  # _maybe_shrink
 
-        # _repair, per touched chunk: a split, or a merge's reindex and
-        # retirement; a rebalance's two reindexes fit in a split
-        def repair(touched):
+        def repair(touched):  # _repair: a split, or a merge and its retirement
             return touched * max(split, 1 + retire) + shrink
 
         def flush(marked):  # _flush_links: the liveness filter, then refreshes
@@ -612,8 +606,7 @@ class EulerForest:
     def _reindex_chunk(self, c, start=0, stop=None, shift=0):
         """Point c.edges[start:stop] at their offsets in c, after moving the
         offset of every other edge of c by `shift` (`_move_base`).  Only the
-        rewritten edges are charged, in one step; a call that rewrites no
-        edge and moves no base takes no step.
+        rewritten edges are charged, in one step unless nothing is written.
         The `slots_of` entries of both endpoints of a rewritten edge are
         dropped when the edge comes from another chunk or none; an edge
         that stays in c leaves every mask as it was."""
@@ -637,8 +630,7 @@ class EulerForest:
 
     def _move_base(self, c, shift):
         """Move the offset of every edge of c by `shift`: one write, of c's
-        base, charged one unit in the step of the reindex that asks it or,
-        for a split's kept right piece, of the new chunk's reindex."""
+        base, charged one unit in the step of the reindex that asks it."""
         c.base -= shift
         self.meter.charge(1)
 
@@ -659,9 +651,8 @@ class EulerForest:
         """Split c before c.edges[at], dropping the `gap` edges there (a
         cut's one): c keeps the longer piece, the left one on a tie, and a
         new chunk beside it takes the other.  Only the new chunk's edges
-        are rewritten; a kept right piece moves with c's base, written in
-        the step of that rewrite.  Both are touched, left first.  Returns
-        the (left, right) pieces."""
+        are rewritten; a kept right piece moves with c's base in that step.
+        Both are touched, left first.  Returns the (left, right) pieces."""
         left, right = c.edges[:at], c.edges[at + gap :]
         if len(right) > len(left):
             c.edges = right
@@ -855,8 +846,7 @@ class EulerForest:
         """Remove `edge` from its chunk, splitting the chunk at that point
         as `_split_chunk` does.  A piece that is alone stays in the chunk,
         with no allocation and no rewrite: after a chunk's first edge the
-        rest moves with the base, in one step, and after its last edge
-        nothing moves.  A chunk left empty is retired.
+        rest moves with the base.  A chunk left empty is retired.
 
         Returns the array position where the removed edge used to sit (the
         boundary between the left and right pieces).
