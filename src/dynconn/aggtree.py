@@ -1,18 +1,21 @@
-"""Weak (2,6)-trees over sequences of bit arrays with bitwise-OR inner summaries.
+"""Weak (2,6)-trees over sequences of bit arrays with per-slot count summaries.
 
-Leaves hold bit arrays (Python ints) in sequence order; every inner vertex
-holds the OR of its children.  All leaves sit at equal depth, inner vertices
-have 2..6 children (the root at least min(2, size)), and every leaf keeps a
-pointer to each of its ancestors, which is what makes constant-depth
-restructuring possible.  A leaf is a height-0 `AggVertex` (a subclass may
-carry more fields) that the caller builds and hangs with `insert`; deleting
-or splitting it out leaves the same object detached.  A hung leaf also
-records the handle of its tree (`array`) and its position in the leaf list
-(`pos`).  The tree writes both for every leaf it moves, in the phase that
-moves it: the leaf shift of an insertion or deletion, the concatenation of a
-join and the leaf lists of a split.  Where a whole leaf list changes handle
-(a split at the first leaf, a join into an empty tree) one phase over those
-leaves rewrites `array`.  A detached leaf has `array` None and `pos` -1.
+Leaves hold bit arrays (Python ints) in sequence order.  Every vertex holds
+one count per slot, packed FIELD bits apiece in one Python int: the leaves
+below it holding that slot's bit.  A leaf's counts are its bits; an inner
+vertex keeps only counts, and its OR is read off as "count > 0" (`bits_of`).
+All leaves sit at equal depth, inner vertices have 2..6 children (the root
+at least min(2, size)), and every leaf keeps a pointer to each of its
+ancestors, which is what makes constant-depth restructuring possible.  A
+leaf is a height-0 `AggVertex` (a subclass may carry more fields) that the
+caller builds and hangs with `insert`; deleting or splitting it out leaves
+the same object detached.  A hung leaf also records the handle of its tree
+(`array`) and its position in the leaf list (`pos`).  The tree writes both
+for every leaf it moves, in the phase that moves it: the leaf shift of an
+insertion or deletion, the concatenation of a join and the leaf lists of a
+split.  Where a whole leaf list changes handle (a split at the first leaf, a
+join into an empty tree) one phase over those leaves rewrites `array`.  A
+detached leaf has `array` None and `pos` -1.
 
 Every structural update is organised as a fixed number of parallel phases:
 
@@ -27,8 +30,9 @@ Every structural update is organised as a fixed number of parallel phases:
     vertex left with one child hands it to an adjacent sibling (or, when
     the sibling is full, takes two of the sibling's children and stops);
     a root left with one child is dropped, and one more phase rebuilds the
-    summaries of the changed vertices.  Insertion and deletion touch only
-    the leaf's ancestor path and its siblings;
+    summaries of the siblings that traded children and subtracts the
+    leaf's counts from every vertex above them.  Insertion and deletion
+    touch only the leaf's ancestor path and its siblings;
   * the OR over a range of leaves is read off the siblings between the two
     boundary leaves' ancestor paths, without changing the tree;
   * splitting at a boundary cuts along the path of the first right-hand
@@ -47,49 +51,78 @@ Every structural update is organised as a fixed number of parallel phases:
 The restructuring steps have one copy each: `_grow_root` puts a new root
 over two equal-height vertices, `_halve` splits a full vertex in two,
 `_join_equal` joins two equal-height roots, `_summarize` rebuilds a
-vertex's OR and its first and last leaf and `_ends` only the latter two.
+vertex's counts and its first and last leaf and `_ends` only the latter two.
 
 Python executes the phases sequentially; the meter charges them as the
 parallel algorithm would: constant depth, and O(leaves + width * log^2)
 work per call for a tree of height log, since shifting or placing the leaf
-list is linear in the leaves and an OR rebuilt from children costs `width`
+list is linear in the leaves and counts rebuilt from children cost `width`
 per child.  Each step is charged for what it reads and writes, not for
-the most it could.  An OR is rebuilt from children only where it can
-shrink or where the leaves below the vertex change, `width` per child it
-reads.  A write that only adds bits ORs them into the leaf's path in one
-step, `width` per vertex; a column write sets or clears one bit on the
-paths of the leaves it is handed, one write per leaf and path vertex.
-Hanging or unhanging a leaf (or, in a join, a short tree) of no bits pays
-one `width` zero test and O(1) per path vertex whose children stay, for
-its first and last leaf.  A split's reassembly summarizes only the halves
-of a split spine vertex and the spine above the shortest tree attached to
-it; a spine vertex that only gains a half its child split off keeps its
-leaves and pays one degree read.
+the most it could.  Counts are rebuilt from children only where the
+children change.  A leaf write changes the counts of its path by one
+delta, the leaf's new count vector less its old one, so every path vertex
+adds it in one step without waiting on another: `width` per path vertex
+for a whole bit array, one write per path vertex for a single bit (a
+column write pays that per leaf it is handed).  A deletion subtracts the
+leaf's counts from the vertices above the siblings that trade children
+in the same way.  Hanging or unhanging a leaf (or, in a join, a short
+tree) of no bits pays one `width` zero test and O(1) per path vertex
+whose children stay, for its first and last leaf.  A split's reassembly
+summarizes only the halves of a split spine vertex and the spine above
+the shortest tree attached to it; a spine vertex that only gains a half
+its child split off keeps its leaves and pays one degree read.
 """
 
 from __future__ import annotations
 
+# bits per count, two bytes as the helpers below pack them: a count is at
+# most the tree's leaves, so no count overflows below 2**FIELD leaves
+FIELD = 16
+_DIGIT_TO_COUNT = bytes.maketrans(b"01", b"\x00\x01")
+_COUNT_TO_DIGIT = b"0" + b"1" * 255
+
+
+def counts_of(bits):
+    """The count vector of one leaf holding `bits`: field j is bit j."""
+    digits = format(bits, "b").encode().translate(_DIGIT_TO_COUNT)
+    packed = bytearray(2 * len(digits))
+    packed[1::2] = digits
+    return int.from_bytes(packed, "big")
+
+
+def bits_of(counts):
+    """The bits set where a field of `counts` is not 0: the OR of the leaves
+    the count vector counts."""
+    # each field's high byte folded into its low byte, then one digit per field
+    folded = counts | counts >> 8
+    size = 2 * -(-counts.bit_length() // FIELD)
+    return int(folded.to_bytes(size, "big")[1::2].translate(_COUNT_TO_DIGIT) or b"0", 2)
+
 
 class AggVertex:
     """A tree vertex.  Built at height 0 it is a detached leaf: its own first
-    and last leaf and its own only ancestor, in no tree.  Only leaves keep
-    ancestors, a tree and a position; an inner vertex gets its summary from
-    `_summarize`."""
+    and last leaf and its own only ancestor, in no tree, holding `bits` and
+    their count vector.  Only leaves keep bits, ancestors, a tree and a
+    position; an inner vertex gets its counts from `_summarize`."""
 
-    __slots__ = ("height", "children", "fst", "lst", "bits", "ancestors", "array", "pos")
+    __slots__ = (
+        "height", "children", "fst", "lst", "bits", "counts", "ancestors", "array", "pos",
+    )
 
     def __init__(self, height=0, children=None, bits=0):
         self.height = height
         self.children = children
         self.fst = self
         self.lst = self
-        self.bits = bits
+        self.counts = counts_of(bits) if bits else 0
+        if not height:
+            self.bits = bits
         self.ancestors = None if height else [self]
         self.array = None
         self.pos = -1
 
     def __repr__(self):
-        return f"<AggVertex h={self.height} bits={self.bits:#x}>"
+        return f"<AggVertex h={self.height} bits={bits_of(self.counts):#x}>"
 
 
 class AggTree:
@@ -114,88 +147,59 @@ class AggTree:
     # -- leaf-level updates ---------------------------------------------------
 
     def bit_set(self, i, j, b):
-        """Set bit j of leaf i and repair the OR summaries along its path."""
+        """Set bit j of leaf i to b: a column write of the one position."""
         if not 0 <= i < len(self.leaves):
             raise IndexError("leaf position out of range")
         if not 0 <= j < self.width:
             raise IndexError("bit index out of range")
-        leaf = self.leaves[i]
-        mask = 1 << j
         self.meter.charge(2)
-        if b:
-            leaf.bits |= mask
-            anc = leaf.ancestors
-            self.meter.parallel_charge(len(anc))
-            for v in anc:
-                v.bits |= mask
-        else:
-            leaf.bits &= ~mask
-            # each ancestor rebuilds bit j from the subtrees below it
-            anc = leaf.ancestors
-            self.meter.parallel_charge(len(anc), unit=6 * len(anc))
-            _reor_ancestors(leaf)
+        self.dual_bulk_set((i,), j, b)
 
     def bulk_set(self, i, bits):
-        """Replace the bit array of leaf i and repair the summaries above it.
+        """Replace the bit array of leaf i and repair the counts above it.
 
-        A write that only adds bits (`bits` holds the leaf's bits) ORs them
-        into the leaf and every ancestor in one step, `width` per vertex of
-        the path, the rule of `bit_set`'s set branch; writing the bits a
-        leaf already holds is such a write and changes nothing, though the
-        master array's refresh never makes one.  A write that clears a bit
-        rebuilds every ancestor's OR from its children in one step, charged
-        for what it reads: `width` for the leaf's own bits and `width` per
-        child of each vertex above it, the rule of `delete`.
+        Every vertex of the leaf's path adds one delta, the leaf's new count
+        vector less its old one, in one step charged `width` per path vertex;
+        no vertex reads another's counts, so a write that clears bits costs
+        what one that only sets them does.  Writing the bits a leaf already
+        holds adds a zero delta, though the master array's refresh never
+        makes one.
         """
         if not 0 <= i < len(self.leaves):
             raise IndexError("leaf position out of range")
         leaf = self.leaves[i]
         anc = leaf.ancestors
-        w = self.width
-        old = leaf.bits
-        if bits & old == old:
-            # the OR-in: one CRCW step of a processor per path vertex and
-            # bit, each setting its bit where `bits` has it; the leaf's
-            # processors test in the same step that no bit clears
-            self.meter.parallel_charge(len(anc), unit=w)
-            for v in anc:
-                v.bits |= bits
-            return
-        # the rebuild: one CRCW step of a processor per path vertex and bit
-        # of a child it reads, `width` for the leaf's own write and `width`
-        # per child of each vertex above it, the rule of `delete`
-        read = 1 + sum(len(v.children) for v in anc[1:])
-        self.meter.parallel_charge(len(anc))
-        self.meter.charge(read * w)
+        # one CRCW step of a processor per path vertex and slot, each adding
+        # its field of the delta
+        self.meter.parallel_charge(len(anc), unit=self.width)
+        delta = counts_of(bits) - leaf.counts
         leaf.bits = bits
-        _reor_ancestors(leaf)
+        for v in anc:
+            v.counts += delta
 
-    def dual_bulk_set(self, positions, j, b, keep=()):
+    def dual_bulk_set(self, positions, j, b):
         """Set bit j to b on every leaf position in `positions`.
 
-        A set ORs the bit into each leaf's path.  A clear is handed, in
-        `keep`, the positions of the other leaves holding bit j.  Only the
-        paths of `positions` and `keep` hold the bit, and a vertex off the
-        cleared paths keeps it, so the clear wipes the bit on the paths of
-        `positions` and then sets it again on the paths of `keep`.  Each
-        step is charged one write per leaf and path vertex, so a clear
-        costs what a set of `positions` and `keep` together would.
+        Each leaf whose bit changes adds its one-field delta to every vertex
+        of its path; a leaf that already holds b changes no count.  The one
+        step is charged one write per leaf and path vertex.  Leaves that
+        share a vertex add to it in the same step, so the step takes a
+        combining write that sums concurrent adds.
         """
         leaves = self.leaves
-        others = ~(1 << j)
-        bit = b << j
+        delta = (1 if b else -1) << FIELD * j
         written = 0
         for i in positions:
-            anc = leaves[i].ancestors
+            leaf = leaves[i]
+            anc = leaf.ancestors
             written += len(anc)
-            for v in anc:
-                v.bits = v.bits & others | bit
-        # one CRCW step of a processor per leaf and path vertex, each writing
-        # the bit; processors that share a vertex write the same value
+            if leaf.bits >> j & 1 != b:
+                leaf.bits ^= 1 << j
+                for v in anc:
+                    v.counts += delta
+        # one CRCW step of a processor per leaf and path vertex, each reading
+        # the leaf's bit and adding to its field where the bit changes
         self.meter.parallel_charge(written)
-        if not b:
-            # then the set step over the survivors' paths
-            self.dual_bulk_set(keep, j, 1)
 
     # -- structural updates ---------------------------------------------------
 
@@ -232,7 +236,9 @@ class AggTree:
         A vertex left with one child hands it to an adjacent sibling and
         disappears, which carries the underflow one level up; when that
         sibling is already full the two share the seven children instead
-        and the cascade stops.  A root left with one child is dropped.
+        and the cascade stops.  A root left with one child is dropped.  The
+        siblings that trade children rebuild their counts from them; every
+        vertex above them loses only this leaf and subtracts its counts.
         """
         n = len(self.leaves)
         if not 0 <= i < n:
@@ -305,24 +311,24 @@ class AggTree:
                 del lf.ancestors[-1]
             meter.parallel_charge(len(self.leaves))
         read = 0
-        if leaf.bits or restructured == len(changed):
-            for w in changed:
-                _summarize(w)
-                read += len(w.children)
+        for w in changed[:restructured]:
+            _summarize(w)
+            read += len(w.children)
+        # each vertex above the siblings that trade children loses only the
+        # leaf: it subtracts the leaf's counts, `width` per vertex in the
+        # siblings' step, and takes its first and last leaf in one compare
+        # and one write (an end that was the deleted leaf becomes its
+        # neighbour).  A leaf of no bits subtracts 0, so above two or more
+        # vertices a zero test, one CRCW step of `width` processors writing
+        # a common flag beside the moved leaves' rewrite, stands for it
+        above = changed[restructured:]
+        if leaf.counts or len(above) < 2:
+            read += len(above)
         else:
-            # a leaf of no bits leaves every OR on its path as it was.  Once
-            # the search has found vertices above the restructured siblings,
-            # the zero test runs, one CRCW step of `width` processors writing
-            # a common flag, beside the moved leaves' rewrite.  Then only the
-            # siblings, which trade children, read theirs; each vertex above
-            # them takes its first and last leaf in one compare and one write
-            # (an end that was the deleted leaf becomes its neighbour)
             meter.charge(self.width)
-            for w in changed[:restructured]:
-                _summarize(w)
-                read += len(w.children)
-            for w in changed[restructured:]:
-                _ends(w)
+        for w in above:
+            w.counts -= leaf.counts
+            _ends(w)
         meter.parallel_charge(len(changed))
         meter.charge(read * self.width)
         del path[1:]
@@ -331,8 +337,9 @@ class AggTree:
         """The OR of the bits of leaves i .. j-1; 0 for an empty range.
 
         The paths of the two boundary leaves run up to their lowest common
-        ancestor; every sibling lying between the two paths is ORed in.
-        The tree is not changed.
+        ancestor; the siblings lying between the two paths hold the range's
+        leaves, and a slot's bit is set where one of them counts a leaf
+        holding it.  The tree is not changed.
         """
         if not 0 <= i <= j <= len(self.leaves):
             raise IndexError("leaf range out of range")
@@ -357,11 +364,12 @@ class AggTree:
         if top:
             kids = a[top].children
             between += kids[kids.index(a[top - 1]) + 1 : kids.index(b[top - 1])]
+        # the sum of disjoint subtrees' counts counts their union's leaves
         acc = 0
         for v in between:
-            acc |= v.bits
+            acc += v.counts
         meter.parallel_charge(len(between), unit=self.width)
-        return acc
+        return bits_of(acc)
 
     def split(self, i):
         """Remove leaf i, which leaves detached, and cut the tree there: the
@@ -463,25 +471,14 @@ def _place(tree, start=0):
         leaf.pos = k
 
 
-def _reor_ancestors(leaf):
-    """Rebuild the OR of every vertex above `leaf` from its children,
-    bottom-up; the callers charge it."""
-    anc = leaf.ancestors
-    for h in range(1, len(anc)):
-        v = anc[h]
-        acc = 0
-        for c in v.children:
-            acc |= c.bits
-        v.bits = acc
-
-
 def _summarize(v):
-    """Rebuild inner vertex v's OR and first and last leaf from its children."""
+    """Rebuild inner vertex v's counts and first and last leaf from its
+    children."""
     kids = v.children
     acc = 0
     for c in kids:
-        acc |= c.bits
-    v.bits = acc
+        acc += c.counts
+    v.counts = acc
     v.fst = kids[0].fst
     v.lst = kids[-1].lst
 
@@ -600,13 +597,13 @@ def _attach(meter, width, tall_root, short_root, anchor_leaf, right_side):
     meter.parallel_charge(moved_leaves)
     meter.charge(2 * width * halvings)
     # repair summaries and boundary pointers on the short tree's new ancestors
-    if short_root.bits or len(chain) == 1:
+    if short_root.counts or len(chain) == 1:
         for w in chain:
             _summarize(w)
         meter.parallel_charge(len(chain), unit=width)
     else:
-        # a short tree of no bits adds nothing to any OR (the halvings and a
-        # grown root summarize theirs).  Once the search has found a chain
+        # a short tree of no bits adds nothing to any count (the halvings
+        # and a grown root summarize theirs).  Once the search has found a chain
         # of two or more vertices, the zero test runs, one CRCW step of
         # `width` processors writing a common flag, beside the moved leaves'
         # rewrite; then each chain vertex takes its first and last leaf in
@@ -709,7 +706,7 @@ def _presplit_spine(meter, width, root, right_side):
     """Split attachment-side spine vertices of degree >= 4 into 2..3 halves.
 
     A spine vertex that gains the half its child split off keeps the leaves
-    below it, so its OR and its first and last leaf stand; only the two
+    below it, so its counts and its first and last leaf stand; only the two
     halves of a split vertex are summarized (`_halve`)."""
     if root.height == 0:
         meter.charge(1)
@@ -728,7 +725,7 @@ def _presplit_spine(meter, width, root, right_side):
                 w.children.insert(0, incoming)
             work += 1  # the gained child's pointer
         if len(w.children) >= 4:
-            # both halves read their children's ORs, `width` each
+            # both halves read their children's counts, `width` each
             incoming, m = _halve(w, right_side)
             moved += m
             work += 2 * width
@@ -776,8 +773,8 @@ def _parallel_attach(meter, width, survivors, right_side):
     # bottom-up, so every spine vertex reads final children.  A spine vertex
     # at or below the shortest tree's height gains no leaf and keeps its
     # summary; each one above gains the shorter trees below it, and one
-    # CRCW step rebuilds those, per vertex `width` for its OR and two per
-    # tree for its first and last leaf
+    # CRCW step rebuilds those, per vertex `width` for its counts and two
+    # per tree for its first and last leaf
     low = survivors[-1].height
     for lvl in range(low + 1, height + 1):
         _summarize(spine[lvl])
@@ -834,9 +831,10 @@ _SPLIT_BOUNDARY_DEPTH = 2 + 1 + _ASSEMBLE_DEPTH
 _DELETE_DEPTH = 1 + 2 + 1 + 1 + 1
 
 DEPTH_BOUNDS = {
-    "bit_set": 1,  # one repair of the ancestor chain
+    # one delta added along each written leaf's path
+    "bit_set": 1,
     "bulk_set": 1,
-    "dual_bulk_set": 2,  # clearing wipes the column, then re-sets the survivors
+    "dual_bulk_set": 1,
     "join": _JOIN_DEPTH,
     "split_boundary": _SPLIT_BOUNDARY_DEPTH,
     # the boundary split, then the right tree's first leaf is deleted
@@ -845,6 +843,6 @@ DEPTH_BOUNDS = {
     "insert": 1 + _ATTACH_DEPTH,
     "delete": _DELETE_DEPTH,
     # the search for the lowest common ancestor (a charge and a phase),
-    # then the OR of the siblings between the two paths
+    # then the OR read off the siblings between the two paths
     "range_bits": 2 + 1,
 }

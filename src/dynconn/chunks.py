@@ -6,15 +6,16 @@ node occurring in one to a node occurring in the other; each chunk's link
 vector (bit per master slot) records this.  A chunk array is an aggregate
 tree whose leaves are the chunks themselves: a chunk's `bits` are its link
 vector, the tree's leaf list is the chunk order and interval link queries
-run on the tree's OR summaries.  Splits and joins keep the left part in its
-own tree, so an array keeps its identity while its tour changes.  A chunk's
-array and position are its leaf's `array` and `pos`, which the tree writes
-as it moves the leaf, so no operation here charges for them.  The master
-array's `slots` maps occupied slots only to their chunks, so its walks over
-the live chunks cost what is live, not the slot count.  It also counts the
-arrays that hold a chunk and the chunks those arrays hold, which the array
-operations keep up to date; `bulk_set_links` reads its charge from the two
-counts rather than walking the arrays.
+read the OR of an interval's link vectors off the tree's per-slot counts.
+Splits and joins keep the left part in its own tree, so an array keeps its
+identity while its tour changes.  A chunk's array and position are its
+leaf's `array` and `pos`, which the tree writes as it moves the leaf, so no
+operation here charges for them.  The master array's `slots` maps occupied
+slots only to their chunks, so its walks over the live chunks cost what is
+live, not the slot count.  It also counts the arrays that hold a chunk and
+the chunks those arrays hold, which the array operations keep up to date;
+`bulk_set_links` reads its charge from the two counts rather than walking
+the arrays.
 
 The slot count J is the width of every link vector and of every summary,
 so every whole-vector charge scales with it.  An Euler forest over n nodes
@@ -27,8 +28,10 @@ and 110 at the root of a graph of 512 nodes.
 
 A chunk's link row is written only when it changes: a refresh to the vector
 the chunk already holds pays only its row read, and a retired chunk's row
-leaves the summaries with its leaf (`retire_chunk`), never written along its
-path.  A chunk made during a forest update stays unlinked until the
+leaves the counts with its leaf (`retire_chunk`), never written along its
+path.  Every write of a row or a column bit adds one delta to the counts
+along each written leaf's path, so none reads the bits of a chunk it does
+not write.  A chunk made during a forest update stays unlinked until the
 update's link flush writes its row, so it is hung as a leaf of no bits, and
 so is it unhung when the same update retires it.
 
@@ -173,11 +176,11 @@ class MasterArray:
 
         A linked chunk reads its row, which names the chunks holding its
         column bit, and clears that column as `bulk_set_links` does.  Then
-        its leaf is deleted: the deletion rebuilds every surviving ancestor's
-        OR from its children, so c's row leaves the summaries without a
-        write along c's path.  The detached row is zeroed by one plain step
-        of `slot_count` writes, the convention of the row read.  An unlinked
-        chunk is only deleted and freed.
+        its leaf is deleted: the deletion subtracts c's counts from every
+        ancestor it keeps, so c's row leaves the summaries without a write
+        of its own along c's path.  The detached row and its counts are
+        zeroed by one plain step of `slot_count` writes, the convention of
+        the row read.  An unlinked chunk is only deleted and freed.
         """
         self._require_active(c)
         if c.array is None:
@@ -188,7 +191,7 @@ class MasterArray:
             self._write_column(c, old & ~(1 << c.slot), 0)
         self.delete_chunk(c.array, c.pos)
         if old:
-            c.bits = 0
+            c.bits = c.counts = 0
             self.meter.charge(self.slot_count)
         self.deactivate(c)
 
@@ -240,14 +243,12 @@ class MasterArray:
         flip are charged as one plain sum (they add no depth), and the loop
         body runs only over the arrays it changes.  The loop's size and the
         chunks it scans are the store's two counts, so no array is walked
-        for the charge.  By symmetry the chunks that keep c's bit through a
-        clear are those in the slots of c's current row outside `flips`,
-        c itself among them when it keeps its self bit; each array that
-        clears is handed its own.
+        for the charge.  Each array that changes writes its clears in one
+        step and its sets in another; each flipped leaf adds one delta
+        along its path, so no other chunk's bit is read.
         """
-        changes = {}  # array -> (positions to clear, positions to set, kept)
+        changes = {}  # array -> (positions to clear, positions to set)
         slots = self.slots
-        kept = c.bits & ~flips
         while flips:
             low = flips & -flips
             flips ^= low
@@ -256,22 +257,15 @@ class MasterArray:
                 continue
             entry = changes.get(d.array)
             if entry is None:
-                entry = changes[d.array] = ([], [], [])
+                entry = changes[d.array] = ([], [])
             entry[1 if links & low else 0].append(d.pos)
-        while kept:
-            low = kept & -kept
-            kept ^= low
-            d = slots.get(low.bit_length() - 1)
-            entry = changes.get(d.array) if d is not None else None
-            if entry is not None and entry[0]:
-                entry[2].append(d.pos)
         touched = list(changes.items())
         self.meter.charge(self.n_arrays - len(touched) + self.n_held)
 
         def column_body(t):
-            array, (to_clear, to_set, keep) = touched[t]
+            array, (to_clear, to_set) = touched[t]
             if to_clear:
-                array.dual_bulk_set(to_clear, c.slot, 0, keep)
+                array.dual_bulk_set(to_clear, c.slot, 0)
             if to_set:
                 array.dual_bulk_set(to_set, c.slot, 1)
 

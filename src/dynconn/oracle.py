@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 
-from .aggtree import AggTree
+from . import aggtree
 from .chunks import Chunk
 from .eulerforest import locate, resting_chunks
 
@@ -129,12 +129,15 @@ def check(cond, what):
 
 def check_agg_tree(tree):
     """Full invariant sweep of one aggregate tree, each leaf's record of its
-    tree and position included; raises CheckFailure."""
+    tree and position and every vertex's counts included (no count exceeds
+    the tree's leaves, so too few leaves for a field to overflow); raises
+    CheckFailure."""
     root = tree.root
     leaves = tree.leaves
     if root is None:
         check(leaves == [], "empty tree with leaves")
         return
+    check(len(leaves) < 1 << aggtree.FIELD, f"count fields can overflow: {len(leaves)} leaves")
     # in-order leaf collection plus shape constraints; each vertex's parent
     # is recorded on the way down
     collected = []
@@ -145,6 +148,7 @@ def check_agg_tree(tree):
         check(v.height == h, f"height field {v.height} != structural {h}")
         if v.height == 0:
             check(v.children is None, "leaf with children")
+            check(v.counts == aggtree.counts_of(v.bits), "leaf counts disagree with its bits")
             collected.append(v)
             continue
         deg = len(v.children)
@@ -153,11 +157,11 @@ def check_agg_tree(tree):
         else:
             check(2 <= deg, f"inner degree {deg} < 2")
         check(deg <= 6, f"inner degree {deg} > 6")
-        agg = 0
+        total = 0
         for c in v.children:
-            agg |= c.bits
+            total += c.counts
             check(c.height == v.height - 1, "child height mismatch")
-        check(agg == v.bits, "inner bits != OR of children bits")
+        check(total == v.counts, "inner counts != sum of children's counts")
         check(v.fst is v.children[0].fst, "fst pointer stale")
         check(v.lst is v.children[-1].lst, "lst pointer stale")
         for c in reversed(v.children):
@@ -218,7 +222,7 @@ def euler_tours(forest):
         tour = container.array if isinstance(container, Chunk) else container
         check(tour is not None, "occurrence in a chunk outside any array")
         if tour not in tours:
-            chunks = tour.leaves if isinstance(tour, AggTree) else [tour]
+            chunks = tour.leaves if isinstance(tour, aggtree.AggTree) else [tour]
             tours[tour] = [e for c in chunks for e in c.edges]
     return tours
 
@@ -243,7 +247,7 @@ def check_euler_forest(forest):
             f"occurrence pointer stale for {e}",
         )
     tours = euler_tours(forest)
-    reached = {id(t) for t in tours if isinstance(t, AggTree)}
+    reached = {id(t) for t in tours if isinstance(t, aggtree.AggTree)}
     check(
         {id(a) for a in forest.store.arrays()} == reached,
         "the master array holds a chunk array that no occurrence reaches",
@@ -261,7 +265,7 @@ def check_euler_forest(forest):
         check(all((b, a) in stored for (a, b) in edges), "tour misses a reverse edge")
         nodes = {a for (a, b) in edges}
         check(len(nodes) == len(edges) // 2 + 1, "tour does not span a tree")
-        chunks = tour.leaves if isinstance(tour, AggTree) else []
+        chunks = tour.leaves if isinstance(tour, aggtree.AggTree) else []
         check(not chunks or len(edges) > forest.K, "a chunked tour fits one chunk")
         for c in chunks:
             check(1 <= len(c.edges) <= forest.K, "chunk size out of range")

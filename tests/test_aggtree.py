@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynconn import aggtree
-from dynconn.aggtree import AggTree, AggVertex, join
+from dynconn.aggtree import AggTree, AggVertex, bits_of, join
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.oracle import CheckFailure, check_agg_tree
 
@@ -26,12 +26,23 @@ def leaf_seq(t):
     return [leaf.bits for leaf in t.leaves]
 
 
+def vertices(t):
+    """Every vertex of t, its leaves included."""
+    found, stack = [], [t.root]
+    while stack:
+        v = stack.pop()
+        found.append(v)
+        if v.height:
+            stack.extend(v.children)
+    return found
+
+
 class TestInsertDelete:
     def test_insert_into_empty(self):
         m, w = fresh()
         t = build(m, w, [0b1010])
         assert t.root.height == 0
-        assert t.root.bits == 0b1010
+        assert bits_of(t.root.counts) == 0b1010
         check_agg_tree(t)
 
     def test_seventh_leaf_rebalances(self):
@@ -45,9 +56,9 @@ class TestInsertDelete:
     def test_all_zero_leaf_keeps_the_root_or(self):
         m, w = fresh()
         t = build(m, w, [0b11, 0b100])
-        before = t.root.bits
+        before = bits_of(t.root.counts)
         t.insert(1, AggVertex(bits=0))
-        assert t.root.bits == before
+        assert bits_of(t.root.counts) == before
         check_agg_tree(t)
 
     def test_delete_only_leaf(self):
@@ -60,7 +71,7 @@ class TestInsertDelete:
         m, w = fresh()
         t = build(m, w, [0b1, 0b10, 0b100])
         t.delete(1)
-        assert t.root.bits == 0b101
+        assert bits_of(t.root.counts) == 0b101
         check_agg_tree(t)
 
     def test_delete_preserves_order(self):
@@ -347,9 +358,9 @@ class TestJoinSplit:
         m, w = fresh()
         a = build(m, w, [0b1, 0b10])
         b = build(m, w, [0b1000])
-        ra, rb = a.root.bits, b.root.bits
+        ra, rb = bits_of(a.root.counts), bits_of(b.root.counts)
         join(a, b)
-        assert a.root.bits == ra | rb
+        assert bits_of(a.root.counts) == ra | rb
 
     def test_split_singleton(self):
         m, w = fresh()
@@ -398,11 +409,13 @@ class TestJoinSplit:
 
 class TestBitOps:
     def test_bit_set_idempotent(self):
+        # a count, unlike an OR, would change on a repeated write
         m, w = fresh()
         t = build(m, w, [0b101, 0b10])
-        before = leaf_seq(t), t.root.bits
+        before = leaf_seq(t), t.root.counts
         t.bit_set(0, 0, 1)
-        assert (leaf_seq(t), t.root.bits) == before
+        t.bit_set(1, 0, 0)
+        assert (leaf_seq(t), t.root.counts) == before
         check_agg_tree(t)
 
     def test_clearing_unique_bit_propagates(self):
@@ -410,7 +423,7 @@ class TestBitOps:
         vals = [1 << 3 if i == 4 else 0 for i in range(9)]
         t = build(m, w, vals)
         t.bit_set(4, 3, 0)
-        assert t.root.bits == 0
+        assert bits_of(t.root.counts) == 0
         check_agg_tree(t)
 
     def test_bulk_set_equals_bitwise_loop(self):
@@ -427,7 +440,7 @@ class TestBitOps:
             for j in range(w):
                 t2.bit_set(i, j, (b >> j) & 1)
             assert leaf_seq(t1) == leaf_seq(t2)
-            assert t1.root.bits == t2.root.bits
+            assert t1.root.counts == t2.root.counts
             check_agg_tree(t1)
 
     def test_bulk_set_current_value_is_noop(self):
@@ -446,7 +459,7 @@ class TestBitOps:
             if bits == 9:
                 assert leaf_seq(t) == vals
         assert charged[0] == charged[1]
-        assert t.root.bits >> 15 & 1
+        assert bits_of(t.root.counts) >> 15 & 1
 
     def test_dual_bulk_set_equals_per_leaf_loop(self):
         rng = random.Random(3)
@@ -459,47 +472,52 @@ class TestBitOps:
             j = rng.randrange(w)
             b = rng.randrange(2)
             members = [i for i in range(n) if rng.random() < 0.4]
-            keep = [i for i in range(n) if vals[i] >> j & 1 and i not in members]
-            t1.dual_bulk_set(members, j, b, keep)
+            t1.dual_bulk_set(members, j, b)
             for i in members:
                 t2.bit_set(i, j, b)
             assert leaf_seq(t1) == leaf_seq(t2)
-            assert t1.root.bits == t2.root.bits
+            assert t1.root.counts == t2.root.counts
             check_agg_tree(t1)
 
     def test_dual_bulk_set_all_leaves_clear(self):
         m, w = fresh()
         t = build(m, w, [0b100, 0b101, 0b110])
-        t.dual_bulk_set(range(3), 2, 0, [])
-        assert t.root.bits == 0b011
+        t.dual_bulk_set(range(3), 2, 0)
+        assert bits_of(t.root.counts) == 0b011
         check_agg_tree(t)
 
 
 
-class TestRepairsWhereAnOrCanChange:
-    """A write that only adds bits ORs them into the path, and a leaf of no
-    bits is hung or unhung without rebuilding an OR from children."""
-
-    def test_growing_bulk_set_is_one_or_in_step(self):
-        # len(anc) iterations of a `width` body in one step: the rule of
-        # bit_set's set branch with a whole array per vertex.  A clearing
-        # write rebuilds each vertex from the children it reads.
+class TestCheckerReadsCounts:
+    def test_a_doctored_inner_count_that_keeps_the_or_is_rejected(self):
         m, w = fresh()
-        t = build(m, w, [0] * 3 + [1 << (i % w) for i in range(40)])
-        assert t.root.height >= 3
-        for i, bits in ((0, 0), (0, 1 << 4), (1, (1 << w) - 1), (20, t.leaves[20].bits | 3)):
-            anc = len(t.leaves[i].ancestors)
-            work, depth = m.work, m.depth
-            t.bulk_set(i, bits)
-            assert (m.work - work, m.depth - depth) == (anc * (1 + w), 1)
-            assert t.leaves[i].bits == bits
+        t = build(m, w, [1, 1, 2])
+        assert t.root.height == 1 and t.root.counts & (1 << aggtree.FIELD) - 1 == 2
+        ors = bits_of(t.root.counts)
+        t.root.counts += 1  # field 0: 2 -> 3, still "count > 0"
+        assert bits_of(t.root.counts) == ors
+        with pytest.raises(CheckFailure, match="inner counts != sum of children's counts"):
             check_agg_tree(t)
-        anc = t.leaves[1].ancestors
-        read = 1 + sum(len(v.children) for v in anc[1:])
-        work, depth = m.work, m.depth
-        t.bulk_set(1, 1 << 2)
-        assert (m.work - work, m.depth - depth) == (2 * len(anc) + read * w, 1)
+
+    def test_a_leaf_whose_counts_disagree_with_its_bits_is_rejected(self):
+        m, w = fresh()
+        t = build(m, w, [1, 6, 2])
+        t.leaves[1].bits ^= 1 << 4
+        with pytest.raises(CheckFailure, match="leaf counts disagree with its bits"):
+            check_agg_tree(t)
+
+    def test_a_tree_whose_fields_can_overflow_is_rejected(self, monkeypatch):
+        m, w = fresh()
+        t = build(m, w, [1] * 4)
         check_agg_tree(t)
+        monkeypatch.setattr(aggtree, "FIELD", 2)  # fields of at most 3
+        with pytest.raises(CheckFailure, match="count fields can overflow"):
+            check_agg_tree(t)
+
+
+class TestLeavesOfNoBits:
+    """A leaf of no bits is hung or unhung without rebuilding counts from
+    children or adding a delta along its path."""
 
     @pytest.mark.parametrize("n", [6, 7, 36, 37, 200])
     def test_a_leaf_of_no_bits_is_hung_and_unhung_for_less(self, n):
@@ -559,7 +577,7 @@ class TestRepairsWhereAnOrCanChange:
 def test_hypothesis_hangs_unhangs_and_writes_keep_every_or(steps):
     """Seeded sequences of hangs and unhangs of leaves with and without
     bits, growing writes and clearing writes; after every step the checker
-    passes and the root's OR is the OR of the leaves."""
+    passes and the OR read off the root's counts is the OR of the leaves."""
     m = CostMeter(ArbitraryPolicy(4))
     w = 12
     t = AggTree(m, w)
@@ -588,37 +606,71 @@ def test_hypothesis_hangs_unhangs_and_writes_keep_every_or(steps):
         acc = 0
         for b in shadow:
             acc |= b
-        assert (t.root.bits if t.root is not None else 0) == acc
+        assert (bits_of(t.root.counts) if t.root is not None else 0) == acc
 
 
 class TestChargesWhatItReads:
     """Each repair is charged for the children and path vertices it reads
-    and writes, not for the most it could: a clearing write for the
-    children its path's vertices hold, a column write for each path vertex,
-    a split's reassembly only for the vertices whose leaves change."""
+    and writes, not for the most it could: a leaf write and a deletion's
+    path above the restructured siblings for one delta per path vertex, a
+    column write for its positions' paths, a split's reassembly only for
+    the vertices whose leaves change."""
 
     @pytest.mark.parametrize("n", [2, 7, 37, 200])
-    def test_a_clearing_bulk_set_pays_the_children_it_reads(self, n):
-        # len(anc) iterations of a one-write body, then `width` for the
-        # leaf's own bits and `width` per child of each vertex above it
+    def test_each_leaf_write_is_one_delta_step(self, n):
+        # a whole bit array: len(anc) iterations of a `width` body; one bit:
+        # two plain units and len(anc) iterations of a one-write body.  Each
+        # is one step, its stated depth, whether it sets bits, clears them
+        # or writes the bits the leaf holds
         rng = random.Random(n)
         m, w = fresh()
         vals = [rng.randrange(1, 1 << w) for _ in range(n)]
         t = build(m, w, vals)
+        writes = []
         for i in sorted({0, n // 3, n // 2, n - 1}):
-            anc = t.leaves[i].ancestors
-            read = 1 + sum(len(v.children) for v in anc[1:])
-            vals[i] &= vals[i] - 1  # drops the lowest set bit
+            for bits in (vals[i] & vals[i] - 1, vals[i] | 1 << 3, (1 << w) - 1, 0, 0):
+                writes.append(("bulk_set", (i, bits), w))
+                vals[i] = bits
+            for j, b in ((3, 1), (3, 1), (3, 0), (5, 0)):
+                writes.append(("bit_set", (i, j, b), 1))
+                vals[i] = vals[i] | 1 << j if b else vals[i] & ~(1 << j)
+        for name, args, unit in writes:
+            anc = len(t.leaves[args[0]].ancestors)
+            plain = 2 if name == "bit_set" else 0
             work, depth = m.work, m.depth
-            t.bulk_set(i, vals[i])
-            assert (m.work - work, m.depth - depth) == (2 * len(anc) + read * w, 1)
+            getattr(t, name)(*args)
+            assert (m.work - work, m.depth - depth) == (
+                plain + anc * (1 + unit), aggtree.DEPTH_BOUNDS[name],
+            )
+            check_agg_tree(t)
+        assert leaf_seq(t) == vals
+
+    @pytest.mark.parametrize("n", [37, 200])
+    def test_deleting_a_leaf_with_bits_is_one_delta_step_above(self, n):
+        # a deletion whose parent keeps two children restructures nothing:
+        # the leaf shift, the search and the empty moved-leaf step, then one
+        # step in which each path vertex above the leaf subtracts its counts,
+        # `width` each, and writes its first and last leaf
+        rng = random.Random(n)
+        m, w = fresh()
+        vals = [rng.randrange(1, 1 << w) for _ in range(n)]
+        t = build(m, w, vals)
+        for _ in range(6):
+            i = next(k for k in rng.sample(range(len(t)), len(t))
+                     if len(t.leaves[k].ancestors[1].children) >= 3)
+            h = t.root.height
+            work, depth = m.work, m.depth
+            t.delete(i)
+            expected = 2 * (len(vals) - i) + h * (1 + h) + 2 * h + h * w
+            assert (m.work - work, m.depth - depth) == (expected, 5)
+            vals.pop(i)
             assert leaf_seq(t) == vals
             check_agg_tree(t)
 
-    def test_column_writes_pay_each_path_vertex_they_write(self):
-        # a set writes the path of each position; a clear writes the paths
-        # of the cleared positions and then sets the kept ones again, so it
-        # costs a set of both; one write per leaf and path vertex
+    def test_column_writes_pay_only_their_positions_paths(self):
+        # one step of a one-write body per leaf and path vertex of the
+        # positions, set or clear; every other leaf holding the bit, and
+        # every vertex off the positions' paths, is left as it was
         rng = random.Random(21)
         m, w = fresh()
         vals = [rng.randrange(1 << w) for _ in range(90)]
@@ -628,12 +680,13 @@ class TestChargesWhatItReads:
             j = rng.randrange(w)
             positions = rng.sample(range(90), rng.randrange(1, 12))
             b = trial % 2
-            keep = [i for i in range(90) if vals[i] >> j & 1 and i not in positions]
-            paid = positions + keep if not b else positions
-            expected = 2 * sum(len(t.leaves[i].ancestors) for i in paid)
+            paths = {id(v) for i in positions for v in t.leaves[i].ancestors}
+            off = [(v, v.counts) for v in vertices(t) if id(v) not in paths]
+            expected = 2 * sum(len(t.leaves[i].ancestors) for i in positions)
             work, depth = m.work, m.depth
-            t.dual_bulk_set(positions, j, b, keep)
-            assert (m.work - work, m.depth - depth) == (expected, 1 if b else 2)
+            t.dual_bulk_set(positions, j, b)
+            assert (m.work - work, m.depth - depth) == (expected, 1)
+            assert all(v.counts == counts for v, counts in off)
             for i in positions:
                 vals[i] = vals[i] | 1 << j if b else vals[i] & ~(1 << j)
             assert leaf_seq(t) == vals
@@ -735,8 +788,8 @@ class TestChargesWhatItReads:
 def test_hypothesis_splits_joins_and_column_writes_keep_every_or(steps):
     """Seeded sequences of boundary splits, joins, hangs, unhangs and column
     sets and clears over a row of trees grown from 40 leaves; after every
-    step each changed tree passes the checker and its root's OR is the OR
-    of its leaves."""
+    step each changed tree passes the checker and the OR read off its
+    root's counts is the OR of its leaves."""
     m = CostMeter(ArbitraryPolicy(6))
     w = 10
     rng = random.Random(len(steps))
@@ -773,9 +826,8 @@ def test_hypothesis_splits_joins_and_column_writes_keep_every_or(steps):
         else:
             j = bits % w
             positions = sorted({(b >> s) % n for s in (0, 4, 8, 12)})
-            keep = [i for i in range(n) if shadow[i] >> j & 1 and i not in positions]
             set_ = op == "set"
-            t.dual_bulk_set(positions, j, set_, keep)
+            t.dual_bulk_set(positions, j, set_)
             for i in positions:
                 shadow[i] = shadow[i] | 1 << j if set_ else shadow[i] & ~(1 << j)
             changed = (k,)
@@ -785,7 +837,7 @@ def test_hypothesis_splits_joins_and_column_writes_keep_every_or(steps):
             acc = 0
             for x in shadows[c]:
                 acc |= x
-            assert (trees[c].root.bits if trees[c].root is not None else 0) == acc
+            assert (bits_of(trees[c].root.counts) if trees[c].root is not None else 0) == acc
 
 
 class TestAccessors:
@@ -800,7 +852,7 @@ class TestAccessors:
         acc = 0
         for b in leaf_seq(t):
             acc |= b
-        assert t.root.bits == acc
+        assert bits_of(t.root.counts) == acc
 
     def test_height_bound(self):
         m, w = fresh()

@@ -111,8 +111,8 @@ def test_bipartite_layers_within_bounds(monkeypatch, policy):
 @pytest.mark.parametrize(
     "policy, forest, connectivity, bipartiteness",
     [
-        (ArbitraryPolicy(5), (258, 507), (2310, 5382), (4620, 10764)),
-        (CommonPolicy(0.25), (258, 567), (2441, 5862), (4882, 11724)),
+        (ArbitraryPolicy(5), (230, 423), (2002, 4598), (4004, 9196)),
+        (CommonPolicy(0.25), (230, 483), (2133, 5078), (4266, 10156)),
     ],
     ids=["arbitrary", "common"],
 )

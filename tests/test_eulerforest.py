@@ -1,9 +1,9 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
-from dynconn.aggtree import AggTree
 from dynconn.chunks import MasterArray
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.eulerforest import (
@@ -22,6 +22,7 @@ from dynconn.oracle import (
     SimpleGraph,
     bf_components,
     bf_connected,
+    check_agg_tree,
     check_chunk_store,
     check_euler_forest,
     check_link_vectors,
@@ -378,26 +379,34 @@ class TestLinkFlush:
         check_euler_forest(f)
 
     @pytest.mark.parametrize("policy", [ArbitraryPolicy(3), CommonPolicy(0.25)])
-    def test_column_clears_are_handed_their_survivors(self, monkeypatch, policy):
-        """Every column clear of a refresh or a retirement is handed, as its
-        survivors, exactly the leaves that a scan of the array finds holding
-        the column bit outside the cleared positions."""
-        kept = []
-        clear = AggTree.dual_bulk_set
+    def test_every_refresh_and_retirement_leaves_every_tree_counted(
+        self, monkeypatch, policy
+    ):
+        """A seeded soak that checks every chunk array's tree after each
+        link refresh and each retirement: every count equals the leaves
+        below it holding the slot's bit.  It must reach refreshes that clear
+        column bits and retirements of linked chunks."""
+        seen = Counter()
+        refresh, retire = MasterArray.bulk_set_links, MasterArray.retire_chunk
 
-        def scanned(self, positions, j, b, keep=None):
-            if not b:
-                drop = set(positions)
-                want = [i for i, x in enumerate(self.leaves) if x.bits >> j & 1 and i not in drop]
-                assert keep is not None and sorted(keep) == want
-                kept.append(len(keep))
-            return clear(self, positions, j, b, keep)
+        def checked_refresh(self, c, links):
+            seen["clearing refresh"] += bool(c.bits & ~links)
+            refresh(self, c, links)
+            for array in self.arrays():
+                check_agg_tree(array)
 
-        monkeypatch.setattr(AggTree, "dual_bulk_set", scanned)
+        def checked_retire(self, c):
+            seen["linked retirement"] += bool(c.bits)
+            retire(self, c)
+            for array in self.arrays():
+                check_agg_tree(array)
+
+        monkeypatch.setattr(MasterArray, "bulk_set_links", checked_refresh)
+        monkeypatch.setattr(MasterArray, "retire_chunk", checked_retire)
         rng = random.Random(8)
         _, f = _random_graph_pair(rng, 40, 900, 3, policy)
         check_euler_forest(f)
-        assert len(kept) > 50 and 0 < kept.count(0) < len(kept), kept
+        assert seen["clearing refresh"] > 50 and seen["linked retirement"] > 5, seen
 
 
 def _self_work(monkeypatch, meter, target, callees):

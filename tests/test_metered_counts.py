@@ -55,17 +55,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (960337, {"insert": 179, "delete": 353, "connected": 0}, 24916),
+            (920780, {"insert": 178, "delete": 348, "connected": 0}, 24916),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (976876, {"insert": 190, "delete": 365, "connected": 0}, 24916),
+            (937445, {"insert": 189, "delete": 360, "connected": 0}, 24916),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (89328, {"insert": 196, "delete": 510}, 5163),
+            (88139, {"insert": 193, "delete": 505}, 5163),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],
