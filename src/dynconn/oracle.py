@@ -129,8 +129,8 @@ def check(cond, what):
 
 def check_agg_tree(tree):
     """Full invariant sweep of one aggregate tree, each leaf's record of its
-    tree and position and every vertex's counts included (no count exceeds
-    the tree's leaves, so too few leaves for a field to overflow); raises
+    tree and position and every vertex's counts included, with fewer than
+    2**FIELD leaves, so that no count field can overflow; raises
     CheckFailure."""
     root = tree.root
     leaves = tree.leaves
