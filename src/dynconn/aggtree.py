@@ -55,29 +55,31 @@ vertex's counts and its first and last leaf and `_ends` only the latter two.
 
 Python executes the phases sequentially; the meter charges them as the
 parallel algorithm would: constant depth, and O(leaves + width * log^2)
-work per call for a tree of height log, since shifting or placing the leaf
-list is linear in the leaves and counts rebuilt from children cost `width`
-per child.  Each step is charged for what it reads and writes, not for
-the most it could.  Counts are rebuilt from children only where the
-children change.  A leaf write changes the counts of its path by one
-delta, the leaf's new count vector less its old one, so every path vertex
-adds it in one step without waiting on another: `width` per path vertex
-for a whole bit array, one write per path vertex for a single bit (a
-column write pays that per leaf it is handed).  A deletion subtracts the
-leaf's counts from the vertices above the siblings that trade children
-in the same way.  Hanging or unhanging a leaf (or, in a join, a short
-tree) of no bits pays one `width` zero test and O(1) per path vertex
-whose children stay, for its first and last leaf.  A split's reassembly
-summarizes only the halves of a split spine vertex and the spine above
-the shortest tree attached to it; a spine vertex that only gains a half
-its child split off keeps its leaves and pays one degree read.
+work per call for a tree of height log (the leaf list shifts or is placed
+in time linear in the leaves; counts rebuilt from children cost `width`
+per child).  Each step is charged for what it reads and writes, not for
+the most it could, and counts are rebuilt from children only where the
+children change.  A leaf write adds one delta, its new count vector less
+its old one, to every path vertex in one step: `width` per vertex for a
+bit array, one write per vertex for a single bit (a column write pays
+that per leaf; its leaves' adds to a shared vertex combine, the
+count-cell rule of `costmodel`).  A deletion subtracts the leaf's counts
+above the siblings that trade children in the same way.  Hanging or
+unhanging a leaf (or, in a join, a short tree) of no bits pays one
+`width` zero test and O(1) per path vertex whose children stay, for its
+first and last leaf.  A split's reassembly summarizes only the halves of
+a split spine vertex and the spine above the shortest tree attached to
+it; a spine vertex that only gains a half its child split off pays one
+degree read.
 """
 
 from __future__ import annotations
 
-# bits per count, two bytes as the helpers below pack them: a count is at
-# most the tree's leaves, so no count overflows below 2**FIELD leaves
+# bits per count, a whole number of bytes: a count is at most the tree's
+# leaves, so no count overflows in a tree of fewer than MAX_LEAVES leaves
 FIELD = 16
+MAX_LEAVES = 1 << FIELD
+_BYTES = FIELD // 8
 _DIGIT_TO_COUNT = bytes.maketrans(b"01", b"\x00\x01")
 _COUNT_TO_DIGIT = b"0" + b"1" * 255
 
@@ -85,18 +87,21 @@ _COUNT_TO_DIGIT = b"0" + b"1" * 255
 def counts_of(bits):
     """The count vector of one leaf holding `bits`: field j is bit j."""
     digits = format(bits, "b").encode().translate(_DIGIT_TO_COUNT)
-    packed = bytearray(2 * len(digits))
-    packed[1::2] = digits
+    packed = bytearray(_BYTES * len(digits))
+    packed[_BYTES - 1 :: _BYTES] = digits
     return int.from_bytes(packed, "big")
 
 
 def bits_of(counts):
     """The bits set where a field of `counts` is not 0: the OR of the leaves
     the count vector counts."""
-    # each field's high byte folded into its low byte, then one digit per field
-    folded = counts | counts >> 8
-    size = 2 * -(-counts.bit_length() // FIELD)
-    return int(folded.to_bytes(size, "big")[1::2].translate(_COUNT_TO_DIGIT) or b"0", 2)
+    # each field's higher bytes folded into its lowest, then one digit per field
+    folded = counts
+    for shift in range(8, FIELD, 8):
+        folded |= counts >> shift
+    size = _BYTES * -(-counts.bit_length() // FIELD)
+    low = folded.to_bytes(size, "big")[_BYTES - 1 :: _BYTES]
+    return int(low.translate(_COUNT_TO_DIGIT) or b"0", 2)
 
 
 class AggVertex:
@@ -160,10 +165,8 @@ class AggTree:
 
         Every vertex of the leaf's path adds one delta, the leaf's new count
         vector less its old one, in one step charged `width` per path vertex;
-        no vertex reads another's counts, so a write that clears bits costs
-        what one that only sets them does.  Writing the bits a leaf already
-        holds adds a zero delta, though the master array's refresh never
-        makes one.
+        no vertex reads another's counts, so clearing bits costs what setting
+        them does, and rewriting the leaf's own bits adds a zero delta.
         """
         if not 0 <= i < len(self.leaves):
             raise IndexError("leaf position out of range")
@@ -182,9 +185,8 @@ class AggTree:
 
         Each leaf whose bit changes adds its one-field delta to every vertex
         of its path; a leaf that already holds b changes no count.  The one
-        step is charged one write per leaf and path vertex.  Leaves that
-        share a vertex add to it in the same step, so the step takes a
-        combining write that sums concurrent adds.
+        step is charged one write per leaf and path vertex; adds to a shared
+        vertex combine into their sum (`costmodel`'s count-cell rule).
         """
         leaves = self.leaves
         delta = (1 if b else -1) << FIELD * j
@@ -314,13 +316,10 @@ class AggTree:
         for w in changed[:restructured]:
             _summarize(w)
             read += len(w.children)
-        # each vertex above the siblings that trade children loses only the
-        # leaf: it subtracts the leaf's counts, `width` per vertex in the
-        # siblings' step, and takes its first and last leaf in one compare
-        # and one write (an end that was the deleted leaf becomes its
-        # neighbour).  A leaf of no bits subtracts 0, so above two or more
-        # vertices a zero test, one CRCW step of `width` processors writing
-        # a common flag beside the moved leaves' rewrite, stands for it
+        # each vertex above the siblings that trade children subtracts the
+        # leaf's counts, `width` each in the siblings' step, and retakes its
+        # first and last leaf.  For a leaf of no bits, above two or more
+        # vertices, a `width` zero test beside the moved leaves stands for it
         above = changed[restructured:]
         if leaf.counts or len(above) < 2:
             read += len(above)
@@ -364,7 +363,8 @@ class AggTree:
         if top:
             kids = a[top].children
             between += kids[kids.index(a[top - 1]) + 1 : kids.index(b[top - 1])]
-        # the sum of disjoint subtrees' counts counts their union's leaves
+        # common writes of 1 to each slot's bit where a field is not 0: the
+        # bits of the sum of the disjoint subtrees' counts
         acc = 0
         for v in between:
             acc += v.counts
@@ -603,12 +603,9 @@ def _attach(meter, width, tall_root, short_root, anchor_leaf, right_side):
         meter.parallel_charge(len(chain), unit=width)
     else:
         # a short tree of no bits adds nothing to any count (the halvings
-        # and a grown root summarize theirs).  Once the search has found a chain
-        # of two or more vertices, the zero test runs, one CRCW step of
-        # `width` processors writing a common flag, beside the moved leaves'
-        # rewrite; then each chain vertex takes its first and last leaf in
-        # one compare and one write (an end that was the anchor leaf becomes
-        # the short tree's)
+        # and a grown root summarize theirs): for a chain of two or more, a
+        # `width` zero test beside the moved leaves' rewrite, then each chain
+        # vertex retakes its first and last leaf in one compare and one write
         meter.charge(width)
         for w in chain:
             _ends(w)
@@ -831,7 +828,7 @@ _SPLIT_BOUNDARY_DEPTH = 2 + 1 + _ASSEMBLE_DEPTH
 _DELETE_DEPTH = 1 + 2 + 1 + 1 + 1
 
 DEPTH_BOUNDS = {
-    # one delta added along each written leaf's path
+    # one delta added along each written leaf's path (shared vertices combine)
     "bit_set": 1,
     "bulk_set": 1,
     "dual_bulk_set": 1,

@@ -244,8 +244,8 @@ class MasterArray:
         body runs only over the arrays it changes.  The loop's size and the
         chunks it scans are the store's two counts, so no array is walked
         for the charge.  Each array that changes writes its clears in one
-        step and its sets in another; each flipped leaf adds one delta
-        along its path, so no other chunk's bit is read.
+        step and its sets in another: each flipped leaf adds one delta along
+        its path, and adds to a shared vertex combine (`costmodel`).
         """
         changes = {}  # array -> (positions to clear, positions to set)
         slots = self.slots

@@ -16,6 +16,12 @@ recursion whose round count depends only on epsilon.  Under the arbitrary
 policy one writer wins; the winner is drawn from a seeded generator so runs
 replay exactly.
 
+Both policies add one rule for count cells: the adds of several processors
+to one count cell in one step combine into their sum (a fetch-and-add PRAM's
+rule).  Only the aggregate tree's column write (`AggTree.dual_bulk_set`)
+needs it, where two changed leaves share an ancestor, and every bound built
+on that step assumes it; without it the write would add level by level.
+
 The paper's epsilon enters here and nowhere else: it sets the round count of
 the common-policy extremum (`_extremum_rounds`), and with it that
 primitive's depth.  The extremum runs on small candidate sets, so the update

@@ -129,15 +129,14 @@ def check(cond, what):
 
 def check_agg_tree(tree):
     """Full invariant sweep of one aggregate tree, each leaf's record of its
-    tree and position and every vertex's counts included, with fewer than
-    2**FIELD leaves, so that no count field can overflow; raises
-    CheckFailure."""
+    tree and position, every vertex's counts and the leaf limit that keeps
+    count fields from overflowing included; raises CheckFailure."""
     root = tree.root
     leaves = tree.leaves
     if root is None:
         check(leaves == [], "empty tree with leaves")
         return
-    check(len(leaves) < 1 << aggtree.FIELD, f"count fields can overflow: {len(leaves)} leaves")
+    check(len(leaves) < aggtree.MAX_LEAVES, f"count fields can overflow: {len(leaves)} leaves")
     # in-order leaf collection plus shape constraints; each vertex's parent
     # is recorded on the way down
     collected = []

@@ -460,9 +460,10 @@ def depth_budgets(mode, policy) -> dict:
     budget is twice the connectivity budget; the mirror reads around them
     are queries, which charge work only.  A budget depends on the mode, and
     on the policy and its epsilon through the extremum reductions, but never
-    on n.  Epsilon only sets the round count of the
-    common-policy extremum; the update work is sqrt(n) * polylog(n) for
-    every epsilon (see `costmodel`).  Calls are not padded to their
+    on n, and assumes the policy's writes plus `costmodel`'s combining adds
+    to count cells.  Epsilon only sets the round count of the common-policy
+    extremum; the update work is sqrt(n) * polylog(n) for every epsilon
+    (see `costmodel`).  Calls are not padded to their
     budgets: the meter keeps the depth the call spent, and a call that goes
     over its budget raises MeterError.  Only a common-policy extremum is
     padded, by `CostMeter._reduce_common`, to its round budget; that budget

@@ -488,6 +488,22 @@ class TestBitOps:
 
 
 
+def test_the_count_helpers_read_every_byte_of_a_field():
+    # field j of a leaf's counts is its bit j, and a field whose lowest byte
+    # is 0, such as one counting 256 leaves, still reads as set
+    rng = random.Random(3)
+    mask = (1 << aggtree.FIELD) - 1
+    for _ in range(40):
+        bits = rng.getrandbits(120)
+        counts = aggtree.counts_of(bits)
+        assert [counts >> aggtree.FIELD * j & mask for j in range(120)] == [
+            bits >> j & 1 for j in range(120)
+        ]
+        assert bits_of(counts) == bits
+        assert bits_of(counts << 8) == bits
+    assert bits_of(0) == 0 and aggtree.counts_of(0) == 0
+
+
 class TestCheckerReadsCounts:
     def test_a_doctored_inner_count_that_keeps_the_or_is_rejected(self):
         m, w = fresh()
@@ -510,7 +526,7 @@ class TestCheckerReadsCounts:
         m, w = fresh()
         t = build(m, w, [1] * 4)
         check_agg_tree(t)
-        monkeypatch.setattr(aggtree, "FIELD", 2)  # fields of at most 3
+        monkeypatch.setattr(aggtree, "MAX_LEAVES", 4)  # as if fields held at most 3
         with pytest.raises(CheckFailure, match="count fields can overflow"):
             check_agg_tree(t)
 
@@ -670,7 +686,8 @@ class TestChargesWhatItReads:
     def test_column_writes_pay_only_their_positions_paths(self):
         # one step of a one-write body per leaf and path vertex of the
         # positions, set or clear; every other leaf holding the bit, and
-        # every vertex off the positions' paths, is left as it was
+        # every vertex off the positions' paths, is left as it was.  The
+        # root, which every position shares, gains the sum of their adds
         rng = random.Random(21)
         m, w = fresh()
         vals = [rng.randrange(1 << w) for _ in range(90)]
@@ -683,9 +700,12 @@ class TestChargesWhatItReads:
             paths = {id(v) for i in positions for v in t.leaves[i].ancestors}
             off = [(v, v.counts) for v in vertices(t) if id(v) not in paths]
             expected = 2 * sum(len(t.leaves[i].ancestors) for i in positions)
+            flipped = sum(vals[i] >> j & 1 != b for i in positions)
+            root = t.root.counts
             work, depth = m.work, m.depth
             t.dual_bulk_set(positions, j, b)
             assert (m.work - work, m.depth - depth) == (expected, 1)
+            assert t.root.counts - root == (flipped if b else -flipped) << aggtree.FIELD * j
             assert all(v.counts == counts for v, counts in off)
             for i in positions:
                 vals[i] = vals[i] | 1 << j if b else vals[i] & ~(1 << j)

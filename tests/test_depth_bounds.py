@@ -117,9 +117,10 @@ def test_bipartite_layers_within_bounds(monkeypatch, policy):
     ids=["arbitrary", "common"],
 )
 def test_stated_bounds_are_pinned(policy, forest, connectivity, bipartiteness):
-    """The composed insert and delete bounds of the forest and both facades.
-    A change may lower them and none may raise them; every re-pin is logged
-    in CHANGES.md."""
+    """The composed insert and delete bounds of the forest and both facades,
+    each under its policy's writes plus the combining adds to count cells
+    (`costmodel`).  A change may lower them and none may raise them; every
+    re-pin is logged in CHANGES.md."""
     f = EulerForest.depth_bounds(policy)
     assert (f["insert"], f["delete"]) == forest
     for mode, pinned in (("connectivity", connectivity), ("bipartiteness", bipartiteness)):
