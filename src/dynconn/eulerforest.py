@@ -10,6 +10,15 @@ query.
 Keeping them out of the master array is also what keeps the slot count at
 O(sqrt(n)): a forest can contain far more tiny trees than slots.
 
+The model allocates a forest's master array, J slots, when the forest is
+built, and charges them to `init_work` there.  The Python object is made
+later, with the slot record `slots_of`, where the forest first chunks a tour
+(`_as_array`), or when a reader outside the forest first asks for `store`;
+until then `master` is None.  Most forests never chunk: the forest of a
+sparsification node whose components stay short holds no slot table at
+all.  The metered counts are the same either way, since making the object
+charges nothing.
+
 Every new tree edge, a link's or a replacement's, is written by one splice
 (`_splice`; `_splice_edges` for a small tour).  A link is the replacement
 splice of the tour u's array then v's: the near walk is u's tour, the far
@@ -59,9 +68,9 @@ covers the new tree edges of `_splice` (an edge that moves with its chunk's
 base or is rewritten in its own chunk changes no mask), by `_cut_out` for
 the removed edge and by `_maybe_shrink` for every node of a demoted tour.
 So every entry holds, and no node outside a chunk has one.  The record is
-made when the forest first chunks a small tour (`_as_array`) and is None
-before, which most forests, whose tours stay small, never reach;
-`oracle.check_euler_forest` recomputes every entry.
+made with the master array and is None before, which most forests, whose
+tours stay small, never reach; `oracle.check_euler_forest` recomputes every
+entry.
 
 Every chunk an update splits, merges, chunks or reindexes goes into one
 record, `_touched`, made for that update.  The sizing repair of an array
@@ -164,7 +173,9 @@ class SmallTour:
 class EulerForest:
     """The spanning forest of a graph over node ids 0 .. capacity-1, with
     chunks of K = isqrt(3*capacity - 1) + 1 edges (at least 2) and a master
-    array of J = R + T slots, the most chunks its tours can hold.
+    array of J = R + T slots, the most chunks its tours can hold.  The J
+    slots are charged when the forest is built; `master`, the array itself,
+    is None until the first chunked tour makes it (`store`).
 
     At rest.  A forest has at most capacity - 1 edges, so its tours hold at
     most 2*capacity - 2 occurrences.  Every chunk of a chunked tour holds at
@@ -203,15 +214,15 @@ class EulerForest:
         self.meter = meter
         self.capacity = capacity
         self.K = max(2, math.isqrt(3 * capacity - 1) + 1)
-        J = resting_chunks(capacity, self.K) + TRANSIENT_CHUNKS
-        self.store = MasterArray(meter, J, self.K)
+        # the master array, None until the first chunked tour (`store`)
+        self.master = None
         self.nbr = {}
         self.edge_occ = {}
         # each node with a non-tree edge -> its non-tree neighbours, in nbr
         # order; written only where an edge's tree status changes
         self.nontree = _NO_NONTREE
         # node -> OR of the slot bits of the chunks holding its occurrences,
-        # filled by _links_of; None until the first chunk array is made
+        # filled by _links_of; None until the master array is made
         self.slots_of = None
         # chunks the current update touched, as an insertion-ordered set:
         # made when an update that can touch chunks starts, the worklist of
@@ -219,7 +230,25 @@ class EulerForest:
         # drops it; None at rest
         self._touched = None
         with meter.initialization():
-            meter.charge(capacity)
+            # the model allocates the master array's J slots here
+            meter.charge(capacity + self._slot_count())
+
+    def _slot_count(self):
+        """J = R + T, the master array's slots."""
+        return resting_chunks(self.capacity, self.K) + TRANSIENT_CHUNKS
+
+    @property
+    def store(self):
+        """The master array, made with the slot record on its first read:
+        on the forest's first chunked tour (`_as_array`), or when a reader
+        outside the forest asks for it.  Its J slots were charged when the
+        forest was built, so making it charges nothing."""
+        if self.master is None:
+            self.master = MasterArray(
+                self.meter, self._slot_count(), self.K, prepaid=True
+            )
+            self.slots_of = {}
+        return self.master
 
     @staticmethod
     def depth_bounds(policy) -> dict:
@@ -375,7 +404,7 @@ class EulerForest:
         self.meter.parallel_charge(len(cu) * len(cv))
         for a in cu:
             for b in cv:
-                self.store.link(a, b)
+                self.master.link(a, b)
 
     def _merge_tours(self, u, v):
         tid_u, tid_v = self._tree_id(u), self._tree_id(v)
@@ -402,7 +431,7 @@ class EulerForest:
         # splice whose far walk is v's tour, a single node when v is alone
         a = len(a_u)
         if a_v is not None:
-            self.store.concatenate(a_u, a_v)
+            self.master.concatenate(a_u, a_v)
         self._splice(a_u, a, len(a_u), (u, v))
 
     # -- edge deletion -----------------------------------------------------------
@@ -492,7 +521,7 @@ class EulerForest:
             linked = self._links_of(a)
             for b in cv:
                 if not (linked >> b.slot) & 1:
-                    self.store.unlink(a, b)
+                    self.master.unlink(a, b)
         # one CRCW step of a processor per (a, b) pair, each testing one bit
         # of a's fresh vector; `_links_of` charges the scans that built them
         self.meter.parallel_charge(len(cu) * len(cv))
@@ -593,11 +622,10 @@ class EulerForest:
             return tid
         edges = tid.edges
         self._drop_container(tid)
-        if self.slots_of is None:
-            self.slots_of = {}
-        array = self.store.new_array()
-        c = self.store.alloc_chunk(edges)
-        self.store.insert_chunk(array, 0, c)
+        store = self.store
+        array = store.new_array()
+        c = store.alloc_chunk(edges)
+        store.insert_chunk(array, 0, c)
         self._reindex_chunk(c)
         self.meter.parallel_charge(len(edges))
         self._touched[c] = None
@@ -657,13 +685,13 @@ class EulerForest:
         if len(right) > len(left):
             c.edges = right
             self._move_base(c, -at - gap)
-            nc = self.store.alloc_chunk(left)
-            self.store.insert_chunk(c.array, c.pos, nc)
+            nc = self.master.alloc_chunk(left)
+            self.master.insert_chunk(c.array, c.pos, nc)
             pieces = (nc, c)
         else:
             c.edges = left
-            nc = self.store.alloc_chunk(right)
-            self.store.insert_chunk(c.array, c.pos + 1, nc)
+            nc = self.master.alloc_chunk(right)
+            self.master.insert_chunk(c.array, c.pos + 1, nc)
             pieces = (c, nc)
         self._reindex_chunk(nc)
         self._touched[pieces[0]] = self._touched[pieces[1]] = None
@@ -746,7 +774,7 @@ class EulerForest:
         for near_range in ((0, c_lo.pos), (c_hi.pos + 1, n)):
             if near_range[0] >= near_range[1] or p2_range[0] >= p2_range[1]:
                 continue
-            pair = self.store.query(array, *near_range, *p2_range)
+            pair = self.master.query(array, *near_range, *p2_range)
             if pair is not None:
                 near_nodes = self._chunk_nodes(pair[0])
                 far_set = set(self._chunk_nodes(pair[1]))
@@ -768,8 +796,8 @@ class EulerForest:
         b = self._cut_out(hi[0])
         n = len(array)
         if pair is None:
-            self.store.reorder(array, [(0, a), (b, n), (a, b)])  # P1 P3 P2
-            far = self.store.split_array(array, a + (n - b))
+            self.master.reorder(array, [(0, a), (b, n), (a, b)])  # P1 P3 P2
+            far = self.master.split_array(array, a + (n - b))
             self._repair(array)
             self._repair(far)
             return
@@ -829,7 +857,7 @@ class EulerForest:
         blocks = [(at(c), at(d)) for c, d in y_head + [(xf, p3), (x, xf)] + y_tail]
         e_pos = sum(end - start for start, end in blocks[: len(y_head)])
         rev_pos = e_pos + at(p3) - at(x)
-        self.store.reorder(array, blocks)
+        self.master.reorder(array, blocks)
         # each new edge ends the chunk before its chunk position, or starts
         # leaf 0 at position 0 (the tour is cyclic); written last one first,
         # so a far walk of one chunk, written at both ends, keeps its offsets
@@ -939,7 +967,7 @@ class EulerForest:
         self._maybe_shrink(array)
 
     def _retire_chunk(self, c):
-        self.store.retire_chunk(c)
+        self.master.retire_chunk(c)
 
     def _maybe_shrink(self, array):
         """Demote an array to a small tour when it fits under the threshold.
@@ -965,7 +993,7 @@ class EulerForest:
         touched, self._touched = self._touched, None
         if not touched:
             return
-        slots = self.store.slots
+        slots = self.master.slots
         self.meter.parallel_charge(len(touched))
         for c in touched:
             if slots.get(c.slot) is c and c.array is not None:
@@ -974,7 +1002,7 @@ class EulerForest:
     def _refresh_links(self, c):
         fresh = self._links_of(c)
         self.meter.parallel_charge(3 * len(c.edges) + 2)
-        self.store.bulk_set_links(c, fresh)
+        self.master.bulk_set_links(c, fresh)
 
     def _links_of(self, c):
         """Slot bits of every chunk holding a tour occurrence of a non-tree

@@ -230,8 +230,8 @@ def check_euler_forest(forest):
     """Tour validity, occurrence pointers (resolved through `locate`, so a
     chunk's base counts), counters, degree bound, chunk sizing, the
     non-tree record and link ground truth.  Tours are found from
-    the occurrence pointers, and the master array may hold no chunk array
-    outside them.  The non-tree record must be `nbr` minus the tree edges,
+    the occurrence pointers, and the master array, made with the slot
+    record, must hold exactly the chunked ones.  The non-tree record must be `nbr` minus the tree edges,
     in `nbr` order, with no entry for a node without a non-tree edge; the
     link vectors are checked from `nbr` and `edge_occ`, not from it.  Every
     `slots_of` entry must be the slot bits of the chunks holding its node's
@@ -247,11 +247,19 @@ def check_euler_forest(forest):
         )
     tours = euler_tours(forest)
     reached = {id(t) for t in tours if isinstance(t, aggtree.AggTree)}
+    store = forest.master
     check(
-        {id(a) for a in forest.store.arrays()} == reached,
+        (store is None) == (forest.slots_of is None),
+        "the master array and the slot record are not made together",
+    )
+    check(store is not None or not reached, "a chunked tour without a master array")
+    arrays = store.arrays() if store is not None else []
+    check(
+        {id(a) for a in arrays} == reached,
         "the master array holds a chunk array that no occurrence reaches",
     )
-    live, rest = len(forest.store.slots), resting_chunks(forest.capacity, forest.K)
+    live = len(store.slots) if store is not None else 0
+    rest = resting_chunks(forest.capacity, forest.K)
     check(live <= rest, f"{live} live chunks above the at-rest bound {rest}")
     stored = set()
     for tour, edges in tours.items():
@@ -300,8 +308,10 @@ def check_euler_forest(forest):
 
 def check_link_vectors(forest):
     """Every live chunk's link vector against one recomputed from scratch:
-    the slots of the chunks holding a non-tree neighbour of its nodes."""
-    chunks = list(forest.store.slots.values())
+    the slots of the chunks holding a non-tree neighbour of its nodes; a
+    forest without a master array has none."""
+    store = forest.master
+    chunks = list(store.slots.values()) if store is not None else []
     node_sets = {c.slot: {x for e in c.edges for x in e} for c in chunks}
     for c in chunks:
         want = 0

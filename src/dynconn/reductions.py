@@ -49,7 +49,8 @@ class GadgetError(ValueError):
 
 
 # per-call ceilings on the translated operations, as (node additions, node
-# removals, edge insertions, edge deletions); OpCounter enforces them
+# removals, edge insertions, edge deletions); `ConnGeneral._close_tally`
+# enforces them
 CONN_INSERT_CEILINGS = (2, 0, 5, 2)
 CONN_DELETE_CEILINGS = (0, 2, 2, 5)
 
@@ -61,31 +62,9 @@ def _translated_depth(ceilings, inner):
     return inserts * inner["insert"] + deletes * inner["delete"]
 
 
-class OpCounter:
-    """Per-call tally of translated operations with hard ceilings."""
-
-    __slots__ = ("node_add", "node_del", "edge_add", "edge_del")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        self.node_add = 0
-        self.node_del = 0
-        self.edge_add = 0
-        self.edge_del = 0
-
-    def close(self, label, limits):
-        got = (self.node_add, self.node_del, self.edge_add, self.edge_del)
-        for name, value, cap in zip(
-            ("node additions", "node removals", "edge insertions", "edge deletions"),
-            got,
-            limits,
-        ):
-            if cap is not None and value > cap:
-                raise AssertionError(
-                    f"{label}: {value} {name} exceeds the translation bound {cap}"
-                )
+# the release stack of every gadget that has released no id, which is most
+# of them; the first release gets the gadget its own list
+_NO_IDS = ()
 
 
 class ConnGeneral:
@@ -126,9 +105,11 @@ class ConnGeneral:
         # gadget ids below the mark have been handed out; released ids are
         # reused last in, first out before the mark moves
         self.mark = 0
-        self.free = []
+        self.free = _NO_IDS
         self.isolated = 0
-        self.counts = OpCounter()
+        # the translated operations of the call in flight, as (node
+        # additions, node removals, edge insertions, edge deletions)
+        self.node_add = self.node_del = self.edge_add = self.edge_del = 0
         with meter.initialization():
             meter.charge(len(self.host_active))
 
@@ -223,13 +204,13 @@ class ConnGeneral:
         # ids hold one edge more, unused, and size its K and J
         if len(self.ports) >= 2 * self.edge_capacity:
             raise GadgetError("edge capacity exhausted")
-        self.counts.reset()
+        self.node_add = self.node_del = self.edge_add = self.edge_del = 0
         g_uv = self._splice_in(u)
         g_vu = self._splice_in(v)
         self.ports[(u, v)] = g_uv
         self.ports[(v, u)] = g_vu
         self._ins(g_uv, g_vu)
-        self.counts.close("conn_gadget_insert", CONN_INSERT_CEILINGS)
+        self._close_tally("conn_gadget_insert", CONN_INSERT_CEILINGS)
         return None
 
     def delete_edge(self, u, v):
@@ -272,17 +253,33 @@ class ConnGeneral:
         # the forest checks a hint before any change: the ports go once it
         # has taken the edge out
         del self.ports[(u, v)], self.ports[(v, u)]
-        self.counts.reset()
-        self.counts.edge_del += 1
+        self.node_add = self.node_del = self.edge_add = 0
+        self.edge_del = 1
         self._splice_out(u, g_uv)
         self._splice_out(v, g_vu)
+        if self.free is _NO_IDS:
+            self.free = []
         for g in (g_uv, g_vu):
             self.inner.deactivate_node(g)
             self.free.append(g)
             del self.owner[g]
-            self.counts.node_del += 1
-        self.counts.close("conn_gadget_delete", CONN_DELETE_CEILINGS)
+            self.node_del += 1
+        self._close_tally("conn_gadget_delete", CONN_DELETE_CEILINGS)
         return self._map_report(rep)
+
+    def _close_tally(self, label, limits):
+        """Fail when the call's translated operations exceed `limits`."""
+        add, rem, ins, dels = limits
+        if (self.node_add <= add and self.node_del <= rem
+                and self.edge_add <= ins and self.edge_del <= dels):
+            return
+        got = (self.node_add, self.node_del, self.edge_add, self.edge_del)
+        names = ("node additions", "node removals", "edge insertions", "edge deletions")
+        for name, value, cap in zip(names, got, limits):
+            if value > cap:
+                raise AssertionError(
+                    f"{label}: {value} {name} exceeds the translation bound {cap}"
+                )
 
     # -- gadget cycle surgery ------------------------------------------------------------
 
@@ -295,7 +292,7 @@ class ConnGeneral:
             self.mark += 1
         self.inner.activate_node(g)
         self.owner[g] = host
-        self.counts.node_add += 1
+        self.node_add += 1
         return g
 
     def _splice_in(self, u):
@@ -351,7 +348,7 @@ class ConnGeneral:
 
     def _ins(self, a, b):
         self.inner.insert_edge(a, b)
-        self.counts.edge_add += 1
+        self.edge_add += 1
 
     def _del(self, u, a, b):
         """Delete cycle edge (a, b) of host u, leaving the cycle without a
@@ -369,7 +366,7 @@ class ConnGeneral:
             self.inner.delete_edge(a, b)
         else:
             self.inner.delete_edge_with_hint(a, b, chord)
-        self.counts.edge_del += 1
+        self.edge_del += 1
 
     def _position(self, v):
         """v's index in host_active; GadgetError unless v is an integer in

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from dynconn.oracle import check_spars_tree
 from dynconn.sparsify import DynamicBipartiteness, DynamicConnectivity
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -72,3 +73,18 @@ def test_gated_workload_drives_and_checks(name, n, length):
     tree = getattr(f.core, "cover", f.core)
     assert tree.n == (2 if w.mode == "bipartiteness" else 1) * n
     assert len(f.core.nodes) == len(tree.nodes) > 1
+
+
+def test_checking_a_sparse_reads_replay_builds_no_master_array():
+    """On conn_sparse_reads' 16-node blocks no forest chunks a tour, so no
+    node holds a master array, before or after the benchmark's checks
+    (`check_answers` runs `check_spars_tree`)."""
+    run, workloads = load("run"), load("workloads")
+    w = workloads.conn_sparse_reads("1/0", length=2000)
+    f, _, held = run.setup(w)
+    log = run.drive(f, w.calls)
+    forests = [node.conn.inner for node in f.core.nodes.values()]
+    assert len(forests) > 1 and all(forest.master is None for forest in forests)
+    assert run.check_answers(w, held, log, f) == []
+    check_spars_tree(f.core)
+    assert all(forest.master is None for forest in forests)

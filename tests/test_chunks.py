@@ -22,6 +22,15 @@ def filled(ms, sizes):
 
 
 class TestSlots:
+    def test_slots_are_charged_once_to_init_work(self):
+        """A store charges its slot count to `init_work` when built, unless
+        its owner paid for the slots already; neither charges update work."""
+        meter = CostMeter(ArbitraryPolicy(9))
+        ms = MasterArray(meter, 24, 8)
+        assert (meter.init_work, meter.work, len(ms.free)) == (24, 0, 24)
+        prepaid = MasterArray(meter, 24, 8, prepaid=True)
+        assert (meter.init_work, meter.work, len(prepaid.free)) == (24, 0, 24)
+
     def test_fresh_chunk_has_zero_links(self):
         ms = store()
         c = ms.alloc_chunk([(1, 2)])

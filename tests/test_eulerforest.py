@@ -80,7 +80,7 @@ class TestNodes:
         f = forest(10**5)
         assert f.nbr == {}
         assert f.nontree == {}
-        assert f.store.slots == {}
+        assert f.master is None and f.slots_of is None
 
 
 class TestInsert:
@@ -1245,6 +1245,74 @@ class TestSlotCount:
         assert 0 < touched["_merge_tours"] <= TOUCHED_ON_LINK
         assert 0 < touched["_commit_large"] <= TOUCHED_AFTER_SPLICE
         assert R - 1 <= rest <= R and peak > R
+
+
+class TestLazyMasterArray:
+    """A forest makes its master array on its first chunked tour, yet pays
+    for its J slots when it is built, as a forest that made it there
+    would."""
+
+    @pytest.mark.parametrize("n", [2, 48, 10**5])
+    def test_unchunked_forest_holds_none_and_pays_its_slots(self, n):
+        f = forest(n)
+        J = resting_chunks(n, f.K) + TRANSIENT_CHUNKS
+        assert f.master is None
+        assert (f.meter.init_work, f.meter.work) == (n + J, 0)
+        # the charge of a forest that built its store with it
+        meter = CostMeter(ArbitraryPolicy(4))
+        MasterArray(meter, J, f.K)
+        assert f.meter.init_work == n + meter.init_work
+
+    def test_small_tours_build_none(self):
+        f = forest_with([(0, 1), (1, 2), (3, 4), (2, 0)], n=48)
+        f.delete_edge(0, 1)
+        assert all(isinstance(t, SmallTour) for t in euler_tours(f))
+        check_euler_forest(f)
+        # the checkers read the plain attribute and build nothing
+        assert f.master is None and f.slots_of is None
+
+    def test_first_chunking_builds_one_and_a_demotion_keeps_it(self, monkeypatch):
+        built = []
+        init = MasterArray.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MasterArray, "__init__", counted)
+        n = 48
+        f = forest(n)
+        for v in range(n):
+            f.activate_node(v)
+        paid = f.meter.init_work
+        for i in range(40):
+            f.insert_edge(i, i + 1)
+        assert built == [f.master] and f.store is f.master
+        assert f.master.arrays() and f.meter.init_work == paid
+        check_euler_forest(f)
+        # cut the path down to a tour of one chunk, which is demoted
+        for i in range(39, 2, -1):
+            f.delete_edge(i, i + 1)
+        assert all(isinstance(t, SmallTour) for t in euler_tours(f))
+        assert built == [f.master] and f.master.slots == {}
+        check_euler_forest(f)
+        for i in range(3, 40):
+            f.insert_edge(i, i + 1)
+        assert built == [f.master] and f.master.arrays()
+        assert f.meter.init_work == paid
+        check_euler_forest(f)
+
+    def test_reading_store_reports_every_slot_free_and_charges_nothing(self):
+        f = forest_with([(0, 1), (1, 2)], n=200)
+        J = resting_chunks(200, f.K) + TRANSIENT_CHUNKS
+        spent = (f.meter.work, f.meter.depth, f.meter.init_work)
+        store = f.store
+        # what `bench/run.py` `_slot_occupancy` reads: no slot taken
+        assert (store.slot_count, len(store.free)) == (J, J)
+        assert store.slot_count - len(store.free) == 0
+        assert (f.meter.work, f.meter.depth, f.meter.init_work) == spent
+        assert f.master is store and f.slots_of == {}
+        check_euler_forest(f)
 
 
 class TestCheckerCatchesCorruption:

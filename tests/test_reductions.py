@@ -33,8 +33,7 @@ def activate_all(cg, n):
 
 def tally(cg):
     """The translated operations of cg's last edge call."""
-    c = cg.counts
-    return (c.node_add, c.node_del, c.edge_add, c.edge_del)
+    return (cg.node_add, cg.node_del, cg.edge_add, cg.edge_del)
 
 
 def within(got, ceilings):
@@ -63,6 +62,18 @@ class TestConnGadget:
             assert within(tally(cg), CONN_DELETE_CEILINGS)
             assert tally(cg)[0] == 0
         check_gadget_graph(cg)
+
+    def test_a_call_over_its_ceiling_fails_loudly(self, monkeypatch):
+        from dynconn import reductions
+
+        cg = conn()
+        activate_all(cg, 2)
+        monkeypatch.setattr(reductions, "CONN_INSERT_CEILINGS", (2, 0, 0, 2))
+        with pytest.raises(
+            AssertionError,
+            match="conn_gadget_insert: 1 edge insertions exceeds the translation bound 0",
+        ):
+            cg.insert_edge(0, 1)
 
     def test_triangle_replacement_is_host_edge(self):
         cg = conn()
@@ -350,7 +361,7 @@ class TestConnGadget:
             cg.insert_edge(3, 4)
         assert (meter.work, meter.depth, meter.init_work) == spent
         assert cg.ports == ports and cg.chord == chord and cg.owner == owner
-        assert cg.cycle == cycle and (cg.mark, cg.free) == ids
+        assert cg.cycle == cycle and (cg.mark, list(cg.free)) == ids
         assert cg.inner.edge_occ == occ
         assert {g: list(x) for g, x in cg.inner.nbr.items()} == nbr
         assert (cg.inner.K, cg.inner.store.slot_count) == (K, J)
