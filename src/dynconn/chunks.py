@@ -26,8 +26,8 @@ gives its gadget's forest n = 4s - 2 nodes (see `SparsNode`), so
 K ~ sqrt(12s) ~ 3.5*sqrt(s) and J ~ 4.6*sqrt(s) + 8 = O(sqrt(s)) slots: 79
 and 110 at the root of a graph of 512 nodes.  The forest charges the J
 slots to `init_work` when it is built, but makes its master array only on
-its first chunked tour (`prepaid`, so nothing is charged twice): a forest
-whose tours all fit one chunk never holds one.
+its first chunked tour, which charges nothing more: a forest whose tours
+all fit one chunk never holds one.
 
 A chunk's link row is written only when it changes: a refresh to the vector
 the chunk already holds pays only its row read, and a retired chunk's row
@@ -81,11 +81,10 @@ class Chunk(AggVertex):
 
 class MasterArray:
     """The global slot table; owns chunk allocation and link consistency.
-    Its `slot_count` slots are charged to `init_work` when it is built,
-    unless the owner charged them already (`prepaid`)."""
+    Building it charges nothing: the forest that owns it charges its
+    `slot_count` slots to `init_work` when the forest is built."""
 
-    def __init__(self, meter: CostMeter, slot_count: int, chunk_capacity: int,
-                 prepaid: bool = False):
+    def __init__(self, meter: CostMeter, slot_count: int, chunk_capacity: int):
         self.meter = meter
         self.slot_count = slot_count
         self.chunk_capacity = chunk_capacity
@@ -95,9 +94,6 @@ class MasterArray:
         # bulk_set_links charges for, written by the array operations
         self.n_arrays = 0
         self.n_held = 0
-        if not prepaid:
-            with meter.initialization():
-                meter.charge(slot_count)
 
     @staticmethod
     def depth_bounds(policy) -> dict:

@@ -244,9 +244,7 @@ class EulerForest:
         outside the forest asks for it.  Its J slots were charged when the
         forest was built, so making it charges nothing."""
         if self.master is None:
-            self.master = MasterArray(
-                self.meter, self._slot_count(), self.K, prepaid=True
-            )
+            self.master = MasterArray(self.meter, self._slot_count(), self.K)
             self.slots_of = {}
         return self.master
 

@@ -22,14 +22,12 @@ def filled(ms, sizes):
 
 
 class TestSlots:
-    def test_slots_are_charged_once_to_init_work(self):
-        """A store charges its slot count to `init_work` when built, unless
-        its owner paid for the slots already; neither charges update work."""
+    def test_building_a_store_charges_nothing(self):
+        """The forest that owns a store charges its slots when the forest
+        is built (`test_eulerforest.py`, `TestLazyMasterArray`)."""
         meter = CostMeter(ArbitraryPolicy(9))
         ms = MasterArray(meter, 24, 8)
-        assert (meter.init_work, meter.work, len(ms.free)) == (24, 0, 24)
-        prepaid = MasterArray(meter, 24, 8, prepaid=True)
-        assert (meter.init_work, meter.work, len(prepaid.free)) == (24, 0, 24)
+        assert (meter.init_work, meter.work, meter.depth, len(ms.free)) == (0, 0, 0, 24)
 
     def test_fresh_chunk_has_zero_links(self):
         ms = store()
