@@ -229,13 +229,14 @@ def euler_tours(forest):
 def check_euler_forest(forest):
     """Tour validity, occurrence pointers (resolved through `locate`, so a
     chunk's base counts), counters, degree bound, chunk sizing, the
-    non-tree record and link ground truth.  Tours are found from
-    the occurrence pointers, and the master array, made with the slot
-    record, must hold exactly the chunked ones.  The non-tree record must be `nbr` minus the tree edges,
-    in `nbr` order, with no entry for a node without a non-tree edge; the
-    link vectors are checked from `nbr` and `edge_occ`, not from it.  Every
-    `slots_of` entry must be the slot bits of the chunks holding its node's
-    occurrences, and no node outside a chunk may have one.  At most
+    non-tree record and link ground truth.  Tours are found from the
+    occurrence pointers, and the master array, made with the slot record,
+    must hold exactly the chunked ones.  The non-tree record must be `nbr`
+    minus the tree edges, in `nbr` order, with no entry for a node without
+    a non-tree edge; the link vectors are checked from `nbr` and
+    `edge_occ`, not from it.  Every `slots_of` entry must be the slot bits
+    of the chunks holding its node's occurrences, and no node outside a
+    chunk may have one.  At most
     `resting_chunks` chunks may be live, and a chunked tour must hold more
     than K edges, which lets a link skip the sum of its chunked tours."""
     occ = forest.edge_occ

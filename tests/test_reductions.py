@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dynconn import reductions
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.eulerforest import ReplacementReport
 from dynconn.oracle import (
@@ -64,8 +65,6 @@ class TestConnGadget:
         check_gadget_graph(cg)
 
     def test_a_call_over_its_ceiling_fails_loudly(self, monkeypatch):
-        from dynconn import reductions
-
         cg = conn()
         activate_all(cg, 2)
         monkeypatch.setattr(reductions, "CONN_INSERT_CEILINGS", (2, 0, 0, 2))

@@ -20,7 +20,7 @@ the benchmark's own `setup` and `drive` (`bench/run.py`), after the same
 The node and object counts repeat for a seed on any host; collector passes
 follow from the allocations and repeat too, but their seconds are the
 host's own.  A 20 s conn_sparse_reads instance (43333 calls) takes about
-10 s on a shared 2-core x86-64 VM with CPython 3.11.
+5 s on a shared 2-core x86-64 VM with CPython 3.11.
 
 The tool lives outside `bench/`, whose files define the gated benchmark; it
 only reads the workload generators and the replay loop from there.
