@@ -256,12 +256,12 @@ class CostMeter:
         if n == 0:
             return None
         prefix = self.prefix_and(bits)
-        # the last index whose prefix bit is 1, or the last index if none
-        # is: the pairs are distinct, so both policies find the same one
-        idx, (neg_p, _) = self.reduce_extremum([(-p, -i) for i, p in enumerate(prefix)])
-        if neg_p == 0:
-            return None
-        return idx
+        # one common write: the one index whose prefix bit is 1 and whose
+        # successor's is 0, or which is last, writes itself to the output;
+        # none does when bits[0] is 0
+        self.parallel_charge(n)
+        ones = sum(prefix)
+        return ones - 1 if ones else None
 
 
 # -- metered depth of the primitives -------------------------------------------
@@ -294,8 +294,9 @@ def pick_depth(policy) -> int:
 
 
 def segment_end_depth(policy) -> int:
-    """Depth of initial_segment_end: a prefix AND, then a min reduction."""
-    return PREFIX_AND_DEPTH + extremum_depth(policy)
+    """Depth of initial_segment_end, the same under either policy: a prefix
+    AND, then one common write."""
+    return PREFIX_AND_DEPTH + 1
 
 
 def _block_min(values, block):

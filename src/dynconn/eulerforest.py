@@ -308,8 +308,9 @@ class EulerForest:
         # _probe_large: the two cut chunks' node lists and their scan, then per
         # near range a query, the node lists of the pair it returns and a scan
         probe_large = 3 + 2 * (store["query"] + 3) + select
+        # no replacement: P3's and P2's splits, P1 P3's join, two repairs
         commit_split = (
-            store["reorder"] + store["split_array"] + 2 * repair(TOUCHED_AFTER_CUT)
+            2 * store["split_array"] + store["concatenate"] + 2 * repair(TOUCHED_AFTER_CUT)
         )
         commit_replace = splice(TOUCHED_AFTER_SPLICE)
         # flushed: two split-off repairs of at most 4 touched, or one repair
@@ -399,10 +400,12 @@ class EulerForest:
         if not cu:
             return  # small tour: links are found by scanning on demand
         cv = self._chunks_of(v)
+        # a processor per (a, b) pair tests one bit; vectors are symmetric
         self.meter.parallel_charge(len(cu) * len(cv))
         for a in cu:
             for b in cv:
-                self.master.link(a, b)
+                if not (a.bits >> b.slot) & 1:
+                    self.master.link(a, b)
 
     def _merge_tours(self, u, v):
         tid_u, tid_v = self._tree_id(u), self._tree_id(v)
@@ -792,12 +795,16 @@ class EulerForest:
         # array is then P1 = [0, a), P2 = [a, b), P3 = [b, n)
         a = self._cut_out(lo[0])
         b = self._cut_out(hi[0])
-        n = len(array)
         if pair is None:
-            self.master.reorder(array, [(0, a), (b, n), (a, b)])  # P1 P3 P2
-            far = self.master.split_array(array, a + (n - b))
-            self._repair(array)
-            self._repair(far)
+            # P2 splits off as the far walk and P1 P3 joins as the near one;
+            # an empty far walk (a == b) leaves the array as it is
+            pieces = [array]
+            if a < b:
+                p3 = self.master.split_array(array, b)
+                pieces.append(self.master.split_array(array, a))
+                self.master.concatenate(array, p3)
+            for piece in pieces:
+                self._repair(piece)
             return
         self._splice(array, a, b, pair)
         # the promoted edge no longer justifies links anywhere: every chunk

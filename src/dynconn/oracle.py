@@ -331,17 +331,17 @@ def check_link_vectors(forest):
 
 def check_gadget_graph(cg):
     """Connectivity-gadget invariants: cycle shape, internal
-    tree-connectedness and the tracked chord of every cycle.  Host degrees
-    are counted from the cross edges, and only active hosts with an edge
-    hold a cycle.  Every active host without a cycle is one isolated
-    component."""
+    tree-connectedness and the chord of every cycle.  A cycle of d >= 3
+    nodes holds d - 1 tree edges and its closing edge (cyc[-1], cyc[0]) is
+    not one of them, so the closing edge is its chord.  Host degrees are
+    counted from the cross edges, and only active hosts with an edge hold a
+    cycle.  Every active host without a cycle is one isolated component."""
     degree = Counter(u for (u, v) in cg.ports)
     check(
         cg.isolated == sum(cg.host_active) - len(cg.cycle),
         f"isolated count {cg.isolated} is not the active hosts without edges",
     )
     check(set(cg.cycle) == set(degree), "cycle entries are not the hosts with edges")
-    check(set(cg.chord) <= set(cg.cycle), "chord of a host without a cycle")
     for u, cyc in cg.cycle.items():
         d = degree[u]
         check(cg.host_active[cg._position(u)], f"inactive host {u} holds a cycle")
@@ -351,16 +351,11 @@ def check_gadget_graph(cg):
             check(all(b in cg.inner.nbr[a] for a, b in edges), f"cycle of {u} is broken")
             n_tree = sum(1 for e in edges if e in cg.inner.edge_occ)
             check(n_tree == d - 1, f"cycle of {u}: {n_tree} tree edges, want {d - 1}")
-        chord = cg.chord.get(u)
         if d >= 3:
             check(
-                chord is not None
-                and set(chord) in [set(e) for e in edges]
-                and chord not in cg.inner.edge_occ,
-                f"cycle of {u}: chord {chord} is not its non-tree edge",
+                edges[-1] not in cg.inner.edge_occ,
+                f"cycle of {u}: closing edge {edges[-1]} is a tree edge",
             )
-        else:
-            check(chord is None, f"cycle of {u} with {d} nodes has chord {chord}")
     for (u, v), g1 in cg.ports.items():
         g2 = cg.ports[(v, u)]
         check(g1 in cg.cycle[u], f"port of ({u},{v}) is not on the cycle of {u}")

@@ -9,9 +9,9 @@ Two layers, each a constant-factor translation into a lower structure:
                    kept internally tree-connected by splicing new nodes in
                    before removing edges and steering every tree cycle-edge
                    deletion with the cycle's chord (its one non-tree edge,
-                   tracked in O(1)) as the hint, which makes host tree
-                   edges exactly the cross tree edges with no ranking of
-                   replacement candidates (`ConnGeneral._del`).
+                   the cycle's closing edge) as the hint, which makes host
+                   tree edges exactly the cross tree edges with no ranking
+                   of replacement candidates (`ConnGeneral._del`).
 
   BipartiteGeneral bipartiteness from the bipartite double cover alone.
                    The cover of a graph G has two nodes 2v and 2v+1 per
@@ -71,10 +71,14 @@ class ConnGeneral:
     """Spanning forest / connectivity for hosts of unbounded degree.
 
     `hosts` is a tuple of one or two disjoint ranges of host ids, such as
-    `(range(n),)`; arguments, `ports`, `cycle`, `chord`, `owner` and every
-    report use those ids as given.  Only the dense activity record
-    `host_active` is indexed by position: a host's offset in the ranges
-    laid end to end.
+    `(range(n),)`; arguments, `ports`, `cycle`, `owner` and every report
+    use those ids as given.  Only the dense activity record `host_active`
+    is indexed by position: a host's offset in the ranges laid end to end.
+
+    A cycle of 3 or more gadget nodes is kept in the order whose closing
+    edge `(cyc[-1], cyc[0])` is its chord, its one non-tree edge: a
+    splice-in appends its node, and a splice-out rotates the list so the
+    edge that bridges the gap closes it.
     """
 
     def __init__(self, meter: CostMeter, hosts: tuple, edge_capacity: int):
@@ -97,9 +101,6 @@ class ConnGeneral:
         # host -> its gadget cycle, only for hosts of degree 1 or more, so an
         # idle host holds no object
         self.cycle = {}
-        # host -> the one non-tree edge of its cycle, for cycles of 3 or
-        # more gadget nodes
-        self.chord = {}
         self.owner = {}
         self.ports = {}
         # gadget ids below the mark have been handed out; released ids are
@@ -298,8 +299,8 @@ class ConnGeneral:
     def _splice_in(self, u):
         # full gadget nodes sit at degree 3 (two cycle edges plus the cross
         # edge), so the broken cycle edge is deleted before the new ones go
-        # in; the chord hint (_del) keeps the cycle's tree connectivity
-        # across that deletion
+        # in; with 3 or more nodes it is the closing edge, the chord, whose
+        # deletion leaves the tree as it is
         g = self._alloc(u)
         cyc = self.cycle.get(u)
         if cyc is None:
@@ -314,12 +315,10 @@ class ConnGeneral:
             self._ins(g, cyc[0])
         else:
             tail, head = cyc[-1], cyc[0]
-            self._del(u, tail, head)
+            self._del(tail, head, None)
             self._ins(tail, g)
             self._ins(g, head)
-        if d >= 2:
-            self.chord[u] = (g, cyc[0])  # closes the cycle's tree path
-        cyc.append(g)
+        cyc.append(g)  # (g, cyc[0]) closes the cycle's tree path
         return g
 
     def _splice_out(self, u, g):
@@ -331,41 +330,34 @@ class ConnGeneral:
             self.isolated += 1
             return
         if d == 2:
-            other = cyc[1 - i]
-            self._del(u, other, g)
-        elif d == 3:
-            a, b = (x for x in cyc if x is not g)
-            self._del(u, g, a)
-            self._del(u, g, b)
+            self._del(cyc[1 - i], g, None)
         else:
-            prev = cyc[i - 1]
-            nxt = cyc[(i + 1) % d]
-            self._del(u, prev, g)
-            self._del(u, g, nxt)
-            self._ins(prev, nxt)
-            self.chord[u] = (prev, nxt)
-        del cyc[i]
+            # the first deletion takes the chord as its hint; the second
+            # then releases g, a leaf, and (prev, nxt) closes the rest
+            prev, nxt = cyc[i - 1], cyc[(i + 1) % d]
+            self._del(prev, g, (cyc[-1], cyc[0]))
+            self._del(g, nxt, None)
+            if d > 3:
+                self._ins(prev, nxt)
+        self.cycle[u] = cyc[i + 1:] + cyc[:i]
 
     def _ins(self, a, b):
         self.inner.insert_edge(a, b)
         self.edge_add += 1
 
-    def _del(self, u, a, b):
-        """Delete cycle edge (a, b) of host u, leaving the cycle without a
-        chord.  No deletion lets a cross edge replace a cycle edge, so every
+    def _del(self, a, b, hint):
+        """Delete cycle edge (a, b), steered by `hint`, the cycle's chord, or
+        None.  No deletion lets a cross edge replace a cycle edge, so every
         cycle stays tree-connected and the forest needs no preference among
-        its candidates.  A tree cycle edge lies on the path the chord closes,
-        so the chord crosses the cut; passed as the hint, it is adopted
-        before any candidate is collected.  Otherwise the edge is the chord
-        itself, a non-tree edge, or the last edge of a gadget node being
-        released, whose side of the cut is that lone node.  A cross-edge
-        deletion (`_delete`) leaves every tree-connected cycle on one side
-        of its cut."""
-        chord = self.chord.pop(u, None)
-        if chord is None or chord == (a, b) or chord == (b, a):
-            self.inner.delete_edge(a, b)
-        else:
-            self.inner.delete_edge_with_hint(a, b, chord)
+        its candidates.  A tree cycle edge lies on the path the chord
+        closes, so the chord crosses the cut; passed as the hint, it is
+        adopted before any candidate is collected.  Every other cycle-edge
+        deletion needs none, and a hint it gets goes unused: it deletes the
+        chord itself, a non-tree edge, or the last edge of a gadget node
+        being released, whose side of the cut is that lone node.  A
+        cross-edge deletion (`_delete`) leaves every tree-connected cycle on
+        one side of its cut."""
+        self.inner.delete_edge_with_hint(a, b, hint)
         self.edge_del += 1
 
     def _position(self, v):

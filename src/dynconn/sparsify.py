@@ -459,7 +459,7 @@ def depth_budgets(mode, policy) -> dict:
     two connectivity updates of the same kind, one after the other, so its
     budget is twice the connectivity budget; the mirror reads around them
     are queries, which charge work only.  A budget depends on the mode, and
-    on the policy and its epsilon through the extremum reductions, but never
+    on the policy and its epsilon through the forest's picks, but never
     on n, and assumes the policy's writes plus `costmodel`'s combining adds
     to count cells.  Epsilon only sets the round count of the common-policy
     extremum; the update work is sqrt(n) * polylog(n) for every epsilon

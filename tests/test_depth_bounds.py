@@ -111,8 +111,8 @@ def test_bipartite_layers_within_bounds(monkeypatch, policy):
 @pytest.mark.parametrize(
     "policy, forest, connectivity, bipartiteness",
     [
-        (ArbitraryPolicy(5), (230, 423), (2002, 4598), (4004, 9196)),
-        (CommonPolicy(0.25), (230, 483), (2133, 5078), (4266, 10156)),
+        (ArbitraryPolicy(5), (230, 405), (1965, 4472), (3930, 8944)),
+        (CommonPolicy(0.25), (230, 465), (2085, 4952), (4170, 9904)),
     ],
     ids=["arbitrary", "common"],
 )

@@ -1247,6 +1247,74 @@ class TestSlotCount:
         assert R - 1 <= rest <= R and peak > R
 
 
+def _array_calls(monkeypatch):
+    """Count the master array's tour-restructuring calls by name."""
+    calls = Counter()
+    for name in ("split_array", "concatenate", "reorder"):
+
+        def watched(self, *args, _name=name, _method=getattr(MasterArray, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(MasterArray, name, watched)
+    return calls
+
+
+class TestCutWithoutReplacement:
+    """A tree delete with no replacement leaves the chunked tour as
+    P1 P2 P3 around its far walk P2: it splits P3 off, then P2, and joins
+    P1 with P3.  An empty far walk leaves the array as it is."""
+
+    def test_two_splits_and_one_join(self, monkeypatch):
+        f, array = _chunked_path()
+        calls = _array_calls(monkeypatch)
+        assert f.delete_edge(10, 11).kind == ReplacementReport.SPLIT
+        assert calls == {"split_array": 2, "concatenate": 1}
+        assert not f.connected(10, 11) and len(f.store.arrays()) == 2
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+
+    def test_an_empty_far_walk_makes_no_tree_call(self, monkeypatch):
+        f, array = _chunked_path()
+        calls = _array_calls(monkeypatch)
+        assert f.delete_edge(20, 41).kind == ReplacementReport.SPLIT
+        assert calls == {}
+        assert f.store.arrays() == [array] and not f.connected(20, 41)
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+
+
+class TestMarkLinked:
+    def test_a_linked_pair_is_not_linked_again(self, monkeypatch):
+        """A non-tree insert links each pair of chunks holding its two
+        endpoints, and only the pairs not linked already: vectors are
+        symmetric, so one bit tells."""
+        f, array = _linked_path()
+        # a new non-tree edge whose endpoints' chunks are already linked
+        free = [x for x in range(20) if len(f.nbr[x]) < 3]
+        x, y = next(
+            (x, y) for x in free for y in free
+            if x < y and y not in f.nbr[x]
+            and any((a.bits >> b.slot) & 1
+                    for a in f._chunks_of(x) for b in f._chunks_of(y))
+        )
+        pairs = [(a, b) for a in f._chunks_of(x) for b in f._chunks_of(y)]
+        unlinked = [(a.slot, b.slot) for a, b in pairs if not (a.bits >> b.slot) & 1]
+        linked = []
+        link = MasterArray.link
+
+        def watched(self, c1, c2):
+            linked.append((c1.slot, c2.slot))
+            return link(self, c1, c2)
+
+        monkeypatch.setattr(MasterArray, "link", watched)
+        f.insert_edge(x, y)
+        assert linked == unlinked
+        assert all((a.bits >> b.slot) & 1 for a, b in pairs)
+        check_euler_forest(f)
+        check_link_vectors(f)
+
+
 class TestLazyMasterArray:
     """A forest makes its master array on its first chunked tour, yet pays
     for its J slots when it is built, as a forest that made it there

@@ -55,17 +55,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (920780, {"insert": 178, "delete": 348, "connected": 0}, 24916),
+            (879337, {"insert": 125, "delete": 303, "connected": 0}, 24916),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (937445, {"insert": 189, "delete": 360, "connected": 0}, 24916),
+            (879845, {"insert": 117, "delete": 350, "connected": 0}, 24916),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (88139, {"insert": 193, "delete": 505}, 5163),
+            (86779, {"insert": 182, "delete": 495}, 5163),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

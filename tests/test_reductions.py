@@ -8,6 +8,7 @@ from dynconn import reductions
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.eulerforest import ReplacementReport
 from dynconn.oracle import (
+    CheckFailure,
     SimpleGraph,
     bf_bipartite,
     bf_components,
@@ -176,6 +177,66 @@ class TestConnGadget:
             check_gadget_graph(cg)
             chunked = chunked or bool(cg.inner.store.arrays())
         assert chunked
+
+    def test_host_inserts_delete_only_non_tree_cycle_edges(self, monkeypatch):
+        """Churn shaped like the conn_churn workload (m about 1.5n, inserts
+        and deletes alternating around that size) on one gadget: the
+        splice-ins of a host insert delete only closing edges, which are
+        the chords, so every forest delete inside them is NON_TREE, also
+        after splice-outs from cycles of 4 or more nodes."""
+        rng = random.Random(5)
+        n, m = 24, 36
+        cg = conn(n=n, cap=2 * m)
+        activate_all(cg, n)
+        inside, kinds, splice_in = [], [], ConnGeneral._splice_in
+
+        def watched_splice_in(self, u):
+            inside.append(u)
+            try:
+                return splice_in(self, u)
+            finally:
+                inside.pop()
+
+        def watch(method):
+            def watched(*args):
+                rep = method(*args)
+                if inside:
+                    kinds.append(rep.kind)
+                return rep
+            return watched
+
+        monkeypatch.setattr(ConnGeneral, "_splice_in", watched_splice_in)
+        for name in ("delete_edge", "delete_edge_with_hint"):
+            setattr(cg.inner, name, watch(getattr(cg.inner, name)))
+        edges, big_splice_outs = [], 0
+        for _ in range(600):
+            if len(edges) < m and (len(edges) < m // 2 or rng.random() < 0.5):
+                u, v = rng.sample(range(n), 2)
+                if (u, v) in edges or (v, u) in edges:
+                    continue
+                cg.insert_edge(u, v)
+                edges.append((u, v))
+            else:
+                u, v = edges.pop(rng.randrange(len(edges)))
+                big_splice_outs += len(cg.cycle[u]) >= 4 or len(cg.cycle[v]) >= 4
+                cg.delete_edge(u, v)
+        check_gadget_graph(cg)
+        assert big_splice_outs > 20 and len(kinds) > 100
+        assert set(kinds) == {ReplacementReport.NON_TREE}
+
+    def test_a_cycle_closed_by_a_tree_edge_fails_the_check(self):
+        """The check reads the chord off the cycle order: rotating a cycle
+        of 4 so that a tree edge closes it keeps every edge and the count
+        of tree edges, and fails only the closing-edge check."""
+        cg = conn()
+        activate_all(cg, 5)
+        for w in range(1, 5):
+            cg.insert_edge(0, w)
+        check_gadget_graph(cg)
+        cyc = cg.cycle[0]
+        cg.cycle[0] = cyc[1:] + cyc[:1]
+        with pytest.raises(CheckFailure, match="closing edge .* is a tree edge"):
+            check_gadget_graph(cg)
 
     def test_find_replacement_probe(self):
         cg = conn()
@@ -351,7 +412,7 @@ class TestConnGadget:
         for u, v in ((0, 1), (1, 2), (2, 0)):
             cg.insert_edge(u, v)
         K, J = cg.inner.K, cg.inner.store.slot_count
-        ports, chord, owner = dict(cg.ports), dict(cg.chord), dict(cg.owner)
+        ports, owner = dict(cg.ports), dict(cg.owner)
         cycle = {h: list(c) for h, c in cg.cycle.items()}
         occ, nbr = dict(cg.inner.edge_occ), {g: list(x) for g, x in cg.inner.nbr.items()}
         ids = (cg.mark, list(cg.free))
@@ -359,7 +420,7 @@ class TestConnGadget:
         with pytest.raises(GadgetError, match="edge capacity exhausted"):
             cg.insert_edge(3, 4)
         assert (meter.work, meter.depth, meter.init_work) == spent
-        assert cg.ports == ports and cg.chord == chord and cg.owner == owner
+        assert cg.ports == ports and cg.owner == owner
         assert cg.cycle == cycle and (cg.mark, list(cg.free)) == ids
         assert cg.inner.edge_occ == occ
         assert {g: list(x) for g, x in cg.inner.nbr.items()} == nbr
@@ -396,14 +457,14 @@ class TestHostRanges:
         pairs = list(itertools.combinations(range(6), 2))
         for u, v in pairs[: cg.edge_capacity]:
             cg.insert_edge(u, v)
-        assert cg.chord and cg.inner.nontree
-        ports, chord, occ = dict(cg.ports), dict(cg.chord), dict(cg.inner.edge_occ)
+        assert max(map(len, cg.cycle.values())) >= 3 and cg.inner.nontree
+        ports, occ = dict(cg.ports), dict(cg.inner.edge_occ)
         cycle = {h: list(c) for h, c in cg.cycle.items()}
         spent = (meter.work, meter.depth, meter.init_work)
         u, v = pairs[cg.edge_capacity]
         with pytest.raises(GadgetError, match="edge capacity exhausted"):
             cg.insert_edge(u, v)
-        assert cg.ports == ports and cg.chord == chord and cg.cycle == cycle
+        assert cg.ports == ports and cg.cycle == cycle
         assert cg.inner.edge_occ == occ
         assert (meter.work, meter.depth, meter.init_work) == spent
         check_gadget_graph(cg)
