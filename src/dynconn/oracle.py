@@ -351,9 +351,8 @@ def check_gadget_graph(cg):
             check(all(b in cg.inner.nbr[a] for a, b in edges), f"cycle of {u} is broken")
             n_tree = sum(1 for e in edges if e in cg.inner.edge_occ)
             check(n_tree == d - 1, f"cycle of {u}: {n_tree} tree edges, want {d - 1}")
-        if d >= 3:
             check(
-                edges[-1] not in cg.inner.edge_occ,
+                d == 2 or edges[-1] not in cg.inner.edge_occ,
                 f"cycle of {u}: closing edge {edges[-1]} is a tree edge",
             )
     for (u, v), g1 in cg.ports.items():
