@@ -171,22 +171,18 @@ class CostMeter:
     # -- primitives ---------------------------------------------------------
 
     def reduce_extremum(self, values):
-        """Return (index, value) of the minimum of `values`.
+        """Return (index, value) of the minimum of `values`; common policy
+        only, as `pick` sends the arbitrary policy to `choose_any`.
 
-        Common policy: blocked recursion on subarrays of size ~n^epsilon; ties
-        resolve to the lowest index and the round count (hence depth) depends
-        only on epsilon.  Arbitrary policy: one linear pass; a tie is broken by
-        the seeded generator.
+        Blocked recursion on subarrays of size ~n^epsilon; ties resolve to
+        the lowest index and the round count (hence depth) depends only on
+        epsilon.
         """
         n = len(values)
         if n == 0:
             raise ValueError("empty reduction")
-        if self.policy.kind == "common":
-            return self._reduce_common(values)
-        return self._reduce_arbitrary(values)
-
-    def _reduce_common(self, values):
-        n = len(values)
+        if self.policy.kind != "common":
+            raise MeterError("reduce_extremum requires the common write policy")
         eps = self.policy.epsilon
         rounds_budget = _extremum_rounds(eps)
         block = max(2, math.ceil(n ** eps))
@@ -211,15 +207,6 @@ class CostMeter:
         self.phase()
         idx = live[0] if len(live) else 0
         return idx, values[idx]
-
-    def _reduce_arbitrary(self, values):
-        n = len(values)
-        self.parallel_charge(n)  # concurrent compare-and-write sweep
-        best = min(values)
-        ties = [i for i, v in enumerate(values) if v == best]
-        self.parallel_charge(n)  # tied writers race for the output cell
-        pick = ties[self._rng.randrange(len(ties))]
-        return pick, best
 
     def pick(self, values):
         """The least of `values` under the common policy, a seeded draw under
@@ -279,13 +266,10 @@ def _extremum_rounds(epsilon):
 
 
 def extremum_depth(policy) -> int:
-    """Depth of reduce_extremum, the one primitive whose depth depends on the
-    policy: two sweeps under the arbitrary policy; under the common policy
-    two levels per blocked round, padded to the epsilon-only round budget,
-    and the final readout."""
-    if policy.kind == "common":
-        return 2 * _extremum_rounds(policy.epsilon) + 1
-    return 2
+    """Depth of reduce_extremum, a common-policy primitive: two levels per
+    blocked round, padded to the epsilon-only round budget, and the final
+    readout."""
+    return 2 * _extremum_rounds(policy.epsilon) + 1
 
 
 def pick_depth(policy) -> int:

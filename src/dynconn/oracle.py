@@ -365,13 +365,14 @@ def check_spars_tree(s):
     """Base-graph/forest invariants across materialized sparsification nodes.
 
     The tree is its own graph record, so the truth is read from it: an edge
-    is present when the leaf of its path holds it in its ports, and a node
-    is active when the root's `host_active` has it set.  Activity lives only
-    at the root, so every node below it must hold every host of its spans
-    as present.  Every node's gadget must pass `check_gadget_graph`, its
-    base graph must hold at most 2*span - 3 edges (see `SparsNode`), and
-    every base edge must be held at its leaf.  A bipartiteness core (one
-    with a `cover`) is checked through `check_cover_lift`."""
+    is present when the bottom node of its path holds it in its ports, and
+    a node is active when the root's `host_active` has it set.  Activity
+    lives only at the root, so every node below it must hold every host of
+    its spans as present.  Every node's gadget must pass
+    `check_gadget_graph`, its base graph must hold at most 2*span - 3 edges
+    (see `SparsNode`), and every base edge must be held at its bottom node.
+    A bipartiteness core (one with a `cover`) is checked through
+    `check_cover_lift`."""
     if hasattr(s, "cover"):
         return check_cover_lift(s)
     root = s.root().conn.host_active  # the root's hosts are (range(n),)

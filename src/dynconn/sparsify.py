@@ -1,12 +1,19 @@
 """Sparsification tree over an implicit balanced node partition, plus facades.
 
-The node set [0, n) is halved recursively into a balanced binary partition
-tree of depth ceil(log2 n).  For every level and every unordered pair of
-same-level parts, a sparsification node covers the edges between the two
-parts; an edge therefore lives on exactly one root-to-leaf path of keys.
-Each materialized node keeps a base graph: the union of its children's
-spanning forests (at most 4 per node), which has the same components as the
-full covered subgraph in at most 2*span - 3 edges (see SparsNode).  All
+The node set [0, n) is split into a nested balanced partition in closed
+form: part k of level l is the ids from floor(k*n / 2**l) up to, not
+including, floor((k+1)*n / 2**l), so id x lies in part
+floor(((x+1) * 2**l - 1) / n).  Parts 2k and 2k+1 of level l+1 are the
+halves of part k, and the parts of one level differ in size by at most one.
+The deepest level, `levels` = max(0, ceil(log2 n) - 1), has 2**levels
+parts, fewer than n once n >= 2, so each holds 1 or 2 ids and none is
+empty.  For every level and every unordered pair of same-level parts, a
+sparsification node covers the edges between the two parts; an edge
+therefore lives on exactly one root-to-bottom path of keys.  Each
+materialized node keeps a base graph: above the deepest level, the union of
+its children's spanning forests (at most 4 per node); at the deepest level,
+every edge it covers.  Either way the base graph has the same components as
+the full covered subgraph in at most 2*span - 3 edges (see SparsNode).  All
 per-node structure work runs through the unbounded-degree connectivity layer
 sized by the node's own span, which is what turns per-operation cost into a
 geometric sum over levels.  That gadget's hosts are the node's one or two
@@ -29,7 +36,7 @@ Every facade operation runs under a depth budget (see depth_budgets) that is
 checked on every call rather than trusted: a call deeper than its budget
 raises MeterError.  Calls are not padded to their budgets, so the meter
 reports the depth each call spent, with one exception: under the common
-policy `CostMeter._reduce_common` pads every extremum to its round budget,
+policy `CostMeter.reduce_extremum` pads every extremum to its round budget,
 which depends on epsilon only.  That padding stays because it cannot hide
 depth that grows with n: the budget is a constant, and a reduction that
 needs more rounds still raises MeterError.  A budget is a constant of the
@@ -39,14 +46,14 @@ composed from the lower layers' bounds, which are counted from their code
 gadget call ceilings), plus the sequential phases of the update itself.
 
 The tree is its own graph record, and every fact of the graph is stored
-once: an edge is present when the leaf of its path holds it in its ports,
-a node is active when the root's `host_active` has it set (the root's hosts
-are `(range(n),)`, so a node's position there is its id), and a node has an
-edge when the root's `cycle` holds it, because the root's base graph has
-the graph's components.  Activity lives only at the root: a node below it
-holds every host of its spans as present from the moment it is built, since
-an edge reaches it only after the root's checks passed, so a node change
-writes the root alone.
+once: an edge is present when the bottom node of its path holds it in its
+ports, a node is active when the root's `host_active` has it set (the
+root's hosts are `(range(n),)`, so a node's position there is its id), and
+a node has an edge when the root's `cycle` holds it, because the root's
+base graph has the graph's components.  Activity lives only at the root: a
+node below it holds every host of its spans as present from the moment it
+is built, since an edge reaches it only after the root's checks passed, so
+a node change writes the root alone.
 """
 
 from __future__ import annotations
@@ -80,9 +87,12 @@ class SparsNode:
     can add one edge while it runs: a node inserts the replacement its child
     on the edge's path promotes, the edge it adopts when it has none of its
     own, before it deletes the old edge.  Only that child changes, so the
-    extra edge does not compound.  A pair leaf holds at most its one edge
-    and a diagonal leaf none.  A gadget asked for an edge beyond its pool
-    raises GadgetError, so the bound stays falsifiable."""
+    extra edge does not compound.  A node of the deepest level has no
+    children: its base graph is every edge it covers.  Its parts hold 1 or
+    2 ids, so a pair node there over parts a and b holds at most
+    |a|*|b| <= 2*span - 3 edges, and a diagonal node at most 1, the edge
+    inside a part of 2 ids, again 2*span - 3.  A gadget asked for an edge
+    beyond its pool raises GadgetError, so the bound stays falsifiable."""
 
     __slots__ = ("key", "conn")
 
@@ -113,7 +123,7 @@ class SparsTree:
     ids are 0-based; precondition messages name them 1-based, as the
     facade's caller passed them.
 
-    No graph is kept beside the nodes: edges live in the leaf ports
+    No graph is kept beside the nodes: edges live in the bottom nodes' ports
     (`has_edge`, `edges`), activity in the root's `host_active` (`active`
     is that bytearray) and the nodes with an edge in the root's `cycle`.
     Activity lives only at the root; the nodes below it hold every host of
@@ -123,9 +133,9 @@ class SparsTree:
     def __init__(self, n, meter: CostMeter):
         self.n = n
         self.meter = meter
-        self.levels = (n - 1).bit_length()  # partition-tree depth
+        # the deepest level, whose parts hold 1 or 2 ids each
+        self.levels = max(0, (n - 1).bit_length() - 1)
         self.nodes = {}
-        self._interval_cache = {(0, 0): range(n)}
         self.root_key = (0, 0, 0)
         # the root's activity record is the tree's; the root's hosts are
         # (range(n),), so a node's position in it is its id
@@ -134,31 +144,19 @@ class SparsTree:
     # -- partition geometry ------------------------------------------------------
 
     def interval(self, level, k):
-        got = self._interval_cache.get((level, k))
-        if got is not None:
-            return got
-        parent = self.interval(level - 1, k >> 1)
-        mid = parent.start + (len(parent) + 1) // 2
-        out = range(parent.start, mid) if k & 1 == 0 else range(mid, parent.stop)
-        self._interval_cache[(level, k)] = out
-        return out
+        """Part k of `level`: the ids x with part(level, x) == k."""
+        n = self.n
+        return range(k * n >> level, (k + 1) * n >> level)
 
-    def part_path(self, x):
-        """x's partition index at every level, root downward."""
-        ks = [0]
-        k = 0
-        for level in range(1, self.levels + 1):
-            # part k's first half is part 2k of the next level
-            k = 2 * k if x < self.interval(level, 2 * k).stop else 2 * k + 1
-            ks.append(k)
-        return ks
+    def part(self, level, x):
+        """The index of the part of `level` that holds x."""
+        return (((x + 1) << level) - 1) // self.n
 
     def key_path(self, x, y):
-        """Keys from leaf to root of the unique path holding edge (x, y)."""
-        kx, ky = self.part_path(x), self.part_path(y)
+        """Keys from bottom to root of the unique path holding edge (x, y)."""
         out = []
         for level in range(self.levels, -1, -1):
-            a, b = kx[level], ky[level]
+            a, b = self.part(level, x), self.part(level, y)
             out.append((level, a, b) if a <= b else (level, b, a))
         return out
 
@@ -168,11 +166,7 @@ class SparsTree:
             return []
         out = []
         for a in (2 * k1, 2 * k1 + 1):
-            if not self.interval(level + 1, a):
-                continue
             for b in (2 * k2, 2 * k2 + 1):
-                if not self.interval(level + 1, b):
-                    continue
                 ck = (level + 1, a, b) if a <= b else (level + 1, b, a)
                 if ck not in out:
                     out.append(ck)
@@ -228,15 +222,16 @@ class SparsTree:
 
         meter.parallel_for(len(path), probe_body)
         end = meter.initial_segment_end(probe)
-        if end is None:
-            raise AssertionError("leaf level cannot be connected before insertion")
 
         def insert_body(i):
             path[i].insert_edge(x, y)
 
         # the edge joins the forests of levels 0..end and the base graph of
-        # the first connected level above them, all in one phase
-        meter.parallel_for(min(end + 2, len(path)), insert_body)
+        # the first connected level above them, all in one phase; when the
+        # bottom level is connected already (end is None), its base graph,
+        # which holds every edge it covers, takes the edge as non-tree alone
+        reach = 1 if end is None else min(end + 2, len(path))
+        meter.parallel_for(reach, insert_body)
 
     def delete_edge(self, x, y):
         """Delete (x, y), restructuring every level that holds it, in three
@@ -304,10 +299,10 @@ class SparsTree:
         meter.parallel_for(len(path), commit_body)
 
     def _check_footprint(self, holds, tree):
-        """An edge occupies one contiguous path segment from its leaf and is
-        a tree edge everywhere on it except possibly the topmost level; a
-        segment whose top is a tree level ends at the root, so every tree
-        level's parent commits with it."""
+        """An edge occupies one contiguous path segment from its bottom node
+        and is a tree edge everywhere on it except possibly the topmost
+        level; a segment whose top is a tree level ends at the root, so
+        every tree level's parent commits with it."""
         hi = len(holds) - 1 - holds[::-1].index(True)
         if not all(holds[: hi + 1]):
             raise AssertionError("edge footprint is not contiguous")
@@ -340,11 +335,11 @@ class SparsTree:
         raise SparsError("a connectivity tree has no bipartiteness query")
 
     def has_edge(self, x, y):
-        """Whether (x, y) is an edge: the leaf of its path holds it."""
+        """Whether (x, y) is an edge: the bottom node of its path holds it."""
         return self._holds(self.key_path(x, y)[0], x, y)
 
     def edges(self):
-        """The graph's edges as (low, high) pairs, read off the leaves."""
+        """The graph's edges as (low, high) pairs, read off the bottom nodes."""
         return [
             e for key, node in self.nodes.items() if key[0] == self.levels
             for e in node.conn.ports if e[0] < e[1]
@@ -356,10 +351,10 @@ class SparsTree:
     def graph(self):
         return self
 
-    def _holds(self, leaf_key, x, y):
+    def _holds(self, bottom_key, x, y):
         # a lookup, so a rejected call materializes no node
-        leaf = self.nodes.get(leaf_key)
-        return leaf is not None and (x, y) in leaf.conn.ports
+        bottom = self.nodes.get(bottom_key)
+        return bottom is not None and (x, y) in bottom.conn.ports
 
     def _check_id(self, v):
         if not 0 <= v < self.n:
@@ -466,7 +461,7 @@ def depth_budgets(mode, policy) -> dict:
     (see `costmodel`).  Calls are not padded to their
     budgets: the meter keeps the depth the call spent, and a call that goes
     over its budget raises MeterError.  Only a common-policy extremum is
-    padded, by `CostMeter._reduce_common`, to its round budget; that budget
+    padded, by `CostMeter.reduce_extremum`, to its round budget; that budget
     does not depend on n, and a reduction that needs more rounds raises
     MeterError, so the padding hides no depth that grows with n.
 

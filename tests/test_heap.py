@@ -19,6 +19,11 @@ def test_one_short_replay_counts_nodes_objects_and_passes():
     # short tours in 16-node blocks: no forest chunks, so none holds a
     # master array, and every node is one gadget and one forest
     assert p["nodes"] > 0 and p["chunked"] == 0
+    # the per-level census covers every node, root first
+    levels = list(p["by_level"])
+    assert levels == sorted(levels) and levels[0] == 0
+    assert sum(count for count, _ in p["by_level"].values()) == p["nodes"]
+    assert all(0 <= empty <= count for count, empty in p["by_level"].values())
     assert "MasterArray" not in p["tracked"]
     for kind in ("SparsNode", "ConnGeneral", "EulerForest"):
         assert p["tracked"][kind] == p["nodes"], kind

@@ -148,8 +148,8 @@ class TestDeletions:
         d.insert_edge(1, 2)
         d.insert_edge(2, 3)
         d.insert_edge(1, 3)
-        # (1,3) is a tree edge only deep on its own path (it always spans its
-        # leaf pair); levels where it is non-tree must keep their forests
+        # (1,3) is a tree edge only deep on its own path; levels where it
+        # is non-tree must keep their forests
         frozen = {
             key: node.forest_edges()
             for key, node in d.core.nodes.items()
@@ -166,7 +166,7 @@ class TestDeletions:
 class TestPromotion:
     """A tree level's replacement goes into its parent's base graph in the
     commit phase, before the parent deletes the edge.  Over four nodes the
-    key path of (1, 3) is its leaf, the level-1 node between the parts
+    key path of (1, 3) is the bottom node (1, 0, 1) between the parts
     {1, 2} and {3, 4}, whose base graph holds every edge between them, and
     the root; ids below are the facade's, 1-based."""
 
@@ -226,6 +226,49 @@ class TestPromotion:
         assert (0, 3) in root.edges() - root.forest_edges()
         assert d.connected(1, 3) and d.n_components() == 1
         check_spars_tree(d.core)
+
+
+def test_an_edge_its_bottom_node_already_connects_goes_in_there_alone():
+    """Over four nodes the bottom node (1, 0, 1) covers K_{2,2} between the
+    parts {1, 2} and {3, 4}.  Its fourth edge closes a cycle there, so it is
+    a non-tree edge of that node's base graph and of no other node's."""
+    d = conn_facade(4)
+    g = SimpleGraph()
+    for v in range(1, 5):
+        d.activate_node(v)
+        g.activate(v)
+
+    def agrees():
+        check_spars_tree(d.core)
+        assert d.n_components() == bf_components(g)
+        for u, v in itertools.combinations(range(1, 5), 2):
+            assert d.connected(u, v) == bf_connected(g, u, v)
+
+    def insert(u, v):
+        d.insert_edge(u, v)
+        g.add_edge(u, v)
+
+    def delete(u, v):
+        d.delete_edge(u, v)
+        g.remove_edge(u, v)
+
+    for u, v in [(1, 3), (1, 4), (2, 3)]:
+        insert(u, v)
+    bottom = d.core.nodes[(1, 0, 1)]
+    insert(2, 4)
+    assert [key for key, node in d.core.nodes.items() if (1, 3) in node.edges()] == [
+        (1, 0, 1)
+    ]
+    assert (1, 3) in bottom.edges() - bottom.forest_edges()
+    agrees()
+    delete(2, 4)
+    assert (1, 3) not in bottom.edges()
+    agrees()
+    insert(2, 4)
+    assert (0, 2) in bottom.forest_edges()
+    delete(1, 3)  # a tree edge there, replaced by (2, 4)
+    assert (1, 3) in bottom.forest_edges()
+    agrees()
 
 
 class TestDifferential:
@@ -734,21 +777,31 @@ def test_checker_sees_an_edge_changed_behind_the_tree(make, cover):
         check_spars_tree(f.core)
 
 
-def test_part_path_follows_the_intervals():
-    """x's partition index at each level names the one part there whose
-    interval holds x."""
-    for n in [*range(1, 71), 511, 512, 513, 1024]:
+def test_the_partition_is_nested_balanced_and_named_by_part():
+    """At every level the intervals tile [0, n), each inside its parent,
+    none empty and no two differing in size by more than one; the deepest
+    level's parts hold at most 2 ids.  `part` names the interval that holds
+    x, and `key_path` pairs the parts of an edge's two ends."""
+    for n in [*range(1, 71), 511, 512, 513, 1024, 1025]:
         t = SparsTree(n, CostMeter(ArbitraryPolicy(0)))
-        owner = []
         for level in range(t.levels + 1):
-            at = [None] * n
-            for k in range(2**level):
-                for x in t.interval(level, k):
-                    assert at[x] is None, (n, level, x)
-                    at[x] = k
-            owner.append(at)
-        for x in range(n):
-            assert t.part_path(x) == [at[x] for at in owner], (n, x)
+            parts = [t.interval(level, k) for k in range(2**level)]
+            assert [x for r in parts for x in r] == list(range(n)), (n, level)
+            sizes = {len(r) for r in parts}
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1, (n, level)
+            for k, r in enumerate(parts):
+                if level:
+                    up = t.interval(level - 1, k >> 1)
+                    assert up.start <= r.start and r.stop <= up.stop, (n, level, k)
+                assert all(t.part(level, x) == k for x in r), (n, level, k)
+        assert all(len(t.interval(t.levels, k)) <= 2 for k in range(2**t.levels)), n
+        rng = random.Random(n)
+        for _ in range(20):
+            x, y = rng.randrange(n), rng.randrange(n)
+            assert t.key_path(x, y) == [
+                (level, *sorted((t.part(level, x), t.part(level, y))))
+                for level in range(t.levels, -1, -1)
+            ], (n, x, y)
 
 
 @pytest.mark.parametrize("facade", [DynamicConnectivity, DynamicBipartiteness])
@@ -758,14 +811,13 @@ def test_a_node_count_that_is_not_an_integer_is_rejected(facade, n):
         facade(n)
 
 
-@pytest.mark.parametrize(
-    "facade, levels", [(DynamicConnectivity, 0), (DynamicBipartiteness, 1)]
-)
-def test_a_boolean_node_count_is_its_integer(facade, levels):
+@pytest.mark.parametrize("facade", [DynamicConnectivity, DynamicBipartiteness])
+def test_a_boolean_node_count_is_its_integer(facade):
     f = facade(True)
-    # the bipartite core's tree is the cover, over two nodes
+    # the bipartite core's tree is the cover, over two nodes, whose one
+    # part of 2 ids is the deepest level
     tree = tree_of(f.core)
-    assert type(f.n) is int and f.n == 1 and tree.levels == levels
+    assert type(f.n) is int and f.n == 1 and tree.levels == 0
     f.activate_node(1)
     assert f.n_components() == 1
 
@@ -827,8 +879,22 @@ class TestSparsificationBound:
             d.insert_edge(u, v)
         held = node_bounds(d.core)
         assert all(edges <= bound for edges, bound in held)
-        # a diagonal node's children all hold spanning trees
-        assert any(edges == bound for edges, bound in held if bound)
+        if make is bip_facade and n & (n - 1) == 0:
+            # the cover's bottom parts are then the copy pairs {2v, 2v+1}:
+            # a bottom pair node holds the two lifts of one graph edge, a
+            # diagonal one none, and no node reaches its bound
+            tree = tree_of(d.core)
+            parts = range(2**tree.levels)
+            bottom = {
+                key[1:]: len(node.conn.ports) // 2
+                for key, node in tree.nodes.items() if key[0] == tree.levels
+            }
+            assert {
+                (a, b): bottom.get((a, b), 0) for a in parts for b in parts if a <= b
+            } == {(a, b): 2 if a < b else 0 for a in parts for b in parts if a <= b}
+        else:
+            # a diagonal node's children all hold spanning trees
+            assert any(edges == bound for edges, bound in held if bound)
         rng = random.Random(n)
         rng.shuffle(pairs)
         gone = pairs[: len(pairs) // 2]

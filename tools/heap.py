@@ -9,6 +9,8 @@ the benchmark's own `setup` and `drive` (`bench/run.py`), after the same
 
   - the sparsification nodes materialized, and those whose Euler forest
     ever chunked a tour (it then holds a master array);
+  - the materialized nodes per level of the tree, root first, and how many
+    of them hold no edge;
   - the objects the garbage collector tracks once the calls are done and
     a full collection has freed what was garbage, by type, in all and per
     materialized node (the script and the other objects `_settle` froze
@@ -78,11 +80,17 @@ def profile(name, seed, seconds):
         log = drive(f, w.calls)
     nodes = f.core.nodes.values()
     chunked = sum(node.conn.inner.master is not None for node in nodes)
+    by_level = {}  # level: [nodes, nodes that hold no edge]
+    for node in nodes:
+        counts = by_level.setdefault(node.key[0], [0, 0])
+        counts[0] += 1
+        counts[1] += not node.conn.ports
     gc.collect()  # count what the structure holds, not garbage awaiting a pass
     tracked = Counter(type(o).__name__ for o in gc.get_objects())
     return {
         "workload": name, "seed": seed, "n": w.n, "calls": len(log.ops),
-        "nodes": len(nodes), "chunked": chunked, "tracked": tracked,
+        "nodes": len(nodes), "chunked": chunked,
+        "by_level": dict(sorted(by_level.items())), "tracked": tracked,
         "passes": passes, "gc_s": spent, "calls_s": log.elapsed,
     }
 
@@ -97,6 +105,9 @@ def main(argv=None):
     nodes = max(p["nodes"], 1)
     print(f"{p['workload']} {p['seed']}/0, n = {p['n']}, {p['calls']} calls: "
           f"{p['nodes']} nodes materialized, {p['chunked']} ever chunked a tour")
+    print(f"\n{'level':>5s} {'nodes':>7s} {'no edge':>8s}")
+    for level, (count, empty) in p["by_level"].items():
+        print(f"{level:5d} {count:7d} {empty:8d}")
     total = sum(p["tracked"].values())
     print(f"\n{'tracked objects':24s} {'count':>9s} {'per node':>9s}")
     for kind, count in p["tracked"].most_common(TOP_TYPES):
