@@ -84,6 +84,19 @@ the vector a chunk already holds writes nothing.  The only link query of an
 update, the replacement search, runs before its first mutation, so the
 vectors may lag until the flush; they stay symmetric throughout, since every
 change to them goes through the master array.
+
+A node g of degree 2 whose two edges are tree edges, so that it has no
+non-tree edge, leaves its tour by contraction (`contract`): its path
+p - g - q becomes the tree edge (p, q).  In the tour g sits between
+(p, g) (g, q) and between (q, g) (g, p), so the two entering occurrences
+are renamed in place, (p, g) to (p, q) and (q, g) to (q, p), and the two
+leaving ones are taken out of their chunks, each rewriting the shorter
+side of its chunk around the gap.  No probe, cut or reorder runs: every
+other edge keeps its place in the tour, and every node but p, q and g its
+chunks.  A chunk emptied is retired, the array's sizing repair runs on the
+chunks written, and the flush refreshes their link vectors, which covers
+every chunk whose nodes changed; a small tour is rebuilt whole.  The
+contraction makes no chunk, so it needs no transient slot.
 """
 
 from __future__ import annotations
@@ -111,6 +124,9 @@ _NO_NONTREE = MappingProxyType({})
 TOUCHED_ON_LINK = 4
 TOUCHED_AFTER_CUT = 4
 TOUCHED_AFTER_SPLICE = 8
+# a contraction writes the chunks of its two renamed and two removed
+# occurrences
+TOUCHED_ON_CONTRACT = 4
 
 # T, the chunks an update can hold beyond the at-rest bound R while it runs:
 # the most chunks any update touches before its repairs, both pieces of a
@@ -274,6 +290,10 @@ class EulerForest:
         once per touched chunk still live: at most the chunks its repairs
         end with, plus on a replacement the up to 2 x 6 chunks holding the
         promoted edge's endpoints.
+
+        A contraction touches at most the 4 chunks of its node's
+        occurrences and cuts none, so it stays below a delete, whose
+        probe and commit it skips; a gadget counts it as an edge deletion.
         """
         store = MasterArray.depth_bounds(policy)
         select = pick_depth(policy)  # the replacement among the candidates
@@ -321,12 +341,21 @@ class EulerForest:
                 2 * TOUCHED_AFTER_SPLICE + 2 * _OCCURRENCES,
             )
         )
+        # `contract`: the two renames in one step, the two removals (a
+        # reindex or a retirement each), the repair and the flush; a small
+        # tour is dropped, rebuilt and adopted
+        contract = max(
+            3,
+            1 + 2 * max(write, retire) + repair(TOUCHED_ON_CONTRACT)
+            + flush(2 * TOUCHED_ON_CONTRACT),
+        )
         return {
             "insert": max(mark_linked, merge),
             "delete": max(
                 unlink, probe_small + commit_small, probe_large + commit_large
             ),
             "find_replacement": max(probe_small, probe_large),
+            "contract": contract,
         }
 
     # -- node lifecycle ----------------------------------------------------
@@ -527,6 +556,64 @@ class EulerForest:
         # of a's fresh vector; `_links_of` charges the scans that built them
         self.meter.parallel_charge(len(cu) * len(cv))
 
+    # -- contraction ----------------------------------------------------------------
+
+    def contract(self, g):
+        """Take g, of degree 2 with two tree edges (p, g) and (g, q), out of
+        its tour and join p and q by the tree edge (p, q) in their place:
+        the forest without g, where g stays active and isolated.  g's entry
+        in the adjacency of p and of q becomes the other.  Every check runs
+        before any change and charges nothing."""
+        self._require_active(g)
+        nbrs = self.nbr[g]
+        if len(nbrs) != 2:
+            raise ForestError(f"node {g} has degree {len(nbrs)}, not 2")
+        p, q = nbrs
+        edge_occ = self.edge_occ
+        if (g, p) not in edge_occ or (g, q) not in edge_occ:
+            raise ForestError(f"node {g} has a non-tree edge")
+        if q in self.nbr[p]:
+            raise ForestError(f"({p},{q}) is already an edge")
+        for x, y in ((p, q), (q, p)):
+            xs = self.nbr[x]
+            xs[xs.index(g)] = y
+        self.nbr[g] = []
+        self.meter.charge(4)
+        renames = (((p, g), (p, q)), ((q, g), (q, p)))
+        container = edge_occ[(p, g)][0]
+        if isinstance(container, SmallTour):
+            edges = container.edges
+            self._drop_container(container)
+            for e in ((p, g), (g, q), (q, g), (g, p)):
+                del edge_occ[e]
+            rename = dict(renames)
+            self._adopt_small([rename.get(e, e) for e in edges if e[0] != g])
+            self.meter.parallel_charge(len(edges))
+            return
+        array = container.array
+        self._touched = touched = {}
+        # one step: each entering occurrence takes its new name in place
+        for old, new in renames:
+            c, off = locate(edge_occ.pop(old))
+            c.edges[off] = new
+            edge_occ[new] = (c, c.base + off)
+            touched[c] = None
+        self.meter.parallel_charge(2)
+        for e in ((g, q), (g, p)):
+            c, off = locate(edge_occ.pop(e))
+            del c.edges[off]
+            if not c.edges:
+                self._retire_chunk(c)
+                continue
+            if 2 * off < len(c.edges):  # the head is the shorter side
+                self._reindex_chunk(c, 0, off, -1)
+            else:
+                self._reindex_chunk(c, off)
+            touched[c] = None
+        self._moved(g, p, q)
+        self._repair(array)
+        self._flush_links()
+
     # -- small-tour paths --------------------------------------------------------
 
     def _probe_small(self, tour, u, v, hint):
@@ -539,6 +626,8 @@ class EulerForest:
         i2 = edges.index((v, u))
         if i1 > i2:
             i1, i2 = i2, i1
+        if self._lone_endpoint(u, v):
+            return i1, i2, None
         far_nodes = set()
         for (a, b) in edges[i1 + 1 : i2]:
             far_nodes.add(a)
@@ -561,6 +650,16 @@ class EulerForest:
                     candidates.append((y, x))  # (near, far)
         self.meter.parallel_charge(3 * len(far_nodes))
         return i1, i2, self.meter.pick(candidates) if candidates else None
+
+    def _lone_endpoint(self, u, v):
+        """Whether tree edge (u, v) has an endpoint with no other edge: that
+        endpoint is all of its side of the cut, and no edge leaves it, so
+        the deletion has no replacement.  The two degree reads are charged
+        here when they end the probe, else in the probe's first step."""
+        if len(self.nbr[u]) == 1 or len(self.nbr[v]) == 1:
+            self.meter.charge(2)
+            return True
+        return False
 
     def _require_on_tour(self, hint, tid, u, v):
         """Refuse a hint off tour `tid` of (u, v), before any charge; the
@@ -733,6 +832,8 @@ class EulerForest:
                 return lo_key < (c.pos, off) < hi_key
             raise AssertionError(f"cannot classify node {x}")
 
+        if self._lone_endpoint(u, v):
+            return lo, hi, None
         self.meter.charge(8)
         if hint is not None:
             h1, h2 = hint

@@ -6,11 +6,12 @@ Two layers, each a constant-factor translation into a lower structure:
                    degree d becomes a cycle of d gadget nodes (one per
                    incident edge, single node for d=1) and every host edge a
                    "cross" edge between its two gadget nodes.  Cycles are
-                   kept internally tree-connected by splicing new nodes in
-                   before removing edges and steering every tree cycle-edge
-                   deletion with the cycle's chord (its one non-tree edge,
-                   the cycle's closing edge) as the hint, which makes host
-                   tree edges exactly the cross tree edges with no ranking
+                   kept internally tree-connected: a splice-in deletes only
+                   the cycle's chord (its one non-tree edge, the closing
+                   edge), and a splice-out contracts an interior node or
+                   cuts an end node that the chord's deletion left a leaf.
+                   No cycle-edge deletion cuts a cycle's path, so host tree
+                   edges are exactly the cross tree edges with no ranking
                    of replacement candidates (`ConnGeneral._del`).
 
   BipartiteGeneral bipartiteness from the bipartite double cover alone.
@@ -50,16 +51,18 @@ class GadgetError(ValueError):
 
 # per-call ceilings on the translated operations, as (node additions, node
 # removals, edge insertions, edge deletions); `ConnGeneral._close_tally`
-# enforces them
+# enforces them, counting a contraction (`EulerForest.contract`, bounded by
+# the forest's delete) as an edge deletion
 CONN_INSERT_CEILINGS = (2, 0, 5, 2)
 CONN_DELETE_CEILINGS = (0, 2, 2, 5)
 
 
 def _translated_depth(ceilings, inner):
     """Depth of a call held to `ceilings`, given the inner structure's
-    per-operation bounds; inner node changes charge no depth."""
+    per-operation bounds; inner node changes charge no depth, and an edge
+    deletion is a delete or a contraction."""
     _, _, inserts, deletes = ceilings
-    return inserts * inner["insert"] + deletes * inner["delete"]
+    return inserts * inner["insert"] + deletes * max(inner["delete"], inner["contract"])
 
 
 # the release stack of every gadget that has released no id, which is most
@@ -77,8 +80,11 @@ class ConnGeneral:
 
     A cycle of 3 or more gadget nodes is kept in the order whose closing
     edge `(cyc[-1], cyc[0])` is its chord, its one non-tree edge: a
-    splice-in appends its node, and a splice-out rotates the list so the
-    edge that bridges the gap closes it.
+    splice-in appends its node, and a splice-out removes its node from the
+    list without rotating it.  An interior node is contracted out of the
+    path (`EulerForest.contract`), which leaves the closing edge as it
+    was; an end node leaves with the closing edge, which the nodes at the
+    new ends then close again.
     """
 
     def __init__(self, meter: CostMeter, hosts: tuple, edge_capacity: int):
@@ -315,49 +321,52 @@ class ConnGeneral:
             self._ins(g, cyc[0])
         else:
             tail, head = cyc[-1], cyc[0]
-            self._del(tail, head, None)
+            self._del(tail, head)
             self._ins(tail, g)
             self._ins(g, head)
         cyc.append(g)  # (g, cyc[0]) closes the cycle's tree path
         return g
 
     def _splice_out(self, u, g):
+        # g's cross edge is gone, so g holds only its cycle edges
         cyc = self.cycle[u]
         d = len(cyc)
-        i = cyc.index(g)
         if d == 1:
             del self.cycle[u]
             self.isolated += 1
             return
+        i = cyc.index(g)
         if d == 2:
-            self._del(cyc[1 - i], g, None)
+            self._del(cyc[1 - i], g)
+        elif 0 < i < d - 1:
+            # an interior node's two path edges become one; with 3 nodes
+            # that edge is the chord, deleted first
+            if d == 3:
+                self._del(cyc[-1], cyc[0])
+            self.inner.contract(g)
+            self.edge_del += 1
         else:
-            # the first deletion takes the chord as its hint; the second
-            # then releases g, a leaf, and (prev, nxt) closes the rest
-            prev, nxt = cyc[i - 1], cyc[(i + 1) % d]
-            self._del(prev, g, (cyc[-1], cyc[0]))
-            self._del(g, nxt, None)
+            # an end node: the chord goes first, which leaves g a leaf of
+            # the path, and the new ends close the rest
+            self._del(cyc[-1], cyc[0])
+            self._del(g, cyc[1] if i == 0 else cyc[-2])
             if d > 3:
-                self._ins(prev, nxt)
-        self.cycle[u] = cyc[i + 1:] + cyc[:i]
+                self._ins(cyc[i - 1], cyc[(i + 1) % d])
+        del cyc[i]
 
     def _ins(self, a, b):
         self.inner.insert_edge(a, b)
         self.edge_add += 1
 
-    def _del(self, a, b, hint):
-        """Delete cycle edge (a, b), steered by `hint`, the cycle's chord, or
-        None.  No deletion lets a cross edge replace a cycle edge, so every
-        cycle stays tree-connected and the forest needs no preference among
-        its candidates.  A tree cycle edge lies on the path the chord
-        closes, so the chord crosses the cut; passed as the hint, it is
-        adopted before any candidate is collected.  Every other cycle-edge
-        deletion needs none, and a hint it gets goes unused: it deletes the
-        chord itself, a non-tree edge, or the last edge of a gadget node
-        being released, whose side of the cut is that lone node.  A
-        cross-edge deletion (`_delete`) leaves every tree-connected cycle on
-        one side of its cut."""
-        self.inner.delete_edge_with_hint(a, b, hint)
+    def _del(self, a, b):
+        """Delete cycle edge (a, b): the chord, a non-tree edge, or the last
+        edge of a gadget node being released, whose side of the cut is that
+        lone node and which the forest cuts without a probe.  No deletion
+        cuts a cycle's path, so no cross edge ever replaces a cycle edge,
+        every cycle stays tree-connected and the forest needs no preference
+        among its candidates.  A cross-edge deletion (`_delete`) leaves
+        every tree-connected cycle on one side of its cut."""
+        self.inner.delete_edge(a, b)
         self.edge_del += 1
 
     def _position(self, v):

@@ -50,6 +50,7 @@ def record_depths(monkeypatch):
     wrap(EulerForest, "insert_edge", "forest", "insert")
     wrap(EulerForest, "_delete", "forest", "delete")
     wrap(EulerForest, "find_replacement", "forest", "find_replacement")
+    wrap(EulerForest, "contract", "forest", "contract")
     wrap(ConnGeneral, "insert_edge", "conn", "insert")
     wrap(ConnGeneral, "_delete", "conn", "delete")
     wrap(ConnGeneral, "find_replacement", "conn", "find_replacement")
@@ -95,7 +96,9 @@ def test_connectivity_layers_within_bounds(monkeypatch, policy):
     bounds = stated_bounds(policy)
     over = {k: (v, bounds[k]) for k, v in worst.items() if v > bounds[k]}
     assert not over
-    assert {("forest", "find_replacement"), ("chunks", "query")} <= set(worst)
+    assert {
+        ("forest", "find_replacement"), ("forest", "contract"), ("chunks", "query"),
+    } <= set(worst)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -123,6 +126,8 @@ def test_stated_bounds_are_pinned(policy, forest, connectivity, bipartiteness):
     re-pin is logged in CHANGES.md."""
     f = EulerForest.depth_bounds(policy)
     assert (f["insert"], f["delete"]) == forest
+    # a gadget counts a contraction as one of its edge deletions
+    assert f["contract"] <= f["delete"]
     for mode, pinned in (("connectivity", connectivity), ("bipartiteness", bipartiteness)):
         b = depth_budgets(mode, policy)
         assert (b["insert"], b["delete"]) == pinned

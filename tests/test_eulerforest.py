@@ -452,7 +452,9 @@ class TestScansChargeWhatTheyRead:
     def test_the_probe_scan_follows_chunk_length(self, monkeypatch):
         # 8 for the setup, then 3 * (e + 1) per chunk scanned, a chunk of e
         # edges holding at most e + 1 nodes of degree at most 3: the two
-        # cut chunks, and the near chunk of each pair a query returns
+        # cut chunks, and the near chunk of each pair a query returns.  An
+        # edge with a lone endpoint makes no scan (TestLoneEndpoint), so
+        # only edges whose endpoints both have another edge are probed.
         rng = random.Random(8)
         _, f = _random_graph_pair(rng, 40, 900, 3)
         meter = f.meter
@@ -470,9 +472,11 @@ class TestScansChargeWhatTheyRead:
             monkeypatch, meter, (EulerForest, "_probe_large"),
             [(EulerForest, "_chunk_nodes"), (MasterArray, "query"), (CostMeter, "pick")],
         )
-        lengths, queried = set(), 0
+        lengths, queried, probed = set(), 0, 0
         for (u, v) in sorted(f.edge_occ):
             if u > v or isinstance(f.edge_occ[(u, v)][0], SmallTour):
+                continue
+            if len(f.nbr[u]) == 1 or len(f.nbr[v]) == 1:
                 continue
             pairs.clear()
             c1, c2 = f.edge_occ[(u, v)][0], f.edge_occ[(v, u)][0]
@@ -483,7 +487,8 @@ class TestScansChargeWhatTheyRead:
             assert work == 8 + 2 * sum(3 * (len(c.edges) + 1) for c in scanned) + 2 * near
             lengths.update(len(c.edges) for c in scanned)
             queried += len(pairs)
-        assert len(lengths) > 3 and min(lengths) < f.K and queried > 5
+            probed += 1
+        assert len(lengths) > 3 and min(lengths) < f.K and queried > 5 and probed > 20
 
     def test_the_unlink_pays_one_bit_test_per_chunk_pair(self, monkeypatch):
         # the chunks of u against the chunks of v, one bit of a's fresh
@@ -1474,3 +1479,182 @@ class TestCheckerCatchesCorruption:
         tamper(f.nontree)
         with pytest.raises(CheckFailure, match="non-tree record"):
             check_euler_forest(f)
+
+
+class TestLoneEndpoint:
+    """A tree edge with an endpoint that has no other edge has no
+    replacement: that endpoint is its whole side of the cut.  The probe
+    says so after two degree reads, with no scan, on a small tour and on a
+    chunked one."""
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["small", "chunked"])
+    def test_no_scan_and_a_split(self, monkeypatch, chunked):
+        # a path 0 .. m-1 with chords (i, i + 2) on every fourth node, and
+        # the leaf edge (0, 1) at one end
+        m = 30 if chunked else 5
+        edges = [(i, i + 1) for i in range(m - 1)]
+        edges += [(i, i + 2) for i in range(1, m - 2, 4)]
+        f = forest_with(edges, n=32)
+        small = isinstance(f.edge_occ[(0, 1)][0], SmallTour)
+        assert small != chunked and f.nontree
+        name = "_probe_large" if chunked else "_probe_small"
+        probes = _self_work(monkeypatch, f.meter, (EulerForest, name), [])
+        scans = []
+        for owner, callee in ((EulerForest, "_chunk_nodes"), (MasterArray, "query")):
+            monkeypatch.setattr(owner, callee, lambda *a, _n=callee: scans.append(_n))
+        d0 = f.meter.depth
+        assert f.find_replacement(0, 1) == ReplacementReport(ReplacementReport.SPLIT)
+        assert f.meter.depth == d0
+        assert f.delete_edge(1, 0) == ReplacementReport(ReplacementReport.SPLIT)
+        # the two degree reads, and nothing else, in each probe
+        assert [work for _, work in probes] == [2, 2]
+        assert not scans
+        monkeypatch.undo()
+        check_euler_forest(f)
+        assert not f.connected(0, 1)
+
+
+def _tree_forest(seed, n, K=None):
+    """A seeded random forest over 0 .. n-1 of degree at most 3, about n
+    tree edges and a few non-tree ones; with `K` the chunk capacity is
+    forced, before any tour is chunked."""
+    f = forest(n, ArbitraryPolicy(seed))
+    if K is not None:
+        f.K = K
+    rng = random.Random(seed)
+    for v in range(n):
+        f.activate_node(v)
+    for _ in range(3 * n):
+        u, v = rng.sample(range(n), 2)
+        nu, nv = f.nbr[u], f.nbr[v]
+        if v in nu or len(nu) >= 3 or len(nv) >= 3:
+            continue
+        if f.connected(u, v) and rng.random() < 0.8:
+            continue
+        f.insert_edge(u, v)
+    return f
+
+
+def _contractible(f):
+    """Nodes of degree 2 with two tree edges whose neighbours are not
+    adjacent."""
+    out = []
+    for g, (p, q) in ((g, ws) for g, ws in f.nbr.items() if len(ws) == 2):
+        if (g, p) in f.edge_occ and (g, q) in f.edge_occ and q not in f.nbr[p]:
+            out.append(g)
+    return sorted(out)
+
+
+def _layout(f, g):
+    """Where g's two occurrence pairs sit: "small" for a small tour, else
+    per pair "inside" one chunk, across a chunk "boundary" or across the
+    tour's "wrap", and "empties" when a removed occurrence is alone in its
+    chunk."""
+    p, q = f.nbr[g]
+    kinds = set()
+    for enter, leave in (((p, g), (g, q)), ((q, g), (g, p))):
+        c1, c2 = f.edge_occ[enter][0], f.edge_occ[leave][0]
+        if isinstance(c1, SmallTour):
+            return {"small"}
+        if c1 is c2:
+            kinds.add("inside")
+        elif c2.pos == 0 and c1.pos == len(c1.array) - 1:
+            kinds.add("wrap")
+        else:
+            kinds.add("boundary")
+        if len(c2.edges) == 1:
+            kinds.add("empties")
+    return kinds
+
+
+def _fingerprint(f):
+    """Every record a rejected contraction must leave as it was, with the
+    meter's work and depth."""
+    return (
+        {v: list(ws) for v, ws in f.nbr.items()},
+        dict(f.edge_occ),
+        {id(t): list(edges) for t, edges in euler_tours(f).items()},
+        {c.slot: (list(c.edges), c.base, c.bits) for c in f.master.slots.values()}
+        if f.master is not None else None,
+        f.meter.work,
+        f.meter.depth,
+    )
+
+
+class TestContract:
+    """`EulerForest.contract(g)` renames g's two entering occurrences and
+    takes out its two leaving ones where they sit: the tour keeps every
+    other edge in its order, with (p, q) and (q, p) in place of g's walks,
+    and no probe, cut, split, reorder or allocation runs."""
+
+    FORBIDDEN = (
+        (EulerForest, ("_probe_large", "_probe_small", "_cut_out", "_split_chunk")),
+        (MasterArray, ("reorder", "alloc_chunk", "split_array")),
+    )
+
+    def _contract_and_check(self, monkeypatch, f, g):
+        p, q = f.nbr[g]
+        before = tour_of(f, g)
+        rename = {(p, g): (p, q), (q, g): (q, p)}
+        want = [rename.get(e, e) for e in before if e[0] != g]
+        called = []
+        for owner, names in self.FORBIDDEN:
+            for name in names:
+                monkeypatch.setattr(owner, name, lambda *a, _n=name: called.append(_n))
+        try:
+            f.contract(g)
+        finally:
+            monkeypatch.undo()
+        assert not called
+        assert f.nbr[g] == [] and f.tree_edge(p, q) and f.tree_edge(q, p)
+        assert g not in f.nbr[p] and g not in f.nbr[q]
+        assert tour_of(f, p) == want
+        check_euler_forest(f)
+
+    def test_small_tour(self, monkeypatch):
+        f = forest_with([(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert _layout(f, 1) == {"small"}
+        w0 = f.meter.work
+        self._contract_and_check(monkeypatch, f, 1)
+        assert f.meter.work > w0
+        assert f.n_components() == 2  # the tree and the isolated 1
+
+    @pytest.mark.parametrize("K", [None, 2], ids=["sized", "K2"])
+    def test_chunked_tours_at_every_layout(self, monkeypatch, K):
+        # each contraction on a fresh copy of one seeded forest; K = 2
+        # leaves chunks of one edge at rest, which a removal can empty
+        seen = Counter()
+        n = 40 if K is None else 14
+        for seed in range(1, 7):
+            for g in _contractible(_tree_forest(seed, n, K)):
+                f = _tree_forest(seed, n, K)
+                seen.update(_layout(f, g))
+                self._contract_and_check(monkeypatch, f, g)
+        assert seen["inside"] > 3 and seen["boundary"] > 0 and seen["wrap"] > 0, seen
+        assert K is None or seen["empties"] > 0, seen
+
+    @pytest.mark.parametrize(
+        "g, match",
+        [
+            (14, "degree 0"),  # isolated
+            (13, "degree 1"),  # a leaf
+            (2, "degree 3"),
+            (5, "non-tree edge"),  # (4, 5) closes the triangle 4 5 6
+            (1, "already an edge"),  # its neighbours 0 and 2 share a chord
+            (15, "not active"),
+            (16, "out of range"),
+        ],
+    )
+    def test_rejected_before_any_change_or_charge(self, g, match):
+        # a chunked tour: the path 0 .. 13 with the chords (0, 2) and (4, 6)
+        f = forest_with([(i, i + 1) for i in range(13)] + [(0, 2), (4, 6)], n=16)
+        f.activate_node(14)
+        f.delete_edge(4, 5)  # (4, 6) replaces it
+        f.insert_edge(4, 5)
+        assert (5, 4) not in f.edge_occ and (6, 4) in f.edge_occ
+        assert f.master is not None and f.master.arrays()
+        before = _fingerprint(f)
+        with pytest.raises(ForestError, match=match):
+            f.contract(g)
+        assert _fingerprint(f) == before
+        check_euler_forest(f)

@@ -55,17 +55,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (858153, {"insert": 125, "delete": 303, "connected": 0}, 20296),
+            (647784, {"insert": 121, "delete": 202, "connected": 0}, 20296),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (858661, {"insert": 117, "delete": 350, "connected": 0}, 20296),
+            (646732, {"insert": 121, "delete": 226, "connected": 0}, 20296),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (80695, {"insert": 182, "delete": 495}, 4059),
+            (60759, {"insert": 182, "delete": 315}, 4059),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

@@ -1,12 +1,13 @@
 import gc
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from dynconn import reductions
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
-from dynconn.eulerforest import ReplacementReport
+from dynconn.eulerforest import ReplacementReport, SmallTour
 from dynconn.oracle import (
     CheckFailure,
     SimpleGraph,
@@ -157,8 +158,8 @@ class TestConnGadget:
     )
     def test_cycles_stay_tree_connected_on_chunked_tours(self, policy, seed, steps):
         # 16 hosts of mean degree up to 6 give gadget tours longer than one
-        # chunk; a tree cycle-edge deletion must adopt the cycle's chord even
-        # where the chunk query would find a cross edge first
+        # chunk; no splice-out may let a cross edge replace a cycle edge,
+        # even where the chunk query would find a cross edge first
         rng = random.Random(seed)
         n, m = 16, 48
         cg = conn(n=n, cap=m, policy=policy)
@@ -223,6 +224,65 @@ class TestConnGadget:
         check_gadget_graph(cg)
         assert big_splice_outs > 20 and len(kinds) > 100
         assert set(kinds) == {ReplacementReport.NON_TREE}
+
+    @pytest.mark.parametrize(
+        "n, m, seed", [(24, 36, 5), (16, 48, 11)], ids=["sparse", "chunked"]
+    )
+    def test_splice_outs_never_replace(self, monkeypatch, n, m, seed):
+        """Churn as above: inside a splice-out, every forest delete is the
+        chord's (NON_TREE) or a lone node's cut (SPLIT), never a replacement,
+        and every interior node leaves by contraction, from cycles of 3 and
+        of more nodes, also on chunked tours."""
+        rng = random.Random(seed)
+        cg = conn(n=n, cap=2 * m)
+        activate_all(cg, n)
+        inside, kinds, contracted = [], Counter(), Counter()
+        splice_out, contract = ConnGeneral._splice_out, cg.inner.contract
+
+        def watched_splice_out(self, u, g):
+            cyc = self.cycle[u]
+            inside.append((len(cyc), 0 < cyc.index(g) < len(cyc) - 1))
+            try:
+                return splice_out(self, u, g)
+            finally:
+                inside.pop()
+
+        def watched_contract(g):
+            d, interior = inside[-1]
+            assert interior
+            p = cg.inner.nbr[g][0]
+            chunked = not isinstance(cg.inner.edge_occ[(p, g)][0], SmallTour)
+            contracted[min(d, 4), chunked] += 1
+            return contract(g)
+
+        def watch(method):
+            def watched(*args):
+                rep = method(*args)
+                if inside:
+                    kinds[rep.kind] += 1
+                return rep
+            return watched
+
+        monkeypatch.setattr(ConnGeneral, "_splice_out", watched_splice_out)
+        cg.inner.contract = watched_contract
+        for name in ("delete_edge", "delete_edge_with_hint"):
+            setattr(cg.inner, name, watch(getattr(cg.inner, name)))
+        edges = []
+        for _ in range(600):
+            if len(edges) < m and (len(edges) < m // 2 or rng.random() < 0.5):
+                u, v = rng.sample(range(n), 2)
+                if (u, v) in edges or (v, u) in edges:
+                    continue
+                cg.insert_edge(u, v)
+                edges.append((u, v))
+            else:
+                cg.delete_edge(*edges.pop(rng.randrange(len(edges))))
+        check_gadget_graph(cg)
+        assert set(kinds) == {ReplacementReport.NON_TREE, ReplacementReport.SPLIT}
+        assert contracted[3, False] + contracted[3, True] > 5
+        assert contracted[4, False] + contracted[4, True] > 5
+        if n == 16:
+            assert contracted[4, True] > 5
 
     def test_a_cycle_closed_by_a_tree_edge_fails_the_check(self):
         """The check reads the chord off the cycle order: rotating a cycle

@@ -18,6 +18,7 @@ from dynconn.oracle import (
     check_gadget_graph,
     check_spars_tree,
 )
+from dynconn.eulerforest import EulerForest, SmallTour
 from dynconn.reductions import ConnGeneral
 from dynconn.sparsify import (
     DynamicBipartiteness,
@@ -299,6 +300,46 @@ class TestDifferential:
             if step % 25 == 0:
                 check_spars_tree(d.core)
         check_spars_tree(d.core)
+
+    @pytest.mark.parametrize("policy", [ArbitraryPolicy(3), CommonPolicy(0.25)])
+    def test_contraction_soak_keeps_every_forest_whole(self, monkeypatch, policy):
+        """Churn at n = 64 around 1.5n edges, every structure checked every
+        5 updates.  Gadget splice-outs contract interior cycle nodes
+        (`EulerForest.contract`), some on chunked tours."""
+        chunked, contract = [], EulerForest.contract
+
+        def watched(self, g):
+            p = self.nbr[g][0]
+            chunked.append(not isinstance(self.edge_occ[(p, g)][0], SmallTour))
+            return contract(self, g)
+
+        monkeypatch.setattr(EulerForest, "contract", watched)
+        rng = random.Random(41)
+        n = 64
+        d = DynamicConnectivity(n, policy=policy)
+        g = SimpleGraph()
+        for v in range(1, n + 1):
+            d.activate_node(v)
+            g.activate(v)
+        edges = []
+        for step in range(1, 601):
+            if len(edges) < n or (len(edges) < 3 * n // 2 and rng.random() < 0.5):
+                u, v = rng.sample(range(1, n + 1), 2)
+                if g.has_edge(u, v):
+                    continue
+                d.insert_edge(u, v)
+                g.add_edge(u, v)
+                edges.append((u, v))
+            else:
+                u, v = edges.pop(rng.randrange(len(edges)))
+                d.delete_edge(u, v)
+                g.remove_edge(u, v)
+            if step % 5 == 0:
+                check_spars_tree(d.core)
+                for node in d.core.nodes.values():
+                    check_euler_forest(node.conn.inner)
+                assert d.n_components() == bf_components(g)
+        assert sum(chunked) > 10 and len(chunked) > sum(chunked)
 
     def test_tree_edges_mark_spanning_forest(self):
         rng = random.Random(77)

@@ -1,12 +1,13 @@
 """The per-method work split in `tools/workshare.py` still runs against the
-package, books every unit of the replay once and counts chunk lives and
-offset writes."""
+package, books every unit of the replay once, counts chunk lives and
+offset writes and splits the gadget updates' work by call site."""
 
 import importlib.util
 from pathlib import Path
 
 from dynconn import aggtree, chunks
 from dynconn.eulerforest import EulerForest
+from dynconn.reductions import ConnGeneral
 
 WORKSHARE = Path(__file__).resolve().parent.parent / "tools" / "workshare.py"
 
@@ -19,6 +20,14 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     alloc, retire = chunks.MasterArray.alloc_chunk, chunks.MasterArray.retire_chunk
     reindex, move = EulerForest._reindex_chunk, EulerForest._move_base
     steps = {name: getattr(aggtree, name) for name in workshare.REASSEMBLY}
+    gadget = [
+        getattr(cls, name)
+        for cls, names in (
+            (ConnGeneral, ("insert_edge", "_delete", "_splice_in", "_splice_out")),
+            (EulerForest, ("insert_edge", "_delete", "contract")),
+        )
+        for name in names
+    ]
     rows, total, updates, lives = workshare.workshare(1, 64, 120)
     assert total > 0 and updates > 0
     # the chunk counts below the table: a retirement in the update that
@@ -45,3 +54,26 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     assert all(getattr(aggtree, name) is fn for name, fn in steps.items())
     assert aggtree.join is join and chunks.agg_join is join
     assert EulerForest._reindex_chunk is reindex and EulerForest._move_base is move
+    assert [ConnGeneral.insert_edge, ConnGeneral._delete, ConnGeneral._splice_in,
+            ConnGeneral._splice_out, EulerForest.insert_edge, EulerForest._delete,
+            EulerForest.contract] == gadget
+
+
+def test_gadget_sites_add_up_to_the_gadget_updates():
+    spec = importlib.util.spec_from_file_location("tools_workshare", WORKSHARE)
+    workshare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workshare)
+    _, total, _, lives = workshare.workshare(1, 64, 120)
+    sites = dict(lives["sites"])
+    calls, work = sites.pop("gadget")
+    # every site named, no splice-out delete replaced, and every site but
+    # the closing-edge insert reached on this replay
+    assert list(sites) == list(workshare.SITES)
+    assert 0 < work <= total
+    assert sum(w for _, w in sites.values()) == work
+    assert sites["rest"][0] == calls
+    for label in workshare.SITES[:-2]:
+        assert sites[label][0] > 0 and sites[label][1] > 0, label
+    # the gadget's own work outside the sites is its node releases and
+    # hint tests, a few units per update
+    assert sites["rest"][1] <= 4 * calls

@@ -30,8 +30,19 @@ retired, whose retirements also read a row, clear a column and zero the
 row; their work is printed too.  Below those it counts the stored
 occurrence offsets the forest rewrites (`EulerForest._reindex_chunk`) and
 the chunk bases it moves instead (`_move_base`), in all and per update
-call.  The counts are exact and repeat bit for bit on any host; a run at
-n = 512 takes about 2 s on a shared 2-core x86-64 VM with CPython 3.11.
+call.
+
+Last it splits the work of the gadget updates, every `ConnGeneral`
+`insert_edge` and `_delete` at every sparsification node, by call site
+(`SITES`): the forest insert of the new cross edge, each splice-in with its
+forest calls, the forest delete of the cross edge, and inside a splice-out
+the chord's delete, a lone node's cut, a contraction
+(`EulerForest.contract`) and the insert of a new closing edge.  `rest` is
+the gadget's own work outside those calls, its node releases and hint
+tests.  The sites add up to the gadget updates' work.
+
+The counts are exact and repeat bit for bit on any host; a run at n = 512
+takes about 2 s on a shared 2-core x86-64 VM with CPython 3.11.
 """
 
 from __future__ import annotations
@@ -184,21 +195,123 @@ def offset_writes(counts):
         EulerForest._reindex_chunk, EulerForest._move_base = reindex, move
 
 
+# the gadget call sites, in the order of a host insert then a host delete
+SITES = (
+    "cross-edge insert", "splice-in", "cross-edge delete", "chord delete",
+    "leaf cut", "contraction", "closing-edge insert", "rest",
+)
+
+
+@contextmanager
+def gadget_sites(meter, sites):
+    """Book into `sites` (label -> [calls, work]) the work of every gadget
+    update while the block runs, under `gadget` in all and under its call
+    site (`SITES`).  A splice-in is booked whole, its forest calls with it;
+    a forest delete inside a splice-out is booked by its report, and one
+    that reports a replacement, which none should, as `replacement`."""
+    from dynconn.eulerforest import EulerForest, ReplacementReport
+    from dynconn.reductions import ConnGeneral
+
+    for label in ("gadget",) + SITES:
+        sites[label] = [0, 0]
+    by_kind = {
+        ReplacementReport.NON_TREE: "chord delete",
+        ReplacementReport.SPLIT: "leaf cut",
+    }
+    frames = []  # the kinds of the open gadget frames, innermost last
+    in_sites = [0]  # the work of the sites booked in the open update
+
+    def book(label, work):
+        entry = sites.setdefault(label, [0, 0])
+        entry[0] += 1
+        entry[1] += work
+
+    def update(fn):
+        @functools.wraps(fn)
+        def booked(*args, **kwargs):
+            w0, in_sites[0] = meter.work, 0
+            frames.append("update")
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                frames.pop()
+                spent = meter.work - w0
+                book("gadget", spent)
+                book("rest", spent - in_sites[0])
+
+        return booked
+
+    def site(fn, label_of, kind=None):
+        # label_of(enclosing frame kind, result) names the site, or None
+        # when the call is not one
+        @functools.wraps(fn)
+        def booked(*args, **kwargs):
+            outer = frames[-1] if frames else None
+            if kind:
+                frames.append(kind)
+            w0, out = meter.work, None
+            try:
+                out = fn(*args, **kwargs)
+                return out
+            finally:
+                if kind:
+                    frames.pop()
+                label = label_of(outer, out)
+                if label:
+                    spent = meter.work - w0
+                    book(label, spent)
+                    in_sites[0] += spent
+
+        return booked
+
+    def delete_site(outer, rep):
+        if outer == "update":
+            return "cross-edge delete"
+        if outer == "splice-out":
+            return by_kind.get(getattr(rep, "kind", None), "replacement")
+        return None
+
+    wrappers = (
+        (ConnGeneral, "insert_edge", update),
+        (ConnGeneral, "_delete", update),
+        (ConnGeneral, "_splice_in", lambda fn: site(
+            fn, lambda outer, _: "splice-in" if outer == "update" else None, "splice-in")),
+        (ConnGeneral, "_splice_out", lambda fn: site(fn, lambda *_: None, "splice-out")),
+        (EulerForest, "insert_edge", lambda fn: site(fn, lambda outer, _: {
+            "update": "cross-edge insert", "splice-out": "closing-edge insert",
+        }.get(outer))),
+        (EulerForest, "_delete", lambda fn: site(fn, delete_site)),
+        (EulerForest, "contract", lambda fn: site(
+            fn, lambda outer, _: "contraction" if outer == "splice-out" else None)),
+    )
+    saved = [(cls, name, getattr(cls, name)) for cls, name, _ in wrappers]
+    for cls, name, wrap in wrappers:
+        setattr(cls, name, wrap(getattr(cls, name)))
+    try:
+        yield
+    finally:
+        for cls, name, fn in saved:
+            setattr(cls, name, fn)
+
+
 def workshare(seed, n, calls):
     """Replay one conn_churn instance; returns (rows, total work, update
     calls, counts), each row a (label, calls, self work) by falling self
-    work, and the counts the chunk lives as `chunk_lives` counts them and
-    the offset writes as `offset_writes` does."""
+    work, and the counts the chunk lives as `chunk_lives` counts them, the
+    offset writes as `offset_writes` does and, under `sites`, the gadget
+    call sites as `gadget_sites` books them."""
     w = conn_churn(f"{seed}/0", n=n, length=calls)
     f, _, _ = setup(w)
-    totals, lives = {}, {}
-    with offset_writes(lives), wrapped(f.meter, totals), chunk_lives(f.meter, lives):
+    totals, lives, sites = {}, {}, {}
+    with offset_writes(lives), wrapped(f.meter, totals), chunk_lives(f.meter, lives), \
+            gadget_sites(f.meter, sites):
         log = drive(f, w.calls)
     total = sum(log.work)
     booked = sum(work for _, work in totals.values())
     rows = [(label, c, work) for label, (c, work) in totals.items() if c]
     rows.append((OUTSIDE, len(log.ops), total - booked))
     rows.sort(key=lambda r: (-r[2], r[0]))
+    lives["sites"] = sites
     return rows, total, sum(op in UPDATES for op in log.ops), lives
 
 
@@ -230,6 +343,14 @@ def main(argv=None):
     print(f"\n{'offset writes':36s} {'count':>8s} {'per update':>11s}")
     for label, key in (("offsets rewritten", "rewritten"), ("chunk bases moved", "base_moves")):
         print(f"{label:36s} {lives[key]:8d} {lives[key] / per:11.2f}")
+    sites = lives["sites"]
+    calls, work = sites.pop("gadget")
+    print(f"\ngadget updates: {calls} calls, {work} units, "
+          f"{work / max(total, 1):.2%} of the replay's work")
+    print(f"{'gadget call site':36s} {'calls':>8s} {'work':>12s} {'per call':>11s} {'share':>7s}")
+    for label, (calls, work) in sites.items():
+        print(f"{label:36s} {calls:8d} {work:12d} {work / max(calls, 1):11.1f} "
+              f"{work / max(total, 1):7.2%}")
 
 
 if __name__ == "__main__":
