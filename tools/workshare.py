@@ -241,9 +241,24 @@ def gadget_sites(meter, sites):
 
         return booked
 
-    def site(fn, label_of, kind=None):
-        # label_of(enclosing frame kind, result) names the site, or None
-        # when the call is not one
+    def label_of(name, outer, out):
+        """The site of a call of `name` made in a frame of kind `outer`, or
+        None outside a gadget update and inside a splice-in, which is
+        booked whole."""
+        if outer == "update":
+            return {
+                "_splice_in": "splice-in", "insert_edge": "cross-edge insert",
+                "_delete": "cross-edge delete",
+            }.get(name)
+        if outer == "splice-out":
+            if name == "_delete":
+                return by_kind.get(getattr(out, "kind", None), "replacement")
+            return {"insert_edge": "closing-edge insert", "contract": "contraction"}.get(name)
+        return None
+
+    def site(fn, name):
+        kind = {"_splice_in": "splice-in", "_splice_out": "splice-out"}.get(name)
+
         @functools.wraps(fn)
         def booked(*args, **kwargs):
             outer = frames[-1] if frames else None
@@ -256,7 +271,7 @@ def gadget_sites(meter, sites):
             finally:
                 if kind:
                     frames.pop()
-                label = label_of(outer, out)
+                label = label_of(name, outer, out)
                 if label:
                     spent = meter.work - w0
                     book(label, spent)
@@ -264,29 +279,17 @@ def gadget_sites(meter, sites):
 
         return booked
 
-    def delete_site(outer, rep):
-        if outer == "update":
-            return "cross-edge delete"
-        if outer == "splice-out":
-            return by_kind.get(getattr(rep, "kind", None), "replacement")
-        return None
-
-    wrappers = (
-        (ConnGeneral, "insert_edge", update),
-        (ConnGeneral, "_delete", update),
-        (ConnGeneral, "_splice_in", lambda fn: site(
-            fn, lambda outer, _: "splice-in" if outer == "update" else None, "splice-in")),
-        (ConnGeneral, "_splice_out", lambda fn: site(fn, lambda *_: None, "splice-out")),
-        (EulerForest, "insert_edge", lambda fn: site(fn, lambda outer, _: {
-            "update": "cross-edge insert", "splice-out": "closing-edge insert",
-        }.get(outer))),
-        (EulerForest, "_delete", lambda fn: site(fn, delete_site)),
-        (EulerForest, "contract", lambda fn: site(
-            fn, lambda outer, _: "contraction" if outer == "splice-out" else None)),
-    )
-    saved = [(cls, name, getattr(cls, name)) for cls, name, _ in wrappers]
-    for cls, name, wrap in wrappers:
-        setattr(cls, name, wrap(getattr(cls, name)))
+    saved = [
+        (cls, name, getattr(cls, name))
+        for cls, names in (
+            (ConnGeneral, ("insert_edge", "_delete", "_splice_in", "_splice_out")),
+            (EulerForest, ("insert_edge", "_delete", "contract")),
+        )
+        for name in names
+    ]
+    for cls, name, fn in saved:
+        host_update = cls is ConnGeneral and name in ("insert_edge", "_delete")
+        setattr(cls, name, update(fn) if host_update else site(fn, name))
     try:
         yield
     finally:
