@@ -330,35 +330,42 @@ def check_link_vectors(forest):
 
 
 def check_gadget_graph(cg):
-    """Connectivity-gadget invariants: cycle shape, internal
-    tree-connectedness and the chord of every cycle.  A cycle of d >= 3
-    nodes holds d - 1 tree edges and its closing edge (cyc[-1], cyc[0]) is
-    not one of them, so the closing edge is its chord.  Host degrees are
-    counted from the cross edges, and only active hosts with an edge hold a
-    cycle.  Every active host without a cycle is one isolated component."""
+    """Connectivity-gadget invariants: chain shape and the tree edges of
+    every chain.  A chain of d nodes holds its d - 1 path edges, each
+    joining consecutive nodes and each a tree edge, and no other gadget
+    edge joins two nodes of one host, so every replacement is a cross
+    edge between two hosts.  Host degrees are counted from the cross
+    edges, and only active hosts with an edge hold a chain.  Every active
+    host without a chain is one isolated component."""
     degree = Counter(u for (u, v) in cg.ports)
     check(
-        cg.isolated == sum(cg.host_active) - len(cg.cycle),
+        cg.isolated == sum(cg.host_active) - len(cg.chain),
         f"isolated count {cg.isolated} is not the active hosts without edges",
     )
-    check(set(cg.cycle) == set(degree), "cycle entries are not the hosts with edges")
-    for u, cyc in cg.cycle.items():
+    check(set(cg.chain) == set(degree), "chain entries are not the hosts with edges")
+    nbr, edge_occ, owner = cg.inner.nbr, cg.inner.edge_occ, cg.owner
+    check(
+        len(owner) == sum(map(len, cg.chain.values())),
+        "owned gadget nodes are not the chain nodes",
+    )
+    for u, chain in cg.chain.items():
         d = degree[u]
-        check(cg.host_active[cg._position(u)], f"inactive host {u} holds a cycle")
-        check(len(cyc) == d, f"cycle of {u} has {len(cyc)} nodes for degree {d}")
-        if d >= 2:
-            edges = [(cyc[0], cyc[1])] if d == 2 else list(zip(cyc, cyc[1:] + cyc[:1]))
-            check(all(b in cg.inner.nbr[a] for a, b in edges), f"cycle of {u} is broken")
-            n_tree = sum(1 for e in edges if e in cg.inner.edge_occ)
-            check(n_tree == d - 1, f"cycle of {u}: {n_tree} tree edges, want {d - 1}")
+        check(cg.host_active[cg._position(u)], f"inactive host {u} holds a chain")
+        check(len(chain) == d, f"chain of {u} has {len(chain)} nodes for degree {d}")
+        for a, b in zip(chain, chain[1:]):
+            check(b in nbr[a], f"chain of {u} is broken at ({a},{b})")
+            check((a, b) in edge_occ, f"chain of {u}: ({a},{b}) is not a tree edge")
+        for i, g in enumerate(chain):
+            check(owner.get(g) == u, f"gadget node {g} on the chain of {u} is not {u}'s")
+            same = sum(owner.get(h) == u for h in nbr[g])
             check(
-                d == 2 or edges[-1] not in cg.inner.edge_occ,
-                f"cycle of {u}: closing edge {edges[-1]} is a tree edge",
+                same == (i > 0) + (i < d - 1),
+                f"chain of {u}: node {g} has an edge to {u}'s gadget off the path",
             )
     for (u, v), g1 in cg.ports.items():
         g2 = cg.ports[(v, u)]
-        check(g1 in cg.cycle[u], f"port of ({u},{v}) is not on the cycle of {u}")
-        check(g2 in cg.inner.nbr[g1], f"cross edge missing for host ({u},{v})")
+        check(g1 in cg.chain[u], f"port of ({u},{v}) is not on the chain of {u}")
+        check(g2 in nbr[g1], f"cross edge missing for host ({u},{v})")
 
 
 def check_spars_tree(s):

@@ -3,16 +3,15 @@
 Two layers, each a constant-factor translation into a lower structure:
 
   ConnGeneral      degree-unbounded spanning forest.  Every host node of
-                   degree d becomes a cycle of d gadget nodes (one per
-                   incident edge, single node for d=1) and every host edge a
-                   "cross" edge between its two gadget nodes.  Cycles are
-                   kept internally tree-connected: a splice-in deletes only
-                   the cycle's chord (its one non-tree edge, the closing
-                   edge), and a splice-out contracts an interior node or
-                   cuts an end node that the chord's deletion left a leaf.
-                   No cycle-edge deletion cuts a cycle's path, so host tree
-                   edges are exactly the cross tree edges with no ranking
-                   of replacement candidates (`ConnGeneral._del`).
+                   degree d becomes a chain, a path of d gadget nodes (one
+                   per incident edge), and every host edge a "cross" edge
+                   between its two gadget nodes.  A splice-in links a new
+                   singleton to the chain's last node, and a splice-out
+                   contracts an interior node or cuts an end node, whose
+                   one chain edge leaves it alone.  Every chain edge is a
+                   tree edge and no deletion cuts a chain, so every
+                   non-tree edge is a cross edge and host tree edges are
+                   exactly the cross tree edges.
 
   BipartiteGeneral bipartiteness from the bipartite double cover alone.
                    The cover of a graph G has two nodes 2v and 2v+1 per
@@ -50,11 +49,13 @@ class GadgetError(ValueError):
 
 
 # per-call ceilings on the translated operations, as (node additions, node
-# removals, edge insertions, edge deletions); `ConnGeneral._close_tally`
-# enforces them, counting a contraction (`EulerForest.contract`, bounded by
-# the forest's delete) as an edge deletion
-CONN_INSERT_CEILINGS = (2, 0, 5, 2)
-CONN_DELETE_CEILINGS = (0, 2, 2, 5)
+# removals, edge insertions, edge deletions): a host insert is one link per
+# endpoint and the cross edge, a host delete the cross edge and one cut or
+# contraction per endpoint.  `ConnGeneral._close_tally` enforces them,
+# counting a contraction (`EulerForest.contract`, bounded by the forest's
+# delete) as an edge deletion
+CONN_INSERT_CEILINGS = (2, 0, 3, 0)
+CONN_DELETE_CEILINGS = (0, 2, 0, 3)
 
 
 def _translated_depth(ceilings, inner):
@@ -74,17 +75,15 @@ class ConnGeneral:
     """Spanning forest / connectivity for hosts of unbounded degree.
 
     `hosts` is a tuple of one or two disjoint ranges of host ids, such as
-    `(range(n),)`; arguments, `ports`, `cycle`, `owner` and every report
+    `(range(n),)`; arguments, `ports`, `chain`, `owner` and every report
     use those ids as given.  Only the dense activity record `host_active`
     is indexed by position: a host's offset in the ranges laid end to end.
 
-    A cycle of 3 or more gadget nodes is kept in the order whose closing
-    edge `(cyc[-1], cyc[0])` is its chord, its one non-tree edge: a
-    splice-in appends its node, and a splice-out removes its node from the
-    list without rotating it.  An interior node is contracted out of the
-    path (`EulerForest.contract`), which leaves the closing edge as it
-    was; an end node leaves with the closing edge, which the nodes at the
-    new ends then close again.
+    A host's chain is kept in path order, so its d - 1 chain edges join
+    consecutive nodes: a splice-in appends its node, linked to the last
+    one, and a splice-out removes its node from the list.  An interior
+    node is contracted out of the path (`EulerForest.contract`), which
+    joins its two neighbours; an end node is cut from its one neighbour.
     """
 
     def __init__(self, meter: CostMeter, hosts: tuple, edge_capacity: int):
@@ -104,9 +103,9 @@ class ConnGeneral:
         self.edge_capacity = edge_capacity
         self.inner = EulerForest(meter, 2 * edge_capacity + 2)
         self.host_active = bytearray(len(first) + len(second))
-        # host -> its gadget cycle, only for hosts of degree 1 or more, so an
+        # host -> its gadget chain, only for hosts of degree 1 or more, so an
         # idle host holds no object
-        self.cycle = {}
+        self.chain = {}
         self.owner = {}
         self.ports = {}
         # gadget ids below the mark have been handed out; released ids are
@@ -144,7 +143,7 @@ class ConnGeneral:
     def activate_all(self):
         """Activate every host of a gadget with none active: one write of the
         activity record, charged one unit per host like their activations."""
-        if self.isolated or self.cycle:
+        if self.isolated or self.chain:
             raise GadgetError("activate_all on a gadget with an active host")
         n = len(self.host_active)
         self.host_active = bytearray(b"\x01") * n
@@ -153,7 +152,7 @@ class ConnGeneral:
 
     def deactivate_node(self, v):
         self._require_host(v)
-        if v in self.cycle:
+        if v in self.chain:
             raise GadgetError(f"host node {v} not isolated")
         self.host_active[self._position(v)] = 0
         self.isolated -= 1
@@ -166,10 +165,10 @@ class ConnGeneral:
         self._require_host(v)
         if u == v:
             return True
-        cycle = self.cycle
-        if u not in cycle or v not in cycle:
+        chain = self.chain
+        if u not in chain or v not in chain:
             return False
-        return self.inner.connected(cycle[u][0], cycle[v][0])
+        return self.inner.connected(chain[u][0], chain[v][0])
 
     def n_components(self):
         return self.inner.n_components() + self.isolated
@@ -193,7 +192,7 @@ class ConnGeneral:
         a, b = rep.edge
         ha, hb = self.owner[a], self.owner[b]
         if ha == hb:
-            raise AssertionError("replacement fell inside one gadget cycle")
+            raise AssertionError("replacement fell inside one gadget chain")
         return ReplacementReport(
             ReplacementReport.REPLACED, (ha, hb) if ha < hb else (hb, ha)
         )
@@ -288,7 +287,7 @@ class ConnGeneral:
                     f"{label}: {value} {name} exceeds the translation bound {cap}"
                 )
 
-    # -- gadget cycle surgery ------------------------------------------------------------
+    # -- gadget chain surgery ------------------------------------------------------------
 
     def _alloc(self, host):
         # insert_edge's capacity check leaves an id available
@@ -303,71 +302,39 @@ class ConnGeneral:
         return g
 
     def _splice_in(self, u):
-        # full gadget nodes sit at degree 3 (two cycle edges plus the cross
-        # edge), so the broken cycle edge is deleted before the new ones go
-        # in; with 3 or more nodes it is the closing edge, the chord, whose
-        # deletion leaves the tree as it is
+        # the chain's last node holds at most one chain edge and its cross
+        # edge, so it takes g's link, a tree edge to a singleton
         g = self._alloc(u)
-        cyc = self.cycle.get(u)
-        if cyc is None:
-            self.cycle[u] = [g]
+        chain = self.chain.get(u)
+        if chain is None:
+            self.chain[u] = [g]
             self.isolated -= 1
             return g
-        d = len(cyc)
-        if d == 1:
-            self._ins(cyc[0], g)
-        elif d == 2:
-            self._ins(cyc[1], g)
-            self._ins(g, cyc[0])
-        else:
-            tail, head = cyc[-1], cyc[0]
-            self._del(tail, head)
-            self._ins(tail, g)
-            self._ins(g, head)
-        cyc.append(g)  # (g, cyc[0]) closes the cycle's tree path
+        self._ins(chain[-1], g)
+        chain.append(g)
         return g
 
     def _splice_out(self, u, g):
-        # g's cross edge is gone, so g holds only its cycle edges
-        cyc = self.cycle[u]
-        d = len(cyc)
+        # g's cross edge is gone, so g holds only its chain edges, tree edges
+        # all: an interior node is contracted, and an end node's one edge is
+        # cut with g alone on its side, which the forest does without a probe
+        chain = self.chain[u]
+        d = len(chain)
         if d == 1:
-            del self.cycle[u]
+            del self.chain[u]
             self.isolated += 1
             return
-        i = cyc.index(g)
-        if d == 2:
-            self._del(cyc[1 - i], g)
-        elif 0 < i < d - 1:
-            # an interior node's two path edges become one; with 3 nodes
-            # that edge is the chord, deleted first
-            if d == 3:
-                self._del(cyc[-1], cyc[0])
+        i = chain.index(g)
+        if 0 < i < d - 1:
             self.inner.contract(g)
-            self.edge_del += 1
         else:
-            # an end node: the chord goes first, which leaves g a leaf of
-            # the path, and the new ends close the rest
-            self._del(cyc[-1], cyc[0])
-            self._del(g, cyc[1] if i == 0 else cyc[-2])
-            if d > 3:
-                self._ins(cyc[i - 1], cyc[(i + 1) % d])
-        del cyc[i]
+            self.inner.delete_edge(g, chain[1] if i == 0 else chain[-2])
+        self.edge_del += 1
+        del chain[i]
 
     def _ins(self, a, b):
         self.inner.insert_edge(a, b)
         self.edge_add += 1
-
-    def _del(self, a, b):
-        """Delete cycle edge (a, b): the chord, a non-tree edge, or the last
-        edge of a gadget node being released, whose side of the cut is that
-        lone node and which the forest cuts without a probe.  No deletion
-        cuts a cycle's path, so no cross edge ever replaces a cycle edge,
-        every cycle stays tree-connected and the forest needs no preference
-        among its candidates.  A cross-edge deletion (`_delete`) leaves
-        every tree-connected cycle on one side of its cut."""
-        self.inner.delete_edge(a, b)
-        self.edge_del += 1
 
     def _position(self, v):
         """v's index in host_active; GadgetError unless v is an integer in

@@ -49,7 +49,7 @@ The tree is its own graph record, and every fact of the graph is stored
 once: an edge is present when the bottom node of its path holds it in its
 ports, a node is active when the root's `host_active` has it set (the
 root's hosts are `(range(n),)`, so a node's position there is its id), and
-a node has an edge when the root's `cycle` holds it, because the root's
+a node has an edge when the root's `chain` holds it, because the root's
 base graph has the graph's components.  Activity lives only at the root: a
 node below it holds every host of its spans as present from the moment it
 is built, since an edge reaches it only after the root's checks passed, so
@@ -125,7 +125,7 @@ class SparsTree:
 
     No graph is kept beside the nodes: edges live in the bottom nodes' ports
     (`has_edge`, `edges`), activity in the root's `host_active` (`active`
-    is that bytearray) and the nodes with an edge in the root's `cycle`.
+    is that bytearray) and the nodes with an edge in the root's `chain`.
     Activity lives only at the root; the nodes below it hold every host of
     their spans.
     """
@@ -199,7 +199,7 @@ class SparsTree:
 
     def deactivate_node(self, v):
         self._require_active(v)
-        if v in self.root().conn.cycle:
+        if v in self.root().conn.chain:
             raise SparsError(f"node {v + 1} not isolated")
         self.root().conn.deactivate_node(v)
 
@@ -373,7 +373,7 @@ class BipartiteTree(BipartiteGeneral):
     0-based.  Every precondition is checked in those ids, with the messages
     a SparsTree gives, against the cover before any change: node v is
     active when cover node 2v is, has an edge when 2v is in the cover
-    root's `cycle`, and edge (x, y) is present when the cover holds
+    root's `chain`, and edge (x, y) is present when the cover holds
     (2x, 2y+1).
     """
 
@@ -399,7 +399,7 @@ class BipartiteTree(BipartiteGeneral):
 
     def deactivate_node(self, v):
         self._require_active(v)
-        if 2 * v in self.cover.root().conn.cycle:
+        if 2 * v in self.cover.root().conn.chain:
             raise SparsError(f"node {v + 1} not isolated")
         super().deactivate_node(v)
 

@@ -114,8 +114,8 @@ def test_bipartite_layers_within_bounds(monkeypatch, policy):
 @pytest.mark.parametrize(
     "policy, forest, connectivity, bipartiteness",
     [
-        (ArbitraryPolicy(5), (230, 405), (1965, 4472), (3930, 8944)),
-        (CommonPolicy(0.25), (230, 465), (2085, 4952), (4170, 9904)),
+        (ArbitraryPolicy(5), (230, 405), (695, 1932), (1390, 3864)),
+        (CommonPolicy(0.25), (230, 465), (695, 2172), (1390, 4344)),
     ],
     ids=["arbitrary", "common"],
 )

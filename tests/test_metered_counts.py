@@ -55,17 +55,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (647784, {"insert": 121, "delete": 202, "connected": 0}, 20296),
+            (600522, {"insert": 109, "delete": 187, "connected": 0}, 20296),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (646732, {"insert": 121, "delete": 226, "connected": 0}, 20296),
+            (600090, {"insert": 109, "delete": 203, "connected": 0}, 20296),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (60759, {"insert": 182, "delete": 315}, 4059),
+            (57018, {"insert": 182, "delete": 286}, 4059),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

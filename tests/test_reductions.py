@@ -156,9 +156,9 @@ class TestConnGadget:
         "policy, seed, steps",
         [(ArbitraryPolicy(11), 11, 200), (CommonPolicy(0.25), 3, 400)],
     )
-    def test_cycles_stay_tree_connected_on_chunked_tours(self, policy, seed, steps):
+    def test_chains_stay_tree_connected_on_chunked_tours(self, policy, seed, steps):
         # 16 hosts of mean degree up to 6 give gadget tours longer than one
-        # chunk; no splice-out may let a cross edge replace a cycle edge,
+        # chunk; no splice-out may let a cross edge replace a chain edge,
         # even where the chunk query would find a cross edge first
         rng = random.Random(seed)
         n, m = 16, 48
@@ -179,36 +179,56 @@ class TestConnGadget:
             chunked = chunked or bool(cg.inner.store.arrays())
         assert chunked
 
-    def test_host_inserts_delete_only_non_tree_cycle_edges(self, monkeypatch):
+    def test_host_inserts_only_link_singletons(self, monkeypatch):
         """Churn shaped like the conn_churn workload (m about 1.5n, inserts
-        and deletes alternating around that size) on one gadget: the
-        splice-ins of a host insert delete only closing edges, which are
-        the chords, so every forest delete inside them is NON_TREE, also
-        after splice-outs from cycles of 4 or more nodes."""
+        and deletes alternating around that size) on one gadget: a host
+        insert makes no forest delete, and each splice-in onto a chain makes
+        one forest insert, which links the new singleton, also after
+        splice-outs from chains of 4 or more nodes."""
         rng = random.Random(5)
         n, m = 24, 36
         cg = conn(n=n, cap=2 * m)
         activate_all(cg, n)
-        inside, kinds, splice_in = [], [], ConnGeneral._splice_in
+        forest = cg.inner
+        host_insert, splice_in = ConnGeneral.insert_edge, ConnGeneral._splice_in
+        open_insert, open_splice = [], []
+        deletes, splices = [], []
+
+        def watched_insert(self, u, v):
+            open_insert.append(None)
+            try:
+                return host_insert(self, u, v)
+            finally:
+                open_insert.pop()
 
         def watched_splice_in(self, u):
-            inside.append(u)
+            links = []
+            open_splice.append(links)
             try:
                 return splice_in(self, u)
             finally:
-                inside.pop()
+                open_splice.pop()
+                splices.append((len(self.chain[u]), links))
 
-        def watch(method):
-            def watched(*args):
-                rep = method(*args)
-                if inside:
-                    kinds.append(rep.kind)
-                return rep
+        def watched_forest_insert(method):
+            def watched(a, b):
+                if open_splice:
+                    open_splice[-1].append(not forest.nbr[a] or not forest.nbr[b])
+                return method(a, b)
             return watched
 
+        def watch_delete(name, method):
+            def watched(*args):
+                if open_insert:
+                    deletes.append(name)
+                return method(*args)
+            return watched
+
+        monkeypatch.setattr(ConnGeneral, "insert_edge", watched_insert)
         monkeypatch.setattr(ConnGeneral, "_splice_in", watched_splice_in)
-        for name in ("delete_edge", "delete_edge_with_hint"):
-            setattr(cg.inner, name, watch(getattr(cg.inner, name)))
+        forest.insert_edge = watched_forest_insert(forest.insert_edge)
+        for name in ("delete_edge", "delete_edge_with_hint", "contract"):
+            setattr(forest, name, watch_delete(name, getattr(forest, name)))
         edges, big_splice_outs = [], 0
         for _ in range(600):
             if len(edges) < m and (len(edges) < m // 2 or rng.random() < 0.5):
@@ -219,29 +239,32 @@ class TestConnGadget:
                 edges.append((u, v))
             else:
                 u, v = edges.pop(rng.randrange(len(edges)))
-                big_splice_outs += len(cg.cycle[u]) >= 4 or len(cg.cycle[v]) >= 4
+                big_splice_outs += len(cg.chain[u]) >= 4 or len(cg.chain[v]) >= 4
                 cg.delete_edge(u, v)
         check_gadget_graph(cg)
-        assert big_splice_outs > 20 and len(kinds) > 100
-        assert set(kinds) == {ReplacementReport.NON_TREE}
+        assert big_splice_outs > 20 and len(splices) > 200
+        assert deletes == []
+        assert all(links == [True] * (d > 1) for d, links in splices)
+        assert sum(d >= 4 for d, _ in splices) > 20
 
     @pytest.mark.parametrize(
         "n, m, seed", [(24, 36, 5), (16, 48, 11)], ids=["sparse", "chunked"]
     )
     def test_splice_outs_never_replace(self, monkeypatch, n, m, seed):
-        """Churn as above: inside a splice-out, every forest delete is the
-        chord's (NON_TREE) or a lone node's cut (SPLIT), never a replacement,
-        and every interior node leaves by contraction, from cycles of 3 and
-        of more nodes, also on chunked tours."""
+        """Churn as above: inside a splice-out, every forest delete is a
+        lone node's cut, which reports SPLIT after the probe's degree reads
+        and scans nothing, and every interior node leaves by contraction,
+        from chains of 3 and of more nodes, also on chunked tours."""
         rng = random.Random(seed)
         cg = conn(n=n, cap=2 * m)
         activate_all(cg, n)
-        inside, kinds, contracted = [], Counter(), Counter()
+        inside, kinds, contracted, lone = [], Counter(), Counter(), []
         splice_out, contract = ConnGeneral._splice_out, cg.inner.contract
+        lone_endpoint = cg.inner._lone_endpoint
 
         def watched_splice_out(self, u, g):
-            cyc = self.cycle[u]
-            inside.append((len(cyc), 0 < cyc.index(g) < len(cyc) - 1))
+            chain = self.chain[u]
+            inside.append((len(chain), 0 < chain.index(g) < len(chain) - 1))
             try:
                 return splice_out(self, u, g)
             finally:
@@ -255,6 +278,12 @@ class TestConnGadget:
             contracted[min(d, 4), chunked] += 1
             return contract(g)
 
+        def watched_lone_endpoint(u, v):
+            alone = lone_endpoint(u, v)
+            if inside:
+                lone.append(alone)
+            return alone
+
         def watch(method):
             def watched(*args):
                 rep = method(*args)
@@ -265,6 +294,7 @@ class TestConnGadget:
 
         monkeypatch.setattr(ConnGeneral, "_splice_out", watched_splice_out)
         cg.inner.contract = watched_contract
+        cg.inner._lone_endpoint = watched_lone_endpoint
         for name in ("delete_edge", "delete_edge_with_hint"):
             setattr(cg.inner, name, watch(getattr(cg.inner, name)))
         edges = []
@@ -278,24 +308,40 @@ class TestConnGadget:
             else:
                 cg.delete_edge(*edges.pop(rng.randrange(len(edges))))
         check_gadget_graph(cg)
-        assert set(kinds) == {ReplacementReport.NON_TREE, ReplacementReport.SPLIT}
+        assert set(kinds) == {ReplacementReport.SPLIT}
+        # each cut's probe stops at its degree reads, which find g alone
+        assert lone == [True] * kinds[ReplacementReport.SPLIT]
         assert contracted[3, False] + contracted[3, True] > 5
         assert contracted[4, False] + contracted[4, True] > 5
         if n == 16:
             assert contracted[4, True] > 5
 
-    def test_a_cycle_closed_by_a_tree_edge_fails_the_check(self):
-        """The check reads the chord off the cycle order: rotating a cycle
-        of 4 so that a tree edge closes it keeps every edge and the count
-        of tree edges, and fails only the closing-edge check."""
+    def test_a_non_tree_edge_inside_a_chain_fails_the_check(self):
+        """A forest edge between the ends of a chain of 4 closes it into a
+        cycle: it is a non-tree edge, every chain edge stays a tree edge,
+        and only the rule that no other gadget edge joins two nodes of one
+        host fails."""
         cg = conn()
         activate_all(cg, 5)
         for w in range(1, 5):
             cg.insert_edge(0, w)
         check_gadget_graph(cg)
-        cyc = cg.cycle[0]
-        cg.cycle[0] = cyc[1:] + cyc[:1]
-        with pytest.raises(CheckFailure, match="closing edge .* is a tree edge"):
+        chain = cg.chain[0]
+        cg.inner.insert_edge(chain[-1], chain[0])
+        assert not cg.inner.tree_edge(chain[-1], chain[0])
+        with pytest.raises(CheckFailure, match="edge to 0's gadget off the path"):
+            check_gadget_graph(cg)
+
+    def test_a_missing_chain_edge_fails_the_check(self):
+        """Cutting the middle edge of a chain of 4 out of the forest keeps
+        every cross edge and fails the chain-edge check."""
+        cg = conn()
+        activate_all(cg, 5)
+        for w in range(1, 5):
+            cg.insert_edge(0, w)
+        chain = cg.chain[0]
+        cg.inner.delete_edge(chain[1], chain[2])
+        with pytest.raises(CheckFailure, match="chain of 0 is broken at"):
             check_gadget_graph(cg)
 
     def test_find_replacement_probe(self):
@@ -347,7 +393,7 @@ class TestConnGadget:
     )
     def test_bad_hint_rejected_before_any_change(self, hint_of, match):
         """Deleting the non-tree edge of a triangle with a hint that is that
-        edge, or a tree edge, is refused with the ports, the cycles and the
+        edge, or a tree edge, is refused with the ports, the chains and the
         meter as they were."""
         cg = conn()
         activate_all(cg, 3)
@@ -357,12 +403,12 @@ class TestConnGadget:
         tree = next(e for e in edges if cg.tree_edge(*e))
         non_tree = next(e for e in edges if not cg.tree_edge(*e))
         meter = cg.inner.meter
-        ports, cycle = dict(cg.ports), {h: list(c) for h, c in cg.cycle.items()}
+        ports, chain = dict(cg.ports), {h: list(c) for h, c in cg.chain.items()}
         work, depth = meter.work, meter.depth
         with pytest.raises(GadgetError, match=match):
             cg.delete_edge_with_hint(*non_tree, hint_of(tree, non_tree))
         assert (meter.work, meter.depth) == (work, depth)
-        assert cg.ports == ports and cg.cycle == cycle
+        assert cg.ports == ports and cg.chain == chain
         check_gadget_graph(cg)
         assert cg.delete_edge(*non_tree).kind == ReplacementReport.NON_TREE
 
@@ -377,12 +423,12 @@ class TestConnGadget:
             cg.insert_edge(u, v)
         hint = next(e for e in ((3, 4), (4, 5), (3, 5)) if not cg.tree_edge(*e))
         meter = cg.inner.meter
-        ports, cycle = dict(cg.ports), {h: list(c) for h, c in cg.cycle.items()}
+        ports, chain = dict(cg.ports), {h: list(c) for h, c in cg.chain.items()}
         work, depth = meter.work, meter.depth
         with pytest.raises(GadgetError, match="off the component"):
             cg.delete_edge_with_hint(0, 1, hint)
         assert (meter.work, meter.depth) == (work, depth)
-        assert cg.ports == ports and cg.cycle == cycle
+        assert cg.ports == ports and cg.chain == chain
         check_gadget_graph(cg)
         assert cg.delete_edge(0, 1).kind == ReplacementReport.REPLACED
 
@@ -401,7 +447,7 @@ class TestConnGadget:
         every.insert_edge(4, 22)
         assert every.connected(4, 22) and not every.connected(5, 22)
 
-    @pytest.mark.parametrize("edge", [False, True], ids=["isolated", "on-a-cycle"])
+    @pytest.mark.parametrize("edge", [False, True], ids=["isolated", "on-a-chain"])
     def test_activate_all_with_an_active_host_rejected(self, edge):
         cg = conn(4)
         cg.activate_node(1)
@@ -427,13 +473,13 @@ class TestConnGadget:
         g_uv = cg.ports[deleted]
         assert (g_uv, cg.ports[deleted[::-1]]) not in cg.inner.edge_occ
         meter = cg.inner.meter
-        ports, cycle = dict(cg.ports), {h: list(c) for h, c in cg.cycle.items()}
+        ports, chain = dict(cg.ports), {h: list(c) for h, c in cg.chain.items()}
         nbr = {g: list(x) for g, x in cg.inner.nbr.items()}
         work, depth = meter.work, meter.depth
         with pytest.raises(GadgetError, match="off the component"):
             cg.delete_edge_with_hint(*deleted, hint)
         assert (meter.work, meter.depth) == (work, depth)
-        assert cg.ports == ports and cg.cycle == cycle
+        assert cg.ports == ports and cg.chain == chain
         assert {g: list(x) for g, x in cg.inner.nbr.items()} == nbr
         check_gadget_graph(cg)
         assert cg.delete_edge(*deleted).kind == ReplacementReport.NON_TREE
@@ -447,13 +493,13 @@ class TestConnGadget:
         cg.insert_edge(2, 3)
         pairs = list(itertools.combinations(range(6), 2))
         for u, v in ((4, 5), (0, 4), (1, 2)):
-            cycle = {h: list(c) for h, c in cg.cycle.items()}
+            chain = {h: list(c) for h, c in cg.chain.items()}
             ports = dict(cg.ports)
             work = meter.work
             with pytest.raises(GadgetError, match="capacity"):
                 cg.insert_edge(u, v)
             assert meter.work == work
-            assert cg.cycle == cycle
+            assert cg.chain == chain
             assert cg.ports == ports
             assert [cg.connected(a, b) for a, b in pairs] == [
                 (a, b) in ((0, 1), (2, 3)) for a, b in pairs
@@ -473,7 +519,7 @@ class TestConnGadget:
             cg.insert_edge(u, v)
         K, J = cg.inner.K, cg.inner.store.slot_count
         ports, owner = dict(cg.ports), dict(cg.owner)
-        cycle = {h: list(c) for h, c in cg.cycle.items()}
+        chain = {h: list(c) for h, c in cg.chain.items()}
         occ, nbr = dict(cg.inner.edge_occ), {g: list(x) for g, x in cg.inner.nbr.items()}
         ids = (cg.mark, list(cg.free))
         spent = (meter.work, meter.depth, meter.init_work)
@@ -481,7 +527,7 @@ class TestConnGadget:
             cg.insert_edge(3, 4)
         assert (meter.work, meter.depth, meter.init_work) == spent
         assert cg.ports == ports and cg.owner == owner
-        assert cg.cycle == cycle and (cg.mark, list(cg.free)) == ids
+        assert cg.chain == chain and (cg.mark, list(cg.free)) == ids
         assert cg.inner.edge_occ == occ
         assert {g: list(x) for g, x in cg.inner.nbr.items()} == nbr
         assert (cg.inner.K, cg.inner.store.slot_count) == (K, J)
@@ -517,14 +563,14 @@ class TestHostRanges:
         pairs = list(itertools.combinations(range(6), 2))
         for u, v in pairs[: cg.edge_capacity]:
             cg.insert_edge(u, v)
-        assert max(map(len, cg.cycle.values())) >= 3 and cg.inner.nontree
+        assert max(map(len, cg.chain.values())) >= 3 and cg.inner.nontree
         ports, occ = dict(cg.ports), dict(cg.inner.edge_occ)
-        cycle = {h: list(c) for h, c in cg.cycle.items()}
+        chain = {h: list(c) for h, c in cg.chain.items()}
         spent = (meter.work, meter.depth, meter.init_work)
         u, v = pairs[cg.edge_capacity]
         with pytest.raises(GadgetError, match="edge capacity exhausted"):
             cg.insert_edge(u, v)
-        assert cg.ports == ports and cg.cycle == cycle
+        assert cg.ports == ports and cg.chain == chain
         assert cg.inner.edge_occ == occ
         assert (meter.work, meter.depth, meter.init_work) == spent
         check_gadget_graph(cg)
@@ -564,9 +610,9 @@ class TestHostRanges:
         cg = self.gadget()
         cg.insert_edge(1, 9)
         cg.insert_edge(9, 10)
-        cg.insert_edge(10, 1)  # closes a cycle: the one non-tree edge
+        cg.insert_edge(10, 1)  # closes a triangle: the one non-tree edge
         assert set(cg.ports) == {(1, 9), (9, 1), (9, 10), (10, 9), (10, 1), (1, 10)}
-        assert set(cg.cycle) == {1, 9, 10}
+        assert set(cg.chain) == {1, 9, 10}
         assert set(cg.owner.values()) == {1, 9, 10}
         assert cg.tree_edge(1, 9) and not cg.tree_edge(1, 10)
         want = ReplacementReport(ReplacementReport.REPLACED, (1, 10))
@@ -596,7 +642,7 @@ class TestFootprint:
             gc.enable()
         assert grown[0] == grown[1]
 
-    def test_torn_down_graph_holds_no_cycles_or_adjacency(self):
+    def test_torn_down_graph_holds_no_chains_or_adjacency(self):
         n = 12
         cg = conn(n=n)
         activate_all(cg, n)
@@ -607,20 +653,20 @@ class TestFootprint:
         rng.shuffle(edges)
         for u, v in edges:
             cg.delete_edge(u, v)
-        assert cg.cycle == {}
+        assert cg.chain == {}
         assert len(cg.free) == 2 * len(edges)
         assert cg.inner.nbr == {}
         check_gadget_graph(cg)
 
-    def test_deleting_a_chunked_cycle_leaves_no_record(self):
-        # the centre of a star has a gadget cycle whose tour outgrows a chunk
+    def test_deleting_a_chunked_chain_leaves_no_record(self):
+        # the centre of a star has a gadget chain whose tour outgrows a chunk
         n = 24
         cg = conn(n=n)
         activate_all(cg, n)
         forest = cg.inner
         for v in range(1, n):
             cg.insert_edge(0, v)
-        assert 2 * (len(cg.cycle[0]) - 1) > forest.K
+        assert 2 * (len(cg.chain[0]) - 1) > forest.K
         assert forest.store.slots
         for v in range(1, n):
             cg.delete_edge(0, v)

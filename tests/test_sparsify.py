@@ -304,7 +304,7 @@ class TestDifferential:
     @pytest.mark.parametrize("policy", [ArbitraryPolicy(3), CommonPolicy(0.25)])
     def test_contraction_soak_keeps_every_forest_whole(self, monkeypatch, policy):
         """Churn at n = 64 around 1.5n edges, every structure checked every
-        5 updates.  Gadget splice-outs contract interior cycle nodes
+        5 updates.  Gadget splice-outs contract interior chain nodes
         (`EulerForest.contract`), some on chunked tours."""
         chunked, contract = [], EulerForest.contract
 

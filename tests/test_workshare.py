@@ -66,12 +66,13 @@ def test_gadget_sites_add_up_to_the_gadget_updates():
     _, total, _, lives = workshare.workshare(1, 64, 120)
     sites = dict(lives["sites"])
     calls, work = sites.pop("gadget")
-    # every site named, no splice-out delete replaced, and every site but
-    # the closing-edge insert reached on this replay
+    # every site named, every splice-out forest call a leaf cut or a
+    # contraction, and every other site reached on this replay
     assert list(sites) == list(workshare.SITES)
     assert 0 < work <= total
     assert sum(w for _, w in sites.values()) == work
     assert sites["rest"][0] == calls
+    assert sites["unexpected"] == [0, 0]
     for label in workshare.SITES[:-2]:
         assert sites[label][0] > 0 and sites[label][1] > 0, label
     # the gadget's own work outside the sites is its node releases and

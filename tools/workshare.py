@@ -35,11 +35,12 @@ call.
 Last it splits the work of the gadget updates, every `ConnGeneral`
 `insert_edge` and `_delete` at every sparsification node, by call site
 (`SITES`): the forest insert of the new cross edge, each splice-in with its
-forest calls, the forest delete of the cross edge, and inside a splice-out
-the chord's delete, a lone node's cut, a contraction
-(`EulerForest.contract`) and the insert of a new closing edge.  `rest` is
-the gadget's own work outside those calls, its node releases and hint
-tests.  The sites add up to the gadget updates' work.
+forest call, the forest delete of the cross edge, and inside a splice-out
+a lone node's cut and a contraction (`EulerForest.contract`).  Any other
+forest call inside a splice-out, and a cut that does not report SPLIT, is
+booked as `unexpected`, which stays at 0 while every chain edge is a tree
+edge.  `rest` is the gadget's own work outside those calls, its node
+releases and hint tests.  The sites add up to the gadget updates' work.
 
 The counts are exact and repeat bit for bit on any host; a run at n = 512
 takes about 2 s on a shared 2-core x86-64 VM with CPython 3.11.
@@ -197,8 +198,8 @@ def offset_writes(counts):
 
 # the gadget call sites, in the order of a host insert then a host delete
 SITES = (
-    "cross-edge insert", "splice-in", "cross-edge delete", "chord delete",
-    "leaf cut", "contraction", "closing-edge insert", "rest",
+    "cross-edge insert", "splice-in", "cross-edge delete", "leaf cut",
+    "contraction", "unexpected", "rest",
 )
 
 
@@ -206,18 +207,14 @@ SITES = (
 def gadget_sites(meter, sites):
     """Book into `sites` (label -> [calls, work]) the work of every gadget
     update while the block runs, under `gadget` in all and under its call
-    site (`SITES`).  A splice-in is booked whole, its forest calls with it;
-    a forest delete inside a splice-out is booked by its report, and one
-    that reports a replacement, which none should, as `replacement`."""
+    site (`SITES`).  A splice-in is booked whole, its forest call with it;
+    inside a splice-out a forest delete that reports SPLIT is a leaf cut,
+    and any other forest call but a contraction is `unexpected`."""
     from dynconn.eulerforest import EulerForest, ReplacementReport
     from dynconn.reductions import ConnGeneral
 
     for label in ("gadget",) + SITES:
         sites[label] = [0, 0]
-    by_kind = {
-        ReplacementReport.NON_TREE: "chord delete",
-        ReplacementReport.SPLIT: "leaf cut",
-    }
     frames = []  # the kinds of the open gadget frames, innermost last
     in_sites = [0]  # the work of the sites booked in the open update
 
@@ -251,9 +248,11 @@ def gadget_sites(meter, sites):
                 "_delete": "cross-edge delete",
             }.get(name)
         if outer == "splice-out":
-            if name == "_delete":
-                return by_kind.get(getattr(out, "kind", None), "replacement")
-            return {"insert_edge": "closing-edge insert", "contract": "contraction"}.get(name)
+            if name == "contract":
+                return "contraction"
+            if name == "_delete" and getattr(out, "kind", None) == ReplacementReport.SPLIT:
+                return "leaf cut"
+            return "unexpected"
         return None
 
     def site(fn, name):
