@@ -85,18 +85,20 @@ update, the replacement search, runs before its first mutation, so the
 vectors may lag until the flush; they stay symmetric throughout, since every
 change to them goes through the master array.
 
-A node g of degree 2 whose two edges are tree edges, so that it has no
-non-tree edge, leaves its tour by contraction (`contract`): its path
-p - g - q becomes the tree edge (p, q).  In the tour g sits between
-(p, g) (g, q) and between (q, g) (g, p), so the two entering occurrences
-are renamed in place, (p, g) to (p, q) and (q, g) to (q, p), and the two
-leaving ones are taken out of their chunks, each rewriting the shorter
-side of its chunk around the gap.  No probe, cut or reorder runs: every
-other edge keeps its place in the tour, and every node but p, q and g its
-chunks.  A chunk emptied is retired, the array's sizing repair runs on the
-chunks written, and the flush refreshes their link vectors, which covers
-every chunk whose nodes changed; a small tour is rebuilt whole.  The
-contraction makes no chunk, so it needs no transient slot.
+A node g of degree 1 or 2 whose edges are all tree edges leaves its tour
+in place, by contraction (`contract`).  On a path p - g - q the tour holds
+(p, g) (g, q) and (q, g) (g, p): the entering occurrences are renamed in
+place, (p, g) to (p, q) and (q, g) to (q, p), and the leaving ones taken
+out.  A leaf g on p loses (p, g) and (g, p).  Each removal rewrites the
+shorter side of its chunk around the gap.  No probe, cut or reorder runs:
+every other edge keeps its place in the tour, and every node but p, q and
+g its chunks.  A chunk emptied is retired, the array's sizing repair runs
+on the chunks written, and the flush refreshes their link vectors, which
+covers every chunk whose nodes changed; a small tour is rebuilt whole.
+The contraction makes no chunk, so it needs no transient slot.  A tree
+edge with an endpoint of no other edge is a leaf's: its deletion is that
+contraction, with no replacement, and its probe stops at the two degree
+reads.
 """
 
 from __future__ import annotations
@@ -124,8 +126,8 @@ _NO_NONTREE = MappingProxyType({})
 TOUCHED_ON_LINK = 4
 TOUCHED_AFTER_CUT = 4
 TOUCHED_AFTER_SPLICE = 8
-# a contraction writes the chunks of its two renamed and two removed
-# occurrences
+# a contraction writes the chunks of its two removed occurrences and of a
+# degree-2 node's two renamed ones
 TOUCHED_ON_CONTRACT = 4
 
 # T, the chunks an update can hold beyond the at-rest bound R while it runs:
@@ -293,7 +295,8 @@ class EulerForest:
 
         A contraction touches at most the 4 chunks of its node's
         occurrences and cuts none, so it stays below a delete, whose
-        probe and commit it skips; a gadget counts it as an edge deletion.
+        probe and commit it skips; a delete with a lone endpoint is one, and
+        a gadget counts one as an edge deletion.
         """
         store = MasterArray.depth_bounds(policy)
         select = pick_depth(policy)  # the replacement among the candidates
@@ -341,9 +344,9 @@ class EulerForest:
                 2 * TOUCHED_AFTER_SPLICE + 2 * _OCCURRENCES,
             )
         )
-        # `contract`: the two renames in one step, the two removals (a
-        # reindex or a retirement each), the repair and the flush; a small
-        # tour is dropped, rebuilt and adopted
+        # `contract`: a degree-2 node's two renames in one step, the two
+        # removals (a reindex or a retirement each), the repair and the
+        # flush; a small tour is dropped, rebuilt and adopted
         contract = max(
             3,
             1 + 2 * max(write, retire) + repair(TOUCHED_ON_CONTRACT)
@@ -472,7 +475,7 @@ class EulerForest:
     def delete_edge_with_hint(self, u, v, hint):
         """Delete (u, v), adopting the hint as the replacement if it crosses
         the cut; the hint must be a non-tree edge on (u, v)'s tour, which
-        the probe checks, or for a non-tree (u, v) the deletion itself.
+        `_delete` checks, or for a non-tree (u, v) the deletion itself.
         Every check runs before any change and charges nothing."""
         if hint is not None:
             a, b = hint
@@ -487,6 +490,8 @@ class EulerForest:
         self._require_edge(u, v)
         if (u, v) not in self.edge_occ:
             return ReplacementReport(ReplacementReport.NON_TREE)
+        if self._lone_endpoint(u, v) is not None:
+            return ReplacementReport(ReplacementReport.SPLIT)
         container = self.edge_occ[(u, v)][0]
         if isinstance(container, SmallTour):
             *_, pair = self._probe_small(container, u, v, None)
@@ -496,13 +501,18 @@ class EulerForest:
 
     def _delete(self, u, v, hint):
         self._require_edge(u, v)
+        # a hint's endpoints share a tree, so one of them places it
+        if hint is not None and self._tree_id(hint[0]) is not self._tree_id(u):
+            raise ForestError("hint (%d,%d) is off the tour of (%d,%d)" % (*hint, u, v))
         if (u, v) not in self.edge_occ:
-            if hint is not None:
-                self._require_on_tour(hint, self._tree_id(u), u, v)
             self._remove_adjacency(u, v)
             self._drop_nontree(u, v)
             self._unlink_after_delete(u, v)
             return ReplacementReport(ReplacementReport.NON_TREE)
+        lone = self._lone_endpoint(u, v)
+        if lone is not None:
+            self.contract(lone)
+            return ReplacementReport(ReplacementReport.SPLIT)
         # each probe changes nothing; the update's record opens after it
         container = self.edge_occ[(u, v)][0]
         if isinstance(container, SmallTour):
@@ -559,47 +569,56 @@ class EulerForest:
     # -- contraction ----------------------------------------------------------------
 
     def contract(self, g):
-        """Take g, of degree 2 with two tree edges (p, g) and (g, q), out of
-        its tour and join p and q by the tree edge (p, q) in their place:
-        the forest without g, where g stays active and isolated.  g's entry
+        """Take g, whose edges are all tree edges and number 1 or 2, out of
+        its tour in place: the forest without g, where g stays active and
+        isolated.  A leaf's edge (p, g) goes; a node of degree 2 on (p, g)
+        and (g, q) leaves the tree edge (p, q) in their place, and g's entry
         in the adjacency of p and of q becomes the other.  Every check runs
         before any change and charges nothing."""
         self._require_active(g)
         nbrs = self.nbr[g]
-        if len(nbrs) != 2:
-            raise ForestError(f"node {g} has degree {len(nbrs)}, not 2")
-        p, q = nbrs
+        if not 1 <= len(nbrs) <= 2:
+            raise ForestError(f"node {g} has degree {len(nbrs)}, not 1 or 2")
+        p, q = nbrs[0], nbrs[-1]  # q is p for a leaf
         edge_occ = self.edge_occ
         if (g, p) not in edge_occ or (g, q) not in edge_occ:
             raise ForestError(f"node {g} has a non-tree edge")
-        if q in self.nbr[p]:
+        if p == q:
+            renames, removed = (), ((p, g), (g, p))
+            self.nbr[p].remove(g)
+        elif q in self.nbr[p]:
             raise ForestError(f"({p},{q}) is already an edge")
-        for x, y in ((p, q), (q, p)):
-            xs = self.nbr[x]
-            xs[xs.index(g)] = y
+        else:
+            renames, removed = (((p, g), (p, q)), ((q, g), (q, p))), ((g, q), (g, p))
+            for x, y in ((p, q), (q, p)):
+                xs = self.nbr[x]
+                xs[xs.index(g)] = y
         self.nbr[g] = []
         self.meter.charge(4)
-        renames = (((p, g), (p, q)), ((q, g), (q, p)))
         container = edge_occ[(p, g)][0]
         if isinstance(container, SmallTour):
             edges = container.edges
             self._drop_container(container)
-            for e in ((p, g), (g, q), (q, g), (g, p)):
-                del edge_occ[e]
-            rename = dict(renames)
-            self._adopt_small([rename.get(e, e) for e in edges if e[0] != g])
             self.meter.parallel_charge(len(edges))
+            for old, new in renames:
+                edges[edges.index(old)] = new
+                del edge_occ[old]
+            for e in removed:
+                edges.remove(e)
+                del edge_occ[e]
+            self._adopt_small(edges)
             return
         array = container.array
         self._touched = touched = {}
-        # one step: each entering occurrence takes its new name in place
-        for old, new in renames:
-            c, off = locate(edge_occ.pop(old))
-            c.edges[off] = new
-            edge_occ[new] = (c, c.base + off)
-            touched[c] = None
-        self.meter.parallel_charge(2)
-        for e in ((g, q), (g, p)):
+        if renames:
+            # one step: each entering occurrence takes its new name in place
+            for old, new in renames:
+                c, off = locate(edge_occ.pop(old))
+                c.edges[off] = new
+                edge_occ[new] = (c, c.base + off)
+                touched[c] = None
+            self.meter.parallel_charge(2)
+        for e in removed:
             c, off = locate(edge_occ.pop(e))
             del c.edges[off]
             if not c.edges:
@@ -619,15 +638,11 @@ class EulerForest:
     def _probe_small(self, tour, u, v, hint):
         """(u, v)'s two occurrence indices and the replacement as a (near,
         far) pair, or None."""
-        if hint is not None:
-            self._require_on_tour(hint, tour, u, v)
         edges = tour.edges
         i1 = edges.index((u, v))
         i2 = edges.index((v, u))
         if i1 > i2:
             i1, i2 = i2, i1
-        if self._lone_endpoint(u, v):
-            return i1, i2, None
         far_nodes = set()
         for (a, b) in edges[i1 + 1 : i2]:
             far_nodes.add(a)
@@ -652,21 +667,15 @@ class EulerForest:
         return i1, i2, self.meter.pick(candidates) if candidates else None
 
     def _lone_endpoint(self, u, v):
-        """Whether tree edge (u, v) has an endpoint with no other edge: that
-        endpoint is all of its side of the cut, and no edge leaves it, so
-        the deletion has no replacement.  The two degree reads are charged
-        here when they end the probe, else in the probe's first step."""
-        if len(self.nbr[u]) == 1 or len(self.nbr[v]) == 1:
-            self.meter.charge(2)
-            return True
-        return False
-
-    def _require_on_tour(self, hint, tid, u, v):
-        """Refuse a hint off tour `tid` of (u, v), before any charge; the
-        hint's endpoints share a tree, so one of them places it."""
-        a, b = hint
-        if self._tree_id(a) is not tid:
-            raise ForestError(f"hint ({a},{b}) is off the tour of ({u},{v})")
+        """The endpoint of tree edge (u, v) that has no other edge, or None.
+        That endpoint is all of its side of the cut and no edge leaves it,
+        so the deletion has no replacement.  The two degree reads are
+        charged here when they find one, else in the probe's first step."""
+        for x in (u, v):
+            if len(self.nbr[x]) == 1:
+                self.meter.charge(2)
+                return x
+        return None
 
     def _commit_small(self, tour, i1, i2, pair):
         edges = tour.edges
@@ -807,8 +816,6 @@ class EulerForest:
     def _probe_large(self, array, u, v, hint):
         """(u, v)'s lower and upper (edge, occurrence) and the replacement
         as a (near, far) pair, or None."""
-        if hint is not None:
-            self._require_on_tour(hint, array, u, v)
         occ1 = locate(self.edge_occ[(u, v)])
         occ2 = locate(self.edge_occ[(v, u)])
         lo, hi = ((u, v), occ1), ((v, u), occ2)
@@ -832,8 +839,6 @@ class EulerForest:
                 return lo_key < (c.pos, off) < hi_key
             raise AssertionError(f"cannot classify node {x}")
 
-        if self._lone_endpoint(u, v):
-            return lo, hi, None
         self.meter.charge(8)
         if hint is not None:
             h1, h2 = hint
@@ -898,14 +903,13 @@ class EulerForest:
         b = self._cut_out(hi[0])
         if pair is None:
             # P2 splits off as the far walk and P1 P3 joins as the near one;
-            # an empty far walk (a == b) leaves the array as it is
-            pieces = [array]
-            if a < b:
-                p3 = self.master.split_array(array, b)
-                pieces.append(self.master.split_array(array, a))
-                self.master.concatenate(array, p3)
-            for piece in pieces:
-                self._repair(piece)
+            # the far walk is not empty, since a lone far endpoint is a
+            # leaf's contraction
+            p3 = self.master.split_array(array, b)
+            p2 = self.master.split_array(array, a)
+            self.master.concatenate(array, p3)
+            self._repair(array)
+            self._repair(p2)
             return
         self._splice(array, a, b, pair)
         # the promoted edge no longer justifies links anywhere: every chunk

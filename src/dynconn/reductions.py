@@ -7,11 +7,12 @@ Two layers, each a constant-factor translation into a lower structure:
                    per incident edge), and every host edge a "cross" edge
                    between its two gadget nodes.  A splice-in links a new
                    singleton to the chain's last node, and a splice-out
-                   contracts an interior node or cuts an end node, whose
-                   one chain edge leaves it alone.  Every chain edge is a
-                   tree edge and no deletion cuts a chain, so every
-                   non-tree edge is a cross edge and host tree edges are
-                   exactly the cross tree edges.
+                   contracts the node out of the chain, an end node as a
+                   leaf and an interior one into the edge joining its two
+                   neighbours.  Every chain edge is a tree edge and no
+                   deletion cuts a chain, so every non-tree edge is a cross
+                   edge and host tree edges are exactly the cross tree
+                   edges.
 
   BipartiteGeneral bipartiteness from the bipartite double cover alone.
                    The cover of a graph G has two nodes 2v and 2v+1 per
@@ -50,7 +51,7 @@ class GadgetError(ValueError):
 
 # per-call ceilings on the translated operations, as (node additions, node
 # removals, edge insertions, edge deletions): a host insert is one link per
-# endpoint and the cross edge, a host delete the cross edge and one cut or
+# endpoint and the cross edge, a host delete the cross edge and one
 # contraction per endpoint.  `ConnGeneral._close_tally` enforces them,
 # counting a contraction (`EulerForest.contract`, bounded by the forest's
 # delete) as an edge deletion
@@ -81,9 +82,9 @@ class ConnGeneral:
 
     A host's chain is kept in path order, so its d - 1 chain edges join
     consecutive nodes: a splice-in appends its node, linked to the last
-    one, and a splice-out removes its node from the list.  An interior
-    node is contracted out of the path (`EulerForest.contract`), which
-    joins its two neighbours; an end node is cut from its one neighbour.
+    one, and a splice-out removes its node from the list and contracts it
+    out of the path (`EulerForest.contract`): an end node leaves as a
+    leaf, and an interior node's two neighbours are joined.
     """
 
     def __init__(self, meter: CostMeter, hosts: tuple, edge_capacity: int):
@@ -315,22 +316,16 @@ class ConnGeneral:
         return g
 
     def _splice_out(self, u, g):
-        # g's cross edge is gone, so g holds only its chain edges, tree edges
-        # all: an interior node is contracted, and an end node's one edge is
-        # cut with g alone on its side, which the forest does without a probe
+        # g's cross edge is gone, so g holds only its one or two chain
+        # edges, tree edges all, and contracts out of the chain
         chain = self.chain[u]
-        d = len(chain)
-        if d == 1:
+        if len(chain) == 1:
             del self.chain[u]
             self.isolated += 1
             return
-        i = chain.index(g)
-        if 0 < i < d - 1:
-            self.inner.contract(g)
-        else:
-            self.inner.delete_edge(g, chain[1] if i == 0 else chain[-2])
+        self.inner.contract(g)
         self.edge_del += 1
-        del chain[i]
+        chain.remove(g)
 
     def _ins(self, a, b):
         self.inner.insert_edge(a, b)

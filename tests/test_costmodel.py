@@ -44,6 +44,26 @@ class TestParallelFor:
         m.parallel_for(2, lambda i: m.charge(1))
         assert m.depth == 2
 
+    def test_inside_initialization_runs_every_body_and_books_init_work(self):
+        # a step before the block leaves work and depth that must not move
+        m = meter()
+        m.parallel_for(2, lambda i: m.charge(1))
+        before = (m.work, m.depth)
+        ran = []
+
+        def body(i):
+            ran.append(i)
+            m.charge(2)
+            m.parallel_charge(3)  # 3 iterations of 1 unit each: 6
+            m.parallel_for(2, lambda j: m.charge(1))  # 2 + 2
+
+        with m.initialization():
+            m.parallel_for(5, body)
+        assert ran == [0, 1, 2, 3, 4]
+        assert m.init_work == 5 + 5 * (2 + 6 + 4)
+        assert (m.work, m.depth) == before
+        assert m._frames == [before[1]]
+
     def test_replay_of_known_nests(self):
         # exhaustive shape check: nests up to depth 4, width up to 8
         def run(shape):

@@ -453,7 +453,7 @@ class TestScansChargeWhatTheyRead:
         # 8 for the setup, then 3 * (e + 1) per chunk scanned, a chunk of e
         # edges holding at most e + 1 nodes of degree at most 3: the two
         # cut chunks, and the near chunk of each pair a query returns.  An
-        # edge with a lone endpoint makes no scan (TestLoneEndpoint), so
+        # edge with a lone endpoint makes no probe (TestLoneEndpoint), so
         # only edges whose endpoints both have another edge are probed.
         rng = random.Random(8)
         _, f = _random_graph_pair(rng, 40, 900, 3)
@@ -1023,10 +1023,13 @@ class TestReindexOnlyWhatMoves:
     (`parallel_charge`)."""
 
     def test_cutting_a_chunks_first_occurrence_rewrites_nothing(self, monkeypatch):
+        # an edge with no lone endpoint, so the delete cuts it out rather
+        # than contracting a leaf
         f, array = _chunked_path()
         c = next(
             c for c in array.leaves
             if len(c.edges) >= 3 and locate(f.edge_occ[c.edges[0][::-1]])[0] is not c
+            and all(len(f.nbr[x]) > 1 for x in c.edges[0])
         )
         first, rest = c.edges[0], c.edges[1:]
         rec = _Reindexes(monkeypatch, f)
@@ -1268,7 +1271,8 @@ def _array_calls(monkeypatch):
 class TestCutWithoutReplacement:
     """A tree delete with no replacement leaves the chunked tour as
     P1 P2 P3 around its far walk P2: it splits P3 off, then P2, and joins
-    P1 with P3.  An empty far walk leaves the array as it is."""
+    P1 with P3.  An empty far walk is a lone far endpoint's, whose delete
+    contracts that leaf and leaves the array as it is."""
 
     def test_two_splits_and_one_join(self, monkeypatch):
         f, array = _chunked_path()
@@ -1483,9 +1487,10 @@ class TestCheckerCatchesCorruption:
 
 class TestLoneEndpoint:
     """A tree edge with an endpoint that has no other edge has no
-    replacement: that endpoint is its whole side of the cut.  The probe
-    says so after two degree reads, with no scan, on a small tour and on a
-    chunked one."""
+    replacement: that endpoint is its whole side of the cut.  A probe says
+    so after two degree reads, and a delete contracts the leaf
+    (`EulerForest.contract`), with no probe and no scan, on a small tour and
+    on a chunked one."""
 
     @pytest.mark.parametrize("chunked", [False, True], ids=["small", "chunked"])
     def test_no_scan_and_a_split(self, monkeypatch, chunked):
@@ -1497,21 +1502,28 @@ class TestLoneEndpoint:
         f = forest_with(edges, n=32)
         small = isinstance(f.edge_occ[(0, 1)][0], SmallTour)
         assert small != chunked and f.nontree
-        name = "_probe_large" if chunked else "_probe_small"
-        probes = _self_work(monkeypatch, f.meter, (EulerForest, name), [])
-        scans = []
-        for owner, callee in ((EulerForest, "_chunk_nodes"), (MasterArray, "query")):
-            monkeypatch.setattr(owner, callee, lambda *a, _n=callee: scans.append(_n))
-        d0 = f.meter.depth
+        called, contracted = [], []
+        for owner, callee in (
+            (EulerForest, "_probe_small"), (EulerForest, "_probe_large"),
+            (EulerForest, "_chunk_nodes"), (MasterArray, "query"),
+        ):
+            monkeypatch.setattr(owner, callee, lambda *a, _n=callee: called.append(_n))
+        contract = EulerForest.contract
+
+        def watched_contract(self, g):
+            contracted.append(g)
+            return contract(self, g)
+
+        monkeypatch.setattr(EulerForest, "contract", watched_contract)
+        w0, d0 = f.meter.work, f.meter.depth
         assert f.find_replacement(0, 1) == ReplacementReport(ReplacementReport.SPLIT)
-        assert f.meter.depth == d0
+        # the two degree reads, and nothing else
+        assert (f.meter.work, f.meter.depth) == (w0 + 2, d0)
         assert f.delete_edge(1, 0) == ReplacementReport(ReplacementReport.SPLIT)
-        # the two degree reads, and nothing else, in each probe
-        assert [work for _, work in probes] == [2, 2]
-        assert not scans
+        assert contracted == [0] and not called
         monkeypatch.undo()
         check_euler_forest(f)
-        assert not f.connected(0, 1)
+        assert not f.connected(0, 1) and f.nbr[0] == [] and 0 not in f.nbr[1]
 
 
 def _tree_forest(seed, n, K=None):
@@ -1545,12 +1557,19 @@ def _contractible(f):
     return sorted(out)
 
 
+def _leaves(f):
+    """Nodes of degree 1; a leaf's one edge is a tree edge."""
+    return sorted(g for g, ws in f.nbr.items() if len(ws) == 1)
+
+
 def _layout(f, g):
-    """Where g's two occurrence pairs sit: "small" for a small tour, else
-    per pair "inside" one chunk, across a chunk "boundary" or across the
-    tour's "wrap", and "empties" when a removed occurrence is alone in its
-    chunk."""
-    p, q = f.nbr[g]
+    """Where g's occurrence pairs sit, each an entering occurrence and the
+    leaving one after it (one pair for a leaf): "small" for a small tour,
+    else per pair "inside" one chunk, across a chunk "boundary" or across
+    the tour's "wrap", and "empties" when a chunk holds only occurrences
+    the contraction removes."""
+    p, q = f.nbr[g][0], f.nbr[g][-1]
+    removed = {(g, p), (g, q)} | ({(p, g)} if p == q else set())
     kinds = set()
     for enter, leave in (((p, g), (g, q)), ((q, g), (g, p))):
         c1, c2 = f.edge_occ[enter][0], f.edge_occ[leave][0]
@@ -1562,7 +1581,7 @@ def _layout(f, g):
             kinds.add("wrap")
         else:
             kinds.add("boundary")
-        if len(c2.edges) == 1:
+        if any(set(c.edges) <= removed for c in (c1, c2)):
             kinds.add("empties")
     return kinds
 
@@ -1582,10 +1601,12 @@ def _fingerprint(f):
 
 
 class TestContract:
-    """`EulerForest.contract(g)` renames g's two entering occurrences and
-    takes out its two leaving ones where they sit: the tour keeps every
-    other edge in its order, with (p, q) and (q, p) in place of g's walks,
-    and no probe, cut, split, reorder or allocation runs."""
+    """`EulerForest.contract(g)` takes g out of its tour where its
+    occurrences sit.  For a node of degree 2 it renames the two entering
+    occurrences and takes out the two leaving ones; for a leaf it takes
+    out both.  The tour keeps every other edge in its order, with (p, q)
+    and (q, p) in place of a degree-2 node's walks, and no probe, cut,
+    split, reorder or allocation runs."""
 
     FORBIDDEN = (
         (EulerForest, ("_probe_large", "_probe_small", "_cut_out", "_split_chunk")),
@@ -1593,10 +1614,10 @@ class TestContract:
     )
 
     def _contract_and_check(self, monkeypatch, f, g):
-        p, q = f.nbr[g]
+        p, q = f.nbr[g][0], f.nbr[g][-1]
         before = tour_of(f, g)
-        rename = {(p, g): (p, q), (q, g): (q, p)}
-        want = [rename.get(e, e) for e in before if e[0] != g]
+        rename = {(p, g): (p, q), (q, g): (q, p)} if p != q else {}
+        want = [e for e in (rename.get(e, e) for e in before) if g not in e]
         called = []
         for owner, names in self.FORBIDDEN:
             for name in names:
@@ -1606,8 +1627,9 @@ class TestContract:
         finally:
             monkeypatch.undo()
         assert not called
-        assert f.nbr[g] == [] and f.tree_edge(p, q) and f.tree_edge(q, p)
-        assert g not in f.nbr[p] and g not in f.nbr[q]
+        assert f.nbr[g] == [] and g not in f.nbr[p] and g not in f.nbr[q]
+        if p != q:
+            assert f.tree_edge(p, q) and f.tree_edge(q, p)
         assert tour_of(f, p) == want
         check_euler_forest(f)
 
@@ -1633,11 +1655,53 @@ class TestContract:
         assert seen["inside"] > 3 and seen["boundary"] > 0 and seen["wrap"] > 0, seen
         assert K is None or seen["empties"] > 0, seen
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (1, 3)], [(0, 1)]], ids=["rest", "emptied"])
+    def test_a_leaf_on_a_small_tour(self, monkeypatch, edges):
+        f = forest_with(edges)
+        g = edges[-1][1]
+        assert _layout(f, g) == {"small"}
+        w0, c0 = f.meter.work, f.n_components()
+        self._contract_and_check(monkeypatch, f, g)
+        assert f.meter.work > w0
+        assert f.n_components() == c0 + 1  # the tree and the isolated g
+
+    @pytest.mark.parametrize("K", [None, 2], ids=["sized", "K2"])
+    def test_leaves_on_chunked_tours_at_every_layout(self, monkeypatch, K):
+        # each leaf's contraction on a fresh copy of one seeded forest
+        seen = Counter()
+        n = 40 if K is None else 14
+        for seed in range(1, 7):
+            for g in _leaves(_tree_forest(seed, n, K)):
+                f = _tree_forest(seed, n, K)
+                if isinstance(f.edge_occ[(g, f.nbr[g][0])][0], SmallTour):
+                    continue
+                seen.update(_layout(f, g))
+                self._contract_and_check(monkeypatch, f, g)
+        assert seen["inside"] > 3 and seen["boundary"] > 0, seen
+        # the sized chunks reach the wrap; K = 2 leaves chunks of one or two
+        # edges at rest, which a leaf's removals empty
+        assert (seen["wrap"] if K is None else seen["empties"]) > 0, seen
+
+    def test_the_end_of_a_chunked_path(self, monkeypatch):
+        f = self._rejecting_forest()
+        assert f.nbr[13] == [12] and _layout(f, 13) != {"small"}
+        self._contract_and_check(monkeypatch, f, 13)
+
+    @staticmethod
+    def _rejecting_forest():
+        # a chunked tour: the path 0 .. 13 with the chords (0, 2) and (4, 6)
+        f = forest_with([(i, i + 1) for i in range(13)] + [(0, 2), (4, 6)], n=16)
+        f.activate_node(14)
+        f.delete_edge(4, 5)  # (4, 6) replaces it
+        f.insert_edge(4, 5)
+        assert (5, 4) not in f.edge_occ and (6, 4) in f.edge_occ
+        assert f.master is not None and f.master.arrays()
+        return f
+
     @pytest.mark.parametrize(
         "g, match",
         [
             (14, "degree 0"),  # isolated
-            (13, "degree 1"),  # a leaf
             (2, "degree 3"),
             (5, "non-tree edge"),  # (4, 5) closes the triangle 4 5 6
             (1, "already an edge"),  # its neighbours 0 and 2 share a chord
@@ -1646,13 +1710,7 @@ class TestContract:
         ],
     )
     def test_rejected_before_any_change_or_charge(self, g, match):
-        # a chunked tour: the path 0 .. 13 with the chords (0, 2) and (4, 6)
-        f = forest_with([(i, i + 1) for i in range(13)] + [(0, 2), (4, 6)], n=16)
-        f.activate_node(14)
-        f.delete_edge(4, 5)  # (4, 6) replaces it
-        f.insert_edge(4, 5)
-        assert (5, 4) not in f.edge_occ and (6, 4) in f.edge_occ
-        assert f.master is not None and f.master.arrays()
+        f = self._rejecting_forest()
         before = _fingerprint(f)
         with pytest.raises(ForestError, match=match):
             f.contract(g)

@@ -55,17 +55,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (600522, {"insert": 109, "delete": 187, "connected": 0}, 20296),
+            (582050, {"insert": 114, "delete": 175, "connected": 0}, 20296),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (600090, {"insert": 109, "delete": 203, "connected": 0}, 20296),
+            (582994, {"insert": 109, "delete": 199, "connected": 0}, 20296),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (57018, {"insert": 182, "delete": 286}, 4059),
+            (54389, {"insert": 182, "delete": 271}, 4059),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

@@ -251,52 +251,49 @@ class TestConnGadget:
         "n, m, seed", [(24, 36, 5), (16, 48, 11)], ids=["sparse", "chunked"]
     )
     def test_splice_outs_never_replace(self, monkeypatch, n, m, seed):
-        """Churn as above: inside a splice-out, every forest delete is a
-        lone node's cut, which reports SPLIT after the probe's degree reads
-        and scans nothing, and every interior node leaves by contraction,
-        from chains of 3 and of more nodes, also on chunked tours."""
+        """Churn as above: inside a splice-out the one forest call is a
+        contraction, of an end node as a leaf or of an interior node, from
+        chains of 2, of 3 and of more nodes, also on chunked tours; no
+        forest delete, probe or chunk allocation runs there."""
         rng = random.Random(seed)
         cg = conn(n=n, cap=2 * m)
         activate_all(cg, n)
-        inside, kinds, contracted, lone = [], Counter(), Counter(), []
+        inside, contracted, others = [], Counter(), []
         splice_out, contract = ConnGeneral._splice_out, cg.inner.contract
-        lone_endpoint = cg.inner._lone_endpoint
 
         def watched_splice_out(self, u, g):
             chain = self.chain[u]
-            inside.append((len(chain), 0 < chain.index(g) < len(chain) - 1))
+            inside.append((len(chain), 0 < chain.index(g) < len(chain) - 1, []))
             try:
                 return splice_out(self, u, g)
             finally:
-                inside.pop()
+                d, _, calls = inside.pop()
+                assert d == 1 or calls == ["contract"], calls
 
         def watched_contract(g):
-            d, interior = inside[-1]
-            assert interior
+            if not inside:  # a cross edge's delete with a lone endpoint
+                return contract(g)
+            d, interior, calls = inside[-1]
+            calls.append("contract")
+            assert len(cg.inner.nbr[g]) == 1 + interior
             p = cg.inner.nbr[g][0]
             chunked = not isinstance(cg.inner.edge_occ[(p, g)][0], SmallTour)
-            contracted[min(d, 4), chunked] += 1
+            contracted[min(d, 4), interior, chunked] += 1
             return contract(g)
 
-        def watched_lone_endpoint(u, v):
-            alone = lone_endpoint(u, v)
-            if inside:
-                lone.append(alone)
-            return alone
-
-        def watch(method):
+        def watch(name, method):
             def watched(*args):
-                rep = method(*args)
                 if inside:
-                    kinds[rep.kind] += 1
-                return rep
+                    inside[-1][2].append(name)
+                return method(*args)
             return watched
 
         monkeypatch.setattr(ConnGeneral, "_splice_out", watched_splice_out)
         cg.inner.contract = watched_contract
-        cg.inner._lone_endpoint = watched_lone_endpoint
-        for name in ("delete_edge", "delete_edge_with_hint"):
-            setattr(cg.inner, name, watch(getattr(cg.inner, name)))
+        for name in ("delete_edge", "delete_edge_with_hint", "insert_edge",
+                     "find_replacement", "_probe_small", "_probe_large"):
+            setattr(cg.inner, name, watch(name, getattr(cg.inner, name)))
+        cg.inner.store.alloc_chunk = watch("alloc_chunk", cg.inner.store.alloc_chunk)
         edges = []
         for _ in range(600):
             if len(edges) < m and (len(edges) < m // 2 or rng.random() < 0.5):
@@ -308,13 +305,12 @@ class TestConnGadget:
             else:
                 cg.delete_edge(*edges.pop(rng.randrange(len(edges))))
         check_gadget_graph(cg)
-        assert set(kinds) == {ReplacementReport.SPLIT}
-        # each cut's probe stops at its degree reads, which find g alone
-        assert lone == [True] * kinds[ReplacementReport.SPLIT]
-        assert contracted[3, False] + contracted[3, True] > 5
-        assert contracted[4, False] + contracted[4, True] > 5
+        for d in (2, 3, 4):
+            assert sum(contracted[d, False, c] for c in (False, True)) > 5, (d, contracted)
+        for d in (3, 4):
+            assert sum(contracted[d, True, c] for c in (False, True)) > 5, (d, contracted)
         if n == 16:
-            assert contracted[4, True] > 5
+            assert contracted[4, False, True] > 5 and contracted[4, True, True] > 5, contracted
 
     def test_a_non_tree_edge_inside_a_chain_fails_the_check(self):
         """A forest edge between the ends of a chain of 4 closes it into a

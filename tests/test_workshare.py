@@ -66,8 +66,8 @@ def test_gadget_sites_add_up_to_the_gadget_updates():
     _, total, _, lives = workshare.workshare(1, 64, 120)
     sites = dict(lives["sites"])
     calls, work = sites.pop("gadget")
-    # every site named, every splice-out forest call a leaf cut or a
-    # contraction, and every other site reached on this replay
+    # every site named, every splice-out forest call a contraction, and
+    # every other site reached on this replay
     assert list(sites) == list(workshare.SITES)
     assert 0 < work <= total
     assert sum(w for _, w in sites.values()) == work

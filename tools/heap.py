@@ -1,9 +1,9 @@
 """Heap and collector profile of one benchmark instance.
 
-    python3 tools/heap.py [--workload conn_sparse_reads] [--seed 1] [--seconds 20]
+    python3 tools/heap.py
 
-It builds the named workload's first instance, `<seed>/0`, with the script
-length one instance of `bench/run.py --seconds S` gets, and replays it with
+It builds conn_sparse_reads' first instance, "1/0", with the script length
+one instance of `bench/run.py --seconds 20` gets, and replays it with
 the benchmark's own `setup` and `drive` (`bench/run.py`), after the same
 `_settle` the benchmark runs before each set-up.  It prints
 
@@ -30,7 +30,6 @@ only reads the workload generators and the replay loop from there.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from collections import Counter
@@ -44,6 +43,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from run import _settle, drive, script_length, setup  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+WORKLOAD = "conn_sparse_reads"
+SEED = 1
+SECONDS = 20
 GENERATIONS = 3
 TOP_TYPES = 12
 
@@ -95,13 +97,8 @@ def profile(name, seed, seconds):
     }
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", default="conn_sparse_reads", choices=sorted(WORKLOADS))
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
-    args = parser.parse_args(argv)
-    p = profile(args.workload, args.seed, args.seconds)
+def main():
+    p = profile(WORKLOAD, SEED, SECONDS)
     nodes = max(p["nodes"], 1)
     print(f"{p['workload']} {p['seed']}/0, n = {p['n']}, {p['calls']} calls: "
           f"{p['nodes']} nodes materialized, {p['chunked']} ever chunked a tour")

@@ -1,8 +1,8 @@
 """Metered self work per method of the aggregate tree, master array and forest.
 
-    python3 tools/workshare.py [--seed 1] [--n 512] [--calls 733]
+    python3 tools/workshare.py
 
-It builds `conn_churn("<seed>/0", n, length=calls)` from
+It builds `conn_churn("1/0", n=512, length=733)` from
 `bench/workloads.py`, sets it up with the benchmark's own `setup` and
 replays the calls with its `drive` (`bench/run.py`; the workload runs under
 the arbitrary policy), with every function defined on `AggTree`,
@@ -18,8 +18,8 @@ charged while a node is built goes to `init_work` and is not counted.
 
 It prints one line per method, by falling self work: its calls, its self
 work, that work per update call and its share of the replay's work.  The
-default of 733 calls is one instance of the benchmark's 20 s conn_churn
-script, the instance its traced run replays.  Every function is wrapped, so
+733 calls are one instance of the benchmark's 20 s conn_churn script, the
+instance its traced run replays.  Every function is wrapped, so
 calls the benchmark's tracer does not wrap, such as `AggTree.range_bits`
 and `MasterArray.retire_chunk`, are booked under their own names.
 
@@ -27,7 +27,8 @@ Below the table it counts chunk lives over the replay, in all and per
 update call: the chunks allocated, those retired, those retired in the
 forest update that allocated them, and those holding link bits when
 retired, whose retirements also read a row, clear a column and zero the
-row; their work is printed too.  Below those it counts the stored
+row; their work is printed too.  A forest update is one call of
+`EulerForest.insert_edge`, `_delete` or `contract`.  Below those it counts the stored
 occurrence offsets the forest rewrites (`EulerForest._reindex_chunk`) and
 the chunk bases it moves instead (`_move_base`), in all and per update
 call.
@@ -35,12 +36,13 @@ call.
 Last it splits the work of the gadget updates, every `ConnGeneral`
 `insert_edge` and `_delete` at every sparsification node, by call site
 (`SITES`): the forest insert of the new cross edge, each splice-in with its
-forest call, the forest delete of the cross edge, and inside a splice-out
-a lone node's cut and a contraction (`EulerForest.contract`).  Any other
-forest call inside a splice-out, and a cut that does not report SPLIT, is
-booked as `unexpected`, which stays at 0 while every chain edge is a tree
-edge.  `rest` is the gadget's own work outside those calls, its node
-releases and hint tests.  The sites add up to the gadget updates' work.
+forest call, the forest delete of the cross edge, and the contraction
+(`EulerForest.contract`) that takes a splice-out's node out of its chain,
+an end node as a leaf and an interior one in the middle.  Any other forest
+call inside a splice-out is booked as `unexpected`, which stays at 0 while
+every chain edge is a tree edge.  `rest` is the gadget's own work outside
+those calls, its node releases and hint tests.  The sites add up to the
+gadget updates' work.
 
 The counts are exact and repeat bit for bit on any host; a run at n = 512
 takes about 2 s on a shared 2-core x86-64 VM with CPython 3.11.
@@ -48,7 +50,6 @@ takes about 2 s on a shared 2-core x86-64 VM with CPython 3.11.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 import types
@@ -61,6 +62,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from run import UPDATES, drive, setup  # noqa: E402
 from workloads import conn_churn  # noqa: E402
 
+SEED = 1
+N = 512
+CALLS = 733
 OUTSIDE = "(outside)"
 # the aggregate tree's module-level steps that charge the meter: a split's
 # reassembly and the cascades and root builders that joins and inserts share
@@ -125,8 +129,8 @@ def chunk_lives(meter, lives):
     runs: `retired_same` those retired in the forest update that allocated
     them, `linked` those holding link bits when retired and `linked_work`
     the work of their retirements, the column clears and row zeroing
-    included.  A forest update is one call of `EulerForest.insert_edge` or
-    `_delete`."""
+    included.  A forest update is one call of `EulerForest.insert_edge`,
+    `_delete` or `contract`."""
     from dynconn.chunks import MasterArray
     from dynconn.eulerforest import EulerForest
 
@@ -135,7 +139,9 @@ def chunk_lives(meter, lives):
     update = [0]  # the serial of the forest update running
     born = {}  # live chunk -> the serial of the update that allocated it
     alloc, retire = MasterArray.alloc_chunk, MasterArray.retire_chunk
-    saved = [(name, getattr(EulerForest, name)) for name in ("insert_edge", "_delete")]
+    saved = [
+        (name, getattr(EulerForest, name)) for name in ("insert_edge", "_delete", "contract")
+    ]
 
     def serial(fn):
         @functools.wraps(fn)
@@ -198,8 +204,8 @@ def offset_writes(counts):
 
 # the gadget call sites, in the order of a host insert then a host delete
 SITES = (
-    "cross-edge insert", "splice-in", "cross-edge delete", "leaf cut",
-    "contraction", "unexpected", "rest",
+    "cross-edge insert", "splice-in", "cross-edge delete", "contraction",
+    "unexpected", "rest",
 )
 
 
@@ -208,9 +214,9 @@ def gadget_sites(meter, sites):
     """Book into `sites` (label -> [calls, work]) the work of every gadget
     update while the block runs, under `gadget` in all and under its call
     site (`SITES`).  A splice-in is booked whole, its forest call with it;
-    inside a splice-out a forest delete that reports SPLIT is a leaf cut,
-    and any other forest call but a contraction is `unexpected`."""
-    from dynconn.eulerforest import EulerForest, ReplacementReport
+    inside a splice-out any forest call but a contraction is
+    `unexpected`."""
+    from dynconn.eulerforest import EulerForest
     from dynconn.reductions import ConnGeneral
 
     for label in ("gadget",) + SITES:
@@ -238,21 +244,18 @@ def gadget_sites(meter, sites):
 
         return booked
 
-    def label_of(name, outer, out):
+    def label_of(name, outer):
         """The site of a call of `name` made in a frame of kind `outer`, or
-        None outside a gadget update and inside a splice-in, which is
-        booked whole."""
+        None: outside a gadget update, inside a splice-in, which is booked
+        whole, and for a leaf's contraction inside the cross edge's delete,
+        which that delete books."""
         if outer == "update":
             return {
                 "_splice_in": "splice-in", "insert_edge": "cross-edge insert",
                 "_delete": "cross-edge delete",
             }.get(name)
         if outer == "splice-out":
-            if name == "contract":
-                return "contraction"
-            if name == "_delete" and getattr(out, "kind", None) == ReplacementReport.SPLIT:
-                return "leaf cut"
-            return "unexpected"
+            return "contraction" if name == "contract" else "unexpected"
         return None
 
     def site(fn, name):
@@ -263,14 +266,13 @@ def gadget_sites(meter, sites):
             outer = frames[-1] if frames else None
             if kind:
                 frames.append(kind)
-            w0, out = meter.work, None
+            w0 = meter.work
             try:
-                out = fn(*args, **kwargs)
-                return out
+                return fn(*args, **kwargs)
             finally:
                 if kind:
                     frames.pop()
-                label = label_of(name, outer, out)
+                label = label_of(name, outer)
                 if label:
                     spent = meter.work - w0
                     book(label, spent)
@@ -317,14 +319,9 @@ def workshare(seed, n, calls):
     return rows, total, sum(op in UPDATES for op in log.ops), lives
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--n", type=int, default=512)
-    parser.add_argument("--calls", type=int, default=733)
-    args = parser.parse_args(argv)
-    rows, total, updates, lives = workshare(args.seed, args.n, args.calls)
-    print(f"conn_churn {args.seed}/0, n = {args.n}, {args.calls} calls "
+def main():
+    rows, total, updates, lives = workshare(SEED, N, CALLS)
+    print(f"conn_churn {SEED}/0, n = {N}, {CALLS} calls "
           f"({updates} updates): {total} units of metered work")
     print(f"{'method':36s} {'calls':>8s} {'self work':>12s} {'per update':>11s} {'share':>7s}")
     for label, calls, work in rows:
