@@ -1655,7 +1655,9 @@ class TestContract:
         assert seen["inside"] > 3 and seen["boundary"] > 0 and seen["wrap"] > 0, seen
         assert K is None or seen["empties"] > 0, seen
 
-    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (1, 3)], [(0, 1)]], ids=["rest", "emptied"])
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1), (1, 2), (1, 3)], [(0, 1)]], ids=["rest", "emptied"]
+    )
     def test_a_leaf_on_a_small_tour(self, monkeypatch, edges):
         f = forest_with(edges)
         g = edges[-1][1]

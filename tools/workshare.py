@@ -25,13 +25,12 @@ and `MasterArray.retire_chunk`, are booked under their own names.
 
 Below the table it counts chunk lives over the replay, in all and per
 update call: the chunks allocated, those retired, those retired in the
-forest update that allocated them, and those holding link bits when
-retired, whose retirements also read a row, clear a column and zero the
-row; their work is printed too.  A forest update is one call of
-`EulerForest.insert_edge`, `_delete` or `contract`.  Below those it counts the stored
-occurrence offsets the forest rewrites (`EulerForest._reindex_chunk`) and
-the chunk bases it moves instead (`_move_base`), in all and per update
-call.
+forest update that allocated them (one call of `EulerForest.insert_edge`,
+`_delete` or `contract`), and those holding link bits when retired, whose
+retirements also read a row, clear a column and zero the row; their work
+is printed too.  Below those it counts the stored occurrence offsets the
+forest rewrites (`EulerForest._reindex_chunk`) and the chunk bases it
+moves instead (`_move_base`), in all and per update call.
 
 Last it splits the work of the gadget updates, every `ConnGeneral`
 `insert_edge` and `_delete` at every sparsification node, by call site
