@@ -61,16 +61,17 @@ per child).  Each step is charged for what it reads and writes, not for
 the most it could, and counts are rebuilt from children only where the
 children change.  A leaf write adds one delta, its new count vector less
 its old one, to every path vertex in one step: `width` per vertex for a
-bit array, one write per vertex for a single bit (a column write pays
-that per leaf; its leaves' adds to a shared vertex combine, the
-count-cell rule of `costmodel`).  A deletion subtracts the leaf's counts
-above the siblings that trade children in the same way.  Hanging or
-unhanging a leaf (or, in a join, a short tree) of no bits pays one
-`width` zero test and O(1) per path vertex whose children stay, for its
-first and last leaf.  A split's reassembly summarizes only the halves of
-a split spine vertex and the spine above the shortest tree attached to
-it; a spine vertex that only gains a half its child split off pays one
-degree read.
+bit array, one write per vertex for a single bit.  A column write
+(`write_column`) sets one bit on leaves of one tree or several in one such
+step and pays that per leaf; their adds to a shared vertex combine, of
+either sign, by the count-cell rule of `costmodel`.  A deletion subtracts
+the leaf's counts above the siblings that trade children in the same way.
+Hanging or unhanging a leaf (or, in a join, a short tree) of no bits pays
+one `width` zero test and O(1) per path vertex whose children stay, for
+its first and last leaf.  A split's reassembly summarizes only the
+halves of a split spine vertex and the spine above the shortest tree
+attached to it; a spine vertex that only gains a half its child split off
+pays one degree read.
 """
 
 from __future__ import annotations
@@ -181,27 +182,10 @@ class AggTree:
             v.counts += delta
 
     def dual_bulk_set(self, positions, j, b):
-        """Set bit j to b on every leaf position in `positions`.
-
-        Each leaf whose bit changes adds its one-field delta to every vertex
-        of its path; a leaf that already holds b changes no count.  The one
-        step is charged one write per leaf and path vertex; adds to a shared
-        vertex combine into their sum (`costmodel`'s count-cell rule).
-        """
+        """Set bit j to b on every leaf position in `positions`: one
+        `write_column` step."""
         leaves = self.leaves
-        delta = (1 if b else -1) << FIELD * j
-        written = 0
-        for i in positions:
-            leaf = leaves[i]
-            anc = leaf.ancestors
-            written += len(anc)
-            if leaf.bits >> j & 1 != b:
-                leaf.bits ^= 1 << j
-                for v in anc:
-                    v.counts += delta
-        # one CRCW step of a processor per leaf and path vertex, each reading
-        # the leaf's bit and adding to its field where the bit changes
-        self.meter.parallel_charge(written)
+        write_column(self.meter, [(leaves[i], b) for i in positions], j)
 
     # -- structural updates ---------------------------------------------------
 
@@ -429,6 +413,31 @@ class AggTree:
 
         meter.parallel_for(2, assemble_body)
         return right
+
+
+def write_column(meter, writes, j):
+    """Set bit j of each hung leaf to its b, for the (leaf, b) pairs in
+    `writes`; the leaves may hang in different trees.
+
+    Each leaf whose bit changes adds its one-field delta, +1 or -1, to
+    every vertex of its path; a leaf that already holds its b changes no
+    count.  The one step is charged one write per leaf and path vertex;
+    adds to a shared vertex combine into their sum, whatever their signs
+    (`costmodel`'s count-cell rule).
+    """
+    field = 1 << FIELD * j
+    written = 0
+    for leaf, b in writes:
+        anc = leaf.ancestors
+        written += len(anc)
+        if leaf.bits >> j & 1 != b:
+            leaf.bits ^= 1 << j
+            delta = field if b else -field
+            for v in anc:
+                v.counts += delta
+    # one CRCW step of a processor per leaf and path vertex, each reading
+    # the leaf's bit and adding to its field where the bit changes
+    meter.parallel_charge(written)
 
 
 def join(t1: AggTree, t2: AggTree):

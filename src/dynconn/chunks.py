@@ -12,10 +12,9 @@ identity while its tour changes.  A chunk's array and position are its
 leaf's `array` and `pos`, which the tree writes as it moves the leaf, so no
 operation here charges for them.  The master array's `slots` maps occupied
 slots only to their chunks, so its walks over the live chunks cost what is
-live, not the slot count.  It also counts the arrays that hold a chunk and
-the chunks those arrays hold, which the array operations keep up to date;
-`bulk_set_links` reads its charge from the two counts rather than walking
-the arrays.
+live, not the slot count.  A column write finds the chunks it changes from
+the written chunk's row and writes them in one step, in whatever arrays
+they hang, so no operation walks or counts the arrays.
 
 The slot count J is the width of every link vector and of every summary,
 so every whole-vector charge scales with it.  An Euler forest over n nodes
@@ -44,7 +43,7 @@ charged `width` units for whole-vector operations.
 
 from __future__ import annotations
 
-from .aggtree import DEPTH_BOUNDS as AGG_DEPTH, AggTree, AggVertex, join as agg_join
+from .aggtree import DEPTH_BOUNDS as AGG_DEPTH, AggTree, AggVertex, join as agg_join, write_column
 from .costmodel import CostMeter, pick_depth
 
 
@@ -90,10 +89,6 @@ class MasterArray:
         self.chunk_capacity = chunk_capacity
         self.slots = {}
         self.free = list(range(slot_count - 1, -1, -1))
-        # the arrays that hold a chunk, and the chunks they hold: the loop
-        # bulk_set_links charges for, written by the array operations
-        self.n_arrays = 0
-        self.n_held = 0
 
     @staticmethod
     def depth_bounds(policy) -> dict:
@@ -105,11 +100,11 @@ class MasterArray:
         return {
             "link": 2 * agg["bit_set"],
             "unlink": 2 * agg["bit_set"],
-            # own leaf, then one loop over the arrays clearing and setting
-            "bulk_set_links": agg["bulk_set"] + 1 + 2 * agg["dual_bulk_set"],
-            # the column loop, then the leaf's deletion; the row read, the
+            # own leaf, then the column's one step over the flipped chunks
+            "bulk_set_links": agg["bulk_set"] + agg["dual_bulk_set"],
+            # the column's step, then the leaf's deletion; the row read, the
             # detached row's zeroing and the freed slot add no depth
-            "retire_chunk": 1 + 2 * agg["dual_bulk_set"] + agg["delete"],
+            "retire_chunk": agg["dual_bulk_set"] + agg["delete"],
             # the tree change alone: it writes the moved chunks' positions
             "insert_chunk": agg["insert"],
             "delete_chunk": agg["delete"],
@@ -125,8 +120,8 @@ class MasterArray:
         }
 
     def arrays(self):
-        """The arrays holding a live chunk, found from the chunks; the
-        checkers and tests read it, the operations keep counts instead."""
+        """The arrays holding a live chunk, found from the chunks; only the
+        checkers and tests read it."""
         return list(dict.fromkeys(
             c.array for c in self.slots.values() if c.array is not None
         ))
@@ -178,12 +173,13 @@ class MasterArray:
         """Take c out of its array and free its slot, with its links cleared.
 
         A linked chunk reads its row, which names the chunks holding its
-        column bit, and clears that column as `bulk_set_links` does.  Then
-        its leaf is deleted: the deletion subtracts c's counts from every
-        ancestor it keeps, so c's row leaves the summaries without a write
-        of its own along c's path.  The detached row and its counts are
-        zeroed by one plain step of `slot_count` writes, the convention of
-        the row read.  An unlinked chunk is only deleted and freed.
+        column bit, and clears that column in one step as `bulk_set_links`
+        does.  Then its leaf is deleted: the deletion subtracts c's counts
+        from every ancestor it keeps, so c's row leaves the summaries
+        without a write of its own along c's path.  The detached row and its
+        counts are zeroed by one plain step of `slot_count` writes, the
+        convention of the row read.  An unlinked chunk is only deleted and
+        freed.
         """
         self._require_active(c)
         if c.array is None:
@@ -191,7 +187,7 @@ class MasterArray:
         old = c.bits
         if old:
             self.meter.charge(self.slot_count)
-            self._write_column(c, old & ~(1 << c.slot), 0)
+            self._write_column(c, old & ~(1 << c.slot))
         self.delete_chunk(c.array, c.pos)
         if old:
             c.bits = c.counts = 0
@@ -235,44 +231,30 @@ class MasterArray:
             # old ^ links is set writes 1 to a common "some bit differs" flag
             return
         c.array.bulk_set(c.pos, links)
-        self._write_column(c, (old ^ links) & ~(1 << c.slot), links)
+        self._write_column(c, (old ^ links) & ~(1 << c.slot))
 
-    def _write_column(self, c, flips, links):
-        """Flip c's bit in the chunks of the slots in `flips`, setting it
-        where `links` has the slot's bit and clearing it elsewhere.
+    def _write_column(self, c, flips):
+        """Flip c's bit in the chunks of the slots in `flips`, in one step.
 
-        The model is a parallel loop over every array in which each
-        iteration scans its chunks; iterations whose array has nothing to
-        flip are charged as one plain sum (they add no depth), and the loop
-        body runs only over the arrays it changes.  The loop's size and the
-        chunks it scans are the store's two counts, so no array is walked
-        for the charge.  Each array that changes writes its clears in one
-        step and its sets in another: each flipped leaf adds one delta along
-        its path, and adds to a shared vertex combine (`costmodel`).
+        By symmetry each such chunk holds c's old bit for its slot, so the
+        flip toggles its bit.  The row read put a processor on each bit of
+        `flips`, which reads its slot's chunk; every chunk found then
+        toggles its bit and adds its delta along its path (`write_column`),
+        in whatever array it hangs.  A flip can land outside c's array:
+        after `EulerForest._commit_large` splits a tour with no replacement,
+        the pieces' chunks keep stale bits to each other until the update's
+        repairs retire them or its flush refreshes them.
         """
-        changes = {}  # array -> (positions to clear, positions to set)
+        j = c.slot
         slots = self.slots
+        writes = []
         while flips:
             low = flips & -flips
             flips ^= low
             d = slots.get(low.bit_length() - 1)
-            if d is None or d.array is None:
-                continue
-            entry = changes.get(d.array)
-            if entry is None:
-                entry = changes[d.array] = ([], [])
-            entry[1 if links & low else 0].append(d.pos)
-        touched = list(changes.items())
-        self.meter.charge(self.n_arrays - len(touched) + self.n_held)
-
-        def column_body(t):
-            array, (to_clear, to_set) = touched[t]
-            if to_clear:
-                array.dual_bulk_set(to_clear, c.slot, 0)
-            if to_set:
-                array.dual_bulk_set(to_set, c.slot, 1)
-
-        self.meter.parallel_for(len(touched), column_body)
+            if d is not None and d.array is not None:
+                writes.append((d, not d.bits >> j & 1))
+        write_column(self.meter, writes, j)
 
     def _require_active(self, c):
         if self.slots.get(c.slot) is not c:
@@ -289,8 +271,6 @@ class MasterArray:
         self._require_active(c)
         if c.array is not None:
             raise ChunkError("chunk already in an array")
-        self.n_arrays += not array.leaves
-        self.n_held += 1
         array.insert(pos, c)
 
     def delete_chunk(self, array: AggTree, pos):
@@ -298,15 +278,12 @@ class MasterArray:
             raise ChunkError("position out of range")
         c = array.leaves[pos]
         array.delete(pos)
-        self.n_arrays -= not array.leaves
-        self.n_held -= 1
         return c
 
     def concatenate(self, a1: AggTree, a2: AggTree):
         """Append a2's chunks to a1; a2 is left empty."""
         if a1 is a2:
             raise ChunkError("cannot concatenate an array with itself")
-        self.n_arrays -= bool(a1.leaves and a2.leaves)
         agg_join(a1, a2)
 
     def split_array(self, array: AggTree, pos):
@@ -314,7 +291,6 @@ class MasterArray:
         rest."""
         if not 0 <= pos <= len(array):
             raise ChunkError("position out of range")
-        self.n_arrays += 0 < pos < len(array)
         return array.split_boundary(pos)
 
     def reorder(self, array: AggTree, blocks):

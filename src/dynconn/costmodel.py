@@ -18,9 +18,11 @@ replay exactly.
 
 Both policies add one rule for count cells: the adds of several processors
 to one count cell in one step combine into their sum (a fetch-and-add PRAM's
-rule).  Only the aggregate tree's column write (`AggTree.dual_bulk_set`)
-needs it, where two changed leaves share an ancestor, and every bound built
-on that step assumes it; without it the write would add level by level.
+rule), whatever their signs.  Only the aggregate tree's column write
+(`aggtree.write_column`) needs it, where two changed leaves share an
+ancestor: a master array's column write sets a bit in some chunks and
+clears it in others in that one step.  Every bound built on the step
+assumes the rule; without it the write would add level by level.
 
 The paper's epsilon enters here and nowhere else: it sets the round count of
 the common-policy extremum (`_extremum_rounds`), and with it that

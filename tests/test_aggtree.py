@@ -712,6 +712,33 @@ class TestChargesWhatItReads:
             assert leaf_seq(t) == vals
             check_agg_tree(t)
 
+    def test_a_column_write_across_trees_with_both_signs_is_one_step(self):
+        # leaves of two trees, some setting the bit and some clearing it,
+        # in one step of a one-write body per leaf and path vertex; a
+        # shared vertex gains the sum of its leaves' adds, whatever their
+        # signs, and a leaf already holding its bit changes no count
+        rng = random.Random(34)
+        m, w = fresh()
+        vals = [[rng.randrange(1 << w) for _ in range(n)] for n in (40, 25)]
+        trees = [build(m, w, v) for v in vals]
+        for _ in range(30):
+            j = rng.randrange(w)
+            writes = [
+                (t, i, rng.randrange(2))
+                for t in range(2)
+                for i in rng.sample(range(len(vals[t])), rng.randrange(8))
+            ]
+            leaves = [(trees[t].leaves[i], b) for t, i, b in writes]
+            expected = 2 * sum(len(leaf.ancestors) for leaf, _ in leaves)
+            work, depth = m.work, m.depth
+            aggtree.write_column(m, leaves, j)
+            assert (m.work - work, m.depth - depth) == (expected, 1)
+            for t, i, b in writes:
+                vals[t][i] = vals[t][i] | 1 << j if b else vals[t][i] & ~(1 << j)
+            for t, tree in enumerate(trees):
+                assert leaf_seq(tree) == vals[t]
+                check_agg_tree(tree)
+
     @pytest.mark.parametrize("right_side", [True, False])
     def test_a_spine_vertex_that_keeps_its_leaves_pays_one_read(self, right_side):
         # the pre-split pays 2 * width per halved spine vertex, one degree

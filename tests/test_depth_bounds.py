@@ -114,8 +114,8 @@ def test_bipartite_layers_within_bounds(monkeypatch, policy):
 @pytest.mark.parametrize(
     "policy, forest, connectivity, bipartiteness",
     [
-        (ArbitraryPolicy(5), (230, 405), (695, 1932), (1390, 3864)),
-        (CommonPolicy(0.25), (230, 465), (695, 2172), (1390, 4344)),
+        (ArbitraryPolicy(5), (202, 327), (611, 1614), (1222, 3228)),
+        (CommonPolicy(0.25), (202, 387), (611, 1854), (1222, 3708)),
     ],
     ids=["arbitrary", "common"],
 )

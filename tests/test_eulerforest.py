@@ -382,12 +382,22 @@ class TestLinkFlush:
     def test_every_refresh_and_retirement_leaves_every_tree_counted(
         self, monkeypatch, policy
     ):
-        """A seeded soak that checks every chunk array's tree after each
-        link refresh and each retirement: every count equals the leaves
-        below it holding the slot's bit.  It must reach refreshes that clear
-        column bits and retirements of linked chunks."""
+        """A seeded soak, then the deletion of every edge in a seeded order,
+        that checks every chunk array's tree after each link refresh and
+        each retirement: every count equals the leaves below it holding the
+        slot's bit.  It must reach refreshes that clear column bits,
+        retirements of linked chunks and column writes that flip a chunk
+        outside the written chunk's array, which a tour split with no
+        replacement leaves holding stale bits to the other piece."""
         seen = Counter()
         refresh, retire = MasterArray.bulk_set_links, MasterArray.retire_chunk
+        write_column = MasterArray._write_column
+
+        def watched_column(self, c, flips):
+            seen["cross-array flip"] += any(
+                d.array is not c.array for s, d in self.slots.items() if flips >> s & 1
+            )
+            write_column(self, c, flips)
 
         def checked_refresh(self, c, links):
             seen["clearing refresh"] += bool(c.bits & ~links)
@@ -403,10 +413,16 @@ class TestLinkFlush:
 
         monkeypatch.setattr(MasterArray, "bulk_set_links", checked_refresh)
         monkeypatch.setattr(MasterArray, "retire_chunk", checked_retire)
+        monkeypatch.setattr(MasterArray, "_write_column", watched_column)
         rng = random.Random(8)
-        _, f = _random_graph_pair(rng, 40, 900, 3, policy)
+        g, f = _random_graph_pair(rng, 40, 900, 3, policy)
+        edges = sorted(g.edges())
+        rng.shuffle(edges)
+        for u, v in edges:
+            f.delete_edge(u, v)
         check_euler_forest(f)
         assert seen["clearing refresh"] > 50 and seen["linked retirement"] > 5, seen
+        assert seen["cross-array flip"] > 0, seen
 
 
 def _self_work(monkeypatch, meter, target, callees):

@@ -55,17 +55,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (582050, {"insert": 114, "delete": 175, "connected": 0}, 20296),
+            (581374, {"insert": 112, "delete": 173, "connected": 0}, 20296),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (582994, {"insert": 109, "delete": 199, "connected": 0}, 20296),
+            (582227, {"insert": 108, "delete": 198, "connected": 0}, 20296),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (54389, {"insert": 182, "delete": 271}, 4059),
+            (54325, {"insert": 182, "delete": 264}, 4059),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],

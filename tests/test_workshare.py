@@ -16,7 +16,7 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     spec = importlib.util.spec_from_file_location("tools_workshare", WORKSHARE)
     workshare = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workshare)
-    insert, join = aggtree.AggTree.insert, aggtree.join
+    insert, join, column = aggtree.AggTree.insert, aggtree.join, aggtree.write_column
     alloc, retire = chunks.MasterArray.alloc_chunk, chunks.MasterArray.retire_chunk
     reindex, move = EulerForest._reindex_chunk, EulerForest._move_base
     steps = {name: getattr(aggtree, name) for name in workshare.REASSEMBLY}
@@ -46,6 +46,12 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     # calls the benchmark's tracer does not wrap are booked by name
     for label in ("AggTree.range_bits", "MasterArray.retire_chunk", "AggTree.bulk_set"):
         assert calls.get(label, 0) > 0, label
+    # a column write's work is booked under its own name, none under the
+    # callers that only pass it their leaves
+    work = {label: w for label, _, w in rows}
+    assert work.get("aggtree.write_column", 0) > 0
+    for label in ("MasterArray._write_column", "AggTree.dual_bulk_set"):
+        assert calls.get(label, 0) > 0 and work[label] == 0, label
     # a split's reassembly is booked by step, apart from `split_boundary`
     for name in ("_assemble", "_presplit_spine", "_attach", "_grow_root"):
         assert calls.get(f"aggtree.{name}", 0) > 0, name
@@ -53,6 +59,7 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     assert chunks.MasterArray.alloc_chunk is alloc and chunks.MasterArray.retire_chunk is retire
     assert all(getattr(aggtree, name) is fn for name, fn in steps.items())
     assert aggtree.join is join and chunks.agg_join is join
+    assert aggtree.write_column is column and chunks.write_column is column
     assert EulerForest._reindex_chunk is reindex and EulerForest._move_base is move
     assert [ConnGeneral.insert_edge, ConnGeneral._delete, ConnGeneral._splice_in,
             ConnGeneral._splice_out, EulerForest.insert_edge, EulerForest._delete,

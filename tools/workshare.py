@@ -6,10 +6,11 @@ It builds `conn_churn("1/0", n=512, length=733)` from
 `bench/workloads.py`, sets it up with the benchmark's own `setup` and
 replays the calls with its `drive` (`bench/run.py`; the workload runs under
 the arbitrary policy), with every function defined on `AggTree`,
-`MasterArray` and `EulerForest`, private ones included, the tree's `join`
-and its module-level restructuring steps (`REASSEMBLY`, booked as
-`aggtree.<name>`) wrapped for the replay only, so a split's or a join's
-share splits by step.  A call's self work is the metered work
+`MasterArray` and `EulerForest`, private ones included, the tree's `join`,
+its column write (`write_column`, booked as `aggtree.write_column`) and its
+module-level restructuring steps (`REASSEMBLY`, booked as `aggtree.<name>`)
+wrapped for the replay only, so a split's or a join's share splits by step
+and a column write's work is booked apart from the master array's.  A call's self work is the metered work
 charged between its entry and its exit, less that of the wrapped calls it
 encloses, so each unit of the replay's work is booked once: to the
 innermost wrapped call that charged it, or to `(outside)` when no wrapped
@@ -106,11 +107,17 @@ def wrapped(meter, totals):
             if isinstance(fn, types.FunctionType):
                 saved.append((cls, name, fn))
                 setattr(cls, name, wrap(f"{cls.__name__}.{name}", fn))
-    join = aggtree.join
-    traced_join = wrap("AggTree.join", join)
-    for mod, name in ((aggtree, "join"), (chunks, "agg_join")):
-        saved.append((mod, name, join))
-        setattr(mod, name, traced_join)
+    # the tree's module-level functions that chunks imports by name are
+    # wrapped in both modules
+    for label, name, alias in (
+        ("AggTree.join", "join", "agg_join"),
+        ("aggtree.write_column", "write_column", "write_column"),
+    ):
+        fn = getattr(aggtree, name)
+        traced = wrap(label, fn)
+        for mod, attr in ((aggtree, name), (chunks, alias)):
+            saved.append((mod, attr, fn))
+            setattr(mod, attr, traced)
     for name in REASSEMBLY:
         fn = getattr(aggtree, name)
         saved.append((aggtree, name, fn))
