@@ -10,19 +10,21 @@ the arbitrary policy), with every function defined on `AggTree`,
 its column write (`write_column`, booked as `aggtree.write_column`) and its
 module-level restructuring steps (`REASSEMBLY`, booked as `aggtree.<name>`)
 wrapped for the replay only, so a split's or a join's share splits by step
-and a column write's work is booked apart from the master array's.  A call's self work is the metered work
-charged between its entry and its exit, less that of the wrapped calls it
-encloses, so each unit of the replay's work is booked once: to the
-innermost wrapped call that charged it, or to `(outside)` when no wrapped
-call was open (the facade, the sparsification tree and the gadget).  Work
-charged while a node is built goes to `init_work` and is not counted.
+and a column write's work is booked apart from the master array's.  A
+call's self work is the metered work charged between its entry and its
+exit, less that of the wrapped calls it encloses, so each unit of the
+replay's work is booked once: to the innermost wrapped call that charged
+it, or to `(outside)` when no wrapped call was open (the facade, the
+sparsification tree and the gadget).  Work charged while a node is built
+goes to `init_work` and is not counted.
 
 It prints one line per method, by falling self work: its calls, its self
 work, that work per update call and its share of the replay's work.  The
 733 calls are one instance of the benchmark's 20 s conn_churn script, the
 instance its traced run replays.  Every function is wrapped, so
-calls the benchmark's tracer does not wrap, such as `AggTree.range_bits`
-and `MasterArray.retire_chunk`, are booked under their own names.
+calls the benchmark's tracer does not wrap, such as `AggTree.range_bits`,
+`MasterArray.retire_chunk` and `aggtree.write_column`, are booked under
+their own names.
 
 Below the table it counts chunk lives over the replay, in all and per
 update call: the chunks allocated, those retired, those retired in the
