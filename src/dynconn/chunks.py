@@ -31,7 +31,11 @@ all fit one chunk never holds one.
 A chunk's link row is written only when it changes: a refresh to the vector
 the chunk already holds pays only its row read, and a retired chunk's row
 leaves the counts with its leaf (`retire_chunk`), never written along its
-path.  Every write of a row or a column bit adds one delta to the counts
+path.  The forest refreshes only the chunks an update marks, so a chunk
+whose moved edges touch no non-tree edge is not refreshed at all: a chunk
+is marked where an edge with an endpoint of a non-tree edge enters it,
+leaves it for another chunk, or is removed or renamed in it, and where it
+holds an endpoint of a promoted replacement (see `EulerForest`).  Every write of a row or a column bit adds one delta to the counts
 along each written leaf's path, so none reads the bits of a chunk it does
 not write.  A chunk made during a forest update stays unlinked until the
 update's link flush writes its row, so it is hung as a leaf of no bits, and

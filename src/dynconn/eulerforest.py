@@ -73,17 +73,32 @@ tours stay small, never reach; `oracle.check_euler_forest` recomputes every
 entry.
 
 Every chunk an update splits, merges, chunks or reindexes goes into one
-record, `_touched`, made for that update.  The sizing repair of an array
-works through the touched chunks of that array, and one flush at the end of
-`insert_edge` or `_delete` recomputes the link vector of each touched chunk
-that is still live, once, from the final tours, and drops the record.  A
-chunk retired during the update is skipped: its retirement, one store
-operation (`MasterArray.retire_chunk`), clears its column before the slot is
-freed, and its row leaves the summaries with its leaf.  A refresh that finds
-the vector a chunk already holds writes nothing.  The only link query of an
-update, the replacement search, runs before its first mutation, so the
-vectors may lag until the flush; they stay symmetric throughout, since every
-change to them goes through the master array.
+record, `_touched`, made for that update, which maps each touched chunk to
+whether it is marked: whether its link vector may have changed.  A vector
+is a function of the nodes its chunk's edges cover and of the non-tree
+record, so a chunk is marked only where one of them changes with a node of
+a non-tree edge in play: by `_reindex_chunk` when an edge with an endpoint
+in `nontree` enters the chunk from another container or is new, and then
+also the chunk the edge left, if it left one (this covers splits, merges,
+rebalances, `_as_array` and new occurrences); by `_cut_out` and `contract`
+when an edge they remove or rename has such an endpoint; and by
+`_commit_large` for every chunk holding an endpoint of the promoted
+replacement, whose non-tree edge goes.  Every change to a link matrix entry
+that these events cause lies in the row and column of a marked chunk, which
+one refresh of that chunk rewrites.  Non-tree inserts and deletes change
+the record outside this flush (`_mark_linked`, `_unlink_after_delete`).
+The test is charged in the step whose processor makes it.  The sizing
+repair of an array works through the touched chunks of that array, and one
+flush at the end of `insert_edge` or `_delete` recomputes the link vector
+of each marked chunk that is still live, once, from the final tours, and
+drops the record.  A chunk retired during the update is skipped: its
+retirement, one store operation (`MasterArray.retire_chunk`), clears its
+column before the slot is freed, and its row leaves the summaries with its
+leaf.  A refresh that finds the vector a chunk already holds writes
+nothing.  The only link query of an update, the replacement search, runs
+before its first mutation, so the vectors may lag until the flush; they
+stay symmetric throughout, since every change to them goes through the
+master array.
 
 A node g of degree 1 or 2 whose edges are all tree edges leaves its tour
 in place, by contraction (`contract`).  On a path p - g - q the tour holds
@@ -93,8 +108,9 @@ out.  A leaf g on p loses (p, g) and (g, p).  Each removal rewrites the
 shorter side of its chunk around the gap.  No probe, cut or reorder runs:
 every other edge keeps its place in the tour, and every node but p, q and
 g its chunks.  A chunk emptied is retired, the array's sizing repair runs
-on the chunks written, and the flush refreshes their link vectors, which
-covers every chunk whose nodes changed; a small tour is rebuilt whole.
+on the chunks written, and the flush refreshes their link vectors when p
+or q has a non-tree edge (g has none), which covers every chunk whose
+vector can change; a small tour is rebuilt whole.
 The contraction makes no chunk, so it needs no transient slot.  A tree
 edge with an endpoint of no other edge is a leaf's: its deletion is that
 contraction, with no replacement, and its probe stops at the two degree
@@ -242,10 +258,11 @@ class EulerForest:
         # node -> OR of the slot bits of the chunks holding its occurrences,
         # filled by _links_of; None until the master array is made
         self.slots_of = None
-        # chunks the current update touched, as an insertion-ordered set:
-        # made when an update that can touch chunks starts, the worklist of
-        # its sizing repairs and, once it ends, of the link flush, which
-        # drops it; None at rest
+        # chunks the current update touched, in insertion order, each mapped
+        # to whether its link vector may have changed (marked): made when an
+        # update that can touch chunks starts, the worklist of its sizing
+        # repairs and, once it ends, of the link flush, which refreshes the
+        # marked ones and drops it; None at rest
         self._touched = None
         with meter.initialization():
             # the model allocates the master array's J slots here
@@ -289,7 +306,11 @@ class EulerForest:
         a tour short enough to demote then spans at most 2 chunks.
 
         Link vectors are refreshed only by the flush that ends an update,
-        once per touched chunk still live: at most the chunks its repairs
+        once per marked chunk still live.  A chunk is marked where an edge
+        with an endpoint of a non-tree edge enters it, leaves it for another
+        chunk, or is removed or renamed in it, and on a replacement where it
+        holds an endpoint of the promoted edge; every marked chunk is a
+        touched one.  So the refreshes are at most the chunks its repairs
         end with, plus on a replacement the up to 2 x 6 chunks holding the
         promoted edge's endpoints.
 
@@ -610,13 +631,18 @@ class EulerForest:
             return
         array = container.array
         self._touched = touched = {}
+        # the chunks written are marked when p or q has a non-tree edge: g
+        # has none, so no other node's chunks change a link; two tests
+        nontree = self.nontree
+        marked = p in nontree or q in nontree
+        self.meter.charge(2)
         if renames:
             # one step: each entering occurrence takes its new name in place
             for old, new in renames:
                 c, off = locate(edge_occ.pop(old))
                 c.edges[off] = new
                 edge_occ[new] = (c, c.base + off)
-                touched[c] = None
+                touched[c] = marked
             self.meter.parallel_charge(2)
         for e in removed:
             c, off = locate(edge_occ.pop(e))
@@ -628,7 +654,7 @@ class EulerForest:
                 self._reindex_chunk(c, 0, off, -1)
             else:
                 self._reindex_chunk(c, off)
-            touched[c] = None
+            touched[c] = marked
         self._moved(g, p, q)
         self._repair(array)
         self._flush_links()
@@ -737,7 +763,7 @@ class EulerForest:
         store.insert_chunk(array, 0, c)
         self._reindex_chunk(c)
         self.meter.parallel_charge(len(edges))
-        self._touched[c] = None
+        self._touched.setdefault(c, False)
         return array
 
     def _reindex_chunk(self, c, start=0, stop=None, shift=0):
@@ -745,8 +771,12 @@ class EulerForest:
         offset of every other edge of c by `shift` (`_move_base`).  Only the
         rewritten edges are charged, in one step unless nothing is written.
         The `slots_of` entries of both endpoints of a rewritten edge are
-        dropped when the edge comes from another chunk or none; an edge
-        that stays in c leaves every mask as it was."""
+        dropped when the edge comes from another container or none, and
+        when an endpoint has a non-tree edge, c is marked in the update's
+        record, and so is the chunk the edge left, if it left one; an edge
+        that stays in c leaves every mask and link as it was.  Each edge's
+        processor reads its old pointer, tests its two endpoints against
+        `nontree` and writes its new pointer."""
         edges = c.edges
         if stop is None:
             stop = len(edges)
@@ -755,15 +785,21 @@ class EulerForest:
         base = c.base
         edge_occ = self.edge_occ
         drop = self.slots_of.pop
+        nontree = self.nontree
+        touched = self._touched
         for off in range(start, stop):
             e = edges[off]
             old = edge_occ.get(e)
             if old is None or old[0] is not c:
                 drop(e[0], None)
                 drop(e[1], None)
+                if e[0] in nontree or e[1] in nontree:
+                    touched[c] = True
+                    if old is not None and not isinstance(old[0], SmallTour):
+                        touched[old[0]] = True
             edge_occ[e] = (c, base + off)
         if stop > start or shift:
-            self.meter.parallel_charge(stop - start)
+            self.meter.parallel_charge(stop - start, 4)
 
     def _move_base(self, c, shift):
         """Move the offset of every edge of c by `shift`: one write, of c's
@@ -782,7 +818,7 @@ class EulerForest:
             self._reindex_chunk(c, 0, at + k, k)
         else:
             self._reindex_chunk(c, at)
-        self._touched[c] = None
+        self._touched.setdefault(c, False)
 
     def _split_chunk(self, c, at, gap=0):
         """Split c before c.edges[at], dropping the `gap` edges there (a
@@ -802,8 +838,9 @@ class EulerForest:
             nc = self.master.alloc_chunk(right)
             self.master.insert_chunk(c.array, c.pos + 1, nc)
             pieces = (c, nc)
+        for piece in pieces:
+            self._touched.setdefault(piece, False)
         self._reindex_chunk(nc)
-        self._touched[pieces[0]] = self._touched[pieces[1]] = None
         return pieces
 
     def _target_occurrence(self, node):
@@ -913,10 +950,10 @@ class EulerForest:
             return
         self._splice(array, a, b, pair)
         # the promoted edge no longer justifies links anywhere: every chunk
-        # holding another occurrence of its endpoints must recompute
+        # holding another occurrence of its endpoints is marked
         for node in pair:
             for c in self._chunks_of(node):
-                self._touched[c] = None
+                self._touched[c] = True
 
     def _splice(self, array, a, b, pair):
         """Write the new tree edge `pair` = (w_near, w_far) into the chunked
@@ -986,8 +1023,9 @@ class EulerForest:
         with no allocation and no rewrite: after a chunk's first edge the
         rest moves with the base.  A chunk left empty is retired.
 
-        Returns the array position where the removed edge used to sit (the
-        boundary between the left and right pieces).
+        The chunk is marked when an endpoint of the edge has a non-tree
+        edge: two tests.  Returns the array position where the removed edge
+        used to sit (the boundary between the left and right pieces).
         """
         c, off = locate(self.edge_occ.pop(edge))
         self._moved(*edge)
@@ -1001,7 +1039,11 @@ class EulerForest:
             else:
                 if not off:
                     self._reindex_chunk(c, stop=0, shift=-1)
-                self._touched[c] = None
+                self._touched.setdefault(c, False)
+        nontree = self.nontree
+        self.meter.charge(2)
+        if edge[0] in nontree or edge[1] in nontree:
+            self._touched[c] = True
         return pos + (off > 0)
 
     def _cut_at_source(self, node, pos_range):
@@ -1062,7 +1104,7 @@ class EulerForest:
                         left.edges = combined
                         self._reindex_chunk(left, kept)
                     self._retire_chunk(gone)
-                    touched[keep] = None
+                    touched.setdefault(keep, False)
                     queue.append(keep)
                 else:
                     # only the edges that cross the boundary are rewritten;
@@ -1073,7 +1115,8 @@ class EulerForest:
                     right.edges = combined[half:]
                     self._reindex_chunk(left, min(kept, half))
                     self._reindex_chunk(right, 0, max(kept - half, 0), kept - half)
-                    touched[left] = touched[right] = None
+                    touched.setdefault(left, False)
+                    touched.setdefault(right, False)
         self._maybe_shrink(array)
 
     def _retire_chunk(self, c):
@@ -1098,15 +1141,16 @@ class EulerForest:
 
     def _flush_links(self):
         """Refresh, once each, the link vectors of the chunks this update
-        touched that are still live; a retired chunk's links were cleared
-        when it was retired.  The update's record is dropped."""
+        marked that are still live; a touched chunk left unmarked holds the
+        vector it held, and a retired chunk's links were cleared when it was
+        retired.  The update's record is dropped."""
         touched, self._touched = self._touched, None
         if not touched:
             return
         slots = self.master.slots
         self.meter.parallel_charge(len(touched))
-        for c in touched:
-            if slots.get(c.slot) is c and c.array is not None:
+        for c, marked in touched.items():
+            if marked and slots.get(c.slot) is c and c.array is not None:
                 self._refresh_links(c)
 
     def _refresh_links(self, c):

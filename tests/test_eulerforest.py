@@ -1035,7 +1035,9 @@ class TestReindexOnlyWhatMoves:
     update rewrites, and its reindexes charge, only the pointers of edges
     that change chunk, of new edges and of the shorter side of an insert;
     a chunk that drops or gains a front moves its base, one unit.  A
-    reindex charges one iteration and one write per pointer it rewrites
+    reindex charges, per pointer it rewrites, one iteration whose body
+    reads the old pointer, tests the edge's two endpoints against the
+    non-tree record and writes the new pointer, 5 units
     (`parallel_charge`)."""
 
     def test_cutting_a_chunks_first_occurrence_rewrites_nothing(self, monkeypatch):
@@ -1078,7 +1080,7 @@ class TestReindexOnlyWhatMoves:
         mark = rec.mark()
         left, right = f._split_chunk(c, at)
         moved = min(at, n - at)
-        assert rec.since(mark) == (moved, 2 * moved, 1 if shorter == "left" else 0)
+        assert rec.since(mark) == (moved, 5 * moved, 1 if shorter == "left" else 0)
         assert (left is c) == (shorter == "right") and (right is c) == (shorter == "left")
         f._repair(array)
         f._flush_links()
@@ -1098,7 +1100,7 @@ class TestReindexOnlyWhatMoves:
         rec = _Reindexes(monkeypatch, f)
         f._repair(array)
         f._flush_links()
-        assert rec.since((0, 0)) == (2, 4, 1)
+        assert rec.since((0, 0)) == (2, 10, 1)
         assert f.store.slots[slot] is c and c.edges == edges and new.array is None
         check_euler_forest(f)
         check_chunk_store(f.store)
@@ -1136,7 +1138,7 @@ class TestReindexOnlyWhatMoves:
         rep = f.delete_edge(20, 41)
         assert rep == ReplacementReport(ReplacementReport.REPLACED, (t, 41))
         moved = min(head, tail) + 2
-        assert seen == [(c, head, (moved, 2 * moved, 1 if shorter == "head" else 0))]
+        assert seen == [(c, head, (moved, 5 * moved, 1 if shorter == "head" else 0))]
         check_euler_forest(f)
         check_chunk_store(f.store)
 
@@ -1157,7 +1159,7 @@ class TestReindexOnlyWhatMoves:
             mark, n_edges = rec.mark(), len(c.edges)
             pieces = split(self, c, at, gap)
             moved = min(at, n_edges - at - gap)
-            assert rec.since(mark)[:2] == (moved, 2 * moved)
+            assert rec.since(mark)[:2] == (moved, 5 * moved)
             splits["left" if pieces[1] is c else "right"] += 1
             return pieces
 
@@ -1178,7 +1180,7 @@ class TestReindexOnlyWhatMoves:
                 g.add_edge(u, v)
             check_euler_forest(f)
             check_chunk_store(f.store)
-        assert all(work == 2 * writes for writes, work in rec.calls)
+        assert all(work == 5 * writes for writes, work in rec.calls)
         assert rec.moves and rec.moves == [1] * len(rec.moves)
         assert all(splits.values()), splits
 

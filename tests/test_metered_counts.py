@@ -55,17 +55,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (581374, {"insert": 112, "delete": 173, "connected": 0}, 20296),
+            (451844, {"insert": 106, "delete": 157, "connected": 0}, 20296),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (582227, {"insert": 108, "delete": 198, "connected": 0}, 20296),
+            (454120, {"insert": 104, "delete": 188, "connected": 0}, 20296),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (54325, {"insert": 182, "delete": 264}, 4059),
+            (47887, {"insert": 174, "delete": 250}, 4059),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],
