@@ -633,8 +633,7 @@ class EulerForest:
         self._touched = touched = {}
         # the chunks written are marked when p or q has a non-tree edge: g
         # has none, so no other node's chunks change a link; two tests
-        nontree = self.nontree
-        marked = p in nontree or q in nontree
+        marked = p in self.nontree or q in self.nontree
         self.meter.charge(2)
         if renames:
             # one step: each entering occurrence takes its new name in place
@@ -1040,9 +1039,8 @@ class EulerForest:
                 if not off:
                     self._reindex_chunk(c, stop=0, shift=-1)
                 self._touched.setdefault(c, False)
-        nontree = self.nontree
         self.meter.charge(2)
-        if edge[0] in nontree or edge[1] in nontree:
+        if edge[0] in self.nontree or edge[1] in self.nontree:
             self._touched[c] = True
         return pos + (off > 0)
 

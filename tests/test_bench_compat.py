@@ -3,7 +3,8 @@
 `bench/tracer.py` wraps the layers' functions by name and `bench/run.py`
 reads structure internals for `chunks.slot_occupancy` and for its answer
 check.  A rename in the package would otherwise show only when
-`bench/run.py` fails.
+`bench/run.py` fails.  The benchmark's scripts also drive a soak that
+checks every chunked node forest after every update.
 """
 
 import importlib.util
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from dynconn.oracle import check_spars_tree
+from dynconn.costmodel import ArbitraryPolicy, CommonPolicy
+from dynconn.oracle import check_euler_forest, check_spars_tree
 from dynconn.sparsify import DynamicBipartiteness, DynamicConnectivity
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -88,3 +90,44 @@ def test_checking_a_sparse_reads_replay_builds_no_master_array():
     assert run.check_answers(w, held, log, f) == []
     check_spars_tree(f.core)
     assert all(forest.master is None for forest in forests)
+
+
+@pytest.mark.parametrize("policy", [ArbitraryPolicy(1), CommonPolicy(0.25)])
+@pytest.mark.parametrize(
+    "name, seed, n, length",
+    [
+        ("conn_churn", "1/0", 128, 100),
+        ("conn_churn", "3/0", 128, 100),
+        ("bip_toggle", "1/0", 64, 60),
+        ("bip_toggle", "2/0", 64, 60),
+    ],
+    ids=[
+        "conn_churn-1", "conn_churn-3-stale-at-call-55", "bip_toggle-1",
+        "bip_toggle-2-stale-at-call-14",
+    ],
+)
+def test_every_chunked_forest_holds_after_every_update(name, seed, n, length, policy):
+    """Benchmark scripts replayed on both facades under both write
+    policies, with `check_euler_forest`, link vectors included, run on
+    every node forest that holds a master array after every update, set-up
+    included.  Two of the scripts left stale link vectors under a first
+    rule that refreshed a chunk only when its node set gained or lost a
+    node with a non-tree edge, or held an endpoint of the promoted
+    replacement: conn_churn n = 128 "3/0" after call 55, and bip_toggle
+    n = 64 "2/0" after call 14."""
+    w = getattr(load("workloads"), name)(seed, n=n, length=length)
+    make = DynamicBipartiteness if w.mode == "bipartiteness" else DynamicConnectivity
+    f = make(w.n, policy=policy)
+    for v in range(1, w.n + 1):
+        f.activate_node(v)
+    tree = getattr(f.core, "cover", f.core)
+    checked = 0
+    for op, args in [("insert_edge", e) for e in w.edges] + w.calls:
+        getattr(f, op)(*args)
+        if op in ("insert_edge", "delete_edge"):
+            for node in tree.nodes.values():
+                if node.conn.inner.master is not None:
+                    check_euler_forest(node.conn.inner)
+                    checked += 1
+    check_spars_tree(f.core)
+    assert checked > 200, checked

@@ -424,6 +424,43 @@ class TestLinkFlush:
         assert seen["clearing refresh"] > 50 and seen["linked retirement"] > 5, seen
         assert seen["cross-array flip"] > 0, seen
 
+    def test_an_update_refreshes_only_the_chunks_marked_for_it(self, monkeypatch):
+        """On a chunked tour with no non-tree edge, a singleton link and a
+        leaf contraction refresh no link vector.  After one non-tree edge
+        (0, 30) goes in, a singleton link at its endpoint 0 writes a chunk
+        that has room for it, and the flush refreshes that chunk alone; so
+        does the contraction of the new leaf.  A singleton link at node 10,
+        which has no non-tree edge, again refreshes nothing."""
+        f, array = _chunked_path()
+        refreshed, refresh = [], EulerForest._refresh_links
+
+        def recording(self, c):
+            refreshed.append(c)
+            return refresh(self, c)
+
+        monkeypatch.setattr(EulerForest, "_refresh_links", recording)
+
+        def update(call, *args):
+            refreshed.clear()
+            call(*args)
+            check_euler_forest(f)
+            return list(refreshed)
+
+        f.activate_node(42)
+        f.activate_node(43)
+        assert not f.nontree
+        assert update(f.insert_edge, 10, 42) == []
+        assert not isinstance(f.edge_occ[(10, 42)][0], SmallTour)
+        assert update(f.contract, 42) == []
+        f.insert_edge(0, 30)
+        assert not f.tree_edge(0, 30)
+        refreshed_on_link = update(f.insert_edge, 0, 43)
+        c = locate(f.edge_occ[(0, 43)])[0]
+        assert refreshed_on_link == [c] and c.bits
+        assert update(f.contract, 43) == [c]
+        assert update(f.insert_edge, 10, 42) == []
+        check_chunk_store(f.store)
+
 
 def _self_work(monkeypatch, meter, target, callees):
     """Wrap `target`, an (owner, name) pair, to record each call's arguments
@@ -1309,6 +1346,40 @@ class TestCutWithoutReplacement:
         assert f.store.arrays() == [array] and not f.connected(20, 41)
         check_euler_forest(f)
         check_chunk_store(f.store)
+
+    @pytest.mark.parametrize("policy", [ArbitraryPolicy(1), CommonPolicy(0.25)])
+    def test_a_tree_like_soak_keeps_every_link_vector(self, monkeypatch, policy):
+        """On sparse, tree-like graphs (`_spanning_soak`) a chunked tour
+        often splits with no replacement, and its pieces keep stale bits to
+        each other until the update's repairs retire the chunks or its
+        flush refreshes them.  Every link vector must hold after every
+        update.  The floors are about two thirds of what the seeded soak
+        reaches under either policy: 161 such splits, and 18 and 17 column
+        writes that flip a chunk outside the written chunk's array."""
+        floors = {"split": 107, "cross-array flip": 11}
+        seen = Counter()
+        commit, write_column = EulerForest._commit_large, MasterArray._write_column
+
+        def watched_commit(self, array, lo, hi, pair):
+            seen["split" if pair is None else "replaced"] += 1
+            return commit(self, array, lo, hi, pair)
+
+        def watched_column(self, c, flips):
+            seen["cross-array flip"] += any(
+                d.array is not c.array for s, d in self.slots.items() if flips >> s & 1
+            )
+            write_column(self, c, flips)
+
+        monkeypatch.setattr(EulerForest, "_commit_large", watched_commit)
+        monkeypatch.setattr(MasterArray, "_write_column", watched_column)
+        f = forest(40, policy)
+        for _ in _spanning_soak(f, random.Random(1), 900):
+            check_link_vectors(f)
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+        print(f"{policy}: {dict(seen)}")
+        for key, floor in floors.items():
+            assert seen[key] >= floor, seen
 
 
 class TestMarkLinked:

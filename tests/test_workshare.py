@@ -1,6 +1,7 @@
 """The per-method work split in `tools/workshare.py` still runs against the
-package, books every unit of the replay once, counts chunk lives and
-offset writes and splits the gadget updates' work by call site."""
+package, books every unit of the replay once, counts chunk lives, offset
+writes and link refreshes and splits the gadget updates' work by call
+site."""
 
 import importlib.util
 from pathlib import Path
@@ -19,6 +20,7 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     insert, join, column = aggtree.AggTree.insert, aggtree.join, aggtree.write_column
     alloc, retire = chunks.MasterArray.alloc_chunk, chunks.MasterArray.retire_chunk
     reindex, move = EulerForest._reindex_chunk, EulerForest._move_base
+    refresh = EulerForest._refresh_links
     steps = {name: getattr(aggtree, name) for name in workshare.REASSEMBLY}
     gadget = [
         getattr(cls, name)
@@ -40,6 +42,13 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     assert lives["linked_work"] >= 0 and (lives["linked_work"] > 0) == (lives["linked"] > 0)
     # the offset writes below them: both kinds happen on a chunked replay
     assert lives["rewritten"] > 0 and lives["base_moves"] > 0
+    # the link refreshes: the method's row counts them too, and the no-op
+    # ones' work lies within what the table books to the refresh and the
+    # calls it makes
+    assert 0 < lives["changed"] < lives["refreshes"]
+    assert {label: c for label, c, _ in rows}["EulerForest._refresh_links"] == lives["refreshes"]
+    inner = ("EulerForest._refresh_links", "EulerForest._links_of", "MasterArray.bulk_set_links")
+    assert 0 < lives["noop_work"] <= sum(w for label, _, w in rows if label in inner)
     assert sum(work for _, _, work in rows) == total
     assert all(calls > 0 and work >= 0 for _, calls, work in rows)
     calls = {label: c for label, c, _ in rows}
@@ -61,6 +70,7 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     assert aggtree.join is join and chunks.agg_join is join
     assert aggtree.write_column is column and chunks.write_column is column
     assert EulerForest._reindex_chunk is reindex and EulerForest._move_base is move
+    assert EulerForest._refresh_links is refresh
     assert [ConnGeneral.insert_edge, ConnGeneral._delete, ConnGeneral._splice_in,
             ConnGeneral._splice_out, EulerForest.insert_edge, EulerForest._delete,
             EulerForest.contract] == gadget

@@ -33,7 +33,10 @@ forest update that allocated them (one call of `EulerForest.insert_edge`,
 retirements also read a row, clear a column and zero the row; their work
 is printed too.  Below those it counts the stored occurrence offsets the
 forest rewrites (`EulerForest._reindex_chunk`) and the chunk bases it
-moves instead (`_move_base`), in all and per update call.
+moves instead (`_move_base`), in all and per update call.  Below those it
+counts the link flush's refreshes (`EulerForest._refresh_links`): all of
+them, those that changed the chunk's row, and the work of the others, the
+no-op refreshes, with its share of the replay's work.
 
 Last it splits the work of the gadget updates, every `ConnGeneral`
 `insert_edge` and `_delete` at every sparsification node, by call site
@@ -210,6 +213,33 @@ def offset_writes(counts):
         EulerForest._reindex_chunk, EulerForest._move_base = reindex, move
 
 
+@contextmanager
+def link_refreshes(meter, counts):
+    """Count into `counts` the link refreshes (`EulerForest._refresh_links`)
+    while the block runs: all of them (`refreshes`), those that changed the
+    chunk's row (`changed`) and the work of the rest, their scans and row
+    reads included (`noop_work`)."""
+    from dynconn.eulerforest import EulerForest
+
+    counts["refreshes"] = counts["changed"] = counts["noop_work"] = 0
+    refresh = EulerForest._refresh_links
+
+    def counted(self, c):
+        bits, w0 = c.bits, meter.work
+        refresh(self, c)
+        counts["refreshes"] += 1
+        if c.bits != bits:
+            counts["changed"] += 1
+        else:
+            counts["noop_work"] += meter.work - w0
+
+    EulerForest._refresh_links = counted
+    try:
+        yield
+    finally:
+        EulerForest._refresh_links = refresh
+
+
 # the gadget call sites, in the order of a host insert then a host delete
 SITES = (
     "cross-edge insert", "splice-in", "cross-edge delete", "contraction",
@@ -311,12 +341,13 @@ def workshare(seed, n, calls):
     calls, counts), each row a (label, calls, self work) by falling self
     work, and the counts the chunk lives as `chunk_lives` counts them, the
     offset writes as `offset_writes` does and, under `sites`, the gadget
-    call sites as `gadget_sites` books them."""
+    call sites as `gadget_sites` books them, and the link refreshes as
+    `link_refreshes` counts them."""
     w = conn_churn(f"{seed}/0", n=n, length=calls)
     f, _, _ = setup(w)
     totals, lives, sites = {}, {}, {}
-    with offset_writes(lives), wrapped(f.meter, totals), chunk_lives(f.meter, lives), \
-            gadget_sites(f.meter, sites):
+    with offset_writes(lives), link_refreshes(f.meter, lives), wrapped(f.meter, totals), \
+            chunk_lives(f.meter, lives), gadget_sites(f.meter, sites):
         log = drive(f, w.calls)
     total = sum(log.work)
     booked = sum(work for _, work in totals.values())
@@ -350,6 +381,17 @@ def main():
     print(f"\n{'offset writes':36s} {'count':>8s} {'per update':>11s}")
     for label, key in (("offsets rewritten", "rewritten"), ("chunk bases moved", "base_moves")):
         print(f"{label:36s} {lives[key]:8d} {lives[key] / per:11.2f}")
+    print(f"\n{'link refreshes':36s} {'count':>8s} {'per update':>11s}")
+    noop = lives["refreshes"] - lives["changed"]
+    for label, count in (
+        ("refreshes", lives["refreshes"]),
+        ("refreshes that changed the row", lives["changed"]),
+        ("no-op refreshes", noop),
+    ):
+        print(f"{label:36s} {count:8d} {count / per:11.2f}")
+    print(f"the no-op refreshes' work: {lives['noop_work']} units, "
+          f"{lives['noop_work'] / per:.1f} per update, "
+          f"{lives['noop_work'] / max(total, 1):.2%} of the replay's work")
     sites = lives["sites"]
     calls, work = sites.pop("gadget")
     print(f"\ngadget updates: {calls} calls, {work} units, "
