@@ -35,11 +35,12 @@ path.  The forest refreshes only the chunks an update marks, so a chunk
 whose moved edges touch no non-tree edge is not refreshed at all: a chunk
 is marked where an edge with an endpoint of a non-tree edge enters it,
 leaves it for another chunk, or is removed or renamed in it, and where it
-holds an endpoint of a promoted replacement (see `EulerForest`).  Every write of a row or a column bit adds one delta to the counts
-along each written leaf's path, so none reads the bits of a chunk it does
-not write.  A chunk made during a forest update stays unlinked until the
-update's link flush writes its row, so it is hung as a leaf of no bits, and
-so is it unhung when the same update retires it.
+holds an endpoint of a promoted replacement (see `EulerForest`).  Every
+write of a row or a column bit adds one delta to the counts along each
+written leaf's path, so none reads the bits of a chunk it does not write.
+A chunk made during a forest update stays unlinked until the update's link
+flush writes its row, so it is hung as a leaf of no bits, and so is it
+unhung when the same update retires it.
 
 Positions are 0-based throughout.  Link vectors are Python ints; the meter is
 charged `width` units for whole-vector operations.

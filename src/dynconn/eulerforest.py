@@ -837,6 +837,8 @@ class EulerForest:
             nc = self.master.alloc_chunk(right)
             self.master.insert_chunk(c.array, c.pos + 1, nc)
             pieces = (c, nc)
+        # both pieces enter the record, left first, before the reindex can
+        # mark one: the record's order is the repairs' worklist order
         for piece in pieces:
             self._touched.setdefault(piece, False)
         self._reindex_chunk(nc)
