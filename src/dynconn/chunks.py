@@ -7,14 +7,15 @@ vector (bit per master slot) records this.  A chunk array is an aggregate
 tree whose leaves are the chunks themselves: a chunk's `bits` are its link
 vector, the tree's leaf list is the chunk order and interval link queries
 read the OR of an interval's link vectors off the tree's per-slot counts.
-Splits and joins keep the left part in its own tree, so an array keeps its
-identity while its tour changes.  A chunk's array and position are its
-leaf's `array` and `pos`, which the tree writes as it moves the leaf, so no
-operation here charges for them.  The master array's `slots` maps occupied
-slots only to their chunks, so its walks over the live chunks cost what is
-live, not the slot count.  A column write finds the chunks it changes from
-the written chunk's row and writes them in one step, in whatever arrays
-they hang, so no operation walks or counts the arrays.
+Splits and joins keep the left part in its own tree; a rotation
+(`reorder`) leaves the chunks in its right piece's tree.  A chunk's array
+and position are its leaf's `array` and `pos`, which the tree writes as it
+moves the leaf, so no operation here charges for them.  The master array's
+`slots` maps occupied slots only to their chunks, so its walks over the
+live chunks cost what is live, not the slot count.  A column write finds
+the chunks it changes from the written chunk's row and writes them in one
+step, in whatever arrays they hang, so no operation walks or counts the
+arrays.
 
 The slot count J is the width of every link vector and of every summary,
 so every whole-vector charge scales with it.  An Euler forest over n nodes
@@ -50,14 +51,6 @@ from __future__ import annotations
 
 from .aggtree import DEPTH_BOUNDS as AGG_DEPTH, AggTree, AggVertex, join as agg_join, write_column
 from .costmodel import CostMeter, pick_depth
-
-
-# most blocks one `MasterArray.reorder` permutes: the five walks that
-# splicing a replacement edge into a cut tour rearranges
-MAX_BLOCKS = 5
-# rounds of halving cuts, and of pairwise joins, that bring MAX_BLOCKS
-# blocks apart and together again
-_ROUNDS = (MAX_BLOCKS - 1).bit_length()
 
 
 class ChunkError(ValueError):
@@ -115,11 +108,8 @@ class MasterArray:
             "delete_chunk": agg["delete"],
             "concatenate": agg["join"],
             "split_array": agg["split_boundary"],
-            # rounds of side-by-side cuts, then rounds of side-by-side
-            # joins, then the joined tree's join back into the emptied
-            # handle (one phase)
-            "reorder": _ROUNDS * (1 + agg["split_boundary"])
-            + _ROUNDS * (1 + agg["join"]) + 1,
+            # the cut before the new first chunk, then the pieces' join
+            "reorder": agg["split_boundary"] + agg["join"],
             # the OR over [i, j), then a scan and a pick per side
             "query": agg["range_bits"] + 2 * (1 + pick),
         }
@@ -298,65 +288,20 @@ class MasterArray:
             raise ChunkError("position out of range")
         return array.split_boundary(pos)
 
-    def reorder(self, array: AggTree, blocks):
-        """Permute the chunks so the [start, end) `blocks` appear in the given
-        order.  The blocks must tile [0, len(array)), empty ones included, and
-        number at most MAX_BLOCKS.
-
-        The aggregate tree is cut in rounds: every tree holding several
-        non-empty blocks is cut at its middle bound, and the cuts of one
-        round run side by side, since their trees share nothing.  Empty
-        blocks get no cut.  The pieces are then joined in balanced rounds,
-        neighbours in block order pairwise, which writes every moved chunk's
-        position.  So MAX_BLOCKS pieces take `_ROUNDS` rounds of each kind;
-        a round of one cut or one join runs without the parallel step.  When
-        the first block was not the array's own piece, the joined tree is
-        joined back into the emptied array, one phase that gives each chunk
-        its handle.  A permutation that moves no chunk charges nothing.
-        """
-        n = len(array)
-        if not 1 <= len(blocks) <= MAX_BLOCKS:
-            raise ChunkError(f"reorder takes 1..{MAX_BLOCKS} blocks, got {len(blocks)}")
-        by_start = sorted(range(len(blocks)), key=blocks.__getitem__)
-        bounds = [0] + [blocks[b][1] for b in by_start]
-        if bounds[-1] != n or any(
-            blocks[b][0] != bounds[i] or blocks[b][1] < bounds[i]
-            for i, b in enumerate(by_start)
-        ):
-            raise ChunkError(f"blocks {blocks} do not tile [0, {n})")
-        # the non-empty blocks already in start order move nothing
-        nonempty = [b for b in blocks if b[0] < b[1]]
-        if nonempty == sorted(nonempty):
-            return
-        meter = self.meter
-        # each group is a tree and its blocks in start order; a cut leaves
-        # the left half in the group's tree and returns the right half's
-        groups = [(array, sorted(nonempty))]
-        while len(groups) < len(nonempty):
-            cuts = [g for g in groups if len(g[1]) > 1]
-            halves = [None] * len(cuts)
-
-            def cut_body(k):
-                tree, run = cuts[k]
-                halves[k] = tree.split_boundary(run[len(run) // 2][0] - run[0][0])
-
-            _round(meter, len(cuts), cut_body)
-            groups = [g for g in groups if len(g[1]) == 1]
-            for (tree, run), right in zip(cuts, halves):
-                half = len(run) // 2
-                groups += [(tree, run[:half]), (right, run[half:])]
-        pieces = {run[0]: tree for tree, run in groups}
-        trees = [pieces[b] for b in nonempty]
-        while len(trees) > 1:
-
-            def join_body(k):
-                agg_join(trees[2 * k], trees[2 * k + 1])
-
-            _round(meter, len(trees) // 2, join_body)
-            trees = trees[::2]
-        if trees[0] is not array:
-            # the blocks were joined in the first block's tree
-            agg_join(array, trees[0])
+    def reorder(self, array: AggTree, pos):
+        """Rotate the chunks so the one at `pos` comes first; returns the
+        array that holds them.  The tree is cut before `pos` and the right
+        piece is joined with the left one behind it, so the chunks end in
+        the right piece's tree and `array` is left empty.  Position 0 moves
+        nothing, charges nothing and returns `array`.  The benchmark's
+        tracer (`bench/tracer.py`) wraps this method by its name."""
+        if not 0 <= pos < len(array):
+            raise ChunkError("position out of range")
+        if not pos:
+            return array
+        right = array.split_boundary(pos)
+        agg_join(right, array)
+        return right
 
     def query(self, array: AggTree, i, j, k, l):
         """A linked pair (C, C') with C at a position in [i, j) and C' in
@@ -386,12 +331,3 @@ class MasterArray:
             raise ChunkError("link vectors inconsistent during query")
         p = meter.pick(back)
         return order[p], cq
-
-
-def _round(meter, count, body):
-    """Run body(0 .. count-1) as one parallel step, or directly when there
-    is a single body, which then adds no step of its own."""
-    if count == 1:
-        body(0)
-    else:
-        meter.parallel_for(count, body)

@@ -19,24 +19,28 @@ sparsification node whose components stay short holds no slot table at
 all.  The metered counts are the same either way, since making the object
 charges nothing.
 
-Every new tree edge, a link's or a replacement's, is written by one splice
-(`_splice`; `_splice_edges` for a small tour).  A link is the replacement
-splice of the tour u's array then v's: the near walk is u's tour, the far
-walk v's, and the third piece is empty.  The splice cuts each walk before an
-occurrence leaving its endpoint and writes each of the two occurrences at
-the end of the chunk before its place (at the front of the first chunk when
-its place is the start).  A far side that is a single node, a singleton's
-link or a replacement whose far side is one node, needs no cut: both
-occurrences go right after an occurrence entering the near endpoint, in its
-chunk.  So a new tree edge never gets a chunk of its own.  A chunk that
-overflows is split by the update's sizing repair, so an update allocates
-chunks only for cuts, repairs and the chunking of a small tour.
+Every new tree edge, a link's or a replacement's, is written by one link
+(`_link`; `_splice_edges` for two small tours).  A replacement is the cut
+then the link: the deletion splits the far side's tour P2 off and joins the
+near side's P1 P3, as a deletion with no replacement does, and then links
+the two tours by the replacement edge.  The link rotates each tour to start
+at an occurrence leaving its endpoint, cutting a chunk there when the
+occurrence is not the first of its chunk, concatenates the two tours and
+appends each new occurrence to the last chunk of its tour.  A far side that
+is a single node, a singleton's link or a replacement whose far side is one
+node, needs no rotation: both occurrences go right after an occurrence
+entering the near endpoint, in its chunk; a near side of one node is swapped
+to the far side.  So a new tree edge never gets a chunk of its own.  A chunk
+that overflows is split by the update's sizing repair, so an update
+allocates chunks only for cuts, repairs and the chunking of a small tour.
 
 Connectivity is answered in O(1) by comparing tour container identities,
 reached from any incident tree edge's occurrence pointer: a small tour's
-edge list object, or the aggregate tree of a chunked one, which keeps its
-identity through every split and join of the tour.  The occurrence pointers
-are the only index of the tours; the checkers find them from there.
+edge list object, or the aggregate tree that holds a chunked one's chunks,
+which each chunk names.  A link's rotation may leave a tour in another tree,
+so a tour's identity is read afresh by each query, never kept.  The
+occurrence pointers are the only index of the tours; the checkers find them
+from there.
 
 An occurrence pointer is its container and a stored offset, which `locate`
 turns into the edge's index: the stored offset less the chunk's `base`, the
@@ -64,7 +68,7 @@ derives from `nbr` and `edge_occ` and reads it back until a node's entry is
 dropped.  An entry is dropped wherever an occurrence of its node is written
 into a chunk or taken out of one: by `_reindex_chunk` for both endpoints of
 every edge it writes into a chunk other than the one that held it, which
-covers the new tree edges of `_splice` (an edge that moves with its chunk's
+covers the new tree edges of `_link` (an edge that moves with its chunk's
 base or is rewritten in its own chunk changes no mask), by `_cut_out` for
 the removed edge and by `_maybe_shrink` for every node of a demoted tour.
 So every entry holds, and no node outside a chunk has one.  The record is
@@ -136,12 +140,14 @@ _NO_NONTREE = MappingProxyType({})
 
 # the most live chunks of the array it repairs that an update touches before
 # its repairs: on a link, in each piece a deletion's cuts split apart, and once
-# a replacement is spliced in; `depth_bounds` charges its repairs and flushes
-# from them.  A link touches, per side, the two halves of the one chunk its cut
-# splits, or else one chunk it chunkifies or writes into.
+# a replacement is linked in, the cuts' 4 and the link's 4; `depth_bounds`
+# charges its repairs and flushes from them.  A link touches, per tour, the
+# two halves of the one chunk its rotation cuts, of which the left one ends
+# the rotated tour and takes its new occurrence, or else the one chunk that
+# ends it, which it may have chunked from a small tour.
 TOUCHED_ON_LINK = 4
 TOUCHED_AFTER_CUT = 4
-TOUCHED_AFTER_SPLICE = 8
+TOUCHED_ON_REPLACEMENT = 8
 # a contraction writes the chunks of its two removed occurrences and of a
 # degree-2 node's two renamed ones
 TOUCHED_ON_CONTRACT = 4
@@ -149,7 +155,7 @@ TOUCHED_ON_CONTRACT = 4
 # T, the chunks an update can hold beyond the at-rest bound R while it runs:
 # the most chunks any update touches before its repairs, both pieces of a
 # split counted (derived in the EulerForest docstring)
-TRANSIENT_CHUNKS = max(TOUCHED_ON_LINK, 2 * TOUCHED_AFTER_CUT, TOUCHED_AFTER_SPLICE)
+TRANSIENT_CHUNKS = max(TOUCHED_ON_LINK, 2 * TOUCHED_AFTER_CUT, TOUCHED_ON_REPLACEMENT)
 
 
 def locate(occ):
@@ -228,7 +234,7 @@ class EulerForest:
     touches before its repairs, which `depth_bounds` counts and charges
     from: 4 on insertion (`TOUCHED_ON_LINK`), 4 + 4 once a deletion's cuts
     are split apart (`TOUCHED_AFTER_CUT` per piece), 8 once a replacement
-    is spliced in (`TOUCHED_AFTER_SPLICE`).  Hence T = `TRANSIENT_CHUNKS` = 8
+    is linked in (`TOUCHED_ON_REPLACEMENT`).  Hence T = `TRANSIENT_CHUNKS` = 8
     spare slots cover every allocation, and the array is never full.  With
     K ~ sqrt(3*capacity), J ~ 2.3*sqrt(capacity) + 8.
 
@@ -293,17 +299,21 @@ class EulerForest:
         every chunk of an array at rest holds at least K/2 edges, and an
         operation touches at most 4 live chunks of the array it repairs on
         insertion, 4 after cutting out a deleted edge and 8 once its
-        replacement is spliced in.  A link and a replacement share one
-        splice: each of its two cuts touches the two halves of a chunk it
-        splits, or else the chunk of the splice's new edge beside it is the
-        one more it touches; a link touches nothing else but the one chunk
-        it makes of a small tour, which its cut may split.  A far side of
-        one node takes no cut and no reorder, only a write, so the full
-        splice bounds it.  A new tree edge's occurrences are written into
-        chunks already there, so they add no chunk.  A repair splits an
-        oversized chunk or merges or rebalances an undersized one at most
-        once per touched chunk and may add one chunk per touched chunk, and
-        a tour short enough to demote then spans at most 2 chunks.
+        replacement is linked in.  A replacement is the split and join of a
+        delete with no replacement, then the link that an insertion makes.
+        The link cuts each tour once, one cut after the other, then rotates
+        the two tours side by side (`reorder`), joins them and writes its
+        two occurrences.  Each cut touches the two halves of a chunk it
+        splits, the left one of which takes a new occurrence, or else the
+        chunk that takes it is the one more it touches; a link touches
+        nothing else but the one chunk it makes of a small tour, which its
+        cut may split.  A far side of one node takes no cut and no rotation,
+        only a write, so the full link bounds it.  A new tree edge's
+        occurrences are written into chunks already there, so they add no
+        chunk.  A repair splits an oversized chunk or merges or rebalances
+        an undersized one at most once per touched chunk and may add one
+        chunk per touched chunk, and a tour short enough to demote then
+        spans at most 2 chunks.
 
         Link vectors are refreshed only by the flush that ends an update,
         once per marked chunk still live.  A chunk is marked where an edge
@@ -336,15 +346,14 @@ class EulerForest:
         def flush(marked):  # _flush_links: the liveness filter, then refreshes
             return 1 + marked * refresh
 
-        def splice(touched):  # _splice: two cuts (splits), the reorder, two writes
-            return 2 * split + store["reorder"] + 2 * write + repair(touched)
+        def link(touched):  # _link: two cuts, two rotations in one step, the join, two writes
+            rotations = 1 + store["reorder"]
+            return 2 * split + rotations + store["concatenate"] + 2 * write + repair(touched)
 
-        # _merge_tours: a small splice or two chunked tours joined and
-        # spliced, then the flush; a chunked tour is not summed, and a small
-        # tour's length charges nothing
-        merge = max(
-            4, 2 * as_array + store["concatenate"] + splice(TOUCHED_ON_LINK)
-        ) + flush(2 * TOUCHED_ON_LINK)
+        # _merge_tours: a small splice, or the link of two chunked tours,
+        # then the flush; a chunked tour is not summed, and a small tour's
+        # length charges nothing
+        merge = max(4, 2 * as_array + link(TOUCHED_ON_LINK)) + flush(2 * TOUCHED_ON_LINK)
         mark_linked = 1 + _OCCURRENCES**2 * store["link"]
         unlink = _OCCURRENCES * (1 + _OCCURRENCES * store["unlink"]) + 1
         probe_small = 2 + select
@@ -352,17 +361,17 @@ class EulerForest:
         # _probe_large: the two cut chunks' node lists and their scan, then per
         # near range a query, the node lists of the pair it returns and a scan
         probe_large = 3 + 2 * (store["query"] + 3) + select
-        # no replacement: P3's and P2's splits, P1 P3's join, two repairs
-        commit_split = (
-            2 * store["split_array"] + store["concatenate"] + 2 * repair(TOUCHED_AFTER_CUT)
-        )
-        commit_replace = splice(TOUCHED_AFTER_SPLICE)
-        # flushed: two split-off repairs of at most 4 touched, or one repair
-        # of 8 touched plus the chunks of the promoted edge's endpoints
-        commit_large = 2 * cut_out + max(commit_split, commit_replace) + flush(
+        # P3's and P2's splits and P1 P3's join, then two repairs with no
+        # replacement or the replacement's link; flushed: two split-off
+        # repairs of at most 4 touched, or one repair of 8 touched plus the
+        # chunks of the promoted edge's endpoints
+        commit_large = (
+            2 * cut_out + 2 * store["split_array"] + store["concatenate"]
+            + max(2 * repair(TOUCHED_AFTER_CUT), link(TOUCHED_ON_REPLACEMENT))
+        ) + flush(
             max(
                 2 * 2 * TOUCHED_AFTER_CUT,
-                2 * TOUCHED_AFTER_SPLICE + 2 * _OCCURRENCES,
+                2 * TOUCHED_ON_REPLACEMENT + 2 * _OCCURRENCES,
             )
         )
         # `contract`: a degree-2 node's two renames in one step, the two
@@ -481,12 +490,7 @@ class EulerForest:
         a_v = self._as_array(tid_v)
         if a_u is None:
             u, v, a_u, a_v = v, u, a_v, a_u  # a singleton is the far side
-        # the tour u's array then v's is P1 P2 with P3 empty: a replacement
-        # splice whose far walk is v's tour, a single node when v is alone
-        a = len(a_u)
-        if a_v is not None:
-            self.master.concatenate(a_u, a_v)
-        self._splice(a_u, a, len(a_u), (u, v))
+        self._link(a_u, a_v, (u, v))
 
     # -- edge deletion -----------------------------------------------------------
 
@@ -939,84 +943,59 @@ class EulerForest:
         # array is then P1 = [0, a), P2 = [a, b), P3 = [b, n)
         a = self._cut_out(lo[0])
         b = self._cut_out(hi[0])
+        # P2 splits off as the far side's tour and P1 P3 joins as the near
+        # side's; a side of one node holds no chunk
+        p3 = self.master.split_array(array, b)
+        p2 = self.master.split_array(array, a)
+        self.master.concatenate(array, p3)
         if pair is None:
-            # P2 splits off as the far walk and P1 P3 joins as the near one;
-            # the far walk is not empty, since a lone far endpoint is a
+            # the far tour is not empty, since a lone far endpoint is a
             # leaf's contraction
-            p3 = self.master.split_array(array, b)
-            p2 = self.master.split_array(array, a)
-            self.master.concatenate(array, p3)
             self._repair(array)
             self._repair(p2)
             return
-        self._splice(array, a, b, pair)
+        if not array:
+            pair = pair[::-1]  # a single-node near side goes far
+            array, p2 = p2, array
+        self._link(array, p2, pair)
         # the promoted edge no longer justifies links anywhere: every chunk
         # holding another occurrence of its endpoints is marked
         for node in pair:
             for c in self._chunks_of(node):
                 self._touched[c] = True
 
-    def _splice(self, array, a, b, pair):
-        """Write the new tree edge `pair` = (w_near, w_far) into the chunked
-        tour `array` = P1 P2 P3, with P2 = [a, b) the far walk X, w_far's
-        side, and P3 P1 the near walk Y, w_near's side; then repair it.
+    def _link(self, near, far, pair):
+        """Join the chunked tours `near` of w_near and `far` of w_far by the
+        new tree edge `pair` = (w_near, w_far), then repair the result.
 
-        The new cyclic tour is Y' (w_near,w_far) X'' X' (w_far,w_near) Y'':
-        X = X' X'' is cut at an occurrence leaving w_far and Y = Y' Y'' at
-        one leaving w_near, P1 searched first; a near side that is a single
-        node has an empty walk.  Each block bound is named by its first
-        edge, None for the end, and resolved through `edge_occ` when used:
-        the cuts split chunks, which moves positions, and a split at a
-        block start may move that chunk's first edge into a new chunk.  A
-        far side that is a single node (a == b) needs no cut: both
-        occurrences go right after an occurrence (x, w_near), in its chunk,
-        and since the tour is cyclic nothing moves.  Each write rewrites the
-        new occurrences and the shorter side of their chunk
-        (`_write_occurrences`): a write at a chunk's end only itself, one at
-        its front itself and the chunk's base."""
+        Each tour is rotated to start at an occurrence leaving its endpoint
+        (`_cut_at_source`, then `reorder`), the two rotations side by side,
+        and `far` is appended to `near`: the tour is Y (w_near,w_far) X
+        (w_far,w_near) with Y and X the rotated tours.  Each new occurrence
+        is appended to the last chunk of its tour, which rewrites only
+        itself.  A far side that is a single node (`far` None or empty)
+        needs no rotation: both occurrences go right after an occurrence
+        (x, w_near), in its chunk, rewriting the shorter side of it too
+        (`_write_occurrences`)."""
         w_near, w_far = pair
-        if a == b:
+        if not far:
             c, off = self._target_occurrence(w_near)
             self._write_occurrences(c, off + 1, ((w_near, w_far), (w_far, w_near)))
-            self._repair(array)
+            self._repair(near)
             return
-        n = len(array)
-        leaves = array.leaves
-        p1, x, p3 = (leaves[p].edges[0] if p < n else None for p in (0, a, b))
-        edge_occ = self.edge_occ
+        tours = [near, far]
+        starts = [self._cut_at_source(w_near), self._cut_at_source(w_far)]
 
-        def at(e):
-            return len(array) if e is None else edge_occ[e][0].pos
+        def rotate(k):
+            tours[k] = self.master.reorder(tours[k], starts[k].pos)
 
-        xf = self._cut_at_source(w_far, (at(x), at(p3)))
-        if xf is None:
-            raise AssertionError("far endpoint has no tour position")
-        near = [(p3, None), (p1, x)]  # P3, P1
-        for k in (1, 0):
-            start, end = near[k]
-            yn = self._cut_at_source(w_near, (at(start), at(end)))
-            if yn is not None:
-                y_head, y_tail = near[:k] + [(start, yn)], [(yn, end)] + near[k + 1 :]
-                break
-        else:
-            if a > 0 or p3 is not None:
-                raise AssertionError("near endpoint has no tour position")
-            y_head = y_tail = []
-        blocks = [(at(c), at(d)) for c, d in y_head + [(xf, p3), (x, xf)] + y_tail]
-        e_pos = sum(end - start for start, end in blocks[: len(y_head)])
-        rev_pos = e_pos + at(p3) - at(x)
-        self.master.reorder(array, blocks)
-        # each new edge ends the chunk before its chunk position, or starts
-        # leaf 0 at position 0 (the tour is cyclic); written last one first,
-        # so a far walk of one chunk, written at both ends, keeps its offsets
-        leaves = array.leaves
-        writes = []
-        for pos, e in ((e_pos, (w_near, w_far)), (rev_pos, (w_far, w_near))):
-            c = leaves[pos - 1] if pos else leaves[0]
-            writes.append((c, len(c.edges) if pos else 0, e))
-        for c, off, e in reversed(writes):
-            self._write_occurrences(c, off, (e,))
-        self._repair(array)
+        self.meter.parallel_for(2, rotate)
+        near, far = tours
+        ends = (near.leaves[-1], (w_near, w_far)), (far.leaves[-1], (w_far, w_near))
+        self.master.concatenate(near, far)
+        for c, e in ends:
+            self._write_occurrences(c, len(c.edges), (e,))
+        self._repair(near)
 
     def _cut_out(self, edge):
         """Remove `edge` from its chunk, splitting the chunk at that point
@@ -1046,24 +1025,16 @@ class EulerForest:
             self._touched[c] = True
         return pos + (off > 0)
 
-    def _cut_at_source(self, node, pos_range):
-        """Split chunks so some occurrence (node, ?) starts a chunk whose
-        position lies in `pos_range` of node's tour array.
-
-        Returns that occurrence's edge, now the first of its chunk, or None
-        when the range holds no such occurrence.
-        """
+    def _cut_at_source(self, node):
+        """Split a chunk of node's chunked tour so that an occurrence
+        (node, ?) starts it, the first such in `nbr` order; returns that
+        chunk."""
         for w in self.nbr[node]:
             occ = self.edge_occ.get((node, w))
-            if occ is None or isinstance(occ[0], SmallTour):
-                continue
-            c, off = locate(occ)
-            if not (pos_range[0] <= c.pos < pos_range[1]):
-                continue
-            if off:
-                self._split_chunk(c, off)
-            return (node, w)
-        return None
+            if occ is not None:
+                c, off = locate(occ)
+                return self._split_chunk(c, off)[1] if off else c
+        raise AssertionError(f"no source occurrence for {node}")
 
     # -- sizing repairs and the link flush ------------------------------------
 
@@ -1233,10 +1204,12 @@ class EulerForest:
 
 
 def _splice_edges(near, far, pair):
-    """The small-tour form of `EulerForest._splice`: the edge list
+    """The small-tour form of `EulerForest._link`: the edge list
     Y' (w_near,w_far) X'' X' (w_far,w_near) Y'' of the near walk Y and the
     far walk X, each cut before its first edge leaving its endpoint of
-    `pair` (anywhere when it has none, as for a single node)."""
+    `pair` (anywhere when it has none, as for a single node).  Read
+    cyclically, it is Y rotated at w_near, then (w_near,w_far), then X
+    rotated at w_far, then (w_far,w_near)."""
     w_near, w_far = pair
     a = _cut_index(near, w_near)
     b = _cut_index(far, w_far)

@@ -398,96 +398,75 @@ class TestChargedAsTheTree:
 
 
 class TestReorder:
-    def test_degenerate_rejected(self):
-        ms = store()
-        a = filled(ms, [2] * 4)
-        with pytest.raises(ChunkError):
-            ms.reorder(a, [(0, 2), (3, 1), (1, 4)])
+    """`reorder(array, pos)` rotates an array so the chunk at `pos` comes
+    first: one boundary split and one join, charged as the tree charges
+    them, with the chunks left in the returned array."""
 
-    @pytest.mark.parametrize(
-        "blocks",
-        [
-            [(0, 1), (2, 4)],  # a gap
-            [(0, 3), (2, 4)],  # an overlap
-            [(0, 2), (2, 3)],  # stops short of the end
-            [(0, 1), (1, 2), (2, 3), (3, 3), (3, 4), (4, 4)],  # six blocks
-            [],
-        ],
-    )
-    def test_non_tiling_blocks_rejected(self, blocks):
+    @pytest.mark.parametrize("sizes, pos", [([2] * 4, -1), ([2] * 4, 4), ([2] * 4, 9), ([], 0)])
+    def test_out_of_range_rejected_with_nothing_changed(self, sizes, pos):
         ms = store()
-        a = filled(ms, [2] * 4)
-        want = list(a.leaves)
-        work = ms.meter.work
-        with pytest.raises(ChunkError):
-            ms.reorder(a, blocks)
-        assert a.leaves == want and ms.meter.work == work
-        check_chunk_store(ms)
-
-    def test_inverse_restores_identity(self):
-        ms = store()
-        a = filled(ms, [2] * 7)
-        want = list(a.leaves)
-        ms.reorder(a, [(0, 1), (3, 6), (1, 3), (6, 7)])  # [0][3 4 5][1 2][6]
-        ms.reorder(a, [(0, 1), (4, 6), (1, 4), (6, 7)])  # moves [1 2] back
-        assert a.leaves == want
-        check_chunk_store(ms)
-
-    def test_identity_charges_nothing(self):
-        ms = store()
-        a = filled(ms, [2] * 5)
+        a = filled(ms, sizes)
         want = list(a.leaves)
         work, depth = ms.meter.work, ms.meter.depth
-        ms.reorder(a, [(0, 2), (2, 2), (2, 5), (5, 5)])
-        assert a.leaves == want
-        assert (ms.meter.work, ms.meter.depth) == (work, depth)
+        with pytest.raises(ChunkError):
+            ms.reorder(a, pos)
+        assert a.leaves == want and (ms.meter.work, ms.meter.depth) == (work, depth)
+        assert all(c.array is a and c.pos == p for p, c in enumerate(a.leaves))
+        check_chunk_store(ms)
 
-    def test_tree_leaves_track_permutation(self):
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_position_zero_charges_nothing_and_returns_the_array(self, n):
+        ms = store()
+        a = filled(ms, [2] * n)
+        want = list(a.leaves)
+        work, depth = ms.meter.work, ms.meter.depth
+        assert ms.reorder(a, 0) is a
+        assert a.leaves == want and (ms.meter.work, ms.meter.depth) == (work, depth)
+
+    @pytest.mark.parametrize("pos", [1, 2, 3, 5])
+    def test_rotation_places_every_chunk(self, pos):
+        # linked leaves, so the summaries must move with them
         ms = store()
         a = filled(ms, [2] * 6)
         for i, c in enumerate(a.leaves):
-            ms.bulk_set_links(c, 1 << a.leaves[i % 6].slot)
+            ms.bulk_set_links(c, 1 << a.leaves[(i + 2) % 6].slot)
         before = list(a.leaves)
-        ms.reorder(a, [(2, 5), (0, 2), (5, 6)])
-        assert a.leaves == [before[p] for p in (2, 3, 4, 0, 1, 5)]
-        assert bits_of(a.root.counts) == sum(1 << c.slot for c in before)
+        union = 0
+        for c in before:
+            union |= c.bits
+        b = ms.reorder(a, pos)
+        assert b is not a and not a.leaves
+        assert b.leaves == before[pos:] + before[:pos]
+        assert all(c.array is b and c.pos == p for p, c in enumerate(b.leaves))
+        assert union and bits_of(b.root.counts) == union
+        check_agg_tree(b)
         check_chunk_store(ms)
 
-    def test_moving_one_block_charges_no_more_than_three_cuts(self):
-        # moving [j, k) in front of i by three boundary splits and three
-        # joins one after the other; reorder cuts the four blocks in two
-        # rounds and joins them in two, side by side where there are two
-        def move_block(array, i, j, k):
-            mid = array.split_boundary(i)
-            moved = mid.split_boundary(j - i)
-            tail = moved.split_boundary(k - j)
-            for piece in (moved, mid, tail):
-                agg_join(array, piece)
+    @pytest.mark.parametrize("n, pos", [(2, 1), (7, 3), (40, 1), (40, 39), (200, 77)])
+    def test_charged_as_a_split_then_a_join(self, n, pos):
+        costs = []
+        for rotate in (
+            lambda ms, a: ms.reorder(a, pos),
+            lambda ms, a: agg_join(right := a.split_boundary(pos), a) or right,
+        ):
+            ms = store(slots=n + 8)
+            a = filled(ms, [2] * n)
+            ms.meter.reset()
+            b = rotate(ms, a)
+            costs.append((ms.meter.work, ms.meter.depth, [c.slot for c in b.leaves]))
+        assert costs[0] == costs[1]
 
-        for n in (9, 40, 200):
-            # the nine-leaf moves, scaled to n leaves
-            for t in [(0, 2, 5), (1, 3, 6), (2, 4, 9), (3, 4, 5), (0, 1, 9)]:
-                i, j, k = (x * n // 9 for x in t)
-                costs = []
-                for permute in (
-                    lambda ms, a: ms.reorder(a, [(0, i), (j, k), (i, j), (k, n)]),
-                    lambda ms, a: move_block(a, i, j, k),
-                ):
-                    ms = store(slots=n + 8)
-                    a = filled(ms, [2] * n)
-                    ms.meter.reset()
-                    permute(ms, a)
-                    costs.append((ms.meter.work, ms.meter.depth, [c.slot for c in a.leaves]))
-                (work, depth, order), (seq_work, seq_depth, seq_order) = costs
-                assert order == seq_order
-                assert work <= seq_work and depth <= seq_depth
-                # a move to the end (k == n) is two cuts and two joins in
-                # a row either way; the others save a round
-                if n > 9 and k < n:
-                    assert depth < seq_depth
+    def test_rotating_back_restores_the_order(self):
+        ms = store()
+        a = filled(ms, [2] * 7)
+        want = list(a.leaves)
+        b = ms.reorder(a, 3)
+        c = ms.reorder(b, 4)
+        assert c.leaves == want
+        check_chunk_store(ms)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_block_permutations(self, seed):
+    def test_random_rotations(self, seed):
         rng = random.Random(seed)
         ms = store(slots=40)
         a = filled(ms, [2] * 12)
@@ -495,22 +474,16 @@ class TestReorder:
             for d in rng.sample(a.leaves, 3):
                 ms.link(c, d)
         for _ in range(60):
-            n = len(a.leaves)
-            k = rng.randint(1, 5)
-            cuts = sorted(rng.randint(0, n) for _ in range(k - 1))
-            bounds = [0] + cuts + [n]
-            blocks = [(bounds[i], bounds[i + 1]) for i in range(k)]
-            rng.shuffle(blocks)
-            want = [c for start, end in blocks for c in a.leaves[start:end]]
-            ms.reorder(a, blocks)
+            pos = rng.randrange(len(a))
+            want = a.leaves[pos:] + a.leaves[:pos]
+            a = ms.reorder(a, pos)
             assert a.leaves == want
             check_chunk_store(ms)
 
-
-    def test_seeded_permutations_keep_order_and_reach_near_the_bound(self):
-        # 600 permutations of 1 to 5 blocks, some empty, of arrays of up to
-        # 700 linked chunks; the deepest must stay within the bound and come
-        # within 12 of it, so the bound is not padding
+    def test_seeded_rotations_keep_order_and_reach_near_the_bound(self):
+        # 600 rotations of arrays of up to 700 linked chunks; the deepest
+        # must stay within the stated bound and come within 4 of it, so the
+        # bound is not padding
         rng = random.Random(1)
         bound = MasterArray.depth_bounds(ArbitraryPolicy(9))["reorder"]
         deepest = 0
@@ -524,24 +497,17 @@ class TestReorder:
                     for d in rng.sample(a.leaves, 2):
                         ms.link(c, d)
             for step in range(120):
-                k = step % 5 + 1
-                cuts = sorted(
-                    rng.randint(0, n) if rng.random() < 0.8 else rng.choice((0, n))
-                    for _ in range(k - 1)
-                )
-                bounds = [0] + cuts + [n]
-                blocks = [(bounds[i], bounds[i + 1]) for i in range(k)]
-                rng.shuffle(blocks)
-                want = [c for start, end in blocks for c in a.leaves[start:end]]
+                pos = rng.randrange(n)
+                want = a.leaves[pos:] + a.leaves[:pos]
                 ms.meter.reset()
-                ms.reorder(a, blocks)
+                a = ms.reorder(a, pos)
                 deepest = max(deepest, ms.meter.depth)
                 assert a.leaves == want
                 check_agg_tree(a)
                 if n <= 120 and step % 20 == 0:
                     check_chunk_store(ms)
             check_chunk_store(ms)
-        assert bound - 12 <= deepest <= bound
+        assert bound - 4 <= deepest <= bound, (deepest, bound)
 
 
 class TestQuery:
@@ -639,10 +605,8 @@ def test_randomized_store_soak():
             c1 = rng.choice(a.leaves)
             c2 = rng.choice(a.leaves)
             (ms.link if rng.random() < 0.6 else ms.unlink)(c1, c2)
-        elif roll < 0.85 and len(a.leaves) >= 3:
-            n = len(a.leaves)
-            i, j, k = sorted(rng.sample(range(n + 1), 3))
-            ms.reorder(a, [(0, i), (j, k), (i, j), (k, n)])
+        elif roll < 0.85 and len(a.leaves) >= 2:
+            arrays[arrays.index(a)] = ms.reorder(a, rng.randrange(len(a.leaves)))
         else:
             n = len(a.leaves)
             if n:
@@ -683,9 +647,8 @@ def test_every_chunk_is_its_tree_leaf():
                 if rng.random() < 0.3:
                     mask |= 1 << d.slot
             ms.bulk_set_links(c, mask)
-        elif roll < 0.8 and n >= 3:
-            i, j, k = sorted(rng.sample(range(n + 1), 3))
-            ms.reorder(a, [(0, i), (j, k), (i, j), (k, n)])
+        elif roll < 0.8 and n >= 2:
+            arrays[arrays.index(a)] = ms.reorder(a, rng.randrange(n))
         elif roll < 0.9 and n > 1:
             arrays.append(ms.split_array(a, rng.randrange(1, n)))
         elif len(arrays) > 1:

@@ -114,8 +114,8 @@ def test_bipartite_layers_within_bounds(monkeypatch, policy):
 @pytest.mark.parametrize(
     "policy, forest, connectivity, bipartiteness",
     [
-        (ArbitraryPolicy(5), (202, 327), (611, 1614), (1222, 3228)),
-        (CommonPolicy(0.25), (202, 387), (611, 1854), (1222, 3708)),
+        (ArbitraryPolicy(5), (150, 321), (455, 1440), (910, 2880)),
+        (CommonPolicy(0.25), (150, 381), (455, 1680), (910, 3360)),
     ],
     ids=["arbitrary", "common"],
 )

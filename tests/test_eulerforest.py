@@ -7,7 +7,7 @@ import pytest
 from dynconn.chunks import MasterArray
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.eulerforest import (
-    TOUCHED_AFTER_SPLICE,
+    TOUCHED_ON_REPLACEMENT,
     TOUCHED_ON_LINK,
     TRANSIENT_CHUNKS,
     EulerForest,
@@ -682,54 +682,140 @@ class TestSlotRecord:
         assert all(dropped.get(k) for k in drops), dropped
 
 
-class TestSplicedLayout:
-    def test_every_near_cut_of_a_replacement_splice(self, monkeypatch):
-        """A replacement (w_near, w_far) is spliced into a chunked tour as
-        Y' (w_near,w_far) X'' X' (w_far,w_near) Y'', where the near walk
-        Y = P3 P1 is cut at an occurrence leaving w_near.  That cut falls in
-        P1, in P3, or nowhere when the near side is the single node w_near;
-        a seeded script reaches all three, and the forest passes its
-        checkers after every update.  A far side of one node takes no cut."""
-        seen = {"P1": 0, "P3": 0, "single": 0}
-        near_cuts = []
-        commit, cut_at_source = EulerForest._commit_large, EulerForest._cut_at_source
+def _cut(walk, node, nbr):
+    """Index in `walk` of its first occurrence (node, w) in `nbr[node]`
+    order, the one `_cut_at_source` starts a chunk at."""
+    return next(walk.index((node, w)) for w in nbr[node] if (node, w) in walk)
 
-        def watched_commit(self, array, lo, hi, pair):
-            near_cuts.clear()
-            commit(self, array, lo, hi, pair)
-            if near_cuts:  # a replacement whose far side is not one node
-                # the near walk is searched in P1, then in P3
-                hits = [c is not None for node, c in near_cuts if node == pair[0]]
-                seen[("P1", "P3")[hits.index(True)] if True in hits else "single"] += 1
 
-        def watched_cut(self, node, pos_range):
-            out = cut_at_source(self, node, pos_range)
-            near_cuts.append((node, out))
-            return out
+def _replaced_layout(tour, deleted, pair, nbr):
+    """The tour that replacing the tree edge `deleted` by `pair` on a
+    chunked tour must leave, up to rotation, from the tour before the delete
+    and the `nbr` after it.  The near walk Y = P3 P1 and the far walk X = P2
+    are each rotated to start at their endpoint's occurrence (`_cut`) and
+    laid out as Y (w_near,w_far) X (w_far,w_near).  A walk of one node is
+    empty: a near one is swapped to the far side, and both occurrences then
+    follow the near endpoint's first entering occurrence in `nbr` order.
+    Returns the layout, the (w_near, w_far) that the link sees and the case,
+    "one-node near", "one-node far" or None."""
+    u, v = deleted
+    i1, i2 = sorted((tour.index((u, v)), tour.index((v, u))))
+    y, x = tour[i2 + 1 :] + tour[:i1], tour[i1 + 1 : i2]
+    far = {tour[i1][1]} | {a for a, _ in x}
+    w_near, w_far = pair if pair[1] in far else pair[::-1]
+    case = None
+    if not y:
+        y, x, w_near, w_far, case = x, y, w_far, w_near, "one-node near"
+    if not x:
+        k = next(y.index((w, w_near)) for w in nbr[w_near] if (w, w_near) in y) + 1
+        want = y[:k] + [(w_near, w_far), (w_far, w_near)] + y[k:]
+        return want, (w_near, w_far), case or "one-node far"
+    yc, xc = _cut(y, w_near, nbr), _cut(x, w_far, nbr)
+    want = y[yc:] + y[:yc] + [(w_near, w_far)] + x[xc:] + x[:xc] + [(w_far, w_near)]
+    return want, (w_near, w_far), None
 
-        monkeypatch.setattr(EulerForest, "_commit_large", watched_commit)
-        monkeypatch.setattr(EulerForest, "_cut_at_source", watched_cut)
-        rng = random.Random(3)
-        n = 20
-        f = forest(n)
-        assert f.K == 8
-        g = SimpleGraph()
-        for v in range(n):
-            f.activate_node(v)
-            g.activate(v)
-        for _ in range(600):
+
+def _assert_rotation_of(got, want):
+    assert len(got) == len(want)
+    k = got.index(want[0])
+    assert got[k:] + got[:k] == want
+
+
+def _replacing_soak(f, seed, steps, target, on_replaced):
+    """Random inserts and deletes over every node of `f`, degree at most 3;
+    after each delete on a chunked tour that a replacement repairs,
+    `on_replaced(tour before, deleted edge, report)` runs.  A split of a
+    chunked tour with no replacement leaves the far side's tour starting at
+    the far endpoint t.  When t is left with one tree edge (t, a), the next
+    two steps give t a non-tree edge into its tour and delete (t, a), whose
+    replacement then has a near side of one node.  The forest passes its
+    checkers after every update."""
+    rng = random.Random(seed)
+    n = f.capacity
+    g = SimpleGraph()
+    for v in range(n):
+        f.activate_node(v)
+        g.activate(v)
+    plan, edges = [], []
+    for _ in range(steps):
+        if plan:
+            u, v = plan.pop(0)
+        elif edges and rng.random() < 0.5 + (len(edges) - target) / target:
+            u, v = edges[rng.randrange(len(edges))]
+        else:
             u, v = rng.randrange(n), rng.randrange(n)
-            if u == v:
-                continue
-            if g.has_edge(u, v):
-                f.delete_edge(u, v)
-                g.remove_edge(u, v)
-            elif g.degree(u) < 3 and g.degree(v) < 3:
-                f.insert_edge(u, v)
-                g.add_edge(u, v)
-            check_euler_forest(f)
-            check_chunk_store(f.store)
-        assert all(seen.values()), seen
+        if u == v:
+            continue
+        if g.has_edge(u, v):
+            edges.remove(tuple(sorted((u, v))))
+            occ = f.edge_occ.get((u, v))
+            tour = tour_of(f, u)
+            rep = f.delete_edge(u, v)
+            g.remove_edge(u, v)
+            if occ is not None and not isinstance(occ[0], SmallTour):
+                if rep.kind == ReplacementReport.REPLACED:
+                    on_replaced(tour, (u, v), rep)
+                elif rep.kind == ReplacementReport.SPLIT and f.nbr[u] and f.nbr[v]:
+                    t, a = tour[min(tour.index((u, v)), tour.index((v, u))) + 1]
+                    inside = {x for e in tour_of(f, t) for x in e} - {t, *f.nbr[t]}
+                    ys = [y for y in sorted(inside) if g.degree(y) < 3]
+                    if f.nbr[t] == [a] and ys:
+                        plan = [(t, rng.choice(ys)), (t, a)]
+        elif g.degree(u) < 3 and g.degree(v) < 3:
+            f.insert_edge(u, v)
+            g.add_edge(u, v)
+            edges.append(tuple(sorted((u, v))))
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+
+
+class TestLinkedLayout:
+    def test_a_replacement_is_the_cut_then_the_link(self, monkeypatch):
+        """A replacement on a chunked tour splits the far side's tour off,
+        joins the near side's and links the two by the replacement edge,
+        leaving the oracle's layout up to rotation (`_replaced_layout`).  A
+        seeded small-K soak must reach a near cut that splits a chunk and
+        one that finds its occurrence at a chunk's front, the same two for
+        the far cut, a far side of one node, and a near side of one node
+        swapped to the far side."""
+        reached = Counter()
+        links, cut_splits = [], []
+        link, split = EulerForest._link, EulerForest._split_chunk
+
+        def watched_link(self, near, far, pair):
+            cut_splits.clear()
+            whole = bool(far)
+            link(self, near, far, pair)
+            if sys._getframe(1).f_code.co_name == "_commit_large":
+                links.append((pair, whole, list(cut_splits)))
+
+        def watched_split(self, c, at, gap=0):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_cut_at_source":
+                cut_splits.append(caller.f_locals["node"])
+            return split(self, c, at, gap)
+
+        def on_replaced(tour, deleted, rep):
+            pair, whole, splits = links.pop()
+            assert not links
+            want, seen_pair, case = _replaced_layout(tour, deleted, rep.edge, f.nbr)
+            assert pair == seen_pair and whole == (case is None), (deleted, rep)
+            if case is not None:
+                reached[case] += 1
+            else:
+                for side, node in zip(("near", "far"), pair):
+                    reached[f"{side} {'split' if node in splits else 'front'}"] += 1
+            _assert_rotation_of(tour_of(f, pair[0]), want)
+
+        monkeypatch.setattr(EulerForest, "_link", watched_link)
+        monkeypatch.setattr(EulerForest, "_split_chunk", watched_split)
+        f = forest(20)
+        assert f.K == 8
+        _replacing_soak(f, 3, 1000, 20, on_replaced)
+        cases = ("near split", "near front", "far split", "far front", "one-node far",
+                 "one-node near")
+        print(dict(reached))
+        assert all(reached[k] for k in cases), reached
 
 
 class TestNewOccurrences:
@@ -758,7 +844,7 @@ class TestNewOccurrences:
 
     def test_replacement_with_an_empty_far_side(self):
         """Deleting the tree edge (20, 41) of a leaf 41 that also has the
-        non-tree edge (41, 5) leaves 41 alone on the far side; the splice
+        non-tree edge (41, 5) leaves 41 alone on the far side; the link
         writes (5, 41), (41, 5) one after the other."""
         f = forest_with([(i, i + 1) for i in range(40)] + [(20, 41)], n=48)
         f.insert_edge(41, 5)
@@ -773,34 +859,31 @@ class TestNewOccurrences:
     @pytest.mark.parametrize("policy", [ArbitraryPolicy(9), CommonPolicy(0.25)])
     def test_links_and_splices_never_allocate(self, monkeypatch, policy):
         """A seeded small-K soak records the callers of every chunk
-        allocation: a link and a splice make none of their own, while cuts,
-        repairs and chunkings do.  The soak must reach a link of a singleton,
-        of two chunked tours and of a chunked tour and a small one it
-        chunks, a replacement, a write at the front of leaf 0, and a
-        replacement whose far side is one node, which reorders nothing and
-        allocates only in its sizing repair.  A repair's merge of a linked
-        chunk and an unlinked one must retire the unlinked one, and the soak
-        must reach such a merge.  The checkers run after every update."""
+        allocation: a link and a replacement make none of their own, while
+        cuts, repairs and chunkings do.  The soak must reach a link of a
+        singleton, of two chunked tours and of a chunked tour and a small
+        one it chunks, a replacement, and a replacement whose far side is
+        one node, which rotates nothing and allocates only in its sizing
+        repair.  A repair's merge of a linked chunk and an unlinked one must
+        retire the unlinked one, and the soak must reach such a merge.  The
+        checkers run after every update."""
         allocations = []
         reorders = []
         reached = dict.fromkeys(
             ("singleton link", "chunked link", "chunkified link", "replacement",
-             "front write", "one-node far side", "linked merge"),
+             "one-node far side", "linked merge"),
             0,
         )
         alloc, reorder = MasterArray.alloc_chunk, MasterArray.reorder
-        merge, splice, write, retire = (
-            EulerForest._merge_tours, EulerForest._splice, EulerForest._write_occurrences,
-            EulerForest._retire_chunk,
-        )
+        merge, link, retire = EulerForest._merge_tours, EulerForest._link, EulerForest._retire_chunk
 
         def watched_alloc(self, edges):
             allocations.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
             return alloc(self, edges)
 
-        def watched_reorder(self, array, blocks):
-            reorders.append(blocks)
-            return reorder(self, array, blocks)
+        def watched_reorder(self, array, pos):
+            reorders.append(pos)
+            return reorder(self, array, pos)
 
         def watched_merge(self, u, v):
             kinds = sorted(type(self._tree_id(x)).__name__ for x in (u, v))
@@ -813,20 +896,16 @@ class TestNewOccurrences:
                 reached[link] += 1
             return merge(self, u, v)
 
-        def watched_splice(self, array, a, b, pair):
+        def watched_link(self, near, far, pair):
             if sys._getframe(1).f_code.co_name != "_commit_large":
-                return splice(self, array, a, b, pair)
+                return link(self, near, far, pair)
             reached["replacement"] += 1
-            made, moved = len(allocations), len(reorders)
-            splice(self, array, a, b, pair)
-            if a == b:
+            made, moved, whole = len(allocations), len(reorders), bool(far)
+            link(self, near, far, pair)
+            if not whole:
                 reached["one-node far side"] += 1
                 assert len(reorders) == moved
                 assert all(up == "_repair" for _, up in allocations[made:]), allocations[made:]
-
-        def watched_write(self, c, at, new):
-            reached["front write"] += at == 0
-            return write(self, c, at, new)
 
         def watched_retire(self, c):
             repair = sys._getframe(1)
@@ -841,8 +920,7 @@ class TestNewOccurrences:
         monkeypatch.setattr(EulerForest, "_retire_chunk", watched_retire)
         monkeypatch.setattr(MasterArray, "reorder", watched_reorder)
         monkeypatch.setattr(EulerForest, "_merge_tours", watched_merge)
-        monkeypatch.setattr(EulerForest, "_splice", watched_splice)
-        monkeypatch.setattr(EulerForest, "_write_occurrences", watched_write)
+        monkeypatch.setattr(EulerForest, "_link", watched_link)
         rng = random.Random(5)
         n = 20
         f = forest(n, policy)
@@ -865,7 +943,7 @@ class TestNewOccurrences:
             check_chunk_store(f.store)
         assert all(reached.values()), reached
         callers = {name for name, _ in allocations}
-        assert not callers & {"_merge_tours", "_splice", "_commit_large"}, callers
+        assert not callers & {"_merge_tours", "_link", "_commit_large"}, callers
         assert {"_as_array", "_split_chunk"} <= callers, callers
         assert ("_split_chunk", "_cut_out") in allocations, callers
 
@@ -952,67 +1030,57 @@ class TestSlotRule:
         check_euler_forest(f)
         check_chunk_store(f.store)
 
-    def test_a_splice_cut_at_a_block_start_keeps_the_oracle_tour(self, monkeypatch):
-        """A replacement splice cuts the far walk X and the near walk
-        Y = P3 P1 at an occurrence leaving each endpoint, the first such in
-        `nbr` order (P1 searched before P3), and lays the tour out as
-        Y' (w_near,w_far) X'' X' (w_far,w_near) Y''.  When such a cut splits
-        the chunk that starts its block with the shorter part on the left,
-        the new chunk takes the block's first edge.  A seeded small-K soak
-        must reach that case; there the tour must be the layout above, up
-        to rotation, and the forest passes its checkers after every
-        update."""
-        reached = hit = 0
-        split = EulerForest._split_chunk
+    def test_a_link_cut_gives_the_new_chunk_the_shorter_head(self, monkeypatch):
+        """A link cuts each tour before an occurrence leaving its endpoint.
+        When that occurrence sits in the front half of its chunk, the new
+        chunk takes the shorter head before it, which the rotation makes
+        the last chunk of the tour, so the new occurrence is appended to
+        it.  A seeded small-K soak must reach such a cut in a replacement;
+        there the tour must be the oracle's layout up to rotation
+        (`_replaced_layout`), and the forest passes its checkers after
+        every update."""
+        reached = 0
+        heads, ends = {}, {}
+        split, write = EulerForest._split_chunk, EulerForest._write_occurrences
 
         def watched_split(self, c, at, gap=0):
-            nonlocal hit
-            if sys._getframe(1).f_code.co_name == "_cut_at_source":
-                start = sys._getframe(1).f_locals["pos_range"][0]
-                hit += c.pos == start and 2 * at < len(c.edges)
-            return split(self, c, at, gap)
+            caller, n_edges = sys._getframe(1), len(c.edges)
+            pieces = split(self, c, at, gap)
+            if caller.f_code.co_name == "_cut_at_source" and 2 * at < n_edges:
+                assert pieces[0] is not c and pieces[1] is c
+                heads[caller.f_locals["node"]] = pieces[0]
+            return pieces
 
-        def cut(walk, node):
-            return next((walk.index((node, w)) for w in f.nbr[node] if (node, w) in walk), None)
+        def watched_write(self, c, at, new):
+            if sys._getframe(1).f_code.co_name == "_link" and len(new) == 1:
+                assert at == len(c.edges)
+                ends[new[0][0]] = c
+            return write(self, c, at, new)
+
+        def on_replaced(tour, deleted, rep):
+            nonlocal reached
+            if heads:
+                reached += 1
+                want, pair, _ = _replaced_layout(tour, deleted, rep.edge, f.nbr)
+                _assert_rotation_of(tour_of(f, pair[0]), want)
+
+        def watched(update):
+            def run(self, u, v):
+                heads.clear()
+                ends.clear()
+                out = update(self, u, v)
+                assert all(ends[node] is head for node, head in heads.items()), (heads, ends)
+                return out
+
+            return run
 
         monkeypatch.setattr(EulerForest, "_split_chunk", watched_split)
-        rng = random.Random(3)
-        n = 20
-        f = forest(n)
+        monkeypatch.setattr(EulerForest, "_write_occurrences", watched_write)
+        for name in ("insert_edge", "delete_edge"):
+            monkeypatch.setattr(EulerForest, name, watched(getattr(EulerForest, name)))
+        f = forest(20)
         assert f.K == 8
-        g = SimpleGraph()
-        for v in range(n):
-            f.activate_node(v)
-            g.activate(v)
-        for _ in range(600):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u == v:
-                continue
-            if g.has_edge(u, v):
-                tour, hit = tour_of(f, u), 0
-                rep = f.delete_edge(u, v)
-                g.remove_edge(u, v)
-                if hit and rep.kind == ReplacementReport.REPLACED:
-                    reached += 1
-                    i1, i2 = sorted((tour.index((u, v)), tour.index((v, u))))
-                    p1, x, p3 = tour[:i1], tour[i1 + 1 : i2], tour[i2 + 1 :]
-                    far = {a for a, _ in x} | {tour[i1][1]}
-                    pair = rep.edge
-                    w_near, w_far = pair if pair[1] in far else pair[::-1]
-                    y, xc, yc = p3 + p1, cut(x, w_far), cut(p1, w_near)
-                    yc = len(p3) + yc if yc is not None else cut(p3, w_near) or 0
-                    want = (
-                        y[:yc] + [(w_near, w_far)] + x[xc:] + x[:xc]
-                        + [(w_far, w_near)] + y[yc:]
-                    )
-                    got = tour_of(f, w_near)
-                    k = got.index(want[0])
-                    assert got[k:] + got[:k] == want, (u, v, pair)
-            elif g.degree(u) < 3 and g.degree(v) < 3:
-                f.insert_edge(u, v)
-                g.add_edge(u, v)
-            check_euler_forest(f)
-            check_chunk_store(f.store)
+        _replacing_soak(f, 3, 600, 20, on_replaced)
         assert reached
 
 
@@ -1145,8 +1213,8 @@ class TestReindexOnlyWhatMoves:
     @pytest.mark.parametrize("shorter", ["head", "tail"])
     def test_a_one_node_far_side_rewrites_the_shorter_side(self, monkeypatch, shorter):
         """Deleting (20, 41) leaves the leaf 41 alone on the far side, and
-        its chord (41, t) is spliced in right after an occurrence (s, t):
-        the splice rewrites its two occurrences and the shorter of the head
+        its chord (41, t) is linked in right after an occurrence (s, t):
+        the link rewrites its two occurrences and the shorter of the head
         before them and the tail after them, and moves the base when that
         is the head."""
         f, array = _chunked_path()
@@ -1272,9 +1340,9 @@ class TestSlotCount:
         """A seeded soak over tours spanning every node records the live
         chunks at every allocation: they never exceed J, so the array is
         never full, and at rest never exceed R, which the soak comes close
-        to.  It also records the live touched chunks each splice's repair
+        to.  It also records the live touched chunks each link's repair
         sees: never more than `TOUCHED_ON_LINK` on a link and
-        `TOUCHED_AFTER_SPLICE` on a replacement, the counts `depth_bounds`
+        `TOUCHED_ON_REPLACEMENT` on a replacement, the counts `depth_bounds`
         and T are built from.  The margin to R + T is printed."""
         peak = 0
         touched = {"_merge_tours": 0, "_commit_large": 0}
@@ -1287,7 +1355,7 @@ class TestSlotCount:
             return c
 
         def counted_repair(self, array):
-            if sys._getframe(1).f_code.co_name == "_splice":
+            if sys._getframe(1).f_code.co_name == "_link":
                 update = sys._getframe(2).f_code.co_name
                 live = sum(c.array is array for c in self._touched)
                 touched[update] = max(touched[update], live)
@@ -1306,7 +1374,7 @@ class TestSlotCount:
         print(f"n={n}: peak {peak} live chunks, R + T = {J}, margin {J - peak}; at rest {rest} of R = {R}; touched before a repair {touched}")
         assert peak <= J == R + TRANSIENT_CHUNKS
         assert 0 < touched["_merge_tours"] <= TOUCHED_ON_LINK
-        assert 0 < touched["_commit_large"] <= TOUCHED_AFTER_SPLICE
+        assert 0 < touched["_commit_large"] <= TOUCHED_ON_REPLACEMENT
         assert R - 1 <= rest <= R and peak > R
 
 
@@ -1321,6 +1389,58 @@ def _array_calls(monkeypatch):
 
         monkeypatch.setattr(MasterArray, name, watched)
     return calls
+
+
+class TestLinkCalls:
+    @pytest.mark.parametrize("policy", [ArbitraryPolicy(3), CommonPolicy(0.25)])
+    def test_tree_calls_of_each_link(self, monkeypatch, policy):
+        """A seeded small-K soak counts the master array's restructuring
+        calls (`_array_calls`) in every update that links.  A chunked
+        replacement makes 2 `split_array`, 2 `concatenate` and at most 2
+        `reorder` calls, and a link of two chunked tours, a small one
+        chunked first, 0 `split_array`, 1 `concatenate` and at most 2
+        `reorder`.  A link of a singleton makes none, and a replacement
+        whose far side is one node only its 2 splits and 1 join, with no
+        `reorder`.  The soak must reach each kind and a rotation of both
+        tours, and the checkers run after every update."""
+        want = {
+            ("_merge_tours", True): (0, 1, 2),
+            ("_merge_tours", False): (0, 0, 0),
+            ("_commit_large", True): (2, 2, 2),
+            ("_commit_large", False): (2, 1, 0),
+        }
+        reached, links = Counter(), []
+        link = EulerForest._link
+
+        def watched_link(self, near, far, pair):
+            links.append((sys._getframe(1).f_code.co_name, bool(far)))
+            return link(self, near, far, pair)
+
+        def watched(update):
+            def run(self, u, v):
+                links.clear()
+                calls.clear()
+                out = update(self, u, v)
+                if links:
+                    (kind,) = links
+                    splits, joins, rotations = want[kind]
+                    assert calls["split_array"] == splits, (kind, calls)
+                    assert calls["concatenate"] == joins, (kind, calls)
+                    assert calls["reorder"] <= rotations, (kind, calls)
+                    reached[kind] += 1
+                    reached["both rotated"] += calls["reorder"] == 2
+                return out
+
+            return run
+
+        calls = _array_calls(monkeypatch)
+        monkeypatch.setattr(EulerForest, "_link", watched_link)
+        for name in ("insert_edge", "delete_edge"):
+            monkeypatch.setattr(EulerForest, name, watched(getattr(EulerForest, name)))
+        f = forest(20, policy)
+        assert f.K == 8
+        _replacing_soak(f, 4, 800, 20, lambda *_: None)
+        assert all(reached[kind] for kind in want) and reached["both rotated"], reached
 
 
 class TestCutWithoutReplacement:
@@ -1758,12 +1878,19 @@ class TestContract:
 
     @pytest.mark.parametrize("K", [None, 2], ids=["sized", "K2"])
     def test_leaves_on_chunked_tours_at_every_layout(self, monkeypatch, K):
-        # each leaf's contraction on a fresh copy of one seeded forest
+        # each leaf's contraction on a fresh copy of one seeded forest; a
+        # link of two tours starts its tour at the near endpoint, which then
+        # has two edges, so a random forest rarely starts a tour at a leaf.
+        # A path linked in node order does: its every link is a singleton's
+        # and rotates nothing, so 0 stays first
         seen = Counter()
         n = 40 if K is None else 14
-        for seed in range(1, 7):
-            for g in _leaves(_tree_forest(seed, n, K)):
-                f = _tree_forest(seed, n, K)
+        builds = [lambda s=seed: _tree_forest(s, n, K) for seed in range(1, 7)]
+        if K is None:
+            builds.append(lambda: forest_with([(i, i + 1) for i in range(n - 1)], n=n))
+        for build in builds:
+            for g in _leaves(build()):
+                f = build()
                 if isinstance(f.edge_occ[(g, f.nbr[g][0])][0], SmallTour):
                     continue
                 seen.update(_layout(f, g))

@@ -55,17 +55,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (451844, {"insert": 106, "delete": 157, "connected": 0}, 20296),
+            (438199, {"insert": 79, "delete": 160, "connected": 0}, 20296),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (454120, {"insert": 104, "delete": 188, "connected": 0}, 20296),
+            (439537, {"insert": 89, "delete": 184, "connected": 0}, 20296),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (47887, {"insert": 174, "delete": 250}, 4059),
+            (44401, {"insert": 132, "delete": 177}, 4059),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],
