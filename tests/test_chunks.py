@@ -444,11 +444,13 @@ class TestReorder:
 
     @pytest.mark.parametrize("n, pos", [(2, 1), (7, 3), (40, 1), (40, 39), (200, 77)])
     def test_charged_as_a_split_then_a_join(self, n, pos):
+        def by_hand(ms, a):
+            right = a.split_boundary(pos)
+            agg_join(right, a)
+            return right
+
         costs = []
-        for rotate in (
-            lambda ms, a: ms.reorder(a, pos),
-            lambda ms, a: agg_join(right := a.split_boundary(pos), a) or right,
-        ):
+        for rotate in (lambda ms, a: ms.reorder(a, pos), by_hand):
             ms = store(slots=n + 8)
             a = filled(ms, [2] * n)
             ms.meter.reset()

@@ -7,8 +7,8 @@ import pytest
 from dynconn.chunks import MasterArray
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.eulerforest import (
-    TOUCHED_ON_REPLACEMENT,
     TOUCHED_ON_LINK,
+    TOUCHED_ON_REPLACEMENT,
     TRANSIENT_CHUNKS,
     EulerForest,
     ForestError,
