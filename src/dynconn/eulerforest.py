@@ -23,16 +23,21 @@ Every new tree edge, a link's or a replacement's, is written by one link
 (`_link`; `_splice_edges` for two small tours).  A replacement is the cut
 then the link: the deletion splits the far side's tour P2 off and joins the
 near side's P1 P3, as a deletion with no replacement does, and then links
-the two tours by the replacement edge.  The link rotates each tour to start
-at an occurrence leaving its endpoint, cutting a chunk there when the
-occurrence is not the first of its chunk, concatenates the two tours and
-appends each new occurrence to the last chunk of its tour.  A far side that
-is a single node, a singleton's link or a replacement whose far side is one
-node, needs no rotation: both occurrences go right after an occurrence
-entering the near endpoint, in its chunk; a near side of one node is swapped
-to the far side.  So a new tree edge never gets a chunk of its own.  A chunk
-that overflows is split by the update's sizing repair, so an update
-allocates chunks only for cuts, repairs and the chunking of a small tour.
+the two tours by the replacement edge.  A tour is cyclic, so neither a cut
+nor a link splits a chunk: each swaps the pieces of the two chunks around
+it.  A cut takes its two occurrences out of c_lo = x lo y and c_hi = z hi w
+and leaves the junctions x w and z y, the far tour's two ends meeting
+cyclically; its chunks keep their fronts or their backs and trade the
+other pieces, and a far side inside one chunk becomes a small tour at once.
+A link of two chunked tours cuts c = a b and d = a' b' at occurrences
+leaving its endpoints and makes them a (w_near,w_far) b' and
+a' (w_far,w_near) b, or the mirror of that, each tour rotated at a chunk
+boundary to end or to start with its chunk.  A small or single-node far
+side is written into one chunk of the near tour, after an occurrence
+entering the near endpoint; a near side of one node is swapped to the far
+side.  So a new tree edge never gets a chunk of its own, and an update
+allocates chunks only for its repairs' splits and the chunking of a small
+tour; a swapped chunk may exceed K, and the sizing repair splits it.
 
 Connectivity is answered in O(1) by comparing tour container identities,
 reached from any incident tree edge's occurrence pointer: a small tour's
@@ -69,8 +74,9 @@ dropped.  An entry is dropped wherever an occurrence of its node is written
 into a chunk or taken out of one: by `_reindex_chunk` for both endpoints of
 every edge it writes into a chunk other than the one that held it, which
 covers the new tree edges of `_link` (an edge that moves with its chunk's
-base or is rewritten in its own chunk changes no mask), by `_cut_out` for
-the removed edge and by `_maybe_shrink` for every node of a demoted tour.
+base or is rewritten in its own chunk changes no mask), by `_commit_large`
+for the removed edge and every node of a far walk that leaves its chunk as
+a small tour, and by `_maybe_shrink` for every node of a demoted tour.
 So every entry holds, and no node outside a chunk has one.  The record is
 made with the master array and is None before, which most forests, whose
 tours stay small, never reach; `oracle.check_euler_forest` recomputes every
@@ -84,8 +90,9 @@ record, so a chunk is marked only where one of them changes with a node of
 a non-tree edge in play: by `_reindex_chunk` when an edge with an endpoint
 in `nontree` enters the chunk from another container or is new, and then
 also the chunk the edge left, if it left one (this covers splits, merges,
-rebalances, `_as_array` and new occurrences); by `_cut_out` and `contract`
-when an edge they remove or rename has such an endpoint; and by
+rebalances, swapped pieces, `_as_array` and new occurrences); by
+`_commit_large` and `contract` when an edge they remove or rename has such
+an endpoint, or a node of a far walk that leaves its chunk does; and by
 `_commit_large` for every chunk holding an endpoint of the promoted
 replacement, whose non-tree edge goes.  Every change to a link matrix entry
 that these events cause lies in the row and column of a marked chunk, which
@@ -139,22 +146,28 @@ _OCCURRENCES = 6
 _NO_NONTREE = MappingProxyType({})
 
 # the most live chunks of the array it repairs that an update touches before
-# its repairs: on a link, in each piece a deletion's cuts split apart, and once
-# a replacement is linked in, the cuts' 4 and the link's 4; `depth_bounds`
-# charges its repairs and flushes from them.  A link touches, per tour, the
-# two halves of the one chunk its rotation cuts, of which the left one ends
-# the rotated tour and takes its new occurrence, or else the one chunk that
-# ends it, which it may have chunked from a small tour.
-TOUCHED_ON_LINK = 4
-TOUCHED_AFTER_CUT = 4
-TOUCHED_ON_REPLACEMENT = 8
+# its repairs: on a link, in each piece a deletion's cut separates, and once a
+# replacement is linked in, the cut's 2 and the link's 2; `depth_bounds`
+# charges its repairs and flushes from them.  A link rewrites one chunk per
+# tour, the one holding the occurrence it swaps the pieces at, or the one
+# chunk a small far tour is written into; a cut rewrites the chunk of each
+# of its two occurrences, which end in the two pieces, or one chunk.
+TOUCHED_ON_LINK = 2
+TOUCHED_AFTER_CUT = 1
+TOUCHED_ON_REPLACEMENT = 4
 # a contraction writes the chunks of its two removed occurrences and of a
 # degree-2 node's two renamed ones
 TOUCHED_ON_CONTRACT = 4
+# the most chunks that an update's sizing repairs split off, from the sizes
+# of the chunks it touches (derived in `EulerForest.depth_bounds`); a
+# contraction only shrinks chunks and splits none
+SPLITS_ON_LINK = 2
+SPLITS_AFTER_CUT = 1
+SPLITS_ON_REPLACEMENT = 3
 
 # T, the chunks an update can hold beyond the at-rest bound R while it runs:
 # the most chunks any update touches before its repairs, both pieces of a
-# split counted (derived in the EulerForest docstring)
+# cut counted (derived in the EulerForest docstring)
 TRANSIENT_CHUNKS = max(TOUCHED_ON_LINK, 2 * TOUCHED_AFTER_CUT, TOUCHED_ON_REPLACEMENT)
 
 
@@ -227,27 +240,28 @@ class EulerForest:
     While an update runs.  An update changes only the chunks it touches, so
     a live chunk of fewer than ceil(K/2) edges is a touched one, and the
     others number at most R, since the occurrences stay at most
-    2*capacity - 2.  A repair adds no undersized chunk: it splits only
-    chunks above K, into halves of at least ceil(K/2), and merges or
+    2*capacity - 2.  A repair adds no undersized chunk: it merges or
     rebalances an undersized chunk into one chunk or into two of at least
-    ceil(K/2).  So the undersized chunks are at most the chunks the update
-    touches before its repairs, which `depth_bounds` counts and charges
-    from: 4 on insertion (`TOUCHED_ON_LINK`), 4 + 4 once a deletion's cuts
-    are split apart (`TOUCHED_AFTER_CUT` per piece), 8 once a replacement
-    is linked in (`TOUCHED_ON_REPLACEMENT`).  Hence T = `TRANSIENT_CHUNKS` = 8
-    spare slots cover every allocation, and the array is never full.  With
-    K ~ sqrt(3*capacity), J ~ 2.3*sqrt(capacity) + 8.
+    ceil(K/2), and then splits only chunks above K, into pieces of at
+    least ceil(K/2).  So the undersized chunks are at most the chunks the
+    update touches before its repairs, which `depth_bounds` counts and
+    charges from: 2 on insertion (`TOUCHED_ON_LINK`), 1 + 1 once a
+    deletion's cut separates the two pieces (`TOUCHED_AFTER_CUT` per
+    piece), 4 once a replacement is linked in (`TOUCHED_ON_REPLACEMENT`).
+    Hence T = `TRANSIENT_CHUNKS` = 4 spare slots cover every allocation,
+    and the array is never full.  With K ~ sqrt(3*capacity),
+    J ~ 2.3*sqrt(capacity) + 4.
 
     A chunk's slot stays with its links.  Retiring a chunk that holds link
     bits reads its row, clears its column and zeroes the row, which costs
     several times the retirement of a chunk of no bits; a new chunk holds
-    none until the update's flush.  So a cut (`_cut_out`) or a split
-    (`_split_chunk`) leaves the chunk with its longer piece, the left one
-    on a tie, and gives the new chunk the shorter piece, the one the sizing
-    repair is likeliest to merge away; a cut with one piece makes no chunk.
-    A repair merge of a linked chunk and an unlinked one keeps the linked
-    one.  None of this moves a depth bound: each step makes and retires no
-    more chunks than before, only different ones.
+    none until the update's flush.  So a cut or a link keeps both of its
+    chunks, each in its slot, and retires one only when it is left empty;
+    a repair split (`_split_chunk`) leaves the chunk with its longer
+    piece, the left one on a tie, and gives the new chunk the shorter one;
+    and a repair merge of a linked chunk and an unlinked one keeps the
+    linked one.  Since a repair runs its merges before its splits, no
+    chunk it makes is merged away in the same update.
     """
 
     def __init__(self, meter: CostMeter, capacity: int):
@@ -296,38 +310,46 @@ class EulerForest:
         changes and queries charge no depth.
 
         Loop counts come from the degree bound and the repair invariant:
-        every chunk of an array at rest holds at least K/2 edges, and an
-        operation touches at most 4 live chunks of the array it repairs on
-        insertion, 4 after cutting out a deleted edge and 8 once its
-        replacement is linked in.  A replacement is the split and join of a
-        delete with no replacement, then the link that an insertion makes.
-        The link cuts each tour once, one cut after the other, then rotates
-        the two tours side by side (`reorder`), joins them and writes its
-        two occurrences.  Each cut touches the two halves of a chunk it
-        splits, the left one of which takes a new occurrence, or else the
-        chunk that takes it is the one more it touches; a link touches
-        nothing else but the one chunk it makes of a small tour, which its
-        cut may split.  A far side of one node takes no cut and no rotation,
-        only a write, so the full link bounds it.  A new tree edge's
-        occurrences are written into chunks already there, so they add no
-        chunk.  A repair splits an oversized chunk or merges or rebalances
-        an undersized one at most once per touched chunk and may add one
-        chunk per touched chunk, and a tour short enough to demote then
-        spans at most 2 chunks.
+        every chunk of an array at rest holds at least K/2 edges and at
+        most K.  No cut or link makes a chunk; each rewrites the chunks at
+        its occurrences in place.  A link of two chunked tours rotates them
+        side by side (`reorder`), joins them and writes its two chunks, each
+        keeping one piece of its own and taking one of the other's, so it
+        touches 2 chunks of at most 2K edges each; a small or empty far
+        tour is one write into one chunk, which it leaves at most 2K, or
+        else is chunked and linked so.  A cut is two boundary splits, one
+        join and a write or a retirement per cut chunk, and touches one
+        chunk per piece, of at most 2K - 2 edges; a far side inside one
+        chunk is one write and no tree call.  A replacement is that cut,
+        then the link, so its repair sees at most 4 touched chunks: the
+        cut's two, of at most 2K - 2 edges together, and the link's two,
+        which held at most K each unless they are the cut's, plus the 2
+        new occurrences, at most 4K edges in all.
+
+        A repair first merges or rebalances each undersized touched chunk
+        at most once, a reindex and a retirement or two reindexes, then
+        splits a chunk of L > K edges ceil(L/K) - 1 times.  A rebalance or
+        a merge never makes more splits than its touched partner needed on
+        its own, so the splits are at most the sum of (L - 1)//K over the
+        touched chunks: 2 on a link, 1 per cut piece and 3 on a
+        replacement (`SPLITS_*`), from the sizes above.  A tour short enough
+        to demote then spans at most 2 chunks.
 
         Link vectors are refreshed only by the flush that ends an update,
         once per marked chunk still live.  A chunk is marked where an edge
         with an endpoint of a non-tree edge enters it, leaves it for another
         chunk, or is removed or renamed in it, and on a replacement where it
         holds an endpoint of the promoted edge; every marked chunk is a
-        touched one.  So the refreshes are at most the chunks its repairs
-        end with, plus on a replacement the up to 2 x 6 chunks holding the
-        promoted edge's endpoints.
+        touched one.  A repair's split adds one chunk to the record, a
+        rebalance at most its partner and a merge none, so the refreshes
+        are at most twice the touched chunks plus the splits, plus on a
+        replacement the up to 2 x 6 chunks holding the promoted edge's
+        endpoints.
 
         A contraction touches at most the 4 chunks of its node's
-        occurrences and cuts none, so it stays below a delete, whose
-        probe and commit it skips; a delete with a lone endpoint is one, and
-        a gadget counts one as an edge deletion.
+        occurrences, cuts none and splits none, so it stays below a delete,
+        whose probe and commit it skips; a delete with a lone endpoint is
+        one, and a gadget counts one as an edge deletion.
         """
         store = MasterArray.depth_bounds(policy)
         select = pick_depth(policy)  # the replacement among the candidates
@@ -336,24 +358,28 @@ class EulerForest:
         retire = store["retire_chunk"]  # _retire_chunk
         as_array = 1 + (insert_chunk + 2)  # drop, the one chunk
         split = insert_chunk + 1  # _split_chunk: the new chunk, its reindex
-        write = 1  # a new occurrence written into a chunk: its reindex
-        cut_out = max(split, retire)  # _cut_out: a split, a base write or a retirement
+        write = 1  # occurrences written into a chunk: its reindex
         shrink = 1 + 2 * retire + 1  # _maybe_shrink
 
-        def repair(touched):  # _repair: a split, or a merge and its retirement
-            return touched * max(split, 1 + retire) + shrink
+        def repair(touched, splits):  # _repair: a merge and its retirement per touched chunk, then the splits
+            return touched * (1 + retire) + splits * split + shrink
 
         def flush(marked):  # _flush_links: the liveness filter, then refreshes
             return 1 + marked * refresh
 
-        def link(touched):  # _link: two cuts, two rotations in one step, the join, two writes
-            rotations = 1 + store["reorder"]
-            return 2 * split + rotations + store["concatenate"] + 2 * write + repair(touched)
+        def settled(touched, splits):  # the live chunks of the record after the repairs
+            return 2 * touched + splits
 
-        # _merge_tours: a small splice, or the link of two chunked tours,
-        # then the flush; a chunked tour is not summed, and a small tour's
-        # length charges nothing
-        merge = max(4, 2 * as_array + link(TOUCHED_ON_LINK)) + flush(2 * TOUCHED_ON_LINK)
+        def link(touched, splits):  # _link: two rotations in one step, the join, two writes
+            rotations = 1 + store["reorder"]
+            return rotations + store["concatenate"] + 2 * write + repair(touched, splits)
+
+        # _merge_tours: a small splice, or the link, with up to two small
+        # tours chunked first, then the flush; a chunked tour is not summed,
+        # and a small tour's length charges nothing
+        merge = max(4, 2 * as_array + link(TOUCHED_ON_LINK, SPLITS_ON_LINK)) + flush(
+            settled(TOUCHED_ON_LINK, SPLITS_ON_LINK)
+        )
         mark_linked = 1 + _OCCURRENCES**2 * store["link"]
         unlink = _OCCURRENCES * (1 + _OCCURRENCES * store["unlink"]) + 1
         probe_small = 2 + select
@@ -361,17 +387,20 @@ class EulerForest:
         # _probe_large: the two cut chunks' node lists and their scan, then per
         # near range a query, the node lists of the pair it returns and a scan
         probe_large = 3 + 2 * (store["query"] + 3) + select
-        # P3's and P2's splits and P1 P3's join, then two repairs with no
-        # replacement or the replacement's link; flushed: two split-off
-        # repairs of at most 4 touched, or one repair of 8 touched plus the
-        # chunks of the promoted edge's endpoints
+        # the cut chunks' writes or retirements, P3's and P2's splits and P1
+        # P3's join, then two repairs with no replacement or the
+        # replacement's link; flushed: the two pieces' repairs, or the one
+        # repair plus the chunks of the promoted edge's endpoints
         commit_large = (
-            2 * cut_out + 2 * store["split_array"] + store["concatenate"]
-            + max(2 * repair(TOUCHED_AFTER_CUT), link(TOUCHED_ON_REPLACEMENT))
+            2 * max(write, retire) + 2 * store["split_array"] + store["concatenate"]
+            + max(
+                2 * repair(TOUCHED_AFTER_CUT, SPLITS_AFTER_CUT),
+                link(TOUCHED_ON_REPLACEMENT, SPLITS_ON_REPLACEMENT),
+            )
         ) + flush(
             max(
-                2 * 2 * TOUCHED_AFTER_CUT,
-                2 * TOUCHED_ON_REPLACEMENT + 2 * _OCCURRENCES,
+                2 * settled(TOUCHED_AFTER_CUT, SPLITS_AFTER_CUT),
+                settled(TOUCHED_ON_REPLACEMENT, SPLITS_ON_REPLACEMENT) + 2 * _OCCURRENCES,
             )
         )
         # `contract`: a degree-2 node's two renames in one step, the two
@@ -379,8 +408,8 @@ class EulerForest:
         # flush; a small tour is dropped, rebuilt and adopted
         contract = max(
             3,
-            1 + 2 * max(write, retire) + repair(TOUCHED_ON_CONTRACT)
-            + flush(2 * TOUCHED_ON_CONTRACT),
+            1 + 2 * max(write, retire) + repair(TOUCHED_ON_CONTRACT, 0)
+            + flush(settled(TOUCHED_ON_CONTRACT, 0)),
         )
         return {
             "insert": max(mark_linked, merge),
@@ -486,11 +515,13 @@ class EulerForest:
             self._adopt_small(_splice_edges(near, far, (u, v)))
             self.meter.parallel_charge(total)
             return
-        a_u = self._as_array(tid_u)
-        a_v = self._as_array(tid_v)
-        if a_u is None:
-            u, v, a_u, a_v = v, u, a_v, a_u  # a singleton is the far side
-        self._link(a_u, a_v, (u, v))
+        # the near tour is a chunked one if either is, else a small one, and
+        # only it is chunked here; a singleton is the far side
+        if isinstance(tid_u, tuple) or (
+            isinstance(tid_u, SmallTour) and not isinstance(tid_v, unchunked)
+        ):
+            u, v, tid_u, tid_v = v, u, tid_v, tid_u
+        self._link(self._as_array(tid_u), None if isinstance(tid_v, tuple) else tid_v, (u, v))
 
     # -- edge deletion -----------------------------------------------------------
 
@@ -720,15 +751,17 @@ class EulerForest:
         self.meter.parallel_charge(len(edges))
 
     def _adopt_small(self, edges):
-        """Register a rebuilt tour of at most K edges.  Every caller splices
-        small tours only, and the depth bounds count no chunking here."""
+        """Register a rebuilt tour of at most K edges and return it, or None
+        for no edge.  Every caller splices small tours only or takes a walk
+        out of one chunk, and the depth bounds count no chunking here."""
         if not edges:
-            return
+            return None
         assert len(edges) <= self.K, "small tour above the chunk threshold"
         tour = SmallTour(edges)
         for off, e in enumerate(edges):
             self.edge_occ[e] = (tour, off)
         self.meter.parallel_charge(len(edges))
+        return tour
 
     def _drop_container(self, tid):
         """Charge the release of a small tour's occurrence pointers.  Every
@@ -823,16 +856,16 @@ class EulerForest:
             self._reindex_chunk(c, at)
         self._touched.setdefault(c, False)
 
-    def _split_chunk(self, c, at, gap=0):
-        """Split c before c.edges[at], dropping the `gap` edges there (a
-        cut's one): c keeps the longer piece, the left one on a tie, and a
-        new chunk beside it takes the other.  Only the new chunk's edges
-        are rewritten; a kept right piece moves with c's base in that step.
-        Both are touched, left first.  Returns the (left, right) pieces."""
-        left, right = c.edges[:at], c.edges[at + gap :]
+    def _split_chunk(self, c, at):
+        """Split c before c.edges[at]: c keeps the longer piece, the left
+        one on a tie, and a new chunk beside it takes the other.  Only the
+        new chunk's edges are rewritten; a kept right piece moves with c's
+        base in that step.  Both are touched, left first.  Returns the
+        (left, right) pieces."""
+        left, right = c.edges[:at], c.edges[at:]
         if len(right) > len(left):
             c.edges = right
-            self._move_base(c, -at - gap)
+            self._move_base(c, -at)
             nc = self.master.alloc_chunk(left)
             self.master.insert_chunk(c.array, c.pos, nc)
             pieces = (nc, c)
@@ -849,11 +882,22 @@ class EulerForest:
         return pieces
 
     def _target_occurrence(self, node):
+        """The chunk and index of node's first entering occurrence (w, node)
+        in `nbr` order."""
         for w in self.nbr[node]:
             occ = self.edge_occ.get((w, node))
             if occ is not None:
                 return locate(occ)
         raise AssertionError(f"no target occurrence for {node}")
+
+    def _source_occurrence(self, node):
+        """The chunk and index of node's first leaving occurrence (node, w)
+        in `nbr` order."""
+        for w in self.nbr[node]:
+            occ = self.edge_occ.get((node, w))
+            if occ is not None:
+                return locate(occ)
+        raise AssertionError(f"no source occurrence for {node}")
 
     def _probe_large(self, array, u, v, hint):
         """(u, v)'s lower and upper (edge, occurrence) and the replacement
@@ -938,156 +982,224 @@ class EulerForest:
         return lo, hi, self.meter.pick(candidates) if candidates else None
 
     def _commit_large(self, array, lo, hi, pair):
-        # cut out both occurrences, low position first; the second cut resolves
-        # its chunk afresh since the first may have moved or split it; the
-        # array is then P1 = [0, a), P2 = [a, b), P3 = [b, n)
-        a = self._cut_out(lo[0])
-        b = self._cut_out(hi[0])
-        # P2 splits off as the far side's tour and P1 P3 joins as the near
-        # side's; a side of one node holds no chunk
-        p3 = self.master.split_array(array, b)
-        p2 = self.master.split_array(array, a)
-        self.master.concatenate(array, p3)
+        """Take (u, v)'s occurrences lo and hi out of their chunks, then
+        repair the two sides' tours or link them by `pair`.  No chunk is
+        made: the near side's tour is P1 x w P3 and the far side's y P2 z,
+        around c_lo = x lo y and c_hi = z hi w, and a far side inside one
+        chunk leaves it as a small tour (`_cut_across`, `_cut_inside`).
+        The cut chunks are marked when an endpoint of the edge has a
+        non-tree edge: two tests."""
+        (c_lo, i), (c_hi, j) = lo[1], hi[1]
+        for e in (lo[0], hi[0]):
+            del self.edge_occ[e]
+        s, t = lo[0]
+        self._moved(s, t)
+        marked = s in self.nontree or t in self.nontree
+        self.meter.charge(2)
+        if c_lo is c_hi:
+            far = self._cut_inside(c_lo, i, j, marked)
+        else:
+            far = self._cut_across(array, c_lo, i, c_hi, j, marked)
         if pair is None:
             # the far tour is not empty, since a lone far endpoint is a
             # leaf's contraction
             self._repair(array)
-            self._repair(p2)
+            if not isinstance(far, SmallTour):
+                self._repair(far)
             return
         if not array:
             pair = pair[::-1]  # a single-node near side goes far
-            array, p2 = p2, array
-        self._link(array, p2, pair)
+            array, far = far, None
+        self._link(array, far, pair)
         # the promoted edge no longer justifies links anywhere: every chunk
         # holding another occurrence of its endpoints is marked
         for node in pair:
             for c in self._chunks_of(node):
                 self._touched[c] = True
 
-    def _link(self, near, far, pair):
-        """Join the chunked tours `near` of w_near and `far` of w_far by the
-        new tree edge `pair` = (w_near, w_far), then repair the result.
+    def _cut_across(self, array, c_lo, i, c_hi, j, marked):
+        """The cut of c_lo = x lo y and c_hi = z hi w, two chunks of
+        `array`; returns the far side's tour, None for a single node.  The
+        near tour's junction becomes x w and the far tour's z y, since its
+        two ends meet cyclically.  Either c_lo keeps x and takes w and c_hi
+        keeps z and takes y, the array cut after each chunk, or c_hi keeps
+        w and takes x and c_lo keeps y and takes z, the array cut before
+        each, whichever rewrites fewer pointers: two `split_array` and one
+        `concatenate` either way.  A chunk left empty is retired."""
+        x, y = c_lo.edges[:i], c_lo.edges[i + 1 :]
+        z, w = c_hi.edges[:j], c_hi.edges[j + 1 :]
+        after = len(w) + len(y) <= len(x) + len(z)
+        p3 = self.master.split_array(array, c_hi.pos + after)
+        far = self.master.split_array(array, c_lo.pos + after)
+        self.master.concatenate(array, p3)
+        if after:  # each chunk keeps its front and takes the reindexed back
+            writes = (c_lo, x + w, len(x), None, 0), (c_hi, z + y, len(z), None, 0)
+        else:  # each keeps its back, which moves with its base
+            writes = (
+                (c_hi, x + w, 0, len(x), len(x) - j - 1),
+                (c_lo, z + y, 0, len(z), len(z) - i - 1),
+            )
+        touched = self._touched
+        for c, edges, start, stop, shift in writes:
+            c.edges = edges
+            if not edges:
+                self._retire_chunk(c)
+                continue
+            touched.setdefault(c, False)
+            self._reindex_chunk(c, start, stop, shift)
+            if marked:
+                touched[c] = True
+        return far if far else None
 
-        Each tour is rotated to start at an occurrence leaving its endpoint
-        (`_cut_at_source`, then `reorder`), the two rotations side by side,
-        and `far` is appended to `near`: the tour is Y (w_near,w_far) X
-        (w_far,w_near) with Y and X the rotated tours.  Each new occurrence
-        is appended to the last chunk of its tour, which rewrites only
-        itself.  A far side that is a single node (`far` None or empty)
-        needs no rotation: both occurrences go right after an occurrence
-        (x, w_near), in its chunk, rewriting the shorter side of it too
-        (`_write_occurrences`)."""
+    def _cut_inside(self, c, i, j, marked):
+        """The cut of c = x lo y hi w: c keeps x w, rewriting the shorter of
+        the two around the gap, and the far walk y, at most K - 2 edges,
+        becomes a small tour at once, which this returns (None for no
+        edge); no array changes.  Each of y's edges tests its source, and
+        c is marked when one of y's nodes, which leave it, has a non-tree
+        edge.  A chunk left empty is retired."""
+        edges = c.edges
+        walk = edges[i + 1 : j]
+        del edges[i : j + 1]
+        self._moved(*(a for a, _ in walk))
+        self.meter.parallel_charge(len(walk))
+        nontree = self.nontree
+        marked = marked or any(a in nontree for a, _ in walk)
+        if not edges:
+            self._retire_chunk(c)
+        else:
+            self._touched.setdefault(c, False)
+            if 2 * i < len(edges):  # the head is the shorter side
+                self._reindex_chunk(c, 0, i, i - j - 1)
+            else:
+                self._reindex_chunk(c, i)
+            if marked:
+                self._touched[c] = True
+        return self._adopt_small(walk)
+
+    def _link(self, near, far, pair):
+        """Join the chunked tour `near` of w_near and the tour `far` of
+        w_far, chunked, small or None for a single node, by the new tree
+        edge `pair` = (w_near, w_far), then repair the result.  No chunk is
+        made but the chunking of a small far tour.
+
+        A small or empty far tour X is written into one chunk of `near`,
+        rotated at w_far, between (w_near,w_far) and (w_far,w_near), right
+        after an occurrence (x, w_near), rewriting the shorter side of that
+        chunk too (`_write_occurrences`).  Only when that chunk would then
+        exceed 2K edges is X chunked (`_as_array`) and linked as below.
+
+        Two chunked tours swap the pieces of two chunks.  With c = a b in
+        `near` and d = a' b' in `far`, where b and b' start at the first
+        occurrences in `nbr` order leaving w_near and w_far, c becomes
+        a (w_near,w_far) b' and d becomes a' (w_far,w_near) b, each tour
+        rotated to end with its chunk; or c becomes a' (w_far,w_near) b and
+        d becomes a (w_near,w_far) b', each rotated to start with it,
+        whichever rewrites fewer pointers.  The rotations (`reorder`) run
+        side by side, and the two tours are joined with `far` after `near`
+        in the first case and before it in the second, so the two chunks
+        are neighbours when `far` is one chunk.  Read cyclically, the tour
+        is Y rotated at w_near, (w_near,w_far), X rotated at w_far,
+        (w_far,w_near)."""
         w_near, w_far = pair
-        if not far:
+        if far is None or isinstance(far, SmallTour):
             c, off = self._target_occurrence(w_near)
-            self._write_occurrences(c, off + 1, ((w_near, w_far), (w_far, w_near)))
-            self._repair(near)
-            return
+            walk = far.edges if far is not None else []
+            # a chunk holds at most 2K - 2 edges here, so a single node fits
+            if len(c.edges) + len(walk) + 2 <= 2 * self.K:
+                k = _cut_index(walk, w_far)
+                self._drop_container(far)
+                new = [(w_near, w_far), *walk[k:], *walk[:k], (w_far, w_near)]
+                self._write_occurrences(c, off + 1, new)
+                self._repair(near)
+                return
+            far = self._as_array(far)
+        c, i = self._source_occurrence(w_near)
+        d, j = self._source_occurrence(w_far)
+        a, b = c.edges[:i], c.edges[i:]
+        a2, b2 = d.edges[:j], d.edges[j:]
+        fronts = len(b) + len(b2) <= len(a) + len(a2)
         tours = [near, far]
-        starts = [self._cut_at_source(w_near), self._cut_at_source(w_far)]
+        starts = [(c.pos + fronts) % len(near), (d.pos + fronts) % len(far)]
 
         def rotate(k):
-            tours[k] = self.master.reorder(tours[k], starts[k].pos)
+            tours[k] = self.master.reorder(tours[k], starts[k])
 
         self.meter.parallel_for(2, rotate)
         near, far = tours
-        ends = (near.leaves[-1], (w_near, w_far)), (far.leaves[-1], (w_far, w_near))
-        self.master.concatenate(near, far)
-        for c, e in ends:
-            self._write_occurrences(c, len(c.edges), (e,))
-        self._repair(near)
-
-    def _cut_out(self, edge):
-        """Remove `edge` from its chunk, splitting the chunk at that point
-        as `_split_chunk` does.  A piece that is alone stays in the chunk,
-        with no allocation and no rewrite: after a chunk's first edge the
-        rest moves with the base.  A chunk left empty is retired.
-
-        The chunk is marked when an endpoint of the edge has a non-tree
-        edge: two tests.  Returns the array position where the removed edge
-        used to sit (the boundary between the left and right pieces).
-        """
-        c, off = locate(self.edge_occ.pop(edge))
-        self._moved(*edge)
-        pos = c.pos
-        if 0 < off < len(c.edges) - 1:
-            self._split_chunk(c, off, 1)
+        touched = self._touched
+        touched.setdefault(c, False)
+        touched.setdefault(d, False)
+        if fronts:
+            self.master.concatenate(near, far)
+            c.edges = a + [(w_near, w_far)] + b2
+            d.edges = a2 + [(w_far, w_near)] + b
+            self._reindex_chunk(c, i)
+            self._reindex_chunk(d, j)
         else:
-            del c.edges[off]
-            if not c.edges:
-                self._retire_chunk(c)
-            else:
-                if not off:
-                    self._reindex_chunk(c, stop=0, shift=-1)
-                self._touched.setdefault(c, False)
-        self.meter.charge(2)
-        if edge[0] in self.nontree or edge[1] in self.nontree:
-            self._touched[c] = True
-        return pos + (off > 0)
-
-    def _cut_at_source(self, node):
-        """Split a chunk of node's chunked tour so that an occurrence
-        (node, ?) starts it, the first such in `nbr` order; returns that
-        chunk."""
-        for w in self.nbr[node]:
-            occ = self.edge_occ.get((node, w))
-            if occ is not None:
-                c, off = locate(occ)
-                return self._split_chunk(c, off)[1] if off else c
-        raise AssertionError(f"no source occurrence for {node}")
+            self.master.concatenate(far, near)
+            near = far
+            c.edges = a2 + [(w_far, w_near)] + b
+            d.edges = a + [(w_near, w_far)] + b2
+            self._reindex_chunk(c, 0, j + 1, j + 1 - i)
+            self._reindex_chunk(d, 0, i + 1, i + 1 - j)
+        self._repair(near)
 
     # -- sizing repairs and the link flush ------------------------------------
 
     def _repair(self, array):
         """Restore K/2 <= |chunk| <= K on the touched chunks of `array`, then
-        demote it if its tour now fits in one small tour.  An oversized
-        chunk is split in half (`_split_chunk`).  An undersized one merges
-        with a neighbour when both fit in one chunk: the left one takes the
-        edges and the right one is retired, unless only the right one holds
-        link bits, which then takes them; otherwise the two share their
-        edges evenly.  Only the edges that change chunk are rewritten: a
+        demote it if its tour now fits in one small tour.  The merges run
+        first, so no chunk split off here is merged away: an undersized
+        chunk merges with a neighbour when both fit in one chunk, the left
+        one taking the edges and the right one retired, unless only the
+        right one holds link bits, which then takes them; otherwise the two
+        share their edges, the left one taking min(half, K).  Then every
+        chunk above K is split at min(half, K) (`_split_chunk`) until each
+        piece fits.  Only the edges that change chunk are rewritten: a
         right chunk that gains or loses a front moves its base."""
         K = self.K
         touched = self._touched
         queue = [c for c in touched if c.array is array]
         while queue:
             c = queue.pop()
-            if c.array is not array:
+            if c.array is not array or 2 * len(c.edges) >= K or len(array) == 1:
                 continue
-            if len(c.edges) > K:
-                queue.extend(self._split_chunk(c, len(c.edges) // 2))
-                continue
-            if 2 * len(c.edges) < K and len(array) > 1:
-                pos = c.pos
-                other = array.leaves[pos - 1] if pos > 0 else array.leaves[pos + 1]
-                left, right = (other, c) if other.pos < pos else (c, other)
-                kept = len(left.edges)  # left's own edges keep their offsets
-                combined = left.edges + right.edges
-                if len(combined) <= K:
-                    # a linked chunk outlives an unlinked partner and
-                    # rewrites only the edges it takes in
-                    if right.bits and not left.bits:
-                        keep, gone = right, left
-                        right.edges = combined
-                        self._reindex_chunk(right, 0, kept, kept)
-                    else:
-                        keep, gone = left, right
-                        left.edges = combined
-                        self._reindex_chunk(left, kept)
-                    self._retire_chunk(gone)
-                    touched.setdefault(keep, False)
-                    queue.append(keep)
+            pos = c.pos
+            other = array.leaves[pos - 1] if pos > 0 else array.leaves[pos + 1]
+            left, right = (other, c) if other.pos < pos else (c, other)
+            kept = len(left.edges)  # left's own edges keep their offsets
+            combined = left.edges + right.edges
+            if len(combined) <= K:
+                # a linked chunk outlives an unlinked partner and rewrites
+                # only the edges it takes in
+                if right.bits and not left.bits:
+                    keep, gone = right, left
+                    right.edges = combined
+                    self._reindex_chunk(right, 0, kept, kept)
                 else:
-                    # only the edges that cross the boundary are rewritten;
-                    # right's own move by kept - half, the edges it gains at
-                    # its front (loses, when negative)
-                    half = len(combined) // 2
-                    left.edges = combined[:half]
-                    right.edges = combined[half:]
-                    self._reindex_chunk(left, min(kept, half))
-                    self._reindex_chunk(right, 0, max(kept - half, 0), kept - half)
-                    touched.setdefault(left, False)
-                    touched.setdefault(right, False)
+                    keep, gone = left, right
+                    left.edges = combined
+                    self._reindex_chunk(left, kept)
+                self._retire_chunk(gone)
+                touched.setdefault(keep, False)
+                queue.append(keep)
+            else:
+                # only the edges that cross the boundary are rewritten;
+                # right's own move by kept - cut, the edges it gains at its
+                # front (loses, when negative)
+                cut = min(len(combined) // 2, K)
+                left.edges = combined[:cut]
+                right.edges = combined[cut:]
+                self._reindex_chunk(left, min(kept, cut))
+                self._reindex_chunk(right, 0, max(kept - cut, 0), kept - cut)
+                touched.setdefault(left, False)
+                touched.setdefault(right, False)
+        queue = [c for c in touched if c.array is array]
+        while queue:
+            c = queue.pop()
+            if c.array is array and len(c.edges) > K:
+                queue.extend(self._split_chunk(c, min(len(c.edges) // 2, K)))
         self._maybe_shrink(array)
 
     def _retire_chunk(self, c):

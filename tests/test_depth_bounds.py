@@ -114,8 +114,8 @@ def test_bipartite_layers_within_bounds(monkeypatch, policy):
 @pytest.mark.parametrize(
     "policy, forest, connectivity, bipartiteness",
     [
-        (ArbitraryPolicy(5), (150, 321), (455, 1440), (910, 2880)),
-        (CommonPolicy(0.25), (150, 381), (455, 1680), (910, 3360)),
+        (ArbitraryPolicy(5), (126, 275), (383, 1230), (766, 2460)),
+        (CommonPolicy(0.25), (126, 335), (383, 1470), (766, 2940)),
     ],
     ids=["arbitrary", "common"],
 )

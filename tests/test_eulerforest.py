@@ -4,9 +4,14 @@ from collections import Counter
 
 import pytest
 
+from dynconn.aggtree import AggTree
 from dynconn.chunks import MasterArray
 from dynconn.costmodel import ArbitraryPolicy, CommonPolicy, CostMeter
 from dynconn.eulerforest import (
+    SPLITS_AFTER_CUT,
+    SPLITS_ON_LINK,
+    SPLITS_ON_REPLACEMENT,
+    TOUCHED_AFTER_CUT,
     TOUCHED_ON_LINK,
     TOUCHED_ON_REPLACEMENT,
     TRANSIENT_CHUNKS,
@@ -566,13 +571,14 @@ class TestScansChargeWhatTheyRead:
 
 class TestReindexing:
     def test_pointers_hold_after_each_partial_reindex(self, monkeypatch):
-        """A split and a cut-out keep their longer piece in the chunk, and a
+        """A split keeps its longer piece in the chunk, a cut and a link
+        keep a front or a back of each chunk they swap pieces of, and a
         repair merge its left chunk unless only the right one is linked;
-        where the kept edges keep their offsets (a left piece, a merge's
-        left chunk), only the moved ones are rewritten.  Every pointer must
-        still name its edge after each of these steps, and the forest must
-        pass its checker after every update."""
-        fired = {"_split_chunk": 0, "_cut_out": 0, "merge": 0}
+        where the kept edges keep their offsets (a left piece, a kept front,
+        a merge's left chunk), only the moved ones are rewritten.  Every
+        pointer must still name its edge after each of these steps, and the
+        forest must pass its checker after every update."""
+        fired = {"_split_chunk": 0, "_commit_large": 0, "_link": 0, "merge": 0}
 
         def watch(name):
             step = getattr(EulerForest, name)
@@ -592,7 +598,7 @@ class TestReindexing:
 
             monkeypatch.setattr(EulerForest, name, watched)
 
-        for name in ("_split_chunk", "_cut_out", "_retire_chunk"):
+        for name in ("_split_chunk", "_commit_large", "_link", "_retire_chunk"):
             watch(name)
         rng = random.Random(8)
         n = 24
@@ -620,8 +626,10 @@ class TestSlotRecord:
     def test_entries_hit_and_every_drop_fires_during_soak(self, monkeypatch):
         """A small-K soak passes the checker, which recomputes every
         `slots_of` entry, after every update.  The link computation must
-        read stored entries, and the drops of a reindex, of a cut-out edge
-        and of a demotion must each remove a live entry."""
+        read stored entries, and the drops of a reindex, of a cut, which
+        drops the removed edge's endpoints and the nodes of a far walk that
+        leaves its chunk as a small tour, and of a demotion must each
+        remove a live entry."""
         hits = []
         dropped = {}
         links_of, reindex, moved = (
@@ -678,26 +686,28 @@ class TestSlotRecord:
                 edges.append((u, v))
             check_euler_forest(f)
         assert hits
-        drops = ("_reindex_chunk", "_cut_out", "_maybe_shrink")
+        drops = ("_reindex_chunk", "_commit_large", "_cut_inside", "_maybe_shrink")
         assert all(dropped.get(k) for k in drops), dropped
 
 
 def _cut(walk, node, nbr):
     """Index in `walk` of its first occurrence (node, w) in `nbr[node]`
-    order, the one `_cut_at_source` starts a chunk at."""
+    order, the one a link of two chunked tours swaps pieces at."""
     return next(walk.index((node, w)) for w in nbr[node] if (node, w) in walk)
 
 
-def _replaced_layout(tour, deleted, pair, nbr):
+def _replaced_layout(tour, deleted, pair, nbr, inside):
     """The tour that replacing the tree edge `deleted` by `pair` on a
     chunked tour must leave, up to rotation, from the tour before the delete
     and the `nbr` after it.  The near walk Y = P3 P1 and the far walk X = P2
     are each rotated to start at their endpoint's occurrence (`_cut`) and
     laid out as Y (w_near,w_far) X (w_far,w_near).  A walk of one node is
-    empty: a near one is swapped to the far side, and both occurrences then
-    follow the near endpoint's first entering occurrence in `nbr` order.
-    Returns the layout, the (w_near, w_far) that the link sees and the case,
-    "one-node near", "one-node far" or None."""
+    empty: a near one is swapped to the far side.  An empty far walk, or one
+    that lay inside one chunk (`inside`), is written right after the near
+    endpoint's first entering occurrence in `nbr` order, rotated at its
+    first edge leaving w_far.  Returns the layout, the (w_near, w_far) that
+    the link sees and the case, "one-node near", "one-node far", "far
+    inside one chunk" or None."""
     u, v = deleted
     i1, i2 = sorted((tour.index((u, v)), tour.index((v, u))))
     y, x = tour[i2 + 1 :] + tour[:i1], tour[i1 + 1 : i2]
@@ -706,13 +716,40 @@ def _replaced_layout(tour, deleted, pair, nbr):
     case = None
     if not y:
         y, x, w_near, w_far, case = x, y, w_far, w_near, "one-node near"
-    if not x:
+    if not x or inside:
         k = next(y.index((w, w_near)) for w in nbr[w_near] if (w, w_near) in y) + 1
-        want = y[:k] + [(w_near, w_far), (w_far, w_near)] + y[k:]
-        return want, (w_near, w_far), case or "one-node far"
+        xc = next((i for i, (a, _) in enumerate(x) if a == w_far), 0)
+        want = y[:k] + [(w_near, w_far)] + x[xc:] + x[:xc] + [(w_far, w_near)] + y[k:]
+        return want, (w_near, w_far), case or ("far inside one chunk" if x else "one-node far")
     yc, xc = _cut(y, w_near, nbr), _cut(x, w_far, nbr)
     want = y[yc:] + y[:yc] + [(w_near, w_far)] + x[xc:] + x[:xc] + [(w_far, w_near)]
     return want, (w_near, w_far), None
+
+
+def _link_watch(monkeypatch):
+    """Record each `_link` a replacement makes (`_commit_large`) as a list
+    [pair, the far tour's kind, the near chunk c it swaps pieces at, and
+    "fronts" or "backs"]: a link of two chunked tours that joins `far` after
+    `near`, c last in its tour, keeps each chunk's front, and one that joins
+    it before keeps each chunk's back.  Returns the list of records."""
+    links = []
+    link, concatenate = EulerForest._link, MasterArray.concatenate
+
+    def watched_link(self, near, far, pair):
+        if sys._getframe(1).f_code.co_name != "_commit_large":
+            return link(self, near, far, pair)
+        c, _ = self._source_occurrence(pair[0])
+        links.append([pair, "none" if far is None else type(far).__name__, c, None])
+        return link(self, near, far, pair)
+
+    def watched_concatenate(self, a1, a2):
+        if sys._getframe(1).f_code.co_name == "_link" and links and links[-1][3] is None:
+            links[-1][3] = "fronts" if links[-1][2].array is a1 else "backs"
+        return concatenate(self, a1, a2)
+
+    monkeypatch.setattr(EulerForest, "_link", watched_link)
+    monkeypatch.setattr(MasterArray, "concatenate", watched_concatenate)
+    return links
 
 
 def _assert_rotation_of(got, want):
@@ -771,49 +808,29 @@ def _replacing_soak(f, seed, steps, target, on_replaced):
 
 class TestLinkedLayout:
     def test_a_replacement_is_the_cut_then_the_link(self, monkeypatch):
-        """A replacement on a chunked tour splits the far side's tour off,
+        """A replacement on a chunked tour takes the far side's tour off,
         joins the near side's and links the two by the replacement edge,
         leaving the oracle's layout up to rotation (`_replaced_layout`).  A
-        seeded small-K soak must reach a near cut that splits a chunk and
-        one that finds its occurrence at a chunk's front, the same two for
-        the far cut, a far side of one node, and a near side of one node
-        swapped to the far side."""
+        seeded small-K soak must reach a link of two chunked tours that
+        keeps the chunks' fronts and one that keeps their backs, a far side
+        inside one chunk written back as a small tour, a far side of one
+        node, and a near side of one node swapped to the far side."""
         reached = Counter()
-        links, cut_splits = [], []
-        link, split = EulerForest._link, EulerForest._split_chunk
-
-        def watched_link(self, near, far, pair):
-            cut_splits.clear()
-            whole = bool(far)
-            link(self, near, far, pair)
-            if sys._getframe(1).f_code.co_name == "_commit_large":
-                links.append((pair, whole, list(cut_splits)))
-
-        def watched_split(self, c, at, gap=0):
-            caller = sys._getframe(1)
-            if caller.f_code.co_name == "_cut_at_source":
-                cut_splits.append(caller.f_locals["node"])
-            return split(self, c, at, gap)
+        links = _link_watch(monkeypatch)
 
         def on_replaced(tour, deleted, rep):
-            pair, whole, splits = links.pop()
-            assert not links
-            want, seen_pair, case = _replaced_layout(tour, deleted, rep.edge, f.nbr)
-            assert pair == seen_pair and whole == (case is None), (deleted, rep)
-            if case is not None:
-                reached[case] += 1
-            else:
-                for side, node in zip(("near", "far"), pair):
-                    reached[f"{side} {'split' if node in splits else 'front'}"] += 1
+            (pair, kind, _, assignment), = links
+            links.clear()
+            inside = kind == "SmallTour"
+            want, seen_pair, case = _replaced_layout(tour, deleted, rep.edge, f.nbr, inside)
+            assert pair == seen_pair and (kind == "AggTree") == (case is None), (deleted, rep)
+            reached[case or assignment] += 1
             _assert_rotation_of(tour_of(f, pair[0]), want)
 
-        monkeypatch.setattr(EulerForest, "_link", watched_link)
-        monkeypatch.setattr(EulerForest, "_split_chunk", watched_split)
         f = forest(20)
         assert f.K == 8
         _replacing_soak(f, 3, 1000, 20, on_replaced)
-        cases = ("near split", "near front", "far split", "far front", "one-node far",
-                 "one-node near")
+        cases = ("fronts", "backs", "far inside one chunk", "one-node far", "one-node near")
         print(dict(reached))
         assert all(reached[k] for k in cases), reached
 
@@ -859,19 +876,19 @@ class TestNewOccurrences:
     @pytest.mark.parametrize("policy", [ArbitraryPolicy(9), CommonPolicy(0.25)])
     def test_links_and_splices_never_allocate(self, monkeypatch, policy):
         """A seeded small-K soak records the callers of every chunk
-        allocation: a link and a replacement make none of their own, while
-        cuts, repairs and chunkings do.  The soak must reach a link of a
+        allocation: a cut, a link and a replacement make none of their own;
+        repair splits and chunkings do.  The soak must reach a link of a
         singleton, of two chunked tours and of a chunked tour and a small
-        one it chunks, a replacement, and a replacement whose far side is
-        one node, which rotates nothing and allocates only in its sizing
-        repair.  A repair's merge of a linked chunk and an unlinked one must
-        retire the unlinked one, and the soak must reach such a merge.  The
-        checkers run after every update."""
+        one, a replacement, and a replacement whose far side is one node or
+        a small tour, which rotates nothing and allocates only in its
+        sizing repair.  A repair's merge of a linked chunk and an unlinked
+        one must retire the unlinked one, and the soak must reach such a
+        merge.  The checkers run after every update."""
         allocations = []
         reorders = []
         reached = dict.fromkeys(
             ("singleton link", "chunked link", "chunkified link", "replacement",
-             "one-node far side", "linked merge"),
+             "one-node far side", "small far side", "linked merge"),
             0,
         )
         alloc, reorder = MasterArray.alloc_chunk, MasterArray.reorder
@@ -900,10 +917,11 @@ class TestNewOccurrences:
             if sys._getframe(1).f_code.co_name != "_commit_large":
                 return link(self, near, far, pair)
             reached["replacement"] += 1
-            made, moved, whole = len(allocations), len(reorders), bool(far)
+            made, moved = len(allocations), len(reorders)
+            kind = "one-node far side" if far is None else "small far side"
             link(self, near, far, pair)
-            if not whole:
-                reached["one-node far side"] += 1
+            if far is None or isinstance(far, SmallTour):
+                reached[kind] += 1
                 assert len(reorders) == moved
                 assert all(up == "_repair" for _, up in allocations[made:]), allocations[made:]
 
@@ -944,8 +962,8 @@ class TestNewOccurrences:
         assert all(reached.values()), reached
         callers = {name for name, _ in allocations}
         assert not callers & {"_merge_tours", "_link", "_commit_large"}, callers
-        assert {"_as_array", "_split_chunk"} <= callers, callers
-        assert ("_split_chunk", "_cut_out") in allocations, callers
+        assert {"_as_array", "_split_chunk"} == callers, callers
+        assert all(up == "_repair" for name, up in allocations if name == "_split_chunk")
 
 
 def _linked_path():
@@ -976,38 +994,70 @@ def _store_calls(monkeypatch):
 
 
 class TestSlotRule:
-    """A cut, split or merge leaves a linked chunk's slot with the piece
-    that survives, and a new chunk, which holds no link bits, takes the
-    piece the sizing repair is likeliest to merge away."""
+    """A cut or a link keeps the chunks it swaps pieces of, each in its
+    slot with its link bits; a split or merge leaves a linked chunk's slot
+    with the piece that survives, and a new chunk, which holds no link
+    bits, takes the shorter piece."""
 
-    def test_cutting_a_linked_chunks_first_occurrence_keeps_its_slot(self, monkeypatch):
+    def test_a_cut_keeps_both_chunks_in_their_slots(self, monkeypatch):
+        """Deleting a tree edge whose occurrences lie in two linked chunks,
+        c_lo = x lo y and c_hi = z hi w, leaves x w and z y in them: c_lo
+        and c_hi keep their fronts and take w and y when that rewrites
+        fewer pointers, |w| + |y| <= |x| + |z|, else c_hi keeps w and takes
+        x and c_lo keeps y and takes z.  The cut makes and retires no chunk,
+        both chunks keep their slots, and every pointer names its edge once
+        it is done.  Every such edge of the path that leaves no junction
+        empty, each on a fresh copy, must reach both rules."""
         f, array = _linked_path()
-        # a linked chunk of 3 or more edges whose first edge's reverse lies
-        # in another chunk, so its cut is the only one in this chunk
-        c = next(
-            c for c in array.leaves
-            if c.bits and len(c.edges) >= 3
-            and f.edge_occ[c.edges[0][::-1]][0] is not c
-        )
-        first, rest, slot, pos = c.edges[0], c.edges[1:], c.slot, c.pos
-        calls = _store_calls(monkeypatch)
-        cut_out, seen = EulerForest._cut_out, []
+        edges = []
+        for u, v in sorted(e for e in f.edge_occ if e[0] < e[1]):
+            (c_lo, i), (c_hi, j) = sorted(
+                (locate(f.edge_occ[e]) for e in ((u, v), (v, u))), key=lambda o: (o[0].pos, o[1])
+            )
+            if c_lo is c_hi or not (c_lo.bits and c_hi.bits) or min(len(f.nbr[u]), len(f.nbr[v])) < 2:
+                continue
+            # no piece of the junctions is left empty, so neither chunk retires
+            if i + len(c_hi.edges) - j - 1 and j + len(c_lo.edges) - i - 1:
+                edges.append((u, v))
+        reached = Counter()
+        for u, v in edges:
+            f, array = _linked_path()
+            (c_lo, i), (c_hi, j) = sorted(
+                (locate(f.edge_occ[e]) for e in ((u, v), (v, u))), key=lambda o: (o[0].pos, o[1])
+            )
+            x, y = c_lo.edges[:i], c_lo.edges[i + 1 :]
+            z, w = c_hi.edges[:j], c_hi.edges[j + 1 :]
+            slots = c_lo.slot, c_hi.slot
+            calls = _store_calls(monkeypatch)
+            seen = []
 
-        def watched_cut(self, edge):
-            made = len(calls)
-            out = cut_out(self, edge)
-            if edge == first:
-                seen.append((out, calls[made:], list(c.edges), self.store.slots.get(slot)))
-                for off, e in enumerate(c.edges):
-                    assert locate(self.edge_occ[e]) == (c, off)
-            return out
+            def watched(name, step):
+                def run(self, *args):
+                    if sys._getframe(1).f_code.co_name == "_commit_large" and not seen:
+                        for e, occ in self.edge_occ.items():
+                            container, off = locate(occ)
+                            assert container.edges[off] == e
+                        held = tuple(self.store.slots.get(s) for s in slots)
+                        seen.append((list(calls), list(c_lo.edges), list(c_hi.edges), held))
+                    return step(self, *args)
 
-        monkeypatch.setattr(EulerForest, "_cut_out", watched_cut)
-        f.delete_edge(*first)
-        (out, during, edges, holder), = seen
-        assert out == pos and during == [] and edges == rest and holder is c
-        check_euler_forest(f)
-        check_chunk_store(f.store)
+                return run
+
+            for name in ("_link", "_repair"):
+                monkeypatch.setattr(EulerForest, name, watched(name, getattr(EulerForest, name)))
+            f.delete_edge(u, v)
+            monkeypatch.undo()
+            (during, lo_edges, hi_edges, held), = seen
+            assert during == [] and held == (c_lo, c_hi), (u, v)
+            if len(w) + len(y) <= len(x) + len(z):
+                assert (lo_edges, hi_edges) == (x + w, z + y), (u, v)
+                reached["fronts"] += 1
+            else:
+                assert (lo_edges, hi_edges) == (z + y, x + w), (u, v)
+                reached["backs"] += 1
+            check_euler_forest(f)
+            check_chunk_store(f.store)
+        assert reached["fronts"] and reached["backs"], reached
 
     @pytest.mark.parametrize("fresh", ["left", "right"])
     def test_a_merge_retires_the_unlinked_chunk(self, monkeypatch, fresh):
@@ -1030,58 +1080,57 @@ class TestSlotRule:
         check_euler_forest(f)
         check_chunk_store(f.store)
 
-    def test_a_link_cut_gives_the_new_chunk_the_shorter_head(self, monkeypatch):
-        """A link cuts each tour before an occurrence leaving its endpoint.
-        When that occurrence sits in the front half of its chunk, the new
-        chunk takes the shorter head before it, which the rotation makes
-        the last chunk of the tour, so the new occurrence is appended to
-        it.  A seeded small-K soak must reach such a cut in a replacement;
-        there the tour must be the oracle's layout up to rotation
-        (`_replaced_layout`), and the forest passes its checkers after
-        every update."""
-        reached = 0
-        heads, ends = {}, {}
-        split, write = EulerForest._split_chunk, EulerForest._write_occurrences
+    def test_a_link_keeps_both_chunks_and_writes_the_fewer_pointers(self, monkeypatch):
+        """A link of two chunked tours swaps the pieces of c = a b and
+        d = a' b' at its endpoints' first leaving occurrences in `nbr`
+        order: c becomes a (w_near,w_far) b' and d a' (w_far,w_near) b when
+        |b| + |b'| <= |a| + |a'|, else c becomes a' (w_far,w_near) b and d
+        a (w_near,w_far) b'.  Before its repair it makes and retires no
+        chunk, both chunks keep their slots, and it writes the two new
+        pointers and the pointers of the pieces that change chunk, no
+        more.  A seeded small-K soak must reach both rules on insertions
+        and on replacements; the forest passes its checkers after every
+        update."""
+        reached = Counter()
+        link, repair = EulerForest._link, EulerForest._repair
+        open_links = []
 
-        def watched_split(self, c, at, gap=0):
-            caller, n_edges = sys._getframe(1), len(c.edges)
-            pieces = split(self, c, at, gap)
-            if caller.f_code.co_name == "_cut_at_source" and 2 * at < n_edges:
-                assert pieces[0] is not c and pieces[1] is c
-                heads[caller.f_locals["node"]] = pieces[0]
-            return pieces
+        def watched_link(self, near, far, pair):
+            caller = sys._getframe(1).f_code.co_name
+            if not isinstance(far, AggTree):
+                return link(self, near, far, pair)
+            (c, i), (d, j) = (self._source_occurrence(x) for x in pair)
+            a, b, a2, b2 = c.edges[:i], list(c.edges[i:]), d.edges[:j], list(d.edges[j:])
+            fronts = len(b) + len(b2) <= len(a) + len(a2)
+            if fronts:
+                want = a + [pair] + b2, a2 + [pair[::-1]] + b
+            else:
+                want = a2 + [pair[::-1]] + b, a + [pair] + b2
+            writes = 2 + (len(b) + len(b2) if fronts else len(a) + len(a2))
+            open_links.append((c, d, (c.slot, d.slot), want, writes, len(calls), rec.mark()))
+            link(self, near, far, pair)
+            reached[(caller, "fronts" if fronts else "backs")] += 1
 
-        def watched_write(self, c, at, new):
-            if sys._getframe(1).f_code.co_name == "_link" and len(new) == 1:
-                assert at == len(c.edges)
-                ends[new[0][0]] = c
-            return write(self, c, at, new)
+        def watched_repair(self, array):
+            if sys._getframe(1).f_code.co_name == "_link" and open_links:
+                c, d, slots, want, writes, made, mark = open_links.pop()
+                assert calls[made:] == []
+                assert tuple(self.store.slots.get(s) for s in slots) == (c, d)
+                assert (c.edges, d.edges) == want
+                assert rec.since(mark)[0] == writes
+            return repair(self, array)
 
-        def on_replaced(tour, deleted, rep):
-            nonlocal reached
-            if heads:
-                reached += 1
-                want, pair, _ = _replaced_layout(tour, deleted, rep.edge, f.nbr)
-                _assert_rotation_of(tour_of(f, pair[0]), want)
-
-        def watched(update):
-            def run(self, u, v):
-                heads.clear()
-                ends.clear()
-                out = update(self, u, v)
-                assert all(ends[node] is head for node, head in heads.items()), (heads, ends)
-                return out
-
-            return run
-
-        monkeypatch.setattr(EulerForest, "_split_chunk", watched_split)
-        monkeypatch.setattr(EulerForest, "_write_occurrences", watched_write)
-        for name in ("insert_edge", "delete_edge"):
-            monkeypatch.setattr(EulerForest, name, watched(getattr(EulerForest, name)))
+        calls = _store_calls(monkeypatch)
+        monkeypatch.setattr(EulerForest, "_link", watched_link)
+        monkeypatch.setattr(EulerForest, "_repair", watched_repair)
         f = forest(20)
         assert f.K == 8
-        _replacing_soak(f, 3, 600, 20, on_replaced)
-        assert reached
+        rec = _Reindexes(monkeypatch, f)
+        _replacing_soak(f, 3, 600, 20, lambda *_: None)
+        assert not open_links
+        kinds = [(caller, rule) for caller in ("_merge_tours", "_commit_large")
+                 for rule in ("fronts", "backs")]
+        assert all(reached[k] for k in kinds), reached
 
 
 class _CountedOccurrences(dict):
@@ -1145,34 +1194,52 @@ class TestReindexOnlyWhatMoves:
     non-tree record and writes the new pointer, 5 units
     (`parallel_charge`)."""
 
-    def test_cutting_a_chunks_first_occurrence_rewrites_nothing(self, monkeypatch):
-        # an edge with no lone endpoint, so the delete cuts it out rather
-        # than contracting a leaf
-        f, array = _chunked_path()
-        c = next(
-            c for c in array.leaves
-            if len(c.edges) >= 3 and locate(f.edge_occ[c.edges[0][::-1]])[0] is not c
-            and all(len(f.nbr[x]) > 1 for x in c.edges[0])
-        )
-        first, rest = c.edges[0], c.edges[1:]
-        rec = _Reindexes(monkeypatch, f)
-        cut_out, seen = EulerForest._cut_out, []
+    def test_a_cut_rewrites_the_fewer_pointers(self, monkeypatch):
+        """Deleting a path edge (no replacement; no lone endpoint, so the
+        delete cuts rather than contracting a leaf), each on a fresh copy.
+        Across two chunks c_lo = x lo y and c_hi = z hi w, the cut rewrites
+        min(|w| + |y|, |x| + |z|) pointers, the pieces that change chunk,
+        and moves a base only when the chunks keep their backs.  Inside one
+        chunk x lo y hi w, it rewrites the shorter of x and w, moving the
+        base when that is x, and the far walk y becomes a small tour.  The
+        path must reach both rules across two chunks and a cut inside
+        one."""
+        reached = Counter()
+        for u in range(1, 39):
+            f, array = _chunked_path()
+            (c_lo, i), (c_hi, j) = sorted(
+                (locate(f.edge_occ[e]) for e in ((u, u + 1), (u + 1, u))),
+                key=lambda o: (o[0].pos, o[1]),
+            )
+            if c_lo is c_hi:
+                n = len(c_lo.edges) - (j - i + 1)
+                head = 2 * i < n
+                want, case = (min(i, n - i), 1 if head else 0), "inside"
+            else:
+                x, y, z, w = i, len(c_lo.edges) - i - 1, j, len(c_hi.edges) - j - 1
+                after = w + y <= x + z
+                want, case = (min(w + y, x + z), None), "after" if after else "before"
+            rec = _Reindexes(monkeypatch, f)
+            repair, seen = EulerForest._repair, []
 
-        def watched_cut(self, edge):
-            mark = rec.mark()
-            out = cut_out(self, edge)
-            if edge == first:
-                seen.append(rec.since(mark))
-                assert c.edges == rest
-                for off, e in enumerate(c.edges):
-                    assert locate(self.edge_occ[e]) == (c, off)
-            return out
+            def watched_repair(self, array, _r=repair):
+                if not seen:
+                    seen.append(rec.since((0, 0)))
+                return _r(self, array)
 
-        monkeypatch.setattr(EulerForest, "_cut_out", watched_cut)
-        f.delete_edge(*first)
-        assert seen == [(0, 0, 1)] and rec.moves == [1] * len(rec.moves)
-        check_euler_forest(f)
-        check_chunk_store(f.store)
+            monkeypatch.setattr(EulerForest, "_repair", watched_repair)
+            assert f.delete_edge(u, u + 1).kind == ReplacementReport.SPLIT
+            monkeypatch.undo()
+            (writes, work, moves), = seen
+            assert writes == want[0] and work == 5 * writes, (u, case, seen, want)
+            if case == "inside":
+                assert moves == want[1] and isinstance(f.edge_occ[(u + 1, u + 2)][0], SmallTour)
+            else:
+                assert moves == 0 if case == "after" else moves <= 2, (u, case, moves)
+            reached[case] += 1
+            check_euler_forest(f)
+            check_chunk_store(f.store)
+        assert all(reached[k] for k in ("after", "before", "inside")), reached
 
     @pytest.mark.parametrize("shorter", ["left", "right"])
     def test_a_split_rewrites_its_shorter_piece(self, monkeypatch, shorter):
@@ -1260,10 +1327,10 @@ class TestReindexOnlyWhatMoves:
         rec = _Reindexes(monkeypatch, f)
         split, splits = EulerForest._split_chunk, {"left": 0, "right": 0}
 
-        def watched_split(self, c, at, gap=0):
+        def watched_split(self, c, at):
             mark, n_edges = rec.mark(), len(c.edges)
-            pieces = split(self, c, at, gap)
-            moved = min(at, n_edges - at - gap)
+            pieces = split(self, c, at)
+            moved = min(at, n_edges - at)
             assert rec.since(mark)[:2] == (moved, 5 * moved)
             splits["left" if pieces[1] is c else "right"] += 1
             return pieces
@@ -1328,11 +1395,11 @@ def _spanning_soak(f, rng, steps):
 class TestSlotCount:
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 48, 200, 1026, 10**5])
     def test_slot_count_is_the_resting_bound_plus_the_transient_chunks(self, n):
-        """J = R + T with R = floor((2n - 2) / ceil(K/2)) and T = 8."""
+        """J = R + T with R = floor((2n - 2) / ceil(K/2)) and T = 4."""
         f = forest(n)
-        assert TRANSIENT_CHUNKS == 8
+        assert TRANSIENT_CHUNKS == 4
         assert resting_chunks(n, f.K) == (2 * n - 2) // ((f.K + 1) // 2)
-        assert f.store.slot_count == (2 * n - 2) // ((f.K + 1) // 2) + 8
+        assert f.store.slot_count == (2 * n - 2) // ((f.K + 1) // 2) + 4
 
     @pytest.mark.parametrize("policy", [ArbitraryPolicy(11), CommonPolicy(0.25)])
     @pytest.mark.parametrize("n", [8, 30, 200])
@@ -1340,13 +1407,17 @@ class TestSlotCount:
         """A seeded soak over tours spanning every node records the live
         chunks at every allocation: they never exceed J, so the array is
         never full, and at rest never exceed R, which the soak comes close
-        to.  It also records the live touched chunks each link's repair
-        sees: never more than `TOUCHED_ON_LINK` on a link and
-        `TOUCHED_ON_REPLACEMENT` on a replacement, the counts `depth_bounds`
-        and T are built from.  The margin to R + T is printed."""
-        peak = 0
-        touched = {"_merge_tours": 0, "_commit_large": 0}
-        alloc, repair = MasterArray.alloc_chunk, EulerForest._repair
+        to.  It also records, per repair, the live touched chunks it sees
+        and the chunks it splits off: on a link (`_link` under
+        `_merge_tours`), on each piece of a cut with no replacement and on
+        a replacement (`_link` under `_commit_large`).  Each count must
+        reach, and never pass, its bound (`TOUCHED_*`, `SPLITS_*`), the
+        counts `depth_bounds` and T are built from.  The margin to R + T is
+        printed."""
+        peak, split_count = 0, [0]
+        kinds = {"link": 0, "cut piece": 0, "replacement": 0}
+        touched, splits = dict(kinds), dict(kinds)
+        alloc, repair, split = MasterArray.alloc_chunk, EulerForest._repair, EulerForest._split_chunk
 
         def counted(self, edges):
             nonlocal peak
@@ -1354,13 +1425,24 @@ class TestSlotCount:
             peak = max(peak, len(self.slots))
             return c
 
-        def counted_repair(self, array):
-            if sys._getframe(1).f_code.co_name == "_link":
-                update = sys._getframe(2).f_code.co_name
-                live = sum(c.array is array for c in self._touched)
-                touched[update] = max(touched[update], live)
-            return repair(self, array)
+        def counted_split(self, c, at):
+            split_count[0] += 1
+            return split(self, c, at)
 
+        def counted_repair(self, array):
+            caller = sys._getframe(1).f_code.co_name
+            if caller == "_link":
+                kind = "link" if sys._getframe(2).f_code.co_name == "_merge_tours" else "replacement"
+            else:
+                kind = "cut piece" if caller == "_commit_large" else None
+            live, made = sum(c.array is array for c in self._touched), split_count[0]
+            out = repair(self, array)
+            if kind is not None:
+                touched[kind] = max(touched[kind], live)
+                splits[kind] = max(splits[kind], split_count[0] - made)
+            return out
+
+        monkeypatch.setattr(EulerForest, "_split_chunk", counted_split)
         monkeypatch.setattr(MasterArray, "alloc_chunk", counted)
         monkeypatch.setattr(EulerForest, "_repair", counted_repair)
         f = forest(n, policy)
@@ -1371,20 +1453,27 @@ class TestSlotCount:
             if step % 500 == 0:
                 check_euler_forest(f)
         check_euler_forest(f)
-        print(f"n={n}: peak {peak} live chunks, R + T = {J}, margin {J - peak}; at rest {rest} of R = {R}; touched before a repair {touched}")
+        print(f"n={n}: peak {peak} live chunks, R + T = {J}, margin {J - peak}; at rest {rest} of R = {R}; touched before a repair {touched}, split off {splits}")
         assert peak <= J == R + TRANSIENT_CHUNKS
-        assert 0 < touched["_merge_tours"] <= TOUCHED_ON_LINK
-        assert 0 < touched["_commit_large"] <= TOUCHED_ON_REPLACEMENT
-        assert R - 1 <= rest <= R and peak > R
+        assert touched == {
+            "link": TOUCHED_ON_LINK, "cut piece": TOUCHED_AFTER_CUT,
+            "replacement": TOUCHED_ON_REPLACEMENT,
+        }
+        assert splits["link"] <= SPLITS_ON_LINK and splits["cut piece"] <= SPLITS_AFTER_CUT
+        assert splits["replacement"] <= SPLITS_ON_REPLACEMENT
+        assert R - 1 <= rest <= R and rest <= peak
 
 
 def _array_calls(monkeypatch):
-    """Count the master array's tour-restructuring calls by name."""
+    """Count the master array's tour-restructuring calls by name, and under
+    "rotated" the `reorder` calls that move a chunk (a position above 0)."""
     calls = Counter()
     for name in ("split_array", "concatenate", "reorder"):
 
         def watched(self, *args, _name=name, _method=getattr(MasterArray, name)):
             calls[_name] += 1
+            if _name == "reorder" and args[1] > 0:
+                calls["rotated"] += 1
             return _method(self, *args)
 
         monkeypatch.setattr(MasterArray, name, watched)
@@ -1395,26 +1484,38 @@ class TestLinkCalls:
     @pytest.mark.parametrize("policy", [ArbitraryPolicy(3), CommonPolicy(0.25)])
     def test_tree_calls_of_each_link(self, monkeypatch, policy):
         """A seeded small-K soak counts the master array's restructuring
-        calls (`_array_calls`) in every update that links.  A chunked
-        replacement makes 2 `split_array`, 2 `concatenate` and at most 2
-        `reorder` calls, and a link of two chunked tours, a small one
-        chunked first, 0 `split_array`, 1 `concatenate` and at most 2
-        `reorder`.  A link of a singleton makes none, and a replacement
-        whose far side is one node only its 2 splits and 1 join, with no
-        `reorder`.  The soak must reach each kind and a rotation of both
-        tours, and the checkers run after every update."""
+        calls (`_array_calls`) in every update that links.  A link of two
+        chunked tours, or of a chunked tour and a small one it chunks,
+        makes 0 `split_array`, 1 `concatenate` and at most 2 `reorder`
+        calls; one that writes a small or single-node far tour into a chunk
+        makes none.  A replacement adds its cut: 2 `split_array` and 1
+        `concatenate` across two chunks, none inside one.  The soak must
+        reach each kind and a link that rotates both tours, and the checkers
+        run after every update."""
         want = {
-            ("_merge_tours", True): (0, 1, 2),
-            ("_merge_tours", False): (0, 0, 0),
-            ("_commit_large", True): (2, 2, 2),
-            ("_commit_large", False): (2, 1, 0),
+            ("_merge_tours", None, "chunked"): (0, 1, 2),
+            ("_merge_tours", None, "written"): (0, 0, 0),
+            ("_commit_large", "across", "chunked"): (2, 2, 2),
+            ("_commit_large", "across", "written"): (2, 1, 0),
+            ("_commit_large", "inside", "written"): (0, 0, 0),
         }
         reached, links = Counter(), []
-        link = EulerForest._link
+        link, commit, write = EulerForest._link, EulerForest._commit_large, EulerForest._write_occurrences
+        cut = [None]
+
+        def watched_commit(self, array, lo, hi, pair):
+            cut[0] = "inside" if lo[1][0] is hi[1][0] else "across"
+            return commit(self, array, lo, hi, pair)
 
         def watched_link(self, near, far, pair):
-            links.append((sys._getframe(1).f_code.co_name, bool(far)))
+            caller = sys._getframe(1).f_code.co_name
+            links.append([caller, cut[0] if caller == "_commit_large" else None, "chunked"])
             return link(self, near, far, pair)
+
+        def watched_write(self, c, at, new):
+            if sys._getframe(1).f_code.co_name == "_link":
+                links[-1][2] = "written"
+            return write(self, c, at, new)
 
         def watched(update):
             def run(self, u, v):
@@ -1423,24 +1524,162 @@ class TestLinkCalls:
                 out = update(self, u, v)
                 if links:
                     (kind,) = links
-                    splits, joins, rotations = want[kind]
+                    splits, joins, rotations = want[tuple(kind)]
                     assert calls["split_array"] == splits, (kind, calls)
                     assert calls["concatenate"] == joins, (kind, calls)
                     assert calls["reorder"] <= rotations, (kind, calls)
-                    reached[kind] += 1
-                    reached["both rotated"] += calls["reorder"] == 2
+                    reached[tuple(kind)] += 1
+                    reached["both rotated"] += calls["rotated"] == 2
                 return out
 
             return run
 
         calls = _array_calls(monkeypatch)
+        monkeypatch.setattr(EulerForest, "_commit_large", watched_commit)
         monkeypatch.setattr(EulerForest, "_link", watched_link)
+        monkeypatch.setattr(EulerForest, "_write_occurrences", watched_write)
         for name in ("insert_edge", "delete_edge"):
             monkeypatch.setattr(EulerForest, name, watched(getattr(EulerForest, name)))
         f = forest(20, policy)
         assert f.K == 8
         _replacing_soak(f, 4, 800, 20, lambda *_: None)
         assert all(reached[kind] for kind in want) and reached["both rotated"], reached
+
+
+class TestChunksPlacedOnce:
+    """No cut or link splits a chunk: each swaps the pieces of the chunks
+    at its occurrences.  So a cut, a link or a replacement allocates no
+    chunk but its repairs' splits and the chunking of a small tour
+    (`_as_array`), and no chunk is allocated and retired in one forest
+    update."""
+
+    @pytest.mark.parametrize("policy", [ArbitraryPolicy(6), CommonPolicy(0.25)])
+    def test_every_chunk_is_placed_once_per_update(self, monkeypatch, policy):
+        """Two seeded small-K soaks, `_spanning_soak` over 40 nodes and
+        `_replacing_soak` over 20, run the checkers after every update and
+        record every chunk allocation and retirement, and the master
+        array's restructuring calls (`_array_calls`) of each cut and each
+        link.  Each allocation comes from `_as_array` or from a split of
+        `_repair`; no chunk is retired in the forest update (one outermost
+        `insert_edge`, `_delete` or `contract`) that allocated it.  A cut
+        across two chunks makes 2 `split_array` and 1 `concatenate` and
+        leaves x w and z y in its chunks by the rule of fewer writes
+        (`_cut_across`), a cut inside one chunk makes none, a link of
+        chunked tours makes 0 `split_array`, 1 `concatenate` and at most 2
+        `reorder`, and a link that writes a small or single-node far tour
+        into a chunk makes none.  The soaks must reach both swap rules of a
+        cut and of a link, a far side inside one chunk, a small far tour
+        written in place and one chunked, and a near side of one node."""
+        reached = Counter()
+        calls = _array_calls(monkeypatch)
+        update, depth, born = [0], [0], {}
+        alloc, retire = MasterArray.alloc_chunk, MasterArray.retire_chunk
+        commit, link = EulerForest._commit_large, EulerForest._link
+        write, repair = EulerForest._write_occurrences, EulerForest._repair
+        cuts, links = [], []
+
+        def mark():
+            return calls["split_array"], calls["concatenate"], calls["reorder"]
+
+        def spent(before):
+            return tuple(now - then for now, then in zip(mark(), before))
+
+        def one_update(step):
+            def run(self, *args):
+                depth[0] += 1
+                update[0] += depth[0] == 1
+                try:
+                    return step(self, *args)
+                finally:
+                    depth[0] -= 1
+
+            return run
+
+        def watched_alloc(self, edges):
+            caller, up = sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name
+            assert caller == "_as_array" or (caller, up) == ("_split_chunk", "_repair"), (caller, up)
+            c = alloc(self, edges)
+            born[c] = update[0]
+            return c
+
+        def watched_retire(self, c):
+            assert born.pop(c, None) != update[0], "a chunk allocated and retired in one update"
+            return retire(self, c)
+
+        def watched_commit(self, array, lo, hi, pair):
+            (c_lo, i), (c_hi, j) = lo[1], hi[1]
+            want = None
+            if c_lo is c_hi:
+                shape = "inside"
+                reached["far inside one chunk"] += j > i + 1
+            else:
+                x, y = c_lo.edges[:i], c_lo.edges[i + 1 :]
+                z, w = c_hi.edges[:j], c_hi.edges[j + 1 :]
+                after = len(w) + len(y) <= len(x) + len(z)
+                shape = "after" if after else "before"
+                want = (x + w, z + y) if after else (z + y, x + w)
+                if pair is not None and not (x or w) and c_lo.pos == 0 and c_hi.pos == len(array) - 1:
+                    reached["one-node near"] += 1
+            cuts.append((shape, want, c_lo, c_hi, mark()))
+            commit(self, array, lo, hi, pair)
+
+        def cut_done():
+            """At the cut's first repair or link: its tree calls and chunks."""
+            shape, want, c_lo, c_hi, before = cuts.pop()
+            assert spent(before) == ((0, 0, 0) if shape == "inside" else (2, 1, 0)), shape
+            if want is not None and c_lo.array is not None and c_hi.array is not None:
+                assert (c_lo.edges, c_hi.edges) == want, shape
+            reached[f"cut {shape}"] += 1
+
+        def watched_repair(self, array):
+            if cuts and sys._getframe(1).f_code.co_name == "_commit_large":
+                cut_done()
+            return repair(self, array)
+
+        def watched_link(self, near, far, pair):
+            if cuts:
+                cut_done()
+            before, kind = mark(), [far, "chunked"]
+            links.append(kind)
+            small = isinstance(far, SmallTour)
+            if isinstance(far, AggTree):
+                (c, i), (d, j) = (self._source_occurrence(x) for x in pair)
+                fronts = len(c.edges) - i + len(d.edges) - j <= i + j
+                reached["link fronts" if fronts else "link backs"] += 1
+            link(self, near, far, pair)
+            links.pop()
+            if kind[1] == "written":
+                assert spent(before) == (0, 0, 0), kind
+                reached["small far written"] += small
+            else:
+                splits, joins, rotations = spent(before)
+                assert (splits, joins) == (0, 1) and rotations <= 2, kind
+                reached["small far chunked"] += small
+
+        def watched_write(self, c, at, new):
+            if sys._getframe(1).f_code.co_name == "_link":
+                links[-1][1] = "written"
+            return write(self, c, at, new)
+
+        for name in ("insert_edge", "_delete", "contract"):
+            monkeypatch.setattr(EulerForest, name, one_update(getattr(EulerForest, name)))
+        monkeypatch.setattr(MasterArray, "alloc_chunk", watched_alloc)
+        monkeypatch.setattr(MasterArray, "retire_chunk", watched_retire)
+        monkeypatch.setattr(EulerForest, "_commit_large", watched_commit)
+        monkeypatch.setattr(EulerForest, "_repair", watched_repair)
+        monkeypatch.setattr(EulerForest, "_link", watched_link)
+        monkeypatch.setattr(EulerForest, "_write_occurrences", watched_write)
+        f = forest(40, policy)
+        assert f.K == 11
+        for _ in _spanning_soak(f, random.Random(2), 1500):
+            check_euler_forest(f)
+        f = forest(20, policy)
+        _replacing_soak(f, 5, 1500, 20, lambda *_: None)
+        assert not cuts and not links and born
+        print(dict(reached))
+        cases = ("cut after", "cut before", "cut inside", "link fronts", "link backs",
+                 "far inside one chunk", "small far written", "small far chunked", "one-node near")
+        assert all(reached[k] for k in cases), reached
 
 
 class TestCutWithoutReplacement:
@@ -1815,10 +2054,10 @@ class TestContract:
     occurrences and takes out the two leaving ones; for a leaf it takes
     out both.  The tour keeps every other edge in its order, with (p, q)
     and (q, p) in place of a degree-2 node's walks, and no probe, cut,
-    split, reorder or allocation runs."""
+    link, split, reorder or allocation runs."""
 
     FORBIDDEN = (
-        (EulerForest, ("_probe_large", "_probe_small", "_cut_out", "_split_chunk")),
+        (EulerForest, ("_probe_large", "_probe_small", "_commit_large", "_link", "_split_chunk")),
         (MasterArray, ("reorder", "alloc_chunk", "split_array")),
     )
 

@@ -55,17 +55,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (438199, {"insert": 79, "delete": 160, "connected": 0}, 20296),
+            (306645, {"insert": 58, "delete": 120, "connected": 0}, 18928),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (439537, {"insert": 89, "delete": 184, "connected": 0}, 20296),
+            (311309, {"insert": 52, "delete": 153, "connected": 0}, 18928),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (44401, {"insert": 132, "delete": 177}, 4059),
+            (40250, {"insert": 44, "delete": 149}, 3699),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],
