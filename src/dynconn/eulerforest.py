@@ -320,7 +320,8 @@ class EulerForest:
         else is chunked and linked so.  A cut is two boundary splits, one
         join and a write or a retirement per cut chunk, and touches one
         chunk per piece, of at most 2K - 2 edges; a far side inside one
-        chunk is one write and no tree call.  A replacement is that cut,
+        chunk takes a write or a retirement, a test step and the small
+        tour's adoption, and no tree call.  A replacement is that cut,
         then the link, so its repair sees at most 4 touched chunks: the
         cut's two, of at most 2K - 2 edges together, and the link's two,
         which held at most K each unless they are the cut's, plus the 2
@@ -1032,23 +1033,15 @@ class EulerForest:
         p3 = self.master.split_array(array, c_hi.pos + after)
         far = self.master.split_array(array, c_lo.pos + after)
         self.master.concatenate(array, p3)
-        if after:  # each chunk keeps its front and takes the reindexed back
-            writes = (c_lo, x + w, len(x), None, 0), (c_hi, z + y, len(z), None, 0)
+        if after:  # each chunk keeps its front and takes the other's back
+            self._rewrite(c_lo, x + w, len(x))
+            self._rewrite(c_hi, z + y, len(z))
         else:  # each keeps its back, which moves with its base
-            writes = (
-                (c_hi, x + w, 0, len(x), len(x) - j - 1),
-                (c_lo, z + y, 0, len(z), len(z) - i - 1),
-            )
-        touched = self._touched
-        for c, edges, start, stop, shift in writes:
-            c.edges = edges
-            if not edges:
-                self._retire_chunk(c)
-                continue
-            touched.setdefault(c, False)
-            self._reindex_chunk(c, start, stop, shift)
-            if marked:
-                touched[c] = True
+            self._rewrite(c_hi, x + w, 0, len(x), len(x) - j - 1)
+            self._rewrite(c_lo, z + y, 0, len(z), len(z) - i - 1)
+        for c in (c_lo, c_hi):
+            if marked and c.array is not None:
+                self._touched[c] = True
         return far if far else None
 
     def _cut_inside(self, c, i, j, marked):
@@ -1058,23 +1051,17 @@ class EulerForest:
         edge); no array changes.  Each of y's edges tests its source, and
         c is marked when one of y's nodes, which leave it, has a non-tree
         edge.  A chunk left empty is retired."""
-        edges = c.edges
-        walk = edges[i + 1 : j]
-        del edges[i : j + 1]
+        walk = c.edges[i + 1 : j]
+        edges = c.edges[:i] + c.edges[j + 1 :]
         self._moved(*(a for a, _ in walk))
         self.meter.parallel_charge(len(walk))
         nontree = self.nontree
-        marked = marked or any(a in nontree for a, _ in walk)
-        if not edges:
-            self._retire_chunk(c)
+        if 2 * i < len(edges):  # the head is the shorter side
+            self._rewrite(c, edges, 0, i, i - j - 1)
         else:
-            self._touched.setdefault(c, False)
-            if 2 * i < len(edges):  # the head is the shorter side
-                self._reindex_chunk(c, 0, i, i - j - 1)
-            else:
-                self._reindex_chunk(c, i)
-            if marked:
-                self._touched[c] = True
+            self._rewrite(c, edges, i)
+        if c.array is not None and (marked or any(a in nontree for a, _ in walk)):
+            self._touched[c] = True
         return self._adopt_small(walk)
 
     def _link(self, near, far, pair):
@@ -1127,23 +1114,28 @@ class EulerForest:
 
         self.meter.parallel_for(2, rotate)
         near, far = tours
-        touched = self._touched
-        touched.setdefault(c, False)
-        touched.setdefault(d, False)
-        if fronts:
+        if fronts:  # each chunk keeps its front and takes the other's back
             self.master.concatenate(near, far)
-            c.edges = a + [(w_near, w_far)] + b2
-            d.edges = a2 + [(w_far, w_near)] + b
-            self._reindex_chunk(c, i)
-            self._reindex_chunk(d, j)
-        else:
+            self._rewrite(c, a + [(w_near, w_far)] + b2, i)
+            self._rewrite(d, a2 + [(w_far, w_near)] + b, j)
+        else:  # each keeps its back, which moves with its base
             self.master.concatenate(far, near)
             near = far
-            c.edges = a2 + [(w_far, w_near)] + b
-            d.edges = a + [(w_near, w_far)] + b2
-            self._reindex_chunk(c, 0, j + 1, j + 1 - i)
-            self._reindex_chunk(d, 0, i + 1, i + 1 - j)
+            self._rewrite(c, a2 + [(w_far, w_near)] + b, 0, j + 1, j + 1 - i)
+            self._rewrite(d, a + [(w_near, w_far)] + b2, 0, i + 1, i + 1 - j)
         self._repair(near)
+
+    def _rewrite(self, c, edges, start, stop=None, shift=0):
+        """Give c the edges `edges`, of which only those in [start, stop)
+        moved in or are new, after the others' offsets moved by `shift`
+        (`_reindex_chunk`), and touch it; a chunk left with no edge is
+        retired instead."""
+        c.edges = edges
+        if not edges:
+            self._retire_chunk(c)
+            return
+        self._touched.setdefault(c, False)
+        self._reindex_chunk(c, start, stop, shift)
 
     # -- sizing repairs and the link flush ------------------------------------
 

@@ -1,7 +1,7 @@
 """The per-method work split in `tools/workshare.py` still runs against the
 package, books every unit of the replay once, counts chunk lives, offset
-writes and link refreshes and splits the gadget updates' work by call
-site."""
+writes, link refreshes by marking site and structural calls per forest
+update, and splits the gadget updates' work by call site."""
 
 import importlib.util
 from pathlib import Path
@@ -20,7 +20,9 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     insert, join, column = aggtree.AggTree.insert, aggtree.join, aggtree.write_column
     alloc, retire = chunks.MasterArray.alloc_chunk, chunks.MasterArray.retire_chunk
     reindex, move = EulerForest._reindex_chunk, EulerForest._move_base
-    refresh = EulerForest._refresh_links
+    refresh, flush = EulerForest._refresh_links, EulerForest._flush_links
+    markers = {name: getattr(EulerForest, name) for name in workshare.MARKERS}
+    tree_calls = {name: getattr(aggtree.AggTree, name) for name in workshare.STRUCTURAL[:3]}
     steps = {name: getattr(aggtree, name) for name in workshare.REASSEMBLY}
     gadget = [
         getattr(cls, name)
@@ -49,9 +51,29 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     assert {label: c for label, c, _ in rows}["EulerForest._refresh_links"] == lives["refreshes"]
     inner = ("EulerForest._refresh_links", "EulerForest._links_of", "MasterArray.bulk_set_links")
     assert 0 < lives["noop_work"] <= sum(w for label, _, w in rows if label in inner)
+    # the no-op refreshes split by the site that marked the chunk, each one
+    # booked once, and every mark made inside a marking method
+    noop = lives["noop_sites"]
+    assert sum(c for c, _ in noop.values()) == lives["refreshes"] - lives["changed"]
+    assert sum(w for _, w in noop.values()) == lives["noop_work"]
+    assert "other" not in noop and all(
+        label.split(" in ")[0] in workshare.MARKERS for label in noop
+    ), noop
+    # the structural calls of the chunked forest updates: a link, a cut and
+    # a replacement each rebuild trees on this replay
+    structural = lives["structural"]
+    assert list(structural) == list(workshare.UPDATE_KINDS)
+    for kind in ("link", "cut", "replacement"):
+        updates, by_call, most = structural[kind]
+        assert updates > 0 and set(by_call) <= set(workshare.STRUCTURAL), kind
+        assert updates <= sum(by_call.values()) <= most * updates, kind
     assert sum(work for _, _, work in rows) == total
     assert all(calls > 0 and work >= 0 for _, calls, work in rows)
     calls = {label: c for label, c, _ in rows}
+    # every structural call is made inside one counted forest update
+    assert sum(sum(by_call.values()) for _, by_call, _ in structural.values()) == sum(
+        calls.get(f"AggTree.{name}", 0) for name in workshare.STRUCTURAL
+    )
     # calls the benchmark's tracer does not wrap are booked by name
     for label in ("AggTree.range_bits", "MasterArray.retire_chunk", "AggTree.bulk_set"):
         assert calls.get(label, 0) > 0, label
@@ -70,7 +92,9 @@ def test_one_small_replay_books_each_unit_once_and_unwraps():
     assert aggtree.join is join and chunks.agg_join is join
     assert aggtree.write_column is column and chunks.write_column is column
     assert EulerForest._reindex_chunk is reindex and EulerForest._move_base is move
-    assert EulerForest._refresh_links is refresh
+    assert EulerForest._refresh_links is refresh and EulerForest._flush_links is flush
+    assert all(getattr(EulerForest, name) is fn for name, fn in markers.items())
+    assert all(getattr(aggtree.AggTree, name) is fn for name, fn in tree_calls.items())
     assert [ConnGeneral.insert_edge, ConnGeneral._delete, ConnGeneral._splice_in,
             ConnGeneral._splice_out, EulerForest.insert_edge, EulerForest._delete,
             EulerForest.contract] == gadget

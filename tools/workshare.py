@@ -36,7 +36,13 @@ forest rewrites (`EulerForest._reindex_chunk`) and the chunk bases it
 moves instead (`_move_base`), in all and per update call.  Below those it
 counts the link flush's refreshes (`EulerForest._refresh_links`): all of
 them, those that changed the chunk's row, and the work of the others, the
-no-op refreshes, with its share of the replay's work.
+no-op refreshes, with its share of the replay's work, then splits the
+no-op refreshes by the site that marked the chunk (`MARKERS`; a reindex is
+labelled by the forest method that asked for it).  Below those it counts
+the aggregate tree's structural calls (`STRUCTURAL`: `AggTree.insert`,
+`delete`, `split_boundary` and the tree's `join`) per chunked forest
+update, by update kind: a link, a cut with no replacement, a replacement
+and a contraction, each update that makes at least one such call.
 
 Last it splits the work of the gadget updates, every `ConnGeneral`
 `insert_edge` and `_delete` at every sparsification node, by call site
@@ -213,16 +219,67 @@ def offset_writes(counts):
         EulerForest._reindex_chunk, EulerForest._move_base = reindex, move
 
 
+# the forest methods that mark a chunk in an update's record (`_touched`);
+# a reindex's mark is booked with the forest method that asked for it,
+# through `_rewrite`, which only passes a chunk's new edges on
+MARKERS = ("_reindex_chunk", "_cut_across", "_cut_inside", "_commit_large", "contract")
+
+
+def _forest_caller(frame):
+    """The name of the nearest frame at or above `frame` that is neither
+    this tool's own wrapper nor `EulerForest._rewrite`."""
+    while frame.f_code.co_filename == __file__ or frame.f_code.co_name == "_rewrite":
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
 @contextmanager
 def link_refreshes(meter, counts):
     """Count into `counts` the link refreshes (`EulerForest._refresh_links`)
     while the block runs: all of them (`refreshes`), those that changed the
     chunk's row (`changed`) and the work of the rest, their scans and row
-    reads included (`noop_work`)."""
+    reads included (`noop_work`).  Under `noop_sites` the no-op ones are
+    split (label -> [refreshes, work]) by the site that first marked the
+    chunk in its update: the innermost marking method (`MARKERS`) during
+    which the chunk's mark turned on, a reindex labelled by the forest
+    method that called it, and a mark left when a flush starts booked to
+    the method that runs the flush (`contract`) or to `other`."""
     from dynconn.eulerforest import EulerForest
 
     counts["refreshes"] = counts["changed"] = counts["noop_work"] = 0
-    refresh = EulerForest._refresh_links
+    sites = counts["noop_sites"] = {}
+    site_of, open_sites = {}, []  # chunk -> the site that marked it; open marking calls
+    refresh, flush = EulerForest._refresh_links, EulerForest._flush_links
+    markers = [(name, getattr(EulerForest, name)) for name in MARKERS]
+
+    def marked(forest):
+        touched = forest._touched
+        return {c for c, m in touched.items() if m} if touched else set()
+
+    def marking(name, fn):
+        @functools.wraps(fn)
+        def watched(self, *args, **kwargs):
+            label = name
+            if name == "_reindex_chunk":
+                label = f"_reindex_chunk in {_forest_caller(sys._getframe(1))}"
+            before = marked(self)
+            open_sites.append(label)
+            try:
+                return fn(self, *args, **kwargs)
+            finally:
+                open_sites.pop()
+                for c in marked(self) - before:
+                    site_of.setdefault(c, label)
+
+        return watched
+
+    def flushed(self):
+        for c in marked(self):
+            site_of.setdefault(c, open_sites[-1] if open_sites else "other")
+        try:
+            return flush(self)
+        finally:
+            site_of.clear()
 
     def counted(self, c):
         bits, w0 = c.bits, meter.work
@@ -231,13 +288,94 @@ def link_refreshes(meter, counts):
         if c.bits != bits:
             counts["changed"] += 1
         else:
-            counts["noop_work"] += meter.work - w0
+            work = meter.work - w0
+            counts["noop_work"] += work
+            entry = sites.setdefault(site_of.get(c, "other"), [0, 0])
+            entry[0] += 1
+            entry[1] += work
 
-    EulerForest._refresh_links = counted
+    EulerForest._refresh_links, EulerForest._flush_links = counted, flushed
+    for name, fn in markers:
+        setattr(EulerForest, name, marking(name, fn))
     try:
         yield
     finally:
-        EulerForest._refresh_links = refresh
+        EulerForest._refresh_links, EulerForest._flush_links = refresh, flush
+        for name, fn in markers:
+            setattr(EulerForest, name, fn)
+
+
+# the aggregate tree's structural calls: each rebuilds its own ancestor
+# paths and summaries
+STRUCTURAL = ("insert", "delete", "split_boundary", "join")
+# the kinds of chunked forest update, in the order they are printed
+UPDATE_KINDS = ("link", "cut", "replacement", "contraction")
+
+
+@contextmanager
+def structural_calls(kinds):
+    """Count into `kinds` (kind -> [updates, Counter of calls by
+    `STRUCTURAL` name, most calls in one update]) the aggregate tree's
+    structural calls of every chunked forest update while the block runs:
+    one outermost call of `EulerForest.insert_edge` (a link), `_delete` (a
+    cut or a replacement, by its report) or `contract` (a contraction, a
+    lone endpoint's delete included) that makes at least one."""
+    from collections import Counter
+
+    from dynconn import aggtree, chunks
+    from dynconn.eulerforest import EulerForest, ReplacementReport
+
+    for kind in UPDATE_KINDS:
+        kinds[kind] = [0, Counter(), 0]
+    frames = []  # per open forest update: [its kind, its calls]
+
+    def update(name, fn):
+        @functools.wraps(fn)
+        def booked(self, *args, **kwargs):
+            if frames:
+                if name == "contract":
+                    frames[-1][0] = "contraction"
+                return fn(self, *args, **kwargs)
+            frames.append([None, Counter()])
+            try:
+                out = fn(self, *args, **kwargs)
+            finally:
+                kind, calls = frames.pop()
+            if calls:
+                if kind is None:
+                    kind = {"insert_edge": "link", "contract": "contraction"}.get(name)
+                    kind = kind or ("cut" if out.kind == ReplacementReport.SPLIT else "replacement")
+                entry = kinds[kind]
+                entry[0] += 1
+                entry[1].update(calls)
+                entry[2] = max(entry[2], sum(calls.values()))
+            return out
+
+        return booked
+
+    def structural(label, fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            if frames:
+                frames[-1][1][label] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    saved = [(EulerForest, name, getattr(EulerForest, name))
+             for name in ("insert_edge", "_delete", "contract")]
+    saved += [(aggtree.AggTree, name, getattr(aggtree.AggTree, name)) for name in STRUCTURAL[:3]]
+    saved += [(aggtree, "join", aggtree.join), (chunks, "agg_join", chunks.agg_join)]
+    for owner, name, fn in saved:
+        if owner is EulerForest:
+            setattr(owner, name, update(name, fn))
+        else:
+            setattr(owner, name, structural("join" if "join" in name else name, fn))
+    try:
+        yield
+    finally:
+        for owner, name, fn in reversed(saved):
+            setattr(owner, name, fn)
 
 
 # the gadget call sites, in the order of a host insert then a host delete
@@ -340,21 +478,22 @@ def workshare(seed, n, calls):
     """Replay one conn_churn instance; returns (rows, total work, update
     calls, counts), each row a (label, calls, self work) by falling self
     work, and the counts the chunk lives as `chunk_lives` counts them, the
-    offset writes as `offset_writes` does and, under `sites`, the gadget
-    call sites as `gadget_sites` books them, and the link refreshes as
-    `link_refreshes` counts them."""
+    offset writes as `offset_writes` does, the link refreshes as
+    `link_refreshes` counts them and, under `sites`, the gadget call sites
+    as `gadget_sites` books them and, under `structural`, the aggregate
+    tree's structural calls as `structural_calls` counts them."""
     w = conn_churn(f"{seed}/0", n=n, length=calls)
     f, _, _ = setup(w)
-    totals, lives, sites = {}, {}, {}
+    totals, lives, sites, kinds = {}, {}, {}, {}
     with offset_writes(lives), link_refreshes(f.meter, lives), wrapped(f.meter, totals), \
-            chunk_lives(f.meter, lives), gadget_sites(f.meter, sites):
+            chunk_lives(f.meter, lives), gadget_sites(f.meter, sites), structural_calls(kinds):
         log = drive(f, w.calls)
     total = sum(log.work)
     booked = sum(work for _, work in totals.values())
     rows = [(label, c, work) for label, (c, work) in totals.items() if c]
     rows.append((OUTSIDE, len(log.ops), total - booked))
     rows.sort(key=lambda r: (-r[2], r[0]))
-    lives["sites"] = sites
+    lives["sites"], lives["structural"] = sites, kinds
     return rows, total, sum(op in UPDATES for op in log.ops), lives
 
 
@@ -392,6 +531,15 @@ def main():
     print(f"the no-op refreshes' work: {lives['noop_work']} units, "
           f"{lives['noop_work'] / per:.1f} per update, "
           f"{lives['noop_work'] / max(total, 1):.2%} of the replay's work")
+    print(f"{'no-op refreshes by marking site':36s} {'count':>8s} {'work':>12s} {'share':>7s}")
+    for label, (count, work) in sorted(lives["noop_sites"].items(), key=lambda kv: (-kv[1][1], kv[0])):
+        print(f"{label:36s} {count:8d} {work:12d} {work / max(total, 1):7.2%}")
+    print("\naggregate-tree structural calls per chunked forest update")
+    print(f"{'update kind':14s} {'updates':>8s} " + " ".join(f"{k:>14s}" for k in STRUCTURAL)
+          + f" {'all':>6s} {'most':>5s}")
+    for kind, (count, calls, most) in lives["structural"].items():
+        means = " ".join(f"{calls[k] / max(count, 1):14.2f}" for k in STRUCTURAL)
+        print(f"{kind:14s} {count:8d} {means} {sum(calls.values()) / max(count, 1):6.2f} {most:5d}")
     sites = lives["sites"]
     calls, work = sites.pop("gadget")
     print(f"\ngadget updates: {calls} calls, {work} units, "
