@@ -23,8 +23,8 @@ sizes its master array by the chunks its tours can hold, at most
 (2n - 2)/ceil(K/2) at rest plus a constant for an update in flight, with
 K ~ sqrt(3n) (see `EulerForest`).  A sparsification node spanning s hosts
 gives its gadget's forest n = 4s - 2 nodes (see `SparsNode`), so
-K ~ sqrt(12s) ~ 3.5*sqrt(s) and J ~ 4.6*sqrt(s) + 4 = O(sqrt(s)) slots: 79
-and 106 at the root of a graph of 512 nodes.  The forest charges the J
+K ~ sqrt(12s) ~ 3.5*sqrt(s) and J ~ 4.6*sqrt(s) + 1 = O(sqrt(s)) slots: 76
+and 103 at the root of a graph of 512 nodes.  The forest charges the J
 slots to `init_work` when it is built, but makes its master array only on
 its first chunked tour, which charges nothing more: a forest whose tours
 all fit one chunk never holds one.

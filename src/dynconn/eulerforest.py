@@ -166,9 +166,9 @@ SPLITS_AFTER_CUT = 1
 SPLITS_ON_REPLACEMENT = 3
 
 # T, the chunks an update can hold beyond the at-rest bound R while it runs:
-# the most chunks any update touches before its repairs, both pieces of a
-# cut counted (derived in the EulerForest docstring)
-TRANSIENT_CHUNKS = max(TOUCHED_ON_LINK, 2 * TOUCHED_AFTER_CUT, TOUCHED_ON_REPLACEMENT)
+# at every allocation at most one live chunk holds fewer than ceil(K/2) edges
+# (derived in the EulerForest docstring)
+TRANSIENT_CHUNKS = 1
 
 
 def locate(occ):
@@ -240,17 +240,24 @@ class EulerForest:
     While an update runs.  An update changes only the chunks it touches, so
     a live chunk of fewer than ceil(K/2) edges is a touched one, and the
     others number at most R, since the occurrences stay at most
-    2*capacity - 2.  A repair adds no undersized chunk: it merges or
-    rebalances an undersized chunk into one chunk or into two of at least
-    ceil(K/2), and then splits only chunks above K, into pieces of at
-    least ceil(K/2).  So the undersized chunks are at most the chunks the
-    update touches before its repairs, which `depth_bounds` counts and
-    charges from: 2 on insertion (`TOUCHED_ON_LINK`), 1 + 1 once a
-    deletion's cut separates the two pieces (`TOUCHED_AFTER_CUT` per
-    piece), 4 once a replacement is linked in (`TOUCHED_ON_REPLACEMENT`).
-    Hence T = `TRANSIENT_CHUNKS` = 4 spare slots cover every allocation,
-    and the array is never full.  With K ~ sqrt(3*capacity),
-    J ~ 2.3*sqrt(capacity) + 4.
+    2*capacity - 2.  Only `_as_array` and a repair's split make a chunk.
+    `_as_array` runs only on an insertion, before any chunk changes (a
+    replacement's far walk, at most K - 2 edges, always fits the chunk it
+    is written into), and chunks a second small tour only when both hold
+    at least K - 1 edges, so the one chunk it may leave undersized is the
+    first it makes.  A repair runs its merges first: each undersized
+    touched chunk of its array merges into one chunk or rebalances into
+    two of at least ceil(K/2), or is the array's only chunk, which leaves
+    nothing to split; a split cuts a chunk above K into pieces of at least
+    ceil(K/2).  So a repair splits only while its array holds no
+    undersized chunk, and every other array is at rest but on a cut with
+    no replacement, whose near repair runs while the far piece still holds
+    its one touched chunk.  Hence at every allocation at most one live
+    chunk is undersized, T = `TRANSIENT_CHUNKS` = 1 spare slot covers it,
+    and the array always has a free slot when a chunk is made.  The bound
+    is reached: a cut with no replacement on a path whose other chunks
+    hold ceil(K/2) edges each can leave R + 1 chunks live while its near
+    repair splits.  With K ~ sqrt(3*capacity), J ~ 2.3*sqrt(capacity) + 1.
 
     A chunk's slot stays with its links.  Retiring a chunk that holds link
     bits reads its row, clears its column and zeroes the row, which costs
@@ -882,23 +889,14 @@ class EulerForest:
         self._reindex_chunk(nc)
         return pieces
 
-    def _target_occurrence(self, node):
-        """The chunk and index of node's first entering occurrence (w, node)
-        in `nbr` order."""
+    def _first_occurrence(self, node, leaving):
+        """The chunk and index of node's first occurrence in `nbr` order
+        that leaves it, (node, w), or else enters it, (w, node)."""
         for w in self.nbr[node]:
-            occ = self.edge_occ.get((w, node))
+            occ = self.edge_occ.get((node, w) if leaving else (w, node))
             if occ is not None:
                 return locate(occ)
-        raise AssertionError(f"no target occurrence for {node}")
-
-    def _source_occurrence(self, node):
-        """The chunk and index of node's first leaving occurrence (node, w)
-        in `nbr` order."""
-        for w in self.nbr[node]:
-            occ = self.edge_occ.get((node, w))
-            if occ is not None:
-                return locate(occ)
-        raise AssertionError(f"no source occurrence for {node}")
+        raise AssertionError(f"no occurrence of {node}")
 
     def _probe_large(self, array, u, v, hint):
         """(u, v)'s lower and upper (edge, occurrence) and the replacement
@@ -1090,7 +1088,7 @@ class EulerForest:
         (w_far,w_near)."""
         w_near, w_far = pair
         if far is None or isinstance(far, SmallTour):
-            c, off = self._target_occurrence(w_near)
+            c, off = self._first_occurrence(w_near, leaving=False)
             walk = far.edges if far is not None else []
             # a chunk holds at most 2K - 2 edges here, so a single node fits
             if len(c.edges) + len(walk) + 2 <= 2 * self.K:
@@ -1101,8 +1099,8 @@ class EulerForest:
                 self._repair(near)
                 return
             far = self._as_array(far)
-        c, i = self._source_occurrence(w_near)
-        d, j = self._source_occurrence(w_far)
+        c, i = self._first_occurrence(w_near, leaving=True)
+        d, j = self._first_occurrence(w_far, leaving=True)
         a, b = c.edges[:i], c.edges[i:]
         a2, b2 = d.edges[:j], d.edges[j:]
         fronts = len(b) + len(b2) <= len(a) + len(a2)
@@ -1146,10 +1144,11 @@ class EulerForest:
         chunk merges with a neighbour when both fit in one chunk, the left
         one taking the edges and the right one retired, unless only the
         right one holds link bits, which then takes them; otherwise the two
-        share their edges, the left one taking min(half, K).  Then every
-        chunk above K is split at min(half, K) (`_split_chunk`) until each
-        piece fits.  Only the edges that change chunk are rewritten: a
-        right chunk that gains or loses a front moves its base."""
+        share their edges, the undersized one taking half of them, at
+        most K, and the other the rest.  Then every chunk above K is split
+        at min(half, K) (`_split_chunk`) until each piece fits.  Only the
+        edges that change chunk are rewritten: a right chunk that gains or
+        loses a front moves its base."""
         K = self.K
         touched = self._touched
         queue = [c for c in touched if c.array is array]
@@ -1177,10 +1176,13 @@ class EulerForest:
                 touched.setdefault(keep, False)
                 queue.append(keep)
             else:
-                # only the edges that cross the boundary are rewritten;
-                # right's own move by kept - cut, the edges it gains at its
-                # front (loses, when negative)
-                cut = min(len(combined) // 2, K)
+                # the undersized chunk takes half, at most K, and an
+                # oversized partner keeps the rest for the splits; only the
+                # edges that cross the boundary are rewritten, and right's
+                # own move by kept - cut, the edges it gains at its front
+                # (loses, when negative)
+                half = len(combined) // 2
+                cut = min(half, K) if c is left else max(half, len(combined) - K)
                 left.edges = combined[:cut]
                 right.edges = combined[cut:]
                 self._reindex_chunk(left, min(kept, cut))

@@ -738,7 +738,7 @@ def _link_watch(monkeypatch):
     def watched_link(self, near, far, pair):
         if sys._getframe(1).f_code.co_name != "_commit_large":
             return link(self, near, far, pair)
-        c, _ = self._source_occurrence(pair[0])
+        c, _ = self._first_occurrence(pair[0], leaving=True)
         links.append([pair, "none" if far is None else type(far).__name__, c, None])
         return link(self, near, far, pair)
 
@@ -845,8 +845,11 @@ class TestNewOccurrences:
         f = forest_with([(i, i + 1) for i in range(40)], n=48)
         f.activate_node(45)
         # an endpoint whose target chunk has room for two more edges
-        t = next(t for t in range(1, 40) if len(f._target_occurrence(t)[0].edges) <= f.K - 2)
-        c, off = f._target_occurrence(t)
+        t = next(
+            t for t in range(1, 40)
+            if len(f._first_occurrence(t, leaving=False)[0].edges) <= f.K - 2
+        )
+        c, off = f._first_occurrence(t, leaving=False)
         x_edge, slots = c.edges[off], set(f.store.slots)
         allocated = []
         alloc = MasterArray.alloc_chunk
@@ -1099,7 +1102,7 @@ class TestSlotRule:
             caller = sys._getframe(1).f_code.co_name
             if not isinstance(far, AggTree):
                 return link(self, near, far, pair)
-            (c, i), (d, j) = (self._source_occurrence(x) for x in pair)
+            (c, i), (d, j) = (self._first_occurrence(x, leaving=True) for x in pair)
             a, b, a2, b2 = c.edges[:i], list(c.edges[i:]), d.edges[:j], list(d.edges[j:])
             fronts = len(b) + len(b2) <= len(a) + len(a2)
             if fronts:
@@ -1288,7 +1291,7 @@ class TestReindexOnlyWhatMoves:
         cut = locate(f.edge_occ[(20, 41)])[0]
 
         def sides(t):
-            c, off = f._target_occurrence(t)
+            c, off = f._first_occurrence(t, leaving=False)
             return c, off + 1, len(c.edges) - off - 1
 
         t = next(
@@ -1356,6 +1359,31 @@ class TestReindexOnlyWhatMoves:
         assert rec.moves and rec.moves == [1] * len(rec.moves)
         assert all(splits.values()), splits
 
+    def test_an_undersized_chunk_takes_at_most_a_chunk_from_its_partner(self, monkeypatch):
+        """A repair's merge or rebalance rewrites only the edges that its
+        undersized chunk takes in, at most K - 1, also when the partner is
+        a swapped chunk of more than 2K - |c| edges: the undersized chunk
+        takes half of the two, at most K, and the partner keeps the rest
+        for the splits.  The soak of `test_soak_rewrites_only_what_moves`
+        must reach such a rebalance, and the forest passes its checkers."""
+        reindex, written, reached = EulerForest._reindex_chunk, [], Counter()
+
+        def watched(self, c, start=0, stop=None, shift=0):
+            repair = sys._getframe(1)
+            if repair.f_code.co_name == "_repair":  # a merge or a rebalance
+                written.append((len(c.edges) if stop is None else stop) - start)
+                local = repair.f_locals
+                if len(local["combined"]) > 2 * self.K:
+                    reached["left" if local["c"] is local["left"] else "right"] += 1
+            return reindex(self, c, start, stop, shift)
+
+        monkeypatch.setattr(EulerForest, "_reindex_chunk", watched)
+        _, f = _random_graph_pair(random.Random(11), 20, 600, 2)
+        check_euler_forest(f)
+        check_chunk_store(f.store)
+        assert f.K == 8 and written and max(written) <= f.K - 1
+        assert reached["right"], reached
+
 
 def _spanning_soak(f, rng, steps):
     """Start from a Hamiltonian path over every node of `f`, then run
@@ -1395,34 +1423,37 @@ def _spanning_soak(f, rng, steps):
 class TestSlotCount:
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 48, 200, 1026, 10**5])
     def test_slot_count_is_the_resting_bound_plus_the_transient_chunks(self, n):
-        """J = R + T with R = floor((2n - 2) / ceil(K/2)) and T = 4."""
+        """J = R + T with R = floor((2n - 2) / ceil(K/2)) and T = 1."""
         f = forest(n)
-        assert TRANSIENT_CHUNKS == 4
+        assert TRANSIENT_CHUNKS == 1
         assert resting_chunks(n, f.K) == (2 * n - 2) // ((f.K + 1) // 2)
-        assert f.store.slot_count == (2 * n - 2) // ((f.K + 1) // 2) + 4
+        assert f.store.slot_count == (2 * n - 2) // ((f.K + 1) // 2) + 1
 
     @pytest.mark.parametrize("policy", [ArbitraryPolicy(11), CommonPolicy(0.25)])
     @pytest.mark.parametrize("n", [8, 30, 200])
     def test_full_capacity_soak_never_fills_the_master_array(self, monkeypatch, n, policy):
         """A seeded soak over tours spanning every node records the live
-        chunks at every allocation: they never exceed J, so the array is
-        never full, and at rest never exceed R, which the soak comes close
-        to.  It also records, per repair, the live touched chunks it sees
-        and the chunks it splits off: on a link (`_link` under
-        `_merge_tours`), on each piece of a cut with no replacement and on
-        a replacement (`_link` under `_commit_large`).  Each count must
-        reach, and never pass, its bound (`TOUCHED_*`, `SPLITS_*`), the
-        counts `depth_bounds` and T are built from.  The margin to R + T is
-        printed."""
-        peak, split_count = 0, [0]
+        chunks at every allocation: at most one of them holds fewer than
+        ceil(K/2) edges, the count T is derived from, and they never exceed
+        J, so the array is never full; at rest they never exceed R, which
+        the soak comes close to.  It also records, per repair, the live
+        touched chunks it sees and the chunks it splits off: on a link
+        (`_link` under `_merge_tours`), on each piece of a cut with no
+        replacement and on a replacement (`_link` under `_commit_large`).
+        Each count must reach, and never pass, its bound (`TOUCHED_*`,
+        `SPLITS_*`), the counts `depth_bounds` is built from.  The margin
+        to R + T is printed."""
+        peak, undersized, split_count = 0, 0, [0]
         kinds = {"link": 0, "cut piece": 0, "replacement": 0}
         touched, splits = dict(kinds), dict(kinds)
         alloc, repair, split = MasterArray.alloc_chunk, EulerForest._repair, EulerForest._split_chunk
 
         def counted(self, edges):
-            nonlocal peak
+            nonlocal peak, undersized
             c = alloc(self, edges)
             peak = max(peak, len(self.slots))
+            small = sum(2 * len(d.edges) < self.chunk_capacity for d in self.slots.values())
+            undersized = max(undersized, small)
             return c
 
         def counted_split(self, c, at):
@@ -1453,15 +1484,46 @@ class TestSlotCount:
             if step % 500 == 0:
                 check_euler_forest(f)
         check_euler_forest(f)
-        print(f"n={n}: peak {peak} live chunks, R + T = {J}, margin {J - peak}; at rest {rest} of R = {R}; touched before a repair {touched}, split off {splits}")
-        assert peak <= J == R + TRANSIENT_CHUNKS
+        print(f"n={n}: peak {peak} live chunks, {undersized} undersized, R + T = {J}, margin {J - peak}; at rest {rest} of R = {R}; touched before a repair {touched}, split off {splits}")
+        assert undersized <= TRANSIENT_CHUNKS and peak <= J == R + TRANSIENT_CHUNKS
         assert touched == {
             "link": TOUCHED_ON_LINK, "cut piece": TOUCHED_AFTER_CUT,
             "replacement": TOUCHED_ON_REPLACEMENT,
         }
         assert splits["link"] <= SPLITS_ON_LINK and splits["cut piece"] <= SPLITS_AFTER_CUT
         assert splits["replacement"] <= SPLITS_ON_REPLACEMENT
-        assert R - 1 <= rest <= R and rest <= peak
+        assert R - 1 <= rest <= R
+
+    def test_a_cut_fills_the_transient_slot(self, monkeypatch):
+        """T = 1 is reached.  A path over 0 .. 22 (K = 9, so at least 5
+        edges a chunk and R = 8), built as 0 .. 19 and 20 .. 22 joined by
+        (19, 20), holds chunks of 5, 5, 5, 7, 7, 5, 5, 5 edges, the two of 7
+        being c_lo = (15,16) .. (20,21) (21,22) and c_hi = (22,21)
+        (21,20) .. (16,15).  Deleting (20, 21), with no replacement, leaves
+        the near tour the junction x w of 10 edges and the far tour z y, 2
+        edges in one chunk.  The near repair splits x w while that chunk is
+        live, so its one allocation leaves J = R + 1 chunks live, one of
+        them undersized; the forest passes its checkers after."""
+        f = forest_with([(i, i + 1) for i in range(19)] + [(20, 21), (21, 22), (19, 20)], n=23)
+        (array,) = f.store.arrays()
+        R, J = resting_chunks(23, f.K), f.store.slot_count
+        assert (f.K, R, J) == (9, 8, 9)
+        assert [len(c.edges) for c in array.leaves] == [5, 5, 5, 7, 7, 5, 5, 5]
+        c_lo, c_hi = array.leaves[3], array.leaves[4]
+        assert c_lo.edges[-2:] == [(20, 21), (21, 22)] and c_hi.edges[:2] == [(22, 21), (21, 20)]
+        live, alloc = [], MasterArray.alloc_chunk
+
+        def counted(self, edges):
+            c = alloc(self, edges)
+            small = sum(2 * len(d.edges) < self.chunk_capacity for d in self.slots.values())
+            live.append((len(self.slots), small))
+            return c
+
+        monkeypatch.setattr(MasterArray, "alloc_chunk", counted)
+        assert f.delete_edge(20, 21) == ReplacementReport(ReplacementReport.SPLIT)
+        assert live == [(J, 1)]
+        check_euler_forest(f)
+        check_chunk_store(f.store)
 
 
 def _array_calls(monkeypatch):
@@ -1643,7 +1705,7 @@ class TestChunksPlacedOnce:
             links.append(kind)
             small = isinstance(far, SmallTour)
             if isinstance(far, AggTree):
-                (c, i), (d, j) = (self._source_occurrence(x) for x in pair)
+                (c, i), (d, j) = (self._first_occurrence(x, leaving=True) for x in pair)
                 fronts = len(c.edges) - i + len(d.edges) - j <= i + j
                 reached["link fronts" if fronts else "link backs"] += 1
             link(self, near, far, pair)

@@ -55,17 +55,17 @@ def replay(facade, steps, seed=7):
         (
             lambda: DynamicConnectivity(64, policy=ArbitraryPolicy(5)),
             400,
-            (306645, {"insert": 58, "delete": 120, "connected": 0}, 18928),
+            (303546, {"insert": 58, "delete": 120, "connected": 0}, 17902),
         ),
         (
             lambda: DynamicConnectivity(64, policy=CommonPolicy(0.25)),
             400,
-            (311309, {"insert": 52, "delete": 153, "connected": 0}, 18928),
+            (308060, {"insert": 52, "delete": 153, "connected": 0}, 17902),
         ),
         (
             lambda: DynamicBipartiteness(12, policy=ArbitraryPolicy(5)),
             60,
-            (40250, {"insert": 44, "delete": 149}, 3699),
+            (40037, {"insert": 44, "delete": 149}, 3429),
         ),
     ],
     ids=["connectivity-arbitrary", "connectivity-common", "bipartiteness-arbitrary"],
