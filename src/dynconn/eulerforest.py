@@ -12,12 +12,11 @@ O(sqrt(n)): a forest can contain far more tiny trees than slots.
 
 The model allocates a forest's master array, J slots, when the forest is
 built, and charges them to `init_work` there.  The Python object is made
-later, with the slot record `slots_of`, where the forest first chunks a tour
-(`_as_array`), or when a reader outside the forest first asks for `store`;
-until then `master` is None.  Most forests never chunk: the forest of a
-sparsification node whose components stay short holds no slot table at
-all.  The metered counts are the same either way, since making the object
-charges nothing.
+later, where the forest first chunks a tour (`_as_array`), or when a reader
+outside the forest first asks for `store`; until then `master` is None.
+Most forests never chunk: the forest of a sparsification node whose
+components stay short holds no slot table at all.  The metered counts are
+the same either way, since making the object charges nothing.
 
 Every new tree edge, a link's or a replacement's, is written by one link
 (`_link`; `_splice_edges` for two small tours).  A replacement is the cut
@@ -53,7 +52,9 @@ stored offset of its first edge.  A small tour stores its indices (base 0).
 So a chunk that drops or gains a front moves its base, one unit, instead
 of rewriting every pointer into it, and an update rewrites, and pays for,
 only the pointers of edges that change chunk, new edges and the shorter
-side of an insert into the middle of a chunk (`_reindex_chunk`).
+side of an edit inside a chunk (`_reindex_chunk`).  Every edit of a
+chunk's edges in place, a cut's, a link's, a contraction's or a repair
+merge's, is one `_splice`, which rewrites the shorter side around it.
 
 `nbr` is the activity record: it maps each active node, and no other, to
 its adjacency list.  With `edge_occ`, which holds both directions of every
@@ -65,22 +66,6 @@ non-tree only when it is inserted, so the order needs no upkeep.  Until its
 first non-tree edge a forest shares one read-only empty record.  The link
 vectors and the replacement searches read it; `oracle.check_euler_forest`
 checks it against `nbr` and `edge_occ`.
-
-`slots_of` maps a node to the OR of `1 << slot` over the chunks holding its
-tour occurrences, the part of a link vector one non-tree neighbour gives.
-It is filled lazily: the link computation (`_links_of`) stores each mask it
-derives from `nbr` and `edge_occ` and reads it back until a node's entry is
-dropped.  An entry is dropped wherever an occurrence of its node is written
-into a chunk or taken out of one: by `_reindex_chunk` for both endpoints of
-every edge it writes into a chunk other than the one that held it, which
-covers the new tree edges of `_link` (an edge that moves with its chunk's
-base or is rewritten in its own chunk changes no mask), by `_commit_large`
-for the removed edge and every node of a far walk that leaves its chunk as
-a small tour, and by `_maybe_shrink` for every node of a demoted tour.
-So every entry holds, and no node outside a chunk has one.  The record is
-made with the master array and is None before, which most forests, whose
-tours stay small, never reach; `oracle.check_euler_forest` recomputes every
-entry.
 
 Every chunk an update splits, merges, chunks or reindexes goes into one
 record, `_touched`, made for that update, which maps each touched chunk to
@@ -282,9 +267,6 @@ class EulerForest:
         # each node with a non-tree edge -> its non-tree neighbours, in nbr
         # order; written only where an edge's tree status changes
         self.nontree = _NO_NONTREE
-        # node -> OR of the slot bits of the chunks holding its occurrences,
-        # filled by _links_of; None until the master array is made
-        self.slots_of = None
         # chunks the current update touched, in insertion order, each mapped
         # to whether its link vector may have changed (marked): made when an
         # update that can touch chunks starts, the worklist of its sizing
@@ -301,13 +283,12 @@ class EulerForest:
 
     @property
     def store(self):
-        """The master array, made with the slot record on its first read:
-        on the forest's first chunked tour (`_as_array`), or when a reader
-        outside the forest asks for it.  Its J slots were charged when the
-        forest was built, so making it charges nothing."""
+        """The master array, made on its first read: on the forest's first
+        chunked tour (`_as_array`), or when a reader outside the forest asks
+        for it.  Its J slots were charged when the forest was built, so
+        making it charges nothing."""
         if self.master is None:
             self.master = MasterArray(self.meter, self._slot_count(), self.K)
-            self.slots_of = {}
         return self.master
 
     @staticmethod
@@ -366,7 +347,7 @@ class EulerForest:
         retire = store["retire_chunk"]  # _retire_chunk
         as_array = 1 + (insert_chunk + 2)  # drop, the one chunk
         split = insert_chunk + 1  # _split_chunk: the new chunk, its reindex
-        write = 1  # occurrences written into a chunk: its reindex
+        write = 1  # a chunk edit (`_splice`): its reindex
         shrink = 1 + 2 * retire + 1  # _maybe_shrink
 
         def repair(touched, splits):  # _repair: a merge and its retirement per touched chunk, then the splits
@@ -556,12 +537,8 @@ class EulerForest:
             return ReplacementReport(ReplacementReport.NON_TREE)
         if self._lone_endpoint(u, v) is not None:
             return ReplacementReport(ReplacementReport.SPLIT)
-        container = self.edge_occ[(u, v)][0]
-        if isinstance(container, SmallTour):
-            *_, pair = self._probe_small(container, u, v, None)
-        else:
-            *_, pair = self._probe_large(container.array, u, v, None)
-        return self._report(pair)
+        _, args = self._probe(u, v, None)
+        return self._report(args[-1])
 
     def _delete(self, u, v, hint):
         self._require_edge(u, v)
@@ -577,22 +554,27 @@ class EulerForest:
         if lone is not None:
             self.contract(lone)
             return ReplacementReport(ReplacementReport.SPLIT)
-        # each probe changes nothing; the update's record opens after it
-        container = self.edge_occ[(u, v)][0]
-        if isinstance(container, SmallTour):
-            i1, i2, pair = self._probe_small(container, u, v, hint)
-            self._touched = {}
-            self._remove_adjacency(u, v)
-            self._commit_small(container, i1, i2, pair)
-        else:
-            lo, hi, pair = self._probe_large(container.array, u, v, hint)
-            self._touched = {}
-            self._remove_adjacency(u, v)
-            self._commit_large(container.array, lo, hi, pair)
+        # the probe changes nothing; the update's record opens after it
+        commit, args = self._probe(u, v, hint)
+        self._touched = {}
+        self._remove_adjacency(u, v)
+        commit(*args)
+        pair = args[-1]
         if pair is not None:
             self._drop_nontree(*pair)  # the replacement is now a tree edge
         self._flush_links()
         return self._report(pair)
+
+    def _probe(self, u, v, hint):
+        """Probe the deletion of the tree edge (u, v), changing nothing: the
+        commit to run, `_commit_small` or `_commit_large`, and its
+        arguments, the last of them the replacement as a (near, far) pair,
+        or None."""
+        container = self.edge_occ[(u, v)][0]
+        if isinstance(container, SmallTour):
+            return self._commit_small, (container, *self._probe_small(container, u, v, hint))
+        array = container.array
+        return self._commit_large, (array, *self._probe_large(array, u, v, hint))
 
     def _report(self, pair):
         """Report a tree-edge deletion replaced by `pair`, None on a split."""
@@ -688,16 +670,7 @@ class EulerForest:
             self.meter.parallel_charge(2)
         for e in removed:
             c, off = locate(edge_occ.pop(e))
-            del c.edges[off]
-            if not c.edges:
-                self._retire_chunk(c)
-                continue
-            if 2 * off < len(c.edges):  # the head is the shorter side
-                self._reindex_chunk(c, 0, off, -1)
-            else:
-                self._reindex_chunk(c, off)
-            touched[c] = marked
-        self._moved(g, p, q)
+            self._splice(c, off, off + 1, [], marked)
         self._repair(array)
         self._flush_links()
 
@@ -814,13 +787,12 @@ class EulerForest:
         """Point c.edges[start:stop] at their offsets in c, after moving the
         offset of every other edge of c by `shift` (`_move_base`).  Only the
         rewritten edges are charged, in one step unless nothing is written.
-        The `slots_of` entries of both endpoints of a rewritten edge are
-        dropped when the edge comes from another container or none, and
-        when an endpoint has a non-tree edge, c is marked in the update's
-        record, and so is the chunk the edge left, if it left one; an edge
-        that stays in c leaves every mask and link as it was.  Each edge's
-        processor reads its old pointer, tests its two endpoints against
-        `nontree` and writes its new pointer."""
+        When a rewritten edge comes from another container or none and an
+        endpoint has a non-tree edge, c is marked in the update's record,
+        and so is the chunk the edge left, if it left one; an edge that
+        stays in c leaves every link as it was.  Each edge's processor
+        reads its old pointer, tests its two endpoints against `nontree` and
+        writes its new pointer."""
         edges = c.edges
         if stop is None:
             stop = len(edges)
@@ -828,19 +800,15 @@ class EulerForest:
             self._move_base(c, shift)
         base = c.base
         edge_occ = self.edge_occ
-        drop = self.slots_of.pop
         nontree = self.nontree
         touched = self._touched
         for off in range(start, stop):
             e = edges[off]
             old = edge_occ.get(e)
-            if old is None or old[0] is not c:
-                drop(e[0], None)
-                drop(e[1], None)
-                if e[0] in nontree or e[1] in nontree:
-                    touched[c] = True
-                    if old is not None and not isinstance(old[0], SmallTour):
-                        touched[old[0]] = True
+            if (old is None or old[0] is not c) and (e[0] in nontree or e[1] in nontree):
+                touched[c] = True
+                if old is not None and not isinstance(old[0], SmallTour):
+                    touched[old[0]] = True
             edge_occ[e] = (c, base + off)
         if stop > start or shift:
             self.meter.parallel_charge(stop - start, 4)
@@ -851,18 +819,23 @@ class EulerForest:
         c.base -= shift
         self.meter.charge(1)
 
-    def _write_occurrences(self, c, at, new):
-        """Insert the occurrences `new` into c before c.edges[at], rewriting
-        them and the shorter side of c around them: the head before `at`,
-        with the base moving the tail, when it is shorter, else the tail.
-        Touches c."""
-        c.edges[at:at] = new
-        k = len(new)
-        if 2 * at + k < len(c.edges):  # the head is the shorter side
-            self._reindex_chunk(c, 0, at + k, k)
+    def _splice(self, c, lo, hi, new, marked=False):
+        """Replace c.edges[lo:hi] by `new` and touch c, marked when
+        `marked`; a chunk left with no edge is retired instead.  Only the
+        shorter side around the edit is rewritten: the head, up to the end
+        of `new`, when it is strictly shorter than the tail from `lo`, the
+        base moving the tail by lo + len(new) - hi, else the tail."""
+        c.edges[lo:hi] = new
+        if not c.edges:
+            self._retire_chunk(c)
+            return
+        touched = self._touched
+        touched[c] = touched.get(c, False) or marked
+        end = lo + len(new)
+        if end < len(c.edges) - lo:  # the head is the shorter side
+            self._reindex_chunk(c, 0, end, end - hi)
         else:
-            self._reindex_chunk(c, at)
-        self._touched.setdefault(c, False)
+            self._reindex_chunk(c, lo)
 
     def _split_chunk(self, c, at):
         """Split c before c.edges[at]: c keeps the longer piece, the left
@@ -992,7 +965,6 @@ class EulerForest:
         for e in (lo[0], hi[0]):
             del self.edge_occ[e]
         s, t = lo[0]
-        self._moved(s, t)
         marked = s in self.nontree or t in self.nontree
         self.meter.charge(2)
         if c_lo is c_hi:
@@ -1032,14 +1004,11 @@ class EulerForest:
         far = self.master.split_array(array, c_lo.pos + after)
         self.master.concatenate(array, p3)
         if after:  # each chunk keeps its front and takes the other's back
-            self._rewrite(c_lo, x + w, len(x))
-            self._rewrite(c_hi, z + y, len(z))
+            self._splice(c_lo, i, len(c_lo.edges), w, marked)
+            self._splice(c_hi, j, len(c_hi.edges), y, marked)
         else:  # each keeps its back, which moves with its base
-            self._rewrite(c_hi, x + w, 0, len(x), len(x) - j - 1)
-            self._rewrite(c_lo, z + y, 0, len(z), len(z) - i - 1)
-        for c in (c_lo, c_hi):
-            if marked and c.array is not None:
-                self._touched[c] = True
+            self._splice(c_hi, 0, j + 1, x, marked)
+            self._splice(c_lo, 0, i + 1, z, marked)
         return far if far else None
 
     def _cut_inside(self, c, i, j, marked):
@@ -1050,16 +1019,8 @@ class EulerForest:
         c is marked when one of y's nodes, which leave it, has a non-tree
         edge.  A chunk left empty is retired."""
         walk = c.edges[i + 1 : j]
-        edges = c.edges[:i] + c.edges[j + 1 :]
-        self._moved(*(a for a, _ in walk))
         self.meter.parallel_charge(len(walk))
-        nontree = self.nontree
-        if 2 * i < len(edges):  # the head is the shorter side
-            self._rewrite(c, edges, 0, i, i - j - 1)
-        else:
-            self._rewrite(c, edges, i)
-        if c.array is not None and (marked or any(a in nontree for a, _ in walk)):
-            self._touched[c] = True
+        self._splice(c, i, j + 1, [], marked or any(a in self.nontree for a, _ in walk))
         return self._adopt_small(walk)
 
     def _link(self, near, far, pair):
@@ -1071,8 +1032,8 @@ class EulerForest:
         A small or empty far tour X is written into one chunk of `near`,
         rotated at w_far, between (w_near,w_far) and (w_far,w_near), right
         after an occurrence (x, w_near), rewriting the shorter side of that
-        chunk too (`_write_occurrences`).  Only when that chunk would then
-        exceed 2K edges is X chunked (`_as_array`) and linked as below.
+        chunk too (`_splice`).  Only when that chunk would then exceed 2K
+        edges is X chunked (`_as_array`) and linked as below.
 
         Two chunked tours swap the pieces of two chunks.  With c = a b in
         `near` and d = a' b' in `far`, where b and b' start at the first
@@ -1095,7 +1056,7 @@ class EulerForest:
                 k = _cut_index(walk, w_far)
                 self._drop_container(far)
                 new = [(w_near, w_far), *walk[k:], *walk[:k], (w_far, w_near)]
-                self._write_occurrences(c, off + 1, new)
+                self._splice(c, off + 1, off + 1, new)
                 self._repair(near)
                 return
             far = self._as_array(far)
@@ -1114,26 +1075,14 @@ class EulerForest:
         near, far = tours
         if fronts:  # each chunk keeps its front and takes the other's back
             self.master.concatenate(near, far)
-            self._rewrite(c, a + [(w_near, w_far)] + b2, i)
-            self._rewrite(d, a2 + [(w_far, w_near)] + b, j)
+            self._splice(c, i, len(c.edges), [(w_near, w_far)] + b2)
+            self._splice(d, j, len(d.edges), [(w_far, w_near)] + b)
         else:  # each keeps its back, which moves with its base
             self.master.concatenate(far, near)
             near = far
-            self._rewrite(c, a2 + [(w_far, w_near)] + b, 0, j + 1, j + 1 - i)
-            self._rewrite(d, a + [(w_near, w_far)] + b2, 0, i + 1, i + 1 - j)
+            self._splice(c, 0, i, a2 + [(w_far, w_near)])
+            self._splice(d, 0, j, a + [(w_near, w_far)])
         self._repair(near)
-
-    def _rewrite(self, c, edges, start, stop=None, shift=0):
-        """Give c the edges `edges`, of which only those in [start, stop)
-        moved in or are new, after the others' offsets moved by `shift`
-        (`_reindex_chunk`), and touch it; a chunk left with no edge is
-        retired instead."""
-        c.edges = edges
-        if not edges:
-            self._retire_chunk(c)
-            return
-        self._touched.setdefault(c, False)
-        self._reindex_chunk(c, start, stop, shift)
 
     # -- sizing repairs and the link flush ------------------------------------
 
@@ -1166,14 +1115,11 @@ class EulerForest:
                 # only the edges it takes in
                 if right.bits and not left.bits:
                     keep, gone = right, left
-                    right.edges = combined
-                    self._reindex_chunk(right, 0, kept, kept)
+                    self._splice(right, 0, 0, left.edges)
                 else:
                     keep, gone = left, right
-                    left.edges = combined
-                    self._reindex_chunk(left, kept)
+                    self._splice(left, kept, kept, right.edges)
                 self._retire_chunk(gone)
-                touched.setdefault(keep, False)
                 queue.append(keep)
             else:
                 # the undersized chunk takes half, at most K, and an
@@ -1213,7 +1159,6 @@ class EulerForest:
             edges.extend(c.edges)
         for c in list(array.leaves):
             self._retire_chunk(c)
-        self._moved(*(a for a, _ in edges))  # a tour's sources are its nodes
         self._adopt_small(edges)
 
     def _flush_links(self):
@@ -1241,36 +1186,23 @@ class EulerForest:
         of a tour, so its nodes are its edges' sources and its last edge's
         target; the scan over them is charged as one parallel step.  A
         non-tree neighbour lies on c's own chunked tour, where its
-        occurrences are both directions of each of its tree edges.  Each
-        neighbour's bits are read from `slots_of`; a node without an entry
-        has its tree edges walked once and the result stored."""
+        occurrences are both directions of each of its tree edges, at most
+        3, which are walked for each non-tree edge of a node of c."""
         edges = c.edges
         self.meter.parallel_charge(len(edges))
         nontree = self.nontree
         nbr = self.nbr
         edge_occ = self.edge_occ
-        slots_of = self.slots_of
         nodes = {a for a, _ in edges}
         nodes.add(edges[-1][1])
         mask = 0
         for x in nontree.keys() & nodes:
             for y in nontree[x]:
-                bits = slots_of.get(y)
-                if bits is None:
-                    bits = 0
-                    for w in nbr[y]:
-                        occ = edge_occ.get((y, w))
-                        if occ is not None:
-                            bits |= 1 << occ[0].slot | 1 << edge_occ[(w, y)][0].slot
-                    slots_of[y] = bits
-                mask |= bits
+                for w in nbr[y]:
+                    occ = edge_occ.get((y, w))
+                    if occ is not None:
+                        mask |= 1 << occ[0].slot | 1 << edge_occ[(w, y)][0].slot
         return mask
-
-    def _moved(self, *nodes):
-        """Drop the `slots_of` entries of nodes whose occurrences moved."""
-        drop = self.slots_of.pop
-        for v in nodes:
-            drop(v, None)
 
     def _chunk_nodes(self, c):
         """The distinct endpoints of c's edges, in order of first occurrence."""

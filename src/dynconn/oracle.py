@@ -224,14 +224,11 @@ def check_euler_forest(forest):
     """Tour validity, occurrence pointers (resolved through `locate`, so a
     chunk's base counts), counters, degree bound, chunk sizing, the
     non-tree record and link ground truth.  Tours are found from the
-    occurrence pointers, and the master array, made with the slot record,
-    must hold exactly the chunked ones.  The non-tree record must be `nbr`
-    minus the tree edges, in `nbr` order, with no entry for a node without
-    a non-tree edge; the link vectors are checked from `nbr` and
-    `edge_occ`, not from it.  Every `slots_of` entry must be the slot bits
-    of the chunks holding its node's occurrences, and no node outside a
-    chunk may have one.  At most
-    `resting_chunks` chunks may be live, and a chunked tour must hold more
+    occurrence pointers, and the master array must hold exactly the
+    chunked ones.  The non-tree record must be `nbr` minus the tree edges,
+    in `nbr` order, with no entry for a node without a non-tree edge; the
+    link vectors are checked from `nbr` and `edge_occ`, not from it.  At
+    most `resting_chunks` chunks may be live, and a chunked tour must hold more
     than K edges, which lets a link skip the sum of its chunked tours."""
     occ = forest.edge_occ
     for e, pointer in occ.items():
@@ -243,10 +240,6 @@ def check_euler_forest(forest):
     tours = euler_tours(forest)
     reached = {id(t) for t in tours if isinstance(t, aggtree.AggTree)}
     store = forest.master
-    check(
-        (store is None) == (forest.slots_of is None),
-        "the master array and the slot record are not made together",
-    )
     check(store is not None or not reached, "a chunked tour without a master array")
     arrays = store.arrays() if store is not None else []
     check(
@@ -289,15 +282,6 @@ def check_euler_forest(forest):
         forest.nontree == nontree,
         "non-tree record is not the adjacency minus the tree edges, in order",
     )
-    for v, bits in (forest.slots_of or {}).items():
-        want = 0
-        for w in forest.nbr.get(v, ()):
-            for e in ((v, w), (w, v)):
-                container = occ[e][0] if e in occ else None
-                if isinstance(container, Chunk):
-                    want |= 1 << container.slot
-        check(want != 0, f"slot record entry for node {v}, which no chunk holds")
-        check(bits == want, f"slot record of node {v} stale: {bits:#x} != {want:#x}")
     check_link_vectors(forest)
 
 

@@ -85,7 +85,7 @@ class TestNodes:
         f = forest(10**5)
         assert f.nbr == {}
         assert f.nontree == {}
-        assert f.master is None and f.slots_of is None
+        assert f.master is None
 
 
 class TestInsert:
@@ -622,74 +622,6 @@ class TestReindexing:
         assert all(fired.values()), fired
 
 
-class TestSlotRecord:
-    def test_entries_hit_and_every_drop_fires_during_soak(self, monkeypatch):
-        """A small-K soak passes the checker, which recomputes every
-        `slots_of` entry, after every update.  The link computation must
-        read stored entries, and the drops of a reindex, of a cut, which
-        drops the removed edge's endpoints and the nodes of a far walk that
-        leaves its chunk as a small tour, and of a demotion must each
-        remove a live entry."""
-        hits = []
-        dropped = {}
-        links_of, reindex, moved = (
-            EulerForest._links_of, EulerForest._reindex_chunk, EulerForest._moved,
-        )
-
-        def watched_links_of(self, c):
-            nodes = {x for e in c.edges for x in e}
-            hits.extend(
-                y for x in nodes for y in self.nontree.get(x, ()) if y in self.slots_of
-            )
-            return links_of(self, c)
-
-        def count(name, before, after):
-            dropped[name] = dropped.get(name, 0) + before - after
-
-        def watched_reindex(self, c, *args, **kwargs):
-            before = len(self.slots_of)
-            reindex(self, c, *args, **kwargs)
-            count("_reindex_chunk", before, len(self.slots_of))
-
-        def watched_moved(self, *nodes):
-            before = len(self.slots_of)
-            moved(self, *nodes)
-            count(sys._getframe(1).f_code.co_name, before, len(self.slots_of))
-
-        monkeypatch.setattr(EulerForest, "_links_of", watched_links_of)
-        monkeypatch.setattr(EulerForest, "_reindex_chunk", watched_reindex)
-        monkeypatch.setattr(EulerForest, "_moved", watched_moved)
-        # short-range edges close many short cycles, and a deletion share
-        # of 0.3 keeps splitting pieces off the long tours, so tours holding
-        # stored entries are demoted too
-        rng = random.Random(0)
-        n = 30
-        f = forest(n, ArbitraryPolicy(5))
-        assert f.K == 10 and f.slots_of is None
-        g = SimpleGraph()
-        for v in range(n):
-            f.activate_node(v)
-            g.activate(v)
-        edges = []
-        for _ in range(1500):
-            if edges and rng.random() < 0.3:
-                u, v = edges.pop(rng.randrange(len(edges)))
-                f.delete_edge(u, v)
-                g.remove_edge(u, v)
-            else:
-                u = rng.randrange(n)
-                v = (u + rng.randrange(1, 5)) % n
-                if g.has_edge(u, v) or g.degree(u) == 3 or g.degree(v) == 3:
-                    continue
-                f.insert_edge(u, v)
-                g.add_edge(u, v)
-                edges.append((u, v))
-            check_euler_forest(f)
-        assert hits
-        drops = ("_reindex_chunk", "_commit_large", "_cut_inside", "_maybe_shrink")
-        assert all(dropped.get(k) for k in drops), dropped
-
-
 def _cut(walk, node, nbr):
     """Index in `walk` of its first occurrence (node, w) in `nbr[node]`
     order, the one a link of two chunked tours swaps pieces at."""
@@ -1179,6 +1111,17 @@ class _Reindexes:
         return sum(n for n, _ in calls), sum(w for _, w in calls), len(self.moves) - mark[1]
 
 
+def _in_place_write(frame, lo, hi):
+    """Whether the `_splice` called from `frame` is `_link`'s in-place write
+    of a small or single-node far tour into a chunk of the near tour: the
+    one splice a link makes while its far tour is unchunked, which takes
+    nothing out (lo == hi)."""
+    if frame.f_code.co_name != "_link" or isinstance(frame.f_locals["far"], AggTree):
+        return False
+    assert lo == hi, (lo, hi)
+    return True
+
+
 def _chunked_path():
     """A path over 0 .. 40 with a leaf 41 on node 20, chunked at K = 12."""
     f = forest_with([(i, i + 1) for i in range(40)] + [(20, 41)], n=48)
@@ -1302,14 +1245,16 @@ class TestReindexOnlyWhatMoves:
         c, head, tail = sides(t)
         f.insert_edge(41, t)
         rec = _Reindexes(monkeypatch, f)
-        write, seen = EulerForest._write_occurrences, []
+        splice, seen = EulerForest._splice, []
 
-        def watched_write(self, chunk, at, new):
+        def watched_splice(self, chunk, lo, hi, new, *args):
+            if not _in_place_write(sys._getframe(1), lo, hi):
+                return splice(self, chunk, lo, hi, new, *args)
             mark = rec.mark()
-            write(self, chunk, at, new)
-            seen.append((chunk, at, rec.since(mark)))
+            splice(self, chunk, lo, hi, new, *args)
+            seen.append((chunk, lo, rec.since(mark)))
 
-        monkeypatch.setattr(EulerForest, "_write_occurrences", watched_write)
+        monkeypatch.setattr(EulerForest, "_splice", watched_splice)
         rep = f.delete_edge(20, 41)
         assert rep == ReplacementReport(ReplacementReport.REPLACED, (t, 41))
         moved = min(head, tail) + 2
@@ -1370,6 +1315,8 @@ class TestReindexOnlyWhatMoves:
 
         def watched(self, c, start=0, stop=None, shift=0):
             repair = sys._getframe(1)
+            if repair.f_code.co_name == "_splice":  # a merge's
+                repair = repair.f_back
             if repair.f_code.co_name == "_repair":  # a merge or a rebalance
                 written.append((len(c.edges) if stop is None else stop) - start)
                 local = repair.f_locals
@@ -1418,6 +1365,109 @@ def _spanning_soak(f, rng, steps):
             edges[i], edges[-1] = edges[-1], edges[i]
             f.delete_edge(*edges.pop())
         yield
+
+
+class TestOneChunkEdit:
+    """Every edit of a chunk's edges in place is one `_splice(c, lo, hi,
+    new)`: it replaces c.edges[lo:hi] by `new` and rewrites the shorter side
+    around the edit, the head [0, lo + len(new)), moving the base by
+    lo + len(new) - hi, when the head is strictly shorter than the tail
+    from lo, else that tail; a chunk left empty is retired."""
+
+    @staticmethod
+    def _site(frame, c, lo, hi):
+        """The call site of a `_splice(c, lo, hi, ...)` called from `frame`."""
+        name, local = frame.f_code.co_name, frame.f_locals
+        if name == "_link":
+            if _in_place_write(frame, lo, hi):
+                return "link in place"
+            return "link fronts" if local["fronts"] else "link backs"
+        if name == "_cut_across":
+            return "cut fronts" if local["after"] else "cut backs"
+        if name == "_repair":
+            return "merge into right" if c is local["right"] else "merge into left"
+        return name
+
+    @pytest.mark.parametrize("policy", [ArbitraryPolicy(7), CommonPolicy(0.25)])
+    def test_every_splice_rewrites_its_shorter_side(self, monkeypatch, policy):
+        """Two seeded small-K soaks, `_spanning_soak` over 40 nodes and
+        `_replacing_soak` over 20, run the checkers after every update.
+        Each `_splice` must write exactly min(lo + len(new), len(c.edges) -
+        lo) pointers, counted after the edit, and move c's base, once and by
+        lo + len(new) - hi, only when it rewrites the head with a nonzero
+        shift.  The soaks must reach every call site: a link's in-place
+        write and both swap rules, both swap rules of a cut across two
+        chunks, a cut inside one, a contraction and a repair merge into
+        either chunk."""
+        reached = Counter()
+        splice, move, site_of = EulerForest._splice, EulerForest._move_base, self._site
+        moves = []
+
+        def counted_move(self, c, shift):
+            moves.append((c, shift))
+            return move(self, c, shift)
+
+        def watched(self, c, lo, hi, new, *args):
+            site = site_of(sys._getframe(1), c, lo, hi)
+            writes, m0, base = self.edge_occ.writes, len(moves), c.base
+            end = lo + len(new)
+            splice(self, c, lo, hi, new, *args)
+            n = len(c.edges)
+            head = end < n - lo
+            assert self.edge_occ.writes - writes == min(end, n - lo), site
+            assert moves[m0:] == ([(c, end - hi)] if head and end != hi else []), site
+            assert c.base == base - (end - hi if head else 0), site
+            assert (c.array is None) == (n == 0), site
+            reached[site] += 1
+
+        monkeypatch.setattr(EulerForest, "_move_base", counted_move)
+        monkeypatch.setattr(EulerForest, "_splice", watched)
+        f = forest(40, policy)
+        f.edge_occ = _CountedOccurrences()
+        for _ in _spanning_soak(f, random.Random(3), 1500):
+            check_euler_forest(f)
+        f = forest(20, policy)
+        f.edge_occ = _CountedOccurrences()
+        _replacing_soak(f, 5, 1500, 20, lambda *_: None)
+        print(dict(reached))
+        sites = ("link in place", "link fronts", "link backs", "cut fronts", "cut backs",
+                 "_cut_inside", "contract", "merge into right", "merge into left")
+        assert set(reached) == set(sites), reached
+
+    def test_a_cut_whose_kept_back_is_empty_moves_no_base_there(self, monkeypatch):
+        """A tour of 3 chunks at K = 8, c_lo = x lo y of 8 edges and
+        c_hi = z hi of 5 (x of 1 edge, y of 6, z of 4 and w empty): deleting
+        the edge of lo and hi, with no replacement, keeps the backs, since
+        |w| + |y| > |x| + |z|.  c_hi keeps its empty back w and takes x, so
+        its head and tail are both x; `_splice` rewrites that tail, with no
+        base move, and c_lo, whose kept back y is not empty, rewrites its new
+        head z and moves its base.  Before the cut's first repair, 5
+        pointers are written and one base moves."""
+        f = forest_with(
+            [(9, 7), (16, 2), (9, 4), (6, 7), (6, 5), (16, 15), (15, 0), (0, 9), (16, 18)], n=20
+        )
+        (array,) = f.store.arrays()
+        assert f.K == 8 and [len(c.edges) for c in array.leaves] == [8, 5, 5]
+        (c_lo, i), (c_hi, j) = (locate(f.edge_occ[e]) for e in ((15, 0), (0, 15)))
+        assert (c_lo.pos, i, c_hi.pos, j, len(c_hi.edges)) == (0, 1, 1, 4, 5)
+        x, z, bases = c_lo.edges[:i], c_hi.edges[:j], (c_lo.base, c_hi.base)
+        rec = _Reindexes(monkeypatch, f)
+        repair, seen = EulerForest._repair, []
+
+        def watched_repair(self, array):
+            if not seen:
+                seen.append((rec.since((0, 0)), c_lo.base, c_hi.base, list(c_lo.edges), list(c_hi.edges)))
+            return repair(self, array)
+
+        monkeypatch.setattr(EulerForest, "_repair", watched_repair)
+        assert f.delete_edge(0, 15) == ReplacementReport(ReplacementReport.SPLIT)
+        monkeypatch.undo()
+        (writes, work, moves), lo_base, hi_base, lo_edges, hi_edges = seen[0]
+        assert hi_edges == x and lo_edges[: len(z)] == z
+        assert (writes, work, moves) == (5, 25, 1)
+        assert hi_base == bases[1] and lo_base == bases[0] - (len(z) - i - 1)
+        check_euler_forest(f)
+        check_chunk_store(f.store)
 
 
 class TestSlotCount:
@@ -1562,7 +1612,7 @@ class TestLinkCalls:
             ("_commit_large", "inside", "written"): (0, 0, 0),
         }
         reached, links = Counter(), []
-        link, commit, write = EulerForest._link, EulerForest._commit_large, EulerForest._write_occurrences
+        link, commit, splice = EulerForest._link, EulerForest._commit_large, EulerForest._splice
         cut = [None]
 
         def watched_commit(self, array, lo, hi, pair):
@@ -1574,10 +1624,10 @@ class TestLinkCalls:
             links.append([caller, cut[0] if caller == "_commit_large" else None, "chunked"])
             return link(self, near, far, pair)
 
-        def watched_write(self, c, at, new):
-            if sys._getframe(1).f_code.co_name == "_link":
+        def watched_splice(self, c, lo, hi, new, *args):
+            if _in_place_write(sys._getframe(1), lo, hi):
                 links[-1][2] = "written"
-            return write(self, c, at, new)
+            return splice(self, c, lo, hi, new, *args)
 
         def watched(update):
             def run(self, u, v):
@@ -1599,7 +1649,7 @@ class TestLinkCalls:
         calls = _array_calls(monkeypatch)
         monkeypatch.setattr(EulerForest, "_commit_large", watched_commit)
         monkeypatch.setattr(EulerForest, "_link", watched_link)
-        monkeypatch.setattr(EulerForest, "_write_occurrences", watched_write)
+        monkeypatch.setattr(EulerForest, "_splice", watched_splice)
         for name in ("insert_edge", "delete_edge"):
             monkeypatch.setattr(EulerForest, name, watched(getattr(EulerForest, name)))
         f = forest(20, policy)
@@ -1637,7 +1687,7 @@ class TestChunksPlacedOnce:
         update, depth, born = [0], [0], {}
         alloc, retire = MasterArray.alloc_chunk, MasterArray.retire_chunk
         commit, link = EulerForest._commit_large, EulerForest._link
-        write, repair = EulerForest._write_occurrences, EulerForest._repair
+        splice, repair = EulerForest._splice, EulerForest._repair
         cuts, links = [], []
 
         def mark():
@@ -1718,10 +1768,10 @@ class TestChunksPlacedOnce:
                 assert (splits, joins) == (0, 1) and rotations <= 2, kind
                 reached["small far chunked"] += small
 
-        def watched_write(self, c, at, new):
-            if sys._getframe(1).f_code.co_name == "_link":
+        def watched_splice(self, c, lo, hi, new, *args):
+            if _in_place_write(sys._getframe(1), lo, hi):
                 links[-1][1] = "written"
-            return write(self, c, at, new)
+            return splice(self, c, lo, hi, new, *args)
 
         for name in ("insert_edge", "_delete", "contract"):
             monkeypatch.setattr(EulerForest, name, one_update(getattr(EulerForest, name)))
@@ -1730,7 +1780,7 @@ class TestChunksPlacedOnce:
         monkeypatch.setattr(EulerForest, "_commit_large", watched_commit)
         monkeypatch.setattr(EulerForest, "_repair", watched_repair)
         monkeypatch.setattr(EulerForest, "_link", watched_link)
-        monkeypatch.setattr(EulerForest, "_write_occurrences", watched_write)
+        monkeypatch.setattr(EulerForest, "_splice", watched_splice)
         f = forest(40, policy)
         assert f.K == 11
         for _ in _spanning_soak(f, random.Random(2), 1500):
@@ -1854,7 +1904,7 @@ class TestLazyMasterArray:
         assert all(isinstance(t, SmallTour) for t in euler_tours(f))
         check_euler_forest(f)
         # the checkers read the plain attribute and build nothing
-        assert f.master is None and f.slots_of is None
+        assert f.master is None
 
     def test_first_chunking_builds_one_and_a_demotion_keeps_it(self, monkeypatch):
         built = []
@@ -1896,7 +1946,7 @@ class TestLazyMasterArray:
         assert (store.slot_count, len(store.free)) == (J, J)
         assert store.slot_count - len(store.free) == 0
         assert (f.meter.work, f.meter.depth, f.meter.init_work) == spent
-        assert f.master is store and f.slots_of == {}
+        assert f.master is store
         check_euler_forest(f)
 
 
@@ -1946,30 +1996,6 @@ class TestCheckerCatchesCorruption:
         tour, off = f.edge_occ[(0, 1)]
         f.edge_occ[(0, 1)] = (tour, (off + 1) % len(tour.edges))
         with pytest.raises(CheckFailure, match="occurrence pointer stale"):
-            check_euler_forest(f)
-
-    def linked_path(self):
-        """A chunked path with a non-tree edge deleted, whose link
-        refresh stores the slot bits of node 20, and a small tour."""
-        f = forest_with([(i, i + 1) for i in range(40)] + [(42, 43)], n=48)
-        f.insert_edge(0, 20)
-        f.insert_edge(0, 30)
-        f.delete_edge(0, 30)
-        check_euler_forest(f)
-        assert 20 in f.slots_of and 42 not in f.slots_of
-        return f
-
-    def test_stale_slot_record_entry(self):
-        f = self.linked_path()
-        spare = next(s for s in range(f.store.slot_count) if s not in f.store.slots)
-        f.slots_of[20] |= 1 << spare
-        with pytest.raises(CheckFailure, match="slot record of node 20 stale"):
-            check_euler_forest(f)
-
-    def test_slot_record_entry_for_a_small_tour_node(self):
-        f = self.linked_path()
-        f.slots_of[42] = f.slots_of[20]
-        with pytest.raises(CheckFailure, match="node 42, which no chunk holds"):
             check_euler_forest(f)
 
     @pytest.mark.parametrize(

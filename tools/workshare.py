@@ -38,11 +38,14 @@ counts the link flush's refreshes (`EulerForest._refresh_links`): all of
 them, those that changed the chunk's row, and the work of the others, the
 no-op refreshes, with its share of the replay's work, then splits the
 no-op refreshes by the site that marked the chunk (`MARKERS`; a reindex is
-labelled by the forest method that asked for it).  Below those it counts
-the aggregate tree's structural calls (`STRUCTURAL`: `AggTree.insert`,
-`delete`, `split_boundary` and the tree's `join`) per chunked forest
-update, by update kind: a link, a cut with no replacement, a replacement
-and a contraction, each update that makes at least one such call.
+labelled by the forest method that asked for it, directly or through the
+chunk edit `_splice`, and `_link`'s in-place write of a small or
+single-node far tour is booked apart from its swaps).  Below those it
+counts the aggregate tree's structural calls (`STRUCTURAL`:
+`AggTree.insert`, `delete`, `split_boundary` and the tree's `join`) per
+chunked forest update, by update kind: a link, a cut with no
+replacement, a replacement and a contraction, each update that makes at
+least one such call.
 
 Last it splits the work of the gadget updates, every `ConnGeneral`
 `insert_edge` and `_delete` at every sparsification node, by call site
@@ -70,6 +73,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+from dynconn.aggtree import AggTree  # noqa: E402
 from run import UPDATES, drive, setup  # noqa: E402
 from workloads import conn_churn  # noqa: E402
 
@@ -220,17 +224,25 @@ def offset_writes(counts):
 
 
 # the forest methods that mark a chunk in an update's record (`_touched`);
-# a reindex's mark is booked with the forest method that asked for it,
-# through `_rewrite`, which only passes a chunk's new edges on
+# a reindex is booked with the forest method that asked for it, directly or
+# through the chunk edit `_splice` (`_link`'s in-place write apart from its
+# swaps), and a mark a method passes to `_splice` with that method
 MARKERS = ("_reindex_chunk", "_cut_across", "_cut_inside", "_commit_large", "contract")
 
 
 def _forest_caller(frame):
     """The name of the nearest frame at or above `frame` that is neither
-    this tool's own wrapper nor `EulerForest._rewrite`."""
-    while frame.f_code.co_filename == __file__ or frame.f_code.co_name == "_rewrite":
+    this tool's own wrapper nor `EulerForest._splice`; a splice that `_link`
+    makes while its far tour is small or a single node, its in-place write
+    of that tour, is `_link, in place`."""
+    spliced = False
+    while frame.f_code.co_filename == __file__ or frame.f_code.co_name == "_splice":
+        spliced = spliced or frame.f_code.co_name == "_splice"
         frame = frame.f_back
-    return frame.f_code.co_name
+    name = frame.f_code.co_name
+    if spliced and name == "_link" and not isinstance(frame.f_locals["far"], AggTree):
+        return "_link, in place"
+    return name
 
 
 @contextmanager
